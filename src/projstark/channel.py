@@ -114,13 +114,15 @@ class MerkleTree:
         if not values:
             raise ValueError("cannot commit to an empty table")
         self.leaf_count = len(values)
-        leaves = [_leaf_digest(v) for v in values]
-        while len(leaves) & (len(leaves) - 1):
-            leaves.append(leaves[-1])
-        levels = [leaves]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            levels.append([_node_digest(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)])
+        # the digests of _leaf_digest and _node_digest, inlined to save a call per digest
+        sha = hashlib.sha256
+        level = [sha(_LEAF_TAG + v.to_bytes(8, "little")).digest() for v in values]
+        while len(level) & (len(level) - 1):
+            level.append(level[-1])
+        levels = [level]
+        while len(level) > 1:
+            level = [sha(_NODE_TAG + a + b).digest() for a, b in zip(level[0::2], level[1::2])]
+            levels.append(level)
         self._levels = levels
 
     @property

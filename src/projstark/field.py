@@ -150,14 +150,14 @@ class FieldElement:
         return str(self.value)
 
 
-def _prime_factors(n: int) -> list:
+def prime_factors(n: int) -> list:
+    """Prime factors of n with multiplicity, smallest first."""
     out = []
     d = 2
     while d * d <= n:
-        if n % d == 0:
+        while n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n //= d
         d += 1
     if n > 1:
         out.append(n)
@@ -200,7 +200,7 @@ def build_domain(field: PrimeField, n: int) -> CyclicDomain:
     q = field.modulus
     if n <= 0 or (q - 1) % n != 0:
         raise NoSubgroupError(f"F_{q}* has no subgroup of order {n}: {n} does not divide {q - 1}")
-    factors = _prime_factors(n)
+    factors = set(prime_factors(n))
     for h in range(2, q):
         if pow(h, n, q) != 1:
             continue

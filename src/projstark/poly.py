@@ -7,9 +7,10 @@ passes every degree bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+import operator
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .field import FieldElement, PrimeField
+from .field import FieldElement, PrimeField, prime_factors
 
 NEG_INF = float("-inf")
 
@@ -226,3 +227,120 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, bool]:
     """Long division; the quotient is meaningful only when the remainder is zero."""
     quot, rem = divmod(num, den)
     return quot, rem.is_zero()
+
+
+class CosetEvaluator:
+    """Evaluation tables on a union of cosets of a cyclic subgroup, by coset DFT.
+
+    `points` must be a union of cosets c·G of the order-m subgroup G generated
+    by `omega`; tables come out in the order of `points`, and `index` maps each
+    point to its position. For each coset representative c, p(c·y) is reduced
+    mod y^m - 1 (coefficient k collects p_i·c^i over i ≡ k mod m), and one
+    length-m mixed-radix DFT, decimation in frequency with the smallest prime
+    first, gives p(c·omega^j) for every j. The DFT works on m rows, each holding
+    one entry per coset, so every butterfly is a list operation over all cosets
+    and the plan (index patterns and twiddles) is O(m) per stage.
+    """
+
+    def __init__(self, field: PrimeField, points: Sequence[int], omega: Scalar, order: int):
+        q = field.modulus
+        w = _val(omega, q)
+        radices = prime_factors(order)
+        if order < 1 or pow(w, order, q) != 1 or any(pow(w, order // r, q) == 1 for r in radices):
+            raise ValueError(f"{w} does not have multiplicative order {order} mod {q}")
+        self.field = field
+        self.order = order
+        self.index = {x: i for i, x in enumerate(points)}
+        if len(self.index) != len(points):
+            raise ValueError("duplicated evaluation point")
+
+        powers = [1] * order
+        for k in range(1, order):
+            powers[k] = powers[k - 1] * w % q
+
+        # Stage with radix r on blocks of length b = r·s: for every block and
+        # k1 < s, row k1 + s·j2 becomes sum_k2 w_b^(j2·(k1 + s·k2)) · row(k1 + s·k2),
+        # w_b = w^(order/b) of order b. For r = 2 that matrix is [[1, 1], [t, -t]]
+        # with t = w_b^k1, so only t is kept: the two-list butterfly it allows
+        # costs half the general matrix product, and radix 2 is most stages.
+        self._stages = []
+        block = order
+        for r in radices:
+            span = block // r
+            step = order // block
+            butterflies = []
+            for k1 in range(span):
+                if r == 2:
+                    shape = powers[step * k1]
+                else:
+                    shape = tuple(
+                        tuple(powers[step * (j2 * (k1 + span * k2) % block)] for k2 in range(r))
+                        for j2 in range(r)
+                    )
+                rows = tuple(k1 + span * k2 for k2 in range(r))
+                butterflies.append((rows, shape))
+            self._stages.append((r, block, butterflies))
+            block = span
+
+        # After the last stage, row p holds the DFT output at the mixed-radix
+        # digit reversal freq[p] of p; entry t of that row is the value at
+        # reps[t]·w^freq[p]. gather maps each point to its flat row-major slot.
+        freq = [0]
+        for r in reversed(radices):
+            freq = [r * f + j2 for j2 in range(r) for f in freq]
+        count, extra = divmod(len(points), order)
+        if extra:
+            raise ValueError(f"{len(points)} points cannot be a union of cosets of order {order}")
+        reps: List[int] = []
+        gather: List[Optional[int]] = [None] * len(points)
+        for x in points:
+            if gather[self.index[x]] is not None:
+                continue
+            t = len(reps)
+            reps.append(x)
+            for row, f in enumerate(freq):
+                i = self.index.get(x * powers[f] % q)
+                if i is None:
+                    raise ValueError(f"the coset of {x} is not contained in the points")
+                gather[i] = row * count + t
+        self._reps = reps
+        self._gather = gather
+
+    def evaluate(self, poly: Polynomial) -> List[int]:
+        """[poly(x) for x in points] as canonical residues."""
+        if poly.field != self.field:
+            raise ValueError("polynomial over a different field")
+        q = self.field.modulus
+        m = self.order
+        reps = self._reps
+        zero = [0] * len(reps)
+        rows = [zero] * m
+        pw = [1] * len(reps)  # c^i for every representative c
+        last = len(poly.coeffs) - 1
+        for i, a in enumerate(poly.coeffs):
+            if a:
+                k = i % m
+                if i < m:
+                    rows[k] = [a * x % q for x in pw]
+                else:
+                    rows[k] = [(v + a * x) % q for v, x in zip(rows[k], pw)]
+            if i < last:
+                pw = [x * c % q for x, c in zip(pw, reps)]
+
+        for r, block, butterflies in self._stages:
+            for base in range(0, m, block):
+                for idx, shape in butterflies:
+                    if r == 2:
+                        i0, i1 = base + idx[0], base + idx[1]
+                        x0, x1 = rows[i0], rows[i1]
+                        rows[i0] = [(a + b) % q for a, b in zip(x0, x1)]
+                        rows[i1] = [(a - b) * shape % q for a, b in zip(x0, x1)]
+                    else:
+                        cols = list(zip(*[rows[base + i] for i in idx]))
+                        for i, ws in zip(idx, shape):
+                            rows[base + i] = [
+                                sum(map(operator.mul, ws, col)) % q for col in cols
+                            ]
+
+        flat = [v for row in rows for v in row]
+        return [flat[i] for i in self._gather]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .air import (
@@ -34,7 +35,7 @@ from .channel import (
 from .dynamics import ExecutionTrace, StepRecord, StepSource, SystemSpec, online_check
 from .field import CyclicDomain, PrimeField, build_domain
 from .fri import DegreeTestFailedError, fold, fold_value, num_rounds
-from .poly import Polynomial, divide_exact
+from .poly import CosetEvaluator, Polynomial, divide_exact
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
@@ -146,13 +147,12 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 
 class _Committed:
-    """A polynomial with its evaluation table, Merkle tree, and point index."""
+    """A polynomial's evaluation table and Merkle tree, opened by point."""
 
-    def __init__(self, poly: Polynomial, points: Sequence[int]):
-        self.poly = poly
-        self.table = [poly(x).value for x in points]
+    def __init__(self, poly: Polynomial, evaluator: CosetEvaluator):
+        self.table = evaluator.evaluate(poly)
         self.tree = MerkleTree(self.table)
-        self.index = {x: i for i, x in enumerate(points)}
+        self.index = evaluator.index
 
     def open_at(self, point: int) -> Opening:
         i = self.index[point]
@@ -259,13 +259,16 @@ def prove(
     spec_digest = hash_spec(field, spec)
     transcript.absorb("spec", spec_digest)
 
+    q = field.modulus
+    g = domain.generator.value
     d0 = base_eval_domain(field, domain)
+    ev0 = CosetEvaluator(field, d0, g, N + 1)
     groups = {
-        "f_z": [_Committed(p, d0) for p in tp.f_z],
-        "f_alpha_up": [_Committed(p, d0) for p in tp.f_alpha_up],
-        "f_alpha_lo": [_Committed(p, d0) for p in tp.f_alpha_lo],
-        "f_delta": [_Committed(p, d0) for p in tp.f_delta],
-        "boundary": [_Committed(p, d0) for p in boundary_polys],
+        "f_z": [_Committed(p, ev0) for p in tp.f_z],
+        "f_alpha_up": [_Committed(p, ev0) for p in tp.f_alpha_up],
+        "f_alpha_lo": [_Committed(p, ev0) for p in tp.f_alpha_lo],
+        "f_delta": [_Committed(p, ev0) for p in tp.f_delta],
+        "boundary": [_Committed(p, ev0) for p in boundary_polys],
     }
     for name in ("f_z", "f_alpha_up", "f_alpha_lo", "f_delta", "boundary"):
         for i, cm in enumerate(groups[name]):
@@ -283,7 +286,7 @@ def prove(
         bound = max(2 * N - 2, 0)
     rounds = num_rounds(bound)
 
-    composition = _Committed(combined.poly, d0)
+    composition = _Committed(combined.poly, ev0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
@@ -298,7 +301,11 @@ def prove(
         nxt = fold(layer_polys[-1], beta)
         layer_polys.append(nxt)
         if j < rounds - 1:
-            cm = _Committed(nxt, domains[j + 1])
+            # layer j+1 is a union of cosets of H^(2^(j+1))
+            e = 2 ** (j + 1)
+            cm = _Committed(
+                nxt, CosetEvaluator(field, domains[j + 1], pow(g, e, q), (N + 1) // gcd(N + 1, e))
+            )
             layer_committed.append(cm)
             transcript.absorb(f"fri[{j + 1}]", cm.tree.root)
         else:
@@ -309,8 +316,6 @@ def prove(
             fri_final = nxt.coeffs[0] if nxt.coeffs else 0
             transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
 
-    q = field.modulus
-    g = domain.generator.value
     excluded = {e.value for e in domain.elements} | {0}
     queries = []
     for _ in range(num_queries):

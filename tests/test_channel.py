@@ -9,6 +9,8 @@ from projstark.channel import (
     MerkleTree,
     ReplayTranscript,
     TranscriptError,
+    _leaf_digest,
+    _node_digest,
     verify_opening,
 )
 
@@ -139,6 +141,34 @@ def test_merkle_duplicate_last_padding():
     tree3 = MerkleTree([7, 8, 9])
     tree4 = MerkleTree([7, 8, 9, 9])
     assert tree3.root == tree4.root
+
+
+def _reference_levels(values):
+    """Tree levels built leaf by leaf with the helpers verify_opening uses."""
+    level = [_leaf_digest(v) for v in values]
+    while len(level) & (len(level) - 1):
+        level.append(level[-1])
+    levels = [level]
+    while len(level) > 1:
+        level = [_node_digest(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 300])
+def test_merkle_matches_reference_tree(count):
+    rng = random.Random(count)
+    table = [rng.randrange(12289) for _ in range(count)]
+    tree = MerkleTree(table)
+    levels = _reference_levels(table)
+    assert tree.root == levels[-1][0]
+    for i, v in enumerate(table):
+        path, index = [], i
+        for level in levels[:-1]:
+            path.append(level[index ^ 1])
+            index >>= 1
+        assert tree.open(i) == path
+        assert verify_opening(tree.commitment, i, v, path)
 
 
 def test_merkle_roots_bind_the_table():

@@ -1,15 +1,22 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from projstark.field import PrimeField, build_domain, is_prime
+from projstark.fri import num_rounds
 from projstark.poly import (
     NEG_INF,
+    CosetEvaluator,
     Polynomial,
     divide_exact,
     interpolate,
     poly_arith,
     vanishing,
 )
+from projstark.protocol import base_eval_domain, layer_eval_domains
 
 
 def rand_poly(rng, field, max_deg):
@@ -177,3 +184,72 @@ def test_vanishing_single_point(field):
     assert vanishing([1], field).coeffs == (330, 1)
     with pytest.raises(ValueError):
         vanishing([4, 4], field)
+
+
+# --- coset DFT evaluation -----------------------------------------------------
+
+
+def _layer_evaluators(q, order):
+    """Evaluators for the base domain and every FRI layer domain of a proof."""
+    field = PrimeField(q)
+    domain = build_domain(field, order)
+    g = domain.generator.value
+    layers = layer_eval_domains(field, base_eval_domain(field, domain), num_rounds(2 * order - 4))
+    for j, points in enumerate(layers):
+        e = 2 ** j
+        yield points, CosetEvaluator(field, points, pow(g, e, q), order // gcd(order, e))
+
+
+@pytest.mark.parametrize("q,order", [(12289, 128), (769, 256), (331, 30), (3001, 40)])
+def test_coset_evaluator_matches_horner_on_proof_domains(q, order):
+    rng = random.Random(q)
+    field = PrimeField(q)
+    polys = [Polynomial.zero(field)] + [
+        rand_poly(rng, field, d) for d in (0, order - 1, order, 2 * order - 3)
+    ]
+    layers = 0
+    for points, ev in _layer_evaluators(q, order):
+        assert ev.index == {x: i for i, x in enumerate(points)}
+        for p in polys:
+            assert ev.evaluate(p) == [p(x).value for x in points]
+        layers += 1
+    assert layers == num_rounds(2 * order - 4)
+
+
+def test_coset_evaluator_rejects_bad_plans():
+    field = PrimeField(331)
+    g = build_domain(field, 30).generator.value
+    with pytest.raises(ValueError):
+        CosetEvaluator(field, [2, 3], g, 30)  # too few points for one coset
+    with pytest.raises(ValueError):
+        CosetEvaluator(field, list(range(1, 31)), g, 30)  # 30 points, not a coset
+    with pytest.raises(ValueError):
+        CosetEvaluator(field, list(range(1, 331)), g * g % 331, 30)  # g^2 has order 15
+    with pytest.raises(ValueError):
+        CosetEvaluator(field, [1, 1], 1, 1)
+    ev = CosetEvaluator(field, [5], 1, 1)
+    with pytest.raises(ValueError):
+        ev.evaluate(Polynomial(PrimeField(61), (1, 2)))
+
+
+_SMALL_PRIMES = [p for p in range(3, 400) if is_prime(p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_coset_evaluator_matches_horner_on_any_coset_union(data):
+    q = data.draw(st.sampled_from(_SMALL_PRIMES), label="q")
+    order = data.draw(st.sampled_from([m for m in range(1, 49) if (q - 1) % m == 0]), label="m")
+    field = PrimeField(q)
+    g = build_domain(field, order).generator.value
+    subgroup = [pow(g, k, q) for k in range(order)]
+    reps, seen = [], set()
+    for x in range(1, q):
+        if x not in seen:
+            reps.append(x)
+            seen.update(x * h % q for h in subgroup)
+    chosen = data.draw(st.lists(st.sampled_from(reps), min_size=1, unique=True), label="cosets")
+    points = data.draw(st.permutations([c * h % q for c in chosen for h in subgroup]))
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), max_size=3 * order + 2), label="coeffs")
+    p = Polynomial(field, coeffs)
+    assert CosetEvaluator(field, points, g, order).evaluate(p) == [p(x).value for x in points]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -7,7 +8,8 @@ from conftest import random_challenges, random_spec
 from projstark import reference_example as ref
 from projstark.air import InvalidTraceError
 from projstark.channel import FiatShamirTranscript, ReplayTranscript
-from projstark.dynamics import StepRecord, simulate, step_slack
+from projstark.cli import EXIT_OK, main
+from projstark.dynamics import StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField
 from projstark.protocol import (
     OnlineStageError,
@@ -233,6 +235,59 @@ def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
     doc["publics"]["degree_bound"] = "-1"
     with pytest.raises(ProofFormatError):
         verify(field, paper_spec, proof_from_json(doc))
+
+
+# --- byte identity ------------------------------------------------------------
+
+# SHA-256 of dump_proof for fixed inputs. The evaluation tables, Merkle trees
+# and openings behind these digests were first computed with per-point Horner
+# evaluation and per-leaf hashing helpers; any change to the committed values,
+# their order or the tree hashing changes a digest.
+PINNED_PROOF_DIGESTS = {
+    "paper-replay": "b5899ad3f81112485fe006ba915835f4e67d2589d1aa3dca4a815f8a18492940",
+    "paper-fiat-shamir": "6faf922226abf4227da1ad334bf7b37207496a3b61ce504e329a18f825991462",
+    # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; FRI layers 1-6 are
+    # unions of cosets of subgroups of order 20, 10 and 5
+    "q3001-fiat-shamir": "940c1aecb7d7553cf897e07179e865405c0e26f64b04c1d13ef560c382ea4b9d",
+}
+PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
+
+MIXED_RADIX_SPEC = SystemSpec(
+    a_hat=((1, 2), (2, -1)),
+    z_upper=(300, 284),
+    z_lower=(94, 243),
+    z_init=(225, 282),
+    num_steps=39,
+)
+
+
+def _proof_digest(proof) -> str:
+    return hashlib.sha256(dump_proof(proof).encode()).hexdigest()
+
+
+def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
+    assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
+    salt = b"pin-paper"
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=8, salt=salt)
+    assert verify(field, paper_spec, proof).accepted
+    assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["paper-fiat-shamir"]
+
+
+def test_mixed_radix_proof_is_byte_identical():
+    field = PrimeField(3001)
+    salt = b"pin-mixed"
+    proof = prove(field, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
+                  FiatShamirTranscript(3001, salt=salt), num_queries=8, salt=salt)
+    assert verify(field, MIXED_RADIX_SPEC, proof).accepted
+    assert len(proof.fri_comms) == 6
+    assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
+
+
+def test_replay_paper_output_is_unchanged(capsys):
+    assert main(["replay-paper"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPLAY_PAPER_DIGEST
 
 
 # --- randomized end-to-end trials -------------------------------------------
