@@ -12,7 +12,6 @@ from .air import (
     FieldOverflowError,
     InvalidTraceError,
     TracePolynomials,
-    boundary_check,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -49,11 +48,8 @@ from .field import (
 from .fri import (
     DegreeTestFailedError,
     FriLayer,
-    FriQueryAnswer,
     commit_phase,
     fold,
-    make_query_answer,
-    query_check,
     split_even_odd,
 )
 from .poly import NEG_INF, Polynomial, divide_exact, interpolate, vanishing

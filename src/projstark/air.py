@@ -137,51 +137,49 @@ class ConstraintNumerators:
                 yield name, i, p
 
 
+def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
+    """The 4n constraint numerators at one point, in weight-draw order.
+
+    The arguments are per-coordinate sequences: the state z, the next state,
+    the two selector bits and the slack. Only +, - and * are used, so the one
+    definition serves polynomials (the prover's numerators) and opened integer
+    values (the verifier, which reduces the results mod q).
+    """
+    n = spec.n
+    hi, lw = spec.z_upper, spec.z_lower
+    az = [sum(a * zj for a, zj in zip(row, z) if a) for row in spec.a_hat]
+    return [
+        *(z_next[i] - lo[i] * up[i] * az[i] - (1 - up[i]) * hi[i] - (1 - lo[i]) * lw[i]
+          for i in range(n)),
+        *(delta[i] - up[i] * (hi[i] - az[i]) - lo[i] * (az[i] - lw[i]) for i in range(n)),
+        *(up[i] * (1 - up[i]) for i in range(n)),
+        *(lo[i] * (1 - lo[i]) for i in range(n)),
+    ]
+
+
 def build_numerators(
     tp: TracePolynomials, spec: SystemSpec, domain: CyclicDomain
 ) -> ConstraintNumerators:
-    field = domain.field
+    n = spec.n
     g = domain.generator
-    one = Polynomial.constant(field, 1)
-    az = []
-    for i in range(spec.n):
-        acc = Polynomial.zero(field)
-        for j in range(spec.n):
-            if spec.a_hat[i][j]:
-                acc = acc + tp.f_z[j].scale(spec.a_hat[i][j])
-        az.append(acc)
-
-    transition, slack, upper_bit, lower_bit = [], [], [], []
-    for i in range(spec.n):
-        hi = Polynomial.constant(field, spec.z_upper[i])
-        lw = Polynomial.constant(field, spec.z_lower[i])
-        f_up, f_lo = tp.f_alpha_up[i], tp.f_alpha_lo[i]
-        transition.append(
-            tp.f_z[i].scale_argument(g)
-            - f_lo * f_up * az[i]
-            - (one - f_up).scale(spec.z_upper[i])
-            - (one - f_lo).scale(spec.z_lower[i])
-        )
-        slack.append(tp.f_delta[i] - f_up * (hi - az[i]) - f_lo * (az[i] - lw))
-        upper_bit.append(f_up * (one - f_up))
-        lower_bit.append(f_lo * (one - f_lo))
+    nums = constraints(spec, tp.f_z, [p.scale_argument(g) for p in tp.f_z],
+                       tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta)
     return ConstraintNumerators(
-        transition=tuple(transition),
-        slack=tuple(slack),
-        upper_bit=tuple(upper_bit),
-        lower_bit=tuple(lower_bit),
+        transition=tuple(nums[:n]),
+        slack=tuple(nums[n:2 * n]),
+        upper_bit=tuple(nums[2 * n:3 * n]),
+        lower_bit=tuple(nums[3 * n:]),
     )
 
 
 @dataclass(frozen=True)
 class CompositionSet:
-    """Quotients by the step-domain vanishing polynomial, with declared degree bounds."""
+    """Quotients by the step-domain vanishing polynomial, with their combined degree bound."""
 
     transition: Tuple[Polynomial, ...]
     slack: Tuple[Polynomial, ...]
     upper_bit: Tuple[Polynomial, ...]
     lower_bit: Tuple[Polynomial, ...]
-    bounds: dict
     combined_degree_bound: int
 
     def ordered(self) -> List[Polynomial]:
@@ -218,16 +216,6 @@ def build_compositions(
 
     d = tp.degrees()
     n = tp.n
-    bounds = {
-        "transition": tuple(
-            max(d["z"][i] + d["alpha_up"][i] + d["alpha_lo"][i] - N, 0) for i in range(n)
-        ),
-        "slack": tuple(
-            max(d["z"][i] + max(d["alpha_up"][i], d["alpha_lo"][i]) - N, 0) for i in range(n)
-        ),
-        "upper_bit": tuple(max(2 * d["alpha_up"][i] - N, 0) for i in range(n)),
-        "lower_bit": tuple(max(2 * d["alpha_lo"][i] - N, 0) for i in range(n)),
-    }
     combined = max(
         d["z"][i] + d["alpha_up"][i] + d["alpha_lo"][i] for i in range(n)
     ) - N
@@ -236,7 +224,6 @@ def build_compositions(
         slack=tuple(quots["slack"]),
         upper_bit=tuple(quots["upper_bit"]),
         lower_bit=tuple(quots["lower_bit"]),
-        bounds=bounds,
         combined_degree_bound=max(combined, 0),
     )
 
@@ -260,8 +247,3 @@ def combine(cs: CompositionSet, gammas: Sequence[int]) -> CombinedPolynomial:
     # the declared bound can only be trusted up to the observed degree
     bound = max(cs.combined_degree_bound, acc.reported_degree)
     return CombinedPolynomial(poly=acc, gammas=tuple(int(g) for g in gammas), degree_bound=bound)
-
-
-def boundary_check(tp: TracePolynomials, spec: SystemSpec) -> bool:
-    """Initialization condition: every f_z interpolant opens to z_init at g^0 = 1."""
-    return all(tp.f_z[i](1) == spec.z_init[i] for i in range(spec.n))

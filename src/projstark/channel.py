@@ -3,7 +3,8 @@
 Two transcript modes share one interface: replay consumes injected challenge
 lists in order (used to reproduce the worked example), fiat_shamir derives
 challenges from a SHA-256 hash of the message log.  Merkle trees commit to
-ordered evaluation tables with domain-separated SHA-256 hashing.
+ordered tables of rows (the values of several polynomials at one point) with
+domain-separated SHA-256 hashing.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 
 
-def _leaf_digest(value: int) -> bytes:
-    return hashlib.sha256(_LEAF_TAG + value.to_bytes(8, "little")).digest()
+def _leaf_digest(row: Sequence[int]) -> bytes:
+    return hashlib.sha256(_LEAF_TAG + b"".join([v.to_bytes(8, "little") for v in row])).digest()
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:
@@ -108,15 +109,20 @@ class MerkleCommitment:
 
 
 class MerkleTree:
-    """Binary tree over an ordered evaluation table, duplicate-last padded."""
+    """Binary tree over an ordered table of rows, duplicate-last padded.
 
-    def __init__(self, values: Sequence[int]):
-        if not values:
+    A leaf is SHA-256(0x00 || the row's values as 8-byte little-endian), so a
+    one-value row hashes like a single table entry.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        if not rows:
             raise ValueError("cannot commit to an empty table")
-        self.leaf_count = len(values)
+        self.leaf_count = len(rows)
         # the digests of _leaf_digest and _node_digest, inlined to save a call per digest
-        sha = hashlib.sha256
-        level = [sha(_LEAF_TAG + v.to_bytes(8, "little")).digest() for v in values]
+        sha, join = hashlib.sha256, b"".join
+        level = [sha(_LEAF_TAG + join([v.to_bytes(8, "little") for v in row])).digest()
+                 for row in rows]
         while len(level) & (len(level) - 1):
             level.append(level[-1])
         levels = [level]
@@ -144,14 +150,14 @@ class MerkleTree:
 
 
 def verify_opening(
-    commitment: MerkleCommitment, index: int, value: int, path: Sequence[bytes]
+    commitment: MerkleCommitment, index: int, row: Sequence[int], path: Sequence[bytes]
 ) -> bool:
     if not 0 <= index < commitment.leaf_count:
         raise IndexError(f"leaf index {index} out of range")
     padded = 1 if commitment.leaf_count <= 1 else 1 << (commitment.leaf_count - 1).bit_length()
     if len(path) != padded.bit_length() - 1:
         return False
-    digest = _leaf_digest(value)
+    digest = _leaf_digest(row)
     for sibling in path:
         if index & 1:
             digest = _node_digest(sibling, digest)

@@ -1,4 +1,4 @@
-"""FRI low-degree testing: even/odd folding, commit phase, and query checks."""
+"""FRI low-degree testing: even/odd folding, the per-point fold, and the commit phase."""
 
 from __future__ import annotations
 
@@ -17,16 +17,6 @@ class DegreeTestFailedError(RuntimeError):
 class FriLayer:
     poly: Polynomial
     beta: Optional[int]  # challenge folding this layer into the next; None on the last
-    eval_domain: Optional[Tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
-class FriQueryAnswer:
-    """Values along one query chain: (Q_j(y_j), Q_j(-y_j)) with y_j = x^(2^j)."""
-
-    x: int
-    pairs: Tuple[Tuple[int, int], ...]
-    final: int
 
 
 def split_even_odd(p: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -78,33 +68,3 @@ def commit_phase(p: Polynomial, bound: int, betas: Iterator[int]) -> List[FriLay
 def final_constant(layers: Sequence[FriLayer]) -> int:
     p = layers[-1].poly
     return p.coeffs[0] if p.coeffs else 0
-
-
-def make_query_answer(layers: Sequence[FriLayer], x: int) -> FriQueryAnswer:
-    """Prover-side answer in clear-polynomial mode."""
-    q = layers[0].poly.field.modulus
-    pairs = []
-    y = x % q
-    for layer in layers[:-1]:
-        pairs.append((layer.poly(y).value, layer.poly(-y).value))
-        y = y * y % q
-    return FriQueryAnswer(x=x % q, pairs=tuple(pairs), final=final_constant(layers))
-
-
-def query_check(layers: Sequence[FriLayer], answer: FriQueryAnswer) -> bool:
-    """Walk the folding identities down the chain; accept iff every value matches."""
-    field = layers[0].poly.field
-    q = field.modulus
-    if len(answer.pairs) != len(layers) - 1:
-        return False
-    y = answer.x % q
-    for j, (v_pos, v_neg) in enumerate(answer.pairs):
-        computed = fold_value(field, v_pos, v_neg, y, layers[j].beta)
-        y = y * y % q
-        if j + 1 < len(answer.pairs):
-            if computed != answer.pairs[j + 1][0]:
-                return False
-        else:
-            if computed != answer.final:
-                return False
-    return answer.final == final_constant(layers)

@@ -70,13 +70,16 @@ class Polynomial:
     def __call__(self, x: Scalar) -> FieldElement:
         return self.evaluate(x)
 
-    def _check(self, other: "Polynomial") -> None:
+    def _lift(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+        """The other operand of an arithmetic op; a scalar becomes a constant polynomial."""
+        if not isinstance(other, Polynomial):
+            return Polynomial(self.field, (other,))
         if other.field != self.field:
             raise ValueError("polynomials over different fields")
+        return other
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+        a, b = self.coeffs, self._lift(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -84,21 +87,25 @@ class Polynomial:
             out[i] = (out[i] + c) % self.field.modulus
         return Polynomial(self.field, out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
+    __radd__ = __add__
+
+    def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+        a, b = self.coeffs, self._lift(other).coeffs
+        n = max(len(a), len(b))
         q = self.field.modulus
         return Polynomial(
             self.field,
             [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q for i in range(n)],
         )
 
+    def __rsub__(self, other: Scalar) -> "Polynomial":
+        return self._lift(other) - self
+
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, [-c for c in self.coeffs])
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+        other = self._lift(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
         q = self.field.modulus
@@ -109,6 +116,8 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = (out[i + j] + a * b) % q
         return Polynomial(self.field, out)
+
+    __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "Polynomial":
         cv = _val(c, self.field.modulus)
@@ -125,7 +134,7 @@ class Polynomial:
         return Polynomial(self.field, out)
 
     def __divmod__(self, den: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
-        self._check(den)
+        den = self._lift(den)
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = self.field.modulus
@@ -157,19 +166,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)})"
-
-
-def poly_arith(a: Polynomial, b, op: str) -> Polynomial:
-    """Dispatch form of the arithmetic ops; `scale` takes a scalar for b."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def interpolate(points: Sequence[Tuple[Scalar, Scalar]], field: PrimeField) -> Polynomial:

@@ -1,11 +1,11 @@
 """End-to-end orchestration: online stage, proof generation, and verification.
 
-The proof commits every trace-column interpolant, the boundary quotients, the
-combined composition polynomial, and the FRI folding layers as Merkle trees
-over evaluation tables.  Verification checks commitment openings, the
-boundary-quotient identity, recomputation of the composition values from the
-opened column values, and the FRI folding chain, attributing any failure to
-the earliest failing stage.
+The proof commits the trace as one Merkle tree whose leaf at a point x is the
+row of every column interpolant and boundary quotient at x, and commits the
+combined composition polynomial and each FRI folding layer as a tree of its
+own.  Verification checks commitment openings, the boundary-quotient identity,
+recomputation of the composition values from the opened trace rows, and the
+FRI folding chain, attributing any failure to the earliest failing stage.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .air import (
     build_numerators,
     build_trace_polys,
     combine,
+    constraints,
     lift_trace,
 )
 from .channel import (
@@ -39,6 +40,7 @@ from .poly import CosetEvaluator, Polynomial, divide_exact
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
+PROOF_VERSION = 2
 
 
 class ProofFormatError(ValueError):
@@ -57,13 +59,19 @@ class Opening:
 
 
 @dataclass(frozen=True)
+class RowOpening:
+    """The trace row at one point: the values of f_z, f_alpha_up, f_alpha_lo,
+    f_delta and the boundary quotients, in that order, n values each."""
+
+    index: int
+    values: Tuple[int, ...]
+    path: Tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
 class ProofQuery:
     x: int
-    f_z: Tuple[Tuple[Opening, Opening], ...]  # per coordinate: at x and at g*x
-    f_alpha_up: Tuple[Opening, ...]
-    f_alpha_lo: Tuple[Opening, ...]
-    f_delta: Tuple[Opening, ...]
-    boundary: Tuple[Opening, ...]
+    trace: Tuple[RowOpening, RowOpening]  # trace rows at x and at g*x
     fri: Tuple[Tuple[Opening, Opening], ...]  # per layer j: at x^(2^j) and its negation
 
 
@@ -72,20 +80,15 @@ class Proof:
     modulus: int
     num_steps: int
     generator: int
-    spec_hash: bytes
     salt: bytes
     degree_bound: int
-    f_z_comms: Tuple[MerkleCommitment, ...]
-    f_alpha_up_comms: Tuple[MerkleCommitment, ...]
-    f_alpha_lo_comms: Tuple[MerkleCommitment, ...]
-    f_delta_comms: Tuple[MerkleCommitment, ...]
-    boundary_comms: Tuple[MerkleCommitment, ...]
+    trace_comm: MerkleCommitment
     composition_comm: MerkleCommitment
     fri_comms: Tuple[MerkleCommitment, ...]  # layers 1..rounds-1
     fri_final: int
     queries: Tuple[ProofQuery, ...]
     challenges: Optional[dict]  # replay mode only
-    version: int = 1
+    version: int = PROOF_VERSION
 
     @property
     def mode(self) -> str:
@@ -147,16 +150,21 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 
 class _Committed:
-    """A polynomial's evaluation table and Merkle tree, opened by point."""
+    """Evaluation tables of polynomials on one domain, one Merkle leaf per point."""
 
-    def __init__(self, poly: Polynomial, evaluator: CosetEvaluator):
-        self.table = evaluator.evaluate(poly)
-        self.tree = MerkleTree(self.table)
+    def __init__(self, polys: Sequence[Polynomial], evaluator: CosetEvaluator):
+        self.rows = list(zip(*[evaluator.evaluate(p) for p in polys]))
+        self.tree = MerkleTree(self.rows)
         self.index = evaluator.index
 
-    def open_at(self, point: int) -> Opening:
+    def open_row(self, point: int) -> RowOpening:
         i = self.index[point]
-        return Opening(index=i, value=self.table[i], path=tuple(self.tree.open(i)))
+        return RowOpening(index=i, values=self.rows[i], path=tuple(self.tree.open(i)))
+
+    def open_at(self, point: int) -> Opening:
+        """Opening of a one-polynomial commitment."""
+        row = self.open_row(point)
+        return Opening(index=row.index, value=row.values[0], path=row.path)
 
 
 def run_online_stage(
@@ -250,29 +258,21 @@ def prove(
     x_minus_one = Polynomial(field, (-1, 1))
     boundary_polys = []
     for i in range(n):
-        num = tp.f_z[i] - Polynomial.constant(field, spec.z_init[i])
-        quot, exact = divide_exact(num, x_minus_one)
+        quot, exact = divide_exact(tp.f_z[i] - spec.z_init[i], x_minus_one)
         if not exact and not force:
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
         boundary_polys.append(quot)
 
-    spec_digest = hash_spec(field, spec)
-    transcript.absorb("spec", spec_digest)
+    transcript.absorb("spec", hash_spec(field, spec))
 
     q = field.modulus
     g = domain.generator.value
     d0 = base_eval_domain(field, domain)
     ev0 = CosetEvaluator(field, d0, g, N + 1)
-    groups = {
-        "f_z": [_Committed(p, ev0) for p in tp.f_z],
-        "f_alpha_up": [_Committed(p, ev0) for p in tp.f_alpha_up],
-        "f_alpha_lo": [_Committed(p, ev0) for p in tp.f_alpha_lo],
-        "f_delta": [_Committed(p, ev0) for p in tp.f_delta],
-        "boundary": [_Committed(p, ev0) for p in boundary_polys],
-    }
-    for name in ("f_z", "f_alpha_up", "f_alpha_lo", "f_delta", "boundary"):
-        for i, cm in enumerate(groups[name]):
-            transcript.absorb(f"{name}[{i}]", cm.tree.root)
+    trace_cm = _Committed(
+        (*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta, *boundary_polys), ev0
+    )
+    transcript.absorb("trace", trace_cm.tree.root)
 
     gammas = [transcript.draw("gamma") for _ in range(4 * n)]
 
@@ -286,7 +286,7 @@ def prove(
         bound = max(2 * N - 2, 0)
     rounds = num_rounds(bound)
 
-    composition = _Committed(combined.poly, ev0)
+    composition = _Committed([combined.poly], ev0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
@@ -304,7 +304,7 @@ def prove(
             # layer j+1 is a union of cosets of H^(2^(j+1))
             e = 2 ** (j + 1)
             cm = _Committed(
-                nxt, CosetEvaluator(field, domains[j + 1], pow(g, e, q), (N + 1) // gcd(N + 1, e))
+                [nxt], CosetEvaluator(field, domains[j + 1], pow(g, e, q), (N + 1) // gcd(N + 1, e))
             )
             layer_committed.append(cm)
             transcript.absorb(f"fri[{j + 1}]", cm.tree.root)
@@ -320,9 +320,6 @@ def prove(
     queries = []
     for _ in range(num_queries):
         x = transcript.draw("sample_point", exclusions=excluded)
-        fz_pairs = tuple(
-            (groups["f_z"][i].open_at(x), groups["f_z"][i].open_at(g * x % q)) for i in range(n)
-        )
         fri_pairs = []
         y = x
         for j in range(rounds):
@@ -332,11 +329,7 @@ def prove(
         queries.append(
             ProofQuery(
                 x=x,
-                f_z=fz_pairs,
-                f_alpha_up=tuple(groups["f_alpha_up"][i].open_at(x) for i in range(n)),
-                f_alpha_lo=tuple(groups["f_alpha_lo"][i].open_at(x) for i in range(n)),
-                f_delta=tuple(groups["f_delta"][i].open_at(x) for i in range(n)),
-                boundary=tuple(groups["boundary"][i].open_at(x) for i in range(n)),
+                trace=(trace_cm.open_row(x), trace_cm.open_row(g * x % q)),
                 fri=tuple(fri_pairs),
             )
         )
@@ -352,14 +345,9 @@ def prove(
         modulus=q,
         num_steps=N,
         generator=g,
-        spec_hash=spec_digest,
         salt=salt,
         degree_bound=bound,
-        f_z_comms=tuple(cm.tree.commitment for cm in groups["f_z"]),
-        f_alpha_up_comms=tuple(cm.tree.commitment for cm in groups["f_alpha_up"]),
-        f_alpha_lo_comms=tuple(cm.tree.commitment for cm in groups["f_alpha_lo"]),
-        f_delta_comms=tuple(cm.tree.commitment for cm in groups["f_delta"]),
-        boundary_comms=tuple(cm.tree.commitment for cm in groups["boundary"]),
+        trace_comm=trace_cm.tree.commitment,
         composition_comm=composition.tree.commitment,
         fri_comms=tuple(cm.tree.commitment for cm in layer_committed[1:]),
         fri_final=fri_final,
@@ -372,16 +360,12 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
     """Raise ProofFormatError on malformed proofs; return the FRI round count."""
     q = field.modulus
     n = spec.n
-    if proof.version != 1:
+    if proof.version != PROOF_VERSION:
         raise ProofFormatError(f"unsupported proof version {proof.version}")
     if len(proof.fri_comms) + 2 > MAX_FRI_LAYERS:
         raise ProofFormatError("too many FRI layers")
     if not 1 <= len(proof.queries) <= MAX_QUERIES:
         raise ProofFormatError("query count out of range")
-    for name in ("f_z_comms", "f_alpha_up_comms", "f_alpha_lo_comms",
-                 "f_delta_comms", "boundary_comms"):
-        if len(getattr(proof, name)) != n:
-            raise ProofFormatError(f"{name} must have {n} entries")
     if proof.degree_bound < 0:
         raise ProofFormatError("negative degree bound")
     rounds = num_rounds(proof.degree_bound)
@@ -392,9 +376,8 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
     for query in proof.queries:
         if not 0 < query.x < q:
             raise ProofFormatError("query point out of range")
-        if len(query.f_z) != n or len(query.f_alpha_up) != n or len(query.f_alpha_lo) != n \
-                or len(query.f_delta) != n or len(query.boundary) != n:
-            raise ProofFormatError("query opening counts do not match the state dimension")
+        if len(query.trace) != 2 or any(len(row.values) != 5 * n for row in query.trace):
+            raise ProofFormatError(f"each query needs two trace rows of {5 * n} values")
         if len(query.fri) != rounds:
             raise ProofFormatError(f"expected {rounds} FRI opening pairs per query")
     if proof.challenges is not None:
@@ -407,9 +390,12 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
 def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationReport:
     """Check a proof against the public inputs.
 
-    Stages, in order: commitment (openings and challenge agreement), boundary
-    (initialization quotient identity), consistency (composition values
-    recomputed from opened column values), fri_query (folding chain).
+    Checks, in order, with the stage a failure is reported at: the public
+    inputs (commitment), the declared degree bound, at most 2N-2 and equal to
+    it under Fiat-Shamir (fri_commit), openings and challenge agreement
+    (commitment), the initialization quotient identity (boundary), the
+    composition values recomputed from the opened trace rows (consistency),
+    and the folding chain (fri_query).
     """
     rounds = _structural_validate(proof, field, spec)
     q = field.modulus
@@ -426,9 +412,9 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
         return _reject("commitment", f"generator mismatch: {proof.generator} != {g}")
 
     replay = proof.challenges is not None
-    if not replay and proof.degree_bound != max(2 * N - 2, 0):
-        return _reject("fri_commit",
-                       f"degree bound {proof.degree_bound} != worst case {max(2 * N - 2, 0)}")
+    worst = max(2 * N - 2, 0)
+    if proof.degree_bound > worst or (not replay and proof.degree_bound != worst):
+        return _reject("fri_commit", f"degree bound {proof.degree_bound}: worst case is {worst}")
 
     if replay:
         transcript = ReplayTranscript(
@@ -440,17 +426,8 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
     else:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
 
-    spec_digest = hash_spec(field, spec)
-    transcript.absorb("spec", spec_digest)
-    for name, comms in (
-        ("f_z", proof.f_z_comms),
-        ("f_alpha_up", proof.f_alpha_up_comms),
-        ("f_alpha_lo", proof.f_alpha_lo_comms),
-        ("f_delta", proof.f_delta_comms),
-        ("boundary", proof.boundary_comms),
-    ):
-        for i, cm in enumerate(comms):
-            transcript.absorb(f"{name}[{i}]", cm.root)
+    transcript.absorb("spec", hash_spec(field, spec))
+    transcript.absorb("trace", proof.trace_comm.root)
 
     excluded = {e.value for e in domain.elements} | {0}
     try:
@@ -475,12 +452,12 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
     index_maps = [{x: i for i, x in enumerate(dm)} for dm in domains]
 
     # --- stage: commitment ---------------------------------------------------
-    def check_opening(cm: MerkleCommitment, opening: Opening, point: int, layer: int = 0) -> bool:
-        expected = index_maps[layer].get(point)
-        if expected is None or opening.index != expected:
+    def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
+                      layer: int = 0) -> bool:
+        if opening.index != index_maps[layer].get(point):
             return False
         try:
-            return verify_opening(cm, opening.index, opening.value, opening.path)
+            return verify_opening(cm, opening.index, leaf, opening.path)
         except IndexError:
             return False
 
@@ -488,37 +465,24 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
         x = query.x
         if x != expected_x:
             return _reject("commitment", f"query {k}: point {x} does not match challenge")
-        gx = g * x % q
-        for i in range(n):
-            at_x, at_gx = query.f_z[i]
-            if not check_opening(proof.f_z_comms[i], at_x, x):
-                return _reject("commitment", f"query {k}: bad f_z[{i}] opening at x")
-            if not check_opening(proof.f_z_comms[i], at_gx, gx):
-                return _reject("commitment", f"query {k}: bad f_z[{i}] opening at g*x")
-            for comms, ops, label in (
-                (proof.f_alpha_up_comms, query.f_alpha_up, "f_alpha_up"),
-                (proof.f_alpha_lo_comms, query.f_alpha_lo, "f_alpha_lo"),
-                (proof.f_delta_comms, query.f_delta, "f_delta"),
-                (proof.boundary_comms, query.boundary, "boundary"),
-            ):
-                if not check_opening(comms[i], ops[i], x):
-                    return _reject("commitment", f"query {k}: bad {label}[{i}] opening")
+        for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
+            if not check_opening(proof.trace_comm, row, row.values, point):
+                return _reject("commitment", f"query {k}: bad trace row opening at {where}")
         y = x
         for j in range(rounds):
             cm = proof.composition_comm if j == 0 else proof.fri_comms[j - 1]
-            pos, neg = query.fri[j]
-            if not check_opening(cm, pos, y, layer=j):
-                return _reject("commitment", f"query {k}: bad FRI layer {j} opening")
-            if not check_opening(cm, neg, (q - y) % q, layer=j):
-                return _reject("commitment", f"query {k}: bad FRI layer {j} opening at -y")
+            for o, point, where in zip(query.fri[j], (y, (q - y) % q), ("y", "-y")):
+                if not check_opening(cm, o, (o.value,), point, layer=j):
+                    return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
             y = y * y % q
 
     # --- stage: boundary -----------------------------------------------------
     for k, query in enumerate(proof.queries):
         x = query.x
+        row = query.trace[0].values
         for i in range(n):
-            lhs = (query.f_z[i][0].value - spec.z_init[i]) % q
-            rhs = query.boundary[i].value * (x - 1) % q
+            lhs = (row[i] - spec.z_init[i]) % q
+            rhs = row[4 * n + i] * (x - 1) % q
             if lhs != rhs:
                 return _reject("boundary", f"query {k}: boundary identity fails for coordinate {i}")
 
@@ -528,27 +492,9 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
         x = query.x
         z_of_x = (pow(x, N + 1, q) - 1) * pow((x - g_pow_n) % q, q - 2, q) % q
         inv_z = pow(z_of_x, q - 2, q)
-        fz = [query.f_z[i][0].value for i in range(n)]
-        fz_g = [query.f_z[i][1].value for i in range(n)]
-        fup = [query.f_alpha_up[i].value for i in range(n)]
-        flo = [query.f_alpha_lo[i].value for i in range(n)]
-        fd = [query.f_delta[i].value for i in range(n)]
-        az = [sum(spec.a_hat[i][j] * fz[j] for j in range(n)) % q for i in range(n)]
-        numerators = []
-        for i in range(n):
-            hi = spec.z_upper[i] % q
-            lw = spec.z_lower[i] % q
-            numerators.append(
-                (fz_g[i] - flo[i] * fup[i] % q * az[i] - (1 - fup[i]) * hi - (1 - flo[i]) * lw) % q
-            )
-        for i in range(n):
-            hi = spec.z_upper[i] % q
-            lw = spec.z_lower[i] % q
-            numerators.append((fd[i] - fup[i] * (hi - az[i]) - flo[i] * (az[i] - lw)) % q)
-        for i in range(n):
-            numerators.append(fup[i] * (1 - fup[i]) % q)
-        for i in range(n):
-            numerators.append(flo[i] * (1 - flo[i]) % q)
+        row = query.trace[0].values
+        z, up, lo, delta = (row[i * n:(i + 1) * n] for i in range(4))
+        numerators = constraints(spec, z, query.trace[1].values[:n], up, lo, delta)
         recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
         if recombined != query.fri[0][0].value:
             return _reject("consistency", f"query {k}: composition value mismatch at x={x}")
@@ -574,6 +520,11 @@ def _opening_to_json(o: Opening) -> dict:
     return {"index": o.index, "value": str(o.value), "path": [p.hex() for p in o.path]}
 
 
+def _row_to_json(o: RowOpening) -> dict:
+    return {"index": o.index, "values": [str(v) for v in o.values],
+            "path": [p.hex() for p in o.path]}
+
+
 def _comm_to_json(c: MerkleCommitment) -> dict:
     return {"root": c.root.hex(), "leaves": c.leaf_count}
 
@@ -585,16 +536,11 @@ def proof_to_json(proof: Proof) -> dict:
             "q": str(proof.modulus),
             "N": str(proof.num_steps),
             "g": str(proof.generator),
-            "spec_hash": proof.spec_hash.hex(),
             "salt": proof.salt.hex(),
             "degree_bound": str(proof.degree_bound),
         },
         "commitments": {
-            "f_z": [_comm_to_json(c) for c in proof.f_z_comms],
-            "f_alpha_up": [_comm_to_json(c) for c in proof.f_alpha_up_comms],
-            "f_alpha_lo": [_comm_to_json(c) for c in proof.f_alpha_lo_comms],
-            "f_delta": [_comm_to_json(c) for c in proof.f_delta_comms],
-            "boundary": [_comm_to_json(c) for c in proof.boundary_comms],
+            "trace": _comm_to_json(proof.trace_comm),
             "composition": _comm_to_json(proof.composition_comm),
         },
         "fri_layers": {
@@ -604,14 +550,7 @@ def proof_to_json(proof: Proof) -> dict:
         "queries": [
             {
                 "x": str(qr.x),
-                "f_z": [
-                    {"at_x": _opening_to_json(a), "at_gx": _opening_to_json(b)}
-                    for a, b in qr.f_z
-                ],
-                "f_alpha_up": [_opening_to_json(o) for o in qr.f_alpha_up],
-                "f_alpha_lo": [_opening_to_json(o) for o in qr.f_alpha_lo],
-                "f_delta": [_opening_to_json(o) for o in qr.f_delta],
-                "boundary": [_opening_to_json(o) for o in qr.boundary],
+                "trace": {"at_x": _row_to_json(qr.trace[0]), "at_gx": _row_to_json(qr.trace[1])},
                 "fri": [
                     {"pos": _opening_to_json(a), "neg": _opening_to_json(b)}
                     for a, b in qr.fri
@@ -662,6 +601,13 @@ def _opening_from_json(doc: dict) -> Opening:
     return Opening(index=index, value=value, path=path)
 
 
+def _row_from_json(doc: dict) -> RowOpening:
+    index = _want(doc, "index", int)
+    values = tuple(_int_str(v) for v in _want(doc, "values", list))
+    path = tuple(_hex_bytes(p) for p in _want(doc, "path", list))
+    return RowOpening(index=index, values=values, path=path)
+
+
 def _comm_from_json(doc: dict) -> MerkleCommitment:
     root = _hex_bytes(_want(doc, "root", str))
     if len(root) != 32:
@@ -676,23 +622,14 @@ def proof_from_json(doc: dict) -> Proof:
     fri_layers = _want(doc, "fri_layers", dict)
     queries_doc = _want(doc, "queries", list)
 
-    def comm_list(key) -> Tuple[MerkleCommitment, ...]:
-        return tuple(_comm_from_json(c) for c in _want(commitments, key, list))
-
     queries = []
     for qd in queries_doc:
+        trace = _want(qd, "trace", dict)
         queries.append(
             ProofQuery(
                 x=_int_str(_want(qd, "x", str)),
-                f_z=tuple(
-                    (_opening_from_json(_want(p, "at_x", dict)),
-                     _opening_from_json(_want(p, "at_gx", dict)))
-                    for p in _want(qd, "f_z", list)
-                ),
-                f_alpha_up=tuple(_opening_from_json(o) for o in _want(qd, "f_alpha_up", list)),
-                f_alpha_lo=tuple(_opening_from_json(o) for o in _want(qd, "f_alpha_lo", list)),
-                f_delta=tuple(_opening_from_json(o) for o in _want(qd, "f_delta", list)),
-                boundary=tuple(_opening_from_json(o) for o in _want(qd, "boundary", list)),
+                trace=(_row_from_json(_want(trace, "at_x", dict)),
+                       _row_from_json(_want(trace, "at_gx", dict))),
                 fri=tuple(
                     (_opening_from_json(_want(p, "pos", dict)),
                      _opening_from_json(_want(p, "neg", dict)))
@@ -714,14 +651,9 @@ def proof_from_json(doc: dict) -> Proof:
         modulus=_int_str(_want(publics, "q", str)),
         num_steps=_int_str(_want(publics, "N", str)),
         generator=_int_str(_want(publics, "g", str)),
-        spec_hash=_hex_bytes(_want(publics, "spec_hash", str)),
         salt=_hex_bytes(_want(publics, "salt", str)),
         degree_bound=_int_str(_want(publics, "degree_bound", str)),
-        f_z_comms=comm_list("f_z"),
-        f_alpha_up_comms=comm_list("f_alpha_up"),
-        f_alpha_lo_comms=comm_list("f_alpha_lo"),
-        f_delta_comms=comm_list("f_delta"),
-        boundary_comms=comm_list("boundary"),
+        trace_comm=_comm_from_json(_want(commitments, "trace", dict)),
         composition_comm=_comm_from_json(_want(commitments, "composition", dict)),
         fri_comms=tuple(_comm_from_json(c) for c in _want(fri_layers, "roots", list)),
         fri_final=_int_str(_want(fri_layers, "final", str)),

@@ -120,15 +120,15 @@ def test_fiat_shamir_unknown_kind():
 
 
 def test_merkle_single_leaf():
-    tree = MerkleTree([42])
+    tree = MerkleTree([(42,)])
     expected = hashlib.sha256(b"\x00" + (42).to_bytes(8, "little")).digest()
     assert tree.root == expected
     assert tree.open(0) == []
-    assert verify_opening(tree.commitment, 0, 42, [])
+    assert verify_opening(tree.commitment, 0, (42,), [])
 
 
 def test_merkle_two_leaves():
-    tree = MerkleTree([1, 2])
+    tree = MerkleTree([(1,), (2,)])
     l0 = hashlib.sha256(b"\x00" + (1).to_bytes(8, "little")).digest()
     l1 = hashlib.sha256(b"\x00" + (2).to_bytes(8, "little")).digest()
     assert tree.root == hashlib.sha256(b"\x01" + l0 + l1).digest()
@@ -138,14 +138,14 @@ def test_merkle_two_leaves():
 
 def test_merkle_duplicate_last_padding():
     # three leaves pad to four by repeating the last leaf digest
-    tree3 = MerkleTree([7, 8, 9])
-    tree4 = MerkleTree([7, 8, 9, 9])
+    tree3 = MerkleTree([(7,), (8,), (9,)])
+    tree4 = MerkleTree([(7,), (8,), (9,), (9,)])
     assert tree3.root == tree4.root
 
 
 def _reference_levels(values):
     """Tree levels built leaf by leaf with the helpers verify_opening uses."""
-    level = [_leaf_digest(v) for v in values]
+    level = [_leaf_digest(row) for row in values]
     while len(level) & (len(level) - 1):
         level.append(level[-1])
     levels = [level]
@@ -158,7 +158,7 @@ def _reference_levels(values):
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 300])
 def test_merkle_matches_reference_tree(count):
     rng = random.Random(count)
-    table = [rng.randrange(12289) for _ in range(count)]
+    table = [(rng.randrange(12289),) for _ in range(count)]
     tree = MerkleTree(table)
     levels = _reference_levels(table)
     assert tree.root == levels[-1][0]
@@ -171,64 +171,79 @@ def test_merkle_matches_reference_tree(count):
         assert verify_opening(tree.commitment, i, v, path)
 
 
+def test_merkle_row_leaf_hashes_values_in_order():
+    row = (1, 2, 3)
+    tree = MerkleTree([row])
+    encoded = b"".join(v.to_bytes(8, "little") for v in row)
+    assert tree.root == hashlib.sha256(b"\x00" + encoded).digest()
+    assert MerkleTree([(3, 2, 1)]).root != tree.root
+    rng = random.Random(59)
+    rows = [tuple(rng.randrange(769) for _ in range(20)) for _ in range(11)]
+    wide = MerkleTree(rows)
+    for i, r in enumerate(rows):
+        assert verify_opening(wide.commitment, i, r, wide.open(i))
+        assert not verify_opening(wide.commitment, i, r[:-1], wide.open(i))
+        assert not verify_opening(wide.commitment, i, r[1:] + r[:1], wide.open(i))
+
+
 def test_merkle_roots_bind_the_table():
     rng = random.Random(61)
-    table = [rng.randrange(331) for _ in range(37)]
+    table = [(rng.randrange(331),) for _ in range(37)]
     assert MerkleTree(table).root == MerkleTree(list(table)).root
     other = list(table)
-    other[17] = (other[17] + 1) % 331
+    other[17] = ((other[17][0] + 1) % 331,)
     assert MerkleTree(table).root != MerkleTree(other).root
 
 
 def test_merkle_order_matters():
-    assert MerkleTree([1, 2]).root != MerkleTree([2, 1]).root
+    assert MerkleTree([(1,), (2,)]).root != MerkleTree([(2,), (1,)]).root
 
 
 def test_merkle_openings_verify():
     rng = random.Random(67)
-    table = [rng.randrange(10 ** 9) for _ in range(21)]
+    table = [(rng.randrange(10 ** 9),) for _ in range(21)]
     tree = MerkleTree(table)
     for i, v in enumerate(table):
         assert verify_opening(tree.commitment, i, v, tree.open(i))
 
 
 def test_merkle_opening_rejects_wrong_value():
-    table = list(range(16))
+    table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
     path = tree.open(5)
-    assert not verify_opening(tree.commitment, 5, 99, path)
+    assert not verify_opening(tree.commitment, 5, (99,), path)
 
 
 def test_merkle_opening_rejects_wrong_index():
-    table = list(range(16))
+    table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
-    assert not verify_opening(tree.commitment, 6, 5, tree.open(5))
+    assert not verify_opening(tree.commitment, 6, (5,), tree.open(5))
 
 
 def test_merkle_opening_rejects_perturbed_path():
-    table = list(range(16))
+    table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
     path = tree.open(3)
     bad = [path[0]] + [bytes(32)] + path[2:]
-    assert not verify_opening(tree.commitment, 3, 3, bad)
+    assert not verify_opening(tree.commitment, 3, (3,), bad)
 
 
 def test_merkle_opening_rejects_wrong_path_length():
-    table = list(range(16))
+    table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
     path = tree.open(3)
-    assert not verify_opening(tree.commitment, 3, 3, path[:-1])
-    assert not verify_opening(tree.commitment, 3, 3, path + [bytes(32)])
+    assert not verify_opening(tree.commitment, 3, (3,), path[:-1])
+    assert not verify_opening(tree.commitment, 3, (3,), path + [bytes(32)])
 
 
 def test_merkle_index_bounds():
-    tree = MerkleTree([1, 2, 3])
+    tree = MerkleTree([(1,), (2,), (3,)])
     with pytest.raises(IndexError):
         tree.open(3)
     with pytest.raises(IndexError):
-        verify_opening(tree.commitment, -1, 1, [])
+        verify_opening(tree.commitment, -1, (1,), [])
     with pytest.raises(IndexError):
-        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), 3, 1, [])
+        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), 3, (1,), [])
 
 
 def test_merkle_empty_table_rejected():

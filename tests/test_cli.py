@@ -174,8 +174,8 @@ def test_verify_tampered_opening_rejects(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
     doc = json.loads(open(proof).read())
-    entry = doc["queries"][0]["f_z"][1]["at_x"]
-    entry["value"] = str((int(entry["value"]) + 1) % 331)
+    values = doc["queries"][0]["trace"]["at_x"]["values"]
+    values[1] = str((int(values[1]) + 1) % 331)  # f_z[1]
     open(proof, "w").write(json.dumps(doc))
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_REJECT
 

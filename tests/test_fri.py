@@ -5,14 +5,11 @@ import pytest
 from projstark import reference_example as ref
 from projstark.fri import (
     DegreeTestFailedError,
-    FriQueryAnswer,
     commit_phase,
     final_constant,
     fold,
     fold_value,
-    make_query_answer,
     num_rounds,
-    query_check,
     split_even_odd,
 )
 from projstark.poly import Polynomial
@@ -127,68 +124,3 @@ def test_commit_phase_rejects_overweight_polynomial(field):
         betas = iter([rng.randrange(331) for _ in range(k + 2)])
         with pytest.raises(DegreeTestFailedError):
             commit_phase(p, bound, betas)
-
-
-def test_query_check_paper_chains(paper_layers):
-    for x, chain in ref.QUERY_CHAINS.items():
-        answer = make_query_answer(paper_layers, x)
-        assert query_check(paper_layers, answer)
-        # the folded values along the chain are the published ones
-        y = x
-        for j, (pos, neg) in enumerate(answer.pairs):
-            assert fold_value(paper_layers[0].poly.field, pos, neg, y, ref.BETAS[j]) == chain[j]
-            y = y * y % 331
-        assert answer.final == chain[-1]
-
-
-def test_query_check_completeness_everywhere(paper_layers):
-    for x in range(1, 331):
-        assert query_check(paper_layers, make_query_answer(paper_layers, x))
-
-
-def test_query_check_rejects_perturbed_value(paper_layers):
-    answer = make_query_answer(paper_layers, 87)
-    pairs = list(answer.pairs)
-    pos, neg = pairs[2]
-    pairs[2] = ((pos + 1) % 331, neg)
-    assert not query_check(paper_layers, FriQueryAnswer(x=87, pairs=tuple(pairs), final=answer.final))
-
-
-def test_query_check_rejects_wrong_final(paper_layers):
-    answer = make_query_answer(paper_layers, 291)
-    forged = FriQueryAnswer(x=291, pairs=answer.pairs, final=(answer.final + 1) % 331)
-    assert not query_check(paper_layers, forged)
-
-
-def test_query_check_rejects_wrong_chain_length(paper_layers):
-    answer = make_query_answer(paper_layers, 87)
-    short = FriQueryAnswer(x=87, pairs=answer.pairs[:-1], final=answer.final)
-    assert not query_check(paper_layers, short)
-
-
-def test_query_check_soundness_randomized(field):
-    rng = random.Random(29)
-    rejected = 0
-    trials = 60
-    for _ in range(trials):
-        p = rand_poly(rng, field, rng.randrange(8, 30))
-        bound = p.reported_degree
-        layers = commit_phase(p, bound, iter(rng.randrange(1, 331) for _ in range(8)))
-        answer = make_query_answer(layers, rng.randrange(1, 331))
-        layer = rng.randrange(len(answer.pairs))
-        side = rng.randrange(2)
-        y = answer.x
-        for _ in range(layer):
-            y = y * y % 331
-        # a one-sided bump is invisible exactly when beta = y (neg side) or
-        # beta = -y (pos side); skip those measure-zero coincidences
-        if layers[layer].beta % 331 in (y, 331 - y):
-            rejected += 1
-            continue
-        pairs = list(answer.pairs)
-        pos, neg = pairs[layer]
-        bump = rng.randrange(1, 331)
-        pairs[layer] = ((pos + bump) % 331, neg) if side == 0 else (pos, (neg + bump) % 331)
-        if not query_check(layers, FriQueryAnswer(x=answer.x, pairs=tuple(pairs), final=answer.final)):
-            rejected += 1
-    assert rejected == trials

@@ -13,7 +13,6 @@ from projstark.poly import (
     Polynomial,
     divide_exact,
     interpolate,
-    poly_arith,
     vanishing,
 )
 from projstark.protocol import base_eval_domain, layer_eval_domains
@@ -59,6 +58,19 @@ def test_multiplication(field):
     x_minus = Polynomial(field, (-1, 1))
     assert (x_plus * x_minus).coeffs == (330, 0, 1)  # x^2 - 1
     assert (x_plus * Polynomial.zero(field)).is_zero()
+
+
+def test_int_operands_act_as_constants(field):
+    a = Polynomial(field, (1, 2, 3))
+    three = Polynomial.constant(field, 3)
+    assert a + 3 == 3 + a == a + three
+    assert a - 3 == a - three
+    assert 3 - a == three - a
+    assert a * 3 == 3 * a == a * three == a.scale(3)
+    assert -331 * a == a * 0 == 0 - 0 * a == Polynomial.zero(field)
+    assert sum([a, a]) == a + a
+    with pytest.raises(ValueError):
+        a + Polynomial(PrimeField(61), (1,))
 
 
 def test_degree_is_additive_under_product(field):
@@ -116,17 +128,6 @@ def test_division_roundtrip_randomized(field):
             continue
         quot, exact = divide_exact(a * b, b)
         assert exact and quot == a
-
-
-def test_poly_arith_dispatch(field):
-    a = Polynomial(field, (1, 1))
-    b = Polynomial(field, (2,))
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "sub") == a - b
-    assert poly_arith(a, b, "mul") == a * b
-    assert poly_arith(a, 3, "scale") == a.scale(3)
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "pow")
 
 
 def test_interpolate_constant_column(field, domain):

@@ -11,6 +11,7 @@ from projstark.channel import FiatShamirTranscript, ReplayTranscript
 from projstark.cli import EXIT_OK, main
 from projstark.dynamics import StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField
+from projstark.fri import num_rounds
 from projstark.protocol import (
     OnlineStageError,
     ProofFormatError,
@@ -223,11 +224,64 @@ def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
 
 def test_verify_rejects_tampered_opening(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
-    entry = doc["queries"][0]["f_delta"][1]
-    entry["value"] = str((int(entry["value"]) + 1) % 331)
+    values = doc["queries"][0]["trace"]["at_x"]["values"]
+    values[7] = str((int(values[7]) + 1) % 331)  # f_delta[1]
     report = verify(field, paper_spec, proof_from_json(doc))
     assert not report.accepted
     assert report.stage == "commitment"
+
+
+def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
+    doc = json.loads(dump_proof(paper_proof))
+    values = doc["queries"][1]["trace"]["at_gx"]["values"]
+    values[1] = str((int(values[1]) + 1) % 331)  # f_z[1](g*x), the next state
+    report = verify(field, paper_spec, proof_from_json(doc))
+    assert not report.accepted
+    assert report.stage == "commitment"
+
+
+def test_proof_commits_the_trace_once(paper_spec, paper_proof):
+    doc = proof_to_json(paper_proof)
+    assert set(doc["commitments"]) == {"trace", "composition"}
+    # one leaf per evaluation point, as for the composition polynomial
+    assert doc["commitments"]["trace"]["leaves"] == doc["commitments"]["composition"]["leaves"]
+    for qd in doc["queries"]:
+        assert set(qd) == {"x", "trace", "fri"}
+        assert set(qd["trace"]) == {"at_x", "at_gx"}
+        assert all(len(row["values"]) == 5 * paper_spec.n for row in qd["trace"].values())
+
+
+def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
+    for width in (5 * paper_spec.n - 1, 5 * paper_spec.n + 1):
+        doc = json.loads(dump_proof(paper_proof))
+        row = doc["queries"][0]["trace"]["at_gx"]
+        row["values"] = (row["values"] + ["0"])[:width]
+        with pytest.raises(ProofFormatError):
+            verify(field, paper_spec, proof_from_json(doc))
+
+
+def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
+    doc = proof_to_json(paper_proof)
+    doc["version"] = 1
+    with pytest.raises(ProofFormatError):
+        verify(field, paper_spec, proof_from_json(doc))
+
+
+def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
+    # a replay proof declaring a bound above 2N-2, with the FRI roots, opening
+    # pairs and betas that bound calls for, so only the bound itself is wrong
+    doc = proof_to_json(paper_proof)
+    bound = 2 * paper_spec.num_steps - 1
+    extra = num_rounds(bound) - num_rounds(paper_proof.degree_bound)
+    assert extra >= 1
+    doc["publics"]["degree_bound"] = str(bound)
+    doc["fri_layers"]["roots"] += doc["fri_layers"]["roots"][-1:] * extra
+    for qd in doc["queries"]:
+        qd["fri"] += qd["fri"][-1:] * extra
+    doc["challenges"]["betas"] += doc["challenges"]["betas"][-1:] * extra
+    report = verify(field, paper_spec, proof_from_json(doc))
+    assert not report.accepted
+    assert report.stage == "fri_commit"
 
 
 def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
@@ -239,16 +293,15 @@ def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof for fixed inputs. The evaluation tables, Merkle trees
-# and openings behind these digests were first computed with per-point Horner
-# evaluation and per-leaf hashing helpers; any change to the committed values,
-# their order or the tree hashing changes a digest.
+# SHA-256 of dump_proof (proof version 2: one row-leaf trace tree) for fixed
+# inputs; any change to the committed values, their order, the tree hashing or
+# the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "b5899ad3f81112485fe006ba915835f4e67d2589d1aa3dca4a815f8a18492940",
-    "paper-fiat-shamir": "6faf922226abf4227da1ad334bf7b37207496a3b61ce504e329a18f825991462",
+    "paper-replay": "e29a8986f201bd877f3aa7fc93d1175809d243af732afb5b15df93d23b2bb55b",
+    "paper-fiat-shamir": "e04c892387adf3f70bb60dc9728197d60da22ead704cbd310fb50e5733760589",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; FRI layers 1-6 are
     # unions of cosets of subgroups of order 20, 10 and 5
-    "q3001-fiat-shamir": "940c1aecb7d7553cf897e07179e865405c0e26f64b04c1d13ef560c382ea4b9d",
+    "q3001-fiat-shamir": "89ac63d168c923a470bd141a777faf0b818b871f4f2fb1e2b6a6cb2336b11603",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
