@@ -38,7 +38,6 @@ class ReplayTranscript:
             "beta": list(betas),
             "sample_point": list(sample_points),
         }
-        self._consumed: Dict[str, List[int]] = {k: [] for k in CHALLENGE_KINDS}
 
     def absorb(self, label: str, data: bytes) -> None:
         pass  # replay challenges are fixed up front
@@ -50,11 +49,7 @@ class ReplayTranscript:
         value = queue.pop(0) % self.modulus
         if value == 0 or value in exclusions:
             raise TranscriptError(f"injected {kind} value {value} is excluded")
-        self._consumed[kind].append(value)
         return value
-
-    def consumed(self, kind: str) -> List[int]:
-        return list(self._consumed[kind])
 
 
 class FiatShamirTranscript:

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from . import reference_example
 from .air import FieldOverflowError, InvalidTraceError
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
-from .dynamics import ExecutionTrace, StepRecord, SystemSpec, online_check, simulate
+from .dynamics import ExecutionTrace, SystemSpec, online_check, simulate
 from .field import NoSubgroupError, PrimeField, is_prime
 from .fri import DegreeTestFailedError
 from .protocol import ProofFormatError, dump_proof, load_proof, prove, verify
@@ -196,13 +196,7 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     trace = simulate(config.spec)
     for k in range(config.spec.num_steps):
-        rec = StepRecord(
-            z_next=trace.z_rows[k + 1],
-            alpha_up=trace.alpha_up_rows[k],
-            alpha_lo=trace.alpha_lo_rows[k],
-            delta=trace.delta_rows[k],
-        )
-        reason = online_check(config.spec, rec)
+        reason = online_check(config.spec, trace.step(k))
         verdict = "accept" if reason is None else f"reject ({reason})"
         print(f"online step {k}: {verdict}")
     _print_trace_table(trace)
@@ -244,7 +238,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.proof) as fh:
             proof = load_proof(fh.read())
-        report = verify(config.field, config.spec, proof)
+        report = verify(config.field, config.spec, proof, _make_transcript(config, proof.salt))
     except OSError as exc:
         print(f"cannot read proof: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

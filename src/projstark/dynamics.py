@@ -76,6 +76,15 @@ class ExecutionTrace:
             if len(getattr(self, name)) != N:
                 raise ValueError(f"{name} must have {N} rows")
 
+    def step(self, k: int) -> StepRecord:
+        """Step k as the online stage saw it: the next state and its slack columns."""
+        return StepRecord(
+            z_next=self.z_rows[k + 1],
+            alpha_up=self.alpha_up_rows[k],
+            alpha_lo=self.alpha_lo_rows[k],
+            delta=self.delta_rows[k],
+        )
+
     def with_cell(self, section: str, row: int, index: int, value: int) -> "ExecutionTrace":
         """Copy of the trace with one cell replaced."""
         attr = {"z": "z_rows", "alpha_up": "alpha_up_rows",

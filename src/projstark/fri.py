@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .field import PrimeField
 from .poly import Polynomial
@@ -63,8 +63,3 @@ def commit_phase(p: Polynomial, bound: int, betas: Iterator[int]) -> List[FriLay
             f"(claimed bound {bound})"
         )
     return layers
-
-
-def final_constant(layers: Sequence[FriLayer]) -> int:
-    p = layers[-1].poly
-    return p.coeffs[0] if p.coeffs else 0

@@ -29,7 +29,6 @@ from .channel import (
     FiatShamirTranscript,
     MerkleCommitment,
     MerkleTree,
-    ReplayTranscript,
     TranscriptError,
     verify_opening,
 )
@@ -87,12 +86,7 @@ class Proof:
     fri_comms: Tuple[MerkleCommitment, ...]  # layers 1..rounds-1
     fri_final: int
     queries: Tuple[ProofQuery, ...]
-    challenges: Optional[dict]  # replay mode only
     version: int = PROOF_VERSION
-
-    @property
-    def mode(self) -> str:
-        return "replay" if self.challenges is not None else "fiat_shamir"
 
 
 @dataclass(frozen=True)
@@ -242,13 +236,7 @@ def prove(
 
     if not force:
         for k in range(N):
-            rec = StepRecord(
-                z_next=trace.z_rows[k + 1],
-                alpha_up=trace.alpha_up_rows[k],
-                alpha_lo=trace.alpha_lo_rows[k],
-                delta=trace.delta_rows[k],
-            )
-            reason = online_check(spec, rec)
+            reason = online_check(spec, trace.step(k))
             if reason is not None:
                 raise InvalidTraceError(f"online check failed at step {k}: {reason}")
 
@@ -334,13 +322,6 @@ def prove(
             )
         )
 
-    challenges = None
-    if transcript.mode == "replay":
-        challenges = {
-            "gammas": transcript.consumed("gamma"),
-            "betas": transcript.consumed("beta"),
-            "sample_points": transcript.consumed("sample_point"),
-        }
     return Proof(
         modulus=q,
         num_steps=N,
@@ -352,7 +333,6 @@ def prove(
         fri_comms=tuple(cm.tree.commitment for cm in layer_committed[1:]),
         fri_final=fri_final,
         queries=tuple(queries),
-        challenges=challenges,
     )
 
 
@@ -368,6 +348,8 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
         raise ProofFormatError("query count out of range")
     if proof.degree_bound < 0:
         raise ProofFormatError("negative degree bound")
+    if not 0 <= proof.fri_final < q:
+        raise ProofFormatError("final FRI value out of range")
     rounds = num_rounds(proof.degree_bound)
     if len(proof.fri_comms) != rounds - 1:
         raise ProofFormatError(
@@ -380,15 +362,22 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
             raise ProofFormatError(f"each query needs two trace rows of {5 * n} values")
         if len(query.fri) != rounds:
             raise ProofFormatError(f"expected {rounds} FRI opening pairs per query")
-    if proof.challenges is not None:
-        for key in ("gammas", "betas", "sample_points"):
-            if key not in proof.challenges:
-                raise ProofFormatError(f"challenge record missing {key!r}")
+        values = [v for row in query.trace for v in row.values]
+        values += [o.value for pair in query.fri for o in pair]
+        if not all(0 <= v < q for v in values):
+            raise ProofFormatError("opened value out of range")
     return rounds
 
 
-def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationReport:
+def verify(
+    field: PrimeField, spec: SystemSpec, proof: Proof, transcript=None
+) -> VerificationReport:
     """Check a proof against the public inputs.
+
+    The challenges come from the caller's transcript, as in `prove`: a
+    ReplayTranscript of the caller's challenge lists, or None for a
+    Fiat-Shamir transcript salted with the proof's salt; a proof carries no
+    challenges.
 
     Checks, in order, with the stage a failure is reported at: the public
     inputs (commitment), the declared degree bound, at most 2N-2 and equal to
@@ -411,20 +400,12 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
     if proof.generator != g:
         return _reject("commitment", f"generator mismatch: {proof.generator} != {g}")
 
-    replay = proof.challenges is not None
+    if transcript is None:
+        transcript = FiatShamirTranscript(q, salt=proof.salt)
+    replay = transcript.mode == "replay"
     worst = max(2 * N - 2, 0)
     if proof.degree_bound > worst or (not replay and proof.degree_bound != worst):
         return _reject("fri_commit", f"degree bound {proof.degree_bound}: worst case is {worst}")
-
-    if replay:
-        transcript = ReplayTranscript(
-            q,
-            gammas=proof.challenges["gammas"],
-            betas=proof.challenges["betas"],
-            sample_points=proof.challenges["sample_points"],
-        )
-    else:
-        transcript = FiatShamirTranscript(q, salt=proof.salt)
 
     transcript.absorb("spec", hash_spec(field, spec))
     transcript.absorb("trace", proof.trace_comm.root)
@@ -445,7 +426,7 @@ def verify(field: PrimeField, spec: SystemSpec, proof: Proof) -> VerificationRep
             transcript.draw("sample_point", exclusions=excluded) for _ in proof.queries
         ]
     except TranscriptError as exc:
-        raise ProofFormatError(f"challenge record unusable: {exc}") from exc
+        raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
     d0 = base_eval_domain(field, domain)
     domains = layer_eval_domains(field, d0, rounds)
@@ -530,7 +511,7 @@ def _comm_to_json(c: MerkleCommitment) -> dict:
 
 
 def proof_to_json(proof: Proof) -> dict:
-    doc = {
+    return {
         "version": proof.version,
         "publics": {
             "q": str(proof.modulus),
@@ -559,12 +540,6 @@ def proof_to_json(proof: Proof) -> dict:
             for qr in proof.queries
         ],
     }
-    if proof.challenges is not None:
-        doc["challenges"] = {
-            key: [str(v) for v in proof.challenges[key]]
-            for key in ("gammas", "betas", "sample_points")
-        }
-    return doc
 
 
 def _want(doc: dict, key: str, kind):
@@ -638,14 +613,6 @@ def proof_from_json(doc: dict) -> Proof:
             )
         )
 
-    challenges = None
-    if "challenges" in doc:
-        ch = _want(doc, "challenges", dict)
-        challenges = {
-            key: [_int_str(v) for v in _want(ch, key, list)]
-            for key in ("gammas", "betas", "sample_points")
-        }
-
     return Proof(
         version=version,
         modulus=_int_str(_want(publics, "q", str)),
@@ -658,7 +625,6 @@ def proof_from_json(doc: dict) -> Proof:
         fri_comms=tuple(_comm_from_json(c) for c in _want(fri_layers, "roots", list)),
         fri_final=_int_str(_want(fri_layers, "final", str)),
         queries=tuple(queries),
-        challenges=challenges,
     )
 
 
@@ -669,6 +635,6 @@ def dump_proof(proof: Proof) -> str:
 def load_proof(text: str) -> Proof:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise ProofFormatError(f"proof file is not valid JSON: {exc}") from exc
     return proof_from_json(doc)

@@ -133,13 +133,13 @@ def run_replay() -> List[CheckResult]:
             y = y * y % MODULUS
         record(f"query-chain-{x}", expected_chain, tuple(chain))
 
-    transcript = ReplayTranscript(
-        MODULUS, gammas=GAMMAS, betas=BETAS, sample_points=SAMPLE_POINTS
-    )
-    proof = prove(field, SYSTEM, trace, transcript, num_queries=len(SAMPLE_POINTS))
+    def transcript():
+        return ReplayTranscript(MODULUS, gammas=GAMMAS, betas=BETAS, sample_points=SAMPLE_POINTS)
+
+    proof = prove(field, SYSTEM, trace, transcript(), num_queries=len(SAMPLE_POINTS))
     record("proof-degree-bound", COMBINED_DEGREE_BOUND, proof.degree_bound)
     record("proof-fri-final", FINAL_CONSTANT, proof.fri_final)
-    report = verify(field, SYSTEM, proof)
+    report = verify(field, SYSTEM, proof, transcript())
     record("proof-verdict", "accept", report.verdict)
     for query, x in zip(proof.queries, SAMPLE_POINTS):
         chain = []

@@ -112,10 +112,10 @@ def test_criterion_06_completeness_randomized(announce):
         spec = random_spec(rng, q)
         trace = simulate(spec)
 
-        replay = ReplayTranscript(q, **random_challenges(rng, q, spec, num_queries=4))
-        proof = prove(field, spec, trace, replay, num_queries=4)
+        ch = random_challenges(rng, q, spec, num_queries=4)
+        proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=4)
         trials += 1
-        accepted += verify(field, spec, proof).accepted
+        accepted += verify(field, spec, proof, ReplayTranscript(q, **ch)).accepted
 
         fs = FiatShamirTranscript(q, salt=b"c6")
         proof = prove(field, spec, trace, fs, num_queries=4, salt=b"c6")

@@ -93,8 +93,17 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     doc = json.loads(open(proof).read())
     assert doc["publics"]["degree_bound"] == str(ref.COMBINED_DEGREE_BOUND)
     assert doc["fri_layers"]["final"] == str(ref.FINAL_CONSTANT)
-    assert doc["challenges"]["sample_points"] == [str(x) for x in ref.SAMPLE_POINTS]
+    assert [q["x"] for q in doc["queries"]] == [str(x) for x in ref.SAMPLE_POINTS]
+    assert "challenges" not in doc
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_OK
+
+
+def test_verify_follows_the_config_mode(tmp_path, config_path, fs_config_path, trace_path):
+    # a replay proof checked under a fiat-shamir config meets the verifier's
+    # own challenges, not the ones the prover replayed
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
+    assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_REJECT
 
 
 def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, trace_path):

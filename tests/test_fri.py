@@ -6,7 +6,6 @@ from projstark import reference_example as ref
 from projstark.fri import (
     DegreeTestFailedError,
     commit_phase,
-    final_constant,
     fold,
     fold_value,
     num_rounds,
@@ -103,7 +102,7 @@ def test_commit_phase_paper_layers(paper_layers):
     for idx, expected in enumerate(ref.LAYER_COEFFS, start=1):
         assert paper_layers[idx].poly.coeffs == expected
     assert tuple(l.poly.reported_degree for l in paper_layers[1:]) == ref.LAYER_DEGREES
-    assert final_constant(paper_layers) == ref.FINAL_CONSTANT
+    assert paper_layers[-1].poly.coeffs[0] == ref.FINAL_CONSTANT
     assert tuple(l.beta for l in paper_layers[:-1]) == ref.BETAS
     assert paper_layers[-1].beta is None
 
@@ -111,7 +110,7 @@ def test_commit_phase_paper_layers(paper_layers):
 def test_commit_phase_constant_input(field):
     layers = commit_phase(Polynomial(field, (9,)), 1, iter([5]))
     assert len(layers) == 2
-    assert final_constant(layers) == 9
+    assert layers[-1].poly.coeffs[0] == 9
 
 
 def test_commit_phase_rejects_overweight_polynomial(field):

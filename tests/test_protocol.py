@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_challenges, random_spec
 from projstark import reference_example as ref
@@ -85,18 +87,15 @@ def test_online_stage_gives_up(paper_spec):
 
 
 def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
-    report = verify(field, paper_spec, paper_proof)
+    report = verify(field, paper_spec, paper_proof, paper_transcript())
     assert report.accepted
     assert report.verdict == "accept"
-    assert paper_proof.mode == "replay"
     assert paper_proof.degree_bound == ref.COMBINED_DEGREE_BOUND
     assert paper_proof.fri_final == ref.FINAL_CONSTANT
-    assert paper_proof.challenges["sample_points"] == list(ref.SAMPLE_POINTS)
     assert [q.x for q in paper_proof.queries] == list(ref.SAMPLE_POINTS)
 
 
 def test_paper_fiat_shamir_proof_accepts(field, paper_spec, paper_fs_proof):
-    assert paper_fs_proof.mode == "fiat_shamir"
     assert paper_fs_proof.degree_bound == 2 * paper_spec.num_steps - 2
     assert verify(field, paper_spec, paper_fs_proof).accepted
 
@@ -147,13 +146,13 @@ def test_verify_rejects_wrong_public_inputs(field, paper_spec, paper_proof):
         a_hat=paper_spec.a_hat, z_upper=paper_spec.z_upper, z_lower=paper_spec.z_lower,
         z_init=(3, 99), num_steps=paper_spec.num_steps,
     )
-    report = verify(field, other, paper_proof)
+    report = verify(field, other, paper_proof, paper_transcript())
     assert not report.accepted
     assert report.stage == "boundary"  # replay challenges ignore the spec digest
 
 
 def test_verify_rejects_wrong_modulus(paper_spec, paper_proof):
-    report = verify(PrimeField(661), paper_spec, paper_proof)
+    report = verify(PrimeField(661), paper_spec, paper_proof, paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
@@ -162,9 +161,43 @@ def test_verify_rejects_tampered_final(field, paper_spec, paper_proof):
     forged = paper_proof.__class__(
         **{**paper_proof.__dict__, "fri_final": (paper_proof.fri_final + 1) % 331}
     )
-    report = verify(field, paper_spec, forged)
+    report = verify(field, paper_spec, forged, paper_transcript())
     assert not report.accepted
     assert report.stage == "fri_query"
+
+
+# --- caller-chosen challenges -----------------------------------------------
+
+# A replay proof of a trace that breaks the transition at step 3 (alpha_up[3][0]
+# set to 0), committed with prover-chosen gammas and sample points under which
+# every spot check holds.
+FORGED_GAMMAS = (199, 321, 199, 195, 302, 81, 237, 212)
+FORGED_SAMPLE_POINTS = (184, 3)
+
+
+def forged_transcript():
+    return ReplayTranscript(
+        ref.MODULUS, gammas=FORGED_GAMMAS, betas=ref.BETAS, sample_points=FORGED_SAMPLE_POINTS
+    )
+
+
+@pytest.fixture(scope="module")
+def forged_proof(field, paper_spec, paper_trace):
+    broken = paper_trace.with_cell("alpha_up", 3, 0, 0)
+    with pytest.raises(InvalidTraceError):
+        prove(field, paper_spec, broken, forged_transcript(), num_queries=2)
+    return prove(field, paper_spec, broken, forged_transcript(), num_queries=2, force=True)
+
+
+def test_forged_proof_passes_only_its_own_challenges(field, paper_spec, forged_proof):
+    assert verify(field, paper_spec, forged_proof, forged_transcript()).accepted
+
+
+def test_verifier_challenges_reject_forged_proof(field, paper_spec, forged_proof):
+    report = verify(field, paper_spec, forged_proof)
+    assert (report.verdict, report.stage) == ("reject", "fri_commit")
+    report = verify(field, paper_spec, forged_proof, paper_transcript())
+    assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 def test_spec_hash_binds_inputs(field, paper_spec):
@@ -178,18 +211,21 @@ def test_spec_hash_binds_inputs(field, paper_spec):
 
 # --- serialization ----------------------------------------------------------
 
+PROOF_KEYS = {"version", "publics", "commitments", "fri_layers", "queries"}
+
 
 def test_proof_json_roundtrip(field, paper_spec, paper_proof):
     text = dump_proof(paper_proof)
     reloaded = load_proof(text)
     assert reloaded == paper_proof
-    assert verify(field, paper_spec, reloaded).accepted
+    assert set(proof_to_json(reloaded)) == PROOF_KEYS
+    assert verify(field, paper_spec, reloaded, paper_transcript()).accepted
 
 
 def test_proof_json_roundtrip_fiat_shamir(field, paper_spec, paper_fs_proof):
     reloaded = load_proof(dump_proof(paper_fs_proof))
     assert reloaded == paper_fs_proof
-    assert reloaded.challenges is None
+    assert set(proof_to_json(reloaded)) == PROOF_KEYS
     assert verify(field, paper_spec, reloaded).accepted
 
 
@@ -203,6 +239,8 @@ def test_proof_json_integers_are_strings(paper_proof):
 def test_load_proof_rejects_garbage():
     with pytest.raises(ProofFormatError):
         load_proof("not json at all {")
+    with pytest.raises(ProofFormatError):
+        load_proof('{"version": 1' + "0" * 5000 + "}")
     with pytest.raises(ProofFormatError):
         proof_from_json({"version": 1})
 
@@ -219,14 +257,14 @@ def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
     doc["queries"][0]["fri"] = doc["queries"][0]["fri"][:-1]
     damaged = proof_from_json(doc)
     with pytest.raises(ProofFormatError):
-        verify(field, paper_spec, damaged)
+        verify(field, paper_spec, damaged, paper_transcript())
 
 
 def test_verify_rejects_tampered_opening(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
     values = doc["queries"][0]["trace"]["at_x"]["values"]
     values[7] = str((int(values[7]) + 1) % 331)  # f_delta[1]
-    report = verify(field, paper_spec, proof_from_json(doc))
+    report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
@@ -235,7 +273,7 @@ def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
     values = doc["queries"][1]["trace"]["at_gx"]["values"]
     values[1] = str((int(values[1]) + 1) % 331)  # f_z[1](g*x), the next state
-    report = verify(field, paper_spec, proof_from_json(doc))
+    report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
@@ -257,14 +295,14 @@ def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
         row = doc["queries"][0]["trace"]["at_gx"]
         row["values"] = (row["values"] + ["0"])[:width]
         with pytest.raises(ProofFormatError):
-            verify(field, paper_spec, proof_from_json(doc))
+            verify(field, paper_spec, proof_from_json(doc), paper_transcript())
 
 
 def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
     doc = proof_to_json(paper_proof)
     doc["version"] = 1
     with pytest.raises(ProofFormatError):
-        verify(field, paper_spec, proof_from_json(doc))
+        verify(field, paper_spec, proof_from_json(doc), paper_transcript())
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -278,8 +316,10 @@ def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
     doc["fri_layers"]["roots"] += doc["fri_layers"]["roots"][-1:] * extra
     for qd in doc["queries"]:
         qd["fri"] += qd["fri"][-1:] * extra
-    doc["challenges"]["betas"] += doc["challenges"]["betas"][-1:] * extra
-    report = verify(field, paper_spec, proof_from_json(doc))
+    transcript = ReplayTranscript(ref.MODULUS, gammas=ref.GAMMAS,
+                                  betas=ref.BETAS + ref.BETAS[-1:] * extra,
+                                  sample_points=ref.SAMPLE_POINTS)
+    report = verify(field, paper_spec, proof_from_json(doc), transcript)
     assert not report.accepted
     assert report.stage == "fri_commit"
 
@@ -288,7 +328,51 @@ def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
     doc["publics"]["degree_bound"] = "-1"
     with pytest.raises(ProofFormatError):
-        verify(field, paper_spec, proof_from_json(doc))
+        verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+
+
+def _integer_fields(doc, where=()):
+    """Paths to every integer of a dumped proof: JSON ints and base-10 strings."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if key in ("root", "salt", "path"):  # hex strings
+            continue
+        if isinstance(value, (int, str)):
+            yield where + (key,)
+        else:
+            yield from _integer_fields(value, where + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    replay=st.booleans(),
+    value=st.one_of(
+        st.integers(max_value=-1), st.just(0), st.just(ref.MODULUS),
+        st.integers(min_value=2 ** 64), st.integers(),
+    ),
+)
+def test_mutated_integer_field_is_rejected_or_malformed(
+    field, paper_spec, paper_proof, paper_fs_proof, data, replay, value
+):
+    doc = proof_to_json(paper_proof if replay else paper_fs_proof)
+    # draw the kind of field first (list positions ignored), so rare fields
+    # such as the final FRI value are drawn as often as opened values
+    kinds = {}
+    for where in _integer_fields(doc):
+        kinds.setdefault(tuple(k for k in where if isinstance(k, str)), []).append(where)
+    kind = data.draw(st.sampled_from(sorted(kinds)))
+    *parents, key = data.draw(st.sampled_from(kinds[kind]))
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value if isinstance(node[key], int) else str(value)
+    try:
+        report = verify(field, paper_spec, proof_from_json(doc),
+                        paper_transcript() if replay else None)
+    except ProofFormatError:
+        return
+    assert report.verdict in ("accept", "reject")
 
 
 # --- byte identity ------------------------------------------------------------
@@ -297,7 +381,7 @@ def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
 # inputs; any change to the committed values, their order, the tree hashing or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "e29a8986f201bd877f3aa7fc93d1175809d243af732afb5b15df93d23b2bb55b",
+    "paper-replay": "aadeadb5942359ad7fbce415ee657d9850eaf91c5f6d9eb8f0375be7dc42c72c",
     "paper-fiat-shamir": "e04c892387adf3f70bb60dc9728197d60da22ead704cbd310fb50e5733760589",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; FRI layers 1-6 are
     # unions of cosets of subgroups of order 20, 10 and 5
@@ -357,7 +441,7 @@ def test_random_specs_prove_and_verify_both_modes():
         ch = random_challenges(rng, q, spec, num_queries=3)
         replay = ReplayTranscript(q, **ch)
         proof_r = prove(field, spec, trace, replay, num_queries=3)
-        assert verify(field, spec, proof_r).accepted
+        assert verify(field, spec, proof_r, ReplayTranscript(q, **ch)).accepted
 
         fs = FiatShamirTranscript(q, salt=b"trial")
         proof_f = prove(field, spec, trace, fs, num_queries=3, salt=b"trial")
