@@ -17,7 +17,9 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 from .dynamics import ExecutionTrace, SystemSpec, apply_transition
 from .field import CyclicDomain, PrimeField
-from .poly import Polynomial, divide_exact, interpolate, vanishing
+from .poly import CosetEvaluator, Polynomial, divide_exact
+# Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
+from .poly import interpolate, vanishing  # noqa: F401
 
 
 class FieldOverflowError(ValueError):
@@ -104,18 +106,37 @@ def build_trace_polys(
     if domain.order != N + 1:
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
     field = domain.field
-    xs_full = [e.value for e in domain.elements]
-    xs_step = xs_full[:N]
+    q = field.modulus
+    # Coefficient i of the interpolant through (g^k, y_k), k <= N, is
+    # (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one
+    # inverse DFT over H gives every coefficient.
+    g_inv = domain.elements[N].value
+    dft = CosetEvaluator(field, [pow(g_inv, i, q) for i in range(N + 1)], domain.generator, N + 1)
+    inv_order = pow(N + 1, q - 2, q)
+    # Z_N = prod_{k<N}(x - g^k) = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j
+    z_n = [pow(g_inv, N - j, q) for j in range(N + 1)]
+
+    def coefficients(values):
+        return [c * inv_order % q for c in dft.evaluate(Polynomial(field, values))]
+
+    def full(values):
+        return Polynomial(field, coefficients(values))
+
+    def step(values):
+        # P through the N values and 0 at g^N has degree <= N; removing P[N]·Z_N
+        # leaves the degree < N interpolant of the first N points.
+        p = coefficients([*values, 0])
+        return Polynomial(field, [c - p[N] * z for c, z in zip(p, z_n)])
 
     def column(rows, i):
         return [row[i] for row in rows]
 
     f_z, f_up, f_lo, f_d = [], [], [], []
     for i in range(spec.n):
-        f_z.append(interpolate(list(zip(xs_full, column(trace.z_rows, i))), field))
-        f_up.append(interpolate(list(zip(xs_step, column(trace.alpha_up_rows, i))), field))
-        f_lo.append(interpolate(list(zip(xs_step, column(trace.alpha_lo_rows, i))), field))
-        f_d.append(interpolate(list(zip(xs_step, column(trace.delta_rows, i))), field))
+        f_z.append(full(column(trace.z_rows, i)))
+        f_up.append(step(column(trace.alpha_up_rows, i)))
+        f_lo.append(step(column(trace.alpha_lo_rows, i)))
+        f_d.append(step(column(trace.delta_rows, i)))
     return TracePolynomials(
         f_z=tuple(f_z), f_alpha_up=tuple(f_up), f_alpha_lo=tuple(f_lo), f_delta=tuple(f_d)
     )
@@ -197,19 +218,25 @@ def build_compositions(
     *,
     allow_remainder: bool = False,
 ) -> CompositionSet:
-    """Divide every numerator by the vanishing polynomial of the first N points.
+    """Divide every numerator by the vanishing polynomial Z_N of the first N points.
 
     A nonzero remainder means the trace breaks a constraint at some step; the
     honest prover stops there.  With allow_remainder the floor quotients are
     kept, which is the dishonest commit path used in soundness experiments.
+
+    Z_N·(x - g^N) = x^(N+1) - 1, so num = Q·Z_N + R gives
+    num·(x - g^N) = Q·(x^(N+1) - 1) + R·(x - g^N): dividing by the two-term
+    x^(N+1) - 1 yields the same floor quotient Q in O(deg) steps, with a
+    remainder that is zero exactly when R is.
     """
     field = domain.field
     N = domain.order - 1
-    zv = vanishing([e.value for e in domain.elements[:N]], field)
+    x_minus_last = Polynomial(field, (-domain.elements[N].value, 1))
+    cyclic = Polynomial(field, (-1, *[0] * N, 1))
 
     quots = {}
     for name, i, num in numerators.families():
-        quot, exact = divide_exact(num, zv)
+        quot, exact = divide_exact(num * x_minus_last, cyclic)
         if not exact and not allow_remainder:
             raise InvalidTraceError(f"constraint {name}[{i}] does not vanish on the step domain")
         quots.setdefault(name, []).append(quot)

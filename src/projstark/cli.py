@@ -66,7 +66,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -170,7 +170,7 @@ def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read trace: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
         raise ConfigError(f"trace is not valid JSON: {exc}")
     return trace_from_json(doc, spec)
 
@@ -239,7 +239,7 @@ def cmd_verify(args) -> int:
         with open(args.proof) as fh:
             proof = load_proof(fh.read())
         report = verify(config.field, config.spec, proof, _make_transcript(config, proof.salt))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read proof: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ProofFormatError as exc:

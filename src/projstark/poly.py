@@ -105,17 +105,18 @@ class Polynomial:
         return Polynomial(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        other = self._lift(other)
-        if not self.coeffs or not other.coeffs:
+        """Product by Kronecker substitution: one big-integer multiplication.
+
+        Each operand's coefficients are packed into one integer, w bits per
+        coefficient. A product coefficient is a sum of at most min(len a, len b)
+        terms of at most (q-1)^2, so it fits in w = 2·bitlen(q-1) + bitlen(min)
+        bits and the slots of the integer product never carry into each other.
+        """
+        a, b = self.coeffs, self._lift(other).coeffs
+        if not a or not b:
             return Polynomial.zero(self.field)
-        q = self.field.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % q
-        return Polynomial(self.field, out)
+        w = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
+        return Polynomial(self.field, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
 
     __rmul__ = __mul__
 
@@ -144,13 +145,15 @@ class Polynomial:
             return Polynomial.zero(self.field), Polynomial(self.field, rem)
         quot = [0] * (len(rem) - len(dc) + 1)
         lead_inv = pow(dc[-1], q - 2, q)
+        # a sparse divisor such as x^m - 1 costs O(deg) instead of O(deg·m)
+        terms = [(i, d) for i, d in enumerate(dc) if d]
         for top in range(len(rem) - 1, len(dc) - 2, -1):
             c = rem[top] * lead_inv % q
             if c == 0:
                 continue
             shift = top - (len(dc) - 1)
             quot[shift] = c
-            for i, d in enumerate(dc):
+            for i, d in terms:
                 rem[shift + i] = (rem[shift + i] - c * d) % q
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
@@ -168,10 +171,38 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """sum_i coeffs[i]·2^(w·i) for coefficients below 2^w, by pairing neighbours."""
+    vals = list(coeffs)
+    while len(vals) > 1:
+        if len(vals) % 2:
+            vals.append(0)
+        vals = [lo | hi << w for lo, hi in zip(vals[0::2], vals[1::2])]
+        w *= 2
+    return vals[0]
+
+
+def _unpack(value: int, count: int, w: int) -> List[int]:
+    """The lowest count w-bit slots of value, lowest first, by halving chunks."""
+    span = 1 << (count - 1).bit_length()  # slots per chunk
+    vals = [value]
+    while span > 1:
+        span //= 2
+        shift = span * w
+        mask = (1 << shift) - 1
+        out = [0] * (2 * len(vals))
+        out[0::2] = [v & mask for v in vals]
+        out[1::2] = [v >> shift for v in vals]
+        vals = out
+    return vals[:count]
+
+
 def interpolate(points: Sequence[Tuple[Scalar, Scalar]], field: PrimeField) -> Polynomial:
     """Unique polynomial of degree < len(points) through all (x, y) pairs.
 
-    Lagrange construction via the master product, O(m^2).
+    Lagrange construction via the master product, O(m^2), for arbitrary
+    points. The prover interpolates trace columns over the subgroup H with
+    one inverse DFT instead (air.build_trace_polys).
     """
     q = field.modulus
     xs = [_val(x, q) for x, _ in points]

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_spec
+from conftest import TRIAL_MODULI, even_subgroup_orders, random_spec
 from projstark import reference_example as ref
 from projstark.air import (
+    ConstraintNumerators,
     FieldOverflowError,
+    FieldTrace,
     InvalidTraceError,
+    TracePolynomials,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -14,9 +17,14 @@ from projstark.air import (
     constraints,
     lift_trace,
 )
-from projstark.dynamics import simulate
+from projstark.dynamics import SystemSpec, simulate
 from projstark.field import PrimeField, build_domain
-from projstark.poly import vanishing
+from projstark.poly import Polynomial, interpolate, vanishing
+
+# every even subgroup order of the trial moduli (m = 2 and mixed radices such
+# as 30 = 2·3·5 included), and the power-of-two orders of the benchmark fields
+SUBGROUPS = [(q, m) for q in TRIAL_MODULI for m in even_subgroup_orders(q, cap=q - 1)] + [
+    (769, 256), (12289, 128)]
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +102,32 @@ def test_trace_polys_paper_spot_value(paper_tp, domain):
     assert paper_tp.f_z[1](x).value == 40
 
 
+@pytest.mark.parametrize("q,m", SUBGROUPS)
+def test_trace_polys_equal_lagrange_interpolants(q, m):
+    # f_z through all of H, the other columns through its first N points
+    field = PrimeField(q)
+    domain = build_domain(field, m)
+    N = m - 1
+    rng = random.Random(q * m)
+    spec = SystemSpec(a_hat=((1, 0), (0, 1)), z_upper=(1, 1), z_lower=(0, 0), z_init=(0, 0),
+                      num_steps=N)
+
+    def rows(count):
+        return tuple((rng.randrange(q), rng.randrange(q)) for _ in range(count))
+
+    ft = FieldTrace(field, spec, rows(m), rows(N), rows(N), rows(N))
+    tp = build_trace_polys(ft, domain)
+    xs = [e.value for e in domain.elements]
+
+    def lagrange(points, table):
+        return tuple(interpolate(list(zip(points, col)), field) for col in zip(*table))
+
+    assert tp.f_z == lagrange(xs, ft.z_rows)
+    assert tp.f_alpha_up == lagrange(xs[:N], ft.alpha_up_rows)
+    assert tp.f_alpha_lo == lagrange(xs[:N], ft.alpha_lo_rows)
+    assert tp.f_delta == lagrange(xs[:N], ft.delta_rows)
+
+
 def test_trace_polys_domain_order_mismatch(paper_trace, field):
     with pytest.raises(ValueError):
         build_trace_polys(paper_trace, build_domain(field, 10))
@@ -168,6 +202,35 @@ def test_compositions_reject_tampered_trace(paper_trace, paper_spec, domain):
     # the dishonest path keeps the floor quotients instead
     cs = build_compositions(nums, tp, domain, allow_remainder=True)
     assert len(cs.ordered()) == 8
+
+
+@pytest.mark.parametrize("q,m", [(61, 2), (61, 30), (331, 30), (769, 256)])
+def test_quotients_equal_division_by_step_vanishing(q, m):
+    field = PrimeField(q)
+    domain = build_domain(field, m)
+    N = m - 1
+    zv = vanishing([e.value for e in domain.elements[:N]], field)
+    rng = random.Random(q + m)
+
+    def rand(deg):
+        return Polynomial(field, [rng.randrange(q) for _ in range(deg + 1)])
+
+    tp = TracePolynomials((rand(N),), (rand(N - 1),), (rand(N - 1),), (rand(N - 1),))
+    zero = Polynomial.zero(field)
+    numerators = [
+        zero, zv, rand(2 * N) * zv, rand(N) * zv + rand(N - 1),  # divisible, then not
+        rand(N - 1), rand(N), rand(3 * N), rand(3 * N) * zv + 1,
+    ]
+    for num in numerators:
+        quot, rem = divmod(num, zv)
+        nums = ConstraintNumerators((num,), (zero,), (zero,), (zero,))
+        assert build_compositions(nums, tp, domain, allow_remainder=True).transition == (quot,)
+        if rem.is_zero():
+            assert build_compositions(nums, tp, domain).transition == (quot,)
+        else:
+            with pytest.raises(InvalidTraceError):
+                build_compositions(nums, tp, domain)
+    assert sum(divmod(num, zv)[1].is_zero() for num in numerators) == 3
 
 
 def test_combine_paper_values(paper_cs, field):

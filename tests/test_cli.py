@@ -79,6 +79,20 @@ def test_config_rejects_missing_file(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
 
+def test_config_rejects_overlong_integer_literal(tmp_path):
+    # json refuses integer literals over 4300 digits with a plain ValueError
+    path = tmp_path / "long.json"
+    text = json.dumps({**ref.replay_config(), "N": 0})
+    path.write_text(text.replace('"N": 0', '"N": ' + "7" * 5001))
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_config_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"q": "331\xff"}')
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
 def test_replay_mode_requires_challenges(tmp_path):
     doc = ref.replay_config()
     del doc["challenges"]
@@ -168,6 +182,12 @@ def test_verify_malformed_proof_file(tmp_path, config_path):
     assert main(["verify", "--config", config_path, "--proof", str(bad)]) == EXIT_MALFORMED
     assert main(["verify", "--config", config_path,
                  "--proof", str(tmp_path / "missing.json")]) == EXIT_MALFORMED
+
+
+def test_verify_non_utf8_proof_file(tmp_path, config_path):
+    bad = tmp_path / "latin1-proof.json"
+    bad.write_bytes(b'{"version": "2\xff"}')
+    assert main(["verify", "--config", config_path, "--proof", str(bad)]) == EXIT_MALFORMED
 
 
 def test_verify_structurally_damaged_proof(tmp_path, config_path, trace_path):

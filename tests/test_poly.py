@@ -1,3 +1,4 @@
+import operator
 import random
 from math import gcd
 
@@ -71,6 +72,36 @@ def test_int_operands_act_as_constants(field):
     assert sum([a, a]) == a + a
     with pytest.raises(ValueError):
         a + Polynomial(PrimeField(61), (1,))
+
+
+def schoolbook(a, b, q):
+    """Reference product of coefficient lists: coefficient k is sum_i a[i]·b[k-i]."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        out.append(sum(map(operator.mul, a[lo:hi + 1], b[k - lo::-1])) % q)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [769, 2**89 - 1])
+def test_product_matches_schoolbook(q):
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for la in range(301):
+        lb = rng.randrange(301 if la % 3 == 0 else 16)
+        if rng.randrange(2):
+            # every coefficient q-1 makes each product coefficient as large as it can be
+            a, b = [q - 1] * la, [q - 1] * lb
+        else:
+            a = [rng.randrange(q) for _ in range(la)]
+            b = [rng.randrange(q) for _ in range(lb)]
+        pa, pb = Polynomial(field, a), Polynomial(field, b)
+        want = schoolbook(pa.coeffs, pb.coeffs, q)
+        assert (pa * pb).coeffs == (pb * pa).coeffs == want
+        k = rng.choice((q - 1, rng.randrange(-3 * q, 3 * q)))
+        assert (pa * k).coeffs == (k * pa).coeffs == schoolbook(pa.coeffs, (k % q,), q)
 
 
 def test_degree_is_additive_under_product(field):
