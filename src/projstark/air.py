@@ -109,37 +109,30 @@ def build_trace_polys(
     q = field.modulus
     # Coefficient i of the interpolant through (g^k, y_k), k <= N, is
     # (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one
-    # inverse DFT over H gives every coefficient.
+    # inverse DFT over H gives every coefficient of every column.
     g_inv = domain.elements[N].value
     dft = CosetEvaluator(field, [pow(g_inv, i, q) for i in range(N + 1)], domain.generator, N + 1)
     inv_order = pow(N + 1, q - 2, q)
+    n = spec.n
+    columns = [
+        Polynomial(field, [row[i] for row in rows])
+        for rows in (trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
+        for i in range(n)
+    ]
+    tables = dft.evaluate(columns)
+    # The N-point columns get P through their N values and 0 at g^N, of degree
+    # <= N; removing P[N]·Z_N leaves the degree < N interpolant of the N points.
     # Z_N = prod_{k<N}(x - g^k) = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j
     z_n = [pow(g_inv, N - j, q) for j in range(N + 1)]
-
-    def coefficients(values):
-        return [c * inv_order % q for c in dft.evaluate(Polynomial(field, values))]
-
-    def full(values):
-        return Polynomial(field, coefficients(values))
-
-    def step(values):
-        # P through the N values and 0 at g^N has degree <= N; removing P[N]·Z_N
-        # leaves the degree < N interpolant of the first N points.
-        p = coefficients([*values, 0])
-        return Polynomial(field, [c - p[N] * z for c, z in zip(p, z_n)])
-
-    def column(rows, i):
-        return [row[i] for row in rows]
-
-    f_z, f_up, f_lo, f_d = [], [], [], []
-    for i in range(spec.n):
-        f_z.append(full(column(trace.z_rows, i)))
-        f_up.append(step(column(trace.alpha_up_rows, i)))
-        f_lo.append(step(column(trace.alpha_lo_rows, i)))
-        f_d.append(step(column(trace.delta_rows, i)))
-    return TracePolynomials(
-        f_z=tuple(f_z), f_alpha_up=tuple(f_up), f_alpha_lo=tuple(f_lo), f_delta=tuple(f_d)
+    f_z = tuple(Polynomial(field, [c * inv_order for c in t]) for t in tables[:n])
+    f_up, f_lo, f_d = (
+        tuple(
+            Polynomial(field, [(c - t[N] * z) * inv_order for c, z in zip(t, z_n)])
+            for t in tables[k * n:(k + 1) * n]
+        )
+        for k in (1, 2, 3)
     )
+    return TracePolynomials(f_z=f_z, f_alpha_up=f_up, f_alpha_lo=f_lo, f_delta=f_d)
 
 
 @dataclass(frozen=True)

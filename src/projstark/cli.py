@@ -20,7 +20,7 @@ from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from .dynamics import ExecutionTrace, SystemSpec, online_check, simulate
 from .field import NoSubgroupError, PrimeField, is_prime
 from .fri import DegreeTestFailedError
-from .protocol import ProofFormatError, dump_proof, load_proof, prove, verify
+from .protocol import MAX_QUERIES, ProofFormatError, dump_proof, load_proof, prove, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,6 +60,21 @@ def _int_list(values, what: str) -> List[int]:
     return [_as_int(v, what) for v in values]
 
 
+def _spec_ints(values, what: str) -> List[int]:
+    """An integer list of the spec; hash_spec encodes each as a signed 64-bit integer."""
+    out = _int_list(values, what)
+    for v in out:
+        if not -(2**63) <= v < 2**63:
+            raise ConfigError(f"{what}: {v} is outside the signed 64-bit range")
+    return out
+
+
+def _check_queries(queries: int) -> int:
+    if not 1 <= queries <= MAX_QUERIES:
+        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {queries}")
+    return queries
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -78,13 +93,15 @@ def load_config(path: str) -> RunConfig:
 
     if "A_hat" not in doc:
         raise ConfigError("missing A_hat")
-    a_hat = tuple(tuple(_int_list(row, "A_hat row")) for row in doc["A_hat"])
+    if not isinstance(doc["A_hat"], list):
+        raise ConfigError("A_hat must be a list")
+    a_hat = tuple(tuple(_spec_ints(row, "A_hat row")) for row in doc["A_hat"])
     try:
         spec = SystemSpec(
             a_hat=a_hat,
-            z_upper=tuple(_int_list(doc.get("z_upper", []), "z_upper")),
-            z_lower=tuple(_int_list(doc.get("z_lower", []), "z_lower")),
-            z_init=tuple(_int_list(doc.get("z_init", []), "z_init")),
+            z_upper=tuple(_spec_ints(doc.get("z_upper", []), "z_upper")),
+            z_lower=tuple(_spec_ints(doc.get("z_lower", []), "z_lower")),
+            z_init=tuple(_spec_ints(doc.get("z_init", []), "z_init")),
             num_steps=_as_int(doc.get("N", 0), "N"),
         )
     except ValueError as exc:
@@ -98,9 +115,7 @@ def load_config(path: str) -> RunConfig:
     if mode not in ("replay", "fiat-shamir"):
         raise ConfigError(f"mode must be replay or fiat-shamir, got {mode!r}")
 
-    queries = _as_int(doc.get("queries", 8), "queries")
-    if queries < 1:
-        raise ConfigError("queries must be >= 1")
+    queries = _check_queries(_as_int(doc.get("queries", 8), "queries"))
 
     challenges = None
     if "challenges" in doc:
@@ -213,8 +228,8 @@ def cmd_prove(args) -> int:
         config.mode = args.mode.replace("_", "-")
         if config.mode == "replay" and config.challenges is None:
             raise ConfigError("replay mode needs a challenges block in the config")
-    if args.queries:
-        config.queries = args.queries
+    if args.queries is not None:
+        config.queries = _check_queries(args.queries)
     trace = load_trace(args.trace, config.spec)
     salt = _salt(config)
     transcript = _make_transcript(config, salt)

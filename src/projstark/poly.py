@@ -28,7 +28,7 @@ class Polynomial:
 
     def __init__(self, field: PrimeField, coeffs: Iterable[Scalar] = ()):
         q = field.modulus
-        c = [_val(x, q) for x in coeffs]
+        c = [x % q for x in map(int, coeffs)]
         while c and c[-1] == 0:
             c.pop()
         self.field = field
@@ -82,21 +82,24 @@ class Polynomial:
         a, b = self.coeffs, self._lift(other).coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
+        out = list(a)  # Polynomial() reduces every coefficient mod q
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.modulus
+            out[i] += c
         return Polynomial(self.field, out)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         a, b = self.coeffs, self._lift(other).coeffs
-        n = max(len(a), len(b))
-        q = self.field.modulus
-        return Polynomial(
-            self.field,
-            [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q for i in range(n)],
-        )
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return Polynomial(self.field, out)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return self._lift(other) - self
@@ -261,12 +264,13 @@ class CosetEvaluator:
 
     `points` must be a union of cosets c·G of the order-m subgroup G generated
     by `omega`; tables come out in the order of `points`, and `index` maps each
-    point to its position. For each coset representative c, p(c·y) is reduced
-    mod y^m - 1 (coefficient k collects p_i·c^i over i ≡ k mod m), and one
-    length-m mixed-radix DFT, decimation in frequency with the smallest prime
-    first, gives p(c·omega^j) for every j. The DFT works on m rows, each holding
-    one entry per coset, so every butterfly is a list operation over all cosets
-    and the plan (index patterns and twiddles) is O(m) per stage.
+    point to its position. For each polynomial p and coset representative c,
+    p(c·y) is reduced mod y^m - 1 (coefficient k collects p_i·c^i over
+    i ≡ k mod m), and one length-m mixed-radix DFT, decimation in frequency
+    with the smallest prime first, gives p(c·omega^j) for every j. The DFT works
+    on m rows, each holding one entry per (polynomial, coset) pair, so every
+    butterfly is one list operation over a whole batch of polynomials and the
+    plan (index patterns and twiddles) is O(m) per stage.
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int], omega: Scalar, order: int):
@@ -310,13 +314,13 @@ class CosetEvaluator:
             block = span
 
         # After the last stage, row p holds the DFT output at the mixed-radix
-        # digit reversal freq[p] of p; entry t of that row is the value at
-        # reps[t]·w^freq[p]. gather maps each point to its flat row-major slot.
+        # digit reversal freq[p] of p; in the column of representative t, that
+        # is the value at reps[t]·w^freq[p]. gather maps each point to its slot
+        # t·m + p in the concatenated columns of one polynomial.
         freq = [0]
         for r in reversed(radices):
             freq = [r * f + j2 for j2 in range(r) for f in freq]
-        count, extra = divmod(len(points), order)
-        if extra:
+        if not points or len(points) % order:
             raise ValueError(f"{len(points)} points cannot be a union of cosets of order {order}")
         reps: List[int] = []
         gather: List[Optional[int]] = [None] * len(points)
@@ -329,38 +333,58 @@ class CosetEvaluator:
                 i = self.index.get(x * powers[f] % q)
                 if i is None:
                     raise ValueError(f"the coset of {x} is not contained in the points")
-                gather[i] = row * count + t
+                gather[i] = t * order + row
         self._reps = reps
         self._gather = gather
+        self._rep_powers = [[1] for _ in reps]  # c^0, c^1, ... per representative c
 
-    def evaluate(self, poly: Polynomial) -> List[int]:
-        """[poly(x) for x in points] as canonical residues."""
-        if poly.field != self.field:
-            raise ValueError("polynomial over a different field")
+    def _powers(self, length: int) -> List[List[int]]:
+        """c^i for i < length (or more) for every representative c; kept between calls."""
+        table = self._rep_powers
+        have = len(table[0])
+        if have < length:
+            q = self.field.modulus
+            last = [row[-1] for row in table]
+            more = []
+            for _ in range(length - have):
+                last = [x * c % q for x, c in zip(last, self._reps)]
+                more.append(last)
+            for row, ext in zip(table, zip(*more)):
+                row.extend(ext)
+        return table
+
+    def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
+        """[[p(x) for x in points] for p in polys] as canonical residues, by one DFT."""
         q = self.field.modulus
         m = self.order
-        reps = self._reps
-        zero = [0] * len(reps)
-        rows = [zero] * m
-        pw = [1] * len(reps)  # c^i for every representative c
-        last = len(poly.coeffs) - 1
-        for i, a in enumerate(poly.coeffs):
-            if a:
-                k = i % m
-                if i < m:
-                    rows[k] = [a * x % q for x in pw]
-                else:
-                    rows[k] = [(v + a * x) % q for v, x in zip(rows[k], pw)]
-            if i < last:
-                pw = [x * c % q for x, c in zip(pw, reps)]
+        columns = []  # DFT input: one length-m column per (polynomial, representative)
+        for poly in polys:
+            if poly.field != self.field:
+                raise ValueError("polynomial over a different field")
+            a = poly.coeffs
+            for cpow in self._powers(len(a)):
+                terms = list(map(operator.mul, a, cpow))
+                col = terms[:m]
+                for j in range(m, len(terms), m):
+                    chunk = terms[j:j + m]
+                    col[:len(chunk)] = map(operator.add, col, chunk)
+                col = [v % q for v in col]
+                col += [0] * (m - len(col))
+                columns.append(col)
+        if not columns:
+            return []
+        rows = list(zip(*columns))
+        del columns
 
+        # Radix-2 sums are left unreduced (they gain one bit per stage); every
+        # output is reduced mod q when it is gathered.
         for r, block, butterflies in self._stages:
             for base in range(0, m, block):
                 for idx, shape in butterflies:
                     if r == 2:
                         i0, i1 = base + idx[0], base + idx[1]
                         x0, x1 = rows[i0], rows[i1]
-                        rows[i0] = [(a + b) % q for a, b in zip(x0, x1)]
+                        rows[i0] = list(map(operator.add, x0, x1))
                         rows[i1] = [(a - b) * shape % q for a, b in zip(x0, x1)]
                     else:
                         cols = list(zip(*[rows[base + i] for i in idx]))
@@ -369,5 +393,13 @@ class CosetEvaluator:
                                 sum(map(operator.mul, ws, col)) % q for col in cols
                             ]
 
-        flat = [v for row in rows for v in row]
-        return [flat[i] for i in self._gather]
+        out = list(zip(*rows))  # out[s·count + t]: polynomial s on representative t
+        del rows
+        count = len(self._reps)
+        gather = self._gather
+        tables = []
+        while out:
+            flat = [v for col in out[:count] for v in col]
+            del out[:count]  # so the DFT outputs and the tables are never all held at once
+            tables.append([flat[i] % q for i in gather])
+        return tables

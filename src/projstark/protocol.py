@@ -147,7 +147,7 @@ class _Committed:
     """Evaluation tables of polynomials on one domain, one Merkle leaf per point."""
 
     def __init__(self, polys: Sequence[Polynomial], evaluator: CosetEvaluator):
-        self.rows = list(zip(*[evaluator.evaluate(p) for p in polys]))
+        self.rows = list(zip(*evaluator.evaluate(polys)))
         self.tree = MerkleTree(self.rows)
         self.index = evaluator.index
 
@@ -275,6 +275,7 @@ def prove(
     rounds = num_rounds(bound)
 
     composition = _Committed([combined.poly], ev0)
+    del ev0  # the FRI layers do not need its table of coset powers
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 

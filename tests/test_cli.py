@@ -10,9 +10,11 @@ from projstark.cli import (
     EXIT_PROVER,
     EXIT_REJECT,
     EXIT_REPLAY_MISMATCH,
+    ConfigError,
     load_config,
     main,
 )
+from projstark.protocol import MAX_QUERIES
 
 
 @pytest.fixture()
@@ -99,6 +101,87 @@ def test_replay_mode_requires_challenges(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
+def _write_config(tmp_path, doc, name="edited.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_queries_above_max_is_a_config_error(tmp_path, trace_path, capsys):
+    doc = ref.replay_config()
+    doc["queries"] = 2000
+    assert doc["queries"] > MAX_QUERIES
+    path = _write_config(tmp_path, doc)
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert "queries" in capsys.readouterr().err
+
+
+def test_prove_negative_queries_option_is_a_config_error(tmp_path, config_path, trace_path):
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof,
+                 "--queries", "-3"]) == EXIT_CONFIG
+
+
+def test_prove_zero_queries_option_is_a_config_error(tmp_path, fs_config_path, trace_path):
+    # 0 used to be ignored, falling back to the config's count
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof,
+                 "--queries", "0"]) == EXIT_CONFIG
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof,
+                 "--queries", "3"]) == EXIT_OK
+    assert len(json.loads(open(proof).read())["queries"]) == 3
+
+
+def _fs_doc(**fields):
+    doc = ref.replay_config()
+    doc["mode"] = "fiat-shamir"
+    del doc["challenges"]
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("field,index", [
+    ("A_hat", (0, 0)), ("A_hat", (1, 1)), ("z_upper", (0,)), ("z_lower", (1,)), ("z_init", (0,)),
+])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
+def test_config_rejects_spec_integers_beyond_64_bits(tmp_path, field, index, value):
+    doc = _fs_doc()
+    cell = doc[field]
+    for i in index[:-1]:
+        cell = cell[i]
+    cell[index[-1]] = str(value)
+    with pytest.raises(ConfigError):
+        load_config(_write_config(tmp_path, doc))
+
+
+def test_spec_integer_beyond_64_bits_is_a_config_error_for_prove_and_verify(
+    tmp_path, fs_config_path, trace_path, capsys
+):
+    # z1 stays 0, so A_hat[0][0] = 2^70 still gives a trace that fits in the field
+    big = _write_config(tmp_path, _fs_doc(
+        A_hat=[[str(2**70), "0"], ["-1", "1"]], z_init=["0", "40"]))
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
+    assert main(["prove", "--config", big, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert main(["verify", "--config", big, "--proof", proof]) == EXIT_CONFIG
+    assert "A_hat" in capsys.readouterr().err
+
+
+def test_config_accepts_spec_integers_at_the_64_bit_edges(tmp_path):
+    doc = _fs_doc(A_hat=[[str(2**63 - 1), str(-(2**63))], ["-1", "1"]],
+                  z_lower=[str(-(2**63)), "40"], z_upper=[str(2**63 - 1), "100"],
+                  z_init=["0", "40"])
+    spec = load_config(_write_config(tmp_path, doc)).spec
+    assert spec.a_hat[0] == (2**63 - 1, -(2**63))
+    assert (spec.z_lower[0], spec.z_upper[0]) == (-(2**63), 2**63 - 1)
+
+
+def test_config_rejects_non_list_a_hat(tmp_path):
+    path = _write_config(tmp_path, _fs_doc(A_hat=5))
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
 
 
 def test_prove_and_verify_replay(tmp_path, config_path, trace_path):

@@ -236,16 +236,28 @@ def _layer_evaluators(q, order):
 def test_coset_evaluator_matches_horner_on_proof_domains(q, order):
     rng = random.Random(q)
     field = PrimeField(q)
-    polys = [Polynomial.zero(field)] + [
-        rand_poly(rng, field, d) for d in (0, order - 1, order, 2 * order - 3)
+    short = [Polynomial.zero(field), rand_poly(rng, field, 0)]
+    polys = short + [
+        rand_poly(rng, field, d) for d in (order - 1, order, 2 * order - 3, 3 * order + 1)
     ]
+    polys.insert(3, Polynomial.zero(field))
     layers = 0
     for points, ev in _layer_evaluators(q, order):
         assert ev.index == {x: i for i, x in enumerate(points)}
-        for p in polys:
-            assert ev.evaluate(p) == [p(x).value for x in points]
+        # the second call needs more powers of each representative than the first
+        for batch in (short, polys):
+            tables = ev.evaluate(batch)
+            assert len(tables) == len(batch)
+            for p, table in zip(batch, tables):
+                assert table == [p(x).value for x in points]
         layers += 1
     assert layers == num_rounds(2 * order - 4)
+
+
+def test_coset_evaluator_empty_batch():
+    field = PrimeField(331)
+    g = build_domain(field, 30).generator.value
+    assert CosetEvaluator(field, [pow(g, k, 331) for k in range(30)], g, 30).evaluate([]) == []
 
 
 def test_coset_evaluator_rejects_bad_plans():
@@ -254,6 +266,8 @@ def test_coset_evaluator_rejects_bad_plans():
     with pytest.raises(ValueError):
         CosetEvaluator(field, [2, 3], g, 30)  # too few points for one coset
     with pytest.raises(ValueError):
+        CosetEvaluator(field, [], g, 30)  # no coset at all
+    with pytest.raises(ValueError):
         CosetEvaluator(field, list(range(1, 31)), g, 30)  # 30 points, not a coset
     with pytest.raises(ValueError):
         CosetEvaluator(field, list(range(1, 331)), g * g % 331, 30)  # g^2 has order 15
@@ -261,7 +275,7 @@ def test_coset_evaluator_rejects_bad_plans():
         CosetEvaluator(field, [1, 1], 1, 1)
     ev = CosetEvaluator(field, [5], 1, 1)
     with pytest.raises(ValueError):
-        ev.evaluate(Polynomial(PrimeField(61), (1, 2)))
+        ev.evaluate([Polynomial(field, (1,)), Polynomial(PrimeField(61), (1, 2))])
 
 
 _SMALL_PRIMES = [p for p in range(3, 400) if is_prime(p)]
@@ -282,6 +296,7 @@ def test_coset_evaluator_matches_horner_on_any_coset_union(data):
             seen.update(x * h % q for h in subgroup)
     chosen = data.draw(st.lists(st.sampled_from(reps), min_size=1, unique=True), label="cosets")
     points = data.draw(st.permutations([c * h % q for c in chosen for h in subgroup]))
-    coeffs = data.draw(st.lists(st.integers(0, q - 1), max_size=3 * order + 2), label="coeffs")
-    p = Polynomial(field, coeffs)
-    assert CosetEvaluator(field, points, g, order).evaluate(p) == [p(x).value for x in points]
+    coeffs = st.lists(st.integers(0, q - 1), max_size=3 * order + 2)
+    polys = [Polynomial(field, c) for c in data.draw(st.lists(coeffs, max_size=4), label="polys")]
+    tables = CosetEvaluator(field, points, g, order).evaluate(polys)
+    assert tables == [[p(x).value for x in points] for p in polys]

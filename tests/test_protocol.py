@@ -278,6 +278,24 @@ def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
     assert report.stage == "commitment"
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), replay=st.booleans(), side=st.sampled_from(["at_x", "at_gx"]),
+       shift=st.integers(1, ref.MODULUS - 1))
+def test_verify_rejects_any_tampered_trace_row_value(
+    field, paper_spec, paper_proof, paper_fs_proof, data, replay, side, shift
+):
+    doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
+    query = data.draw(st.sampled_from(doc["queries"]), label="query")
+    values = query["trace"][side]["values"]
+    assert len(values) == 5 * paper_spec.n
+    i = data.draw(st.integers(0, len(values) - 1), label="position")
+    values[i] = str((int(values[i]) + shift) % ref.MODULUS)
+    report = verify(field, paper_spec, proof_from_json(doc),
+                    paper_transcript() if replay else None)
+    assert not report.accepted
+    assert report.stage == "commitment"
+
+
 def test_proof_commits_the_trace_once(paper_spec, paper_proof):
     doc = proof_to_json(paper_proof)
     assert set(doc["commitments"]) == {"trace", "composition"}
