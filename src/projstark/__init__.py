@@ -2,13 +2,11 @@
 
 Cheap per-step inequality checks run online; the offline stage commits the
 execution trace as low-degree polynomials over a prime field, divides the
-constraint system by its vanishing polynomial, and FRI-tests the combined
-quotient.
+random-weighted constraint numerators once by their vanishing polynomial, and
+FRI-tests that quotient.
 """
 
 from .air import (
-    CombinedPolynomial,
-    CompositionSet,
     FieldOverflowError,
     InvalidTraceError,
     TracePolynomials,
@@ -16,6 +14,7 @@ from .air import (
     build_numerators,
     build_trace_polys,
     combine,
+    degree_bound,
     lift_trace,
 )
 from .channel import (

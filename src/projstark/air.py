@@ -1,19 +1,22 @@
 """Algebraic intermediate representation of an execution trace.
 
-Turns the trace into column interpolants over the cyclic domain, the four
-constraint-numerator families, their quotients by the step-domain vanishing
-polynomial, and the random-weighted combined polynomial.
+Turns the trace into column interpolants over the cyclic domain and the 4n
+constraint numerators, divides a numerator by the step-domain vanishing
+polynomial, and takes random-weighted sums.  Floor division is linear, so the
+prover combines the numerators with the weights first and divides once, as
+the verifier's consistency check does pointwise.
 
-Constraint families are held in the order the combination weights are drawn:
-transition, slack definition, upper-bit, lower-bit.  The degree tables of the
-worked example list the two bit families in the opposite order; the replay
-fixture reorders for presentation only.
+Numerators, quotients and weights are flat lists in the order the weights are
+drawn: entry k is family FAMILIES[k // n] at coordinate k % n.  The degree
+tables of the worked example list the two bit families in the opposite order;
+the replay fixture reorders for presentation only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, Union
+from operator import add
+from typing import List, Sequence, Tuple
 
 from .dynamics import ExecutionTrace, SystemSpec, apply_transition
 from .field import CyclicDomain, PrimeField
@@ -21,29 +24,21 @@ from .poly import CosetEvaluator, Polynomial, divide_exact
 # Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
 from .poly import interpolate, vanishing  # noqa: F401
 
+FAMILIES = ("transition", "slack", "upper_bit", "lower_bit")
+
 
 class FieldOverflowError(ValueError):
     """A trace magnitude or intermediate product does not fit below the modulus."""
 
 
 class InvalidTraceError(ValueError):
-    """A constraint numerator is not divisible by the vanishing polynomial."""
+    """The honest prover refuses the trace: it fails an online check, the
+    boundary condition or a step constraint, so some constraint numerator is
+    not divisible by the vanishing polynomial."""
 
 
-@dataclass(frozen=True)
-class FieldTrace:
-    """Execution trace reduced to canonical residues."""
-
-    field: PrimeField
-    spec: SystemSpec
-    z_rows: Tuple[Tuple[int, ...], ...]
-    alpha_up_rows: Tuple[Tuple[int, ...], ...]
-    alpha_lo_rows: Tuple[Tuple[int, ...], ...]
-    delta_rows: Tuple[Tuple[int, ...], ...]
-
-
-def lift_trace(trace: ExecutionTrace, field: PrimeField) -> FieldTrace:
-    """Reduce the integer trace mod q, rejecting any magnitude >= q.
+def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
+    """The trace reduced mod q, rejecting any magnitude >= q.
 
     Also rejects traces whose unprojected updates A_hat * z overflow, so the
     field constraints coincide with the integer semantics.
@@ -64,8 +59,7 @@ def lift_trace(trace: ExecutionTrace, field: PrimeField) -> FieldTrace:
         for w in apply_transition(spec, z):
             if abs(w) >= q:
                 raise FieldOverflowError(f"intermediate A_hat*z value {w} has magnitude >= q={q}")
-    return FieldTrace(
-        field=field,
+    return ExecutionTrace(
         spec=spec,
         z_rows=lift_rows(trace.z_rows),
         alpha_up_rows=lift_rows(trace.alpha_up_rows),
@@ -83,10 +77,6 @@ class TracePolynomials:
     f_alpha_lo: Tuple[Polynomial, ...]
     f_delta: Tuple[Polynomial, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.f_z)
-
     def degrees(self) -> dict:
         return {
             "z": tuple(p.reported_degree for p in self.f_z),
@@ -96,11 +86,8 @@ class TracePolynomials:
         }
 
 
-def build_trace_polys(
-    trace: Union[ExecutionTrace, FieldTrace], domain: CyclicDomain
-) -> TracePolynomials:
-    if isinstance(trace, ExecutionTrace):
-        trace = lift_trace(trace, domain.field)
+def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> TracePolynomials:
+    """Column interpolants of the trace; values are taken mod q, unchecked (see lift_trace)."""
     spec = trace.spec
     N = spec.num_steps
     if domain.order != N + 1:
@@ -135,29 +122,14 @@ def build_trace_polys(
     return TracePolynomials(f_z=f_z, f_alpha_up=f_up, f_alpha_lo=f_lo, f_delta=f_d)
 
 
-@dataclass(frozen=True)
-class ConstraintNumerators:
-    """The four families, indexed by state coordinate."""
-
-    transition: Tuple[Polynomial, ...]
-    slack: Tuple[Polynomial, ...]
-    upper_bit: Tuple[Polynomial, ...]
-    lower_bit: Tuple[Polynomial, ...]
-
-    def families(self) -> Iterator[Tuple[str, int, Polynomial]]:
-        """(family, coordinate, numerator) in weight-draw order."""
-        for name in ("transition", "slack", "upper_bit", "lower_bit"):
-            for i, p in enumerate(getattr(self, name)):
-                yield name, i, p
-
-
 def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
     """The 4n constraint numerators at one point, in weight-draw order.
 
     The arguments are per-coordinate sequences: the state z, the next state,
     the two selector bits and the slack. Only +, - and * are used, so the one
-    definition serves polynomials (the prover's numerators) and opened integer
-    values (the verifier, which reduces the results mod q).
+    definition serves polynomials (the prover's numerators), the lifted trace
+    rows (the prover's step check) and opened values (the verifier); the
+    callers on integers reduce the results mod q.
     """
     n = spec.n
     hi, lw = spec.z_upper, spec.z_lower
@@ -173,48 +145,24 @@ def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
 
 def build_numerators(
     tp: TracePolynomials, spec: SystemSpec, domain: CyclicDomain
-) -> ConstraintNumerators:
-    n = spec.n
+) -> List[Polynomial]:
+    """The 4n constraint numerators as polynomials; numerator k at g^j is
+    constraint k on trace rows j and j+1."""
     g = domain.generator
-    nums = constraints(spec, tp.f_z, [p.scale_argument(g) for p in tp.f_z],
+    return constraints(spec, tp.f_z, [p.scale_argument(g) for p in tp.f_z],
                        tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta)
-    return ConstraintNumerators(
-        transition=tuple(nums[:n]),
-        slack=tuple(nums[n:2 * n]),
-        upper_bit=tuple(nums[2 * n:3 * n]),
-        lower_bit=tuple(nums[3 * n:]),
-    )
-
-
-@dataclass(frozen=True)
-class CompositionSet:
-    """Quotients by the step-domain vanishing polynomial, with their combined degree bound."""
-
-    transition: Tuple[Polynomial, ...]
-    slack: Tuple[Polynomial, ...]
-    upper_bit: Tuple[Polynomial, ...]
-    lower_bit: Tuple[Polynomial, ...]
-    combined_degree_bound: int
-
-    def ordered(self) -> List[Polynomial]:
-        """Quotients in weight-draw order: per family, per coordinate."""
-        out = []
-        for name in ("transition", "slack", "upper_bit", "lower_bit"):
-            out.extend(getattr(self, name))
-        return out
 
 
 def build_compositions(
-    numerators: ConstraintNumerators,
-    tp: TracePolynomials,
+    numerators: Sequence[Polynomial],
     domain: CyclicDomain,
     *,
     allow_remainder: bool = False,
-) -> CompositionSet:
-    """Divide every numerator by the vanishing polynomial Z_N of the first N points.
+) -> List[Polynomial]:
+    """Divide each numerator by the vanishing polynomial Z_N of the first N points.
 
     A nonzero remainder means the trace breaks a constraint at some step; the
-    honest prover stops there.  With allow_remainder the floor quotients are
+    honest path raises there.  With allow_remainder the floor quotients are
     kept, which is the dishonest commit path used in soundness experiments.
 
     Z_N·(x - g^N) = x^(N+1) - 1, so num = Q·Z_N + R gives
@@ -227,43 +175,31 @@ def build_compositions(
     x_minus_last = Polynomial(field, (-domain.elements[N].value, 1))
     cyclic = Polynomial(field, (-1, *[0] * N, 1))
 
-    quots = {}
-    for name, i, num in numerators.families():
+    quots = []
+    for k, num in enumerate(numerators):
         quot, exact = divide_exact(num * x_minus_last, cyclic)
         if not exact and not allow_remainder:
-            raise InvalidTraceError(f"constraint {name}[{i}] does not vanish on the step domain")
-        quots.setdefault(name, []).append(quot)
+            raise InvalidTraceError(f"numerator {k} does not vanish on the step domain")
+        quots.append(quot)
+    return quots
 
-    d = tp.degrees()
-    n = tp.n
-    combined = max(
-        d["z"][i] + d["alpha_up"][i] + d["alpha_lo"][i] for i in range(n)
-    ) - N
-    return CompositionSet(
-        transition=tuple(quots["transition"]),
-        slack=tuple(quots["slack"]),
-        upper_bit=tuple(quots["upper_bit"]),
-        lower_bit=tuple(quots["lower_bit"]),
-        combined_degree_bound=max(combined, 0),
+
+def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:
+    """Random-weighted sum of numerators or of quotients, in weight-draw order."""
+    if len(gammas) != len(polys):
+        raise ValueError(f"need {len(polys)} weights, got {len(gammas)}")
+    acc = [0] * max(len(p.coeffs) for p in polys)
+    for g, p in zip(gammas, polys):
+        # Polynomial() reduces the sums mod q once, at the end
+        acc[:len(p.coeffs)] = map(add, acc, map(int(g).__mul__, p.coeffs))
+    return Polynomial(polys[0].field, acc)
+
+
+def degree_bound(tp: TracePolynomials, quotient: Polynomial, num_steps: int) -> int:
+    """The declared degree bound of Q: the transition numerators' degree less N,
+    raised to Q's own degree, since the declaration is trusted only that far."""
+    transition = max(
+        z.reported_degree + up.reported_degree + lo.reported_degree
+        for z, up, lo in zip(tp.f_z, tp.f_alpha_up, tp.f_alpha_lo)
     )
-
-
-@dataclass(frozen=True)
-class CombinedPolynomial:
-    poly: Polynomial
-    gammas: Tuple[int, ...]
-    degree_bound: int
-
-
-def combine(cs: CompositionSet, gammas: Sequence[int]) -> CombinedPolynomial:
-    """Random-weighted sum of all quotients; weights in family-major order."""
-    quots = cs.ordered()
-    if len(gammas) != len(quots):
-        raise ValueError(f"need {len(quots)} weights, got {len(gammas)}")
-    acc = None
-    for g, quot in zip(gammas, quots):
-        term = quot.scale(g)
-        acc = term if acc is None else acc + term
-    # the declared bound can only be trusted up to the observed degree
-    bound = max(cs.combined_degree_bound, acc.reported_degree)
-    return CombinedPolynomial(poly=acc, gammas=tuple(int(g) for g in gammas), degree_bound=bound)
+    return max(transition - num_steps, quotient.reported_degree, 0)

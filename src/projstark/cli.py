@@ -111,7 +111,10 @@ def load_config(path: str) -> RunConfig:
     if (spec.num_steps + 1) % 2:
         raise ConfigError("N must be odd so the evaluation domain is symmetric")
 
-    mode = doc.get("mode", "fiat-shamir").replace("_", "-")
+    mode = doc.get("mode", "fiat-shamir")
+    if not isinstance(mode, str):
+        raise ConfigError("mode must be a string")
+    mode = mode.replace("_", "-")
     if mode not in ("replay", "fiat-shamir"):
         raise ConfigError(f"mode must be replay or fiat-shamir, got {mode!r}")
 
@@ -165,7 +168,9 @@ def trace_from_json(doc: dict, spec: SystemSpec) -> ExecutionTrace:
     def rows(key):
         if key not in doc:
             raise ConfigError(f"trace file missing {key!r}")
-        return tuple(tuple(_as_int(v, key) for v in row) for row in doc[key])
+        if not isinstance(doc[key], list):
+            raise ConfigError(f"trace {key!r} must be a list of rows")
+        return tuple(tuple(_int_list(row, f"{key} row")) for row in doc[key])
 
     try:
         return ExecutionTrace(
@@ -188,6 +193,14 @@ def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
         raise ConfigError(f"trace is not valid JSON: {exc}")
     return trace_from_json(doc, spec)
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _print_trace_table(trace: ExecutionTrace) -> None:
@@ -216,8 +229,7 @@ def cmd_simulate(args) -> int:
         print(f"online step {k}: {verdict}")
     _print_trace_table(trace)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(trace_to_json(trace), fh, indent=2)
+        _write_out(args.out, json.dumps(trace_to_json(trace), indent=2))
         print(f"trace written to {args.out}")
     return EXIT_OK
 
@@ -242,8 +254,7 @@ def cmd_prove(args) -> int:
             TranscriptError) as exc:
         print(f"prover error: {exc}", file=sys.stderr)
         return EXIT_PROVER
-    with open(args.out, "w") as fh:
-        fh.write(dump_proof(proof))
+    _write_out(args.out, dump_proof(proof))
     print(f"proof written to {args.out}")
     return EXIT_OK
 
@@ -290,8 +301,7 @@ def cmd_tamper(args) -> int:
     except (IndexError, ValueError) as exc:
         raise ConfigError(str(exc))
     out = args.out or args.trace
-    with open(out, "w") as fh:
-        json.dump(trace_to_json(tampered), fh, indent=2)
+    _write_out(out, json.dumps(trace_to_json(tampered), indent=2))
     print(f"tampered trace written to {out}")
     return EXIT_OK
 

@@ -69,12 +69,14 @@ class ExecutionTrace:
     delta_rows: Tuple[IntVec, ...]
 
     def __post_init__(self):
-        N = self.spec.num_steps
-        if len(self.z_rows) != N + 1:
-            raise ValueError(f"z must have {N + 1} rows")
-        for name in ("alpha_up_rows", "alpha_lo_rows", "delta_rows"):
-            if len(getattr(self, name)) != N:
-                raise ValueError(f"{name} must have {N} rows")
+        N, n = self.spec.num_steps, self.spec.n
+        for name, count in (("z_rows", N + 1), ("alpha_up_rows", N),
+                            ("alpha_lo_rows", N), ("delta_rows", N)):
+            rows = getattr(self, name)
+            if len(rows) != count:
+                raise ValueError(f"{name} must have {count} rows")
+            if set(map(len, rows)) != {n}:
+                raise ValueError(f"every row of {name} must have {n} entries")
 
     def step(self, k: int) -> StepRecord:
         """Step k as the online stage saw it: the next state and its slack columns."""
@@ -129,6 +131,9 @@ def step_slack(spec: SystemSpec, z: Sequence[int]) -> StepRecord:
 
 def online_check(spec: SystemSpec, rec: StepRecord) -> Optional[str]:
     """Cheap per-step verifier checks; None means accept, else the reject reason."""
+    n = spec.n
+    if not len(rec.z_next) == len(rec.alpha_up) == len(rec.alpha_lo) == len(rec.delta) == n:
+        return f"wrong-width: every vector of the step must have {n} entries"
     for i, (d, hi, lw) in enumerate(zip(rec.delta, spec.z_upper, spec.z_lower)):
         if d < hi - lw:
             return f"delta-too-small: delta[{i}]={d} < {hi - lw}"

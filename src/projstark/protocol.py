@@ -17,12 +17,14 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .air import (
+    FAMILIES,
     InvalidTraceError,
     build_compositions,
     build_numerators,
     build_trace_polys,
     combine,
     constraints,
+    degree_bound,
     lift_trace,
 )
 from .channel import (
@@ -221,13 +223,15 @@ def prove(
 ) -> Proof:
     """Build a proof for the trace.
 
-    The honest path refuses traces that fail the online checks or whose
-    constraint numerators leave a remainder.  With force=True the trace is
-    committed as-is (floor quotients), the dishonest path used to exercise the
-    verifier's consistency stage.
+    The honest path refuses traces that fail the online checks, the boundary
+    condition or a step constraint on the lifted rows.  With force=True the
+    trace is committed as-is (floor quotients), the dishonest path used to
+    exercise the verifier's consistency stage.  Either way Q is the floor
+    quotient of the weighted sum of the constraint numerators: one division.
     """
     N = spec.num_steps
     n = spec.n
+    q = field.modulus
     if (N + 1) % 2:
         raise ValueError("num_steps + 1 must be even so the evaluation domain is symmetric")
     if not 1 <= num_queries <= MAX_QUERIES:
@@ -240,8 +244,8 @@ def prove(
             if reason is not None:
                 raise InvalidTraceError(f"online check failed at step {k}: {reason}")
 
-    ft = lift_trace(trace, field)
-    tp = build_trace_polys(ft, domain)
+    trace = lift_trace(trace, field)
+    tp = build_trace_polys(trace, domain)
 
     x_minus_one = Polynomial(field, (-1, 1))
     boundary_polys = []
@@ -251,9 +255,19 @@ def prove(
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
         boundary_polys.append(quot)
 
+    if not force:
+        # numerator k at g^j is constraint k on rows j and j+1, so it is
+        # divisible by Z_N exactly when constraint k holds at every step
+        steps = zip(trace.z_rows, trace.z_rows[1:], trace.alpha_up_rows,
+                    trace.alpha_lo_rows, trace.delta_rows)
+        for j, rows in enumerate(steps):
+            for k, value in enumerate(constraints(spec, *rows)):
+                if value % q:
+                    raise InvalidTraceError(
+                        f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
+
     transcript.absorb("spec", hash_spec(field, spec))
 
-    q = field.modulus
     g = domain.generator.value
     d0 = base_eval_domain(field, domain)
     ev0 = CosetEvaluator(field, d0, g, N + 1)
@@ -265,23 +279,22 @@ def prove(
     gammas = [transcript.draw("gamma") for _ in range(4 * n)]
 
     numerators = build_numerators(tp, spec, domain)
-    cs = build_compositions(numerators, tp, domain, allow_remainder=force)
-    combined = combine(cs, gammas)
+    [quotient] = build_compositions([combine(numerators, gammas)], domain, allow_remainder=force)
 
     if transcript.mode == "replay":
-        bound = combined.degree_bound
+        bound = degree_bound(tp, quotient, N)
     else:
         bound = max(2 * N - 2, 0)
     rounds = num_rounds(bound)
 
-    composition = _Committed([combined.poly], ev0)
+    composition = _Committed([quotient], ev0)
     del ev0  # the FRI layers do not need its table of coset powers
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
     domains = layer_eval_domains(field, d0, rounds)
     layer_committed = [composition]
-    layer_polys = [combined.poly]
+    layer_polys = [quotient]
     betas: List[int] = []
     fri_final = 0
     for j in range(rounds):

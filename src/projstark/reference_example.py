@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .air import build_compositions, build_numerators, build_trace_polys, combine
+from .air import build_compositions, build_numerators, build_trace_polys, combine, degree_bound
 from .channel import ReplayTranscript
 from .dynamics import SystemSpec, simulate
 from .field import PrimeField, build_domain
@@ -41,6 +41,8 @@ TRACE_DEGREES = (0, 29, 0, 28, 0, 28, 0, 0)
 
 # (q11, q21, q12, q22, then the lower-bit pair, then the upper-bit pair)
 COMPOSITION_DEGREES = (0, 28, 0, 28, 0, 27, 0, 0)
+# where those quotients sit in the weight-draw order (transition, slack, upper, lower)
+COMPOSITION_ORDER = (0, 1, 2, 3, 6, 7, 4, 5)
 
 GAMMAS = (261, 308, 225, 47, 236, 41, 43, 212)
 BETAS = (149, 200, 23, 106, 252)
@@ -101,21 +103,17 @@ def run_replay() -> List[CheckResult]:
     )
 
     numerators = build_numerators(tp, SYSTEM, domain)
-    cs = build_compositions(numerators, tp, domain)
-    record(
-        "composition-degrees",
-        COMPOSITION_DEGREES,
-        (cs.transition[0].reported_degree, cs.transition[1].reported_degree,
-         cs.slack[0].reported_degree, cs.slack[1].reported_degree,
-         cs.lower_bit[0].reported_degree, cs.lower_bit[1].reported_degree,
-         cs.upper_bit[0].reported_degree, cs.upper_bit[1].reported_degree),
-    )
+    quotients = build_compositions(numerators, domain)
+    record("composition-degrees", COMPOSITION_DEGREES,
+           tuple(quotients[k].reported_degree for k in COMPOSITION_ORDER))
 
-    combined = combine(cs, GAMMAS)
-    record("combined-degree-bound", COMBINED_DEGREE_BOUND, combined.degree_bound)
-    record("combined-coefficients", Q_COEFFS, combined.poly.coeffs)
+    # as the prover builds Q: the weighted numerators, divided once
+    [q_poly] = build_compositions([combine(numerators, GAMMAS)], domain)
+    bound = degree_bound(tp, q_poly, SYSTEM.num_steps)
+    record("combined-degree-bound", COMBINED_DEGREE_BOUND, bound)
+    record("combined-coefficients", Q_COEFFS, q_poly.coeffs)
 
-    layers = commit_phase(combined.poly, combined.degree_bound, iter(BETAS))
+    layers = commit_phase(q_poly, bound, iter(BETAS))
     for idx, expected in enumerate(LAYER_COEFFS, start=1):
         record(f"fri-layer-{idx}", expected, layers[idx].poly.coeffs)
     record("fri-layer-degrees", LAYER_DEGREES,

@@ -5,19 +5,18 @@ import pytest
 from conftest import TRIAL_MODULI, even_subgroup_orders, random_spec
 from projstark import reference_example as ref
 from projstark.air import (
-    ConstraintNumerators,
+    FAMILIES,
     FieldOverflowError,
-    FieldTrace,
     InvalidTraceError,
-    TracePolynomials,
     build_compositions,
     build_numerators,
     build_trace_polys,
     combine,
     constraints,
+    degree_bound,
     lift_trace,
 )
-from projstark.dynamics import SystemSpec, simulate
+from projstark.dynamics import ExecutionTrace, SystemSpec, simulate
 from projstark.field import PrimeField, build_domain
 from projstark.poly import Polynomial, interpolate, vanishing
 
@@ -38,8 +37,8 @@ def paper_numerators(paper_tp, paper_spec, domain):
 
 
 @pytest.fixture(scope="module")
-def paper_cs(paper_numerators, paper_tp, domain):
-    return build_compositions(paper_numerators, paper_tp, domain)
+def paper_cs(paper_numerators, domain):
+    return build_compositions(paper_numerators, domain)
 
 
 def test_lift_trace_residues(paper_trace, field):
@@ -115,7 +114,7 @@ def test_trace_polys_equal_lagrange_interpolants(q, m):
     def rows(count):
         return tuple((rng.randrange(q), rng.randrange(q)) for _ in range(count))
 
-    ft = FieldTrace(field, spec, rows(m), rows(N), rows(N), rows(N))
+    ft = ExecutionTrace(spec, rows(m), rows(N), rows(N), rows(N))
     tp = build_trace_polys(ft, domain)
     xs = [e.value for e in domain.elements]
 
@@ -135,13 +134,13 @@ def test_trace_polys_domain_order_mismatch(paper_trace, field):
 
 def test_numerators_vanish_on_step_domain(paper_numerators, domain):
     xs = [e.value for e in domain.elements[:29]]
-    for name, i, num in paper_numerators.families():
+    for k, num in enumerate(paper_numerators):
         for x in xs:
-            assert num(x).value == 0, (name, i, x)
+            assert num(x).value == 0, (k, x)
 
 
 def test_numerators_family_order(paper_numerators):
-    names = [name for name, i, _ in paper_numerators.families()]
+    names = [FAMILIES[k // 2] for k in range(len(paper_numerators))]
     assert names == ["transition"] * 2 + ["slack"] * 2 + ["upper_bit"] * 2 + ["lower_bit"] * 2
 
 
@@ -150,7 +149,7 @@ def test_numerator_breaks_where_trace_tampered(paper_trace, paper_spec, domain):
     tp = build_trace_polys(tampered, domain)
     nums = build_numerators(tp, paper_spec, domain)
     x7 = domain.elements[7].value
-    assert nums.upper_bit[1](x7).value != 0
+    assert nums[5](x7).value != 0  # upper_bit[1]
 
 
 def test_constraints_on_values_match_numerator_polynomials():
@@ -163,7 +162,7 @@ def test_constraints_on_values_match_numerator_polynomials():
         spec = random_spec(rng, q)
         domain = build_domain(field, spec.num_steps + 1)
         tp = build_trace_polys(simulate(spec), domain)
-        nums = [p for _, _, p in build_numerators(tp, spec, domain).families()]
+        nums = build_numerators(tp, spec, domain)
         g = domain.generator.value
         off_h = [x for x in range(1, q) if pow(x, spec.num_steps + 1, q) != 1]
         for x in rng.sample(off_h, 10):
@@ -177,20 +176,18 @@ def test_constraints_on_values_match_numerator_polynomials():
     assert checked == 150
 
 
-def test_compositions_paper_degrees(paper_cs):
-    assert tuple(p.reported_degree for p in paper_cs.transition) == (0, 28)
-    assert tuple(p.reported_degree for p in paper_cs.slack) == (0, 28)
-    assert tuple(p.reported_degree for p in paper_cs.lower_bit) == (0, 27)
-    assert tuple(p.reported_degree for p in paper_cs.upper_bit) == (0, 0)
-    assert paper_cs.combined_degree_bound == 28
+def test_compositions_paper_degrees(paper_cs, paper_tp, field):
+    assert tuple(p.reported_degree for p in paper_cs[0:2]) == (0, 28)  # transition
+    assert tuple(p.reported_degree for p in paper_cs[2:4]) == (0, 28)  # slack
+    assert tuple(p.reported_degree for p in paper_cs[6:8]) == (0, 27)  # lower_bit
+    assert tuple(p.reported_degree for p in paper_cs[4:6]) == (0, 0)  # upper_bit
+    assert degree_bound(paper_tp, Polynomial.zero(field), 29) == 28
 
 
 def test_compositions_reconstruct_numerators(paper_cs, paper_numerators, domain):
     zv = vanishing([e.value for e in domain.elements[:29]], domain.field)
-    quots = {name: list(getattr(paper_cs, name))
-             for name in ("transition", "slack", "upper_bit", "lower_bit")}
-    for name, i, num in paper_numerators.families():
-        assert quots[name][i] * zv == num
+    for quot, num in zip(paper_cs, paper_numerators, strict=True):
+        assert quot * zv == num
 
 
 def test_compositions_reject_tampered_trace(paper_trace, paper_spec, domain):
@@ -198,10 +195,10 @@ def test_compositions_reject_tampered_trace(paper_trace, paper_spec, domain):
     tp = build_trace_polys(tampered, domain)
     nums = build_numerators(tp, paper_spec, domain)
     with pytest.raises(InvalidTraceError):
-        build_compositions(nums, tp, domain)
+        build_compositions(nums, domain)
     # the dishonest path keeps the floor quotients instead
-    cs = build_compositions(nums, tp, domain, allow_remainder=True)
-    assert len(cs.ordered()) == 8
+    cs = build_compositions(nums, domain, allow_remainder=True)
+    assert len(cs) == 8
 
 
 @pytest.mark.parametrize("q,m", [(61, 2), (61, 30), (331, 30), (769, 256)])
@@ -215,7 +212,6 @@ def test_quotients_equal_division_by_step_vanishing(q, m):
     def rand(deg):
         return Polynomial(field, [rng.randrange(q) for _ in range(deg + 1)])
 
-    tp = TracePolynomials((rand(N),), (rand(N - 1),), (rand(N - 1),), (rand(N - 1),))
     zero = Polynomial.zero(field)
     numerators = [
         zero, zv, rand(2 * N) * zv, rand(N) * zv + rand(N - 1),  # divisible, then not
@@ -223,21 +219,20 @@ def test_quotients_equal_division_by_step_vanishing(q, m):
     ]
     for num in numerators:
         quot, rem = divmod(num, zv)
-        nums = ConstraintNumerators((num,), (zero,), (zero,), (zero,))
-        assert build_compositions(nums, tp, domain, allow_remainder=True).transition == (quot,)
+        nums = [num, zero, zero, zero]
+        assert build_compositions(nums, domain, allow_remainder=True)[0] == quot
         if rem.is_zero():
-            assert build_compositions(nums, tp, domain).transition == (quot,)
+            assert build_compositions(nums, domain)[0] == quot
         else:
             with pytest.raises(InvalidTraceError):
-                build_compositions(nums, tp, domain)
+                build_compositions(nums, domain)
     assert sum(divmod(num, zv)[1].is_zero() for num in numerators) == 3
 
 
-def test_combine_paper_values(paper_cs, field):
+def test_combine_paper_values(paper_cs, paper_tp, field):
     combined = combine(paper_cs, ref.GAMMAS)
-    assert combined.degree_bound == 28
-    assert combined.poly.coeffs == ref.Q_COEFFS
-    assert combined.gammas == ref.GAMMAS
+    assert degree_bound(paper_tp, combined, 29) == 28
+    assert combined.coeffs == ref.Q_COEFFS
 
 
 def test_combine_is_linear(paper_cs, field):
@@ -245,13 +240,13 @@ def test_combine_is_linear(paper_cs, field):
     g1 = [rng.randrange(1, 331) for _ in range(8)]
     g2 = [rng.randrange(1, 331) for _ in range(8)]
     both = [(a + b) % 331 for a, b in zip(g1, g2)]
-    assert combine(paper_cs, both).poly == combine(paper_cs, g1).poly + combine(paper_cs, g2).poly
+    assert combine(paper_cs, both) == combine(paper_cs, g1) + combine(paper_cs, g2)
 
 
-def test_combine_zero_weights(paper_cs, field):
+def test_combine_zero_weights(paper_cs, paper_tp, field):
     combined = combine(paper_cs, [0] * 8)
-    assert combined.poly.is_zero()
-    assert combined.degree_bound == 28  # the declared bound still stands
+    assert combined.is_zero()
+    assert degree_bound(paper_tp, combined, 29) == 28  # the declared bound still stands
 
 
 def test_combine_weight_count_checked(paper_cs):
@@ -270,10 +265,10 @@ def test_pipeline_completeness_randomized():
         tp = build_trace_polys(trace, domain)
         assert all(tp.f_z[i](1).value == spec.z_init[i] for i in range(spec.n))
         nums = build_numerators(tp, spec, domain)
-        cs = build_compositions(nums, tp, domain)  # must not raise
+        cs = build_compositions(nums, domain)  # must not raise
         gammas = [rng.randrange(1, q) for _ in range(4 * spec.n)]
         combined = combine(cs, gammas)
-        assert combined.poly.reported_degree <= max(2 * spec.num_steps - 2, 0)
+        assert combined.reported_degree <= max(2 * spec.num_steps - 2, 0)
 
 
 def test_pipeline_soundness_single_cell_randomized():
@@ -304,4 +299,4 @@ def test_pipeline_soundness_single_cell_randomized():
         tp = build_trace_polys(tampered, domain)
         nums = build_numerators(tp, spec, domain)
         with pytest.raises(InvalidTraceError):
-            build_compositions(nums, tp, domain)
+            build_compositions(nums, domain)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ def test_simulate_writes_trace_and_reports(tmp_path, config_path, capsys):
     printed = capsys.readouterr().out
     assert "online step 0: accept" in printed
     assert "online step 28: accept" in printed
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert len(doc["z"]) == 30
     assert doc["z"][20] == ["3", "40"]
     assert doc["delta"][0] == ["100", "60"]
@@ -132,7 +133,7 @@ def test_prove_zero_queries_option_is_a_config_error(tmp_path, fs_config_path, t
                  "--queries", "0"]) == EXIT_CONFIG
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof,
                  "--queries", "3"]) == EXIT_OK
-    assert len(json.loads(open(proof).read())["queries"]) == 3
+    assert len(json.loads(Path(proof).read_text())["queries"]) == 3
 
 
 def _fs_doc(**fields):
@@ -187,7 +188,7 @@ def test_config_rejects_non_list_a_hat(tmp_path):
 def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    doc = json.loads(open(proof).read())
+    doc = json.loads(Path(proof).read_text())
     assert doc["publics"]["degree_bound"] == str(ref.COMBINED_DEGREE_BOUND)
     assert doc["fri_layers"]["final"] == str(ref.FINAL_CONSTANT)
     assert [q["x"] for q in doc["queries"]] == [str(x) for x in ref.SAMPLE_POINTS]
@@ -207,7 +208,7 @@ def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, tra
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path,
                  "--out", proof]) == EXIT_OK
-    doc = json.loads(open(proof).read())
+    doc = json.loads(Path(proof).read_text())
     assert "challenges" not in doc
     assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_OK
 
@@ -218,7 +219,7 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, mon
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", a]) == EXIT_OK
     monkeypatch.setenv("PROJSTARK_SEED", "beta")
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", b]) == EXIT_OK
-    doc_a, doc_b = json.loads(open(a).read()), json.loads(open(b).read())
+    doc_a, doc_b = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
     assert doc_a["publics"]["salt"] != doc_b["publics"]["salt"]
     assert [q["x"] for q in doc_a["queries"]] != [q["x"] for q in doc_b["queries"]]
     assert main(["verify", "--config", fs_config_path, "--proof", a]) == EXIT_OK
@@ -230,7 +231,7 @@ def test_tamper_then_prove_refuses(tmp_path, config_path, trace_path):
     assert main(["tamper", "--config", config_path, "--trace", trace_path,
                  "--section", "delta", "--row", "3", "--index", "1", "--value", "59",
                  "--out", tampered]) == EXIT_OK
-    assert json.loads(open(tampered).read())["delta"][3] == ["100", "59"]
+    assert json.loads(Path(tampered).read_text())["delta"][3] == ["100", "59"]
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", tampered,
                  "--out", proof]) == EXIT_PROVER
@@ -250,7 +251,7 @@ def test_tamper_force_commit_verify_rejects(tmp_path, fs_config_path, config_pat
 def test_tamper_in_place_default(tmp_path, config_path, trace_path):
     assert main(["tamper", "--config", config_path, "--trace", trace_path,
                  "--section", "z", "--row", "1", "--index", "0", "--value", "9"]) == EXIT_OK
-    assert json.loads(open(trace_path).read())["z"][1] == ["9", "97"]
+    assert json.loads(Path(trace_path).read_text())["z"][1] == ["9", "97"]
 
 
 def test_tamper_out_of_range_cell(tmp_path, config_path, trace_path):
@@ -276,19 +277,19 @@ def test_verify_non_utf8_proof_file(tmp_path, config_path):
 def test_verify_structurally_damaged_proof(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    doc = json.loads(open(proof).read())
+    doc = json.loads(Path(proof).read_text())
     doc["queries"][0]["fri"] = doc["queries"][0]["fri"][:-1]
-    open(proof, "w").write(json.dumps(doc))
+    Path(proof).write_text(json.dumps(doc))
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_MALFORMED
 
 
 def test_verify_tampered_opening_rejects(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    doc = json.loads(open(proof).read())
+    doc = json.loads(Path(proof).read_text())
     values = doc["queries"][0]["trace"]["at_x"]["values"]
     values[1] = str((int(values[1]) + 1) % 331)  # f_z[1]
-    open(proof, "w").write(json.dumps(doc))
+    Path(proof).write_text(json.dumps(doc))
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_REJECT
 
 
@@ -304,10 +305,40 @@ def test_replay_paper_passes_and_is_deterministic(capsys):
 
 
 def test_trace_file_must_match_spec(tmp_path, config_path, trace_path):
-    doc = json.loads(open(trace_path).read())
-    doc["z"] = doc["z"][:-1]
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps(doc))
+    edits = [
+        ("z", lambda rows: rows[:-1]),  # one row short
+        ("z", lambda rows: 5),  # not a list of rows
+        ("delta", lambda rows: [5] + rows[1:]),  # a row that is a number
+        ("z", lambda rows: [row[:1] for row in rows]),  # rows narrower than n
+        ("alpha_up", lambda rows: [rows[0][:1]] + rows[1:]),
+        ("z", lambda rows: [row + ["0"] for row in rows]),  # rows wider than n
+        ("delta", lambda rows: rows[:-1] + [rows[-1] + ["0"]]),
+    ]
     proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", config_path, "--trace", str(short),
-                 "--out", proof]) == EXIT_CONFIG
+    for key, edit in edits:
+        doc = json.loads(Path(trace_path).read_text())
+        doc[key] = edit(doc[key])
+        bad = tmp_path / "bad-trace.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["prove", "--config", config_path, "--trace", str(bad),
+                     "--out", proof]) == EXIT_CONFIG, (key, doc[key])
+
+
+def test_config_mode_must_be_a_string(tmp_path):
+    path = _write_config(tmp_path, _fs_doc(mode=5))
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, config_path, trace_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["simulate", "--config", config_path,
+                 "--out", str(missing / "trace.json")]) == EXIT_CONFIG
+    assert main(["prove", "--config", config_path, "--trace", trace_path,
+                 "--out", str(missing / "proof.json")]) == EXIT_CONFIG
+    assert main(["tamper", "--config", config_path, "--trace", trace_path,
+                 "--section", "z", "--row", "1", "--index", "0", "--value", "9",
+                 "--out", str(missing / "bad.json")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("cannot write") == 3
+    assert not missing.exists()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -82,6 +83,17 @@ def test_online_check_rejects_out_of_bounds(paper_spec):
     assert reason is not None and reason.startswith("out-of-bounds")
 
 
+def test_online_check_rejects_wrong_width(paper_spec):
+    # zipping with the bounds used to let a 1-wide or empty record through
+    honest = step_slack(paper_spec, (3, 100))
+    records = [StepRecord((50,), (1,), (1,), (100,)), StepRecord((), (), (), ())]
+    records += [replace(honest, **{f: getattr(honest, f) + (0,)})
+                for f in ("z_next", "alpha_up", "alpha_lo", "delta")]
+    for rec in records:
+        reason = online_check(paper_spec, rec)
+        assert reason is not None and reason.startswith("wrong-width"), rec
+
+
 def test_simulate_paper_trajectory(paper_trace):
     assert len(paper_trace.z_rows) == 30
     assert all(row[0] == 3 for row in paper_trace.z_rows)
@@ -123,6 +135,17 @@ def test_trace_row_count_validation(paper_spec, paper_trace):
             alpha_lo_rows=paper_trace.alpha_lo_rows,
             delta_rows=paper_trace.delta_rows,
         )
+    # every row must have n entries: one narrow or wide row in any section fails
+    for section in ("z_rows", "alpha_up_rows", "alpha_lo_rows", "delta_rows"):
+        for row in (lambda r: r[:1], lambda r: (), lambda r: r + (0,)):
+            rows = getattr(paper_trace, section)
+            edited = (row(rows[0]),) + rows[1:]
+            with pytest.raises(ValueError, match="entries"):
+                replace(paper_trace, **{section: edited})
+    narrow = {s: tuple(r[:1] for r in getattr(paper_trace, s))
+              for s in ("z_rows", "alpha_up_rows", "alpha_lo_rows", "delta_rows")}
+    with pytest.raises(ValueError, match="entries"):
+        ExecutionTrace(spec=paper_spec, **narrow)
 
 
 def test_with_cell(paper_trace):

@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 
 from conftest import random_challenges, random_spec
 from projstark import reference_example as ref
-from projstark.air import InvalidTraceError
+from projstark.air import (
+    InvalidTraceError,
+    build_compositions,
+    build_numerators,
+    build_trace_polys,
+    combine,
+)
 from projstark.channel import FiatShamirTranscript, ReplayTranscript
 from projstark.cli import EXIT_OK, main
 from projstark.dynamics import StepRecord, SystemSpec, simulate, step_slack
-from projstark.field import PrimeField
+from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
+from projstark.poly import Polynomial, vanishing
 from projstark.protocol import (
     OnlineStageError,
     ProofFormatError,
@@ -83,6 +90,18 @@ def test_online_stage_gives_up(paper_spec):
         run_online_stage(paper_spec, hostile, max_retries=2)
 
 
+@pytest.mark.parametrize("record", [
+    StepRecord((50,), (1,), (1,), (100,)),
+    StepRecord((), (), (), ()),
+    StepRecord((3, 97), (1, 1), (1, 1), (100, 60, 0)),
+], ids=["narrow", "empty", "wide-delta"])
+def test_online_stage_refuses_records_of_the_wrong_width(paper_spec, record):
+    log = []
+    with pytest.raises(OnlineStageError):
+        run_online_stage(paper_spec, lambda k, z, attempt: record, log, max_retries=1)
+    assert [e["reason"].split(":")[0] for e in log] == ["wrong-width"] * 2
+
+
 # --- proving and verifying --------------------------------------------------
 
 
@@ -121,6 +140,85 @@ def test_prove_refuses_online_failure(field, paper_spec, paper_trace):
     bad = paper_trace.with_cell("delta", 4, 1, 59)
     with pytest.raises(InvalidTraceError, match="online"):
         prove(field, paper_spec, bad, paper_transcript())
+
+
+def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_trace):
+    # a bit of 2 passes the online checks; the step check catches it
+    tampered = paper_trace.with_cell("alpha_up", 7, 1, 2)
+    with pytest.raises(InvalidTraceError, match=r"constraint transition\[1\] fails at step 7$"):
+        prove(field, paper_spec, tampered, paper_transcript())
+
+
+def _step_check_cases():
+    """Seeded (field, spec, trace) triples: honest traces, and traces with one
+    cell changed so that the online checks and the boundary condition still
+    hold, one of them at the last step."""
+    rng = random.Random(89)
+    cases = []
+    for _ in range(12):
+        q = rng.choice((61, 211, 331))
+        spec = random_spec(rng, q)
+        trace = simulate(spec)
+        N = spec.num_steps
+        cases.append((PrimeField(q), spec, trace))
+        for step in (rng.randrange(N), N - 1):
+            section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
+            i = rng.randrange(spec.n)
+            if section == "z":  # the next state of the step, kept inside the box
+                row, old = step + 1, trace.z_rows[step + 1][i]
+                value = rng.choice([v for v in range(spec.z_lower[i], spec.z_upper[i] + 1)
+                                    if v != old])
+            else:
+                row, old = step, getattr(trace, section + "_rows")[step][i]
+                if section == "delta":  # a larger slack passes the online check
+                    value = old + rng.randint(1, 5)
+                else:  # the online stage does not look at the bits
+                    value = rng.choice([v for v in range(q) if v != old])
+            cases.append((PrimeField(q), spec, trace.with_cell(section, row, i, value)))
+    return cases
+
+
+STEP_CHECK_CASES = _step_check_cases()
+
+
+def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
+    rng = random.Random(97)
+    for field, spec, trace in STEP_CHECK_CASES:
+        q, N = field.modulus, spec.num_steps
+        domain = build_domain(field, N + 1)
+        zv = vanishing([e.value for e in domain.elements[:N]], field)
+        nums = build_numerators(build_trace_polys(trace, domain), spec, domain)
+        gammas = [rng.randrange(1, q) for _ in nums]
+        expected = Polynomial.zero(field)
+        for gamma, num in zip(gammas, nums, strict=True):
+            expected = expected + divmod(num, zv)[0].scale(gamma)
+        [quotient] = build_compositions([combine(nums, gammas)], domain, allow_remainder=True)
+        assert quotient == expected, (q, spec)
+        # and the committed Q opens to that sum at every sample point
+        ch = random_challenges(rng, q, spec, num_queries=3)
+        ch["gammas"] = gammas
+        proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=3, force=True)
+        for query in proof.queries:
+            assert query.fri[0][0].value == expected(query.x).value, (q, spec, query.x)
+
+
+def test_step_check_refuses_exactly_when_a_numerator_leaves_a_remainder():
+    outcomes = []
+    for field, spec, trace in STEP_CHECK_CASES:
+        q, N = field.modulus, spec.num_steps
+        domain = build_domain(field, N + 1)
+        zv = vanishing([e.value for e in domain.elements[:N]], field)
+        nums = build_numerators(build_trace_polys(trace, domain), spec, domain)
+        remainder = any(not divmod(num, zv)[1].is_zero() for num in nums)
+        try:
+            prove(field, spec, trace, FiatShamirTranscript(q), num_queries=1)
+            refused = False
+        except InvalidTraceError as exc:
+            assert "fails at step" in str(exc)
+            refused = True
+        assert refused == remainder, (q, spec, trace)
+        outcomes.append(refused)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_forced_proof_is_rejected(field, paper_spec, paper_trace):
