@@ -10,8 +10,9 @@ domain-separated SHA-256 hashing.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Sequence
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
@@ -89,8 +90,15 @@ _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 
 
+def _leaf_digests(rows: Sequence[Sequence[int]]) -> List[bytes]:
+    """Leaf digests of rows of one width: SHA-256(0x00 || the row's values as
+    8-byte little-endian words), each row encoded by one struct call."""
+    encode, sha = struct.Struct(f"<{len(rows[0])}Q").pack, hashlib.sha256
+    return [sha(_LEAF_TAG + encode(*row)).digest() for row in rows]
+
+
 def _leaf_digest(row: Sequence[int]) -> bytes:
-    return hashlib.sha256(_LEAF_TAG + b"".join([v.to_bytes(8, "little") for v in row])).digest()
+    return _leaf_digests([row])[0]
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:
@@ -107,23 +115,29 @@ class MerkleTree:
     """Binary tree over an ordered table of rows, duplicate-last padded.
 
     A leaf is SHA-256(0x00 || the row's values as 8-byte little-endian), so a
-    one-value row hashes like a single table entry.
+    one-value row hashes like a single table entry. Every row of the table has
+    the same number of values, each below 2^64.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         if not rows:
             raise ValueError("cannot commit to an empty table")
         self.leaf_count = len(rows)
-        # the digests of _leaf_digest and _node_digest, inlined to save a call per digest
-        sha, join = hashlib.sha256, b"".join
-        level = [sha(_LEAF_TAG + join([v.to_bytes(8, "little") for v in row])).digest()
-                 for row in rows]
-        while len(level) & (len(level) - 1):
-            level.append(level[-1])
-        levels = [level]
-        while len(level) > 1:
-            level = [sha(_NODE_TAG + a + b).digest() for a, b in zip(level[0::2], level[1::2])]
-            levels.append(level)
+        level = _leaf_digests(rows)
+        # Every padding leaf is the last leaf, so the nodes above only padding
+        # share one digest per level: each level hashes the pairs that hold a
+        # table row, then pads itself with that digest.
+        pad = level[-1]
+        size = 1 << (len(level) - 1).bit_length()
+        levels = []
+        while True:
+            levels.append(level + [pad] * (size - len(level)))
+            if size == 1:
+                break
+            level += [pad] * (len(level) & 1)
+            level = list(map(_node_digest, level[0::2], level[1::2]))
+            pad = _node_digest(pad, pad)
+            size //= 2
         self._levels = levels
 
     @property
@@ -145,18 +159,48 @@ class MerkleTree:
 
 
 def verify_opening(
-    commitment: MerkleCommitment, index: int, row: Sequence[int], path: Sequence[bytes]
+    commitment: MerkleCommitment,
+    index: int,
+    row: Sequence[int],
+    path: Sequence[bytes],
+    known: Optional[Dict[int, bytes]] = None,
 ) -> bool:
+    """True when `path` opens `row` at leaf `index` of the committed tree.
+
+    `known` holds the nodes of this tree that earlier openings authenticated,
+    keyed by heap position: the root is 1 and the children of node v are 2v
+    and 2v + 1, so leaf i is 2^height + i. Pass one dict per tree so that
+    each node is hashed once. The walk up from the leaf stops at the first
+    known node (at the latest the root), which its digest must equal, and
+    the rest of the path must equal the known siblings. So an opening is
+    accepted exactly when hashing its whole path would reach the root. An
+    accepted opening adds the nodes and siblings it hashed to `known`.
+    """
     if not 0 <= index < commitment.leaf_count:
         raise IndexError(f"leaf index {index} out of range")
-    padded = 1 if commitment.leaf_count <= 1 else 1 << (commitment.leaf_count - 1).bit_length()
-    if len(path) != padded.bit_length() - 1:
+    height = (commitment.leaf_count - 1).bit_length()
+    if len(path) != height:
         return False
+    if known is None:
+        known = {}
+    known.setdefault(1, commitment.root)
+    node = (1 << height) + index
     digest = _leaf_digest(row)
-    for sibling in path:
-        if index & 1:
-            digest = _node_digest(sibling, digest)
-        else:
-            digest = _node_digest(digest, sibling)
-        index >>= 1
-    return digest == commitment.root
+    found = {}
+    level = 0
+    while node not in known:
+        sibling = path[level]
+        found[node] = digest
+        found[node ^ 1] = sibling
+        digest = _node_digest(sibling, digest) if node & 1 else _node_digest(digest, sibling)
+        node >>= 1
+        level += 1
+    if digest != known[node]:
+        return False
+    while node > 1:
+        if path[level] != known.get(node ^ 1):
+            return False
+        node >>= 1
+        level += 1
+    known.update(found)
+    return True

@@ -129,11 +129,19 @@ def step_slack(spec: SystemSpec, z: Sequence[int]) -> StepRecord:
     return StepRecord(z_next=z_next, alpha_up=up, alpha_lo=lo, delta=delta)
 
 
+_BITS = frozenset((0, 1))
+
+
 def online_check(spec: SystemSpec, rec: StepRecord) -> Optional[str]:
     """Cheap per-step verifier checks; None means accept, else the reject reason."""
     n = spec.n
     if not len(rec.z_next) == len(rec.alpha_up) == len(rec.alpha_lo) == len(rec.delta) == n:
         return f"wrong-width: every vector of the step must have {n} entries"
+    if not (_BITS.issuperset(rec.alpha_up) and _BITS.issuperset(rec.alpha_lo)):
+        for name in ("alpha_up", "alpha_lo"):
+            for i, b in enumerate(getattr(rec, name)):
+                if b not in _BITS:
+                    return f"not-a-bit: {name}[{i}]={b} is neither 0 nor 1"
     for i, (d, hi, lw) in enumerate(zip(rec.delta, spec.z_upper, spec.z_lower)):
         if d < hi - lw:
             return f"delta-too-small: delta[{i}]={d} < {hi - lw}"

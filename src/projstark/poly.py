@@ -8,7 +8,9 @@ passes every degree bound.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+import struct
+from itertools import repeat, zip_longest
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import FieldElement, PrimeField, prime_factors
 
@@ -267,10 +269,22 @@ class CosetEvaluator:
     point to its position. For each polynomial p and coset representative c,
     p(c·y) is reduced mod y^m - 1 (coefficient k collects p_i·c^i over
     i ≡ k mod m), and one length-m mixed-radix DFT, decimation in frequency
-    with the smallest prime first, gives p(c·omega^j) for every j. The DFT works
-    on m rows, each holding one entry per (polynomial, coset) pair, so every
-    butterfly is one list operation over a whole batch of polynomials and the
-    plan (index patterns and twiddles) is O(m) per stage.
+    with the smallest prime first, gives p(c·omega^j) for every j.
+
+    The DFT works on m packed rows. Row k is one integer with a W-bit slot per
+    (polynomial, representative) pair, slot s·T + t for polynomial s and
+    representative t of T, so every butterfly is a few big-integer operations
+    over a whole batch of polynomials. The slots are never reduced mod q inside
+    the DFT; instead W is wide enough for the largest value any slot can reach.
+    That bound starts at ceil(L/m)·(q-1)^2 after the fold (L the longest
+    coefficient list) and is tracked through every stage. A radix-2 butterfly
+    maps (x0, x1) to (x0 + x1, (x0 + B - x1)·t), where B holds in every slot
+    the same multiple of q, at least the slot bound, so no slot goes negative
+    or borrows from its neighbour; the bound becomes max(2M, (M + B)·t_max).
+    A radix-r stage multiplies the bound by its largest matrix row sum. W is a
+    whole number of bytes, so a row is split into its slots by one to_bytes
+    and one struct call, and every value is reduced mod q once, as its row is
+    unpacked.
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int], omega: Scalar, order: int):
@@ -292,8 +306,9 @@ class CosetEvaluator:
         # Stage with radix r on blocks of length b = r·s: for every block and
         # k1 < s, row k1 + s·j2 becomes sum_k2 w_b^(j2·(k1 + s·k2)) · row(k1 + s·k2),
         # w_b = w^(order/b) of order b. For r = 2 that matrix is [[1, 1], [t, -t]]
-        # with t = w_b^k1, so only t is kept: the two-list butterfly it allows
-        # costs half the general matrix product, and radix 2 is most stages.
+        # with t = w_b^k1, so only t is kept: the butterfly it allows costs half
+        # the general matrix product, and radix 2 is most stages. `growth` maps
+        # a slot bound M before the stage to the bound after it.
         self._stages = []
         block = order
         for r in radices:
@@ -310,18 +325,23 @@ class CosetEvaluator:
                     )
                 rows = tuple(k1 + span * k2 for k2 in range(r))
                 butterflies.append((rows, shape))
-            self._stages.append((r, block, butterflies))
+            if r == 2:
+                growth = max(shape for _, shape in butterflies)
+            else:
+                growth = max(sum(ws) for _, shape in butterflies for ws in shape)
+            self._stages.append((r, block, butterflies, growth))
             block = span
 
         # After the last stage, row p holds the DFT output at the mixed-radix
-        # digit reversal freq[p] of p; in the column of representative t, that
-        # is the value at reps[t]·w^freq[p]. gather maps each point to its slot
-        # t·m + p in the concatenated columns of one polynomial.
+        # digit reversal freq[p] of p; in slot t of a polynomial, that is the
+        # value at reps[t]·w^freq[p]. gather maps each point to its position
+        # p·T + t in one polynomial's slots, row after row.
         freq = [0]
         for r in reversed(radices):
             freq = [r * f + j2 for j2 in range(r) for f in freq]
         if not points or len(points) % order:
             raise ValueError(f"{len(points)} points cannot be a union of cosets of order {order}")
+        count = len(points) // order
         reps: List[int] = []
         gather: List[Optional[int]] = [None] * len(points)
         for x in points:
@@ -333,73 +353,94 @@ class CosetEvaluator:
                 i = self.index.get(x * powers[f] % q)
                 if i is None:
                     raise ValueError(f"the coset of {x} is not contained in the points")
-                gather[i] = t * order + row
+                gather[i] = row * count + t
         self._reps = reps
         self._gather = gather
-        self._rep_powers = [[1] for _ in reps]  # c^0, c^1, ... per representative c
+        self._rep_powers = [[1] * count]  # row i: c^i for every representative c
+        self._packed_powers: Dict[int, List[int]] = {}  # slot bytes -> packed rows
 
-    def _powers(self, length: int) -> List[List[int]]:
-        """c^i for i < length (or more) for every representative c; kept between calls."""
-        table = self._rep_powers
-        have = len(table[0])
-        if have < length:
-            q = self.field.modulus
-            last = [row[-1] for row in table]
-            more = []
-            for _ in range(length - have):
-                last = [x * c % q for x, c in zip(last, self._reps)]
-                more.append(last)
-            for row, ext in zip(table, zip(*more)):
-                row.extend(ext)
-        return table
+    def _slot_plan(self, length: int) -> Tuple[int, List[int]]:
+        """Slot width in bytes and the bias of every stage (0 for radix > 2)
+        for coefficient lists of at most `length` entries."""
+        q = self.field.modulus
+        bound = -(-max(length, 1) // self.order) * (q - 1) ** 2  # after the fold
+        biases = []
+        for r, _, _, growth in self._stages:
+            if r == 2:
+                biases.append(-(-bound // q) * q)
+                bound = max(2 * bound, (bound + biases[-1]) * growth)
+            else:
+                biases.append(0)
+                bound *= growth
+        return -(-bound.bit_length() // 8), biases
+
+    def _powers(self, length: int, width: int) -> List[int]:
+        """Packed rows of c^i, i < length (or more), one width-byte slot per
+        representative c; kept between calls."""
+        rows = self._rep_powers
+        q = self.field.modulus
+        while len(rows) < length:
+            rows.append([x * c % q for x, c in zip(rows[-1], self._reps)])
+        packed = self._packed_powers.setdefault(width, [])
+        for row in rows[len(packed):length]:
+            packed.append(int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]),
+                                         "little"))
+        return packed
 
     def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
         """[[p(x) for x in points] for p in polys] as canonical residues, by one DFT."""
         q = self.field.modulus
         m = self.order
-        columns = []  # DFT input: one length-m column per (polynomial, representative)
         for poly in polys:
             if poly.field != self.field:
                 raise ValueError("polynomial over a different field")
-            a = poly.coeffs
-            for cpow in self._powers(len(a)):
-                terms = list(map(operator.mul, a, cpow))
-                col = terms[:m]
-                for j in range(m, len(terms), m):
-                    chunk = terms[j:j + m]
-                    col[:len(chunk)] = map(operator.add, col, chunk)
-                col = [v % q for v in col]
-                col += [0] * (m - len(col))
-                columns.append(col)
-        if not columns:
+        if not polys:
             return []
-        rows = list(zip(*columns))
-        del columns
+        coeffs = [poly.coeffs for poly in polys]
+        length = max(map(len, coeffs))
+        width, biases = self._slot_plan(length)
+        count = len(self._reps)
+        slots = len(polys) * count
+        powers = self._powers(length, width)
 
-        # Radix-2 sums are left unreduced (they gain one bit per stage); every
-        # output is reduced mod q when it is gathered.
-        for r, block, butterflies in self._stages:
+        # fold: row k gets sum_(i ≡ k mod m) a_i·c^i in the T slots of each
+        # polynomial, which span 8·width·count bits of the row
+        by_power = list(zip_longest(*coeffs, fillvalue=0))  # a_i of every polynomial
+        rows = []
+        for k in range(m):
+            folded = [0] * len(polys)
+            for i in range(k, length, m):
+                terms = map(operator.mul, by_power[i], repeat(powers[i]))
+                folded = list(map(operator.add, folded, terms))
+            rows.append(_pack(folded, 8 * width * count))
+
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * slots, "little")
+        for (r, block, butterflies, _), bias in zip(self._stages, biases):
+            bias *= ones
             for base in range(0, m, block):
                 for idx, shape in butterflies:
                     if r == 2:
                         i0, i1 = base + idx[0], base + idx[1]
                         x0, x1 = rows[i0], rows[i1]
-                        rows[i0] = list(map(operator.add, x0, x1))
-                        rows[i1] = [(a - b) * shape % q for a, b in zip(x0, x1)]
+                        rows[i0] = x0 + x1
+                        rows[i1] = (x0 + bias - x1) * shape
                     else:
-                        cols = list(zip(*[rows[base + i] for i in idx]))
+                        xs = [rows[base + i] for i in idx]
                         for i, ws in zip(idx, shape):
-                            rows[base + i] = [
-                                sum(map(operator.mul, ws, col)) % q for col in cols
-                            ]
+                            rows[base + i] = sum(map(operator.mul, ws, xs))
 
-        out = list(zip(*rows))  # out[s·count + t]: polynomial s on representative t
-        del rows
-        count = len(self._reps)
+        # Reduce each row as it is unpacked, into one list per polynomial.
+        split = struct.Struct(f"{width}s" * slots).unpack  # the slots of a row, lowest first
+        flats: List[List[int]] = [[] for _ in polys]
+        for k in range(m):
+            values = [v % q for v in map(int.from_bytes,
+                                         split(rows[k].to_bytes(slots * width, "little")),
+                                         repeat("little"))]
+            rows[k] = None
+            for s, flat in enumerate(flats):
+                flat += values[s * count:(s + 1) * count]
         gather = self._gather
         tables = []
-        while out:
-            flat = [v for col in out[:count] for v in col]
-            del out[:count]  # so the DFT outputs and the tables are never all held at once
-            tables.append([flat[i] % q for i in gather])
+        while flats:  # popped, so that each list is freed once it is gathered
+            tables.append(list(map(flats.pop(0).__getitem__, gather)))
         return tables

@@ -447,12 +447,16 @@ def verify(
     index_maps = [{x: i for i, x in enumerate(dm)} for dm in domains]
 
     # --- stage: commitment ---------------------------------------------------
+    # nodes each tree's accepted openings authenticated, so each is hashed once
+    trace_known: dict = {}
+    layer_known: List[dict] = [{} for _ in range(rounds)]
+
     def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
-                      layer: int = 0) -> bool:
+                      known: dict, layer: int = 0) -> bool:
         if opening.index != index_maps[layer].get(point):
             return False
         try:
-            return verify_opening(cm, opening.index, leaf, opening.path)
+            return verify_opening(cm, opening.index, leaf, opening.path, known)
         except IndexError:
             return False
 
@@ -461,13 +465,13 @@ def verify(
         if x != expected_x:
             return _reject("commitment", f"query {k}: point {x} does not match challenge")
         for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
-            if not check_opening(proof.trace_comm, row, row.values, point):
+            if not check_opening(proof.trace_comm, row, row.values, point, trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
         y = x
         for j in range(rounds):
             cm = proof.composition_comm if j == 0 else proof.fri_comms[j - 1]
             for o, point, where in zip(query.fri[j], (y, (q - y) % q), ("y", "-y")):
-                if not check_opening(cm, o, (o.value,), point, layer=j):
+                if not check_opening(cm, o, (o.value,), point, layer_known[j], layer=j):
                     return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
             y = y * y % q
 
@@ -583,18 +587,24 @@ def _hex_bytes(value) -> bytes:
         raise ProofFormatError(f"bad hex literal {value!r}") from exc
 
 
+def _path(doc: dict) -> Tuple[bytes, ...]:
+    path = _want(doc, "path", list)
+    try:
+        return tuple(map(bytes.fromhex, path))
+    except (TypeError, ValueError) as exc:
+        raise ProofFormatError(f"path digests must be hex strings: {exc}") from exc
+
+
 def _opening_from_json(doc: dict) -> Opening:
     index = _want(doc, "index", int)
     value = _int_str(_want(doc, "value", str))
-    path = tuple(_hex_bytes(p) for p in _want(doc, "path", list))
-    return Opening(index=index, value=value, path=path)
+    return Opening(index=index, value=value, path=_path(doc))
 
 
 def _row_from_json(doc: dict) -> RowOpening:
     index = _want(doc, "index", int)
     values = tuple(_int_str(v) for v in _want(doc, "values", list))
-    path = tuple(_hex_bytes(p) for p in _want(doc, "path", list))
-    return RowOpening(index=index, values=values, path=path)
+    return RowOpening(index=index, values=values, path=_path(doc))
 
 
 def _comm_from_json(doc: dict) -> MerkleCommitment:

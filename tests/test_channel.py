@@ -205,6 +205,29 @@ def test_merkle_openings_verify():
         assert verify_opening(tree.commitment, i, v, tree.open(i))
 
 
+def test_merkle_openings_share_authenticated_nodes():
+    rng = random.Random(71)
+    table = [(rng.randrange(12289),) for _ in range(300)]
+    tree = MerkleTree(table)
+    known = {}
+    opened = rng.sample(range(300), 40) + [0, 299]
+    for i in opened:
+        path = tree.open(i)
+        for level in range(len(path)):  # a wrong sibling at any level is refused
+            bad = list(path)
+            bad[level] = bytes(32)
+            assert not verify_opening(tree.commitment, i, table[i], bad, known)
+        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), path, known)
+        assert verify_opening(tree.commitment, i, table[i], path, known)
+        assert verify_opening(tree.commitment, i, table[i], path, known)  # a known leaf
+    # only nodes of the committed tree were learnt, refused openings added none
+    height = len(tree._levels) - 1
+    for key, node in known.items():
+        level = height + 1 - key.bit_length()
+        assert tree._levels[level][key - (1 << (height - level))] == node
+    assert all((1 << height) + i in known for i in opened)
+
+
 def test_merkle_opening_rejects_wrong_value():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)

@@ -83,6 +83,17 @@ def test_online_check_rejects_out_of_bounds(paper_spec):
     assert reason is not None and reason.startswith("out-of-bounds")
 
 
+@pytest.mark.parametrize("field_name", ["alpha_up", "alpha_lo"])
+@pytest.mark.parametrize("bit", [2, -1])
+def test_online_check_rejects_non_bits(paper_spec, field_name, bit):
+    honest = step_slack(paper_spec, (3, 100))
+    for i in range(paper_spec.n):
+        bits = list(getattr(honest, field_name))
+        bits[i] = bit
+        reason = online_check(paper_spec, replace(honest, **{field_name: tuple(bits)}))
+        assert reason == f"not-a-bit: {field_name}[{i}]={bit} is neither 0 nor 1"
+
+
 def test_online_check_rejects_wrong_width(paper_spec):
     # zipping with the bounds used to let a 1-wide or empty record through
     honest = step_slack(paper_spec, (3, 100))

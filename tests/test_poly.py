@@ -278,6 +278,49 @@ def test_coset_evaluator_rejects_bad_plans():
         ev.evaluate([Polynomial(field, (1,)), Polynomial(PrimeField(61), (1, 2))])
 
 
+def _coset_points(q, omega, order, cosets):
+    """The first `cosets` cosets of <omega> met scanning 1, 2, 3, ..., shuffled."""
+    subgroup = [pow(omega, k, q) for k in range(order)]
+    points, seen, x = [], set(), 1
+    while len(points) < cosets * order:
+        if x not in seen:
+            coset = [x * h % q for h in subgroup]
+            seen.update(coset)
+            points += coset
+        x += 1
+    random.Random(q).shuffle(points)
+    return points
+
+
+def _assert_matches_horner(field, omega, order, cosets, polys):
+    points = _coset_points(field.modulus, omega, order, cosets)
+    tables = CosetEvaluator(field, points, omega, order).evaluate(polys)
+    assert tables == [[p(x).value for x in points] for p in polys]
+
+
+# radices: 2^7; 2^8; 2·3·5; 3·5 and 5·11 with no radix-2 stage; 2^3·5; 2^2·3·5
+@pytest.mark.parametrize("q,order,cosets", [
+    (12289, 128, 3), (769, 256, 1), (331, 30, 11), (331, 15, 22), (331, 55, 6),
+    (3001, 40, 25), (61, 60, 1),
+])
+def test_coset_evaluator_worst_case_coefficients(q, order, cosets):
+    # every coefficient q - 1, the largest the fold can multiply by a power
+    field = PrimeField(q)
+    omega = build_domain(field, order).generator.value
+    polys = [Polynomial(field, [q - 1] * (d + 1)) for d in (order - 1, 2 * order - 1, 4 * order - 1)]
+    _assert_matches_horner(field, omega, order, cosets, polys)
+
+
+def test_coset_evaluator_above_64_bits():
+    q = 2 ** 89 - 1
+    field = PrimeField(q)
+    omega = pow(3, (q - 1) // 30, q)  # of order 30; build_domain would scan the field
+    rng = random.Random(89)
+    polys = [Polynomial(field, [q - 1] * (d + 1)) for d in (29, 59, 119)]
+    polys += [rand_poly(rng, field, d) for d in (0, 30, 97)]
+    _assert_matches_horner(field, omega, 30, 4, polys)
+
+
 _SMALL_PRIMES = [p for p in range(3, 400) if is_prime(p)]
 
 

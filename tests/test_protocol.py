@@ -143,9 +143,21 @@ def test_prove_refuses_online_failure(field, paper_spec, paper_trace):
 
 
 def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_trace):
-    # a bit of 2 passes the online checks; the step check catches it
+    # a larger slack passes the online checks; the step check catches it
+    tampered = paper_trace.with_cell("delta", 7, 1, paper_trace.delta_rows[7][1] + 1)
+    with pytest.raises(InvalidTraceError, match=r"constraint slack\[1\] fails at step 7$"):
+        prove(field, paper_spec, tampered, paper_transcript())
+
+
+def test_a_bit_outside_0_1_is_refused_online(field, paper_spec, paper_trace):
+    # refused when the step is recorded, while it can still be requested again
     tampered = paper_trace.with_cell("alpha_up", 7, 1, 2)
-    with pytest.raises(InvalidTraceError, match=r"constraint transition\[1\] fails at step 7$"):
+    log = []
+    with pytest.raises(OnlineStageError):
+        run_online_stage(paper_spec, lambda k, z, attempt: tampered.step(k), log, max_retries=1)
+    assert [(e["step"], e["reason"]) for e in log if e["verdict"] == "reject"] == [
+        (7, "not-a-bit: alpha_up[1]=2 is neither 0 nor 1")] * 2
+    with pytest.raises(InvalidTraceError, match=r"online check failed at step 7: not-a-bit"):
         prove(field, paper_spec, tampered, paper_transcript())
 
 
@@ -172,8 +184,8 @@ def _step_check_cases():
                 row, old = step, getattr(trace, section + "_rows")[step][i]
                 if section == "delta":  # a larger slack passes the online check
                     value = old + rng.randint(1, 5)
-                else:  # the online stage does not look at the bits
-                    value = rng.choice([v for v in range(q) if v != old])
+                else:  # a flipped bit passes the online check
+                    value = 1 - old
             cases.append((PrimeField(q), spec, trace.with_cell(section, row, i, value)))
     return cases
 
@@ -392,6 +404,44 @@ def test_verify_rejects_any_tampered_trace_row_value(
                     paper_transcript() if replay else None)
     assert not report.accepted
     assert report.stage == "commitment"
+
+
+def _openings(query: dict) -> list:
+    """Every opening of one query in a proof document: both trace rows, then
+    the pos and neg openings of every FRI layer."""
+    rows = [query["trace"]["at_x"], query["trace"]["at_gx"]]
+    return rows + [pair[side] for pair in query["fri"] for side in ("pos", "neg")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), replay=st.booleans(), mask=st.integers(1, 255))
+def test_verify_rejects_any_flipped_path_byte(
+    field, paper_spec, paper_proof, paper_fs_proof, data, replay, mask
+):
+    # openings after the first in a tree stop hashing where they meet a node
+    # an earlier opening authenticated; the rest of their path must still bind
+    doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
+    query = data.draw(st.sampled_from(doc["queries"]), label="query")
+    opening = data.draw(st.sampled_from(_openings(query)), label="opening")
+    level = data.draw(st.integers(0, len(opening["path"]) - 1), label="level")
+    digest = bytearray.fromhex(opening["path"][level])
+    digest[data.draw(st.integers(0, 31), label="byte")] ^= mask
+    opening["path"][level] = digest.hex()
+    report = verify(field, paper_spec, proof_from_json(doc),
+                    paper_transcript() if replay else None)
+    assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+def test_load_proof_rejects_bad_path_digests(paper_proof):
+    for bad in (5, None, "zz", "0"):
+        doc = proof_to_json(paper_proof)
+        doc["queries"][1]["fri"][0]["neg"]["path"][2] = bad
+        with pytest.raises(ProofFormatError):
+            proof_from_json(doc)
+        doc = proof_to_json(paper_proof)
+        doc["queries"][0]["trace"]["at_gx"]["path"][0] = bad
+        with pytest.raises(ProofFormatError):
+            proof_from_json(doc)
 
 
 def test_proof_commits_the_trace_once(paper_spec, paper_proof):
