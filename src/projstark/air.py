@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import ExecutionTrace, SystemSpec, apply_transition
 from .field import CyclicDomain, PrimeField
@@ -86,19 +86,34 @@ class TracePolynomials:
         }
 
 
-def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> TracePolynomials:
-    """Column interpolants of the trace; values are taken mod q, unchecked (see lift_trace)."""
+def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
+    """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N.
+
+    Coefficient i of the interpolant through (g^k, y_k), k <= N, is
+    (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one
+    inverse DFT over H gives every coefficient of every column.
+    """
+    q = domain.field.modulus
+    g_inv = domain.elements[-1].value
+    points = [pow(g_inv, i, q) for i in range(domain.order)]
+    return CosetEvaluator(domain.field, points, domain.generator, domain.order)
+
+
+def build_trace_polys(
+    trace: ExecutionTrace, domain: CyclicDomain, interpolator: Optional[CosetEvaluator] = None
+) -> TracePolynomials:
+    """Column interpolants of the trace; values are taken mod q, unchecked (see lift_trace).
+
+    `interpolator` is trace_interpolator(domain), built here when not given.
+    """
     spec = trace.spec
     N = spec.num_steps
     if domain.order != N + 1:
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
     field = domain.field
     q = field.modulus
-    # Coefficient i of the interpolant through (g^k, y_k), k <= N, is
-    # (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one
-    # inverse DFT over H gives every coefficient of every column.
     g_inv = domain.elements[N].value
-    dft = CosetEvaluator(field, [pow(g_inv, i, q) for i in range(N + 1)], domain.generator, N + 1)
+    dft = trace_interpolator(domain) if interpolator is None else interpolator
     inv_order = pow(N + 1, q - 2, q)
     n = spec.n
     columns = [

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence
+from itertools import chain
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
@@ -90,15 +91,15 @@ _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 
 
-def _leaf_digests(rows: Sequence[Sequence[int]]) -> List[bytes]:
-    """Leaf digests of rows of one width: SHA-256(0x00 || the row's values as
-    8-byte little-endian words), each row encoded by one struct call."""
-    encode, sha = struct.Struct(f"<{len(rows[0])}Q").pack, hashlib.sha256
+def _leaf_digests(rows: Iterable[Sequence[int]], width: int) -> List[bytes]:
+    """Leaf digests of rows of `width` values: SHA-256(0x00 || the row's
+    values as 8-byte little-endian words), each row encoded by one struct call."""
+    encode, sha = struct.Struct(f"<{width}Q").pack, hashlib.sha256
     return [sha(_LEAF_TAG + encode(*row)).digest() for row in rows]
 
 
 def _leaf_digest(row: Sequence[int]) -> bytes:
-    return _leaf_digests([row])[0]
+    return _leaf_digests((row,), len(row))[0]
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:
@@ -116,14 +117,18 @@ class MerkleTree:
 
     A leaf is SHA-256(0x00 || the row's values as 8-byte little-endian), so a
     one-value row hashes like a single table entry. Every row of the table has
-    the same number of values, each below 2^64.
+    the same number of values, each below 2^64. The rows are read once, in
+    order, so they can come from an iterator such as zip(*columns) and need
+    not be kept.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        if not rows:
+    def __init__(self, rows: Iterable[Sequence[int]]):
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
             raise ValueError("cannot commit to an empty table")
-        self.leaf_count = len(rows)
-        level = _leaf_digests(rows)
+        level = _leaf_digests(chain((first,), rows), len(first))
+        self.leaf_count = len(level)
         # Every padding leaf is the last leaf, so the nodes above only padding
         # share one digest per level: each level hashes the pairs that hold a
         # table row, then pads itself with that digest.

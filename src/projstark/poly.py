@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import repeat, zip_longest
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import FieldElement, PrimeField, prime_factors
 
@@ -265,11 +265,11 @@ class CosetEvaluator:
     """Evaluation tables on a union of cosets of a cyclic subgroup, by coset DFT.
 
     `points` must be a union of cosets c·G of the order-m subgroup G generated
-    by `omega`; tables come out in the order of `points`, and `index` maps each
-    point to its position. For each polynomial p and coset representative c,
-    p(c·y) is reduced mod y^m - 1 (coefficient k collects p_i·c^i over
-    i ≡ k mod m), and one length-m mixed-radix DFT, decimation in frequency
-    with the smallest prime first, gives p(c·omega^j) for every j.
+    by `omega`; tables come out in the order of `points`. For each polynomial
+    p and coset representative c, p(c·y) is reduced mod y^m - 1 (coefficient
+    k collects p_i·c^i over i ≡ k mod m), and one length-m mixed-radix DFT,
+    decimation in frequency with the smallest prime first, gives
+    p(c·omega^j) for every j.
 
     The DFT works on m packed rows. Row k is one integer with a W-bit slot per
     (polynomial, representative) pair, slot s·T + t for polynomial s and
@@ -295,8 +295,8 @@ class CosetEvaluator:
             raise ValueError(f"{w} does not have multiplicative order {order} mod {q}")
         self.field = field
         self.order = order
-        self.index = {x: i for i, x in enumerate(points)}
-        if len(self.index) != len(points):
+        index = {x: i for i, x in enumerate(points)}
+        if len(index) != len(points):
             raise ValueError("duplicated evaluation point")
 
         powers = [1] * order
@@ -307,29 +307,27 @@ class CosetEvaluator:
         # k1 < s, row k1 + s·j2 becomes sum_k2 w_b^(j2·(k1 + s·k2)) · row(k1 + s·k2),
         # w_b = w^(order/b) of order b. For r = 2 that matrix is [[1, 1], [t, -t]]
         # with t = w_b^k1, so only t is kept: the butterfly it allows costs half
-        # the general matrix product, and radix 2 is most stages. `growth` maps
-        # a slot bound M before the stage to the bound after it.
+        # the general matrix product, and radix 2 is most stages. A stage keeps
+        # one twiddle t or matrix per k1; `growth` maps a slot bound M before
+        # the stage to the bound after it.
         self._stages = []
         block = order
         for r in radices:
             span = block // r
             step = order // block
-            butterflies = []
-            for k1 in range(span):
-                if r == 2:
-                    shape = powers[step * k1]
-                else:
-                    shape = tuple(
+            if r == 2:
+                shapes = [powers[step * k1] for k1 in range(span)]
+                growth = max(shapes)
+            else:
+                shapes = [
+                    tuple(
                         tuple(powers[step * (j2 * (k1 + span * k2) % block)] for k2 in range(r))
                         for j2 in range(r)
                     )
-                rows = tuple(k1 + span * k2 for k2 in range(r))
-                butterflies.append((rows, shape))
-            if r == 2:
-                growth = max(shape for _, shape in butterflies)
-            else:
-                growth = max(sum(ws) for _, shape in butterflies for ws in shape)
-            self._stages.append((r, block, butterflies, growth))
+                    for k1 in range(span)
+                ]
+                growth = max(sum(ws) for shape in shapes for ws in shape)
+            self._stages.append((r, block, shapes, growth))
             block = span
 
         # After the last stage, row p holds the DFT output at the mixed-radix
@@ -345,19 +343,17 @@ class CosetEvaluator:
         reps: List[int] = []
         gather: List[Optional[int]] = [None] * len(points)
         for x in points:
-            if gather[self.index[x]] is not None:
+            if gather[index[x]] is not None:
                 continue
             t = len(reps)
             reps.append(x)
             for row, f in enumerate(freq):
-                i = self.index.get(x * powers[f] % q)
+                i = index.get(x * powers[f] % q)
                 if i is None:
                     raise ValueError(f"the coset of {x} is not contained in the points")
                 gather[i] = row * count + t
         self._reps = reps
         self._gather = gather
-        self._rep_powers = [[1] * count]  # row i: c^i for every representative c
-        self._packed_powers: Dict[int, List[int]] = {}  # slot bytes -> packed rows
 
     def _slot_plan(self, length: int) -> Tuple[int, List[int]]:
         """Slot width in bytes and the bias of every stage (0 for radix > 2)
@@ -375,14 +371,15 @@ class CosetEvaluator:
         return -(-bound.bit_length() // 8), biases
 
     def _powers(self, length: int, width: int) -> List[int]:
-        """Packed rows of c^i, i < length (or more), one width-byte slot per
-        representative c; kept between calls."""
-        rows = self._rep_powers
+        """Packed rows of c^i, i < length, one width-byte slot per
+        representative c. Not kept between calls, so that a plan holds no
+        table that grows with the polynomials it has evaluated."""
         q = self.field.modulus
-        while len(rows) < length:
-            rows.append([x * c % q for x, c in zip(rows[-1], self._reps)])
-        packed = self._packed_powers.setdefault(width, [])
-        for row in rows[len(packed):length]:
+        row = [1] * len(self._reps)
+        packed = []
+        for i in range(length):
+            if i:
+                row = [x * c % q for x, c in zip(row, self._reps)]
             packed.append(int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]),
                                          "little"))
         return packed
@@ -415,19 +412,22 @@ class CosetEvaluator:
             rows.append(_pack(folded, 8 * width * count))
 
         ones = int.from_bytes((b"\x01" + bytes(width - 1)) * slots, "little")
-        for (r, block, butterflies, _), bias in zip(self._stages, biases):
+        for (r, block, shapes, _), bias in zip(self._stages, biases):
+            span = block // r
             bias *= ones
             for base in range(0, m, block):
-                for idx, shape in butterflies:
-                    if r == 2:
-                        i0, i1 = base + idx[0], base + idx[1]
+                if r == 2:
+                    for i0, t in enumerate(shapes, base):
+                        i1 = i0 + span
                         x0, x1 = rows[i0], rows[i1]
                         rows[i0] = x0 + x1
-                        rows[i1] = (x0 + bias - x1) * shape
-                    else:
-                        xs = [rows[base + i] for i in idx]
+                        rows[i1] = (x0 + bias - x1) * t
+                else:
+                    for k, shape in enumerate(shapes, base):
+                        idx = range(k, k + block, span)
+                        xs = [rows[i] for i in idx]
                         for i, ws in zip(idx, shape):
-                            rows[base + i] = sum(map(operator.mul, ws, xs))
+                            rows[i] = sum(map(operator.mul, ws, xs))
 
         # Reduce each row as it is unpacked, into one list per polynomial.
         split = struct.Struct(f"{width}s" * slots).unpack  # the slots of a row, lowest first

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,6 +28,7 @@ from .air import (
     constraints,
     degree_bound,
     lift_trace,
+    trace_interpolator,
 )
 from .channel import (
     FiatShamirTranscript,
@@ -42,6 +45,7 @@ from .poly import CosetEvaluator, Polynomial, divide_exact
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
 PROOF_VERSION = 2
+DOMAIN_CACHE_SIZE = 4  # (q, N) pairs whose domains and DFT plans are kept
 
 
 class ProofFormatError(ValueError):
@@ -145,17 +149,85 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
     return doms
 
 
-class _Committed:
-    """Evaluation tables of polynomials on one domain, one Merkle leaf per point."""
+class _Domains:
+    """What prove and verify derive from (q, N) alone: the trace subgroup H,
+    its generator g, the points a sample point may not be, the FRI layer
+    domains (layer 0 is F_q* minus H) and the coset-DFT plans onto them.
 
-    def __init__(self, polys: Sequence[Polynomial], evaluator: CosetEvaluator):
-        self.rows = list(zip(*evaluator.evaluate(polys)))
-        self.tree = MerkleTree(self.rows)
-        self.index = evaluator.index
+    Layer domains are extended, and plans built, on first request, so a
+    verifier builds no plan and only as many layers as a proof that passed its
+    degree-bound check needs. A list is extended by replacing it, never in
+    place, and each method reads from the list it checked, so a caller in
+    another thread sees an old list or a new one, both correct. Nothing here
+    depends on a proof, and a plan keeps no table between its evaluate calls.
+    """
+
+    def __init__(self, q: int, num_steps: int):
+        self.field = PrimeField(q)
+        self.subgroup = build_domain(self.field, num_steps + 1)
+        self.g = self.subgroup.generator.value
+        self.excluded = frozenset({e.value for e in self.subgroup.elements} | {0})
+        # each layer is sorted, so a point's leaf index is bisect_left(layer, point)
+        self.layers = [base_eval_domain(self.field, self.subgroup)]
+        self._evaluators: List[CosetEvaluator] = []
+        self._interpolator: Optional[CosetEvaluator] = None
+
+    def layer_domains(self, count: int) -> List[List[int]]:
+        """The domains of FRI layers 0..count-1."""
+        layers = self.layers
+        missing = count - len(layers)
+        if missing > 0:
+            layers = layers + layer_eval_domains(self.field, layers[-1], missing + 1)[1:]
+            self.layers = layers
+        return layers[:count]
+
+    def evaluator(self, layer: int) -> CosetEvaluator:
+        """Coset DFT onto the domain of FRI layer `layer` (layer 0 holds the
+        trace table too), a union of cosets of H^(2^layer)."""
+        evaluators = self._evaluators
+        if len(evaluators) <= layer:
+            layers = self.layer_domains(layer + 1)
+            order = self.subgroup.order
+            evaluators = evaluators + [
+                CosetEvaluator(self.field, layers[j], pow(self.g, 2 ** j, self.field.modulus),
+                               order // gcd(order, 2 ** j))
+                for j in range(len(evaluators), layer + 1)
+            ]
+            self._evaluators = evaluators
+        return evaluators[layer]
+
+    @property
+    def interpolator(self) -> CosetEvaluator:
+        """The inverse DFT over H that interpolates the trace columns."""
+        if self._interpolator is None:
+            self._interpolator = trace_interpolator(self.subgroup)
+        return self._interpolator
+
+
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
+def _domains(q: int, num_steps: int) -> _Domains:
+    """The shared _Domains of (q, N); a verifier that checks one system every
+    control period derives them once."""
+    return _Domains(q, num_steps)
+
+
+class _Committed:
+    """Evaluation tables of polynomials on the domain of one FRI layer, one
+    Merkle leaf per point.
+
+    The tables are kept by column; a row is built to be hashed, then dropped,
+    and built again only if it is opened.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
+        self.tables = domains.evaluator(layer).evaluate(polys)
+        self.tree = MerkleTree(zip(*self.tables))
+        self.points = domains.layer_domains(layer + 1)[layer]
 
     def open_row(self, point: int) -> RowOpening:
-        i = self.index[point]
-        return RowOpening(index=i, values=self.rows[i], path=tuple(self.tree.open(i)))
+        i = bisect_left(self.points, point)
+        return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
+                          path=tuple(self.tree.open(i)))
 
     def open_at(self, point: int) -> Opening:
         """Opening of a one-polynomial commitment."""
@@ -236,7 +308,8 @@ def prove(
         raise ValueError("num_steps + 1 must be even so the evaluation domain is symmetric")
     if not 1 <= num_queries <= MAX_QUERIES:
         raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
-    domain = build_domain(field, N + 1)
+    domains = _domains(q, N)
+    domain = domains.subgroup
 
     if not force:
         for k in range(N):
@@ -245,7 +318,7 @@ def prove(
                 raise InvalidTraceError(f"online check failed at step {k}: {reason}")
 
     trace = lift_trace(trace, field)
-    tp = build_trace_polys(trace, domain)
+    tp = build_trace_polys(trace, domain, domains.interpolator)
 
     x_minus_one = Polynomial(field, (-1, 1))
     boundary_polys = []
@@ -268,11 +341,9 @@ def prove(
 
     transcript.absorb("spec", hash_spec(field, spec))
 
-    g = domain.generator.value
-    d0 = base_eval_domain(field, domain)
-    ev0 = CosetEvaluator(field, d0, g, N + 1)
+    g = domains.g
     trace_cm = _Committed(
-        (*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta, *boundary_polys), ev0
+        (*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta, *boundary_polys), domains, 0
     )
     transcript.absorb("trace", trace_cm.tree.root)
 
@@ -287,12 +358,10 @@ def prove(
         bound = max(2 * N - 2, 0)
     rounds = num_rounds(bound)
 
-    composition = _Committed([quotient], ev0)
-    del ev0  # the FRI layers do not need its table of coset powers
+    composition = _Committed([quotient], domains, 0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
-    domains = layer_eval_domains(field, d0, rounds)
     layer_committed = [composition]
     layer_polys = [quotient]
     betas: List[int] = []
@@ -303,11 +372,7 @@ def prove(
         nxt = fold(layer_polys[-1], beta)
         layer_polys.append(nxt)
         if j < rounds - 1:
-            # layer j+1 is a union of cosets of H^(2^(j+1))
-            e = 2 ** (j + 1)
-            cm = _Committed(
-                [nxt], CosetEvaluator(field, domains[j + 1], pow(g, e, q), (N + 1) // gcd(N + 1, e))
-            )
+            cm = _Committed([nxt], domains, j + 1)
             layer_committed.append(cm)
             transcript.absorb(f"fri[{j + 1}]", cm.tree.root)
         else:
@@ -318,10 +383,9 @@ def prove(
             fri_final = nxt.coeffs[0] if nxt.coeffs else 0
             transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
 
-    excluded = {e.value for e in domain.elements} | {0}
     queries = []
     for _ in range(num_queries):
-        x = transcript.draw("sample_point", exclusions=excluded)
+        x = transcript.draw("sample_point", exclusions=domains.excluded)
         fri_pairs = []
         y = x
         for j in range(rounds):
@@ -409,8 +473,8 @@ def verify(
         return _reject("commitment", "public inputs do not match the proof")
     if (N + 1) % 2:
         return _reject("commitment", "trace subgroup order must be even")
-    domain = build_domain(field, N + 1)
-    g = domain.generator.value
+    domains = _domains(q, N)
+    g = domains.g
     if proof.generator != g:
         return _reject("commitment", f"generator mismatch: {proof.generator} != {g}")
 
@@ -424,7 +488,6 @@ def verify(
     transcript.absorb("spec", hash_spec(field, spec))
     transcript.absorb("trace", proof.trace_comm.root)
 
-    excluded = {e.value for e in domain.elements} | {0}
     try:
         gammas = [transcript.draw("gamma") for _ in range(4 * n)]
         transcript.absorb("composition", proof.composition_comm.root)
@@ -437,14 +500,14 @@ def verify(
             else:
                 transcript.absorb("fri_final", proof.fri_final.to_bytes(8, "little"))
         expected_xs = [
-            transcript.draw("sample_point", exclusions=excluded) for _ in proof.queries
+            transcript.draw("sample_point", exclusions=domains.excluded) for _ in proof.queries
         ]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
-    d0 = base_eval_domain(field, domain)
-    domains = layer_eval_domains(field, d0, rounds)
-    index_maps = [{x: i for i, x in enumerate(dm)} for dm in domains]
+    # asked for only now, past the degree-bound check, so that no proof can
+    # make the shared domains grow beyond what an honest proof needs
+    layers = domains.layer_domains(rounds)
 
     # --- stage: commitment ---------------------------------------------------
     # nodes each tree's accepted openings authenticated, so each is hashed once
@@ -453,7 +516,8 @@ def verify(
 
     def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
                       known: dict, layer: int = 0) -> bool:
-        if opening.index != index_maps[layer].get(point):
+        # every point asked about lies in its layer, by how the layers are built
+        if opening.index != bisect_left(layers[layer], point):
             return False
         try:
             return verify_opening(cm, opening.index, leaf, opening.path, known)
@@ -564,7 +628,8 @@ def _want(doc: dict, key: str, kind):
     if not isinstance(doc, dict) or key not in doc:
         raise ProofFormatError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int, but are no integer
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ProofFormatError(f"field {key!r} has the wrong type")
     return value
 

@@ -178,6 +178,9 @@ def test_merkle_row_leaf_hashes_values_in_order():
     rng = random.Random(59)
     rows = [tuple(rng.randrange(769) for _ in range(20)) for _ in range(11)]
     wide = MerkleTree(rows)
+    # rows read once from an iterator over columns give the same tree
+    lazy = MerkleTree(zip(*zip(*rows)))
+    assert (lazy.root, lazy.leaf_count) == (wide.root, len(rows))
     for i, r in enumerate(rows):
         assert verify_opening(wide.commitment, i, r, wide.open(i))
         assert not verify_opening(wide.commitment, i, r[:-1], wide.open(i))
@@ -270,3 +273,5 @@ def test_merkle_index_bounds():
 def test_merkle_empty_table_rejected():
     with pytest.raises(ValueError):
         MerkleTree([])
+    with pytest.raises(ValueError):
+        MerkleTree(zip())

@@ -243,7 +243,6 @@ def test_coset_evaluator_matches_horner_on_proof_domains(q, order):
     polys.insert(3, Polynomial.zero(field))
     layers = 0
     for points, ev in _layer_evaluators(q, order):
-        assert ev.index == {x: i for i, x in enumerate(points)}
         # the second call needs more powers of each representative than the first
         for batch in (short, polys):
             tables = ev.evaluate(batch)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_challenges, random_spec
+from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
     InvalidTraceError,
@@ -362,6 +365,26 @@ def test_load_proof_rejects_wrong_types(paper_proof):
         proof_from_json(doc)
 
 
+@pytest.mark.parametrize("where", [
+    ("version",),
+    ("commitments", "trace", "leaves"),
+    ("fri_layers", "roots", 0, "leaves"),
+    ("queries", 0, "trace", "at_x", "index"),
+    ("queries", 1, "fri", 0, "neg", "index"),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_load_proof_rejects_booleans_for_integers(paper_proof, where, flag):
+    # JSON true and false load as Python bools, which are ints
+    doc = proof_to_json(paper_proof)
+    *parents, key = where
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = flag
+    with pytest.raises(ProofFormatError):
+        proof_from_json(doc)
+
+
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
     doc["queries"][0]["fri"] = doc["queries"][0]["fri"][:-1]
@@ -591,6 +614,181 @@ def test_replay_paper_output_is_unchanged(capsys):
     assert main(["replay-paper"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPLAY_PAPER_DIGEST
+
+
+# --- domains shared per (q, N) ------------------------------------------------
+
+
+def test_cold_and_warm_domain_cache_give_the_same_proof(
+    field, paper_spec, paper_trace, monkeypatch
+):
+    salt = b"pin-paper"
+
+    def prove_and_verify():
+        proof = prove(field, paper_spec, paper_trace,
+                      FiatShamirTranscript(ref.MODULUS, salt=salt), num_queries=8, salt=salt)
+        return _proof_digest(proof), verify(field, paper_spec, proof)
+
+    protocol._domains.cache_clear()
+    cold = prove_and_verify()
+    # a warm cache derives no domain again
+    for name in ("build_domain", "base_eval_domain", "layer_eval_domains"):
+        monkeypatch.setattr(protocol, name, None)
+    warm = prove_and_verify()
+    assert cold == warm
+    assert warm[0] == PINNED_PROOF_DIGESTS["paper-fiat-shamir"] and warm[1].accepted
+
+
+def test_threads_share_the_domain_cache():
+    # threads that extend the shared layers and plans at once, from a cold
+    # context, must each still get every layer they asked for (q = 3001:
+    # each FRI layer domain differs from the one before)
+    field, spec, salt = PrimeField(3001), MIXED_RADIX_SPEC, b"pin-mixed"
+    trace = simulate(spec)
+    digests, errors = [], []
+    start = threading.Barrier(4, timeout=60)
+
+    def worker():
+        try:
+            start.wait()
+            for _ in range(2):
+                proof = prove(field, spec, trace, FiatShamirTranscript(3001, salt=salt),
+                              num_queries=8, salt=salt)
+                assert verify(field, spec, proof).accepted
+                digests.append(_proof_digest(proof))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    protocol._domains.cache_clear()
+    protocol._domains(3001, spec.num_steps)  # one context, no layer built yet
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert digests == [PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]] * 8
+
+
+def test_domain_cache_stays_at_its_bound():
+    q = 61
+    orders = [m for m in range(2, q - 1, 2) if (q - 1) % m == 0]
+    assert len(orders) > protocol.DOMAIN_CACHE_SIZE
+    rng = random.Random(5)
+    for order in orders:
+        spec = random_spec(rng, q, n_max=1, orders=[order])
+        proof = prove(PrimeField(q), spec, simulate(spec), FiatShamirTranscript(q), num_queries=2)
+        assert verify(PrimeField(q), spec, proof).accepted
+        assert protocol._domains.cache_info().currsize <= protocol.DOMAIN_CACHE_SIZE
+    assert protocol._domains.cache_info().currsize == protocol.DOMAIN_CACHE_SIZE
+
+
+def _layer_count(q, num_steps):
+    return len(protocol._domains(q, num_steps).layers)
+
+
+def test_rejected_or_malformed_proofs_leave_the_layer_count(
+    field, paper_spec, paper_fs_proof
+):
+    N = paper_spec.num_steps
+    doc = proof_to_json(paper_fs_proof)
+    # a bound past 2N-2 with the FRI roots and opening pairs it calls for
+    oversized = json.loads(json.dumps(doc))
+    extra = num_rounds(4 * N) - num_rounds(paper_fs_proof.degree_bound)
+    assert extra >= 1
+    oversized["publics"]["degree_bound"] = str(4 * N)
+    oversized["fri_layers"]["roots"] += oversized["fri_layers"]["roots"][-1:] * extra
+    for qd in oversized["queries"]:
+        qd["fri"] += qd["fri"][-1:] * extra
+    tampered = json.loads(json.dumps(doc))
+    opening = tampered["queries"][0]["fri"][-1]["pos"]
+    opening["value"] = str((int(opening["value"]) + 1) % ref.MODULUS)
+    truncated = json.loads(json.dumps(doc))
+    truncated["queries"][0]["fri"].pop()
+
+    # the degree-bound check comes first, even against a cold cache
+    protocol._domains.cache_clear()
+    report = verify(field, paper_spec, proof_from_json(oversized))
+    assert (report.verdict, report.stage) == ("reject", "fri_commit")
+    assert _layer_count(ref.MODULUS, N) == 1
+
+    assert verify(field, paper_spec, paper_fs_proof).accepted
+    count = _layer_count(ref.MODULUS, N)
+    assert count == num_rounds(2 * N - 2)
+    for bad in (oversized, tampered):
+        assert not verify(field, paper_spec, proof_from_json(bad)).accepted
+        assert _layer_count(ref.MODULUS, N) == count
+    with pytest.raises(ProofFormatError):
+        verify(field, paper_spec, proof_from_json(truncated))
+    assert _layer_count(ref.MODULUS, N) == count
+
+
+def _index_cases(doc):
+    """(opening, the opening at the other point of its pair, commitment) for
+    a trace row, a layer-0 FRI opening and an opening in the last committed
+    FRI layer, from every query of a proof document."""
+    assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
+    for qd in doc["queries"]:
+        rows, first, last = qd["trace"], qd["fri"][0], qd["fri"][-1]
+        yield rows["at_x"], rows["at_gx"], doc["commitments"]["trace"]
+        yield first["pos"], first["neg"], doc["commitments"]["composition"]
+        yield last["neg"], last["pos"], doc["fri_layers"]["roots"][-1]
+
+
+def _verify_each_index_case(field, spec, proof, replay, edit):
+    """Verify the proof once per case of _index_cases, with edit(opening,
+    other, commitment) applied to that case only; the reports, in order."""
+    base = proof_to_json(proof)
+    reports = []
+    for i in range(len(list(_index_cases(base)))):
+        doc = json.loads(json.dumps(base))
+        edit(*list(_index_cases(doc))[i])
+        reports.append(verify(field, spec, proof_from_json(doc),
+                              paper_transcript() if replay else None))
+    return reports
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_verify_rejects_a_shifted_leaf_index(field, paper_spec, paper_proof, paper_fs_proof,
+                                             replay, shift):
+    def edit(opening, other, comm):
+        opening["index"] += shift  # value and path kept
+
+    for report in _verify_each_index_case(
+            field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
+        assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_verify_rejects_a_valid_opening_of_another_point(field, paper_spec, paper_proof,
+                                                         paper_fs_proof, replay):
+    # index, value and path authenticate against the root, but at the leaf
+    # of the other point of the pair
+    def edit(opening, other, comm):
+        opening.update(other)
+
+    for report in _verify_each_index_case(
+            field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
+        assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("bad", ["leaf_count", -1, -300])
+def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proof,
+                                                   paper_fs_proof, replay, bad):
+    def edit(opening, other, comm):
+        opening["index"] = comm["leaves"] if bad == "leaf_count" else bad
+
+    for report in _verify_each_index_case(
+            field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
+        assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 # --- randomized end-to-end trials -------------------------------------------
