@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
-_EMPTY: AbstractSet[int] = frozenset()
-
 
 class TranscriptError(RuntimeError):
-    """Replay list exhausted, or an injected value falls in the exclusion set."""
+    """Replay list exhausted, or an injected value is 0 or outside the points
+    it must be drawn from."""
 
 
 class ReplayTranscript:
@@ -44,13 +44,19 @@ class ReplayTranscript:
     def absorb(self, label: str, data: bytes) -> None:
         pass  # replay challenges are fixed up front
 
-    def draw(self, kind: str, exclusions: AbstractSet[int] = _EMPTY) -> int:
+    def draw(self, kind: str, points: Optional[Sequence[int]] = None) -> int:
+        """The next injected value of `kind`, reduced mod q. It must not be 0
+        and, when the ascending list `points` is given, must be one of them."""
         queue = self._queues[kind]
         if not queue:
             raise TranscriptError(f"replay transcript exhausted for kind {kind!r}")
         value = queue.pop(0) % self.modulus
-        if value == 0 or value in exclusions:
-            raise TranscriptError(f"injected {kind} value {value} is excluded")
+        if value == 0:
+            raise TranscriptError(f"injected {kind} value is 0")
+        if points is not None:
+            i = bisect_left(points, value)
+            if i == len(points) or points[i] != value:
+                raise TranscriptError(f"injected {kind} value {value} is not a drawable point")
         return value
 
 
@@ -68,19 +74,17 @@ class FiatShamirTranscript:
         self._state.update(len(enc).to_bytes(4, "little") + enc)
         self._state.update(len(data).to_bytes(8, "little") + data)
 
-    def draw(self, kind: str, exclusions: AbstractSet[int] = _EMPTY) -> int:
+    def draw(self, kind: str, points: Optional[Sequence[int]] = None) -> int:
+        """A challenge derived from the messages absorbed so far: an element of
+        F_q*, or, when `points` is given, the entry of `points` at the digest
+        mod len(points), so a draw never has to be retried."""
         if kind not in CHALLENGE_KINDS:
             raise ValueError(f"unknown challenge kind {kind!r}")
-        base = self._state.copy().digest()
-        counter = 0
-        while True:
-            digest = hashlib.sha256(
-                base + kind.encode() + counter.to_bytes(8, "little")
-            ).digest()
-            value = int.from_bytes(digest, "big") % (self.modulus - 1) + 1
-            if value not in exclusions:
-                break
-            counter += 1
+        digest = hashlib.sha256(
+            self._state.copy().digest() + kind.encode() + bytes(8)
+        ).digest()
+        word = int.from_bytes(digest, "big")
+        value = word % (self.modulus - 1) + 1 if points is None else points[word % len(points)]
         self.absorb("challenge:" + kind, value.to_bytes(8, "little"))
         return value
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Union
 
 
@@ -196,17 +197,25 @@ class CyclicDomain:
 
 
 def build_domain(field: PrimeField, n: int) -> CyclicDomain:
-    """Order-n cyclic subgroup of F_q*, generated by the smallest h >= 2 of exact order n."""
+    """Order-n cyclic subgroup of F_q*, generated by the smallest h >= 2 of exact order n.
+
+    F_q* is cyclic, so its elements of exact order n are the w^k with
+    gcd(k, n) = 1 for any one w of that order, and w = c^((q-1)/n) has it
+    unless c is a p-th power for some prime p dividing n. The first such c
+    is small, so finding w and then the least w^k takes O(n) steps, not O(q).
+    """
     q = field.modulus
     if n <= 0 or (q - 1) % n != 0:
         raise NoSubgroupError(f"F_{q}* has no subgroup of order {n}: {n} does not divide {q - 1}")
-    factors = set(prime_factors(n))
-    for h in range(2, q):
-        if pow(h, n, q) != 1:
-            continue
-        if all(pow(h, n // p, q) != 1 for p in factors):
-            return CyclicDomain(field, field(h), n)
-    # n = 1 falls through the h >= 2 scan
     if n == 1:
         return CyclicDomain(field, field.one, 1)
-    raise NoSubgroupError(f"no generator of order {n} found in F_{q}*")
+    factors = set(prime_factors(n))
+    # a generator of F_q* is below q, so the scan ends
+    w = next(w for w in (pow(c, (q - 1) // n, q) for c in range(2, q))
+             if all(pow(w, n // p, q) != 1 for p in factors))
+    g, power = w, w
+    for k in range(2, n):
+        power = power * w % q
+        if power < g and gcd(k, n) == 1:
+            g = power
+    return CyclicDomain(field, field(g), n)

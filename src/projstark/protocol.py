@@ -44,7 +44,10 @@ from .poly import CosetEvaluator, Polynomial, divide_exact
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
-PROOF_VERSION = 2
+PROOF_VERSION = 3
+# cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
+# so its rate there is under 1/8
+BLOWUP = 16
 DOMAIN_CACHE_SIZE = 4  # (q, N) pairs whose domains and DFT plans are kept
 
 
@@ -130,9 +133,28 @@ def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
 
 
 def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
-    """F_q* minus the trace subgroup, ascending; negation-closed for even order."""
-    excluded = {e.value for e in domain.elements}
-    return [x for x in range(1, field.modulus) if x not in excluded]
+    """The domain of FRI layer 0 and of the trace table, ascending: the union
+    of min(BLOWUP, m - 1) cosets x·H other than H itself, m = (q - 1)/|H|.
+
+    The cosets are those of x = 2, 3, ..., each new one met in that order; x·H
+    is keyed by x^|H|, and H has key 1. When F_q* has at most BLOWUP cosets
+    besides H, the union is all of F_q* minus H. Negation-closed for even |H|,
+    since -1 is then in H. Costs O(BLOWUP·|H|) steps, not O(q).
+    """
+    q = field.modulus
+    order = domain.order
+    wanted = min(BLOWUP, (q - 1) // order - 1)
+    subgroup = [e.value for e in domain.elements]
+    keys = {1}
+    points: List[int] = []
+    x = 1
+    while len(keys) <= wanted:
+        x += 1
+        key = pow(x, order, q)
+        if key not in keys:
+            keys.add(key)
+            points += [x * h % q for h in subgroup]
+    return sorted(points)
 
 
 def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List[List[int]]:
@@ -151,8 +173,9 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 class _Domains:
     """What prove and verify derive from (q, N) alone: the trace subgroup H,
-    its generator g, the points a sample point may not be, the FRI layer
-    domains (layer 0 is F_q* minus H) and the coset-DFT plans onto them.
+    its generator g, the FRI layer domains (layer 0, from base_eval_domain,
+    is at most BLOWUP cosets of H and is where sample points are drawn) and
+    the coset-DFT plans onto them.
 
     Layer domains are extended, and plans built, on first request, so a
     verifier builds no plan and only as many layers as a proof that passed its
@@ -166,7 +189,6 @@ class _Domains:
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator.value
-        self.excluded = frozenset({e.value for e in self.subgroup.elements} | {0})
         # each layer is sorted, so a point's leaf index is bisect_left(layer, point)
         self.layers = [base_eval_domain(self.field, self.subgroup)]
         self._evaluators: List[CosetEvaluator] = []
@@ -385,7 +407,7 @@ def prove(
 
     queries = []
     for _ in range(num_queries):
-        x = transcript.draw("sample_point", exclusions=domains.excluded)
+        x = transcript.draw("sample_point", domains.layers[0])
         fri_pairs = []
         y = x
         for j in range(rounds):
@@ -500,7 +522,7 @@ def verify(
             else:
                 transcript.absorb("fri_final", proof.fri_final.to_bytes(8, "little"))
         expected_xs = [
-            transcript.draw("sample_point", exclusions=domains.excluded) for _ in proof.queries
+            transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries
         ]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from projstark import PrimeField, SystemSpec, build_domain, simulate
+from projstark.protocol import base_eval_domain
 from projstark.reference_example import SYSTEM
 
 
@@ -57,10 +58,10 @@ def random_spec(rng: random.Random, q: int, n_max: int = 4, orders=None) -> Syst
 
 
 def random_challenges(rng: random.Random, q: int, spec: SystemSpec, num_queries: int) -> dict:
-    """Injected challenge lists for replay-mode trials."""
-    domain = build_domain(PrimeField(q), spec.num_steps + 1)
-    excluded = {e.value for e in domain.elements}
-    allowed = [x for x in range(1, q) if x not in excluded]
+    """Injected challenge lists for replay-mode trials; the sample points are
+    drawn from the committed domain, as a Fiat-Shamir transcript draws them."""
+    field = PrimeField(q)
+    allowed = base_eval_domain(field, build_domain(field, spec.num_steps + 1))
     return {
         "gammas": [rng.randint(1, q - 1) for _ in range(4 * spec.n)],
         "betas": [rng.randint(1, q - 1) for _ in range(64)],

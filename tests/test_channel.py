@@ -37,9 +37,13 @@ def test_replay_exhaustion():
 
 
 def test_replay_excluded_value_rejected():
-    t = ReplayTranscript(331, sample_points=[16])
-    with pytest.raises(TranscriptError):
-        t.draw("sample_point", exclusions={16})
+    points = [3, 16, 200]
+    # below, between and above the points; then 331 + 16, which reduces to one
+    t = ReplayTranscript(331, sample_points=[2, 15, 17, 330, 347])
+    for _ in range(4):
+        with pytest.raises(TranscriptError):
+            t.draw("sample_point", points)
+    assert t.draw("sample_point", points) == 16
     t2 = ReplayTranscript(331, gammas=[331])  # reduces to zero
     with pytest.raises(TranscriptError):
         t2.draw("gamma")
@@ -103,10 +107,18 @@ def test_fiat_shamir_label_framing_matters():
 
 
 def test_fiat_shamir_exclusions_respected():
+    # a draw among points is one of them, found without retrying: with one
+    # point it is that point, and the transcript moves on as for any draw
     t = FiatShamirTranscript(331)
-    target = 123
-    excluded = set(range(1, 331)) - {target}
-    assert t.draw("sample_point", exclusions=excluded) == target
+    assert t.draw("sample_point", [123]) == 123
+    points = sorted(random.Random(3).sample(range(1, 331), 40))
+    draws = [t.draw("sample_point", points) for _ in range(200)]
+    assert set(draws) <= set(points)
+    assert len(set(draws)) > 20
+    # the entry at the digest mod the point count: among all of F_q*, that
+    # is the draw an F_q* challenge gets
+    a, b = FiatShamirTranscript(331), FiatShamirTranscript(331)
+    assert a.draw("sample_point", range(1, 331)) == b.draw("sample_point")
 
 
 def test_fiat_shamir_unknown_kind():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -146,3 +147,29 @@ def test_generator_has_exact_order(field):
 def test_domain_contains(field, domain):
     assert field(181) in domain
     assert field(3) not in domain
+
+
+def _smallest_of_order_by_scan(q, n):
+    """The generator build_domain must return, found by scanning h = 2, 3, ...
+    for the first h of exact order n (O(q) steps)."""
+    factors = {p for p in range(2, n + 1) if n % p == 0 and is_prime(p)}
+    for h in range(2, q):
+        if pow(h, n, q) == 1 and all(pow(h, n // p, q) != 1 for p in factors):
+            return h
+    return 1  # n = 1: no h >= 2 has order 1
+
+
+def test_build_domain_matches_the_scan_for_every_small_prime():
+    for q in filter(is_prime, range(3, 1000)):
+        field = PrimeField(q)
+        for n in (n for n in range(1, q) if (q - 1) % n == 0):
+            assert build_domain(field, n).generator.value == _smallest_of_order_by_scan(q, n), (q, n)
+
+
+@pytest.mark.parametrize("q, n", [(2**31 - 2**27 + 1, 256), (2**64 - 2**32 + 1, 1024)])
+def test_build_domain_is_fast_on_large_fields(q, n):
+    start = time.perf_counter()
+    domain = build_domain(PrimeField(q), n)
+    assert time.perf_counter() - start < 0.5
+    g = domain.generator.value
+    assert pow(g, n, q) == 1 and pow(g, n // 2, q) == q - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -18,13 +19,14 @@ from projstark.air import (
     build_trace_polys,
     combine,
 )
-from projstark.channel import FiatShamirTranscript, ReplayTranscript
+from projstark.channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from projstark.cli import EXIT_OK, main
 from projstark.dynamics import StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
 from projstark.poly import Polynomial, vanishing
 from projstark.protocol import (
+    PROOF_VERSION,
     OnlineStageError,
     ProofFormatError,
     dump_proof,
@@ -488,10 +490,11 @@ def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
 
 
 def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
-    doc = proof_to_json(paper_proof)
-    doc["version"] = 1
-    with pytest.raises(ProofFormatError):
-        verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+    for version in (1, 2):  # 2 committed all of F_q* minus H
+        doc = proof_to_json(paper_proof)
+        doc["version"] = version
+        with pytest.raises(ProofFormatError):
+            verify(field, paper_spec, proof_from_json(doc), paper_transcript())
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -566,15 +569,19 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (proof version 2: one row-leaf trace tree) for fixed
-# inputs; any change to the committed values, their order, the tree hashing or
-# the transcript changes a digest.
+# SHA-256 of dump_proof (proof version 3: one row-leaf trace tree, at most
+# BLOWUP cosets of H committed, sample points drawn as indices into them) for
+# fixed inputs; any change to the committed values, their order, the tree
+# hashing or the transcript changes a digest. "paper-replay" is the digest of
+# the replay proof with its version field set to 2: the replay proof has not
+# changed since version 2 but for that field.
 PINNED_PROOF_DIGESTS = {
     "paper-replay": "aadeadb5942359ad7fbce415ee657d9850eaf91c5f6d9eb8f0375be7dc42c72c",
-    "paper-fiat-shamir": "e04c892387adf3f70bb60dc9728197d60da22ead704cbd310fb50e5733760589",
-    # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; FRI layers 1-6 are
-    # unions of cosets of subgroups of order 20, 10 and 5
-    "q3001-fiat-shamir": "89ac63d168c923a470bd141a777faf0b818b871f4f2fb1e2b6a6cb2336b11603",
+    "paper-fiat-shamir": "0c3aa77b2840432b4b2be665dab09d084256bf38ec9fd1944a42fd9c80e21c8a",
+    # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
+    # are committed; FRI layers 1-6 are unions of cosets of subgroups of
+    # order 20, 10 and 5
+    "q3001-fiat-shamir": "c2fc837acbe63ff57b03d3df430759d9c5ad22445f9650d41521c580cb7bb08e",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -592,7 +599,9 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
+    assert paper_proof.version == PROOF_VERSION == 3
+    version_2 = dataclasses.replace(paper_proof, version=2)
+    assert _proof_digest(version_2) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=8, salt=salt)
@@ -789,6 +798,83 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
     for report in _verify_each_index_case(
             field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
         assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+# --- the committed domain -----------------------------------------------------
+
+BABYBEAR = 2**31 - 2**27 + 1
+GOLDILOCKS = 2**64 - 2**32 + 1
+
+
+def _box_spec(num_steps):
+    return SystemSpec(a_hat=((1, 0), (-1, 1)), z_upper=(100, 100), z_lower=(0, 40),
+                      z_init=(3, 100), num_steps=num_steps)
+
+
+@pytest.mark.parametrize("q, num_steps", [(331, 29), (769, 255)])
+def test_few_cosets_commit_all_of_the_field_off_h(q, num_steps):
+    # 10 and 2 cosets besides H, no more than BLOWUP: the domain is F_q* \ H
+    domains = protocol._domains(q, num_steps)
+    subgroup = {e.value for e in domains.subgroup}
+    assert domains.layers[0] == [x for x in range(1, q) if x not in subgroup]
+
+
+def test_many_cosets_commit_blowup_of_them():
+    q, order = 12289, 128  # 95 cosets besides H
+    domains = protocol._domains(q, order - 1)
+    layer0 = domains.layers[0]
+    points = set(layer0)
+    subgroup = {e.value for e in domains.subgroup}
+    assert protocol.BLOWUP == 16 and len(layer0) == protocol.BLOWUP * order
+    assert layer0 == sorted(points)
+    assert all(x * domains.g % q in points for x in layer0)  # a union of cosets of H
+    assert not points & subgroup
+    assert all(q - x in points for x in layer0)
+    # the cosets of 2, 3, ..., each new one in turn
+    keys = {pow(x, order, q) for x in layer0}
+    assert pow(2, order, q) in keys and len(keys) == protocol.BLOWUP
+
+
+@pytest.mark.parametrize("q, num_steps", [(BABYBEAR, 255), (GOLDILOCKS, 1023)])
+def test_large_field_proofs_verify(q, num_steps):
+    field, spec, salt = PrimeField(q), _box_spec(num_steps), b"large"
+    proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
+                  num_queries=8, salt=salt)
+    assert proof.composition_comm.leaf_count == protocol.BLOWUP * (num_steps + 1)
+    assert verify(field, spec, load_proof(dump_proof(proof))).accepted
+    doc = proof_to_json(proof)
+
+    def bump(container, key):
+        container[key] = str((int(container[key]) + 1) % q)
+
+    for edit in (lambda d: bump(d["queries"][3]["trace"]["at_gx"]["values"], 1),
+                 lambda d: bump(d["queries"][5]["fri"][2]["neg"], "value")):
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        assert verify(field, spec, proof_from_json(edited)).stage == "commitment"
+
+
+def test_sample_points_are_drawn_from_the_committed_domain():
+    q, spec = 12289, _box_spec(127)
+    field, trace = PrimeField(q), simulate(spec)
+    domains = protocol._domains(q, spec.num_steps)
+    layer0 = set(domains.layers[0])
+    proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"draws"),
+                  num_queries=128, salt=b"draws")
+    assert {query.x for query in proof.queries} <= layer0
+
+    # a replay point in F_q* \ H but in none of the committed cosets
+    subgroup = {e.value for e in domains.subgroup}
+    outside = next(x for x in range(2, q) if x not in subgroup and x not in layer0)
+    ch = random_challenges(random.Random(8), q, spec, num_queries=2)
+    with pytest.raises(TranscriptError):
+        prove(field, spec, trace, ReplayTranscript(q, **{**ch, "sample_points": [outside] * 2}),
+              num_queries=2)
+    proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=2)
+    assert verify(field, spec, proof, ReplayTranscript(q, **ch)).accepted
+    moved = {**ch, "sample_points": [ch["sample_points"][0], outside]}
+    with pytest.raises(ProofFormatError):
+        verify(field, spec, proof, ReplayTranscript(q, **moved))
 
 
 # --- randomized end-to-end trials -------------------------------------------
