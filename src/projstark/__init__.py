@@ -38,20 +38,12 @@ from .dynamics import (
 )
 from .field import (
     CyclicDomain,
-    FieldElement,
-    FieldMismatchError,
     NoSubgroupError,
     PrimeField,
     build_domain,
 )
-from .fri import (
-    DegreeTestFailedError,
-    FriLayer,
-    commit_phase,
-    fold,
-    split_even_odd,
-)
-from .poly import NEG_INF, Polynomial, divide_exact, interpolate, vanishing
+from .fri import DegreeTestFailedError, fold
+from .poly import Polynomial, interpolate, vanishing
 from .protocol import (
     OnlineStageError,
     Proof,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .dynamics import ExecutionTrace, SystemSpec, apply_transition
 from .field import CyclicDomain, PrimeField
-from .poly import CosetEvaluator, Polynomial, divide_exact
+from .poly import CosetEvaluator, Polynomial
 # Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
 from .poly import interpolate, vanishing  # noqa: F401
 
@@ -77,14 +77,6 @@ class TracePolynomials:
     f_alpha_lo: Tuple[Polynomial, ...]
     f_delta: Tuple[Polynomial, ...]
 
-    def degrees(self) -> dict:
-        return {
-            "z": tuple(p.reported_degree for p in self.f_z),
-            "alpha_up": tuple(p.reported_degree for p in self.f_alpha_up),
-            "alpha_lo": tuple(p.reported_degree for p in self.f_alpha_lo),
-            "delta": tuple(p.reported_degree for p in self.f_delta),
-        }
-
 
 def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N.
@@ -94,7 +86,7 @@ def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     inverse DFT over H gives every coefficient of every column.
     """
     q = domain.field.modulus
-    g_inv = domain.elements[-1].value
+    g_inv = domain.elements[-1]
     points = [pow(g_inv, i, q) for i in range(domain.order)]
     return CosetEvaluator(domain.field, points, domain.generator, domain.order)
 
@@ -112,7 +104,7 @@ def build_trace_polys(
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
     field = domain.field
     q = field.modulus
-    g_inv = domain.elements[N].value
+    g_inv = domain.elements[N]
     dft = trace_interpolator(domain) if interpolator is None else interpolator
     inv_order = pow(N + 1, q - 2, q)
     n = spec.n
@@ -187,13 +179,13 @@ def build_compositions(
     """
     field = domain.field
     N = domain.order - 1
-    x_minus_last = Polynomial(field, (-domain.elements[N].value, 1))
+    x_minus_last = Polynomial(field, (-domain.elements[N], 1))
     cyclic = Polynomial(field, (-1, *[0] * N, 1))
 
     quots = []
     for k, num in enumerate(numerators):
-        quot, exact = divide_exact(num * x_minus_last, cyclic)
-        if not exact and not allow_remainder:
+        quot, rem = divmod(num * x_minus_last, cyclic)
+        if not rem.is_zero() and not allow_remainder:
             raise InvalidTraceError(f"numerator {k} does not vanish on the step domain")
         quots.append(quot)
     return quots
@@ -206,7 +198,7 @@ def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:
     acc = [0] * max(len(p.coeffs) for p in polys)
     for g, p in zip(gammas, polys):
         # Polynomial() reduces the sums mod q once, at the end
-        acc[:len(p.coeffs)] = map(add, acc, map(int(g).__mul__, p.coeffs))
+        acc[:len(p.coeffs)] = map(add, acc, map(g.__mul__, p.coeffs))
     return Polynomial(polys[0].field, acc)
 
 

@@ -89,6 +89,9 @@ def load_config(path: str) -> RunConfig:
     q = _as_int(doc.get("q", "331"), "q")
     if not is_prime(q) or q < 3:
         raise ConfigError(f"q={q} is not a prime >= 3")
+    if q >= 2**64:
+        raise ConfigError(f"q={q} must be below 2^64: the spec digest, the transcript and "
+                          "the Merkle leaves encode field values in 8 bytes")
     field = PrimeField(q)
 
     if "A_hat" not in doc:

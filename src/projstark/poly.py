@@ -1,8 +1,9 @@
 """Univariate polynomial algebra over a prime field.
 
 Coefficients are stored as canonical residues in ascending power order with
-trailing zeros trimmed.  The zero polynomial has degree NEG_INF so that it
-passes every degree bound.
+trailing zeros trimmed, so the zero polynomial has no coefficients.  Scalars,
+points and values are plain ints; a scalar operand acts as a constant
+polynomial.
 """
 
 from __future__ import annotations
@@ -12,46 +13,19 @@ import struct
 from itertools import repeat, zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .field import FieldElement, PrimeField, prime_factors
-
-NEG_INF = float("-inf")
-
-Scalar = Union[int, FieldElement]
-
-
-def _val(x: Scalar, q: int) -> int:
-    if isinstance(x, FieldElement):
-        return x.value
-    return x % q
+from .field import PrimeField, prime_factors
 
 
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: PrimeField, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
         q = field.modulus
-        c = [x % q for x in map(int, coeffs)]
+        c = [x % q for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.field = field
         self.coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
-    def constant(cls, field: PrimeField, c: Scalar) -> "Polynomial":
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, (0, 1))
-
-    @property
-    def degree(self):
-        """Exact degree; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     @property
     def reported_degree(self) -> int:
@@ -61,18 +35,15 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, x: Scalar) -> FieldElement:
+    def evaluate(self, x: int) -> int:
+        """The value at x, by Horner's rule."""
         q = self.field.modulus
-        xv = _val(x, q)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * xv + c) % q
-        return FieldElement(acc, self.field)
+            acc = (acc * x + c) % q
+        return acc
 
-    def __call__(self, x: Scalar) -> FieldElement:
-        return self.evaluate(x)
-
-    def _lift(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def _lift(self, other: Union["Polynomial", int]) -> "Polynomial":
         """The other operand of an arithmetic op; a scalar becomes a constant polynomial."""
         if not isinstance(other, Polynomial):
             return Polynomial(self.field, (other,))
@@ -80,7 +51,7 @@ class Polynomial:
             raise ValueError("polynomials over different fields")
         return other
 
-    def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __add__(self, other: Union["Polynomial", int]) -> "Polynomial":
         a, b = self.coeffs, self._lift(other).coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -91,7 +62,7 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __sub__(self, other: Union["Polynomial", int]) -> "Polynomial":
         a, b = self.coeffs, self._lift(other).coeffs
         if len(a) >= len(b):
             out = list(a)
@@ -103,13 +74,13 @@ class Polynomial:
                 out[i] += c
         return Polynomial(self.field, out)
 
-    def __rsub__(self, other: Scalar) -> "Polynomial":
+    def __rsub__(self, other: int) -> "Polynomial":
         return self._lift(other) - self
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, [-c for c in self.coeffs])
 
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
+    def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
         """Product by Kronecker substitution: one big-integer multiplication.
 
         Each operand's coefficients are packed into one integer, w bits per
@@ -119,24 +90,22 @@ class Polynomial:
         """
         a, b = self.coeffs, self._lift(other).coeffs
         if not a or not b:
-            return Polynomial.zero(self.field)
+            return Polynomial(self.field)
         w = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
         return Polynomial(self.field, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "Polynomial":
-        cv = _val(c, self.field.modulus)
-        return Polynomial(self.field, [a * cv for a in self.coeffs])
+    def scale(self, c: int) -> "Polynomial":
+        return Polynomial(self.field, [a * c for a in self.coeffs])
 
-    def scale_argument(self, c: Scalar) -> "Polynomial":
+    def scale_argument(self, c: int) -> "Polynomial":
         """p(c * x), by rescaling coefficient i with c^i."""
         q = self.field.modulus
-        cv = _val(c, q)
         out, p = [], 1
         for a in self.coeffs:
             out.append(a * p % q)
-            p = p * cv % q
+            p = p * c % q
         return Polynomial(self.field, out)
 
     def __divmod__(self, den: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
@@ -147,7 +116,7 @@ class Polynomial:
         rem = list(self.coeffs)
         dc = den.coeffs
         if len(rem) < len(dc):
-            return Polynomial.zero(self.field), Polynomial(self.field, rem)
+            return Polynomial(self.field), Polynomial(self.field, rem)
         quot = [0] * (len(rem) - len(dc) + 1)
         lead_inv = pow(dc[-1], q - 2, q)
         # a sparse divisor such as x^m - 1 costs O(deg) instead of O(deg·m)
@@ -202,7 +171,7 @@ def _unpack(value: int, count: int, w: int) -> List[int]:
     return vals[:count]
 
 
-def interpolate(points: Sequence[Tuple[Scalar, Scalar]], field: PrimeField) -> Polynomial:
+def interpolate(points: Sequence[Tuple[int, int]], field: PrimeField) -> Polynomial:
     """Unique polynomial of degree < len(points) through all (x, y) pairs.
 
     Lagrange construction via the master product, O(m^2), for arbitrary
@@ -210,12 +179,12 @@ def interpolate(points: Sequence[Tuple[Scalar, Scalar]], field: PrimeField) -> P
     one inverse DFT instead (air.build_trace_polys).
     """
     q = field.modulus
-    xs = [_val(x, q) for x, _ in points]
-    ys = [_val(y, q) for _, y in points]
+    xs = [x % q for x, _ in points]
+    ys = [y % q for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicated x-coordinate in interpolation points")
     if not xs:
-        return Polynomial.zero(field)
+        return Polynomial(field)
     master = _product_coeffs(xs, q)
     m = len(xs)
     acc = [0] * m
@@ -246,19 +215,13 @@ def _product_coeffs(roots: Sequence[int], q: int) -> list:
     return out
 
 
-def vanishing(points: Sequence[Scalar], field: PrimeField) -> Polynomial:
+def vanishing(points: Sequence[int], field: PrimeField) -> Polynomial:
     """Monic polynomial with exactly the given roots."""
     q = field.modulus
-    xs = [_val(x, q) for x in points]
+    xs = [x % q for x in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicated root in vanishing polynomial")
     return Polynomial(field, _product_coeffs(xs, q))
-
-
-def divide_exact(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, bool]:
-    """Long division; the quotient is meaningful only when the remainder is zero."""
-    quot, rem = divmod(num, den)
-    return quot, rem.is_zero()
 
 
 class CosetEvaluator:
@@ -287,9 +250,9 @@ class CosetEvaluator:
     unpacked.
     """
 
-    def __init__(self, field: PrimeField, points: Sequence[int], omega: Scalar, order: int):
+    def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int):
         q = field.modulus
-        w = _val(omega, q)
+        w = omega % q
         radices = prime_factors(order)
         if order < 1 or pow(w, order, q) != 1 or any(pow(w, order // r, q) == 1 for r in radices):
             raise ValueError(f"{w} does not have multiplicative order {order} mod {q}")

@@ -40,7 +40,7 @@ from .channel import (
 from .dynamics import ExecutionTrace, StepRecord, StepSource, SystemSpec, online_check
 from .field import CyclicDomain, PrimeField, build_domain
 from .fri import DegreeTestFailedError, fold, fold_value, num_rounds
-from .poly import CosetEvaluator, Polynomial, divide_exact
+from .poly import CosetEvaluator, Polynomial
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
@@ -144,7 +144,6 @@ def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
     q = field.modulus
     order = domain.order
     wanted = min(BLOWUP, (q - 1) // order - 1)
-    subgroup = [e.value for e in domain.elements]
     keys = {1}
     points: List[int] = []
     x = 1
@@ -153,7 +152,7 @@ def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
         key = pow(x, order, q)
         if key not in keys:
             keys.add(key)
-            points += [x * h % q for h in subgroup]
+            points += [x * h % q for h in domain.elements]
     return sorted(points)
 
 
@@ -188,7 +187,7 @@ class _Domains:
     def __init__(self, q: int, num_steps: int):
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
-        self.g = self.subgroup.generator.value
+        self.g = self.subgroup.generator
         # each layer is sorted, so a point's leaf index is bisect_left(layer, point)
         self.layers = [base_eval_domain(self.field, self.subgroup)]
         self._evaluators: List[CosetEvaluator] = []
@@ -345,8 +344,8 @@ def prove(
     x_minus_one = Polynomial(field, (-1, 1))
     boundary_polys = []
     for i in range(n):
-        quot, exact = divide_exact(tp.f_z[i] - spec.z_init[i], x_minus_one)
-        if not exact and not force:
+        quot, rem = divmod(tp.f_z[i] - spec.z_init[i], x_minus_one)
+        if not rem.is_zero() and not force:
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
         boundary_polys.append(quot)
 

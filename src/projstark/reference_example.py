@@ -17,7 +17,7 @@ from .air import build_compositions, build_numerators, build_trace_polys, combin
 from .channel import ReplayTranscript
 from .dynamics import SystemSpec, simulate
 from .field import PrimeField, build_domain
-from .fri import commit_phase, fold_value
+from .fri import fold, fold_value
 from .protocol import prove, verify
 
 MODULUS = 331
@@ -87,20 +87,15 @@ def run_replay() -> List[CheckResult]:
 
     field = PrimeField(MODULUS)
     domain = build_domain(field, SYSTEM.num_steps + 1)
-    record("generator", GENERATOR, domain.generator.value)
-    record("subgroup", SUBGROUP, tuple(e.value for e in domain.elements))
+    record("generator", GENERATOR, domain.generator)
+    record("subgroup", SUBGROUP, domain.elements)
 
     trace = simulate(SYSTEM)
     record("z2-at-20", 40, trace.z_rows[20][1])
 
     tp = build_trace_polys(trace, domain)
-    d = tp.degrees()
-    record(
-        "trace-degrees",
-        TRACE_DEGREES,
-        (d["z"][0], d["z"][1], d["delta"][0], d["delta"][1],
-         d["alpha_lo"][0], d["alpha_lo"][1], d["alpha_up"][0], d["alpha_up"][1]),
-    )
+    columns = (*tp.f_z, *tp.f_delta, *tp.f_alpha_lo, *tp.f_alpha_up)
+    record("trace-degrees", TRACE_DEGREES, tuple(p.reported_degree for p in columns))
 
     numerators = build_numerators(tp, SYSTEM, domain)
     quotients = build_compositions(numerators, domain)
@@ -113,20 +108,21 @@ def run_replay() -> List[CheckResult]:
     record("combined-degree-bound", COMBINED_DEGREE_BOUND, bound)
     record("combined-coefficients", Q_COEFFS, q_poly.coeffs)
 
-    layers = commit_phase(q_poly, bound, iter(BETAS))
+    layers = [q_poly]
+    for beta in BETAS:
+        layers.append(fold(layers[-1], beta))
     for idx, expected in enumerate(LAYER_COEFFS, start=1):
-        record(f"fri-layer-{idx}", expected, layers[idx].poly.coeffs)
+        record(f"fri-layer-{idx}", expected, layers[idx].coeffs)
     record("fri-layer-degrees", LAYER_DEGREES,
-           tuple(layers[idx].poly.reported_degree for idx in range(1, 6)))
-    record("fri-final", FINAL_CONSTANT,
-           layers[-1].poly.coeffs[0] if layers[-1].poly.coeffs else 0)
+           tuple(layers[idx].reported_degree for idx in range(1, 6)))
+    record("fri-final", FINAL_CONSTANT, layers[-1].coeffs[0] if layers[-1].coeffs else 0)
 
     for x, expected_chain in QUERY_CHAINS.items():
         chain = []
         y = x
         for j in range(5):
-            pos = layers[j].poly(y).value
-            neg = layers[j].poly(-y).value
+            pos = layers[j].evaluate(y)
+            neg = layers[j].evaluate(-y)
             chain.append(fold_value(field, pos, neg, y, BETAS[j]))
             y = y * y % MODULUS
         record(f"query-chain-{x}", expected_chain, tuple(chain))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from projstark import PrimeField, SystemSpec, build_domain, simulate
+from projstark import PrimeField, SystemSpec, build_domain, fold, simulate
+from projstark.fri import num_rounds
 from projstark.protocol import base_eval_domain
 from projstark.reference_example import SYSTEM
 
@@ -67,3 +68,13 @@ def random_challenges(rng: random.Random, q: int, spec: SystemSpec, num_queries:
         "betas": [rng.randint(1, q - 1) for _ in range(64)],
         "sample_points": [rng.choice(allowed) for _ in range(num_queries)],
     }
+
+
+def fold_rounds(p, bound, betas):
+    """p and the num_rounds(bound) FRI layers folded from it, one beta each
+    from the iterator `betas`; as in prove, the last must be constant when
+    p's degree is at most bound."""
+    layers = [p]
+    for _ in range(num_rounds(bound)):
+        layers.append(fold(layers[-1], next(betas)))
+    return layers

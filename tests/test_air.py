@@ -78,27 +78,29 @@ def test_lift_trace_intermediate_overflow():
 
 
 def test_trace_polys_paper_degrees(paper_tp):
-    d = paper_tp.degrees()
-    assert d["z"] == (0, 29)
-    assert d["delta"] == (0, 28)
-    assert d["alpha_lo"] == (0, 28)
-    assert d["alpha_up"] == (0, 0)
+    def degrees(polys):
+        return tuple(p.reported_degree for p in polys)
+
+    assert degrees(paper_tp.f_z) == (0, 29)
+    assert degrees(paper_tp.f_delta) == (0, 28)
+    assert degrees(paper_tp.f_alpha_lo) == (0, 28)
+    assert degrees(paper_tp.f_alpha_up) == (0, 0)
 
 
 def test_trace_polys_interpolate_columns(paper_tp, paper_trace, domain):
-    xs = [e.value for e in domain.elements]
+    xs = domain.elements
     for k in range(30):
-        assert paper_tp.f_z[0](xs[k]).value == paper_trace.z_rows[k][0]
-        assert paper_tp.f_z[1](xs[k]).value == paper_trace.z_rows[k][1]
+        assert paper_tp.f_z[0].evaluate(xs[k]) == paper_trace.z_rows[k][0]
+        assert paper_tp.f_z[1].evaluate(xs[k]) == paper_trace.z_rows[k][1]
     for k in range(29):
-        assert paper_tp.f_delta[1](xs[k]).value == paper_trace.delta_rows[k][1]
-        assert paper_tp.f_alpha_lo[1](xs[k]).value == paper_trace.alpha_lo_rows[k][1]
+        assert paper_tp.f_delta[1].evaluate(xs[k]) == paper_trace.delta_rows[k][1]
+        assert paper_tp.f_alpha_lo[1].evaluate(xs[k]) == paper_trace.alpha_lo_rows[k][1]
 
 
 def test_trace_polys_paper_spot_value(paper_tp, domain):
     # z2 at step 20 has reached the lower bound
-    x = domain.elements[20].value
-    assert paper_tp.f_z[1](x).value == 40
+    x = domain.elements[20]
+    assert paper_tp.f_z[1].evaluate(x) == 40
 
 
 @pytest.mark.parametrize("q,m", SUBGROUPS)
@@ -116,7 +118,7 @@ def test_trace_polys_equal_lagrange_interpolants(q, m):
 
     ft = ExecutionTrace(spec, rows(m), rows(N), rows(N), rows(N))
     tp = build_trace_polys(ft, domain)
-    xs = [e.value for e in domain.elements]
+    xs = domain.elements
 
     def lagrange(points, table):
         return tuple(interpolate(list(zip(points, col)), field) for col in zip(*table))
@@ -133,10 +135,10 @@ def test_trace_polys_domain_order_mismatch(paper_trace, field):
 
 
 def test_numerators_vanish_on_step_domain(paper_numerators, domain):
-    xs = [e.value for e in domain.elements[:29]]
+    xs = domain.elements[:29]
     for k, num in enumerate(paper_numerators):
         for x in xs:
-            assert num(x).value == 0, (k, x)
+            assert num.evaluate(x) == 0, (k, x)
 
 
 def test_numerators_family_order(paper_numerators):
@@ -148,8 +150,8 @@ def test_numerator_breaks_where_trace_tampered(paper_trace, paper_spec, domain):
     tampered = paper_trace.with_cell("alpha_up", 7, 1, 2)
     tp = build_trace_polys(tampered, domain)
     nums = build_numerators(tp, paper_spec, domain)
-    x7 = domain.elements[7].value
-    assert nums[5](x7).value != 0  # upper_bit[1]
+    x7 = domain.elements[7]
+    assert nums[5].evaluate(x7) != 0  # upper_bit[1]
 
 
 def test_constraints_on_values_match_numerator_polynomials():
@@ -163,11 +165,11 @@ def test_constraints_on_values_match_numerator_polynomials():
         domain = build_domain(field, spec.num_steps + 1)
         tp = build_trace_polys(simulate(spec), domain)
         nums = build_numerators(tp, spec, domain)
-        g = domain.generator.value
+        g = domain.generator
         off_h = [x for x in range(1, q) if pow(x, spec.num_steps + 1, q) != 1]
         for x in rng.sample(off_h, 10):
             def at(polys, point=x):
-                return [p(point).value for p in polys]
+                return [p.evaluate(point) for p in polys]
 
             got = constraints(spec, at(tp.f_z), at(tp.f_z, g * x % q),
                               at(tp.f_alpha_up), at(tp.f_alpha_lo), at(tp.f_delta))
@@ -181,11 +183,11 @@ def test_compositions_paper_degrees(paper_cs, paper_tp, field):
     assert tuple(p.reported_degree for p in paper_cs[2:4]) == (0, 28)  # slack
     assert tuple(p.reported_degree for p in paper_cs[6:8]) == (0, 27)  # lower_bit
     assert tuple(p.reported_degree for p in paper_cs[4:6]) == (0, 0)  # upper_bit
-    assert degree_bound(paper_tp, Polynomial.zero(field), 29) == 28
+    assert degree_bound(paper_tp, Polynomial(field), 29) == 28
 
 
 def test_compositions_reconstruct_numerators(paper_cs, paper_numerators, domain):
-    zv = vanishing([e.value for e in domain.elements[:29]], domain.field)
+    zv = vanishing(domain.elements[:29], domain.field)
     for quot, num in zip(paper_cs, paper_numerators, strict=True):
         assert quot * zv == num
 
@@ -206,13 +208,13 @@ def test_quotients_equal_division_by_step_vanishing(q, m):
     field = PrimeField(q)
     domain = build_domain(field, m)
     N = m - 1
-    zv = vanishing([e.value for e in domain.elements[:N]], field)
+    zv = vanishing(domain.elements[:N], field)
     rng = random.Random(q + m)
 
     def rand(deg):
         return Polynomial(field, [rng.randrange(q) for _ in range(deg + 1)])
 
-    zero = Polynomial.zero(field)
+    zero = Polynomial(field)
     numerators = [
         zero, zv, rand(2 * N) * zv, rand(N) * zv + rand(N - 1),  # divisible, then not
         rand(N - 1), rand(N), rand(3 * N), rand(3 * N) * zv + 1,
@@ -263,7 +265,7 @@ def test_pipeline_completeness_randomized():
         domain = build_domain(field, spec.num_steps + 1)
         trace = simulate(spec)
         tp = build_trace_polys(trace, domain)
-        assert all(tp.f_z[i](1).value == spec.z_init[i] for i in range(spec.n))
+        assert all(tp.f_z[i].evaluate(1) == spec.z_init[i] for i in range(spec.n))
         nums = build_numerators(tp, spec, domain)
         cs = build_compositions(nums, domain)  # must not raise
         gammas = [rng.randrange(1, q) for _ in range(4 * spec.n)]

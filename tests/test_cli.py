@@ -171,6 +171,18 @@ def test_spec_integer_beyond_64_bits_is_a_config_error_for_prove_and_verify(
     assert "A_hat" in capsys.readouterr().err
 
 
+def test_modulus_of_2_to_the_64_or_more_is_a_config_error_for_prove_and_verify(
+    tmp_path, fs_config_path, trace_path, capsys
+):
+    # 2^89 - 1 is prime and N + 1 = 30 divides q - 1: only the 8-byte encodings rule it out
+    big = _write_config(tmp_path, _fs_doc(q=str(2**89 - 1)))
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
+    assert main(["prove", "--config", big, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert main(["verify", "--config", big, "--proof", proof]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("must be below 2^64") == 2
+
+
 def test_config_accepts_spec_integers_at_the_64_bit_edges(tmp_path):
     doc = _fs_doc(A_hat=[[str(2**63 - 1), str(-(2**63))], ["-1", "1"]],
                   z_lower=[str(-(2**63)), "40"], z_upper=[str(2**63 - 1), "100"],

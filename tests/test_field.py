@@ -1,15 +1,8 @@
-import random
 import time
 
 import pytest
 
-from projstark.field import (
-    FieldMismatchError,
-    NoSubgroupError,
-    PrimeField,
-    build_domain,
-    is_prime,
-)
+from projstark.field import NoSubgroupError, PrimeField, build_domain, is_prime
 
 
 def test_is_prime_basics():
@@ -21,6 +14,14 @@ def test_is_prime_basics():
     assert not is_prime(341)  # Fermat pseudoprime base 2
 
 
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    with pytest.raises(ValueError):
+        PrimeField(n)
+
+
 def test_modulus_must_be_odd_prime():
     with pytest.raises(ValueError):
         PrimeField(330)
@@ -28,103 +29,32 @@ def test_modulus_must_be_odd_prime():
         PrimeField(2)
 
 
-def test_arithmetic_examples(field):
-    assert (field(330) + field(1)).value == 0
-    assert (field(2) * field(166)).value == 1
-    assert (field(181) * field(2)).value == 31
-    assert (field(3) - field(5)).value == 329
-    assert (-field(1)).value == 330
-
-
-def test_pow_and_generator_order(field):
-    g = field(2)
-    assert (g ** 15).value == 330
-    assert (g ** 30).value == 1
-    assert (field(0) ** 0).value == 1
-
-
-def test_inverse(field):
-    assert field(1).inverse().value == 1
-    assert field(2).inverse().value == 166
-    assert field(330).inverse().value == 330
-    with pytest.raises(ZeroDivisionError):
-        field(0).inverse()
-
-
-def test_division(field):
-    assert (field(10) / field(2)).value == 5
-    assert (1 / field(166)).value == 2
-
-
-def test_int_coercion_both_sides(field):
-    x = field(7)
-    assert (x + 3).value == 10
-    assert (3 + x).value == 10
-    assert (3 - x).value == (3 - 7) % 331
-    assert (x * 2).value == 14
-    assert x == 7
-    assert x == 7 + 331
-    assert int(x) == 7
-
-
-def test_mixed_fields_refuse_to_combine():
-    a = PrimeField(331)(5)
-    b = PrimeField(61)(5)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(FieldMismatchError):
-        a * b
-
-
-def test_element_hash_and_bool(field):
-    assert field(0) != field(1)
-    assert not field(0)
-    assert field(5)
-    assert len({field(3), field(3), field(334)}) == 1
-
-
-def test_field_axioms_randomized(field):
-    rng = random.Random(11)
-    q = field.modulus
-    for _ in range(200):
-        a, b, c = (field(rng.randrange(q)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == 0
-        if a.value:
-            assert a * a.inverse() == 1
-
-
 def test_build_domain_paper_subgroup(field, domain):
-    assert domain.generator.value == 2
+    assert domain.generator == 2
     assert domain.order == 30
     assert len(domain.elements) == 30
-    assert domain.elements[0].value == 1
-    assert domain.elements[9].value == 181
-    assert domain.elements[15].value == 330
+    assert domain.elements[0] == 1
+    assert domain.elements[9] == 181
+    assert domain.elements[15] == 330
 
 
 def test_domain_elements_are_roots_of_unity(domain):
-    for e in domain:
-        assert (e ** 30).value == 1
+    for e in domain.elements:
+        assert pow(e, 30, 331) == 1
 
 
 def test_domain_symmetric_for_even_order(field):
     for n in (2, 6, 30):
-        dom = build_domain(field, n)
-        values = {e.value for e in dom}
+        values = set(build_domain(field, n).elements)
         assert {(331 - v) % 331 for v in values} == values
 
 
 def test_domain_order_two(field):
-    dom = build_domain(field, 2)
-    assert [e.value for e in dom] == [1, 330]
+    assert build_domain(field, 2).elements == (1, 330)
 
 
 def test_domain_order_one(field):
-    dom = build_domain(field, 1)
-    assert [e.value for e in dom] == [1]
+    assert build_domain(field, 1).elements == (1,)
 
 
 def test_no_subgroup(field):
@@ -138,15 +68,15 @@ def test_generator_has_exact_order(field):
     for n in (2, 3, 5, 6, 10, 15, 30, 33, 55, 66, 110, 165, 330):
         dom = build_domain(field, n)
         g = dom.generator
-        assert (g ** n).value == 1
+        assert pow(g, n, 331) == 1
         for m in range(1, n):
             if n % m == 0:
-                assert (g ** m).value != 1
+                assert pow(g, m, 331) != 1
 
 
-def test_domain_contains(field, domain):
-    assert field(181) in domain
-    assert field(3) not in domain
+def test_domain_contains(domain):
+    assert 181 in domain.elements
+    assert 3 not in domain.elements
 
 
 def _smallest_of_order_by_scan(q, n):
@@ -163,7 +93,7 @@ def test_build_domain_matches_the_scan_for_every_small_prime():
     for q in filter(is_prime, range(3, 1000)):
         field = PrimeField(q)
         for n in (n for n in range(1, q) if (q - 1) % n == 0):
-            assert build_domain(field, n).generator.value == _smallest_of_order_by_scan(q, n), (q, n)
+            assert build_domain(field, n).generator == _smallest_of_order_by_scan(q, n), (q, n)
 
 
 @pytest.mark.parametrize("q, n", [(2**31 - 2**27 + 1, 256), (2**64 - 2**32 + 1, 1024)])
@@ -171,5 +101,5 @@ def test_build_domain_is_fast_on_large_fields(q, n):
     start = time.perf_counter()
     domain = build_domain(PrimeField(q), n)
     assert time.perf_counter() - start < 0.5
-    g = domain.generator.value
+    g = domain.generator
     assert pow(g, n, q) == 1 and pow(g, n // 2, q) == q - 1

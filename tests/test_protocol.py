@@ -203,10 +203,10 @@ def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
     for field, spec, trace in STEP_CHECK_CASES:
         q, N = field.modulus, spec.num_steps
         domain = build_domain(field, N + 1)
-        zv = vanishing([e.value for e in domain.elements[:N]], field)
+        zv = vanishing(domain.elements[:N], field)
         nums = build_numerators(build_trace_polys(trace, domain), spec, domain)
         gammas = [rng.randrange(1, q) for _ in nums]
-        expected = Polynomial.zero(field)
+        expected = Polynomial(field)
         for gamma, num in zip(gammas, nums, strict=True):
             expected = expected + divmod(num, zv)[0].scale(gamma)
         [quotient] = build_compositions([combine(nums, gammas)], domain, allow_remainder=True)
@@ -216,7 +216,7 @@ def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
         ch["gammas"] = gammas
         proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=3, force=True)
         for query in proof.queries:
-            assert query.fri[0][0].value == expected(query.x).value, (q, spec, query.x)
+            assert query.fri[0][0].value == expected.evaluate(query.x), (q, spec, query.x)
 
 
 def test_step_check_refuses_exactly_when_a_numerator_leaves_a_remainder():
@@ -224,7 +224,7 @@ def test_step_check_refuses_exactly_when_a_numerator_leaves_a_remainder():
     for field, spec, trace in STEP_CHECK_CASES:
         q, N = field.modulus, spec.num_steps
         domain = build_domain(field, N + 1)
-        zv = vanishing([e.value for e in domain.elements[:N]], field)
+        zv = vanishing(domain.elements[:N], field)
         nums = build_numerators(build_trace_polys(trace, domain), spec, domain)
         remainder = any(not divmod(num, zv)[1].is_zero() for num in nums)
         try:
@@ -815,7 +815,7 @@ def _box_spec(num_steps):
 def test_few_cosets_commit_all_of_the_field_off_h(q, num_steps):
     # 10 and 2 cosets besides H, no more than BLOWUP: the domain is F_q* \ H
     domains = protocol._domains(q, num_steps)
-    subgroup = {e.value for e in domains.subgroup}
+    subgroup = set(domains.subgroup.elements)
     assert domains.layers[0] == [x for x in range(1, q) if x not in subgroup]
 
 
@@ -824,7 +824,7 @@ def test_many_cosets_commit_blowup_of_them():
     domains = protocol._domains(q, order - 1)
     layer0 = domains.layers[0]
     points = set(layer0)
-    subgroup = {e.value for e in domains.subgroup}
+    subgroup = set(domains.subgroup.elements)
     assert protocol.BLOWUP == 16 and len(layer0) == protocol.BLOWUP * order
     assert layer0 == sorted(points)
     assert all(x * domains.g % q in points for x in layer0)  # a union of cosets of H
@@ -864,7 +864,7 @@ def test_sample_points_are_drawn_from_the_committed_domain():
     assert {query.x for query in proof.queries} <= layer0
 
     # a replay point in F_q* \ H but in none of the committed cosets
-    subgroup = {e.value for e in domains.subgroup}
+    subgroup = set(domains.subgroup.elements)
     outside = next(x for x in range(2, q) if x not in subgroup and x not in layer0)
     ch = random_challenges(random.Random(8), q, spec, num_queries=2)
     with pytest.raises(TranscriptError):
