@@ -20,7 +20,8 @@ from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from .dynamics import ExecutionTrace, SystemSpec, online_check, simulate
 from .field import NoSubgroupError, PrimeField, is_prime
 from .fri import DegreeTestFailedError
-from .protocol import MAX_QUERIES, ProofFormatError, dump_proof, load_proof, prove, verify
+from .protocol import (MAX_QUERIES, ProofFormatError, check_modulus, dump_proof, load_proof,
+                       prove, verify)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,21 +61,6 @@ def _int_list(values, what: str) -> List[int]:
     return [_as_int(v, what) for v in values]
 
 
-def _spec_ints(values, what: str) -> List[int]:
-    """An integer list of the spec; hash_spec encodes each as a signed 64-bit integer."""
-    out = _int_list(values, what)
-    for v in out:
-        if not -(2**63) <= v < 2**63:
-            raise ConfigError(f"{what}: {v} is outside the signed 64-bit range")
-    return out
-
-
-def _check_queries(queries: int) -> int:
-    if not 1 <= queries <= MAX_QUERIES:
-        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {queries}")
-    return queries
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -89,22 +75,23 @@ def load_config(path: str) -> RunConfig:
     q = _as_int(doc.get("q", "331"), "q")
     if not is_prime(q) or q < 3:
         raise ConfigError(f"q={q} is not a prime >= 3")
-    if q >= 2**64:
-        raise ConfigError(f"q={q} must be below 2^64: the spec digest, the transcript and "
-                          "the Merkle leaves encode field values in 8 bytes")
+    try:
+        check_modulus(q)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     field = PrimeField(q)
 
     if "A_hat" not in doc:
         raise ConfigError("missing A_hat")
     if not isinstance(doc["A_hat"], list):
         raise ConfigError("A_hat must be a list")
-    a_hat = tuple(tuple(_spec_ints(row, "A_hat row")) for row in doc["A_hat"])
+    a_hat = tuple(tuple(_int_list(row, "A_hat row")) for row in doc["A_hat"])
     try:
         spec = SystemSpec(
             a_hat=a_hat,
-            z_upper=tuple(_spec_ints(doc.get("z_upper", []), "z_upper")),
-            z_lower=tuple(_spec_ints(doc.get("z_lower", []), "z_lower")),
-            z_init=tuple(_spec_ints(doc.get("z_init", []), "z_init")),
+            z_upper=tuple(_int_list(doc.get("z_upper", []), "z_upper")),
+            z_lower=tuple(_int_list(doc.get("z_lower", []), "z_lower")),
+            z_init=tuple(_int_list(doc.get("z_init", []), "z_init")),
             num_steps=_as_int(doc.get("N", 0), "N"),
         )
     except ValueError as exc:
@@ -121,7 +108,9 @@ def load_config(path: str) -> RunConfig:
     if mode not in ("replay", "fiat-shamir"):
         raise ConfigError(f"mode must be replay or fiat-shamir, got {mode!r}")
 
-    queries = _check_queries(_as_int(doc.get("queries", 8), "queries"))
+    queries = _as_int(doc.get("queries", 8), "queries")
+    if not 1 <= queries <= MAX_QUERIES:
+        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {queries}")
 
     challenges = None
     if "challenges" in doc:
@@ -239,12 +228,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_prove(args) -> int:
     config = load_config(args.config)
-    if args.mode:
-        config.mode = args.mode.replace("_", "-")
-        if config.mode == "replay" and config.challenges is None:
-            raise ConfigError("replay mode needs a challenges block in the config")
-    if args.queries is not None:
-        config.queries = _check_queries(args.queries)
     trace = load_trace(args.trace, config.spec)
     salt = _salt(config)
     transcript = _make_transcript(config, salt)
@@ -325,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["replay", "fiat-shamir"])
-    p.add_argument("--queries", type=int)
     p.add_argument("--force-commit", action="store_true",
                    help="commit an inconsistent trace instead of refusing (soundness demos)")
     p.set_defaults(func=cmd_prove)

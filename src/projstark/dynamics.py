@@ -37,6 +37,12 @@ class SystemSpec:
         for name in ("z_upper", "z_lower", "z_init"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must have length {n}")
+        # hash_spec encodes each of these as a signed 64-bit integer
+        for name, values in (("A_hat", sum(self.a_hat, ())), ("z_upper", self.z_upper),
+                             ("z_lower", self.z_lower), ("z_init", self.z_init)):
+            for v in values:
+                if not -(2**63) <= v < 2**63:
+                    raise ValueError(f"{name}: {v} is outside the signed 64-bit range")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         for lo, hi, z0 in zip(self.z_lower, self.z_upper, self.z_init):

@@ -14,7 +14,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -117,6 +117,13 @@ def _reject(stage: str, detail: str) -> VerificationReport:
     return VerificationReport(verdict="reject", stage=stage, detail=detail)
 
 
+def check_modulus(q: int) -> None:
+    """Refuse a modulus that the 8-byte encodings of field values cannot hold."""
+    if q >= 2**64:
+        raise ValueError(f"q={q} must be below 2^64: the spec digest, the transcript and "
+                         "the Merkle leaves encode field values in 8 bytes")
+
+
 def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
     """Binding digest of the public inputs."""
     h = hashlib.sha256()
@@ -171,64 +178,59 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 
 class _Domains:
-    """What prove and verify derive from (q, N) alone: the trace subgroup H,
-    its generator g, the FRI layer domains (layer 0, from base_eval_domain,
-    is at most BLOWUP cosets of H and is where sample points are drawn) and
-    the coset-DFT plans onto them.
+    """What prove and verify derive from (q, N) alone, built once: the trace
+    subgroup H, its generator g and the domains of the num_rounds(2N - 2) FRI
+    layers that any accepted proof reaches. Layer 0, from base_eval_domain, is
+    at most BLOWUP cosets of H and is where sample points are drawn. A prover's
+    degree bound is at most 2N - 2, and verify rejects a larger declared bound
+    before it reads a layer.
 
-    Layer domains are extended, and plans built, on first request, so a
-    verifier builds no plan and only as many layers as a proof that passed its
-    degree-bound check needs. A list is extended by replacing it, never in
-    place, and each method reads from the list it checked, so a caller in
-    another thread sees an old list or a new one, both correct. Nothing here
-    depends on a proof, and a plan keeps no table between its evaluate calls.
+    The coset-DFT plans and the trace interpolator are built on first use, so
+    a verifier builds none. Nothing here depends on a proof, and a plan keeps
+    no table between its evaluate calls.
     """
 
     def __init__(self, q: int, num_steps: int):
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator
-        # each layer is sorted, so a point's leaf index is bisect_left(layer, point)
-        self.layers = [base_eval_domain(self.field, self.subgroup)]
-        self._evaluators: List[CosetEvaluator] = []
-        self._interpolator: Optional[CosetEvaluator] = None
+        self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
+                                         num_rounds(max(2 * num_steps - 2, 0)))
 
-    def layer_domains(self, count: int) -> List[List[int]]:
-        """The domains of FRI layers 0..count-1."""
-        layers = self.layers
-        missing = count - len(layers)
-        if missing > 0:
-            layers = layers + layer_eval_domains(self.field, layers[-1], missing + 1)[1:]
-            self.layers = layers
-        return layers[:count]
+    def index(self, layer: int, point: int) -> int:
+        """The leaf of `point`, a point of FRI layer `layer`, in that layer's
+        tree: layers are sorted, so its position by bisection."""
+        return bisect_left(self.layers[layer], point)
 
-    def evaluator(self, layer: int) -> CosetEvaluator:
-        """Coset DFT onto the domain of FRI layer `layer` (layer 0 holds the
-        trace table too), a union of cosets of H^(2^layer)."""
-        evaluators = self._evaluators
-        if len(evaluators) <= layer:
-            layers = self.layer_domains(layer + 1)
-            order = self.subgroup.order
-            evaluators = evaluators + [
-                CosetEvaluator(self.field, layers[j], pow(self.g, 2 ** j, self.field.modulus),
-                               order // gcd(order, 2 ** j))
-                for j in range(len(evaluators), layer + 1)
-            ]
-            self._evaluators = evaluators
-        return evaluators[layer]
+    def chain(self, x: int, rounds: int) -> List[int]:
+        """x, x^2, x^4, ...: the point of the query at x in each of the first
+        `rounds` FRI layers."""
+        q = self.field.modulus
+        points = [x]
+        for _ in range(rounds - 1):
+            points.append(points[-1] * points[-1] % q)
+        return points
 
-    @property
+    @cached_property
+    def evaluators(self) -> Tuple[CosetEvaluator, ...]:
+        """Coset DFT onto the domain of each FRI layer (layer 0 holds the
+        trace table too); layer j is a union of cosets of H^(2^j)."""
+        q, order = self.field.modulus, self.subgroup.order
+        return tuple(
+            CosetEvaluator(self.field, layer, pow(self.g, 2 ** j, q), order // gcd(order, 2 ** j))
+            for j, layer in enumerate(self.layers)
+        )
+
+    @cached_property
     def interpolator(self) -> CosetEvaluator:
         """The inverse DFT over H that interpolates the trace columns."""
-        if self._interpolator is None:
-            self._interpolator = trace_interpolator(self.subgroup)
-        return self._interpolator
+        return trace_interpolator(self.subgroup)
 
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _domains(q: int, num_steps: int) -> _Domains:
     """The shared _Domains of (q, N); a verifier that checks one system every
-    control period derives them once."""
+    control period builds them once."""
     return _Domains(q, num_steps)
 
 
@@ -241,12 +243,13 @@ class _Committed:
     """
 
     def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
-        self.tables = domains.evaluator(layer).evaluate(polys)
+        self.tables = domains.evaluators[layer].evaluate(polys)
         self.tree = MerkleTree(zip(*self.tables))
-        self.points = domains.layer_domains(layer + 1)[layer]
+        self.domains = domains
+        self.layer = layer
 
     def open_row(self, point: int) -> RowOpening:
-        i = bisect_left(self.points, point)
+        i = self.domains.index(self.layer, point)
         return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
                           path=tuple(self.tree.open(i)))
 
@@ -325,6 +328,7 @@ def prove(
     N = spec.num_steps
     n = spec.n
     q = field.modulus
+    check_modulus(q)
     if (N + 1) % 2:
         raise ValueError("num_steps + 1 must be even so the evaluation domain is symmetric")
     if not 1 <= num_queries <= MAX_QUERIES:
@@ -384,40 +388,27 @@ def prove(
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
     layer_committed = [composition]
-    layer_polys = [quotient]
-    betas: List[int] = []
-    fri_final = 0
-    for j in range(rounds):
-        beta = transcript.draw("beta")
-        betas.append(beta)
-        nxt = fold(layer_polys[-1], beta)
-        layer_polys.append(nxt)
-        if j < rounds - 1:
-            cm = _Committed([nxt], domains, j + 1)
-            layer_committed.append(cm)
-            transcript.absorb(f"fri[{j + 1}]", cm.tree.root)
-        else:
-            if nxt.reported_degree > 0:
-                raise DegreeTestFailedError(
-                    f"final FRI layer has degree {nxt.reported_degree} for bound {bound}"
-                )
-            fri_final = nxt.coeffs[0] if nxt.coeffs else 0
-            transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
+    folded = quotient
+    for j in range(1, rounds + 1):
+        folded = fold(folded, transcript.draw("beta"))
+        if j < rounds:
+            layer_committed.append(_Committed([folded], domains, j))
+            transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
+    if folded.reported_degree > 0:
+        raise DegreeTestFailedError(
+            f"final FRI layer has degree {folded.reported_degree} for bound {bound}")
+    fri_final = folded.coeffs[0] if folded.coeffs else 0
+    transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
 
     queries = []
     for _ in range(num_queries):
         x = transcript.draw("sample_point", domains.layers[0])
-        fri_pairs = []
-        y = x
-        for j in range(rounds):
-            cm = layer_committed[j]
-            fri_pairs.append((cm.open_at(y), cm.open_at((q - y) % q)))
-            y = y * y % q
         queries.append(
             ProofQuery(
                 x=x,
                 trace=(trace_cm.open_row(x), trace_cm.open_row(g * x % q)),
-                fri=tuple(fri_pairs),
+                fri=tuple((cm.open_at(y), cm.open_at((q - y) % q))
+                          for cm, y in zip(layer_committed, domains.chain(x, rounds))),
             )
         )
 
@@ -485,8 +476,9 @@ def verify(
     composition values recomputed from the opened trace rows (consistency),
     and the folding chain (fri_query).
     """
-    rounds = _structural_validate(proof, field, spec)
     q = field.modulus
+    check_modulus(q)
+    rounds = _structural_validate(proof, field, spec)
     N = spec.num_steps
     n = spec.n
 
@@ -526,10 +518,6 @@ def verify(
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
-    # asked for only now, past the degree-bound check, so that no proof can
-    # make the shared domains grow beyond what an honest proof needs
-    layers = domains.layer_domains(rounds)
-
     # --- stage: commitment ---------------------------------------------------
     # nodes each tree's accepted openings authenticated, so each is hashed once
     trace_known: dict = {}
@@ -538,13 +526,15 @@ def verify(
     def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
                       known: dict, layer: int = 0) -> bool:
         # every point asked about lies in its layer, by how the layers are built
-        if opening.index != bisect_left(layers[layer], point):
+        if opening.index != domains.index(layer, point):
             return False
         try:
             return verify_opening(cm, opening.index, leaf, opening.path, known)
         except IndexError:
             return False
 
+    chains = [domains.chain(query.x, rounds) for query in proof.queries]
+    layer_comms = (proof.composition_comm, *proof.fri_comms)
     for k, (query, expected_x) in enumerate(zip(proof.queries, expected_xs)):
         x = query.x
         if x != expected_x:
@@ -552,13 +542,10 @@ def verify(
         for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
             if not check_opening(proof.trace_comm, row, row.values, point, trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
-        y = x
-        for j in range(rounds):
-            cm = proof.composition_comm if j == 0 else proof.fri_comms[j - 1]
+        for j, y in enumerate(chains[k]):
             for o, point, where in zip(query.fri[j], (y, (q - y) % q), ("y", "-y")):
-                if not check_opening(cm, o, (o.value,), point, layer_known[j], layer=j):
+                if not check_opening(layer_comms[j], o, (o.value,), point, layer_known[j], j):
                     return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
-            y = y * y % q
 
     # --- stage: boundary -----------------------------------------------------
     for k, query in enumerate(proof.queries):
@@ -585,11 +572,9 @@ def verify(
 
     # --- stage: fri_query ----------------------------------------------------
     for k, query in enumerate(proof.queries):
-        y = query.x
-        for j in range(rounds):
+        for j, y in enumerate(chains[k]):
             pos, neg = query.fri[j]
             computed = fold_value(field, pos.value, neg.value, y, betas[j])
-            y = y * y % q
             expected = query.fri[j + 1][0].value if j + 1 < rounds else proof.fri_final
             if computed != expected:
                 return _reject("fri_query", f"query {k}: folding identity fails at layer {j}")

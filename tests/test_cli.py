@@ -120,20 +120,32 @@ def test_config_queries_above_max_is_a_config_error(tmp_path, trace_path, capsys
     assert "queries" in capsys.readouterr().err
 
 
-def test_prove_negative_queries_option_is_a_config_error(tmp_path, config_path, trace_path):
+def test_config_negative_queries_is_a_config_error(tmp_path, trace_path):
+    path = _write_config(tmp_path, {**ref.replay_config(), "queries": -3})
     proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof,
-                 "--queries", "-3"]) == EXIT_CONFIG
+    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
 
 
-def test_prove_zero_queries_option_is_a_config_error(tmp_path, fs_config_path, trace_path):
-    # 0 used to be ignored, falling back to the config's count
+def test_config_zero_queries_is_a_config_error(tmp_path, trace_path):
+    zero = _write_config(tmp_path, _fs_doc(queries=0), "zero.json")
+    three = _write_config(tmp_path, _fs_doc(queries=3), "three.json")
     proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof,
-                 "--queries", "0"]) == EXIT_CONFIG
-    assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", proof,
-                 "--queries", "3"]) == EXIT_OK
+    assert main(["prove", "--config", zero, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert main(["prove", "--config", three, "--trace", trace_path, "--out", proof]) == EXIT_OK
     assert len(json.loads(Path(proof).read_text())["queries"]) == 3
+
+
+@pytest.mark.parametrize("option", [["--mode", "fiat-shamir"], ["--mode", "replay"],
+                                    ["--queries", "3"]])
+def test_prove_takes_mode_and_queries_from_the_config_only(tmp_path, config_path, trace_path,
+                                                           option, capsys):
+    # verify reads the mode from the config alone, so prove does too: a proof
+    # made in another mode than the config's is refused as malformed
+    proof = str(tmp_path / "proof.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof, *option])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _fs_doc(**fields):

@@ -27,6 +27,29 @@ def test_spec_validation():
         SystemSpec(a_hat=((1,),), z_upper=(5,), z_lower=(0,), z_init=(3,), num_steps=0)
 
 
+_WIDE = dict(a_hat=((1, 0), (0, 1)), z_lower=(0, 0), z_upper=(100, 100), z_init=(0, 5),
+             num_steps=255)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a_hat", ((2**63, 0), (0, 1))),
+    ("a_hat", ((1, 0), (-(2**63) - 1, 1))),
+    ("z_lower", (-(2**70), 0)),
+    ("z_upper", (100, 2**63)),
+    ("z_init", (0, 2**63)),
+])
+def test_spec_integers_must_fit_the_signed_64_bits_hash_spec_encodes(name, value):
+    # hash_spec would end `prove` in an OverflowError on such a value
+    with pytest.raises(ValueError, match="outside the signed 64-bit range"):
+        SystemSpec(**{**_WIDE, name: value})
+
+
+def test_spec_integers_at_the_64_bit_edges_are_accepted():
+    spec = SystemSpec(**{**_WIDE, "a_hat": ((2**63 - 1, -(2**63)), (0, 1)),
+                         "z_lower": (-(2**63), 0), "z_upper": (2**63 - 1, 100)})
+    assert spec.a_hat[0] == (2**63 - 1, -(2**63))
+
+
 def test_apply_transition(paper_spec):
     assert apply_transition(paper_spec, (3, 100)) == [3, 97]
     assert apply_transition(paper_spec, (0, 0)) == [0, 0]

@@ -21,7 +21,7 @@ from projstark.air import (
 )
 from projstark.channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from projstark.cli import EXIT_OK, main
-from projstark.dynamics import StepRecord, SystemSpec, simulate, step_slack
+from projstark.dynamics import ExecutionTrace, StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
 from projstark.poly import Polynomial, vanishing
@@ -649,9 +649,10 @@ def test_cold_and_warm_domain_cache_give_the_same_proof(
 
 
 def test_threads_share_the_domain_cache():
-    # threads that extend the shared layers and plans at once, from a cold
-    # context, must each still get every layer they asked for (q = 3001:
-    # each FRI layer domain differs from the one before)
+    # threads that prove and verify at once against one cold context, whose
+    # coset-DFT plans and trace interpolator are built on first use, must each
+    # get the pinned proof (q = 3001: each FRI layer domain differs from the
+    # one before)
     field, spec, salt = PrimeField(3001), MIXED_RADIX_SPEC, b"pin-mixed"
     trace = simulate(spec)
     digests, errors = [], []
@@ -669,7 +670,7 @@ def test_threads_share_the_domain_cache():
             errors.append(exc)
 
     protocol._domains.cache_clear()
-    protocol._domains(3001, spec.num_steps)  # one context, no layer built yet
+    protocol._domains(3001, spec.num_steps)  # one context, no plan built yet
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -721,21 +722,67 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     truncated = json.loads(json.dumps(doc))
     truncated["queries"][0]["fri"].pop()
 
-    # the degree-bound check comes first, even against a cold cache
+    # a cold context holds every layer an accepted proof can reach, so no
+    # proof, accepted, rejected or malformed, changes them
     protocol._domains.cache_clear()
-    report = verify(field, paper_spec, proof_from_json(oversized))
-    assert (report.verdict, report.stage) == ("reject", "fri_commit")
-    assert _layer_count(ref.MODULUS, N) == 1
-
-    assert verify(field, paper_spec, paper_fs_proof).accepted
     count = _layer_count(ref.MODULUS, N)
     assert count == num_rounds(2 * N - 2)
+    layers = protocol._domains(ref.MODULUS, N).layers
+    report = verify(field, paper_spec, proof_from_json(oversized))
+    assert (report.verdict, report.stage) == ("reject", "fri_commit")
+    assert _layer_count(ref.MODULUS, N) == count
+
+    assert verify(field, paper_spec, paper_fs_proof).accepted
+    assert _layer_count(ref.MODULUS, N) == count
     for bad in (oversized, tampered):
         assert not verify(field, paper_spec, proof_from_json(bad)).accepted
         assert _layer_count(ref.MODULUS, N) == count
     with pytest.raises(ProofFormatError):
         verify(field, paper_spec, proof_from_json(truncated))
     assert _layer_count(ref.MODULUS, N) == count
+    assert protocol._domains(ref.MODULUS, N).layers is layers
+    # a pure verifier builds no coset-DFT plan and no trace interpolator
+    assert not {"evaluators", "interpolator"} & set(vars(protocol._domains(ref.MODULUS, N)))
+
+
+def test_forced_replay_proofs_need_no_layer_beyond_the_built_ones():
+    # random rows give interpolants of full degree, so the replay prover's
+    # declared bound and its floor quotient reach their largest values
+    rng = random.Random(1414)
+    at_worst = 0
+    for _ in range(12):
+        q = rng.choice((61, 211, 331))
+        spec = random_spec(rng, q)
+        N, n = spec.num_steps, spec.n
+        cap = max(2, (q - 1) // (4 * n + 2))
+
+        def rows(count):
+            return tuple(tuple(rng.randint(0, cap) for _ in range(n)) for _ in range(count))
+
+        trace = ExecutionTrace(spec=spec, z_rows=rows(N + 1), alpha_up_rows=rows(N),
+                               alpha_lo_rows=rows(N), delta_rows=rows(N))
+        ch = random_challenges(rng, q, spec, num_queries=2)
+        proof = prove(PrimeField(q), spec, trace, ReplayTranscript(q, **ch), num_queries=2,
+                      force=True)
+        assert proof.degree_bound <= max(2 * N - 2, 0)
+        at_worst += proof.degree_bound == max(2 * N - 2, 0)
+        assert len(proof.fri_comms) + 1 <= _layer_count(q, N)
+        report = verify(PrimeField(q), spec, proof, ReplayTranscript(q, **ch))
+        assert report.verdict in ("accept", "reject")
+    assert at_worst >= 6
+
+
+def test_modulus_of_2_to_the_64_or_more_is_refused_before_any_work(
+    field, paper_spec, paper_trace, paper_fs_proof, monkeypatch
+):
+    # 2^89 - 1 is prime and N + 1 = 30 divides q - 1: only the 8-byte
+    # encodings rule it out, and the refusal comes before any domain is built
+    q = 2**89 - 1
+    monkeypatch.setattr(protocol, "_domains", None)
+    with pytest.raises(ValueError, match="must be below 2\\^64"):
+        prove(PrimeField(q), paper_spec, paper_trace, FiatShamirTranscript(q))
+    with pytest.raises(ValueError, match="must be below 2\\^64"):
+        verify(PrimeField(q), paper_spec, paper_fs_proof)
 
 
 def _index_cases(doc):
