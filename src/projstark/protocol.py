@@ -44,7 +44,7 @@ from .poly import CosetEvaluator, Polynomial
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
-PROOF_VERSION = 3
+PROOF_VERSION = 4
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -85,9 +85,8 @@ class ProofQuery:
 
 @dataclass(frozen=True)
 class Proof:
-    modulus: int
-    num_steps: int
-    generator: int
+    """A proof; q, N and g are not in it: the verifier holds or derives them."""
+
     salt: bytes
     degree_bound: int
     trace_comm: MerkleCommitment
@@ -117,11 +116,17 @@ def _reject(stage: str, detail: str) -> VerificationReport:
     return VerificationReport(verdict="reject", stage=stage, detail=detail)
 
 
-def check_modulus(q: int) -> None:
-    """Refuse a modulus that the 8-byte encodings of field values cannot hold."""
+def check_publics(q: int, num_steps: int) -> None:
+    """Refuse a q too wide for the 8-byte encodings, or an order N + 1 of H that
+    is odd (-1 not in H) or does not divide q - 1. Call it before PrimeField(q),
+    so a huge q is refused before it is tested for primality."""
     if q >= 2**64:
-        raise ValueError(f"q={q} must be below 2^64: the spec digest, the transcript and "
-                         "the Merkle leaves encode field values in 8 bytes")
+        raise ValueError(f"q must be below 2^64, got a {q.bit_length()}-bit q: the spec digest, "
+                         "the transcript and the Merkle leaves encode field values in 8 bytes")
+    if (num_steps + 1) % 2:
+        raise ValueError(f"N+1={num_steps + 1} must be even so the evaluation domain is symmetric")
+    if (q - 1) % (num_steps + 1):
+        raise ValueError(f"N+1={num_steps + 1} must divide q-1={q - 1}")
 
 
 def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
@@ -178,12 +183,13 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 
 class _Domains:
-    """What prove and verify derive from (q, N) alone, built once: the trace
-    subgroup H, its generator g and the domains of the num_rounds(2N - 2) FRI
-    layers that any accepted proof reaches. Layer 0, from base_eval_domain, is
-    at most BLOWUP cosets of H and is where sample points are drawn. A prover's
-    degree bound is at most 2N - 2, and verify rejects a larger declared bound
-    before it reads a layer.
+    """Everything prove and verify take from (q, N), built once after
+    check_publics: the trace subgroup H, its generator g, the worst-case
+    degree bound 2N - 2 and the domains of the num_rounds(2N - 2) FRI layers
+    any accepted proof reaches, whose sizes are the commitments' leaf counts.
+    Layer 0, from base_eval_domain, is at most BLOWUP cosets of H and is where
+    sample points are drawn. verify rejects a declared bound above the worst
+    case before it reads a layer.
 
     The coset-DFT plans and the trace interpolator are built on first use, so
     a verifier builds none. Nothing here depends on a proof, and a plan keeps
@@ -191,11 +197,13 @@ class _Domains:
     """
 
     def __init__(self, q: int, num_steps: int):
+        check_publics(q, num_steps)
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator
+        self.worst_bound = max(2 * num_steps - 2, 0)
         self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
-                                         num_rounds(max(2 * num_steps - 2, 0)))
+                                         num_rounds(self.worst_bound))
 
     def index(self, layer: int, point: int) -> int:
         """The leaf of `point`, a point of FRI layer `layer`, in that layer's
@@ -328,12 +336,9 @@ def prove(
     N = spec.num_steps
     n = spec.n
     q = field.modulus
-    check_modulus(q)
-    if (N + 1) % 2:
-        raise ValueError("num_steps + 1 must be even so the evaluation domain is symmetric")
+    domains = _domains(q, N)
     if not 1 <= num_queries <= MAX_QUERIES:
         raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
-    domains = _domains(q, N)
     domain = domains.subgroup
 
     if not force:
@@ -380,7 +385,7 @@ def prove(
     if transcript.mode == "replay":
         bound = degree_bound(tp, quotient, N)
     else:
-        bound = max(2 * N - 2, 0)
+        bound = domains.worst_bound
     rounds = num_rounds(bound)
 
     composition = _Committed([quotient], domains, 0)
@@ -413,9 +418,6 @@ def prove(
         )
 
     return Proof(
-        modulus=q,
-        num_steps=N,
-        generator=g,
         salt=salt,
         degree_bound=bound,
         trace_comm=trace_cm.tree.commitment,
@@ -469,32 +471,25 @@ def verify(
     Fiat-Shamir transcript salted with the proof's salt; a proof carries no
     challenges.
 
-    Checks, in order, with the stage a failure is reported at: the public
-    inputs (commitment), the declared degree bound, at most 2N-2 and equal to
-    it under Fiat-Shamir (fri_commit), openings and challenge agreement
+    A (q, N) that check_publics refuses raises ValueError, as in `prove`.
+    Checks, in order, with the stage a failure is reported at: the declared
+    degree bound, at most 2N-2 and equal to it under Fiat-Shamir (fri_commit),
+    each commitment's leaf count, openings and challenge agreement
     (commitment), the initialization quotient identity (boundary), the
     composition values recomputed from the opened trace rows (consistency),
     and the folding chain (fri_query).
     """
     q = field.modulus
-    check_modulus(q)
-    rounds = _structural_validate(proof, field, spec)
     N = spec.num_steps
     n = spec.n
-
-    if proof.modulus != q or proof.num_steps != N:
-        return _reject("commitment", "public inputs do not match the proof")
-    if (N + 1) % 2:
-        return _reject("commitment", "trace subgroup order must be even")
     domains = _domains(q, N)
     g = domains.g
-    if proof.generator != g:
-        return _reject("commitment", f"generator mismatch: {proof.generator} != {g}")
+    rounds = _structural_validate(proof, field, spec)
 
     if transcript is None:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
     replay = transcript.mode == "replay"
-    worst = max(2 * N - 2, 0)
+    worst = domains.worst_bound
     if proof.degree_bound > worst or (not replay and proof.degree_bound != worst):
         return _reject("fri_commit", f"degree bound {proof.degree_bound}: worst case is {worst}")
 
@@ -519,22 +514,23 @@ def verify(
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
     # --- stage: commitment ---------------------------------------------------
+    layer_comms = (proof.composition_comm, *proof.fri_comms)
+    for j, cm in ((0, proof.trace_comm), *enumerate(layer_comms)):
+        if cm.leaf_count != len(domains.layers[j]):
+            return _reject("commitment", f"layer {j} tree has {cm.leaf_count} leaves, "
+                                         f"not {len(domains.layers[j])}")
+
     # nodes each tree's accepted openings authenticated, so each is hashed once
     trace_known: dict = {}
     layer_known: List[dict] = [{} for _ in range(rounds)]
 
     def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
                       known: dict, layer: int = 0) -> bool:
-        # every point asked about lies in its layer, by how the layers are built
-        if opening.index != domains.index(layer, point):
-            return False
-        try:
-            return verify_opening(cm, opening.index, leaf, opening.path, known)
-        except IndexError:
-            return False
+        # each point asked about lies in its layer, so its index is below the leaf count
+        return (opening.index == domains.index(layer, point)
+                and verify_opening(cm, opening.index, leaf, opening.path, known))
 
     chains = [domains.chain(query.x, rounds) for query in proof.queries]
-    layer_comms = (proof.composition_comm, *proof.fri_comms)
     for k, (query, expected_x) in enumerate(zip(proof.queries, expected_xs)):
         x = query.x
         if x != expected_x:
@@ -602,9 +598,6 @@ def proof_to_json(proof: Proof) -> dict:
     return {
         "version": proof.version,
         "publics": {
-            "q": str(proof.modulus),
-            "N": str(proof.num_steps),
-            "g": str(proof.generator),
             "salt": proof.salt.hex(),
             "degree_bound": str(proof.degree_bound),
         },
@@ -710,9 +703,6 @@ def proof_from_json(doc: dict) -> Proof:
 
     return Proof(
         version=version,
-        modulus=_int_str(_want(publics, "q", str)),
-        num_steps=_int_str(_want(publics, "N", str)),
-        generator=_int_str(_want(publics, "g", str)),
         salt=_hex_bytes(_want(publics, "salt", str)),
         degree_bound=_int_str(_want(publics, "degree_bound", str)),
         trace_comm=_comm_from_json(_want(commitments, "trace", dict)),
@@ -730,6 +720,6 @@ def dump_proof(proof: Proof) -> str:
 def load_proof(text: str) -> Proof:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge literal, deep nesting
         raise ProofFormatError(f"proof file is not valid JSON: {exc}") from exc
     return proof_from_json(doc)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from projstark import field as field_module
 from projstark import reference_example as ref
 from projstark.cli import (
     EXIT_CONFIG,
@@ -88,6 +89,35 @@ def test_config_rejects_overlong_integer_literal(tmp_path):
     text = json.dumps({**ref.replay_config(), "N": 0})
     path.write_text(text.replace('"N": 0', '"N": ' + "7" * 5001))
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
+# deep enough that json.loads raises RecursionError on every supported Python
+NESTED = "[" * 100_000
+
+
+def test_deeply_nested_json_files_keep_the_exit_code_contract(tmp_path, config_path,
+                                                              trace_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text(NESTED)
+    assert main(["verify", "--config", config_path, "--proof", str(nested)]) == EXIT_MALFORMED
+    assert main(["simulate", "--config", str(nested)]) == EXIT_CONFIG
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", config_path, "--trace", str(nested),
+                 "--out", proof]) == EXIT_CONFIG
+
+
+def test_huge_modulus_is_refused_before_any_primality_test(tmp_path, monkeypatch, capsys):
+    q = 2**9689 - 1  # a 2917-digit prime
+
+    def no_primality_test(n):
+        raise AssertionError("q was tested for primality before its size was checked")
+
+    monkeypatch.setattr(field_module, "is_prime", no_primality_test)
+    path = _write_config(tmp_path, {**ref.replay_config(), "q": str(q)})
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "must be below 2^64, got a 9689-bit q" in err
+    assert str(q)[:20] not in err
 
 
 def test_config_rejects_non_utf8_file(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -20,7 +19,7 @@ from projstark.air import (
     combine,
 )
 from projstark.channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
-from projstark.cli import EXIT_OK, main
+from projstark.cli import EXIT_OK, ConfigError, load_config, main
 from projstark.dynamics import ExecutionTrace, StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
@@ -346,7 +345,7 @@ def test_proof_json_roundtrip_fiat_shamir(field, paper_spec, paper_fs_proof):
 
 def test_proof_json_integers_are_strings(paper_proof):
     doc = proof_to_json(paper_proof)
-    assert isinstance(doc["publics"]["q"], str)
+    assert isinstance(doc["publics"]["degree_bound"], str)
     assert isinstance(doc["queries"][0]["x"], str)
     assert isinstance(doc["fri_layers"]["final"], str)
 
@@ -357,12 +356,14 @@ def test_load_proof_rejects_garbage():
     with pytest.raises(ProofFormatError):
         load_proof('{"version": 1' + "0" * 5000 + "}")
     with pytest.raises(ProofFormatError):
+        load_proof("[" * 100_000)  # RecursionError in json.loads
+    with pytest.raises(ProofFormatError):
         proof_from_json({"version": 1})
 
 
 def test_load_proof_rejects_wrong_types(paper_proof):
     doc = proof_to_json(paper_proof)
-    doc["publics"]["q"] = 331  # must be a base-10 string
+    doc["publics"]["degree_bound"] = 56  # must be a base-10 string
     with pytest.raises(ProofFormatError):
         proof_from_json(doc)
 
@@ -558,30 +559,37 @@ def test_mutated_integer_field_is_rejected_or_malformed(
     node = doc
     for k in parents:
         node = node[k]
-    node[key] = value if isinstance(node[key], int) else str(value)
+    old = node[key]
+    node[key] = value if isinstance(old, int) else str(value)
     try:
         report = verify(field, paper_spec, proof_from_json(doc),
                         paper_transcript() if replay else None)
     except ProofFormatError:
         return
-    assert report.verdict in ("accept", "reject")
+    if replay:
+        # absorbs are no-ops in replay mode, so neither the salt nor a declared
+        # bound with the same round count is bound: either verdict may follow
+        assert report.verdict in ("accept", "reject")
+    else:
+        # under Fiat-Shamir every integer is bound: hashed into a leaf or the
+        # transcript, or equal to a value the verifier derives itself
+        assert report.verdict == "reject" or node[key] == old, (parents, key, node[key])
 
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (proof version 3: one row-leaf trace tree, at most
-# BLOWUP cosets of H committed, sample points drawn as indices into them) for
-# fixed inputs; any change to the committed values, their order, the tree
-# hashing or the transcript changes a digest. "paper-replay" is the digest of
-# the replay proof with its version field set to 2: the replay proof has not
-# changed since version 2 but for that field.
+# SHA-256 of dump_proof (proof version 4: one row-leaf trace tree, at most
+# BLOWUP cosets of H committed, sample points drawn as indices into them, and
+# no q, N or g, which the verifier holds or derives) for fixed inputs; any
+# change to the committed values, their order, the tree hashing or the
+# transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "aadeadb5942359ad7fbce415ee657d9850eaf91c5f6d9eb8f0375be7dc42c72c",
-    "paper-fiat-shamir": "0c3aa77b2840432b4b2be665dab09d084256bf38ec9fd1944a42fd9c80e21c8a",
+    "paper-replay": "c97e158f16737400ba37edfe4ec1648d1025f64ed68ee4aaf7dd9e0b43ddf27f",
+    "paper-fiat-shamir": "a088d50868e66e5765bea8fab8fb93fe0a2fb42a27d10b5bf4aec3b6cda35512",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "c2fc837acbe63ff57b03d3df430759d9c5ad22445f9650d41521c580cb7bb08e",
+    "q3001-fiat-shamir": "4b3b2d6791184b09ea83a1f682fe2402d63a42b62150631a2998c816f0da7467",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -599,9 +607,8 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 3
-    version_2 = dataclasses.replace(paper_proof, version=2)
-    assert _proof_digest(version_2) == PINNED_PROOF_DIGESTS["paper-replay"]
+    assert paper_proof.version == PROOF_VERSION == 4
+    assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=8, salt=salt)
@@ -778,11 +785,40 @@ def test_modulus_of_2_to_the_64_or_more_is_refused_before_any_work(
     # 2^89 - 1 is prime and N + 1 = 30 divides q - 1: only the 8-byte
     # encodings rule it out, and the refusal comes before any domain is built
     q = 2**89 - 1
-    monkeypatch.setattr(protocol, "_domains", None)
+
+    def no_domain(*args):
+        raise AssertionError("a domain was built for a refused modulus")
+
+    monkeypatch.setattr(protocol, "build_domain", no_domain)
     with pytest.raises(ValueError, match="must be below 2\\^64"):
         prove(PrimeField(q), paper_spec, paper_trace, FiatShamirTranscript(q))
     with pytest.raises(ValueError, match="must be below 2\\^64"):
         verify(PrimeField(q), paper_spec, paper_fs_proof)
+
+
+@pytest.mark.parametrize("q, num_steps, message", [
+    (2**89 - 1, 29, "must be below 2\\^64"),  # prime, and N + 1 = 30 divides q - 1
+    (331, 2, "must be even"),  # N + 1 = 3 divides 330
+    (331, 3, "must divide q-1"),  # N + 1 = 4 is even
+], ids=["q-2^89-1", "odd-order", "order-not-dividing"])
+def test_prove_verify_and_the_cli_refuse_the_same_publics(
+    tmp_path, paper_fs_proof, q, num_steps, message
+):
+    with pytest.raises(ValueError, match=message) as refused:
+        protocol.check_publics(q, num_steps)
+    expected = str(refused.value)
+    field, spec = PrimeField(q), _box_spec(num_steps)
+    with pytest.raises(ValueError) as exc:
+        prove(field, spec, simulate(spec), FiatShamirTranscript(q))
+    assert str(exc.value) == expected
+    with pytest.raises(ValueError) as exc:
+        verify(field, spec, paper_fs_proof)
+    assert str(exc.value) == expected
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**ref.replay_config(), "q": str(q), "N": num_steps}))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(config))
+    assert str(exc.value) == expected
 
 
 def _index_cases(doc):
@@ -845,6 +881,29 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
     for report in _verify_each_index_case(
             field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
         assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+@pytest.mark.parametrize("where, leaves", [
+    (("commitments", "trace"), 400),
+    (("commitments", "composition"), 512),
+    (("fri_layers", "roots", 0), 511),
+], ids=["trace", "composition", "fri-layer-1"])
+def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, where, leaves):
+    # each count keeps its tree's height, so every path still authenticates;
+    # the count is checked against the size of its layer's domain
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"a"),
+                  num_queries=8, salt=b"a")
+    assert verify(field, paper_spec, proof).accepted
+    doc = proof_to_json(proof)
+    node = doc
+    for k in where:
+        node = node[k]
+    assert node["leaves"] != leaves
+    assert (node["leaves"] - 1).bit_length() == (leaves - 1).bit_length()  # same height
+    node["leaves"] = leaves
+    report = verify(field, paper_spec, proof_from_json(doc))
+    assert (report.verdict, report.stage) == ("reject", "commitment")
+    assert f"has {leaves} leaves" in report.detail
 
 
 # --- the committed domain -----------------------------------------------------
