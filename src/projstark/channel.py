@@ -14,7 +14,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
@@ -157,12 +157,32 @@ class MerkleTree:
     def commitment(self) -> MerkleCommitment:
         return MerkleCommitment(root=self.root, leaf_count=self.leaf_count)
 
-    def open(self, index: int) -> List[bytes]:
+    def open(self, index: int, known: Optional[Set[int]] = None) -> List[bytes]:
+        """The siblings on the way up from leaf `index` to the first node in
+        `known`, at the latest the root.
+
+        `known` holds heap positions (the root is 1, the children of node v
+        are 2v and 2v + 1, so leaf i is 2^height + i) of the nodes that
+        earlier openings of this tree sent or let the verifier compute. The
+        walk adds each node it passes and that node's sibling to it, which
+        are the nodes verify_opening learns when it accepts the opening. So
+        passing one set to every opening of a tree sends each node at most
+        once, provided the verifier checks the openings in the same order.
+        Without `known` the set starts as the root alone: the full path.
+        """
         if not 0 <= index < self.leaf_count:
             raise IndexError(f"leaf index {index} out of range")
+        if known is None:
+            known = {1}
+        node = (1 << (len(self._levels) - 1)) + index
         path = []
         for level in self._levels[:-1]:
+            if node in known:
+                break
+            known.add(node)
+            known.add(node ^ 1)
             path.append(level[index ^ 1])
+            node >>= 1
             index >>= 1
         return path
 
@@ -176,40 +196,36 @@ def verify_opening(
 ) -> bool:
     """True when `path` opens `row` at leaf `index` of the committed tree.
 
-    `known` holds the nodes of this tree that earlier openings authenticated,
-    keyed by heap position: the root is 1 and the children of node v are 2v
-    and 2v + 1, so leaf i is 2^height + i. Pass one dict per tree so that
-    each node is hashed once. The walk up from the leaf stops at the first
-    known node (at the latest the root), which its digest must equal, and
-    the rest of the path must equal the known siblings. So an opening is
-    accepted exactly when hashing its whole path would reach the root. An
-    accepted opening adds the nodes and siblings it hashed to `known`.
+    `known` holds the nodes of this tree that earlier accepted openings
+    authenticated, keyed by heap position: the root is 1 and the children of
+    node v are 2v and 2v + 1, so leaf i is 2^height + i. Pass one dict per
+    tree and check the openings in the order MerkleTree.open made them. The
+    walk up from the leaf takes one path entry per level and stops at the
+    first known node (at the latest the root), whose digest the hashed one
+    must equal, with every entry of `path` used: a path that runs out before
+    a known node, or goes on past one, is refused. Every known node was
+    authenticated against the root, so an opening is accepted exactly when
+    its full path would have been. An accepted opening adds the root and the
+    nodes and siblings it hashed to `known`; a refused one adds nothing.
     """
     if not 0 <= index < commitment.leaf_count:
         raise IndexError(f"leaf index {index} out of range")
-    height = (commitment.leaf_count - 1).bit_length()
-    if len(path) != height:
-        return False
     if known is None:
         known = {}
-    known.setdefault(1, commitment.root)
-    node = (1 << height) + index
+    node = (1 << (commitment.leaf_count - 1).bit_length()) + index
     digest = _leaf_digest(row)
-    found = {}
+    found = {1: commitment.root}
     level = 0
-    while node not in known:
+    while node > 1 and node not in known:
+        if level == len(path):
+            return False
         sibling = path[level]
         found[node] = digest
         found[node ^ 1] = sibling
         digest = _node_digest(sibling, digest) if node & 1 else _node_digest(digest, sibling)
         node >>= 1
         level += 1
-    if digest != known[node]:
+    if level != len(path) or digest != known.get(node, commitment.root):
         return False
-    while node > 1:
-        if path[level] != known.get(node ^ 1):
-            return False
-        node >>= 1
-        level += 1
     known.update(found)
     return True

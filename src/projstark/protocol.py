@@ -44,7 +44,7 @@ from .poly import CosetEvaluator, Polynomial
 
 MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
-PROOF_VERSION = 4
+PROOF_VERSION = 5
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -85,7 +85,14 @@ class ProofQuery:
 
 @dataclass(frozen=True)
 class Proof:
-    """A proof; q, N and g are not in it: the verifier holds or derives them."""
+    """A proof; q, N and g are not in it: the verifier holds or derives them.
+
+    Each tree's openings are made, and must be checked, in one order: query by
+    query, the trace rows at x before g·x, and on each FRI layer the leaf at y
+    before -y. An opening's path stops where the walk up from its leaf meets a
+    node that an earlier opening of its tree sent or let the verifier compute,
+    so it is empty for a leaf opened before.
+    """
 
     salt: bytes
     degree_bound: int
@@ -247,19 +254,21 @@ class _Committed:
     Merkle leaf per point.
 
     The tables are kept by column; a row is built to be hashed, then dropped,
-    and built again only if it is opened.
+    and built again only if it is opened. `known` holds the tree's nodes that
+    earlier openings sent, so each opening's path stops where it meets one.
     """
 
     def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
         self.tables = domains.evaluators[layer].evaluate(polys)
         self.tree = MerkleTree(zip(*self.tables))
+        self.known = {1}
         self.domains = domains
         self.layer = layer
 
     def open_row(self, point: int) -> RowOpening:
         i = self.domains.index(self.layer, point)
         return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
-                          path=tuple(self.tree.open(i)))
+                          path=tuple(self.tree.open(i, self.known)))
 
     def open_at(self, point: int) -> Opening:
         """Opening of a one-polynomial commitment."""

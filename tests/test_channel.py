@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projstark.channel import (
     FiatShamirTranscript,
@@ -220,27 +222,78 @@ def test_merkle_openings_verify():
         assert verify_opening(tree.commitment, i, v, tree.open(i))
 
 
+def _assert_known_nodes_are_the_trees(tree, known):
+    """Every node in `known`, keyed by heap position, is the tree's own."""
+    height = len(tree._levels) - 1
+    for key, node in known.items():
+        level = height + 1 - key.bit_length()
+        assert tree._levels[level][key - (1 << (height - level))] == node
+
+
 def test_merkle_openings_share_authenticated_nodes():
     rng = random.Random(71)
     table = [(rng.randrange(12289),) for _ in range(300)]
     tree = MerkleTree(table)
-    known = {}
-    opened = rng.sample(range(300), 40) + [0, 299]
-    for i in opened:
-        path = tree.open(i)
+    sent, known = {1}, {}
+    first = rng.sample(range(300), 40) + [0, 299]
+    digests = 0
+    for i in first:
+        full = tree.open(i)
+        path = tree.open(i, sent)
+        assert path == full[:len(path)]  # a prefix of the full path
+        digests += len(path)
         for level in range(len(path)):  # a wrong sibling at any level is refused
             bad = list(path)
             bad[level] = bytes(32)
             assert not verify_opening(tree.commitment, i, table[i], bad, known)
         assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), path, known)
         assert verify_opening(tree.commitment, i, table[i], path, known)
-        assert verify_opening(tree.commitment, i, table[i], path, known)  # a known leaf
+    # each digest sent is a sibling pair new to the set, so no node is sent
+    # twice, and the 42 paths send fewer than their full 9 levels each
+    assert len(sent) - 1 == 2 * digests < 2 * 42 * 9
+    # a leaf opened before gets an empty path, which binds its row; its full
+    # path now runs past known nodes and is refused
+    for i in first[:10]:
+        assert tree.open(i, sent) == []
+        assert not verify_opening(tree.commitment, i, table[i], tree.open(i), known)
+        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), [], known)
+        assert verify_opening(tree.commitment, i, table[i], [], known)
+    # the prover's set is the verifier's: both learn the same nodes
+    assert sent == set(known)
     # only nodes of the committed tree were learnt, refused openings added none
+    _assert_known_nodes_are_the_trees(tree, known)
     height = len(tree._levels) - 1
-    for key, node in known.items():
-        level = height + 1 - key.bit_length()
-        assert tree._levels[level][key - (1 << (height - level))] == node
-    assert all((1 << height) + i in known for i in opened)
+    assert all((1 << height) + i in known for i in first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), count=st.integers(1, 300))
+def test_merkle_opening_refuses_a_dropped_added_or_replaced_digest(data, count):
+    # whatever openings came before, an opening's path must run exactly to
+    # the first node they made known, with the tree's own siblings on the way
+    table = [(v,) for v in data.draw(st.lists(st.integers(0, 2**64 - 1),
+                                              min_size=count, max_size=count), label="table")]
+    tree = MerkleTree(table)
+    nodes = [node for level in tree._levels for node in level]
+    digests = st.one_of(st.sampled_from(nodes), st.binary(min_size=32, max_size=32))
+    openings = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=12),
+                         label="openings")
+    sent, known = {1}, {}
+    for i in openings:
+        path = tree.open(i, sent)
+        edited = [path + [data.draw(digests, label="appended")]]
+        if path:
+            edited.append(path[:-1])
+            level = data.draw(st.integers(0, len(path) - 1), label="level")
+            digest = data.draw(digests.filter(lambda d: d != path[level]), label="replacement")
+            edited.append(path[:level] + [digest] + path[level + 1:])
+        for bad in edited:
+            before = dict(known)
+            assert not verify_opening(tree.commitment, i, table[i], bad, known)
+            assert known == before
+        assert verify_opening(tree.commitment, i, table[i], path, known)
+    assert sent == set(known)
+    _assert_known_nodes_are_the_trees(tree, known)
 
 
 def test_merkle_opening_rejects_wrong_value():

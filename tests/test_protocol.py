@@ -19,7 +19,7 @@ from projstark.air import (
     combine,
 )
 from projstark.channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
-from projstark.cli import EXIT_OK, ConfigError, load_config, main
+from projstark.cli import EXIT_MALFORMED, EXIT_OK, ConfigError, load_config, main
 from projstark.dynamics import ExecutionTrace, StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
@@ -439,16 +439,20 @@ def _openings(query: dict) -> list:
     return rows + [pair[side] for pair in query["fri"] for side in ("pos", "neg")]
 
 
+def _all_openings(doc: dict) -> list:
+    return [o for query in doc["queries"] for o in _openings(query)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), replay=st.booleans(), mask=st.integers(1, 255))
 def test_verify_rejects_any_flipped_path_byte(
     field, paper_spec, paper_proof, paper_fs_proof, data, replay, mask
 ):
-    # openings after the first in a tree stop hashing where they meet a node
-    # an earlier opening authenticated; the rest of their path must still bind
+    # a path stops where it meets a node an earlier opening of its tree sent,
+    # so only openings with a non-empty path have a byte to flip
     doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
-    query = data.draw(st.sampled_from(doc["queries"]), label="query")
-    opening = data.draw(st.sampled_from(_openings(query)), label="opening")
+    with_path = [o for o in _all_openings(doc) if o["path"]]
+    opening = data.draw(st.sampled_from(with_path), label="opening")
     level = data.draw(st.integers(0, len(opening["path"]) - 1), label="level")
     digest = bytearray.fromhex(opening["path"][level])
     digest[data.draw(st.integers(0, 31), label="byte")] ^= mask
@@ -456,6 +460,33 @@ def test_verify_rejects_any_flipped_path_byte(
     report = verify(field, paper_spec, proof_from_json(doc),
                     paper_transcript() if replay else None)
     assert (report.verdict, report.stage) == ("reject", "commitment")
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("edit", ["drop-last", "append"])
+def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper_proof,
+                                                        paper_fs_proof, replay, edit):
+    # each path must run exactly to the first node an earlier opening of its
+    # tree sent: one digest short or one too many is refused, on every opening
+    base = proof_to_json(paper_proof if replay else paper_fs_proof)
+    openings = _all_openings(base)
+    assert any(o["path"] for o in openings)
+    assert replay or not all(o["path"] for o in openings)  # 8 queries reopen some leaves
+    edited = 0
+    for k, opening in enumerate(openings):
+        if edit == "drop-last" and not opening["path"]:
+            continue
+        doc = json.loads(json.dumps(base))
+        path = _all_openings(doc)[k]["path"]
+        if edit == "drop-last":
+            path.pop()
+        else:
+            path.append((path or [base["commitments"]["trace"]["root"]])[-1])
+        report = verify(field, paper_spec, proof_from_json(doc),
+                        paper_transcript() if replay else None)
+        assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
+        edited += 1
+    assert edited >= 20
 
 
 def test_load_proof_rejects_bad_path_digests(paper_proof):
@@ -496,6 +527,30 @@ def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
         doc["version"] = version
         with pytest.raises(ProofFormatError):
             verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+
+
+def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_trace,
+                                                      tmp_path, monkeypatch):
+    # version 4 sent the full path with every opening; made that way, a proof
+    # is malformed under its own version and rejected under version 5
+    full_path = protocol.MerkleTree.open
+    monkeypatch.setattr(protocol.MerkleTree, "open", lambda tree, i, known=None: full_path(tree, i))
+    salt = b"v4"
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=8, salt=salt)
+    monkeypatch.undo()
+    v4 = proof_to_json(proof)
+    v4["version"] = 4
+    with pytest.raises(ProofFormatError, match="unsupported proof version 4"):
+        verify(field, paper_spec, proof_from_json(v4))
+    report = verify(field, paper_spec, proof)
+    assert (report.verdict, report.stage) == ("reject", "commitment")
+    config = {**ref.replay_config(), "mode": "fiat-shamir"}
+    del config["challenges"]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "proof.json").write_text(json.dumps(v4))
+    assert main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -578,18 +633,19 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (proof version 4: one row-leaf trace tree, at most
-# BLOWUP cosets of H committed, sample points drawn as indices into them, and
-# no q, N or g, which the verifier holds or derives) for fixed inputs; any
-# change to the committed values, their order, the tree hashing or the
-# transcript changes a digest.
+# SHA-256 of dump_proof (proof version 5: one row-leaf trace tree, at most
+# BLOWUP cosets of H committed, sample points drawn as indices into them, no
+# q, N or g, which the verifier holds or derives, and each path cut where it
+# meets a node an earlier opening of its tree sent) for fixed inputs; any
+# change to the committed values, their order, the tree hashing, the paths
+# sent or the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "c97e158f16737400ba37edfe4ec1648d1025f64ed68ee4aaf7dd9e0b43ddf27f",
-    "paper-fiat-shamir": "a088d50868e66e5765bea8fab8fb93fe0a2fb42a27d10b5bf4aec3b6cda35512",
+    "paper-replay": "e2bc9f5360e5b9138065b5c7f29101034a9d3dac9b1a85c9b9bf07f622b92ab9",
+    "paper-fiat-shamir": "ca9ee6c86f9c674a8e9c55b9ab7ac7e0d077ba4db215dd6bc9c7eaf5fb89f667",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "4b3b2d6791184b09ea83a1f682fe2402d63a42b62150631a2998c816f0da7467",
+    "q3001-fiat-shamir": "0721ff7939745bb6bf5f30152a61d7d13c3620caf963f1b6c2caedfc7f61eebc",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -607,7 +663,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 4
+    assert paper_proof.version == PROOF_VERSION == 5
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -624,6 +680,15 @@ def test_mixed_radix_proof_is_byte_identical():
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
     assert len(proof.fri_comms) == 6
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
+
+
+def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
+    # 896 openings; full paths would take 8064 digests and about 784 KiB
+    salt = b"size"
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=64, salt=salt)
+    assert verify(field, paper_spec, proof).accepted
+    assert len(dump_proof(proof)) <= 300 * 1024
 
 
 def test_replay_paper_output_is_unchanged(capsys):
