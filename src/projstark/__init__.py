@@ -42,7 +42,7 @@ from .field import (
     PrimeField,
     build_domain,
 )
-from .fri import DegreeTestFailedError, fold
+from .fri import fold
 from .poly import Polynomial, interpolate, vanishing
 from .protocol import (
     OnlineStageError,

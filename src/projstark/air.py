@@ -32,9 +32,8 @@ class FieldOverflowError(ValueError):
 
 
 class InvalidTraceError(ValueError):
-    """The honest prover refuses the trace: it fails an online check, the
-    boundary condition or a step constraint, so some constraint numerator is
-    not divisible by the vanishing polynomial."""
+    """The honest prover refuses the trace, on its rows: it fails an online
+    check, the boundary condition or a step constraint."""
 
 
 def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
@@ -160,35 +159,24 @@ def build_numerators(
                        tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta)
 
 
-def build_compositions(
-    numerators: Sequence[Polynomial],
-    domain: CyclicDomain,
-    *,
-    allow_remainder: bool = False,
-) -> List[Polynomial]:
-    """Divide each numerator by the vanishing polynomial Z_N of the first N points.
+def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -> List[Polynomial]:
+    """The floor quotient of each numerator by the vanishing polynomial Z_N of
+    the first N points.
 
-    A nonzero remainder means the trace breaks a constraint at some step; the
-    honest path raises there.  With allow_remainder the floor quotients are
-    kept, which is the dishonest commit path used in soundness experiments.
+    The division is exact when the trace meets the numerator's constraint at
+    every step. Nothing here checks that: prove refuses a trace that does not
+    on its rows, before any polynomial is built, and a forced proof commits
+    the floor quotient.
 
     Z_N·(x - g^N) = x^(N+1) - 1, so num = Q·Z_N + R gives
     num·(x - g^N) = Q·(x^(N+1) - 1) + R·(x - g^N): dividing by the two-term
-    x^(N+1) - 1 yields the same floor quotient Q in O(deg) steps, with a
-    remainder that is zero exactly when R is.
+    x^(N+1) - 1 yields the same floor quotient Q in O(deg) steps.
     """
     field = domain.field
     N = domain.order - 1
     x_minus_last = Polynomial(field, (-domain.elements[N], 1))
     cyclic = Polynomial(field, (-1, *[0] * N, 1))
-
-    quots = []
-    for k, num in enumerate(numerators):
-        quot, rem = divmod(num * x_minus_last, cyclic)
-        if not rem.is_zero() and not allow_remainder:
-            raise InvalidTraceError(f"numerator {k} does not vanish on the step domain")
-        quots.append(quot)
-    return quots
+    return [divmod(num * x_minus_last, cyclic)[0] for num in numerators]
 
 
 def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:

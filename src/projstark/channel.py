@@ -103,7 +103,7 @@ def _leaf_digests(rows: Iterable[Sequence[int]], width: int) -> List[bytes]:
 
 
 def _leaf_digest(row: Sequence[int]) -> bytes:
-    return _leaf_digests((row,), len(row))[0]
+    return hashlib.sha256(_LEAF_TAG + struct.pack(f"<{len(row)}Q", *row)).digest()
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:

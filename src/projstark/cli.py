@@ -19,7 +19,6 @@ from .air import FieldOverflowError, InvalidTraceError
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from .dynamics import ExecutionTrace, SystemSpec, online_check, simulate
 from .field import PrimeField
-from .fri import DegreeTestFailedError
 from .protocol import (MAX_QUERIES, ProofFormatError, check_publics, dump_proof, load_proof,
                        prove, verify)
 
@@ -226,8 +225,7 @@ def cmd_prove(args) -> int:
             config.field, config.spec, trace, transcript,
             num_queries=config.queries, force=args.force_commit, salt=salt,
         )
-    except (InvalidTraceError, FieldOverflowError, DegreeTestFailedError,
-            TranscriptError) as exc:
+    except (InvalidTraceError, FieldOverflowError, TranscriptError) as exc:
         print(f"prover error: {exc}", file=sys.stderr)
         return EXIT_PROVER
     _write_out(args.out, dump_proof(proof))

@@ -7,7 +7,7 @@ field only when the execution trace enters the algebraic layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 IntVec = Tuple[int, ...]
 
@@ -93,6 +93,14 @@ class ExecutionTrace:
             delta=self.delta_rows[k],
         )
 
+    @classmethod
+    def from_steps(cls, spec: SystemSpec, steps: Iterable[StepRecord]) -> "ExecutionTrace":
+        """The trace from spec.z_init whose step k is the k-th of `steps`: the inverse of step."""
+        z_next, alpha_up, alpha_lo, delta = zip(
+            *[(s.z_next, s.alpha_up, s.alpha_lo, s.delta) for s in steps])
+        return cls(spec=spec, z_rows=(spec.z_init, *z_next), alpha_up_rows=alpha_up,
+                   alpha_lo_rows=alpha_lo, delta_rows=delta)
+
     def with_cell(self, section: str, row: int, index: int, value: int) -> "ExecutionTrace":
         """Copy of the trace with one cell replaced."""
         attr = {"z": "z_rows", "alpha_up": "alpha_up_rows",
@@ -159,21 +167,12 @@ def online_check(spec: SystemSpec, rec: StepRecord) -> Optional[str]:
 
 def simulate(spec: SystemSpec) -> ExecutionTrace:
     """Honest slack-form simulation for the full horizon."""
-    z_rows = [spec.z_init]
-    up_rows, lo_rows, d_rows = [], [], []
+    steps = []
+    z = spec.z_init
     for _ in range(spec.num_steps):
-        rec = step_slack(spec, z_rows[-1])
-        z_rows.append(rec.z_next)
-        up_rows.append(rec.alpha_up)
-        lo_rows.append(rec.alpha_lo)
-        d_rows.append(rec.delta)
-    return ExecutionTrace(
-        spec=spec,
-        z_rows=tuple(z_rows),
-        alpha_up_rows=tuple(up_rows),
-        alpha_lo_rows=tuple(lo_rows),
-        delta_rows=tuple(d_rows),
-    )
+        steps.append(step_slack(spec, z))
+        z = steps[-1].z_next
+    return ExecutionTrace.from_steps(spec, steps)
 
 
 def lemma1_solve(spec: SystemSpec, a_hat_z: Sequence[int]) -> Tuple[IntVec, IntVec, IntVec]:

@@ -7,10 +7,6 @@ from .field import PrimeField
 from .poly import Polynomial
 
 
-class DegreeTestFailedError(RuntimeError):
-    """The final FRI layer is not constant for the claimed degree bound."""
-
-
 def fold(p: Polynomial, beta: int) -> Polynomial:
     """Q_e + beta * Q_o, where Q(x) = Q_e(x^2) + x * Q_o(x^2); degree at most floor(deg/2)."""
     even = Polynomial(p.field, p.coeffs[0::2])

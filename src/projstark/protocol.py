@@ -39,12 +39,11 @@ from .channel import (
 )
 from .dynamics import ExecutionTrace, StepRecord, StepSource, SystemSpec, online_check
 from .field import CyclicDomain, PrimeField, build_domain
-from .fri import DegreeTestFailedError, fold, fold_value, num_rounds
+from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
-MAX_FRI_LAYERS = 64
 MAX_QUERIES = 1024
-PROOF_VERSION = 5
+PROOF_VERSION = 6
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -78,7 +77,9 @@ class RowOpening:
 
 @dataclass(frozen=True)
 class ProofQuery:
-    x: int
+    """The openings at the query's sample point x, which the proof does not
+    carry: the verifier draws x itself."""
+
     trace: Tuple[RowOpening, RowOpening]  # trace rows at x and at g*x
     fri: Tuple[Tuple[Opening, Opening], ...]  # per layer j: at x^(2^j) and its negation
 
@@ -86,6 +87,8 @@ class ProofQuery:
 @dataclass(frozen=True)
 class Proof:
     """A proof; q, N and g are not in it: the verifier holds or derives them.
+    Nor are the sample points: the verifier draws them from its own
+    transcript, and each opening's index must be its point's leaf.
 
     Each tree's openings are made, and must be checked, in one order: query by
     query, the trace rows at x before g·x, and on each FRI layer the leaf at y
@@ -284,35 +287,28 @@ def run_online_stage(
     max_retries: int = 3,
 ) -> ExecutionTrace:
     """Request steps one by one, re-requesting rejected ones up to the retry bound."""
-    z_rows: List[Tuple[int, ...]] = [spec.z_init]
-    up_rows, lo_rows, d_rows = [], [], []
-    for k in range(spec.num_steps):
-        accepted = None
-        for attempt in range(max_retries + 1):
-            rec = step_source(k, z_rows[-1], attempt)
-            reason = online_check(spec, rec)
-            if verifier_log is not None:
-                verifier_log.append(
-                    {"step": k, "attempt": attempt,
-                     "verdict": "accept" if reason is None else "reject",
-                     "reason": reason}
-                )
-            if reason is None:
-                accepted = rec
-                break
-        if accepted is None:
-            raise OnlineStageError(f"step {k} rejected {max_retries + 1} times")
-        z_rows.append(accepted.z_next)
-        up_rows.append(accepted.alpha_up)
-        lo_rows.append(accepted.alpha_lo)
-        d_rows.append(accepted.delta)
-    return ExecutionTrace(
-        spec=spec,
-        z_rows=tuple(z_rows),
-        alpha_up_rows=tuple(up_rows),
-        alpha_lo_rows=tuple(lo_rows),
-        delta_rows=tuple(d_rows),
-    )
+
+    # yielded one by one, so no record outlives its row of the trace
+    def accepted_steps():
+        z = spec.z_init
+        for k in range(spec.num_steps):
+            for attempt in range(max_retries + 1):
+                rec = step_source(k, z, attempt)
+                reason = online_check(spec, rec)
+                if verifier_log is not None:
+                    verifier_log.append(
+                        {"step": k, "attempt": attempt,
+                         "verdict": "accept" if reason is None else "reject",
+                         "reason": reason}
+                    )
+                if reason is None:
+                    break
+            else:
+                raise OnlineStageError(f"step {k} rejected {max_retries + 1} times")
+            yield rec
+            z = rec.z_next
+
+    return ExecutionTrace.from_steps(spec, accepted_steps())
 
 
 def honest_step_source(spec: SystemSpec) -> StepSource:
@@ -322,6 +318,36 @@ def honest_step_source(spec: SystemSpec) -> StepSource:
         return step_slack(spec, z)
 
     return source
+
+
+def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
+    """The trace lifted into the field, or InvalidTraceError: the honest
+    prover's one decision on a trace, made on its rows before any polynomial
+    is built. In order: the online checks, lift_trace, the boundary condition
+    and the step constraints.
+
+    f_z(1) is row 0, so the boundary check is the remainder of f_z - z_init
+    divided by x - 1; numerator k at g^j is constraint k on rows j and j+1, so
+    it is divisible by Z_N exactly when constraint k holds at every step.
+    """
+    q = field.modulus
+    n = spec.n
+    for k in range(spec.num_steps):
+        reason = online_check(spec, trace.step(k))
+        if reason is not None:
+            raise InvalidTraceError(f"online check failed at step {k}: {reason}")
+    lifted = lift_trace(trace, field)
+    for i, (z0, init) in enumerate(zip(lifted.z_rows[0], spec.z_init)):
+        if (z0 - init) % q:
+            raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
+    steps = zip(lifted.z_rows, lifted.z_rows[1:], lifted.alpha_up_rows,
+                lifted.alpha_lo_rows, lifted.delta_rows)
+    for j, rows in enumerate(steps):
+        for k, value in enumerate(constraints(spec, *rows)):
+            if value % q:
+                raise InvalidTraceError(
+                    f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
+    return lifted
 
 
 def prove(
@@ -336,11 +362,12 @@ def prove(
 ) -> Proof:
     """Build a proof for the trace.
 
-    The honest path refuses traces that fail the online checks, the boundary
-    condition or a step constraint on the lifted rows.  With force=True the
-    trace is committed as-is (floor quotients), the dishonest path used to
-    exercise the verifier's consistency stage.  Either way Q is the floor
-    quotient of the weighted sum of the constraint numerators: one division.
+    The honest path refuses, with InvalidTraceError, a trace that fails the
+    online checks, the boundary condition or a step constraint, all decided
+    on the lifted rows before any interpolation.  With force=True the trace
+    is committed as-is, the dishonest path used to exercise the verifier.
+    Either way the boundary quotients and Q are floor quotients, Q that of
+    the weighted sum of the constraint numerators: one division.
     """
     N = spec.num_steps
     n = spec.n
@@ -350,33 +377,11 @@ def prove(
         raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
     domain = domains.subgroup
 
-    if not force:
-        for k in range(N):
-            reason = online_check(spec, trace.step(k))
-            if reason is not None:
-                raise InvalidTraceError(f"online check failed at step {k}: {reason}")
-
-    trace = lift_trace(trace, field)
+    trace = lift_trace(trace, field) if force else _lift_or_refuse(spec, trace, field)
     tp = build_trace_polys(trace, domain, domains.interpolator)
 
     x_minus_one = Polynomial(field, (-1, 1))
-    boundary_polys = []
-    for i in range(n):
-        quot, rem = divmod(tp.f_z[i] - spec.z_init[i], x_minus_one)
-        if not rem.is_zero() and not force:
-            raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
-        boundary_polys.append(quot)
-
-    if not force:
-        # numerator k at g^j is constraint k on rows j and j+1, so it is
-        # divisible by Z_N exactly when constraint k holds at every step
-        steps = zip(trace.z_rows, trace.z_rows[1:], trace.alpha_up_rows,
-                    trace.alpha_lo_rows, trace.delta_rows)
-        for j, rows in enumerate(steps):
-            for k, value in enumerate(constraints(spec, *rows)):
-                if value % q:
-                    raise InvalidTraceError(
-                        f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
+    boundary_polys = [divmod(f - z0, x_minus_one)[0] for f, z0 in zip(tp.f_z, spec.z_init)]
 
     transcript.absorb("spec", hash_spec(field, spec))
 
@@ -389,7 +394,7 @@ def prove(
     gammas = [transcript.draw("gamma") for _ in range(4 * n)]
 
     numerators = build_numerators(tp, spec, domain)
-    [quotient] = build_compositions([combine(numerators, gammas)], domain, allow_remainder=force)
+    [quotient] = build_compositions([combine(numerators, gammas)], domain)
 
     if transcript.mode == "replay":
         bound = degree_bound(tp, quotient, N)
@@ -401,6 +406,9 @@ def prove(
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
+    # bound >= deg Q: replay declares at least deg Q, and deg Q <= 2N - 2, the
+    # Fiat-Shamir bound, as f_z has degree N and the other columns N - 1; so
+    # `rounds` folds end at a constant
     layer_committed = [composition]
     folded = quotient
     for j in range(1, rounds + 1):
@@ -408,9 +416,6 @@ def prove(
         if j < rounds:
             layer_committed.append(_Committed([folded], domains, j))
             transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
-    if folded.reported_degree > 0:
-        raise DegreeTestFailedError(
-            f"final FRI layer has degree {folded.reported_degree} for bound {bound}")
     fri_final = folded.coeffs[0] if folded.coeffs else 0
     transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
 
@@ -419,7 +424,6 @@ def prove(
         x = transcript.draw("sample_point", domains.layers[0])
         queries.append(
             ProofQuery(
-                x=x,
                 trace=(trace_cm.open_row(x), trace_cm.open_row(g * x % q)),
                 fri=tuple((cm.open_at(y), cm.open_at((q - y) % q))
                           for cm, y in zip(layer_committed, domains.chain(x, rounds))),
@@ -443,8 +447,6 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
     n = spec.n
     if proof.version != PROOF_VERSION:
         raise ProofFormatError(f"unsupported proof version {proof.version}")
-    if len(proof.fri_comms) + 2 > MAX_FRI_LAYERS:
-        raise ProofFormatError("too many FRI layers")
     if not 1 <= len(proof.queries) <= MAX_QUERIES:
         raise ProofFormatError("query count out of range")
     if proof.degree_bound < 0:
@@ -457,8 +459,6 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
             f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_comms)}"
         )
     for query in proof.queries:
-        if not 0 < query.x < q:
-            raise ProofFormatError("query point out of range")
         if len(query.trace) != 2 or any(len(row.values) != 5 * n for row in query.trace):
             raise ProofFormatError(f"each query needs two trace rows of {5 * n} values")
         if len(query.fri) != rounds:
@@ -481,12 +481,13 @@ def verify(
     challenges.
 
     A (q, N) that check_publics refuses raises ValueError, as in `prove`.
-    Checks, in order, with the stage a failure is reported at: the declared
-    degree bound, at most 2N-2 and equal to it under Fiat-Shamir (fri_commit),
-    each commitment's leaf count, openings and challenge agreement
-    (commitment), the initialization quotient identity (boundary), the
-    composition values recomputed from the opened trace rows (consistency),
-    and the folding chain (fri_query).
+    The sample points come from the transcript too, and are where every
+    check below looks. Checks, in order, with the stage a failure is reported
+    at: the declared degree bound, at most 2N-2 and equal to it under
+    Fiat-Shamir (fri_commit), each commitment's leaf count and the openings
+    at the leaves of the sample points (commitment), the initialization
+    quotient identity (boundary), the composition values recomputed from the
+    opened trace rows (consistency), and the folding chain (fri_query).
     """
     q = field.modulus
     N = spec.num_steps
@@ -516,9 +517,7 @@ def verify(
                 transcript.absorb(f"fri[{j + 1}]", proof.fri_comms[j].root)
             else:
                 transcript.absorb("fri_final", proof.fri_final.to_bytes(8, "little"))
-        expected_xs = [
-            transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries
-        ]
+        xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
@@ -539,11 +538,8 @@ def verify(
         return (opening.index == domains.index(layer, point)
                 and verify_opening(cm, opening.index, leaf, opening.path, known))
 
-    chains = [domains.chain(query.x, rounds) for query in proof.queries]
-    for k, (query, expected_x) in enumerate(zip(proof.queries, expected_xs)):
-        x = query.x
-        if x != expected_x:
-            return _reject("commitment", f"query {k}: point {x} does not match challenge")
+    chains = [domains.chain(x, rounds) for x in xs]
+    for k, (query, x) in enumerate(zip(proof.queries, xs)):
         for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
             if not check_opening(proof.trace_comm, row, row.values, point, trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
@@ -553,8 +549,7 @@ def verify(
                     return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
 
     # --- stage: boundary -----------------------------------------------------
-    for k, query in enumerate(proof.queries):
-        x = query.x
+    for k, (query, x) in enumerate(zip(proof.queries, xs)):
         row = query.trace[0].values
         for i in range(n):
             lhs = (row[i] - spec.z_init[i]) % q
@@ -564,8 +559,7 @@ def verify(
 
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
-    for k, query in enumerate(proof.queries):
-        x = query.x
+    for k, (query, x) in enumerate(zip(proof.queries, xs)):
         z_of_x = (pow(x, N + 1, q) - 1) * pow((x - g_pow_n) % q, q - 2, q) % q
         inv_z = pow(z_of_x, q - 2, q)
         row = query.trace[0].values
@@ -620,7 +614,6 @@ def proof_to_json(proof: Proof) -> dict:
         },
         "queries": [
             {
-                "x": str(qr.x),
                 "trace": {"at_x": _row_to_json(qr.trace[0]), "at_gx": _row_to_json(qr.trace[1])},
                 "fri": [
                     {"pos": _opening_to_json(a), "neg": _opening_to_json(b)}
@@ -699,7 +692,6 @@ def proof_from_json(doc: dict) -> Proof:
         trace = _want(qd, "trace", dict)
         queries.append(
             ProofQuery(
-                x=_int_str(_want(qd, "x", str)),
                 trace=(_row_from_json(_want(trace, "at_x", dict)),
                        _row_from_json(_want(trace, "at_gx", dict))),
                 fri=tuple(

@@ -243,7 +243,7 @@ def test_criterion_10_fold_degree_halving(field, announce):
         bound = 2 ** k - 1
         coeffs = [rng.randrange(331) for _ in range(bound + 1)] + [rng.randrange(1, 331)]
         betas = iter(rng.randrange(331) for _ in range(k + 1))
-        # the final layer must come out constant; the prover raises where it does not
+        # num_rounds(bound) folds leave a constant only for a degree <= bound
         if fold_rounds(Polynomial(field, coeffs), bound, betas)[-1].reported_degree > 0:
             failures += 1
     ok = halved == 100 and failures >= 0.95 * overweight_trials

@@ -16,7 +16,7 @@ from projstark.cli import (
     load_config,
     main,
 )
-from projstark.protocol import MAX_QUERIES
+from projstark.protocol import MAX_QUERIES, _domains
 
 
 @pytest.fixture()
@@ -245,7 +245,9 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     doc = json.loads(Path(proof).read_text())
     assert doc["publics"]["degree_bound"] == str(ref.COMBINED_DEGREE_BOUND)
     assert doc["fri_layers"]["final"] == str(ref.FINAL_CONSTANT)
-    assert [q["x"] for q in doc["queries"]] == [str(x) for x in ref.SAMPLE_POINTS]
+    # a proof carries no sample point: each query's trace row at x sits at x's leaf
+    layer0 = _domains(ref.MODULUS, ref.SYSTEM.num_steps).layers[0]
+    assert [layer0[q["trace"]["at_x"]["index"]] for q in doc["queries"]] == list(ref.SAMPLE_POINTS)
     assert "challenges" not in doc
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_OK
 
@@ -275,7 +277,8 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, mon
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", b]) == EXIT_OK
     doc_a, doc_b = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
     assert doc_a["publics"]["salt"] != doc_b["publics"]["salt"]
-    assert [q["x"] for q in doc_a["queries"]] != [q["x"] for q in doc_b["queries"]]
+    assert ([q["trace"]["at_x"]["index"] for q in doc_a["queries"]]
+            != [q["trace"]["at_x"]["index"] for q in doc_b["queries"]])
     assert main(["verify", "--config", fs_config_path, "--proof", a]) == EXIT_OK
     assert main(["verify", "--config", fs_config_path, "--proof", b]) == EXIT_OK
 

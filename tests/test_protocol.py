@@ -115,7 +115,8 @@ def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
     assert report.verdict == "accept"
     assert paper_proof.degree_bound == ref.COMBINED_DEGREE_BOUND
     assert paper_proof.fri_final == ref.FINAL_CONSTANT
-    assert [q.x for q in paper_proof.queries] == list(ref.SAMPLE_POINTS)
+    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
+    assert [layer0[q.trace[0].index] for q in paper_proof.queries] == list(ref.SAMPLE_POINTS)
 
 
 def test_paper_fiat_shamir_proof_accepts(field, paper_spec, paper_fs_proof):
@@ -150,6 +151,24 @@ def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_tr
     # a larger slack passes the online checks; the step check catches it
     tampered = paper_trace.with_cell("delta", 7, 1, paper_trace.delta_rows[7][1] + 1)
     with pytest.raises(InvalidTraceError, match=r"constraint slack\[1\] fails at step 7$"):
+        prove(field, paper_spec, tampered, paper_transcript())
+
+
+@pytest.mark.parametrize("section, row, shift, message", [
+    ("z", 0, -1, r"boundary condition violated for coordinate 1$"),
+    ("delta", 7, 1, r"constraint slack\[1\] fails at step 7$"),
+], ids=["wrong-start", "larger-slack"])
+def test_prove_refuses_on_the_rows_before_interpolating(field, paper_spec, paper_trace,
+                                                        monkeypatch, section, row, shift, message):
+    # the boundary condition and the step constraints are decided on the
+    # lifted rows; no polynomial is built for a trace the prover refuses
+    def no_interpolation(*args):
+        raise AssertionError("prove interpolated a trace it refuses")
+
+    monkeypatch.setattr(protocol, "build_trace_polys", no_interpolation)
+    old = getattr(paper_trace, section + "_rows")[row][1]
+    tampered = paper_trace.with_cell(section, row, 1, old + shift)
+    with pytest.raises(InvalidTraceError, match=message):
         prove(field, paper_spec, tampered, paper_transcript())
 
 
@@ -208,14 +227,14 @@ def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
         expected = Polynomial(field)
         for gamma, num in zip(gammas, nums, strict=True):
             expected = expected + divmod(num, zv)[0].scale(gamma)
-        [quotient] = build_compositions([combine(nums, gammas)], domain, allow_remainder=True)
+        [quotient] = build_compositions([combine(nums, gammas)], domain)
         assert quotient == expected, (q, spec)
         # and the committed Q opens to that sum at every sample point
         ch = random_challenges(rng, q, spec, num_queries=3)
         ch["gammas"] = gammas
         proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=3, force=True)
-        for query in proof.queries:
-            assert query.fri[0][0].value == expected.evaluate(query.x), (q, spec, query.x)
+        for query, x in zip(proof.queries, ch["sample_points"], strict=True):
+            assert query.fri[0][0].value == expected.evaluate(x), (q, spec, x)
 
 
 def test_step_check_refuses_exactly_when_a_numerator_leaves_a_remainder():
@@ -346,7 +365,7 @@ def test_proof_json_roundtrip_fiat_shamir(field, paper_spec, paper_fs_proof):
 def test_proof_json_integers_are_strings(paper_proof):
     doc = proof_to_json(paper_proof)
     assert isinstance(doc["publics"]["degree_bound"], str)
-    assert isinstance(doc["queries"][0]["x"], str)
+    assert isinstance(doc["queries"][0]["trace"]["at_x"]["values"][0], str)
     assert isinstance(doc["fri_layers"]["final"], str)
 
 
@@ -507,7 +526,7 @@ def test_proof_commits_the_trace_once(paper_spec, paper_proof):
     # one leaf per evaluation point, as for the composition polynomial
     assert doc["commitments"]["trace"]["leaves"] == doc["commitments"]["composition"]["leaves"]
     for qd in doc["queries"]:
-        assert set(qd) == {"x", "trace", "fri"}
+        assert set(qd) == {"trace", "fri"}  # no sample point: the verifier draws it
         assert set(qd["trace"]) == {"at_x", "at_gx"}
         assert all(len(row["values"]) == 5 * paper_spec.n for row in qd["trace"].values())
 
@@ -531,26 +550,34 @@ def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
 
 def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_trace,
                                                       tmp_path, monkeypatch):
-    # version 4 sent the full path with every opening; made that way, a proof
-    # is malformed under its own version and rejected under version 5
+    # version 4 sent the full path with every opening, and versions 4 and 5
+    # the sample point x of every query; made either way, a proof is malformed
+    # under its own version, and one with full paths is rejected under version 6
+    def prove_v6():
+        salt = b"v4"
+        return prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                     num_queries=8, salt=salt)
+
     full_path = protocol.MerkleTree.open
     monkeypatch.setattr(protocol.MerkleTree, "open", lambda tree, i, known=None: full_path(tree, i))
-    salt = b"v4"
-    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
-                  num_queries=8, salt=salt)
+    proof = prove_v6()
     monkeypatch.undo()
-    v4 = proof_to_json(proof)
-    v4["version"] = 4
-    with pytest.raises(ProofFormatError, match="unsupported proof version 4"):
-        verify(field, paper_spec, proof_from_json(v4))
     report = verify(field, paper_spec, proof)
     assert (report.verdict, report.stage) == ("reject", "commitment")
     config = {**ref.replay_config(), "mode": "fiat-shamir"}
     del config["challenges"]
     (tmp_path / "config.json").write_text(json.dumps(config))
-    (tmp_path / "proof.json").write_text(json.dumps(v4))
-    assert main(["verify", "--config", str(tmp_path / "config.json"),
-                 "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
+    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
+    for version, made in ((4, proof), (5, prove_v6())):
+        doc = proof_to_json(made)
+        doc["version"] = version
+        doc["queries"] = [{"x": str(layer0[qd["trace"]["at_x"]["index"]]), **qd}
+                          for qd in doc["queries"]]
+        with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
+            verify(field, paper_spec, proof_from_json(doc))
+        (tmp_path / "proof.json").write_text(json.dumps(doc, indent=2))
+        assert main(["verify", "--config", str(tmp_path / "config.json"),
+                     "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -633,19 +660,19 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (proof version 5: one row-leaf trace tree, at most
+# SHA-256 of dump_proof (proof version 6: one row-leaf trace tree, at most
 # BLOWUP cosets of H committed, sample points drawn as indices into them, no
-# q, N or g, which the verifier holds or derives, and each path cut where it
-# meets a node an earlier opening of its tree sent) for fixed inputs; any
-# change to the committed values, their order, the tree hashing, the paths
-# sent or the transcript changes a digest.
+# q, N or g and no sample point, which the verifier holds or derives, and each
+# path cut where it meets a node an earlier opening of its tree sent) for
+# fixed inputs; any change to the committed values, their order, the tree
+# hashing, the paths sent or the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "e2bc9f5360e5b9138065b5c7f29101034a9d3dac9b1a85c9b9bf07f622b92ab9",
-    "paper-fiat-shamir": "ca9ee6c86f9c674a8e9c55b9ab7ac7e0d077ba4db215dd6bc9c7eaf5fb89f667",
+    "paper-replay": "aaf33112d6381ebb40a4169af40be8ca5ed689b928c3e45a03af648243b9d728",
+    "paper-fiat-shamir": "e3486b7b1d62ea7e8dbb76172cda0d82349f7f48c50b873348d57e56dbeda065",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "0721ff7939745bb6bf5f30152a61d7d13c3620caf963f1b6c2caedfc7f61eebc",
+    "q3001-fiat-shamir": "0d1c38f384f94fbed5992dd6a28cc3761de69aa3b7490400af4633db42fdf23f",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -663,7 +690,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 5
+    assert paper_proof.version == PROOF_VERSION == 6
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -780,14 +807,22 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
 ):
     N = paper_spec.num_steps
     doc = proof_to_json(paper_fs_proof)
-    # a bound past 2N-2 with the FRI roots and opening pairs it calls for
-    oversized = json.loads(json.dumps(doc))
-    extra = num_rounds(4 * N) - num_rounds(paper_fs_proof.degree_bound)
-    assert extra >= 1
-    oversized["publics"]["degree_bound"] = str(4 * N)
-    oversized["fri_layers"]["roots"] += oversized["fri_layers"]["roots"][-1:] * extra
-    for qd in oversized["queries"]:
-        qd["fri"] += qd["fri"][-1:] * extra
+
+    def declaring(bound):
+        """The proof with a bound past 2N-2 and the FRI roots and opening
+        pairs that bound calls for."""
+        grown = json.loads(json.dumps(doc))
+        extra = num_rounds(bound) - num_rounds(paper_fs_proof.degree_bound)
+        assert extra >= 1
+        grown["publics"]["degree_bound"] = str(bound)
+        grown["fri_layers"]["roots"] += grown["fri_layers"]["roots"][-1:] * extra
+        for qd in grown["queries"]:
+            qd["fri"] += qd["fri"][-1:] * extra
+        return grown
+
+    oversized = declaring(4 * N)
+    deep = declaring(2**69)  # 70 FRI layers; the bound alone caps the layer count
+    assert len(deep["queries"][0]["fri"]) == 70
     tampered = json.loads(json.dumps(doc))
     opening = tampered["queries"][0]["fri"][-1]["pos"]
     opening["value"] = str((int(opening["value"]) + 1) % ref.MODULUS)
@@ -800,9 +835,10 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     count = _layer_count(ref.MODULUS, N)
     assert count == num_rounds(2 * N - 2)
     layers = protocol._domains(ref.MODULUS, N).layers
-    report = verify(field, paper_spec, proof_from_json(oversized))
-    assert (report.verdict, report.stage) == ("reject", "fri_commit")
-    assert _layer_count(ref.MODULUS, N) == count
+    for bad in (oversized, deep):
+        report = verify(field, paper_spec, proof_from_json(bad))
+        assert (report.verdict, report.stage) == ("reject", "fri_commit")
+        assert _layer_count(ref.MODULUS, N) == count
 
     assert verify(field, paper_spec, paper_fs_proof).accepted
     assert _layer_count(ref.MODULUS, N) == count
@@ -1032,7 +1068,11 @@ def test_sample_points_are_drawn_from_the_committed_domain():
     layer0 = set(domains.layers[0])
     proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"draws"),
                   num_queries=128, salt=b"draws")
-    assert {query.x for query in proof.queries} <= layer0
+    # the row at x opens x's leaf in the committed domain, the row at g·x that of g·x
+    for query in proof.queries:
+        x = domains.layers[0][query.trace[0].index]
+        assert query.trace[1].index == domains.index(0, x * domains.g % q)
+    assert verify(field, spec, proof).accepted
 
     # a replay point in F_q* \ H but in none of the committed cosets
     subgroup = set(domains.subgroup.elements)
