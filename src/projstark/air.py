@@ -105,7 +105,7 @@ def build_trace_polys(
     q = field.modulus
     g_inv = domain.elements[N]
     dft = trace_interpolator(domain) if interpolator is None else interpolator
-    inv_order = pow(N + 1, q - 2, q)
+    inv_order = pow(N + 1, -1, q)
     n = spec.n
     columns = [
         Polynomial(field, [row[i] for row in rows])

@@ -245,6 +245,12 @@ def cmd_verify(args) -> int:
     except ProofFormatError as exc:
         print(f"malformed proof: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    # the prover picks how many queries to answer; the config sets the least
+    # number the verifier takes
+    if report.accepted and len(proof.queries) < config.queries:
+        print(f"verdict: reject: the proof answers {len(proof.queries)} queries, "
+              f"the config asks for {config.queries}")
+        return EXIT_REJECT
     if report.accepted:
         print("verdict: accept")
         return EXIT_OK

@@ -14,12 +14,11 @@ def fold(p: Polynomial, beta: int) -> Polynomial:
 
 
 def fold_value(field: PrimeField, v_pos: int, v_neg: int, x: int, beta: int) -> int:
-    """Next-layer value at x^2 from Q(x) and Q(-x)."""
+    """Next-layer value at x^2 from Q(x) and Q(-x): Q_e(x^2) + beta * Q_o(x^2)
+    with Q_e(x^2) = (Q(x) + Q(-x))/2 and Q_o(x^2) = (Q(x) - Q(-x))/(2x), over
+    the one denominator 2x, so one inversion."""
     q = field.modulus
-    inv2 = pow(2, q - 2, q)
-    even = (v_pos + v_neg) * inv2 % q
-    odd = (v_pos - v_neg) * pow(2 * x % q, q - 2, q) % q
-    return (even + beta * odd) % q
+    return ((v_pos + v_neg) * x + beta * (v_pos - v_neg)) * pow(2 * x, -1, q) % q
 
 
 def num_rounds(bound: int) -> int:

@@ -118,7 +118,7 @@ class Polynomial:
         if len(rem) < len(dc):
             return Polynomial(self.field), Polynomial(self.field, rem)
         quot = [0] * (len(rem) - len(dc) + 1)
-        lead_inv = pow(dc[-1], q - 2, q)
+        lead_inv = pow(dc[-1], -1, q)
         # a sparse divisor such as x^m - 1 costs O(deg) instead of O(deg·m)
         terms = [(i, d) for i, d in enumerate(dc) if d]
         for top in range(len(rem) - 1, len(dc) - 2, -1):
@@ -197,7 +197,7 @@ def interpolate(points: Sequence[Tuple[int, int]], field: PrimeField) -> Polynom
         den = 0
         for c in reversed(basis):
             den = (den * xj + c) % q
-        w = yj * pow(den, q - 2, q) % q
+        w = yj * pow(den, -1, q) % q
         if w:
             for i in range(m):
                 acc[i] = (acc[i] + w * basis[i]) % q

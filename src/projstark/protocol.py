@@ -128,8 +128,9 @@ def _reject(stage: str, detail: str) -> VerificationReport:
 
 def check_publics(q: int, num_steps: int) -> None:
     """Refuse a q too wide for the 8-byte encodings, or an order N + 1 of H that
-    is odd (-1 not in H) or does not divide q - 1. Call it before PrimeField(q),
-    so a huge q is refused before it is tested for primality."""
+    is odd (-1 not in H), does not divide q - 1, or is q - 1 itself (H is then
+    all of F_q*, and no coset is left to commit on). Call it before
+    PrimeField(q), so a huge q is refused before it is tested for primality."""
     if q >= 2**64:
         raise ValueError(f"q must be below 2^64, got a {q.bit_length()}-bit q: the spec digest, "
                          "the transcript and the Merkle leaves encode field values in 8 bytes")
@@ -137,6 +138,9 @@ def check_publics(q: int, num_steps: int) -> None:
         raise ValueError(f"N+1={num_steps + 1} must be even so the evaluation domain is symmetric")
     if (q - 1) % (num_steps + 1):
         raise ValueError(f"N+1={num_steps + 1} must divide q-1={q - 1}")
+    if num_steps + 1 == q - 1:
+        raise ValueError(f"N+1={num_steps + 1} must be below q-1={q - 1}: "
+                         "H would be all of F_q*, leaving no coset to commit on")
 
 
 def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
@@ -161,7 +165,8 @@ def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
     The cosets are those of x = 2, 3, ..., each new one met in that order; x·H
     is keyed by x^|H|, and H has key 1. When F_q* has at most BLOWUP cosets
     besides H, the union is all of F_q* minus H. Negation-closed for even |H|,
-    since -1 is then in H. Costs O(BLOWUP·|H|) steps, not O(q).
+    since -1 is then in H. Costs O(BLOWUP·|H|) steps, not O(q). Never empty:
+    check_publics refuses |H| = q - 1, where no coset besides H exists.
     """
     q = field.modulus
     order = domain.order
@@ -560,8 +565,8 @@ def verify(
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
-        z_of_x = (pow(x, N + 1, q) - 1) * pow((x - g_pow_n) % q, q - 2, q) % q
-        inv_z = pow(z_of_x, q - 2, q)
+        # Z_N(x) = (x^(N+1) - 1)/(x - g^N), so 1/Z_N(x) takes one inversion
+        inv_z = (x - g_pow_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q
         row = query.trace[0].values
         z, up, lo, delta = (row[i * n:(i + 1) * n] for i in range(4))
         numerators = constraints(spec, z, query.trace[1].values[:n], up, lo, delta)
@@ -625,97 +630,79 @@ def proof_to_json(proof: Proof) -> dict:
     }
 
 
-def _want(doc: dict, key: str, kind):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ProofFormatError(f"missing field {key!r}")
-    value = doc[key]
+def _list(v) -> list:
+    # iterating a dict or a string instead would not fail
+    if type(v) is not list:
+        raise TypeError(f"expected a list, got {type(v).__name__}")
+    return v
+
+
+def _int(v) -> int:
     # JSON true and false load as bool, a subclass of int, but are no integer
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ProofFormatError(f"field {key!r} has the wrong type")
-    return value
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return v
 
 
-def _int_str(value) -> int:
-    if not isinstance(value, str):
-        raise ProofFormatError("integer fields must be base-10 strings")
-    try:
-        return int(value, 10)
-    except ValueError as exc:
-        raise ProofFormatError(f"bad integer literal {value!r}") from exc
+def _int_str(v) -> int:
+    if type(v) is not str:
+        raise TypeError(f"expected a base-10 string, got {type(v).__name__}")
+    return int(v, 10)
 
 
-def _hex_bytes(value) -> bytes:
-    if not isinstance(value, str):
-        raise ProofFormatError("digest fields must be hex strings")
-    try:
-        return bytes.fromhex(value)
-    except ValueError as exc:
-        raise ProofFormatError(f"bad hex literal {value!r}") from exc
+def _hex(v) -> bytes:
+    if type(v) is not str:
+        raise TypeError(f"expected a hex string, got {type(v).__name__}")
+    return bytes.fromhex(v)
 
 
-def _path(doc: dict) -> Tuple[bytes, ...]:
-    path = _want(doc, "path", list)
-    try:
-        return tuple(map(bytes.fromhex, path))
-    except (TypeError, ValueError) as exc:
-        raise ProofFormatError(f"path digests must be hex strings: {exc}") from exc
+def _row(d: dict) -> RowOpening:
+    return RowOpening(_int(d["index"]), tuple(map(_int_str, _list(d["values"]))),
+                      tuple(map(_hex, _list(d["path"]))))
 
 
-def _opening_from_json(doc: dict) -> Opening:
-    index = _want(doc, "index", int)
-    value = _int_str(_want(doc, "value", str))
-    return Opening(index=index, value=value, path=_path(doc))
+def _opening(d: dict) -> Opening:
+    return Opening(_int(d["index"]), _int_str(d["value"]), tuple(map(_hex, _list(d["path"]))))
 
 
-def _row_from_json(doc: dict) -> RowOpening:
-    index = _want(doc, "index", int)
-    values = tuple(_int_str(v) for v in _want(doc, "values", list))
-    return RowOpening(index=index, values=values, path=_path(doc))
-
-
-def _comm_from_json(doc: dict) -> MerkleCommitment:
-    root = _hex_bytes(_want(doc, "root", str))
+def _comm(d: dict) -> MerkleCommitment:
+    root = _hex(d["root"])
     if len(root) != 32:
-        raise ProofFormatError("commitment root must be 32 bytes")
-    return MerkleCommitment(root=root, leaf_count=_want(doc, "leaves", int))
+        raise ValueError("commitment root must be 32 bytes")
+    return MerkleCommitment(root, _int(d["leaves"]))
+
+
+def _query(d: dict) -> ProofQuery:
+    return ProofQuery(trace=(_row(d["trace"]["at_x"]), _row(d["trace"]["at_gx"])),
+                      fri=tuple((_opening(p["pos"]), _opening(p["neg"])) for p in _list(d["fri"])))
 
 
 def proof_from_json(doc: dict) -> Proof:
-    version = _want(doc, "version", int)
-    publics = _want(doc, "publics", dict)
-    commitments = _want(doc, "commitments", dict)
-    fri_layers = _want(doc, "fri_layers", dict)
-    queries_doc = _want(doc, "queries", list)
-
-    queries = []
-    for qd in queries_doc:
-        trace = _want(qd, "trace", dict)
-        queries.append(
-            ProofQuery(
-                trace=(_row_from_json(_want(trace, "at_x", dict)),
-                       _row_from_json(_want(trace, "at_gx", dict))),
-                fri=tuple(
-                    (_opening_from_json(_want(p, "pos", dict)),
-                     _opening_from_json(_want(p, "neg", dict)))
-                    for p in _want(qd, "fri", list)
-                ),
-            )
+    """The Proof in a document of proof_to_json's shape, read by indexing
+    inside one boundary: a missing key, a wrong type or a bad literal becomes
+    ProofFormatError. The helpers check only what indexing cannot: each list,
+    JSON integer, base-10 string and hex string. Counts and ranges are verify's.
+    """
+    try:
+        publics, comms, layers = doc["publics"], doc["commitments"], doc["fri_layers"]
+        return Proof(
+            version=_int(doc["version"]),
+            salt=_hex(publics["salt"]),
+            degree_bound=_int_str(publics["degree_bound"]),
+            trace_comm=_comm(comms["trace"]),
+            composition_comm=_comm(comms["composition"]),
+            fri_comms=tuple(map(_comm, _list(layers["roots"]))),
+            fri_final=_int_str(layers["final"]),
+            queries=tuple(map(_query, _list(doc["queries"]))),
         )
-
-    return Proof(
-        version=version,
-        salt=_hex_bytes(_want(publics, "salt", str)),
-        degree_bound=_int_str(_want(publics, "degree_bound", str)),
-        trace_comm=_comm_from_json(_want(commitments, "trace", dict)),
-        composition_comm=_comm_from_json(_want(commitments, "composition", dict)),
-        fri_comms=tuple(_comm_from_json(c) for c in _want(fri_layers, "roots", list)),
-        fri_final=_int_str(_want(fri_layers, "final", str)),
-        queries=tuple(queries),
-    )
+    except KeyError as exc:
+        raise ProofFormatError(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProofFormatError(str(exc)) from exc
 
 
 def dump_proof(proof: Proof) -> str:
-    return json.dumps(proof_to_json(proof), indent=2)
+    return json.dumps(proof_to_json(proof), separators=(",", ":"))
 
 
 def load_proof(text: str) -> Proof:

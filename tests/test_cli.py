@@ -269,6 +269,22 @@ def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, tra
     assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_OK
 
 
+def test_verify_holds_a_proof_to_the_config_queries(tmp_path, trace_path, capsys):
+    # the prover picks how many queries it answers; the verifier's config
+    # sets the least number it accepts
+    one = _write_config(tmp_path, _fs_doc(queries=1), "one.json")
+    eight = _write_config(tmp_path, _fs_doc(queries=8), "eight.json")
+    few, many = str(tmp_path / "few.json"), str(tmp_path / "many.json")
+    assert main(["prove", "--config", one, "--trace", trace_path, "--out", few]) == EXIT_OK
+    assert main(["prove", "--config", eight, "--trace", trace_path, "--out", many]) == EXIT_OK
+    assert main(["verify", "--config", one, "--proof", few]) == EXIT_OK
+    assert main(["verify", "--config", one, "--proof", many]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--config", eight, "--proof", few]) == EXIT_REJECT
+    out = capsys.readouterr().out
+    assert "answers 1 queries" in out and "asks for 8" in out
+
+
 def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, monkeypatch):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     monkeypatch.setenv("PROJSTARK_SEED", "alpha")

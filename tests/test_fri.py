@@ -47,6 +47,17 @@ def test_fold_agrees_with_fold_value(field):
         assert got == folded.evaluate(x * x % 331)
 
 
+def test_fold_value_equals_the_two_inversion_formula_on_all_of_f331(field):
+    # (v+ + v-)/2 + beta * (v+ - v-)/(2x), each quotient by a Fermat inversion
+    q = field.modulus
+    rng = random.Random(23)
+    for x in range(1, q):
+        v_pos, v_neg, beta = (rng.randrange(q) for _ in range(3))
+        even = (v_pos + v_neg) * pow(2, q - 2, q) % q
+        odd = (v_pos - v_neg) * pow(2 * x, q - 2, q) % q
+        assert fold_value(field, v_pos, v_neg, x, beta) == (even + beta * odd) % q
+
+
 def test_num_rounds():
     assert num_rounds(0) == 1
     assert num_rounds(1) == 1

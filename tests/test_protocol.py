@@ -407,6 +407,47 @@ def test_load_proof_rejects_booleans_for_integers(paper_proof, where, flag):
         proof_from_json(doc)
 
 
+def _nodes(doc, where=()):
+    """The path to every node of a JSON document, the root first."""
+    yield where
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(value, where + (key,))
+
+
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
+DELETE = object()
+
+
+def test_load_proof_refuses_every_wrong_type(paper_proof):
+    # every node of a 2-query proof document, replaced by a JSON value of each
+    # other type, or deleted where it is a dict key
+    base = proof_to_json(paper_proof)
+    cases = 0
+    for where in _nodes(base):
+        edits = [v for v in JSON_VALUES if type(v) is not type(_at(base, where))]
+        if where and isinstance(_at(base, where[:-1]), dict):
+            edits.append(DELETE)
+        for value in edits:
+            doc = json.loads(json.dumps(base))
+            if not where:
+                doc = value
+            elif value is DELETE:
+                del _at(doc, where[:-1])[where[-1]]
+            else:
+                _at(doc, where[:-1])[where[-1]] = value
+            with pytest.raises(ProofFormatError):
+                proof_from_json(doc)
+            cases += 1
+    assert cases == 343 * 6 + 123  # 343 nodes, 6 other types each; 123 dict keys
+
+
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
     doc["queries"][0]["fri"] = doc["queries"][0]["fri"][:-1]
@@ -660,19 +701,20 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (proof version 6: one row-leaf trace tree, at most
-# BLOWUP cosets of H committed, sample points drawn as indices into them, no
-# q, N or g and no sample point, which the verifier holds or derives, and each
-# path cut where it meets a node an earlier opening of its tree sent) for
-# fixed inputs; any change to the committed values, their order, the tree
-# hashing, the paths sent or the transcript changes a digest.
+# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 6:
+# one row-leaf trace tree, at most BLOWUP cosets of H committed, sample points
+# drawn as indices into them, no q, N or g and no sample point, which the
+# verifier holds or derives, and each path cut where it meets a node an
+# earlier opening of its tree sent) for fixed inputs; any change to the
+# committed values, their order, the tree hashing, the paths sent or the
+# transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "aaf33112d6381ebb40a4169af40be8ca5ed689b928c3e45a03af648243b9d728",
-    "paper-fiat-shamir": "e3486b7b1d62ea7e8dbb76172cda0d82349f7f48c50b873348d57e56dbeda065",
+    "paper-replay": "e476a7b3c394b533a14f958906b1074f2af8a5f3eff33b42caf7d3d524b6f78c",
+    "paper-fiat-shamir": "c58364a1b271565d762fa7b046142be07c86a2942cda278e7ceea510f9736e8d",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "0d1c38f384f94fbed5992dd6a28cc3761de69aa3b7490400af4633db42fdf23f",
+    "q3001-fiat-shamir": "498b7d75a34b407a2518a235a5a5b81ee28f51f482582831e1e22445a5bc4b41",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -901,7 +943,9 @@ def test_modulus_of_2_to_the_64_or_more_is_refused_before_any_work(
     (2**89 - 1, 29, "must be below 2\\^64"),  # prime, and N + 1 = 30 divides q - 1
     (331, 2, "must be even"),  # N + 1 = 3 divides 330
     (331, 3, "must divide q-1"),  # N + 1 = 4 is even
-], ids=["q-2^89-1", "odd-order", "order-not-dividing"])
+    (13, 11, "must be below q-1"),  # H = F_13*: no coset left to commit on
+    (5, 3, "must be below q-1"),  # H = F_5*
+], ids=["q-2^89-1", "odd-order", "order-not-dividing", "h-is-f13-star", "h-is-f5-star"])
 def test_prove_verify_and_the_cli_refuse_the_same_publics(
     tmp_path, paper_fs_proof, q, num_steps, message
 ):
