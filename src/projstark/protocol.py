@@ -3,7 +3,8 @@
 The proof commits the trace as one Merkle tree whose leaf at a point x is the
 row of every column interpolant and boundary quotient at x, and commits the
 combined composition polynomial and each FRI folding layer as a tree of its
-own.  Verification checks commitment openings, the boundary-quotient identity,
+own, whose leaf at a pair {y, -y} holds both values that one fold combines.
+Verification checks commitment openings, the boundary-quotient identity,
 recomputation of the composition values from the opened trace rows, and the
 FRI folding chain, attributing any failure to the earliest failing stage.
 """
@@ -43,7 +44,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 6
+PROOF_VERSION = 7
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -91,10 +92,10 @@ class Proof:
     transcript, and each opening's index must be its point's leaf.
 
     Each tree's openings are made, and must be checked, in one order: query by
-    query, the trace rows at x before g·x, and on each FRI layer the leaf at y
-    before -y. An opening's path stops where the walk up from its leaf meets a
-    node that an earlier opening of its tree sent or let the verifier compute,
-    so it is empty for a leaf opened before.
+    query, the trace rows at x before g·x, and on each FRI layer the opening at
+    y before -y, which share one leaf. An opening's path stops where the walk
+    up from its leaf meets a node that an earlier opening of its tree sent or
+    let the verifier compute, so it is empty for a leaf opened before, as at -y.
     """
 
     salt: bytes
@@ -200,11 +201,11 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 class _Domains:
     """Everything prove and verify take from (q, N), built once after
     check_publics: the trace subgroup H, its generator g, the worst-case
-    degree bound 2N - 2 and the domains of the num_rounds(2N - 2) FRI layers
-    any accepted proof reaches, whose sizes are the commitments' leaf counts.
-    Layer 0, from base_eval_domain, is at most BLOWUP cosets of H and is where
-    sample points are drawn. verify rejects a declared bound above the worst
-    case before it reads a layer.
+    degree bound 2N - 2 and the domains D_j of the num_rounds(2N - 2) FRI
+    layers any accepted proof reaches; the trace tree has |D_0| leaves and
+    the tree of layer j |D_j|/2. D_0, from base_eval_domain, is at most
+    BLOWUP cosets of H and is where sample points are drawn. verify rejects
+    a declared bound above the worst case before it reads a layer.
 
     The coset-DFT plans and the trace interpolator are built on first use, so
     a verifier builds none. Nothing here depends on a proof, and a plan keeps
@@ -221,9 +222,13 @@ class _Domains:
                                          num_rounds(self.worst_bound))
 
     def index(self, layer: int, point: int) -> int:
-        """The leaf of `point`, a point of FRI layer `layer`, in that layer's
-        tree: layers are sorted, so its position by bisection."""
+        """The position of `point` in FRI layer `layer`, by bisection as layers
+        are sorted: its leaf in the trace tree, for layer 0."""
         return bisect_left(self.layers[layer], point)
+
+    def pair_leaf(self, layer: int, point: int) -> int:
+        """The leaf of {point, -point} in the tree of FRI layer `layer`."""
+        return min(self.index(layer, point), self.index(layer, self.field.modulus - point))
 
     def chain(self, x: int, rounds: int) -> List[int]:
         """x, x^2, x^4, ...: the point of the query at x in each of the first
@@ -259,7 +264,7 @@ def _domains(q: int, num_steps: int) -> _Domains:
 
 class _Committed:
     """Evaluation tables of polynomials on the domain of one FRI layer, one
-    Merkle leaf per point.
+    Merkle leaf per point: the trace tree.
 
     The tables are kept by column; a row is built to be hashed, then dropped,
     and built again only if it is opened. `known` holds the tree's nodes that
@@ -268,20 +273,36 @@ class _Committed:
 
     def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
         self.tables = domains.evaluators[layer].evaluate(polys)
-        self.tree = MerkleTree(zip(*self.tables))
+        self.tree = MerkleTree(self.rows())
         self.known = {1}
         self.domains = domains
         self.layer = layer
+
+    def rows(self):
+        return zip(*self.tables)
 
     def open_row(self, point: int) -> RowOpening:
         i = self.domains.index(self.layer, point)
         return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
                           path=tuple(self.tree.open(i, self.known)))
 
-    def open_at(self, point: int) -> Opening:
-        """Opening of a one-polynomial commitment."""
-        row = self.open_row(point)
-        return Opening(index=row.index, value=row.values[0], path=row.path)
+
+class _CommittedPairs(_Committed):
+    """One polynomial f on the sorted, negation-closed domain D of one FRI
+    layer (layer 0: Q), one leaf per pair: leaf i is (f(d), f(q - d)) for d
+    the i-th point of D, below q/2, so q - d is its (|D| - 1 - i)-th point."""
+
+    def rows(self):
+        table = self.tables[0]
+        return zip(table[:len(table) // 2], reversed(table))
+
+    def open_pair(self, y: int) -> Tuple[Opening, Opening]:
+        """The openings at y, then at -y, of their one leaf: the second's path is empty."""
+        i, table = self.domains.index(self.layer, y), self.tables[0]
+        leaf = self.domains.pair_leaf(self.layer, y)
+        return tuple(Opening(index=leaf, value=table[k],
+                             path=tuple(self.tree.open(leaf, self.known)))
+                     for k in (i, len(table) - 1 - i))
 
 
 def run_online_stage(
@@ -407,7 +428,7 @@ def prove(
         bound = domains.worst_bound
     rounds = num_rounds(bound)
 
-    composition = _Committed([quotient], domains, 0)
+    composition = _CommittedPairs([quotient], domains, 0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
@@ -419,7 +440,7 @@ def prove(
     for j in range(1, rounds + 1):
         folded = fold(folded, transcript.draw("beta"))
         if j < rounds:
-            layer_committed.append(_Committed([folded], domains, j))
+            layer_committed.append(_CommittedPairs([folded], domains, j))
             transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
     fri_final = folded.coeffs[0] if folded.coeffs else 0
     transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
@@ -430,7 +451,7 @@ def prove(
         queries.append(
             ProofQuery(
                 trace=(trace_cm.open_row(x), trace_cm.open_row(g * x % q)),
-                fri=tuple((cm.open_at(y), cm.open_at((q - y) % q))
+                fri=tuple(cm.open_pair(y)
                           for cm, y in zip(layer_committed, domains.chain(x, rounds))),
             )
         )
@@ -490,9 +511,10 @@ def verify(
     check below looks. Checks, in order, with the stage a failure is reported
     at: the declared degree bound, at most 2N-2 and equal to it under
     Fiat-Shamir (fri_commit), each commitment's leaf count and the openings
-    at the leaves of the sample points (commitment), the initialization
-    quotient identity (boundary), the composition values recomputed from the
-    opened trace rows (consistency), and the folding chain (fri_query).
+    at the leaves of the sample points, both of an FRI pair against one row
+    (commitment), the initialization quotient identity (boundary), the
+    composition values recomputed from the opened trace rows (consistency),
+    and the folding chain (fri_query).
     """
     q = field.modulus
     N = spec.num_steps
@@ -528,29 +550,31 @@ def verify(
 
     # --- stage: commitment ---------------------------------------------------
     layer_comms = (proof.composition_comm, *proof.fri_comms)
-    for j, cm in ((0, proof.trace_comm), *enumerate(layer_comms)):
-        if cm.leaf_count != len(domains.layers[j]):
-            return _reject("commitment", f"layer {j} tree has {cm.leaf_count} leaves, "
-                                         f"not {len(domains.layers[j])}")
+    trees = [("trace", proof.trace_comm, len(domains.layers[0]))]
+    trees += [(f"layer {j}", cm, len(domains.layers[j]) // 2) for j, cm in enumerate(layer_comms)]
+    for name, cm, count in trees:
+        if cm.leaf_count != count:
+            return _reject("commitment", f"{name} tree has {cm.leaf_count} leaves, not {count}")
 
     # nodes each tree's accepted openings authenticated, so each is hashed once
     trace_known: dict = {}
     layer_known: List[dict] = [{} for _ in range(rounds)]
 
-    def check_opening(cm: MerkleCommitment, opening, leaf: Sequence[int], point: int,
-                      known: dict, layer: int = 0) -> bool:
-        # each point asked about lies in its layer, so its index is below the leaf count
-        return (opening.index == domains.index(layer, point)
-                and verify_opening(cm, opening.index, leaf, opening.path, known))
-
     chains = [domains.chain(x, rounds) for x in xs]
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
+        # each leaf asked about is that of a point in its layer, so below the leaf count
         for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
-            if not check_opening(proof.trace_comm, row, row.values, point, trace_known):
+            i = domains.index(0, point)
+            if row.index != i or not verify_opening(proof.trace_comm, i, row.values, row.path,
+                                                    trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
         for j, y in enumerate(chains[k]):
-            for o, point, where in zip(query.fri[j], (y, (q - y) % q), ("y", "-y")):
-                if not check_opening(layer_comms[j], o, (o.value,), point, layer_known[j], j):
+            # the pair's row holds the smaller point's value first
+            row = tuple(o.value for o in query.fri[j])[::1 if y < q - y else -1]
+            leaf = domains.pair_leaf(j, y)
+            for o, where in zip(query.fri[j], ("y", "-y")):
+                if o.index != leaf or not verify_opening(layer_comms[j], leaf, row, o.path,
+                                                         layer_known[j]):
                     return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
 
     # --- stage: boundary -----------------------------------------------------

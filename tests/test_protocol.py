@@ -445,7 +445,7 @@ def test_load_proof_refuses_every_wrong_type(paper_proof):
             with pytest.raises(ProofFormatError):
                 proof_from_json(doc)
             cases += 1
-    assert cases == 343 * 6 + 123  # 343 nodes, 6 other types each; 123 dict keys
+    assert cases == 274 * 6 + 123  # 274 nodes, 6 other types each; 123 dict keys
 
 
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
@@ -546,13 +546,84 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
         edited += 1
-    assert edited >= 20
+    if replay and edit == "drop-last":
+        assert edited == 14  # the 2-query proof's non-empty paths; no opening at -y has one
+    else:
+        assert edited >= 20
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, replay):
+    # the composition and FRI trees hold one leaf per pair {y, -y}, opened at y
+    # first, so the opening at -y sends no digest; the trace tree keeps one
+    # leaf per point
+    proof = paper_proof if replay else paper_fs_proof
+    layers = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers
+    assert proof.trace_comm.leaf_count == len(layers[0])
+    for j, cm in enumerate((proof.composition_comm, *proof.fri_comms)):
+        assert cm.leaf_count == len(layers[j]) // 2
+    for query in proof.queries:
+        for pos, neg in query.fri:
+            assert pos.index == neg.index and neg.path == ()
+
+
+def _verify_each_fri_pair(field, spec, proof, replay, edit):
+    """Verify the proof once per FRI opening pair, with edit(pair) applied to
+    that pair only, where edit returns False to skip it; the reports, in order."""
+    base = proof_to_json(proof)
+    reports = []
+    for k, qd in enumerate(base["queries"]):
+        for j in range(len(qd["fri"])):
+            doc = json.loads(json.dumps(base))
+            if edit(doc["queries"][k]["fri"][j]) is not False:
+                reports.append(verify(field, spec, proof_from_json(doc),
+                                      paper_transcript() if replay else None))
+    return reports
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_verify_rejects_a_pair_with_its_values_swapped(field, paper_spec, paper_proof,
+                                                       paper_fs_proof, replay):
+    # a leaf holds f at the smaller point of its pair first, so the same two
+    # values in the other order are another row
+    def edit(pair):
+        pos, neg = pair["pos"], pair["neg"]
+        assert pos["index"] == neg["index"]  # both values in one leaf
+        if pos["value"] == neg["value"]:
+            return False
+        pos["value"], neg["value"] = neg["value"], pos["value"]
+
+    proof = paper_proof if replay else paper_fs_proof
+    reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
+    assert len(reports) >= 10
+    assert all((r.verdict, r.stage) == ("reject", "commitment") for r in reports)
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("change", ["append", "neighbour"])
+def test_verify_rejects_an_edited_opening_at_minus_y(field, paper_spec, paper_proof,
+                                                     paper_fs_proof, replay, change):
+    # the opening at -y reads the leaf the opening at y authenticated: a digest
+    # after it runs past a known node, and the index of a neighbouring pair
+    # names a leaf no opening authenticated with this row
+    def edit(pair):
+        neg = pair["neg"]
+        assert neg["path"] == [] and neg["index"] == pair["pos"]["index"]
+        if change == "append":
+            neg["path"].append("00" * 32)
+        else:
+            neg["index"] ^= 1  # the sibling leaf: 150 leaves, so always one
+
+    proof = paper_proof if replay else paper_fs_proof
+    reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
+    assert len(reports) == len(proof.queries) * (len(proof.fri_comms) + 1)
+    assert all((r.verdict, r.stage) == ("reject", "commitment") for r in reports)
 
 
 def test_load_proof_rejects_bad_path_digests(paper_proof):
     for bad in (5, None, "zz", "0"):
         doc = proof_to_json(paper_proof)
-        doc["queries"][1]["fri"][0]["neg"]["path"][2] = bad
+        doc["queries"][1]["fri"][0]["pos"]["path"][2] = bad
         with pytest.raises(ProofFormatError):
             proof_from_json(doc)
         doc = proof_to_json(paper_proof)
@@ -564,8 +635,8 @@ def test_load_proof_rejects_bad_path_digests(paper_proof):
 def test_proof_commits_the_trace_once(paper_spec, paper_proof):
     doc = proof_to_json(paper_proof)
     assert set(doc["commitments"]) == {"trace", "composition"}
-    # one leaf per evaluation point, as for the composition polynomial
-    assert doc["commitments"]["trace"]["leaves"] == doc["commitments"]["composition"]["leaves"]
+    # one leaf per point, where the composition polynomial has one per pair {y, -y}
+    assert doc["commitments"]["trace"]["leaves"] == 2 * doc["commitments"]["composition"]["leaves"]
     for qd in doc["queries"]:
         assert set(qd) == {"trace", "fri"}  # no sample point: the verifier draws it
         assert set(qd["trace"]) == {"at_x", "at_gx"}
@@ -701,20 +772,21 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 6:
-# one row-leaf trace tree, at most BLOWUP cosets of H committed, sample points
-# drawn as indices into them, no q, N or g and no sample point, which the
-# verifier holds or derives, and each path cut where it meets a node an
-# earlier opening of its tree sent) for fixed inputs; any change to the
+# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 7:
+# one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
+# FRI trees, at most BLOWUP cosets of H committed, sample points drawn as
+# indices into them, no q, N or g and no sample point, which the verifier
+# holds or derives, and each path cut where it meets a node an earlier
+# opening of its tree sent) for fixed inputs; any change to the
 # committed values, their order, the tree hashing, the paths sent or the
 # transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "e476a7b3c394b533a14f958906b1074f2af8a5f3eff33b42caf7d3d524b6f78c",
-    "paper-fiat-shamir": "c58364a1b271565d762fa7b046142be07c86a2942cda278e7ceea510f9736e8d",
+    "paper-replay": "dcf320aa0ad1677df923ce7987e2f2417abd8f7dab9cb35a98088aff7c32873e",
+    "paper-fiat-shamir": "cabf0c3110e4a3aedf16d811d08e840c3746409100953f72fff1ac126a84f0f5",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "498b7d75a34b407a2518a235a5a5b81ee28f51f482582831e1e22445a5bc4b41",
+    "q3001-fiat-shamir": "38e7e0a0469a29a1482ffef1c5b85a4a4390fb3efd46953e328bfd3ad7532f02",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -732,7 +804,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 6
+    assert paper_proof.version == PROOF_VERSION == 7
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -758,6 +830,18 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
     assert len(dump_proof(proof)) <= 300 * 1024
+
+
+def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
+    # one leaf per FRI pair: 895 digests and 107,128 bytes, against 1,523 and
+    # 149,133 with one leaf per point
+    salt = b"size"
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=64, salt=salt)
+    assert verify(field, paper_spec, proof).accepted
+    openings = [o for qr in proof.queries for o in (*qr.trace, *(o for p in qr.fri for o in p))]
+    assert sum(len(o.path) for o in openings) <= 1000
+    assert len(dump_proof(proof)) <= 110 * 1024
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -966,16 +1050,24 @@ def test_prove_verify_and_the_cli_refuse_the_same_publics(
     assert str(exc.value) == expected
 
 
+def _other_pair(doc, layer, opening):
+    """The first opening at y, in query order, of a pair of FRI layer `layer`
+    other than the one `opening` belongs to."""
+    return next(qd["fri"][layer]["pos"] for qd in doc["queries"]
+                if qd["fri"][layer]["pos"]["index"] != opening["index"])
+
+
 def _index_cases(doc):
-    """(opening, the opening at the other point of its pair, commitment) for
-    a trace row, a layer-0 FRI opening and an opening in the last committed
-    FRI layer, from every query of a proof document."""
+    """(opening, an opening of another point, commitment) for a trace row, a
+    layer-0 FRI opening and an opening in the last committed FRI layer, from
+    every query of a proof document: the trace row at g·x, and, as y and -y
+    share one leaf, an opening of another pair of the FRI layer."""
     assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
     for qd in doc["queries"]:
         rows, first, last = qd["trace"], qd["fri"][0], qd["fri"][-1]
         yield rows["at_x"], rows["at_gx"], doc["commitments"]["trace"]
-        yield first["pos"], first["neg"], doc["commitments"]["composition"]
-        yield last["neg"], last["pos"], doc["fri_layers"]["roots"][-1]
+        yield first["pos"], _other_pair(doc, 0, first["pos"]), doc["commitments"]["composition"]
+        yield last["neg"], _other_pair(doc, -1, last["neg"]), doc["fri_layers"]["roots"][-1]
 
 
 def _verify_each_index_case(field, spec, proof, replay, edit):
@@ -1007,7 +1099,7 @@ def test_verify_rejects_a_shifted_leaf_index(field, paper_spec, paper_proof, pap
 def test_verify_rejects_a_valid_opening_of_another_point(field, paper_spec, paper_proof,
                                                          paper_fs_proof, replay):
     # index, value and path authenticate against the root, but at the leaf
-    # of the other point of the pair
+    # of another point
     def edit(opening, other, comm):
         opening.update(other)
 
@@ -1030,8 +1122,8 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
 
 @pytest.mark.parametrize("where, leaves", [
     (("commitments", "trace"), 400),
-    (("commitments", "composition"), 512),
-    (("fri_layers", "roots", 0), 511),
+    (("commitments", "composition"), 256),
+    (("fri_layers", "roots", 0), 255),
 ], ids=["trace", "composition", "fri-layer-1"])
 def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, where, leaves):
     # each count keeps its tree's height, so every path still authenticates;
@@ -1091,7 +1183,7 @@ def test_large_field_proofs_verify(q, num_steps):
     field, spec, salt = PrimeField(q), _box_spec(num_steps), b"large"
     proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
                   num_queries=8, salt=salt)
-    assert proof.composition_comm.leaf_count == protocol.BLOWUP * (num_steps + 1)
+    assert proof.composition_comm.leaf_count == protocol.BLOWUP * (num_steps + 1) // 2
     assert verify(field, spec, load_proof(dump_proof(proof))).accepted
     doc = proof_to_json(proof)
 
