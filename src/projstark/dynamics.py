@@ -32,6 +32,8 @@ class SystemSpec:
         object.__setattr__(self, "z_lower", tuple(self.z_lower))
         object.__setattr__(self, "z_init", tuple(self.z_init))
         n = len(self.a_hat)
+        if n == 0:
+            raise ValueError("a_hat must have at least one row: the state has no coordinate")
         if any(len(r) != n for r in self.a_hat):
             raise ValueError("a_hat must be square")
         for name in ("z_upper", "z_lower", "z_init"):

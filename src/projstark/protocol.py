@@ -44,7 +44,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 7
+PROOF_VERSION = 8
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -79,10 +79,10 @@ class RowOpening:
 @dataclass(frozen=True)
 class ProofQuery:
     """The openings at the query's sample point x, which the proof does not
-    carry: the verifier draws x itself."""
+    carry (the verifier draws x), and each f_j(-y), which y's leaf holds too."""
 
     trace: Tuple[RowOpening, RowOpening]  # trace rows at x and at g*x
-    fri: Tuple[Tuple[Opening, Opening], ...]  # per layer j: at x^(2^j) and its negation
+    fri: Tuple[Tuple[Opening, int], ...]  # per layer j: at y = x^(2^j), and f_j(-y)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class Proof:
     transcript, and each opening's index must be its point's leaf.
 
     Each tree's openings are made, and must be checked, in one order: query by
-    query, the trace rows at x before g·x, and on each FRI layer the opening at
-    y before -y, which share one leaf. An opening's path stops where the walk
-    up from its leaf meets a node that an earlier opening of its tree sent or
-    let the verifier compute, so it is empty for a leaf opened before, as at -y.
+    query, the trace rows at x before g·x, then one opening per FRI layer, of
+    the leaf that holds the values at y and -y. An opening's path stops where
+    the walk up from its leaf meets a node that an earlier opening of its tree
+    sent or let the verifier compute, so it is empty for a leaf opened before.
     """
 
     salt: bytes
@@ -226,9 +226,11 @@ class _Domains:
         are sorted: its leaf in the trace tree, for layer 0."""
         return bisect_left(self.layers[layer], point)
 
-    def pair_leaf(self, layer: int, point: int) -> int:
-        """The leaf of {point, -point} in the tree of FRI layer `layer`."""
-        return min(self.index(layer, point), self.index(layer, self.field.modulus - point))
+    def pair_leaf(self, layer: int, point: int) -> Tuple[int, int]:
+        """The leaf of {point, -point} in the tree of FRI layer `layer`, and the
+        side of it `point` sits on: 0 if it is the smaller, whose value is first."""
+        i = self.index(layer, point)
+        return min((i, 0), (len(self.layers[layer]) - 1 - i, 1))
 
     def chain(self, x: int, rounds: int) -> List[int]:
         """x, x^2, x^4, ...: the point of the query at x in each of the first
@@ -296,13 +298,11 @@ class _CommittedPairs(_Committed):
         table = self.tables[0]
         return zip(table[:len(table) // 2], reversed(table))
 
-    def open_pair(self, y: int) -> Tuple[Opening, Opening]:
-        """The openings at y, then at -y, of their one leaf: the second's path is empty."""
-        i, table = self.domains.index(self.layer, y), self.tables[0]
-        leaf = self.domains.pair_leaf(self.layer, y)
-        return tuple(Opening(index=leaf, value=table[k],
-                             path=tuple(self.tree.open(leaf, self.known)))
-                     for k in (i, len(table) - 1 - i))
+    def open_pair(self, y: int) -> Tuple[Opening, int]:
+        """The opening at y of the leaf of {y, -y}, and f(-y), the leaf's other value."""
+        leaf, side = self.domains.pair_leaf(self.layer, y)
+        row = (self.tables[0][leaf], self.tables[0][-1 - leaf])
+        return Opening(leaf, row[side], tuple(self.tree.open(leaf, self.known))), row[1 - side]
 
 
 def run_online_stage(
@@ -490,7 +490,7 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
         if len(query.fri) != rounds:
             raise ProofFormatError(f"expected {rounds} FRI opening pairs per query")
         values = [v for row in query.trace for v in row.values]
-        values += [o.value for pair in query.fri for o in pair]
+        values += [v for pos, neg in query.fri for v in (pos.value, neg)]
         if not all(0 <= v < q for v in values):
             raise ProofFormatError("opened value out of range")
     return rounds
@@ -511,10 +511,11 @@ def verify(
     check below looks. Checks, in order, with the stage a failure is reported
     at: the declared degree bound, at most 2N-2 and equal to it under
     Fiat-Shamir (fri_commit), each commitment's leaf count and the openings
-    at the leaves of the sample points, both of an FRI pair against one row
-    (commitment), the initialization quotient identity (boundary), the
+    at the leaves of the sample points, each FRI pair's two values by one
+    path (commitment), the initialization quotient identity (boundary), the
     composition values recomputed from the opened trace rows (consistency),
-    and the folding chain (fri_query).
+    and the folding chain (fri_query). A reject that compares two values
+    names both.
     """
     q = field.modulus
     N = spec.num_steps
@@ -569,13 +570,12 @@ def verify(
                                                     trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
         for j, y in enumerate(chains[k]):
-            # the pair's row holds the smaller point's value first
-            row = tuple(o.value for o in query.fri[j])[::1 if y < q - y else -1]
-            leaf = domains.pair_leaf(j, y)
-            for o, where in zip(query.fri[j], ("y", "-y")):
-                if o.index != leaf or not verify_opening(layer_comms[j], leaf, row, o.path,
-                                                         layer_known[j]):
-                    return _reject("commitment", f"query {k}: bad FRI layer {j} opening at {where}")
+            leaf, side = domains.pair_leaf(j, y)
+            pos, neg = query.fri[j]
+            row = (pos.value, neg) if side == 0 else (neg, pos.value)
+            if pos.index != leaf or not verify_opening(layer_comms[j], leaf, row, pos.path,
+                                                       layer_known[j]):
+                return _reject("commitment", f"query {k}: bad FRI layer {j} opening")
 
     # --- stage: boundary -----------------------------------------------------
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
@@ -584,7 +584,8 @@ def verify(
             lhs = (row[i] - spec.z_init[i]) % q
             rhs = row[4 * n + i] * (x - 1) % q
             if lhs != rhs:
-                return _reject("boundary", f"query {k}: boundary identity fails for coordinate {i}")
+                return _reject("boundary", f"query {k}: boundary identity fails for "
+                               f"coordinate {i}: f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
 
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
@@ -595,17 +596,23 @@ def verify(
         z, up, lo, delta = (row[i * n:(i + 1) * n] for i in range(4))
         numerators = constraints(spec, z, query.trace[1].values[:n], up, lo, delta)
         recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
-        if recombined != query.fri[0][0].value:
-            return _reject("consistency", f"query {k}: composition value mismatch at x={x}")
+        opened = query.fri[0][0].value
+        if recombined != opened:
+            return _reject("consistency", f"query {k}: composition value mismatch at x={x}: "
+                           f"opened Q(x) = {opened}, recomputed from the trace rows {recombined}")
 
     # --- stage: fri_query ----------------------------------------------------
     for k, query in enumerate(proof.queries):
         for j, y in enumerate(chains[k]):
             pos, neg = query.fri[j]
-            computed = fold_value(field, pos.value, neg.value, y, betas[j])
-            expected = query.fri[j + 1][0].value if j + 1 < rounds else proof.fri_final
+            computed = fold_value(field, pos.value, neg, y, betas[j])
+            if j + 1 < rounds:
+                expected, where = query.fri[j + 1][0].value, f"layer {j + 1} opens"
+            else:
+                expected, where = proof.fri_final, "fri_final is"
             if computed != expected:
-                return _reject("fri_query", f"query {k}: folding identity fails at layer {j}")
+                return _reject("fri_query", f"query {k}: folding identity fails at layer {j}: "
+                               f"folded {computed}, {where} {expected}")
 
     return _accept()
 
@@ -645,8 +652,8 @@ def proof_to_json(proof: Proof) -> dict:
             {
                 "trace": {"at_x": _row_to_json(qr.trace[0]), "at_gx": _row_to_json(qr.trace[1])},
                 "fri": [
-                    {"pos": _opening_to_json(a), "neg": _opening_to_json(b)}
-                    for a, b in qr.fri
+                    {"pos": _opening_to_json(pos), "neg": str(neg)}
+                    for pos, neg in qr.fri
                 ],
             }
             for qr in proof.queries
@@ -671,13 +678,19 @@ def _int(v) -> int:
 def _int_str(v) -> int:
     if type(v) is not str:
         raise TypeError(f"expected a base-10 string, got {type(v).__name__}")
-    return int(v, 10)
+    value = int(v, 10)
+    if str(value) != v:
+        raise ValueError(f"{v[:40]!r} is not a plain base-10 integer")
+    return value
 
 
 def _hex(v) -> bytes:
     if type(v) is not str:
         raise TypeError(f"expected a hex string, got {type(v).__name__}")
-    return bytes.fromhex(v)
+    value = bytes.fromhex(v)
+    if value.hex() != v:
+        raise ValueError(f"{v[:80]!r} is not lower-case hex with no spaces")
+    return value
 
 
 def _row(d: dict) -> RowOpening:
@@ -698,14 +711,16 @@ def _comm(d: dict) -> MerkleCommitment:
 
 def _query(d: dict) -> ProofQuery:
     return ProofQuery(trace=(_row(d["trace"]["at_x"]), _row(d["trace"]["at_gx"])),
-                      fri=tuple((_opening(p["pos"]), _opening(p["neg"])) for p in _list(d["fri"])))
+                      fri=tuple((_opening(p["pos"]), _int_str(p["neg"])) for p in _list(d["fri"])))
 
 
 def proof_from_json(doc: dict) -> Proof:
     """The Proof in a document of proof_to_json's shape, read by indexing
     inside one boundary: a missing key, a wrong type or a bad literal becomes
     ProofFormatError. The helpers check only what indexing cannot: each list,
-    JSON integer, base-10 string and hex string. Counts and ranges are verify's.
+    JSON integer, base-10 string and hex string, the strings only in the one
+    spelling proof_to_json writes ("+5", "007" or "AB cd" is refused), so a
+    proof has one text. Counts and ranges are verify's.
     """
     try:
         publics, comms, layers = doc["publics"], doc["commitments"], doc["fri_layers"]

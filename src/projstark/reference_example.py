@@ -140,7 +140,7 @@ def run_replay() -> List[CheckResult]:
         y = x
         for j in range(5):
             pos, neg = query.fri[j]
-            chain.append(fold_value(field, pos.value, neg.value, y, BETAS[j]))
+            chain.append(fold_value(field, pos.value, neg, y, BETAS[j]))
             y = y * y % MODULUS
         record(f"proof-query-chain-{x}", QUERY_CHAINS[x], tuple(chain))
 

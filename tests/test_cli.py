@@ -239,6 +239,22 @@ def test_config_rejects_non_list_a_hat(tmp_path):
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
 
 
+def test_zero_dimension_config_is_a_config_error(tmp_path, capsys):
+    # an empty A_hat leaves the trace no column to commit
+    doc = {"q": "331", "A_hat": [], "z_upper": [], "z_lower": [], "z_init": [], "N": "29"}
+    path = _write_config(tmp_path, doc)
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"z": [[]] * 30, "alpha_up": [[]] * 29,
+                                 "alpha_lo": [[]] * 29, "delta": [[]] * 29}))
+    proof = tmp_path / "proof.json"
+    proof.write_text("{}")
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert main(["prove", "--config", path, "--trace", str(trace),
+                 "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    assert main(["verify", "--config", path, "--proof", str(proof)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("at least one row") == 3
+
+
 def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK

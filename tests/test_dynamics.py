@@ -27,6 +27,12 @@ def test_spec_validation():
         SystemSpec(a_hat=((1,),), z_upper=(5,), z_lower=(0,), z_init=(3,), num_steps=0)
 
 
+def test_spec_needs_at_least_one_coordinate():
+    # with no coordinate the trace has no column and prove would commit an empty table
+    with pytest.raises(ValueError, match="at least one row"):
+        SystemSpec(a_hat=(), z_upper=(), z_lower=(), z_init=(), num_steps=29)
+
+
 _WIDE = dict(a_hat=((1, 0), (0, 1)), z_lower=(0, 0), z_upper=(100, 100), z_init=(0, 5),
              num_steps=255)
 

@@ -297,6 +297,34 @@ def test_verify_rejects_tampered_final(field, paper_spec, paper_proof):
     report = verify(field, paper_spec, forged, paper_transcript())
     assert not report.accepted
     assert report.stage == "fri_query"
+    # the reject names the folded value and the one the proof sent
+    assert report.detail.endswith(
+        f"at layer 4: folded {ref.FINAL_CONSTANT}, fri_final is {forged.fri_final}")
+
+
+def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
+    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
+    q, n = ref.MODULUS, paper_spec.n
+    for row, stage in ((0, "boundary"), (9, "consistency")):
+        forged = paper_trace.with_cell("z", row, 1, 55)
+        proof = prove(field, paper_spec, forged, FiatShamirTranscript(q), num_queries=8, force=True)
+        report = verify(field, paper_spec, proof)
+        assert (report.verdict, report.stage) == ("reject", stage)
+        k = int(report.detail.split(":")[0].removeprefix("query "))
+        query = proof.queries[k]
+        x = layer0[query.trace[0].index]
+        if stage == "boundary":
+            i = int(report.detail.split(":")[1].split()[-1])
+            values = query.trace[0].values
+            lhs = (values[i] - paper_spec.z_init[i]) % q
+            rhs = values[4 * n + i] * (x - 1) % q
+            assert lhs != rhs
+            assert report.detail.endswith(f"f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
+        else:
+            opened = query.fri[0][0].value
+            recomputed = int(report.detail.split()[-1])
+            assert recomputed != opened
+            assert f"at x={x}: opened Q(x) = {opened}, recomputed" in report.detail
 
 
 # --- caller-chosen challenges -----------------------------------------------
@@ -392,7 +420,7 @@ def test_load_proof_rejects_wrong_types(paper_proof):
     ("commitments", "trace", "leaves"),
     ("fri_layers", "roots", 0, "leaves"),
     ("queries", 0, "trace", "at_x", "index"),
-    ("queries", 1, "fri", 0, "neg", "index"),
+    ("queries", 1, "fri", 0, "neg"),
 ])
 @pytest.mark.parametrize("flag", [True, False])
 def test_load_proof_rejects_booleans_for_integers(paper_proof, where, flag):
@@ -445,7 +473,7 @@ def test_load_proof_refuses_every_wrong_type(paper_proof):
             with pytest.raises(ProofFormatError):
                 proof_from_json(doc)
             cases += 1
-    assert cases == 274 * 6 + 123  # 274 nodes, 6 other types each; 123 dict keys
+    assert cases == 244 * 6 + 93  # 244 nodes, 6 other types each; 93 dict keys
 
 
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
@@ -494,9 +522,9 @@ def test_verify_rejects_any_tampered_trace_row_value(
 
 def _openings(query: dict) -> list:
     """Every opening of one query in a proof document: both trace rows, then
-    the pos and neg openings of every FRI layer."""
+    the one opening of every FRI layer's pair, at y."""
     rows = [query["trace"]["at_x"], query["trace"]["at_gx"]]
-    return rows + [pair[side] for pair in query["fri"] for side in ("pos", "neg")]
+    return rows + [pair["pos"] for pair in query["fri"]]
 
 
 def _all_openings(doc: dict) -> list:
@@ -546,25 +574,30 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
         edited += 1
-    if replay and edit == "drop-last":
-        assert edited == 14  # the 2-query proof's non-empty paths; no opening at -y has one
-    else:
-        assert edited >= 20
+    # 2 queries of 7 openings, each with a path; 8 queries of 8 openings, 4
+    # of which reopen a leaf an earlier query opened and have an empty path
+    assert edited == (14 if replay else 60 if edit == "drop-last" else 64)
 
 
 @pytest.mark.parametrize("replay", [True, False])
 def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, replay):
-    # the composition and FRI trees hold one leaf per pair {y, -y}, opened at y
-    # first, so the opening at -y sends no digest; the trace tree keeps one
-    # leaf per point
+    # the composition and FRI trees hold one leaf per pair {y, -y}, at the
+    # position of the smaller point; it is opened once, at y, and f(-y), its
+    # other value, is sent as a plain integer. The trace tree keeps one leaf
+    # per point
     proof = paper_proof if replay else paper_fs_proof
-    layers = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers
+    q, domains = ref.MODULUS, protocol._domains(ref.MODULUS, paper_spec.num_steps)
+    layers = domains.layers
     assert proof.trace_comm.leaf_count == len(layers[0])
     for j, cm in enumerate((proof.composition_comm, *proof.fri_comms)):
         assert cm.leaf_count == len(layers[j]) // 2
     for query in proof.queries:
-        for pos, neg in query.fri:
-            assert pos.index == neg.index and neg.path == ()
+        x = layers[0][query.trace[0].index]
+        for j, ((pos, neg), y) in enumerate(zip(query.fri, domains.chain(x, len(query.fri)))):
+            assert type(pos) is protocol.Opening and type(neg) is int
+            assert pos.index == min(layers[j].index(y), layers[j].index(q - y))
+    for qd in proof_to_json(proof)["queries"]:
+        assert all(type(pair["neg"]) is str for pair in qd["fri"])
 
 
 def _verify_each_fri_pair(field, spec, proof, replay, edit):
@@ -587,11 +620,9 @@ def test_verify_rejects_a_pair_with_its_values_swapped(field, paper_spec, paper_
     # a leaf holds f at the smaller point of its pair first, so the same two
     # values in the other order are another row
     def edit(pair):
-        pos, neg = pair["pos"], pair["neg"]
-        assert pos["index"] == neg["index"]  # both values in one leaf
-        if pos["value"] == neg["value"]:
+        if pair["pos"]["value"] == pair["neg"]:
             return False
-        pos["value"], neg["value"] = neg["value"], pos["value"]
+        pair["pos"]["value"], pair["neg"] = pair["neg"], pair["pos"]["value"]
 
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
@@ -600,24 +631,90 @@ def test_verify_rejects_a_pair_with_its_values_swapped(field, paper_spec, paper_
 
 
 @pytest.mark.parametrize("replay", [True, False])
-@pytest.mark.parametrize("change", ["append", "neighbour"])
-def test_verify_rejects_an_edited_opening_at_minus_y(field, paper_spec, paper_proof,
-                                                     paper_fs_proof, replay, change):
-    # the opening at -y reads the leaf the opening at y authenticated: a digest
-    # after it runs past a known node, and the index of a neighbouring pair
-    # names a leaf no opening authenticated with this row
+def test_verify_rejects_an_edited_value_at_minus_y(field, paper_spec, paper_proof,
+                                                   paper_fs_proof, replay):
+    # f(-y) is authenticated by the path of y's opening, as the other value of
+    # its leaf: changing it alone changes the leaf, in every layer
     def edit(pair):
-        neg = pair["neg"]
-        assert neg["path"] == [] and neg["index"] == pair["pos"]["index"]
-        if change == "append":
-            neg["path"].append("00" * 32)
-        else:
-            neg["index"] ^= 1  # the sibling leaf: 150 leaves, so always one
+        pair["neg"] = str((int(pair["neg"]) + 1) % ref.MODULUS)
 
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
     assert len(reports) == len(proof.queries) * (len(proof.fri_comms) + 1)
     assert all((r.verdict, r.stage) == ("reject", "commitment") for r in reports)
+
+
+def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
+    # version 7 sent f(-y) as a second opening of y's leaf, with an empty path;
+    # version 8 has no such object
+    doc = proof_to_json(paper_proof)
+    for k, qd in enumerate(doc["queries"]):
+        for j, pair in enumerate(qd["fri"]):
+            assert type(pair["neg"]) is str
+            edited = json.loads(json.dumps(doc))
+            edited["queries"][k]["fri"][j]["neg"] = {
+                "index": pair["pos"]["index"], "value": pair["neg"], "path": []}
+            with pytest.raises(ProofFormatError):
+                proof_from_json(edited)
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace,
+                                                  monkeypatch, replay):
+    # per query: the two trace rows, and one opening per FRI layer
+    calls = {"open": 0, "check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocol.MerkleTree, "open", counted("open", protocol.MerkleTree.open))
+    monkeypatch.setattr(protocol, "verify_opening", counted("check", protocol.verify_opening))
+
+    def transcript():
+        return paper_transcript() if replay else FiatShamirTranscript(ref.MODULUS, salt=b"once")
+
+    proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=b"once")
+    rounds = len(proof.fri_comms) + 1
+    assert calls == {"open": 2 * (2 + rounds), "check": 0}
+    assert verify(field, paper_spec, proof, transcript()).accepted
+    assert calls["check"] == 2 * (2 + rounds)
+
+
+def _spellings(v: str) -> list:
+    """Texts other than the integer v's own that int(t, 10) reads as v."""
+    devanagari = str.maketrans("0123456789", "०१२३४५६७८९")
+    return ["+" + v, f" {v} ", "00" + v, v[0] + "_" + v[1:] if v[1:] else "0_" + v,
+            v.translate(devanagari)]
+
+
+def _hex_spellings(h: str) -> list:
+    """Texts other than the digest h's own that bytes.fromhex reads as it."""
+    return [t for t in (h.upper(), h[:2] + " " + h[2:], f" {h}", h + "\n") if t != h]
+
+
+def test_load_proof_reads_each_number_and_digest_in_one_spelling(paper_fs_proof):
+    # a proof has one text: every other spelling of a number or digest is refused
+    base = proof_to_json(paper_fs_proof)
+    numbers = [("queries", 0, "trace", "at_x", "values", 0),
+               ("queries", 2, "fri", 0, "pos", "value"), ("publics", "degree_bound"),
+               ("fri_layers", "final"), ("queries", 1, "fri", 3, "neg")]
+    digests = [("commitments", "trace", "root"), ("fri_layers", "roots", 2, "root"),
+               ("queries", 0, "trace", "at_gx", "path", 0),
+               ("queries", 0, "fri", 1, "pos", "path", 0), ("publics", "salt")]
+    cases = 0
+    for places, spellings in ((numbers, _spellings), (digests, _hex_spellings)):
+        for where in places:
+            assert len(spellings(_at(base, where))) >= 3  # the salt's hex has no letter
+            for text in spellings(_at(base, where)):
+                doc = json.loads(json.dumps(base))
+                _at(doc, where[:-1])[where[-1]] = text
+                with pytest.raises(ProofFormatError):
+                    proof_from_json(doc)
+                cases += 1
+    assert cases == 5 * 5 + 4 * 4 + 3
 
 
 def test_load_proof_rejects_bad_path_digests(paper_proof):
@@ -772,21 +869,22 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 7:
+# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 8:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
-# FRI trees, at most BLOWUP cosets of H committed, sample points drawn as
+# FRI trees, opened once at y with f(-y) sent as a plain value, at most
+# BLOWUP cosets of H committed, sample points drawn as
 # indices into them, no q, N or g and no sample point, which the verifier
 # holds or derives, and each path cut where it meets a node an earlier
 # opening of its tree sent) for fixed inputs; any change to the
 # committed values, their order, the tree hashing, the paths sent or the
 # transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "dcf320aa0ad1677df923ce7987e2f2417abd8f7dab9cb35a98088aff7c32873e",
-    "paper-fiat-shamir": "cabf0c3110e4a3aedf16d811d08e840c3746409100953f72fff1ac126a84f0f5",
+    "paper-replay": "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e",
+    "paper-fiat-shamir": "f050caf8d7f91adc18610bad09cb0a8a44413a40b7c5c9a482212d24d6b123be",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "38e7e0a0469a29a1482ffef1c5b85a4a4390fb3efd46953e328bfd3ad7532f02",
+    "q3001-fiat-shamir": "1557fa1bdb1b5d8d04d0694d595eec37bd1c79664b6f72164f3c0fb624976893",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -804,7 +902,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 7
+    assert paper_proof.version == PROOF_VERSION == 8
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -824,7 +922,7 @@ def test_mixed_radix_proof_is_byte_identical():
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 896 openings; full paths would take 8064 digests and about 784 KiB
+    # 512 openings; full paths would take 4224 digests and about 311 KiB
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
@@ -833,15 +931,16 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one leaf per FRI pair: 895 digests and 107,128 bytes, against 1,523 and
-    # 149,133 with one leaf per point
+    # one leaf per FRI pair, opened once: 895 digests and 95,131 bytes,
+    # against 107,128 with f(-y) sent as a second opening of the leaf, and
+    # 1,523 digests and 149,133 bytes with one leaf per point
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
-    openings = [o for qr in proof.queries for o in (*qr.trace, *(o for p in qr.fri for o in p))]
+    openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
     assert sum(len(o.path) for o in openings) <= 1000
-    assert len(dump_proof(proof)) <= 110 * 1024
+    assert len(dump_proof(proof)) <= 96 * 1024
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -1051,7 +1150,7 @@ def test_prove_verify_and_the_cli_refuse_the_same_publics(
 
 
 def _other_pair(doc, layer, opening):
-    """The first opening at y, in query order, of a pair of FRI layer `layer`
+    """The first opening, in query order, of a pair of FRI layer `layer`
     other than the one `opening` belongs to."""
     return next(qd["fri"][layer]["pos"] for qd in doc["queries"]
                 if qd["fri"][layer]["pos"]["index"] != opening["index"])
@@ -1060,14 +1159,14 @@ def _other_pair(doc, layer, opening):
 def _index_cases(doc):
     """(opening, an opening of another point, commitment) for a trace row, a
     layer-0 FRI opening and an opening in the last committed FRI layer, from
-    every query of a proof document: the trace row at g·x, and, as y and -y
-    share one leaf, an opening of another pair of the FRI layer."""
+    every query of a proof document: the trace row at g·x, and the opening of
+    another pair of the FRI layer."""
     assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
     for qd in doc["queries"]:
         rows, first, last = qd["trace"], qd["fri"][0], qd["fri"][-1]
         yield rows["at_x"], rows["at_gx"], doc["commitments"]["trace"]
         yield first["pos"], _other_pair(doc, 0, first["pos"]), doc["commitments"]["composition"]
-        yield last["neg"], _other_pair(doc, -1, last["neg"]), doc["fri_layers"]["roots"][-1]
+        yield last["pos"], _other_pair(doc, -1, last["pos"]), doc["fri_layers"]["roots"][-1]
 
 
 def _verify_each_index_case(field, spec, proof, replay, edit):
@@ -1191,7 +1290,7 @@ def test_large_field_proofs_verify(q, num_steps):
         container[key] = str((int(container[key]) + 1) % q)
 
     for edit in (lambda d: bump(d["queries"][3]["trace"]["at_gx"]["values"], 1),
-                 lambda d: bump(d["queries"][5]["fri"][2]["neg"], "value")):
+                 lambda d: bump(d["queries"][5]["fri"][2], "neg")):
         edited = json.loads(json.dumps(doc))
         edit(edited)
         assert verify(field, spec, proof_from_json(edited)).stage == "commitment"
