@@ -13,8 +13,9 @@ import hashlib
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
@@ -95,15 +96,13 @@ _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 
 
-def _leaf_digests(rows: Iterable[Sequence[int]], width: int) -> List[bytes]:
-    """Leaf digests of rows of `width` values: SHA-256(0x00 || the row's
-    values as 8-byte little-endian words), each row encoded by one struct call."""
+@lru_cache(maxsize=16)  # one per row width
+def _leaf_hasher(width: int) -> Callable[[Sequence[int]], bytes]:
+    """The function giving the leaf digest of a row of `width` values:
+    SHA-256(0x00 || the values as 8-byte little-endian words), the row
+    encoded by one struct call."""
     encode, sha = struct.Struct(f"<{width}Q").pack, hashlib.sha256
-    return [sha(_LEAF_TAG + encode(*row)).digest() for row in rows]
-
-
-def _leaf_digest(row: Sequence[int]) -> bytes:
-    return hashlib.sha256(_LEAF_TAG + struct.pack(f"<{len(row)}Q", *row)).digest()
+    return lambda row: sha(_LEAF_TAG + encode(*row)).digest()
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:
@@ -114,6 +113,10 @@ def _node_digest(left: bytes, right: bytes) -> bytes:
 class MerkleCommitment:
     root: bytes
     leaf_count: int
+
+    def __post_init__(self):
+        if len(self.root) != 32:
+            raise ValueError("commitment root must be 32 bytes")
 
 
 class MerkleTree:
@@ -131,7 +134,7 @@ class MerkleTree:
         first = next(rows, None)
         if first is None:
             raise ValueError("cannot commit to an empty table")
-        level = _leaf_digests(chain((first,), rows), len(first))
+        level = list(map(_leaf_hasher(len(first)), chain((first,), rows)))
         self.leaf_count = len(level)
         # Every padding leaf is the last leaf, so the nodes above only padding
         # share one digest per level: each level hashes the pairs that hold a
@@ -213,7 +216,7 @@ def verify_opening(
     if known is None:
         known = {}
     node = (1 << (commitment.leaf_count - 1).bit_length()) + index
-    digest = _leaf_digest(row)
+    digest = _leaf_hasher(len(row))(row)
     found = {1: commitment.root}
     level = 0
     while node > 1 and node not in known:

@@ -60,14 +60,18 @@ def _int_list(values, what: str) -> List[int]:
     return [_as_int(v, what) for v in values]
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
+        raise ConfigError(f"cannot read {what}: {exc}")
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge literal, deep nesting
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
+
+
+def load_config(path: str) -> RunConfig:
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -166,14 +170,7 @@ def trace_from_json(doc: dict, spec: SystemSpec) -> ExecutionTrace:
 
 
 def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace: {exc}")
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge literal, deep nesting
-        raise ConfigError(f"trace is not valid JSON: {exc}")
-    return trace_from_json(doc, spec)
+    return trace_from_json(_read_json(path, "trace"), spec)
 
 
 def _write_out(path: str, text: str) -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
 from .air import (
     FAMILIES,
@@ -44,7 +44,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 8
+PROOF_VERSION = 9
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -86,6 +86,18 @@ class ProofQuery:
 
 
 @dataclass(frozen=True)
+class Commitments:
+    trace: MerkleCommitment
+    composition: MerkleCommitment
+
+
+@dataclass(frozen=True)
+class FriLayers:
+    roots: Tuple[MerkleCommitment, ...]  # layers 1..rounds-1
+    final: int
+
+
+@dataclass(frozen=True)
 class Proof:
     """A proof; q, N and g are not in it: the verifier holds or derives them.
     Nor are the sample points: the verifier draws them from its own
@@ -98,14 +110,12 @@ class Proof:
     sent or let the verifier compute, so it is empty for a leaf opened before.
     """
 
+    version: int
     salt: bytes
     degree_bound: int
-    trace_comm: MerkleCommitment
-    composition_comm: MerkleCommitment
-    fri_comms: Tuple[MerkleCommitment, ...]  # layers 1..rounds-1
-    fri_final: int
+    commitments: Commitments
+    fri_layers: FriLayers
     queries: Tuple[ProofQuery, ...]
-    version: int = PROOF_VERSION
 
 
 @dataclass(frozen=True)
@@ -457,12 +467,11 @@ def prove(
         )
 
     return Proof(
+        version=PROOF_VERSION,
         salt=salt,
         degree_bound=bound,
-        trace_comm=trace_cm.tree.commitment,
-        composition_comm=composition.tree.commitment,
-        fri_comms=tuple(cm.tree.commitment for cm in layer_committed[1:]),
-        fri_final=fri_final,
+        commitments=Commitments(trace_cm.tree.commitment, composition.tree.commitment),
+        fri_layers=FriLayers(tuple(cm.tree.commitment for cm in layer_committed[1:]), fri_final),
         queries=tuple(queries),
     )
 
@@ -477,12 +486,12 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
         raise ProofFormatError("query count out of range")
     if proof.degree_bound < 0:
         raise ProofFormatError("negative degree bound")
-    if not 0 <= proof.fri_final < q:
+    if not 0 <= proof.fri_layers.final < q:
         raise ProofFormatError("final FRI value out of range")
     rounds = num_rounds(proof.degree_bound)
-    if len(proof.fri_comms) != rounds - 1:
+    if len(proof.fri_layers.roots) != rounds - 1:
         raise ProofFormatError(
-            f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_comms)}"
+            f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_layers.roots)}"
         )
     for query in proof.queries:
         if len(query.trace) != 2 or any(len(row.values) != 5 * n for row in query.trace):
@@ -532,26 +541,27 @@ def verify(
         return _reject("fri_commit", f"degree bound {proof.degree_bound}: worst case is {worst}")
 
     transcript.absorb("spec", hash_spec(field, spec))
-    transcript.absorb("trace", proof.trace_comm.root)
+    comms, fri = proof.commitments, proof.fri_layers
+    transcript.absorb("trace", comms.trace.root)
 
     try:
         gammas = [transcript.draw("gamma") for _ in range(4 * n)]
-        transcript.absorb("composition", proof.composition_comm.root)
+        transcript.absorb("composition", comms.composition.root)
         transcript.absorb("degree_bound", proof.degree_bound.to_bytes(8, "little"))
         betas = []
         for j in range(rounds):
             betas.append(transcript.draw("beta"))
             if j < rounds - 1:
-                transcript.absorb(f"fri[{j + 1}]", proof.fri_comms[j].root)
+                transcript.absorb(f"fri[{j + 1}]", fri.roots[j].root)
             else:
-                transcript.absorb("fri_final", proof.fri_final.to_bytes(8, "little"))
+                transcript.absorb("fri_final", fri.final.to_bytes(8, "little"))
         xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
 
     # --- stage: commitment ---------------------------------------------------
-    layer_comms = (proof.composition_comm, *proof.fri_comms)
-    trees = [("trace", proof.trace_comm, len(domains.layers[0]))]
+    layer_comms = (comms.composition, *fri.roots)
+    trees = [("trace", comms.trace, len(domains.layers[0]))]
     trees += [(f"layer {j}", cm, len(domains.layers[j]) // 2) for j, cm in enumerate(layer_comms)]
     for name, cm, count in trees:
         if cm.leaf_count != count:
@@ -566,7 +576,7 @@ def verify(
         # each leaf asked about is that of a point in its layer, so below the leaf count
         for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
             i = domains.index(0, point)
-            if row.index != i or not verify_opening(proof.trace_comm, i, row.values, row.path,
+            if row.index != i or not verify_opening(comms.trace, i, row.values, row.path,
                                                     trace_known):
                 return _reject("commitment", f"query {k}: bad trace row opening at {where}")
         for j, y in enumerate(chains[k]):
@@ -609,7 +619,7 @@ def verify(
             if j + 1 < rounds:
                 expected, where = query.fri[j + 1][0].value, f"layer {j + 1} opens"
             else:
-                expected, where = proof.fri_final, "fri_final is"
+                expected, where = fri.final, "fri_final is"
             if computed != expected:
                 return _reject("fri_query", f"query {k}: folding identity fails at layer {j}: "
                                f"folded {computed}, {where} {expected}")
@@ -618,47 +628,11 @@ def verify(
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def _opening_to_json(o: Opening) -> dict:
-    return {"index": o.index, "value": str(o.value), "path": [p.hex() for p in o.path]}
-
-
-def _row_to_json(o: RowOpening) -> dict:
-    return {"index": o.index, "values": [str(v) for v in o.values],
-            "path": [p.hex() for p in o.path]}
-
-
-def _comm_to_json(c: MerkleCommitment) -> dict:
-    return {"root": c.root.hex(), "leaves": c.leaf_count}
-
-
-def proof_to_json(proof: Proof) -> dict:
-    return {
-        "version": proof.version,
-        "publics": {
-            "salt": proof.salt.hex(),
-            "degree_bound": str(proof.degree_bound),
-        },
-        "commitments": {
-            "trace": _comm_to_json(proof.trace_comm),
-            "composition": _comm_to_json(proof.composition_comm),
-        },
-        "fri_layers": {
-            "roots": [_comm_to_json(c) for c in proof.fri_comms],
-            "final": str(proof.fri_final),
-        },
-        "queries": [
-            {
-                "trace": {"at_x": _row_to_json(qr.trace[0]), "at_gx": _row_to_json(qr.trace[1])},
-                "fri": [
-                    {"pos": _opening_to_json(pos), "neg": str(neg)}
-                    for pos, neg in qr.fri
-                ],
-            }
-            for qr in proof.queries
-        ],
-    }
+#
+# The proof dataclasses define the document: a dataclass is an object keyed by
+# its field names, Tuple[X, ...] a list, a fixed Tuple[X, Y] a list of exactly
+# that length, bytes lower-case hex and an int a JSON integer. Counts and
+# ranges are verify's.
 
 
 def _list(v) -> list:
@@ -675,76 +649,82 @@ def _int(v) -> int:
     return v
 
 
-def _int_str(v) -> int:
-    if type(v) is not str:
-        raise TypeError(f"expected a base-10 string, got {type(v).__name__}")
-    value = int(v, 10)
-    if str(value) != v:
-        raise ValueError(f"{v[:40]!r} is not a plain base-10 integer")
-    return value
-
-
 def _hex(v) -> bytes:
-    if type(v) is not str:
-        raise TypeError(f"expected a hex string, got {type(v).__name__}")
-    value = bytes.fromhex(v)
+    value = bytes.fromhex(v)  # TypeError unless v is a str
     if value.hex() != v:
         raise ValueError(f"{v[:80]!r} is not lower-case hex with no spaces")
     return value
 
 
-def _row(d: dict) -> RowOpening:
-    return RowOpening(_int(d["index"]), tuple(map(_int_str, _list(d["values"]))),
-                      tuple(map(_hex, _list(d["path"]))))
+def _reader(tp) -> Callable:
+    """The function that reads a value of type `tp` from its JSON form,
+    built once per type; it raises KeyError, TypeError or ValueError on a
+    document of another shape."""
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        parts = [(f.name, _reader(hints[f.name])) for f in fields(tp)]
+        return lambda doc: tp(*[read(doc[name]) for name, read in parts])
+    if tp in (int, bytes):
+        return _int if tp is int else _hex
+    if get_origin(tp) is not tuple:
+        raise TypeError(f"a proof field of type {tp} has no JSON form")
+    args = get_args(tp)
+    if args[-1] is Ellipsis:
+        item = _reader(args[0])
+        return lambda doc: tuple(map(item, _list(doc)))
+    items = [_reader(a) for a in args]
+
+    def read_fixed(doc) -> tuple:
+        if len(_list(doc)) != len(items):
+            raise ValueError(f"expected a list of {len(items)} values, got {len(doc)}")
+        return tuple([read(v) for read, v in zip(items, doc)])
+
+    return read_fixed
 
 
-def _opening(d: dict) -> Opening:
-    return Opening(_int(d["index"]), _int_str(d["value"]), tuple(map(_hex, _list(d["path"]))))
+_read_proof = _reader(Proof)
 
 
-def _comm(d: dict) -> MerkleCommitment:
-    root = _hex(d["root"])
-    if len(root) != 32:
-        raise ValueError("commitment root must be 32 bytes")
-    return MerkleCommitment(root, _int(d["leaves"]))
+@lru_cache(maxsize=16)  # one per proof dataclass
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-def _query(d: dict) -> ProofQuery:
-    return ProofQuery(trace=(_row(d["trace"]["at_x"]), _row(d["trace"]["at_gx"])),
-                      fri=tuple((_opening(p["pos"]), _int_str(p["neg"])) for p in _list(d["fri"])))
+def _as_json(obj):
+    """json.dumps's hook for what it cannot write itself: bytes, and a dataclass."""
+    if type(obj) is bytes:
+        return obj.hex()
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
-def proof_from_json(doc: dict) -> Proof:
-    """The Proof in a document of proof_to_json's shape, read by indexing
-    inside one boundary: a missing key, a wrong type or a bad literal becomes
-    ProofFormatError. The helpers check only what indexing cannot: each list,
-    JSON integer, base-10 string and hex string, the strings only in the one
-    spelling proof_to_json writes ("+5", "007" or "AB cd" is refused), so a
-    proof has one text. Counts and ranges are verify's.
-    """
+def dump_proof(proof: Proof) -> str:
+    # a proof is a tree: no value in it can hold itself
+    return json.dumps(proof, default=_as_json, separators=(",", ":"), check_circular=False)
+
+
+def proof_to_json(proof: Proof) -> dict:
+    """The document dump_proof writes."""
+    return json.loads(dump_proof(proof))
+
+
+def proof_from_json(doc) -> Proof:
+    """The Proof in a document, read inside one boundary: a missing key, a
+    wrong type, a list of another length, a digest spelled otherwise or a
+    value a proof dataclass refuses becomes ProofFormatError."""
     try:
-        publics, comms, layers = doc["publics"], doc["commitments"], doc["fri_layers"]
-        return Proof(
-            version=_int(doc["version"]),
-            salt=_hex(publics["salt"]),
-            degree_bound=_int_str(publics["degree_bound"]),
-            trace_comm=_comm(comms["trace"]),
-            composition_comm=_comm(comms["composition"]),
-            fri_comms=tuple(map(_comm, _list(layers["roots"]))),
-            fri_final=_int_str(layers["final"]),
-            queries=tuple(map(_query, _list(doc["queries"]))),
-        )
+        return _read_proof(doc)
     except KeyError as exc:
         raise ProofFormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ProofFormatError(str(exc)) from exc
 
 
-def dump_proof(proof: Proof) -> str:
-    return json.dumps(proof_to_json(proof), separators=(",", ":"))
-
-
 def load_proof(text: str) -> Proof:
+    # no key, number or digest of a proof has a "-" or a backslash, so this
+    # refuses -0, which json.loads reads as 0, and escapes such as \u0061 for
+    # "a", without a check per value
+    if "-" in text or "\\" in text:
+        raise ProofFormatError("a proof text has no '-' and no '\\'")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, huge literal, deep nesting

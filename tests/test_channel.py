@@ -1,5 +1,6 @@
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from projstark.channel import (
     MerkleTree,
     ReplayTranscript,
     TranscriptError,
-    _leaf_digest,
     _node_digest,
     verify_opening,
 )
@@ -156,8 +156,10 @@ def test_merkle_duplicate_last_padding():
 
 
 def _reference_levels(values):
-    """Tree levels built leaf by leaf with the helpers verify_opening uses."""
-    level = [_leaf_digest(row) for row in values]
+    """Tree levels built leaf by leaf: SHA-256(0x00 || the row as 8-byte
+    little-endian words) at the leaves, _node_digest above them."""
+    level = [hashlib.sha256(b"\x00" + struct.pack(f"<{len(row)}Q", *row)).digest()
+             for row in values]
     while len(level) & (len(level) - 1):
         level.append(level[-1])
     levels = [level]

@@ -259,11 +259,11 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
     doc = json.loads(Path(proof).read_text())
-    assert doc["publics"]["degree_bound"] == str(ref.COMBINED_DEGREE_BOUND)
-    assert doc["fri_layers"]["final"] == str(ref.FINAL_CONSTANT)
+    assert doc["degree_bound"] == ref.COMBINED_DEGREE_BOUND
+    assert doc["fri_layers"]["final"] == ref.FINAL_CONSTANT
     # a proof carries no sample point: each query's trace row at x sits at x's leaf
     layer0 = _domains(ref.MODULUS, ref.SYSTEM.num_steps).layers[0]
-    assert [layer0[q["trace"]["at_x"]["index"]] for q in doc["queries"]] == list(ref.SAMPLE_POINTS)
+    assert [layer0[q["trace"][0]["index"]] for q in doc["queries"]] == list(ref.SAMPLE_POINTS)
     assert "challenges" not in doc
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_OK
 
@@ -308,9 +308,9 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, mon
     monkeypatch.setenv("PROJSTARK_SEED", "beta")
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", b]) == EXIT_OK
     doc_a, doc_b = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
-    assert doc_a["publics"]["salt"] != doc_b["publics"]["salt"]
-    assert ([q["trace"]["at_x"]["index"] for q in doc_a["queries"]]
-            != [q["trace"]["at_x"]["index"] for q in doc_b["queries"]])
+    assert doc_a["salt"] != doc_b["salt"]
+    assert ([q["trace"][0]["index"] for q in doc_a["queries"]]
+            != [q["trace"][0]["index"] for q in doc_b["queries"]])
     assert main(["verify", "--config", fs_config_path, "--proof", a]) == EXIT_OK
     assert main(["verify", "--config", fs_config_path, "--proof", b]) == EXIT_OK
 
@@ -376,8 +376,8 @@ def test_verify_tampered_opening_rejects(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
     doc = json.loads(Path(proof).read_text())
-    values = doc["queries"][0]["trace"]["at_x"]["values"]
-    values[1] = str((int(values[1]) + 1) % 331)  # f_z[1]
+    values = doc["queries"][0]["trace"][0]["values"]
+    values[1] = (values[1] + 1) % 331  # f_z[1]
     Path(proof).write_text(json.dumps(doc))
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_REJECT
 

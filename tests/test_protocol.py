@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import random
 import sys
 import threading
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from projstark.air import (
     build_trace_polys,
     combine,
 )
-from projstark.channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
+from projstark.channel import (FiatShamirTranscript, MerkleCommitment, ReplayTranscript,
+                               TranscriptError)
 from projstark.cli import EXIT_MALFORMED, EXIT_OK, ConfigError, load_config, main
 from projstark.dynamics import ExecutionTrace, StepRecord, SystemSpec, simulate, step_slack
 from projstark.field import PrimeField, build_domain
@@ -27,6 +30,7 @@ from projstark.poly import Polynomial, vanishing
 from projstark.protocol import (
     PROOF_VERSION,
     OnlineStageError,
+    Proof,
     ProofFormatError,
     dump_proof,
     hash_spec,
@@ -114,7 +118,7 @@ def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
     assert report.accepted
     assert report.verdict == "accept"
     assert paper_proof.degree_bound == ref.COMBINED_DEGREE_BOUND
-    assert paper_proof.fri_final == ref.FINAL_CONSTANT
+    assert paper_proof.fri_layers.final == ref.FINAL_CONSTANT
     layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
     assert [layer0[q.trace[0].index] for q in paper_proof.queries] == list(ref.SAMPLE_POINTS)
 
@@ -291,15 +295,15 @@ def test_verify_rejects_wrong_modulus(paper_spec, paper_proof):
 
 
 def test_verify_rejects_tampered_final(field, paper_spec, paper_proof):
-    forged = paper_proof.__class__(
-        **{**paper_proof.__dict__, "fri_final": (paper_proof.fri_final + 1) % 331}
-    )
+    final = (paper_proof.fri_layers.final + 1) % 331
+    fri_layers = dataclasses.replace(paper_proof.fri_layers, final=final)
+    forged = dataclasses.replace(paper_proof, fri_layers=fri_layers)
     report = verify(field, paper_spec, forged, paper_transcript())
     assert not report.accepted
     assert report.stage == "fri_query"
     # the reject names the folded value and the one the proof sent
     assert report.detail.endswith(
-        f"at layer 4: folded {ref.FINAL_CONSTANT}, fri_final is {forged.fri_final}")
+        f"at layer 4: folded {ref.FINAL_CONSTANT}, fri_final is {final}")
 
 
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
@@ -372,7 +376,7 @@ def test_spec_hash_binds_inputs(field, paper_spec):
 
 # --- serialization ----------------------------------------------------------
 
-PROOF_KEYS = {"version", "publics", "commitments", "fri_layers", "queries"}
+PROOF_KEYS = {"version", "salt", "degree_bound", "commitments", "fri_layers", "queries"}
 
 
 def test_proof_json_roundtrip(field, paper_spec, paper_proof):
@@ -390,11 +394,11 @@ def test_proof_json_roundtrip_fiat_shamir(field, paper_spec, paper_fs_proof):
     assert verify(field, paper_spec, reloaded).accepted
 
 
-def test_proof_json_integers_are_strings(paper_proof):
+def test_proof_json_integers_are_json_integers(paper_proof):
     doc = proof_to_json(paper_proof)
-    assert isinstance(doc["publics"]["degree_bound"], str)
-    assert isinstance(doc["queries"][0]["trace"]["at_x"]["values"][0], str)
-    assert isinstance(doc["fri_layers"]["final"], str)
+    assert type(doc["degree_bound"]) is int
+    assert type(doc["queries"][0]["trace"][0]["values"][0]) is int
+    assert type(doc["fri_layers"]["final"]) is int
 
 
 def test_load_proof_rejects_garbage():
@@ -410,17 +414,17 @@ def test_load_proof_rejects_garbage():
 
 def test_load_proof_rejects_wrong_types(paper_proof):
     doc = proof_to_json(paper_proof)
-    doc["publics"]["degree_bound"] = 56  # must be a base-10 string
+    doc["degree_bound"] = str(doc["degree_bound"])  # must be a JSON integer
     with pytest.raises(ProofFormatError):
         proof_from_json(doc)
 
 
 @pytest.mark.parametrize("where", [
     ("version",),
-    ("commitments", "trace", "leaves"),
-    ("fri_layers", "roots", 0, "leaves"),
-    ("queries", 0, "trace", "at_x", "index"),
-    ("queries", 1, "fri", 0, "neg"),
+    ("commitments", "trace", "leaf_count"),
+    ("fri_layers", "roots", 0, "leaf_count"),
+    ("queries", 0, "trace", 0, "index"),
+    ("queries", 1, "fri", 0, 1),
 ])
 @pytest.mark.parametrize("flag", [True, False])
 def test_load_proof_rejects_booleans_for_integers(paper_proof, where, flag):
@@ -449,31 +453,74 @@ def _at(doc, where):
     return doc
 
 
+def _places(tp, value, where=(), field=None):
+    """(where, tp, field) for every value in the document of `value`, a value
+    of type `tp` in the proof dataclasses, the root first: its path in the
+    document, its declared type, and the (dataclass, field name) it is or
+    sits in. Found by walking the declaration, not the document."""
+    yield where, tp, field
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield from _places(hints[f.name], getattr(value, f.name), where + (f.name,),
+                               (tp, f.name))
+    elif typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        for i, item in enumerate(value):
+            yield from _places(args[0] if args[-1] is Ellipsis else args[i], item,
+                               where + (i,), field)
+
+
+def _declared_fields(tp):
+    """(dataclass, field name) of every field of every dataclass reachable from tp."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield tp, f.name
+            yield from _declared_fields(hints[f.name])
+    for arg in typing.get_args(tp):
+        if arg is not Ellipsis:
+            yield from _declared_fields(arg)
+
+
+def _json_type(tp) -> type:
+    if dataclasses.is_dataclass(tp):
+        return dict
+    return list if typing.get_origin(tp) is tuple else {int: int, bytes: str}[tp]
+
+
 JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
 DELETE = object()
 
 
 def test_load_proof_refuses_every_wrong_type(paper_proof):
-    # every node of a 2-query proof document, replaced by a JSON value of each
-    # other type, or deleted where it is a dict key
+    # every value of a 2-query proof document, found from the proof
+    # dataclasses: replaced by a JSON value of each other type, deleted where
+    # it is a field, and one value short or long where it is a fixed-length list
     base = proof_to_json(paper_proof)
-    cases = 0
-    for where in _nodes(base):
-        edits = [v for v in JSON_VALUES if type(v) is not type(_at(base, where))]
-        if where and isinstance(_at(base, where[:-1]), dict):
+    places = list(_places(Proof, paper_proof))
+    assert len(places) == len(list(_nodes(base)))  # the walk meets every node
+    fields = set()
+    for where, tp, field in places:
+        value = _at(base, where)
+        assert type(value) is _json_type(tp), where
+        edits = [v for v in JSON_VALUES if type(v) is not type(value)]
+        if where and type(where[-1]) is str:
             edits.append(DELETE)
-        for value in edits:
+            fields.add(field)
+        if typing.get_origin(tp) is tuple and Ellipsis not in typing.get_args(tp):
+            edits += [value[:-1], value + value[-1:]]
+        for edit in edits:
             doc = json.loads(json.dumps(base))
             if not where:
-                doc = value
-            elif value is DELETE:
+                doc = edit
+            elif edit is DELETE:
                 del _at(doc, where[:-1])[where[-1]]
             else:
-                _at(doc, where[:-1])[where[-1]] = value
+                _at(doc, where[:-1])[where[-1]] = edit
             with pytest.raises(ProofFormatError):
                 proof_from_json(doc)
-            cases += 1
-    assert cases == 244 * 6 + 93  # 244 nodes, 6 other types each; 93 dict keys
+    assert fields == set(_declared_fields(Proof))  # a later field is covered too
 
 
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
@@ -486,8 +533,8 @@ def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
 
 def test_verify_rejects_tampered_opening(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
-    values = doc["queries"][0]["trace"]["at_x"]["values"]
-    values[7] = str((int(values[7]) + 1) % 331)  # f_delta[1]
+    values = doc["queries"][0]["trace"][0]["values"]
+    values[7] = (values[7] + 1) % 331  # f_delta[1]
     report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
@@ -495,15 +542,15 @@ def test_verify_rejects_tampered_opening(field, paper_spec, paper_proof):
 
 def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
-    values = doc["queries"][1]["trace"]["at_gx"]["values"]
-    values[1] = str((int(values[1]) + 1) % 331)  # f_z[1](g*x), the next state
+    values = doc["queries"][1]["trace"][1]["values"]
+    values[1] = (values[1] + 1) % 331  # f_z[1](g*x), the next state
     report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), replay=st.booleans(), side=st.sampled_from(["at_x", "at_gx"]),
+@given(data=st.data(), replay=st.booleans(), side=st.sampled_from([0, 1]),  # at x, at g·x
        shift=st.integers(1, ref.MODULUS - 1))
 def test_verify_rejects_any_tampered_trace_row_value(
     field, paper_spec, paper_proof, paper_fs_proof, data, replay, side, shift
@@ -513,7 +560,7 @@ def test_verify_rejects_any_tampered_trace_row_value(
     values = query["trace"][side]["values"]
     assert len(values) == 5 * paper_spec.n
     i = data.draw(st.integers(0, len(values) - 1), label="position")
-    values[i] = str((int(values[i]) + shift) % ref.MODULUS)
+    values[i] = (values[i] + shift) % ref.MODULUS
     report = verify(field, paper_spec, proof_from_json(doc),
                     paper_transcript() if replay else None)
     assert not report.accepted
@@ -523,8 +570,7 @@ def test_verify_rejects_any_tampered_trace_row_value(
 def _openings(query: dict) -> list:
     """Every opening of one query in a proof document: both trace rows, then
     the one opening of every FRI layer's pair, at y."""
-    rows = [query["trace"]["at_x"], query["trace"]["at_gx"]]
-    return rows + [pair["pos"] for pair in query["fri"]]
+    return query["trace"] + [opening for opening, _ in query["fri"]]
 
 
 def _all_openings(doc: dict) -> list:
@@ -588,8 +634,8 @@ def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, repl
     proof = paper_proof if replay else paper_fs_proof
     q, domains = ref.MODULUS, protocol._domains(ref.MODULUS, paper_spec.num_steps)
     layers = domains.layers
-    assert proof.trace_comm.leaf_count == len(layers[0])
-    for j, cm in enumerate((proof.composition_comm, *proof.fri_comms)):
+    assert proof.commitments.trace.leaf_count == len(layers[0])
+    for j, cm in enumerate((proof.commitments.composition, *proof.fri_layers.roots)):
         assert cm.leaf_count == len(layers[j]) // 2
     for query in proof.queries:
         x = layers[0][query.trace[0].index]
@@ -597,7 +643,7 @@ def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, repl
             assert type(pos) is protocol.Opening and type(neg) is int
             assert pos.index == min(layers[j].index(y), layers[j].index(q - y))
     for qd in proof_to_json(proof)["queries"]:
-        assert all(type(pair["neg"]) is str for pair in qd["fri"])
+        assert all(type(neg) is int for _, neg in qd["fri"])
 
 
 def _verify_each_fri_pair(field, spec, proof, replay, edit):
@@ -620,9 +666,10 @@ def test_verify_rejects_a_pair_with_its_values_swapped(field, paper_spec, paper_
     # a leaf holds f at the smaller point of its pair first, so the same two
     # values in the other order are another row
     def edit(pair):
-        if pair["pos"]["value"] == pair["neg"]:
+        opening, neg = pair
+        if opening["value"] == neg:
             return False
-        pair["pos"]["value"], pair["neg"] = pair["neg"], pair["pos"]["value"]
+        opening["value"], pair[1] = neg, opening["value"]
 
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
@@ -636,24 +683,24 @@ def test_verify_rejects_an_edited_value_at_minus_y(field, paper_spec, paper_proo
     # f(-y) is authenticated by the path of y's opening, as the other value of
     # its leaf: changing it alone changes the leaf, in every layer
     def edit(pair):
-        pair["neg"] = str((int(pair["neg"]) + 1) % ref.MODULUS)
+        pair[1] = (pair[1] + 1) % ref.MODULUS
 
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
-    assert len(reports) == len(proof.queries) * (len(proof.fri_comms) + 1)
+    assert len(reports) == len(proof.queries) * (len(proof.fri_layers.roots) + 1)
     assert all((r.verdict, r.stage) == ("reject", "commitment") for r in reports)
 
 
 def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
     # version 7 sent f(-y) as a second opening of y's leaf, with an empty path;
-    # version 8 has no such object
+    # versions 8 and 9 have no such object
     doc = proof_to_json(paper_proof)
     for k, qd in enumerate(doc["queries"]):
-        for j, pair in enumerate(qd["fri"]):
-            assert type(pair["neg"]) is str
+        for j, (opening, neg) in enumerate(qd["fri"]):
+            assert type(neg) is int
             edited = json.loads(json.dumps(doc))
-            edited["queries"][k]["fri"][j]["neg"] = {
-                "index": pair["pos"]["index"], "value": pair["neg"], "path": []}
+            edited["queries"][k]["fri"][j][1] = {
+                "index": opening["index"], "value": neg, "path": []}
             with pytest.raises(ProofFormatError):
                 proof_from_json(edited)
 
@@ -677,54 +724,80 @@ def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace
         return paper_transcript() if replay else FiatShamirTranscript(ref.MODULUS, salt=b"once")
 
     proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=b"once")
-    rounds = len(proof.fri_comms) + 1
+    rounds = len(proof.fri_layers.roots) + 1
     assert calls == {"open": 2 * (2 + rounds), "check": 0}
     assert verify(field, paper_spec, proof, transcript()).accepted
     assert calls["check"] == 2 * (2 + rounds)
 
 
-def _spellings(v: str) -> list:
-    """Texts other than the integer v's own that int(t, 10) reads as v."""
-    devanagari = str.maketrans("0123456789", "०१२३४५६७८९")
-    return ["+" + v, f" {v} ", "00" + v, v[0] + "_" + v[1:] if v[1:] else "0_" + v,
-            v.translate(devanagari)]
-
-
-def _hex_spellings(h: str) -> list:
-    """Texts other than the digest h's own that bytes.fromhex reads as it."""
-    return [t for t in (h.upper(), h[:2] + " " + h[2:], f" {h}", h + "\n") if t != h]
+def _hex_texts(h: str) -> list:
+    """JSON texts other than the digest h's own that json.loads and
+    bytes.fromhex read as it: capitals, spaces, an escape."""
+    texts = [t for t in (h.upper(), h[:2] + " " + h[2:], f" {h}", h + "\n") if t != h]
+    return [json.dumps(t) for t in texts] + ([f'"\\u{ord(h[0]):04x}{h[1:]}"'] if h else [])
 
 
 def test_load_proof_reads_each_number_and_digest_in_one_spelling(paper_fs_proof):
-    # a proof has one text: every other spelling of a number or digest is refused
+    # a proof has one text: every number and digest of an 8-query proof, found
+    # from the proof dataclasses, is refused in each other spelling json.loads
+    # reads, and each digest in each other spelling bytes.fromhex reads. A
+    # "-" makes 0 into -0, which json.loads reads as 0, and any other number
+    # into a negative one; a ".0" or "e0" makes a float
     base = proof_to_json(paper_fs_proof)
-    numbers = [("queries", 0, "trace", "at_x", "values", 0),
-               ("queries", 2, "fri", 0, "pos", "value"), ("publics", "degree_bound"),
-               ("fri_layers", "final"), ("queries", 1, "fri", 3, "neg")]
-    digests = [("commitments", "trace", "root"), ("fri_layers", "roots", 2, "root"),
-               ("queries", 0, "trace", "at_gx", "path", 0),
-               ("queries", 0, "fri", 1, "pos", "path", 0), ("publics", "salt")]
-    cases = 0
-    for places, spellings in ((numbers, _spellings), (digests, _hex_spellings)):
-        for where in places:
-            assert len(spellings(_at(base, where))) >= 3  # the salt's hex has no letter
-            for text in spellings(_at(base, where)):
-                doc = json.loads(json.dumps(base))
-                _at(doc, where[:-1])[where[-1]] = text
-                with pytest.raises(ProofFormatError):
-                    proof_from_json(doc)
-                cases += 1
-    assert cases == 5 * 5 + 4 * 4 + 3
+    tried = {int: 0, bytes: 0}
+    for where, tp, _ in _places(Proof, paper_fs_proof):
+        value = _at(base, where)
+        if tp not in tried:
+            continue
+        tried[tp] += 1
+        doc = json.loads(json.dumps(base))
+        _at(doc, where[:-1])[where[-1]] = "@"
+        marked = json.dumps(doc, separators=(",", ":"))
+        assert marked.count('"@"') == 1
+        assert load_proof(marked.replace('"@"', json.dumps(value))) == paper_fs_proof
+        texts = [f"-{value}", f"{value}.0", f"{value}e0"] if tp is int else _hex_texts(value)
+        for text in texts:
+            with pytest.raises(ProofFormatError):
+                load_proof(marked.replace('"@"', text))
+    # every number and every string of the document was tried
+    leaves = [type(_at(base, where)) for where in _nodes(base)]
+    assert tried == {int: leaves.count(int), bytes: leaves.count(str)}
+
+
+def test_load_proof_refuses_a_root_of_other_than_32_bytes(paper_proof):
+    # every commitment root of the document, one byte short or long
+    base = proof_to_json(paper_proof)
+    roots = [where for where, _, field in _places(Proof, paper_proof)
+             if field == (MerkleCommitment, "root")]
+    assert len(roots) == 2 + len(paper_proof.fri_layers.roots)
+    for where in roots:
+        for digest in (_at(base, where)[:-2], _at(base, where) + "00"):
+            doc = json.loads(json.dumps(base))
+            _at(doc, where[:-1])[where[-1]] = digest
+            with pytest.raises(ProofFormatError, match="32 bytes"):
+                proof_from_json(doc)
+
+
+def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
+    # json.loads reads -0 as the integer 0: the 64-query proof with its first
+    # "index":0 written "index":-0 would be a second text of the same proof
+    salt = b"0"
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=64, salt=salt)
+    text = dump_proof(proof)
+    assert '"index":0,' in text and "-" not in text
+    with pytest.raises(ProofFormatError):
+        load_proof(text.replace('"index":0,', '"index":-0,', 1))
 
 
 def test_load_proof_rejects_bad_path_digests(paper_proof):
     for bad in (5, None, "zz", "0"):
         doc = proof_to_json(paper_proof)
-        doc["queries"][1]["fri"][0]["pos"]["path"][2] = bad
+        doc["queries"][1]["fri"][0][0]["path"][2] = bad
         with pytest.raises(ProofFormatError):
             proof_from_json(doc)
         doc = proof_to_json(paper_proof)
-        doc["queries"][0]["trace"]["at_gx"]["path"][0] = bad
+        doc["queries"][0]["trace"][1]["path"][0] = bad
         with pytest.raises(ProofFormatError):
             proof_from_json(doc)
 
@@ -733,18 +806,19 @@ def test_proof_commits_the_trace_once(paper_spec, paper_proof):
     doc = proof_to_json(paper_proof)
     assert set(doc["commitments"]) == {"trace", "composition"}
     # one leaf per point, where the composition polynomial has one per pair {y, -y}
-    assert doc["commitments"]["trace"]["leaves"] == 2 * doc["commitments"]["composition"]["leaves"]
+    comms = doc["commitments"]
+    assert comms["trace"]["leaf_count"] == 2 * comms["composition"]["leaf_count"]
     for qd in doc["queries"]:
         assert set(qd) == {"trace", "fri"}  # no sample point: the verifier draws it
-        assert set(qd["trace"]) == {"at_x", "at_gx"}
-        assert all(len(row["values"]) == 5 * paper_spec.n for row in qd["trace"].values())
+        assert len(qd["trace"]) == 2  # the rows at x and at g·x
+        assert all(len(row["values"]) == 5 * paper_spec.n for row in qd["trace"])
 
 
 def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
     for width in (5 * paper_spec.n - 1, 5 * paper_spec.n + 1):
         doc = json.loads(dump_proof(paper_proof))
-        row = doc["queries"][0]["trace"]["at_gx"]
-        row["values"] = (row["values"] + ["0"])[:width]
+        row = doc["queries"][0]["trace"][1]
+        row["values"] = (row["values"] + [0])[:width]
         with pytest.raises(ProofFormatError):
             verify(field, paper_spec, proof_from_json(doc), paper_transcript())
 
@@ -780,13 +854,51 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
     for version, made in ((4, proof), (5, prove_v6())):
         doc = proof_to_json(made)
         doc["version"] = version
-        doc["queries"] = [{"x": str(layer0[qd["trace"]["at_x"]["index"]]), **qd}
+        doc["queries"] = [{"x": str(layer0[qd["trace"][0]["index"]]), **qd}
                           for qd in doc["queries"]]
         with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
             verify(field, paper_spec, proof_from_json(doc))
         (tmp_path / "proof.json").write_text(json.dumps(doc, indent=2))
         assert main(["verify", "--config", str(tmp_path / "config.json"),
                      "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
+
+
+def _as_version_8(doc: dict) -> dict:
+    """The version-8 document of a proof: its fields grouped under "publics",
+    "at_x" and "at_gx", "pos" and "neg", leaf counts as "leaves", and every
+    number but an index or a leaf count as a base-10 string."""
+    def comm(c):
+        return {"root": c["root"], "leaves": c["leaf_count"]}
+
+    def row(r):
+        return {"index": r["index"], "values": [str(v) for v in r["values"]], "path": r["path"]}
+
+    def pair(opening, neg):
+        return {"pos": {**opening, "value": str(opening["value"])}, "neg": str(neg)}
+
+    return {
+        "version": 8,
+        "publics": {"salt": doc["salt"], "degree_bound": str(doc["degree_bound"])},
+        "commitments": {name: comm(c) for name, c in doc["commitments"].items()},
+        "fri_layers": {"roots": [comm(c) for c in doc["fri_layers"]["roots"]],
+                       "final": str(doc["fri_layers"]["final"])},
+        "queries": [{"trace": {"at_x": row(qd["trace"][0]), "at_gx": row(qd["trace"][1])},
+                     "fri": [pair(*p) for p in qd["fri"]]} for qd in doc["queries"]],
+    }
+
+
+def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_proof, tmp_path):
+    # the paper replay proof written as version 8 wrote it: its digest is the
+    # one version 8 pinned
+    text = json.dumps(_as_version_8(proof_to_json(paper_proof)), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e")
+    with pytest.raises(ProofFormatError):
+        load_proof(text)
+    (tmp_path / "config.json").write_text(json.dumps(ref.replay_config()))
+    (tmp_path / "proof.json").write_text(text)
+    assert main(["verify", "--config", str(tmp_path / "config.json"),
+                 "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -796,7 +908,7 @@ def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
     bound = 2 * paper_spec.num_steps - 1
     extra = num_rounds(bound) - num_rounds(paper_proof.degree_bound)
     assert extra >= 1
-    doc["publics"]["degree_bound"] = str(bound)
+    doc["degree_bound"] = bound
     doc["fri_layers"]["roots"] += doc["fri_layers"]["roots"][-1:] * extra
     for qd in doc["queries"]:
         qd["fri"] += qd["fri"][-1:] * extra
@@ -810,18 +922,18 @@ def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
 
 def test_verify_rejects_negative_degree_bound(field, paper_spec, paper_proof):
     doc = json.loads(dump_proof(paper_proof))
-    doc["publics"]["degree_bound"] = "-1"
+    doc["degree_bound"] = -1
     with pytest.raises(ProofFormatError):
         verify(field, paper_spec, proof_from_json(doc), paper_transcript())
 
 
 def _integer_fields(doc, where=()):
-    """Paths to every integer of a dumped proof: JSON ints and base-10 strings."""
+    """Paths to every integer of a dumped proof."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, value in items:
         if key in ("root", "salt", "path"):  # hex strings
             continue
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             yield where + (key,)
         else:
             yield from _integer_fields(value, where + (key,))
@@ -851,7 +963,7 @@ def test_mutated_integer_field_is_rejected_or_malformed(
     for k in parents:
         node = node[k]
     old = node[key]
-    node[key] = value if isinstance(old, int) else str(value)
+    node[key] = value
     try:
         report = verify(field, paper_spec, proof_from_json(doc),
                         paper_transcript() if replay else None)
@@ -869,7 +981,8 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 
 # --- byte identity ------------------------------------------------------------
 
-# SHA-256 of dump_proof (compact JSON with no whitespace; proof version 8:
+# SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
+# proof dataclasses, every number a JSON integer; proof version 9:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, at most
 # BLOWUP cosets of H committed, sample points drawn as
@@ -879,12 +992,12 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 # committed values, their order, the tree hashing, the paths sent or the
 # transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e",
-    "paper-fiat-shamir": "f050caf8d7f91adc18610bad09cb0a8a44413a40b7c5c9a482212d24d6b123be",
+    "paper-replay": "a5d6f207656dba543edd15653d94d72649c85d1a7dc384b7117c47b631f7783e",
+    "paper-fiat-shamir": "9b49e1d9e339140f20959c5baf05acaa445c5d74ca9e65ddda87673dd4094370",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "1557fa1bdb1b5d8d04d0694d595eec37bd1c79664b6f72164f3c0fb624976893",
+    "q3001-fiat-shamir": "1372259ef2156dd765ed09b06e3a27c3b72e2db54277e78bf21c35c466b6c9df",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -902,7 +1015,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 8
+    assert paper_proof.version == PROOF_VERSION == 9
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -917,7 +1030,7 @@ def test_mixed_radix_proof_is_byte_identical():
     proof = prove(field, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
                   FiatShamirTranscript(3001, salt=salt), num_queries=8, salt=salt)
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
-    assert len(proof.fri_comms) == 6
+    assert len(proof.fri_layers.roots) == 6
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
 
 
@@ -931,9 +1044,10 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one leaf per FRI pair, opened once: 895 digests and 95,131 bytes,
-    # against 107,128 with f(-y) sent as a second opening of the leaf, and
-    # 1,523 digests and 149,133 bytes with one leaf per point
+    # one leaf per FRI pair, opened once: 895 digests and 85,479 bytes
+    # (95,131 in version 8's layout), against 107,128 with f(-y) sent as a
+    # second opening of the leaf, and 1,523 digests and 149,133 bytes with
+    # one leaf per point
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
@@ -1039,7 +1153,7 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
         grown = json.loads(json.dumps(doc))
         extra = num_rounds(bound) - num_rounds(paper_fs_proof.degree_bound)
         assert extra >= 1
-        grown["publics"]["degree_bound"] = str(bound)
+        grown["degree_bound"] = bound
         grown["fri_layers"]["roots"] += grown["fri_layers"]["roots"][-1:] * extra
         for qd in grown["queries"]:
             qd["fri"] += qd["fri"][-1:] * extra
@@ -1049,8 +1163,8 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     deep = declaring(2**69)  # 70 FRI layers; the bound alone caps the layer count
     assert len(deep["queries"][0]["fri"]) == 70
     tampered = json.loads(json.dumps(doc))
-    opening = tampered["queries"][0]["fri"][-1]["pos"]
-    opening["value"] = str((int(opening["value"]) + 1) % ref.MODULUS)
+    opening = tampered["queries"][0]["fri"][-1][0]
+    opening["value"] = (opening["value"] + 1) % ref.MODULUS
     truncated = json.loads(json.dumps(doc))
     truncated["queries"][0]["fri"].pop()
 
@@ -1099,7 +1213,7 @@ def test_forced_replay_proofs_need_no_layer_beyond_the_built_ones():
                       force=True)
         assert proof.degree_bound <= max(2 * N - 2, 0)
         at_worst += proof.degree_bound == max(2 * N - 2, 0)
-        assert len(proof.fri_comms) + 1 <= _layer_count(q, N)
+        assert len(proof.fri_layers.roots) + 1 <= _layer_count(q, N)
         report = verify(PrimeField(q), spec, proof, ReplayTranscript(q, **ch))
         assert report.verdict in ("accept", "reject")
     assert at_worst >= 6
@@ -1152,8 +1266,8 @@ def test_prove_verify_and_the_cli_refuse_the_same_publics(
 def _other_pair(doc, layer, opening):
     """The first opening, in query order, of a pair of FRI layer `layer`
     other than the one `opening` belongs to."""
-    return next(qd["fri"][layer]["pos"] for qd in doc["queries"]
-                if qd["fri"][layer]["pos"]["index"] != opening["index"])
+    return next(qd["fri"][layer][0] for qd in doc["queries"]
+                if qd["fri"][layer][0]["index"] != opening["index"])
 
 
 def _index_cases(doc):
@@ -1164,9 +1278,9 @@ def _index_cases(doc):
     assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
     for qd in doc["queries"]:
         rows, first, last = qd["trace"], qd["fri"][0], qd["fri"][-1]
-        yield rows["at_x"], rows["at_gx"], doc["commitments"]["trace"]
-        yield first["pos"], _other_pair(doc, 0, first["pos"]), doc["commitments"]["composition"]
-        yield last["pos"], _other_pair(doc, -1, last["pos"]), doc["fri_layers"]["roots"][-1]
+        yield rows[0], rows[1], doc["commitments"]["trace"]
+        yield first[0], _other_pair(doc, 0, first[0]), doc["commitments"]["composition"]
+        yield last[0], _other_pair(doc, -1, last[0]), doc["fri_layers"]["roots"][-1]
 
 
 def _verify_each_index_case(field, spec, proof, replay, edit):
@@ -1212,7 +1326,7 @@ def test_verify_rejects_a_valid_opening_of_another_point(field, paper_spec, pape
 def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proof,
                                                    paper_fs_proof, replay, bad):
     def edit(opening, other, comm):
-        opening["index"] = comm["leaves"] if bad == "leaf_count" else bad
+        opening["index"] = comm["leaf_count"] if bad == "leaf_count" else bad
 
     for report in _verify_each_index_case(
             field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
@@ -1234,9 +1348,9 @@ def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, w
     node = doc
     for k in where:
         node = node[k]
-    assert node["leaves"] != leaves
-    assert (node["leaves"] - 1).bit_length() == (leaves - 1).bit_length()  # same height
-    node["leaves"] = leaves
+    assert node["leaf_count"] != leaves
+    assert (node["leaf_count"] - 1).bit_length() == (leaves - 1).bit_length()  # same height
+    node["leaf_count"] = leaves
     report = verify(field, paper_spec, proof_from_json(doc))
     assert (report.verdict, report.stage) == ("reject", "commitment")
     assert f"has {leaves} leaves" in report.detail
@@ -1282,18 +1396,39 @@ def test_large_field_proofs_verify(q, num_steps):
     field, spec, salt = PrimeField(q), _box_spec(num_steps), b"large"
     proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
                   num_queries=8, salt=salt)
-    assert proof.composition_comm.leaf_count == protocol.BLOWUP * (num_steps + 1) // 2
+    assert proof.commitments.composition.leaf_count == protocol.BLOWUP * (num_steps + 1) // 2
     assert verify(field, spec, load_proof(dump_proof(proof))).accepted
     doc = proof_to_json(proof)
 
     def bump(container, key):
-        container[key] = str((int(container[key]) + 1) % q)
+        container[key] = (container[key] + 1) % q
 
-    for edit in (lambda d: bump(d["queries"][3]["trace"]["at_gx"]["values"], 1),
-                 lambda d: bump(d["queries"][5]["fri"][2], "neg")):
+    for edit in (lambda d: bump(d["queries"][3]["trace"][1]["values"], 1),
+                 lambda d: bump(d["queries"][5]["fri"][2], 1)):
         edited = json.loads(json.dumps(doc))
         edit(edited)
         assert verify(field, spec, proof_from_json(edited)).stage == "commitment"
+
+
+# the three shapes the benchmark proves: the paper system with 64 queries,
+# q = 12289 with N = 127, and q = 769 with N = 255 and four state coordinates
+BENCHMARK_SHAPES = [
+    (331, ref.SYSTEM, 64),
+    (12289, _box_spec(127), 8),
+    (769, SystemSpec(a_hat=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (-1, 0, 0, 1)),
+                     z_upper=(40,) * 4, z_lower=(0,) * 4, z_init=(3, 20, 7, 39), num_steps=255), 8),
+]
+
+
+@pytest.mark.parametrize("q, spec, queries", BENCHMARK_SHAPES,
+                         ids=["paper-q64", "field-q12289", "trace-q769"])
+def test_dump_load_dump_is_byte_identical(q, spec, queries):
+    salt = b"shape"
+    proof = prove(PrimeField(q), spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
+                  num_queries=queries, salt=salt)
+    text = dump_proof(proof)
+    assert load_proof(text) == proof
+    assert dump_proof(load_proof(text)) == text
 
 
 def test_sample_points_are_drawn_from_the_committed_domain():
