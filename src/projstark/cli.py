@@ -12,15 +12,16 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from . import reference_example
 from .air import FieldOverflowError, InvalidTraceError
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
-from .dynamics import ExecutionTrace, SystemSpec, online_check, simulate
+from .dynamics import ExecutionTrace, SystemSpec
 from .field import PrimeField
-from .protocol import (MAX_QUERIES, ProofFormatError, check_publics, dump_proof, load_proof,
-                       prove, verify)
+from .protocol import (MAX_QUERIES, Base10, ProofFormatError, _as_json, check_publics,
+                       dump_proof, honest_step_source, load_proof, prove, reader, reading,
+                       run_online_stage, verify)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,21 +44,36 @@ class RunConfig:
     challenges: Optional[dict]
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ConfigError(f"{what}: bad integer literal {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{what} must be an integer or base-10 string")
+# The files the CLI reads, declared as the proof is; a key left out takes its default
 
 
-def _int_list(values, what: str) -> List[int]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list")
-    return [_as_int(v, what) for v in values]
+@dataclass(frozen=True)
+class Challenges:
+    gammas: Tuple[Base10, ...] = ()
+    betas: Tuple[Base10, ...] = ()
+    sample_points: Tuple[Base10, ...] = ()
+
+
+@dataclass(frozen=True)
+class ConfigDocument:
+    A_hat: Tuple[Tuple[Base10, ...], ...]
+    q: Base10 = 331
+    N: Base10 = 0
+    z_upper: Tuple[Base10, ...] = ()
+    z_lower: Tuple[Base10, ...] = ()
+    z_init: Tuple[Base10, ...] = ()
+    mode: str = "fiat-shamir"
+    queries: Base10 = 8
+    challenges: Optional[Challenges] = None
+
+
+@dataclass(frozen=True)
+class TraceDocument:
+    z: Tuple[Tuple[Base10, ...], ...]
+    alpha_up: Tuple[Tuple[Base10, ...], ...]
+    alpha_lo: Tuple[Tuple[Base10, ...], ...]
+    delta: Tuple[Tuple[Base10, ...], ...]
+    version: int = 1
 
 
 def _read_json(path: str, what: str):
@@ -71,53 +87,21 @@ def _read_json(path: str, what: str):
 
 
 def load_config(path: str) -> RunConfig:
-    doc = _read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    with reading(ConfigError):
+        doc = reader(ConfigDocument)(_read_json(path, "config"))
+        spec = SystemSpec(doc.A_hat, doc.z_upper, doc.z_lower, doc.z_init, doc.N)
+        check_publics(doc.q, spec.num_steps)  # before PrimeField tests q for primality
+        field = PrimeField(doc.q)
 
-    q = _as_int(doc.get("q", "331"), "q")
-    if "A_hat" not in doc:
-        raise ConfigError("missing A_hat")
-    if not isinstance(doc["A_hat"], list):
-        raise ConfigError("A_hat must be a list")
-    a_hat = tuple(tuple(_int_list(row, "A_hat row")) for row in doc["A_hat"])
-    try:
-        spec = SystemSpec(
-            a_hat=a_hat,
-            z_upper=tuple(_int_list(doc.get("z_upper", []), "z_upper")),
-            z_lower=tuple(_int_list(doc.get("z_lower", []), "z_lower")),
-            z_init=tuple(_int_list(doc.get("z_init", []), "z_init")),
-            num_steps=_as_int(doc.get("N", 0), "N"),
-        )
-        check_publics(q, spec.num_steps)  # before PrimeField tests q for primality
-        field = PrimeField(q)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    mode = doc.get("mode", "fiat-shamir")
-    if not isinstance(mode, str):
-        raise ConfigError("mode must be a string")
-    mode = mode.replace("_", "-")
+    mode = doc.mode.replace("_", "-")
     if mode not in ("replay", "fiat-shamir"):
         raise ConfigError(f"mode must be replay or fiat-shamir, got {mode!r}")
-
-    queries = _as_int(doc.get("queries", 8), "queries")
-    if not 1 <= queries <= MAX_QUERIES:
-        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {queries}")
-
-    challenges = None
-    if "challenges" in doc:
-        ch = doc["challenges"]
-        if not isinstance(ch, dict):
-            raise ConfigError("challenges must be an object")
-        challenges = {
-            "gammas": _int_list(ch.get("gammas", []), "gammas"),
-            "betas": _int_list(ch.get("betas", []), "betas"),
-            "sample_points": _int_list(ch.get("sample_points", []), "sample_points"),
-        }
-    if mode == "replay" and challenges is None:
+    if not 1 <= doc.queries <= MAX_QUERIES:
+        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {doc.queries}")
+    if mode == "replay" and doc.challenges is None:
         raise ConfigError("replay mode needs a challenges block")
-    return RunConfig(field=field, spec=spec, mode=mode, queries=queries, challenges=challenges)
+    challenges = doc.challenges and {k: list(v) for k, v in vars(doc.challenges).items()}
+    return RunConfig(field, spec, mode, doc.queries, challenges)
 
 
 def _make_transcript(config: RunConfig, salt: bytes):
@@ -133,44 +117,10 @@ def _salt(config: RunConfig) -> bytes:
     return os.environ.get("PROJSTARK_SEED", "").encode()
 
 
-def trace_to_json(trace: ExecutionTrace) -> dict:
-    def rows(rs):
-        return [[str(v) for v in row] for row in rs]
-
-    return {
-        "version": 1,
-        "z": rows(trace.z_rows),
-        "alpha_up": rows(trace.alpha_up_rows),
-        "alpha_lo": rows(trace.alpha_lo_rows),
-        "delta": rows(trace.delta_rows),
-    }
-
-
-def trace_from_json(doc: dict, spec: SystemSpec) -> ExecutionTrace:
-    if not isinstance(doc, dict):
-        raise ConfigError("trace file must be a JSON object")
-
-    def rows(key):
-        if key not in doc:
-            raise ConfigError(f"trace file missing {key!r}")
-        if not isinstance(doc[key], list):
-            raise ConfigError(f"trace {key!r} must be a list of rows")
-        return tuple(tuple(_int_list(row, f"{key} row")) for row in doc[key])
-
-    try:
-        return ExecutionTrace(
-            spec=spec,
-            z_rows=rows("z"),
-            alpha_up_rows=rows("alpha_up"),
-            alpha_lo_rows=rows("alpha_lo"),
-            delta_rows=rows("delta"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
-    return trace_from_json(_read_json(path, "trace"), spec)
+    with reading(ConfigError):
+        doc = reader(TraceDocument)(_read_json(path, "trace"))
+        return ExecutionTrace(spec, doc.z, doc.alpha_up, doc.alpha_lo, doc.delta)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -179,6 +129,11 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
+
+
+def _write_trace(path: str, trace: ExecutionTrace) -> None:
+    doc = TraceDocument(trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
+    _write_out(path, json.dumps(doc, default=_as_json, indent=2))
 
 
 def _print_trace_table(trace: ExecutionTrace) -> None:
@@ -200,14 +155,14 @@ def _print_trace_table(trace: ExecutionTrace) -> None:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    trace = simulate(config.spec)
-    for k in range(config.spec.num_steps):
-        reason = online_check(config.spec, trace.step(k))
-        verdict = "accept" if reason is None else f"reject ({reason})"
-        print(f"online step {k}: {verdict}")
+    log: list = []
+    trace = run_online_stage(config.spec, honest_step_source(config.spec), log)
+    for entry in log:
+        reason = f" ({entry['reason']})" if entry["reason"] else ""
+        print(f"online step {entry['step']}: {entry['verdict']}{reason}")
     _print_trace_table(trace)
     if args.out:
-        _write_out(args.out, json.dumps(trace_to_json(trace), indent=2))
+        _write_trace(args.out, trace)
         print(f"trace written to {args.out}")
     return EXIT_OK
 
@@ -278,7 +233,7 @@ def cmd_tamper(args) -> int:
     except (IndexError, ValueError) as exc:
         raise ConfigError(str(exc))
     out = args.out or args.trace
-    _write_out(out, json.dumps(trace_to_json(tampered), indent=2))
+    _write_trace(out, tampered)
     print(f"tampered trace written to {out}")
     return EXIT_OK
 

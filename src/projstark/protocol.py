@@ -14,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, fields, is_dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
+from typing import (Callable, List, NewType, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .air import (
     FAMILIES,
@@ -629,10 +631,13 @@ def verify(
 
 # --- serialization ----------------------------------------------------------
 #
-# The proof dataclasses define the document: a dataclass is an object keyed by
-# its field names, Tuple[X, ...] a list, a fixed Tuple[X, Y] a list of exactly
-# that length, bytes lower-case hex and an int a JSON integer. Counts and
-# ranges are verify's.
+# A dataclass declares its document: an object keyed by its field names and no
+# other key; a field with a default may be left out. Tuple[X, ...] is a list, a
+# fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes
+# lower-case hex, str a string, int a JSON integer and Base10 an integer or its
+# base-10 string. Counts and ranges are the caller's.
+
+Base10 = NewType("Base10", int)  # hand-written files may spell an integer as a string
 
 
 def _list(v) -> list:
@@ -649,6 +654,12 @@ def _int(v) -> int:
     return v
 
 
+def _str(v) -> str:
+    if type(v) is not str:
+        raise TypeError(f"expected a string, got {type(v).__name__}")
+    return v
+
+
 def _hex(v) -> bytes:
     value = bytes.fromhex(v)  # TypeError unless v is a str
     if value.hex() != v:
@@ -656,23 +667,56 @@ def _hex(v) -> bytes:
     return value
 
 
-def _reader(tp) -> Callable:
-    """The function that reads a value of type `tp` from its JSON form,
-    built once per type; it raises KeyError, TypeError or ValueError on a
-    document of another shape."""
+_LEAVES = {int: _int, str: _str, bytes: _hex,
+           Base10: lambda v: int(v, 10) if type(v) is str else _int(v)}
+
+
+def _object_reader(cls) -> Callable:
+    hints = get_type_hints(cls)
+    parts = [(f.name, reader(hints[f.name])) for f in fields(cls)]
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+
+    def read_fields(doc):  # by position, which a proof's many small objects make worth it
+        value = cls(*[read(doc[name]) for name, read in parts])
+        if len(doc) != len(parts):  # every key read is a field's, so one is left over
+            raise ValueError(f"unknown key {min(doc.keys() - dict(parts).keys())!r}")
+        return value
+
+    def read_object(doc):  # a hand-written document, so an error names its field
+        if type(doc) is not dict:
+            raise TypeError(f"expected an object, got {type(doc).__name__}")
+        given = {}
+        for name, read in parts:
+            if name in doc or name not in optional:
+                try:
+                    given[name] = read(doc[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+        if len(doc) != len(given):
+            raise ValueError(f"unknown key {min(doc.keys() - dict(parts).keys())!r}")
+        return cls(**given)
+
+    return read_object if optional else read_fields
+
+
+@lru_cache(maxsize=None)
+def reader(tp) -> Callable:
+    """The function that reads a value of type `tp` from its JSON form, built
+    once per type; call it inside `reading`."""
     if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        parts = [(f.name, _reader(hints[f.name])) for f in fields(tp)]
-        return lambda doc: tp(*[read(doc[name]) for name, read in parts])
-    if tp in (int, bytes):
-        return _int if tp is int else _hex
-    if get_origin(tp) is not tuple:
-        raise TypeError(f"a proof field of type {tp} has no JSON form")
+        return _object_reader(tp)
+    if tp in _LEAVES:
+        return _LEAVES[tp]
     args = get_args(tp)
+    if get_origin(tp) is Union and args[1:] == (type(None),):
+        item = reader(args[0])
+        return lambda doc: None if doc is None else item(doc)
+    if get_origin(tp) is not tuple:
+        raise TypeError(f"a field of type {tp} has no JSON form")
     if args[-1] is Ellipsis:
-        item = _reader(args[0])
+        item = reader(args[0])
         return lambda doc: tuple(map(item, _list(doc)))
-    items = [_reader(a) for a in args]
+    items = [reader(a) for a in args]
 
     def read_fixed(doc) -> tuple:
         if len(_list(doc)) != len(items):
@@ -682,19 +726,24 @@ def _reader(tp) -> Callable:
     return read_fixed
 
 
-_read_proof = _reader(Proof)
+@contextmanager
+def reading(error: Callable[[str], Exception]):
+    """The one error boundary of a reader: a missing key, a key no field has, a
+    wrong type or spelling, or a value a dataclass refuses becomes `error`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(str(exc)) from exc
 
 
-@lru_cache(maxsize=16)  # one per proof dataclass
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+_read_proof = reader(Proof)
 
 
 def _as_json(obj):
-    """json.dumps's hook for what it cannot write itself: bytes, and a dataclass."""
-    if type(obj) is bytes:
-        return obj.hex()
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    """json.dumps's hook: bytes as hex, a dataclass as its instance dict, its fields."""
+    return obj.hex() if type(obj) is bytes else vars(obj)
 
 
 def dump_proof(proof: Proof) -> str:
@@ -708,23 +757,19 @@ def proof_to_json(proof: Proof) -> dict:
 
 
 def proof_from_json(doc) -> Proof:
-    """The Proof in a document, read inside one boundary: a missing key, a
-    wrong type, a list of another length, a digest spelled otherwise or a
-    value a proof dataclass refuses becomes ProofFormatError."""
-    try:
+    """The Proof in a document, read inside one boundary; its version first, so
+    a document of another version is refused as such."""
+    with reading(ProofFormatError):
+        if _int(doc["version"]) != PROOF_VERSION:
+            raise ValueError(f"unsupported proof version {doc['version']}")
         return _read_proof(doc)
-    except KeyError as exc:
-        raise ProofFormatError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ProofFormatError(str(exc)) from exc
 
 
 def load_proof(text: str) -> Proof:
-    # no key, number or digest of a proof has a "-" or a backslash, so this
-    # refuses -0, which json.loads reads as 0, and escapes such as \u0061 for
-    # "a", without a check per value
-    if "-" in text or "\\" in text:
-        raise ProofFormatError("a proof text has no '-' and no '\\'")
+    # no proof has whitespace, a "-" or a backslash, so this refuses -0 for 0, an
+    # escape such as \u0061 for "a" and spaced texts; key order is not checked
+    if any(c in text for c in "-\\ \n\r\t"):
+        raise ProofFormatError("a proof text has no '-', no '\\' and no whitespace")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, huge literal, deep nesting

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,19 @@ from projstark.cli import (
     EXIT_PROVER,
     EXIT_REJECT,
     EXIT_REPLAY_MISMATCH,
+    ConfigDocument,
     ConfigError,
+    RunConfig,
+    TraceDocument,
     load_config,
+    load_trace,
     main,
 )
-from projstark.protocol import MAX_QUERIES, _domains
+from projstark.dynamics import SystemSpec, simulate
+from projstark.field import PrimeField
+from projstark.protocol import MAX_QUERIES, Base10, _domains
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -59,8 +69,8 @@ def test_simulate_writes_trace_and_reports(tmp_path, config_path, capsys):
     assert "online step 28: accept" in printed
     doc = json.loads(Path(out).read_text())
     assert len(doc["z"]) == 30
-    assert doc["z"][20] == ["3", "40"]
-    assert doc["delta"][0] == ["100", "60"]
+    assert doc["z"][20] == [3, 40]
+    assert doc["delta"][0] == [100, 60]
 
 
 def test_config_rejects_composite_modulus(tmp_path):
@@ -320,7 +330,7 @@ def test_tamper_then_prove_refuses(tmp_path, config_path, trace_path):
     assert main(["tamper", "--config", config_path, "--trace", trace_path,
                  "--section", "delta", "--row", "3", "--index", "1", "--value", "59",
                  "--out", tampered]) == EXIT_OK
-    assert json.loads(Path(tampered).read_text())["delta"][3] == ["100", "59"]
+    assert json.loads(Path(tampered).read_text())["delta"][3] == [100, 59]
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", tampered,
                  "--out", proof]) == EXIT_PROVER
@@ -340,7 +350,7 @@ def test_tamper_force_commit_verify_rejects(tmp_path, fs_config_path, config_pat
 def test_tamper_in_place_default(tmp_path, config_path, trace_path):
     assert main(["tamper", "--config", config_path, "--trace", trace_path,
                  "--section", "z", "--row", "1", "--index", "0", "--value", "9"]) == EXIT_OK
-    assert json.loads(Path(trace_path).read_text())["z"][1] == ["9", "97"]
+    assert json.loads(Path(trace_path).read_text())["z"][1] == [9, 97]
 
 
 def test_tamper_out_of_range_cell(tmp_path, config_path, trace_path):
@@ -378,7 +388,7 @@ def test_verify_tampered_opening_rejects(tmp_path, config_path, trace_path):
     doc = json.loads(Path(proof).read_text())
     values = doc["queries"][0]["trace"][0]["values"]
     values[1] = (values[1] + 1) % 331  # f_z[1]
-    Path(proof).write_text(json.dumps(doc))
+    Path(proof).write_text(json.dumps(doc, separators=(",", ":")))  # a proof has no whitespace
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_REJECT
 
 
@@ -431,3 +441,174 @@ def test_unwritable_output_is_a_config_error(tmp_path, config_path, trace_path, 
                  "--out", str(missing / "bad.json")]) == EXIT_CONFIG
     assert capsys.readouterr().err.count("cannot write") == 3
     assert not missing.exists()
+
+
+
+def _places(tp, doc, where=(), field=None):
+    """(where, tp, nullable, field) for every value of a document of the
+    declared type tp, the root first, found by walking the declaration: the
+    value's path in the document, its type with Optional taken off, whether
+    null may stand for it, and (dataclass, field name, required) where the
+    value is a field's."""
+    nullable = typing.get_origin(tp) is typing.Union
+    if nullable:
+        tp = typing.get_args(tp)[0]
+    yield where, tp, nullable, field
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield from _places(hints[f.name], doc[f.name], where + (f.name,),
+                               (tp, f.name, f.default is dataclasses.MISSING))
+    elif typing.get_origin(tp) is tuple:
+        for i, item in enumerate(doc):
+            yield from _places(typing.get_args(tp)[0], item, where + (i,))
+
+
+def _declared(tp):
+    """(dataclass, field name, required) of every field reachable from tp."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            yield tp, f.name, f.default is dataclasses.MISSING
+            yield from _declared(hints[f.name])
+    for arg in typing.get_args(tp):
+        yield from _declared(arg)
+
+
+def _json_types(tp) -> tuple:
+    if dataclasses.is_dataclass(tp):
+        return (dict,)
+    if typing.get_origin(tp) is tuple:
+        return (list,)
+    return {int: (int,), Base10: (int, str), str: (str,)}[tp]
+
+
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+JSON_VALUES = (None, True, 0, 1.5, "x", [], {})
+DELETE, UNKNOWN = object(), object()
+
+
+def _refuses_every_wrong_type(tmp_path, cls, base, read, command):
+    """Every value of the document `base` of dataclass `cls` replaced by a
+    JSON value of each other type, every required key deleted, and a key no
+    field declares added to every object: `read` must raise ConfigError on
+    each such file and `command` exit with code 2. Returns the case count."""
+    path = tmp_path / "edited.json"
+    fields, cases = set(), 0
+    for where, tp, nullable, field in _places(cls, base):
+        value = _at(base, where)
+        assert type(value) in _json_types(tp), where
+        edits = [v for v in JSON_VALUES
+                 if type(v) not in _json_types(tp) and not (nullable and v is None)]
+        edits += ["x"] if tp is Base10 else []  # a string, but no base-10 one
+        if field:
+            fields.add(field)
+            edits += [DELETE] if field[2] else []
+        edits += [UNKNOWN] if dataclasses.is_dataclass(tp) else []
+        for edit in edits:
+            doc = json.loads(json.dumps(base))
+            if edit is UNKNOWN:
+                _at(doc, where)["unknown"] = 0
+            elif edit is DELETE:
+                del _at(doc, where[:-1])[where[-1]]
+            elif where:
+                _at(doc, where[:-1])[where[-1]] = edit
+            else:
+                doc = edit
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError):
+                read(str(path))
+            assert main(command(str(path))) == EXIT_CONFIG, (where, edit)
+            cases += 1
+    assert fields == set(_declared(cls))  # a field added later is covered too
+    return cases
+
+
+def test_load_config_refuses_every_wrong_type(tmp_path, capsys):
+    base = ref.replay_config()
+    cases = _refuses_every_wrong_type(tmp_path, ConfigDocument, base, load_config,
+                                      lambda path: ["simulate", "--config", path])
+    assert cases > 6 * (len(ref.GAMMAS) + len(ref.BETAS) + len(ref.SAMPLE_POINTS))
+    assert "unknown key 'unknown'" in capsys.readouterr().err
+
+
+def test_load_trace_refuses_every_wrong_type(tmp_path, capsys):
+    # a 3-step system over F_13 keeps the walk short: every node of its trace
+    # file is tried
+    config = _write_config(tmp_path, {"q": "13", "N": 3, "A_hat": [[1]], "z_upper": [5],
+                                      "z_lower": [0], "z_init": [2]}, "small.json")
+    trace = tmp_path / "trace.json"
+    assert main(["simulate", "--config", config, "--out", str(trace)]) == EXIT_OK
+    base = json.loads(trace.read_text())
+    spec = load_config(config).spec
+    out = str(tmp_path / "proof.json")
+    cases = _refuses_every_wrong_type(
+        tmp_path, TraceDocument, base, lambda path: load_trace(path, spec),
+        lambda path: ["prove", "--config", config, "--trace", path, "--out", out])
+    assert cases > 6 * (4 + 3 * 3)
+    assert "unknown key 'unknown'" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+def test_a_misspelled_config_key_is_refused_by_name(tmp_path, capsys):
+    # read with the defaults for "queries" and "mode", this config would prove
+    # and verify 8 queries in fiat-shamir mode
+    doc = json.loads((CONFIGS / "babybear.json").read_text())
+    doc["querys"] = doc.pop("queries") * 8
+    path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert "unknown key 'querys'" in capsys.readouterr().err
+    doc["mdoe"] = doc.pop("mode")
+    path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert "unknown key 'mdoe'" in capsys.readouterr().err
+
+
+def _spelled(doc, spell):
+    """doc with every integer and every base-10 string spelled by `spell`."""
+    if isinstance(doc, dict):
+        return {k: _spelled(v, spell) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_spelled(v, spell) for v in doc]
+    if isinstance(doc, str) and doc.lstrip("-").isdigit() or type(doc) is int:
+        return spell(int(doc))
+    return doc
+
+
+BOX = SystemSpec(a_hat=((1, 0), (-1, 1)), z_upper=(100, 100), z_lower=(0, 40),
+                 z_init=(3, 100), num_steps=255)
+
+
+@pytest.mark.parametrize("name,q", [("babybear.json", 2**31 - 2**27 + 1),
+                                    ("goldilocks.json", 2**64 - 2**32 + 1)])
+def test_stock_configs_load_to_their_values(name, q):
+    expected = RunConfig(PrimeField(q), BOX, "fiat-shamir", 8, None)
+    assert load_config(str(CONFIGS / name)) == expected
+
+
+@pytest.mark.parametrize("spell", [str, int])
+def test_replay_config_loads_the_same_in_either_spelling(tmp_path, spell):
+    path = _write_config(tmp_path, _spelled(ref.replay_config(), spell))
+    challenges = {"gammas": list(ref.GAMMAS), "betas": list(ref.BETAS),
+                  "sample_points": list(ref.SAMPLE_POINTS)}
+    assert load_config(path) == RunConfig(PrimeField(ref.MODULUS), ref.SYSTEM, "replay",
+                                          len(ref.SAMPLE_POINTS), challenges)
+
+
+def test_trace_files_load_the_same_in_either_spelling(tmp_path, trace_path):
+    # trace files used to be written with every cell a base-10 string
+    trace = simulate(ref.SYSTEM)
+    written = json.loads(Path(trace_path).read_text())
+    as_strings = _spelled(written, str)
+    assert as_strings["version"] == "1"
+    as_strings["version"] = 1
+    assert as_strings["z"][20] == ["3", "40"] and as_strings["delta"][0] == ["100", "60"]
+    for doc in (written, as_strings):
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps(doc, indent=2))
+        assert load_trace(str(path), ref.SYSTEM) == trace

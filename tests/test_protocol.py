@@ -790,6 +790,51 @@ def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
         load_proof(text.replace('"index":0,', '"index":-0,', 1))
 
 
+def test_load_proof_refuses_whitespace(paper_fs_proof):
+    # dump_proof writes none, so a space, tab or line break anywhere is a
+    # second text of the proof: between tokens, and json.dumps' default and
+    # indented layouts
+    text = dump_proof(paper_fs_proof)
+    assert load_proof(text) == paper_fs_proof
+    doc = proof_to_json(paper_fs_proof)
+    texts = [json.dumps(doc), json.dumps(doc, indent=2), text + "\n", " " + text]
+    texts += [text.replace(",", sep + ",", 1) for sep in (" ", "\t", "\n", "\r")]
+    texts += [text.replace(":", ":" + sep, 1) for sep in (" ", "\t", "\n", "\r")]
+    for spaced in texts:
+        assert json.loads(spaced) == doc
+        with pytest.raises(ProofFormatError, match="no whitespace"):
+            load_proof(spaced)
+
+
+def test_load_proof_refuses_a_key_no_field_declares(paper_proof):
+    # every object of a 2-query proof document, found from the proof
+    # dataclasses, with one key added
+    base = proof_to_json(paper_proof)
+    objects = [where for where, tp, _ in _places(Proof, paper_proof)
+               if dataclasses.is_dataclass(tp)]
+    assert len(objects) > 2 * len(paper_proof.queries)
+    for where in objects:
+        doc = json.loads(json.dumps(base))
+        _at(doc, where)["x"] = 0
+        with pytest.raises(ProofFormatError, match="unknown key 'x'"):
+            proof_from_json(doc)
+
+
+def test_load_proof_reads_the_version_first(paper_proof):
+    # a document of another version is refused by its version, whatever
+    # else it holds or lacks
+    doc = proof_to_json(paper_proof)
+    for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
+        for edited in ({**doc, "version": version}, {"version": version},
+                       {"version": version, "x": 0}, _as_version_8(doc)):
+            edited["version"] = version
+            with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
+                proof_from_json(edited)
+    text = json.dumps(_as_version_8(doc), separators=(",", ":"))
+    with pytest.raises(ProofFormatError, match="unsupported proof version 8"):
+        load_proof(text)
+
+
 def test_load_proof_rejects_bad_path_digests(paper_proof):
     for bad in (5, None, "zz", "0"):
         doc = proof_to_json(paper_proof)
