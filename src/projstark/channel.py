@@ -66,6 +66,7 @@ class FiatShamirTranscript:
 
     def __init__(self, modulus: int, salt: bytes = b""):
         self.modulus = modulus
+        self.salt = salt
         self._state = hashlib.sha256()
         if salt:
             self.absorb("salt", salt)

@@ -110,16 +110,11 @@ def _make_transcript(config: RunConfig, salt: bytes):
     return FiatShamirTranscript(config.field.modulus, salt=salt)
 
 
-def _salt(config: RunConfig) -> bytes:
-    # seed only perturbs fiat-shamir transcripts; replay challenges are fixed
-    if config.mode == "replay":
-        return b""
-    return os.environ.get("PROJSTARK_SEED", "").encode()
-
-
 def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
     with reading(ConfigError):
         doc = reader(TraceDocument)(_read_json(path, "trace"))
+        if doc.version != TraceDocument.version:  # the one version this module writes
+            raise ValueError(f"unsupported trace version {doc.version}")
         return ExecutionTrace(spec, doc.z, doc.alpha_up, doc.alpha_lo, doc.delta)
 
 
@@ -170,12 +165,12 @@ def cmd_simulate(args) -> int:
 def cmd_prove(args) -> int:
     config = load_config(args.config)
     trace = load_trace(args.trace, config.spec)
-    salt = _salt(config)
-    transcript = _make_transcript(config, salt)
+    # the seed salts only fiat-shamir transcripts; replay challenges are fixed
+    transcript = _make_transcript(config, os.environ.get("PROJSTARK_SEED", "").encode())
     try:
         proof = prove(
             config.field, config.spec, trace, transcript,
-            num_queries=config.queries, force=args.force_commit, salt=salt,
+            num_queries=config.queries, force=args.force_commit,
         )
     except (InvalidTraceError, FieldOverflowError, TranscriptError) as exc:
         print(f"prover error: {exc}", file=sys.stderr)

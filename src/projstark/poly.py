@@ -83,16 +83,20 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
         """Product by Kronecker substitution: one big-integer multiplication.
 
-        Each operand's coefficients are packed into one integer, w bits per
-        coefficient. A product coefficient is a sum of at most min(len a, len b)
-        terms of at most (q-1)^2, so it fits in w = 2·bitlen(q-1) + bitlen(min)
-        bits and the slots of the integer product never carry into each other.
+        Each operand's coefficients are packed into one integer, one
+        whole-byte slot per coefficient. A product coefficient is a sum of at
+        most min(len a, len b) terms of at most (q-1)^2, so it fits in
+        2·bitlen(q-1) + bitlen(min) bits; the slot is that many bits rounded up
+        to whole bytes, and the slots of the integer product never carry into
+        each other.
         """
         a, b = self.coeffs, self._lift(other).coeffs
         if not a or not b:
             return Polynomial(self.field)
-        w = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
-        return Polynomial(self.field, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
+        bits = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
+        width = -(-bits // 8)
+        return Polynomial(self.field,
+                          _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width))
 
     __rmul__ = __mul__
 
@@ -145,30 +149,17 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
-def _pack(coeffs: Sequence[int], w: int) -> int:
-    """sum_i coeffs[i]·2^(w·i) for coefficients below 2^w, by pairing neighbours."""
-    vals = list(coeffs)
-    while len(vals) > 1:
-        if len(vals) % 2:
-            vals.append(0)
-        vals = [lo | hi << w for lo, hi in zip(vals[0::2], vals[1::2])]
-        w *= 2
-    return vals[0]
+def _pack(values: Iterable[int], width: int) -> int:
+    """sum_i values[i]·2^(8·width·i): each non-negative value in a width-byte
+    slot, lowest first. A value wider than its slot raises OverflowError."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
 
 
-def _unpack(value: int, count: int, w: int) -> List[int]:
-    """The lowest count w-bit slots of value, lowest first, by halving chunks."""
-    span = 1 << (count - 1).bit_length()  # slots per chunk
-    vals = [value]
-    while span > 1:
-        span //= 2
-        shift = span * w
-        mask = (1 << shift) - 1
-        out = [0] * (2 * len(vals))
-        out[0::2] = [v & mask for v in vals]
-        out[1::2] = [v >> shift for v in vals]
-        vals = out
-    return vals[:count]
+def _unpack(value: int, count: int, width: int) -> List[int]:
+    """The count width-byte slots of value < 2^(8·width·count), lowest first.
+    struct keeps the compiled splitter of each recent format."""
+    slots = struct.unpack(f"{width}s" * count, value.to_bytes(count * width, "little"))
+    return list(map(int.from_bytes, slots, repeat("little")))
 
 
 def interpolate(points: Sequence[Tuple[int, int]], field: PrimeField) -> Polynomial:
@@ -234,7 +225,7 @@ class CosetEvaluator:
     decimation in frequency with the smallest prime first, gives
     p(c·omega^j) for every j.
 
-    The DFT works on m packed rows. Row k is one integer with a W-bit slot per
+    The DFT works on m packed rows. Row k is one integer with a W-byte slot per
     (polynomial, representative) pair, slot s·T + t for polynomial s and
     representative t of T, so every butterfly is a few big-integer operations
     over a whole batch of polynomials. The slots are never reduced mod q inside
@@ -244,10 +235,10 @@ class CosetEvaluator:
     maps (x0, x1) to (x0 + x1, (x0 + B - x1)·t), where B holds in every slot
     the same multiple of q, at least the slot bound, so no slot goes negative
     or borrows from its neighbour; the bound becomes max(2M, (M + B)·t_max).
-    A radix-r stage multiplies the bound by its largest matrix row sum. W is a
-    whole number of bytes, so a row is split into its slots by one to_bytes
-    and one struct call, and every value is reduced mod q once, as its row is
-    unpacked.
+    A radix-r stage multiplies the bound by its largest matrix row sum. Rows
+    are packed and split by `_pack` and `_unpack`, the whole-byte slot layout
+    of `Polynomial.__mul__`, and every value is reduced mod q once, as its row
+    is unpacked.
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int):
@@ -343,8 +334,7 @@ class CosetEvaluator:
         for i in range(length):
             if i:
                 row = [x * c % q for x, c in zip(row, self._reps)]
-            packed.append(int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]),
-                                         "little"))
+            packed.append(_pack(row, width))
         return packed
 
     def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
@@ -364,7 +354,7 @@ class CosetEvaluator:
         powers = self._powers(length, width)
 
         # fold: row k gets sum_(i ≡ k mod m) a_i·c^i in the T slots of each
-        # polynomial, which span 8·width·count bits of the row
+        # polynomial, which span width·count bytes of the row
         by_power = list(zip_longest(*coeffs, fillvalue=0))  # a_i of every polynomial
         rows = []
         for k in range(m):
@@ -372,9 +362,9 @@ class CosetEvaluator:
             for i in range(k, length, m):
                 terms = map(operator.mul, by_power[i], repeat(powers[i]))
                 folded = list(map(operator.add, folded, terms))
-            rows.append(_pack(folded, 8 * width * count))
+            rows.append(_pack(folded, width * count))
 
-        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * slots, "little")
+        ones = _pack(repeat(1, slots), width)
         for (r, block, shapes, _), bias in zip(self._stages, biases):
             span = block // r
             bias *= ones
@@ -393,12 +383,9 @@ class CosetEvaluator:
                             rows[i] = sum(map(operator.mul, ws, xs))
 
         # Reduce each row as it is unpacked, into one list per polynomial.
-        split = struct.Struct(f"{width}s" * slots).unpack  # the slots of a row, lowest first
         flats: List[List[int]] = [[] for _ in polys]
         for k in range(m):
-            values = [v % q for v in map(int.from_bytes,
-                                         split(rows[k].to_bytes(slots * width, "little")),
-                                         repeat("little"))]
+            values = [v % q for v in _unpack(rows[k], slots, width)]
             rows[k] = None
             for s, flat in enumerate(flats):
                 flat += values[s * count:(s + 1) * count]

@@ -396,7 +396,7 @@ def prove(
     *,
     num_queries: int = 8,
     force: bool = False,
-    salt: bytes = b"",
+    salt: Optional[bytes] = None,
 ) -> Proof:
     """Build a proof for the trace.
 
@@ -406,6 +406,10 @@ def prove(
     is committed as-is, the dishonest path used to exercise the verifier.
     Either way the boundary quotients and Q are floor quotients, Q that of
     the weighted sum of the constraint numerators: one division.
+
+    Under Fiat-Shamir the proof carries the transcript's salt, which the
+    verifier absorbs first; a differing `salt` is a ValueError. A replay
+    transcript has none, so the proof carries `salt`, b"" if not given.
     """
     N = spec.num_steps
     n = spec.n
@@ -413,6 +417,10 @@ def prove(
     domains = _domains(q, N)
     if not 1 <= num_queries <= MAX_QUERIES:
         raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
+    if transcript.mode == "fiat_shamir":
+        if salt not in (None, transcript.salt):
+            raise ValueError(f"salt {salt!r} is not the transcript's {transcript.salt!r}")
+        salt = transcript.salt
     domain = domains.subgroup
 
     trace = lift_trace(trace, field) if force else _lift_or_refuse(spec, trace, field)
@@ -470,7 +478,7 @@ def prove(
 
     return Proof(
         version=PROOF_VERSION,
-        salt=salt,
+        salt=salt or b"",
         degree_bound=bound,
         commitments=Commitments(trace_cm.tree.commitment, composition.tree.commitment),
         fri_layers=FriLayers(tuple(cm.tree.commitment for cm in layer_committed[1:]), fri_final),
@@ -634,8 +642,8 @@ def verify(
 # A dataclass declares its document: an object keyed by its field names and no
 # other key; a field with a default may be left out. Tuple[X, ...] is a list, a
 # fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes
-# lower-case hex, str a string, int a JSON integer and Base10 an integer or its
-# base-10 string. Counts and ranges are the caller's.
+# lower-case hex, str a string, int a JSON integer and Base10 an integer or the
+# one base-10 string str() writes for it. Counts and ranges are the caller's.
 
 Base10 = NewType("Base10", int)  # hand-written files may spell an integer as a string
 
@@ -667,8 +675,16 @@ def _hex(v) -> bytes:
     return value
 
 
-_LEAVES = {int: _int, str: _str, bytes: _hex,
-           Base10: lambda v: int(v, 10) if type(v) is str else _int(v)}
+def _base10(v) -> int:
+    if type(v) is not str:
+        return _int(v)
+    value = int(v, 10)  # which also reads spaces, "+", "_", leading zeros and non-ASCII digits
+    if str(value) != v:
+        raise ValueError(f"{v[:80]!r} is not an integer's one base-10 spelling")
+    return value
+
+
+_LEAVES = {int: _int, str: _str, bytes: _hex, Base10: _base10}
 
 
 def _object_reader(cls) -> Callable:

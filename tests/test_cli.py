@@ -311,7 +311,8 @@ def test_verify_holds_a_proof_to_the_config_queries(tmp_path, trace_path, capsys
     assert "answers 1 queries" in out and "asks for 8" in out
 
 
-def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, monkeypatch):
+def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, config_path, trace_path,
+                                       monkeypatch):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     monkeypatch.setenv("PROJSTARK_SEED", "alpha")
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", a]) == EXIT_OK
@@ -323,6 +324,9 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, trace_path, mon
             != [q["trace"][0]["index"] for q in doc_b["queries"]])
     assert main(["verify", "--config", fs_config_path, "--proof", a]) == EXIT_OK
     assert main(["verify", "--config", fs_config_path, "--proof", b]) == EXIT_OK
+    # a replay transcript absorbs nothing, so the seed salts no replay proof
+    assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", a]) == EXIT_OK
+    assert json.loads(Path(a).read_text())["salt"] == ""
 
 
 def test_tamper_then_prove_refuses(tmp_path, config_path, trace_path):
@@ -567,6 +571,37 @@ def test_a_misspelled_config_key_is_refused_by_name(tmp_path, capsys):
     path = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
     assert "unknown key 'mdoe'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,text", [
+    (("N",), " 2_9\n"), (("queries",), "+\u0662"), (("q",), "0331"), (("N",), "029"),
+    (("z_lower", 0), "-0"), (("challenges", "gammas", 0), "\u0662\u0666\u0661"),
+], ids=["spaced-underscored", "plus-arabic-indic", "zero-led-q", "zero-led-N", "minus-zero",
+        "arabic-indic"])
+def test_a_config_integer_has_one_spelling(tmp_path, capsys, where, text):
+    # int() reads each of these texts as the number str() writes without them
+    doc = ref.replay_config()
+    assert str(_at(doc, where)) == str(int(text, 10))
+    _at(doc, where[:-1])[where[-1]] = text
+    path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert "base-10 spelling" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_a_trace_file_of_another_version_is_refused(tmp_path, config_path, trace_path, capsys):
+    doc = json.loads(Path(trace_path).read_text())
+    doc["version"] = 7
+    path = tmp_path / "v7.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "proof.json"
+    assert main(["prove", "--config", config_path, "--trace", str(path),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "unsupported trace version 7" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        load_trace(str(path), ref.SYSTEM)
 
 
 def _spelled(doc, spell):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projstark import poly
 from projstark.field import PrimeField, build_domain, is_prime
 from projstark.fri import num_rounds
 from projstark.poly import CosetEvaluator, Polynomial, interpolate, vanishing
@@ -79,7 +80,10 @@ def schoolbook(a, b, q):
     return tuple(out)
 
 
-@pytest.mark.parametrize("q", [769, 2**89 - 1])
+# 331, 769 and 12289 are the benchmark moduli; at q = 12289 a product's slot is
+# exactly 32 bits when the shorter factor has 8 to 15 coefficients, 33 bits
+# (5 bytes) for 16 to 31
+@pytest.mark.parametrize("q", [331, 769, 12289, 2**89 - 1])
 def test_product_matches_schoolbook(q):
     field = PrimeField(q)
     rng = random.Random(q)
@@ -96,6 +100,12 @@ def test_product_matches_schoolbook(q):
         assert (pa * pb).coeffs == (pb * pa).coeffs == want
         k = rng.choice((q - 1, rng.randrange(-3 * q, 3 * q)))
         assert (pa * k).coeffs == (k * pa).coeffs == schoolbook(pa.coeffs, (k % q,), q)
+
+
+def test_pack_refuses_a_value_wider_than_its_slot():
+    assert poly._unpack(poly._pack([1, 255, 0], 1), 3, 1) == [1, 255, 0]
+    with pytest.raises(OverflowError):
+        poly._pack([1, 256, 0], 1)  # would carry into its neighbour's slot
 
 
 def test_degree_is_additive_under_product(field):

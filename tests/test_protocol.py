@@ -128,6 +128,19 @@ def test_paper_fiat_shamir_proof_accepts(field, paper_spec, paper_fs_proof):
     assert verify(field, paper_spec, paper_fs_proof).accepted
 
 
+def test_a_proof_carries_its_transcripts_salt(field, paper_spec, paper_trace):
+    def transcript():
+        return FiatShamirTranscript(ref.MODULUS, salt=b"a")
+
+    proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2)
+    assert proof.salt == b"a"
+    assert verify(field, paper_spec, proof).accepted
+    assert prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=b"a") == proof
+    for salt in (b"", b"b"):
+        with pytest.raises(ValueError, match="salt"):
+            prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=salt)
+
+
 def test_prove_requires_even_subgroup(field):
     rng = random.Random(71)
     spec = random_spec(rng, 331)
