@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from .dynamics import ExecutionTrace, SystemSpec, apply_transition
+from .dynamics import ExecutionTrace, SystemSpec
 from .field import CyclicDomain, PrimeField
 from .poly import CosetEvaluator, Polynomial
 # Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
@@ -28,22 +28,18 @@ FAMILIES = ("transition", "slack", "upper_bit", "lower_bit")
 
 
 class FieldOverflowError(ValueError):
-    """A trace magnitude or intermediate product does not fit below the modulus."""
+    """A trace cell has magnitude >= q, so reducing it mod q would change it."""
 
 
 class InvalidTraceError(ValueError):
-    """The honest prover refuses the trace, on its rows: it fails an online
-    check, the boundary condition or a step constraint."""
+    """The honest prover refuses the trace, on its integer rows: it fails the
+    boundary condition, an online check or a step constraint."""
 
 
 def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
-    """The trace reduced mod q, rejecting any magnitude >= q.
-
-    Also rejects traces whose unprojected updates A_hat * z overflow, so the
-    field constraints coincide with the integer semantics.
-    """
+    """The trace reduced mod q, refusing any cell of magnitude >= q. It only
+    reduces: protocol._lift_or_refuse decides on the integer rows first."""
     q = field.modulus
-    spec = trace.spec
 
     def lift_rows(rows):
         out = []
@@ -54,12 +50,8 @@ def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
             out.append(tuple(v % q for v in row))
         return tuple(out)
 
-    for z in trace.z_rows[:-1]:
-        for w in apply_transition(spec, z):
-            if abs(w) >= q:
-                raise FieldOverflowError(f"intermediate A_hat*z value {w} has magnitude >= q={q}")
     return ExecutionTrace(
-        spec=spec,
+        spec=trace.spec,
         z_rows=lift_rows(trace.z_rows),
         alpha_up_rows=lift_rows(trace.alpha_up_rows),
         alpha_lo_rows=lift_rows(trace.alpha_lo_rows),
@@ -133,9 +125,9 @@ def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
 
     The arguments are per-coordinate sequences: the state z, the next state,
     the two selector bits and the slack. Only +, - and * are used, so the one
-    definition serves polynomials (the prover's numerators), the lifted trace
-    rows (the prover's step check) and opened values (the verifier); the
-    callers on integers reduce the results mod q.
+    definition serves polynomials (the prover's numerators), the integer trace
+    rows (the prover's step check, where each value must be exactly 0) and
+    opened values (the verifier, which reduces the results mod q).
     """
     n = spec.n
     hi, lw = spec.z_upper, spec.z_lower

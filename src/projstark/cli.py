@@ -19,9 +19,9 @@ from .air import FieldOverflowError, InvalidTraceError
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from .dynamics import ExecutionTrace, SystemSpec
 from .field import PrimeField
-from .protocol import (MAX_QUERIES, Base10, ProofFormatError, _as_json, check_publics,
-                       dump_proof, honest_step_source, load_proof, prove, reader, reading,
-                       run_online_stage, verify)
+from .protocol import (MAX_QUERIES, Base10, ProofFormatError, _as_json, _domains, _int,
+                       check_publics, dump_proof, honest_step_source, load_proof, prove, reader,
+                       reading, run_online_stage, verify)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,15 +93,22 @@ def load_config(path: str) -> RunConfig:
         check_publics(doc.q, spec.num_steps)  # before PrimeField tests q for primality
         field = PrimeField(doc.q)
 
-    mode = doc.mode.replace("_", "-")
-    if mode not in ("replay", "fiat-shamir"):
-        raise ConfigError(f"mode must be replay or fiat-shamir, got {mode!r}")
+    if doc.mode not in ("replay", "fiat-shamir"):
+        raise ConfigError(f"mode must be replay or fiat-shamir, got {doc.mode!r}")
     if not 1 <= doc.queries <= MAX_QUERIES:
         raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {doc.queries}")
-    if mode == "replay" and doc.challenges is None:
+    if doc.mode == "replay" and doc.challenges is None:
         raise ConfigError("replay mode needs a challenges block")
     challenges = doc.challenges and {k: list(v) for k, v in vars(doc.challenges).items()}
-    return RunConfig(field, spec, mode, doc.queries, challenges)
+    if challenges:  # each as a transcript can draw it, not reduced mod q
+        d0 = "the committed domain D0", set(_domains(doc.q, spec.num_steps).layers[0])
+        field_star = f"[1, {doc.q})", range(1, doc.q)
+        for name, values in challenges.items():
+            where, allowed = d0 if name == "sample_points" else field_star
+            for i, v in enumerate(values):
+                if v not in allowed:
+                    raise ConfigError(f"challenges.{name}[{i}] = {v} is not in {where}")
+    return RunConfig(field, spec, doc.mode, doc.queries, challenges)
 
 
 def _make_transcript(config: RunConfig, salt: bytes):
@@ -112,9 +119,11 @@ def _make_transcript(config: RunConfig, salt: bytes):
 
 def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
     with reading(ConfigError):
-        doc = reader(TraceDocument)(_read_json(path, "trace"))
-        if doc.version != TraceDocument.version:  # the one version this module writes
-            raise ValueError(f"unsupported trace version {doc.version}")
+        doc = _read_json(path, "trace")
+        # the version first, so a file of another version is refused as such
+        if type(doc) is dict and _int(doc.get("version", 1)) != TraceDocument.version:
+            raise ValueError(f"unsupported trace version {doc['version']}")
+        doc = reader(TraceDocument)(doc)
         return ExecutionTrace(spec, doc.z, doc.alpha_up, doc.alpha_lo, doc.delta)
 
 

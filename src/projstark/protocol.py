@@ -360,32 +360,26 @@ def honest_step_source(spec: SystemSpec) -> StepSource:
 
 def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
     """The trace lifted into the field, or InvalidTraceError: the honest
-    prover's one decision on a trace, made on its rows before any polynomial
-    is built. In order: the online checks, lift_trace, the boundary condition
-    and the step constraints.
-
-    f_z(1) is row 0, so the boundary check is the remainder of f_z - z_init
-    divided by x - 1; numerator k at g^j is constraint k on rows j and j+1, so
-    it is divisible by Z_N exactly when constraint k holds at every step.
+    prover's one decision on a trace, made on its integer rows before any
+    polynomial is built. Row 0 must be z_init; at each step the online checks
+    must pass and every constraint be exactly 0, not merely 0 mod q, which
+    with bits in {0, 1} and the slack at least the box width makes the next
+    state the clamp of A_hat·z. Only then does lift_trace reduce the rows.
     """
-    q = field.modulus
     n = spec.n
-    for k in range(spec.num_steps):
-        reason = online_check(spec, trace.step(k))
-        if reason is not None:
-            raise InvalidTraceError(f"online check failed at step {k}: {reason}")
-    lifted = lift_trace(trace, field)
-    for i, (z0, init) in enumerate(zip(lifted.z_rows[0], spec.z_init)):
-        if (z0 - init) % q:
+    for i, (z0, init) in enumerate(zip(trace.z_rows[0], spec.z_init)):
+        if z0 != init:
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
-    steps = zip(lifted.z_rows, lifted.z_rows[1:], lifted.alpha_up_rows,
-                lifted.alpha_lo_rows, lifted.delta_rows)
-    for j, rows in enumerate(steps):
+    for j in range(spec.num_steps):
+        reason = online_check(spec, trace.step(j))
+        if reason is not None:
+            raise InvalidTraceError(f"online check failed at step {j}: {reason}")
+        rows = (trace.z_rows[j], trace.z_rows[j + 1], trace.alpha_up_rows[j],
+                trace.alpha_lo_rows[j], trace.delta_rows[j])
         for k, value in enumerate(constraints(spec, *rows)):
-            if value % q:
-                raise InvalidTraceError(
-                    f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
-    return lifted
+            if value:
+                raise InvalidTraceError(f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
+    return lift_trace(trace, field)
 
 
 def prove(
@@ -401,9 +395,11 @@ def prove(
     """Build a proof for the trace.
 
     The honest path refuses, with InvalidTraceError, a trace that fails the
-    online checks, the boundary condition or a step constraint, all decided
-    on the lifted rows before any interpolation.  With force=True the trace
-    is committed as-is, the dishonest path used to exercise the verifier.
+    boundary condition, the online checks or a step constraint, all decided
+    exactly on its integer rows before any interpolation.  With force=True
+    the trace is committed as-is, the dishonest path used to exercise the
+    verifier.  Either path refuses, with FieldOverflowError, a cell of
+    magnitude >= q.
     Either way the boundary quotients and Q are floor quotients, Q that of
     the weighted sum of the constraint numerators: one division.
 

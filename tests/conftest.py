@@ -3,6 +3,7 @@ import random
 import pytest
 
 from projstark import PrimeField, SystemSpec, build_domain, fold, simulate
+from projstark.dynamics import ExecutionTrace, StepRecord, step_slack
 from projstark.fri import num_rounds
 from projstark.protocol import base_eval_domain
 from projstark.reference_example import SYSTEM
@@ -26,6 +27,21 @@ def paper_spec():
 @pytest.fixture(scope="session")
 def paper_trace():
     return simulate(SYSTEM)
+
+
+# q = 331, A_hat = [[-3]], box [0, 100], z_init = 87: step 0 claims z_1 = 70
+# with both bits 1 and slack 100, where the dynamics give clamp(-261) = 0; the
+# later steps are honest. The online checks pass, and the transition value
+# 70 + 261 is q, so every constraint holds mod q but not over the integers.
+WRAPPING_SYSTEM = SystemSpec(a_hat=((-3,),), z_upper=(100,), z_lower=(0,), z_init=(87,),
+                             num_steps=5)
+
+
+def wrapping_trace() -> ExecutionTrace:
+    steps = [StepRecord(z_next=(70,), alpha_up=(1,), alpha_lo=(1,), delta=(100,))]
+    for _ in range(WRAPPING_SYSTEM.num_steps - 1):
+        steps.append(step_slack(WRAPPING_SYSTEM, steps[-1].z_next))
+    return ExecutionTrace.from_steps(WRAPPING_SYSTEM, steps)
 
 
 # moduli with plenty of even subgroup orders for randomized trials

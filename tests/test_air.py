@@ -7,6 +7,7 @@ from projstark import reference_example as ref
 from projstark.air import (
     FAMILIES,
     FieldOverflowError,
+    InvalidTraceError,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -15,9 +16,11 @@ from projstark.air import (
     degree_bound,
     lift_trace,
 )
+from projstark.channel import FiatShamirTranscript
 from projstark.dynamics import ExecutionTrace, SystemSpec, simulate
 from projstark.field import PrimeField, build_domain
 from projstark.poly import Polynomial, interpolate, vanishing
+from projstark.protocol import prove, verify
 
 # every even subgroup order of the trial moduli (m = 2 and mixed radices such
 # as 30 = 2·3·5 included), and the power-of-two orders of the benchmark fields
@@ -63,17 +66,21 @@ def test_lift_trace_overflow(paper_trace, field):
         lift_trace(negative, field)
 
 
-def test_lift_trace_intermediate_overflow():
-    from projstark.dynamics import SystemSpec
-
+def test_a_step_whose_a_hat_z_passes_q_proves_when_every_cell_fits():
+    # A_hat·z = 80 >= q, but the exact step check, not a bound on A_hat·z,
+    # decides the trace, and every cell is below q
     field = PrimeField(61)
-    spec = SystemSpec(a_hat=((2,),), z_upper=(50,), z_lower=(0,), z_init=(10,), num_steps=1)
+    spec = SystemSpec(a_hat=((2,),), z_upper=(50,), z_lower=(30,), z_init=(40,), num_steps=1)
     trace = simulate(spec)
-    lift_trace(trace, field)  # honest run fits
-    # every cell still fits below q, but A_hat*z for the edited row does not
-    big = trace.with_cell("z", 0, 0, 35)
-    with pytest.raises(FieldOverflowError):
-        lift_trace(big, field)
+    assert (trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows) == (
+        ((40,), (50,)), ((0,),), ((1,),), ((50,),))
+    assert lift_trace(trace, field) == trace
+    proof = prove(field, spec, trace, FiatShamirTranscript(61), num_queries=2)
+    assert verify(field, spec, proof).accepted
+    # a cell below q whose A_hat·z is not: z_0 = 35 is not z_init, refused at the boundary
+    spec = SystemSpec(a_hat=((2,),), z_upper=(50,), z_lower=(0,), z_init=(10,), num_steps=1)
+    with pytest.raises(InvalidTraceError, match="boundary condition violated for coordinate 0"):
+        prove(field, spec, simulate(spec).with_cell("z", 0, 0, 35), FiatShamirTranscript(61))
 
 
 def test_trace_polys_paper_degrees(paper_tp):

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 import typing
 from pathlib import Path
 
 import pytest
 
+from conftest import WRAPPING_SYSTEM, wrapping_trace
 from projstark import field as field_module
 from projstark import reference_example as ref
 from projstark.cli import (
@@ -602,6 +604,60 @@ def test_a_trace_file_of_another_version_is_refused(tmp_path, config_path, trace
     assert not out.exists()
     with pytest.raises(ConfigError):
         load_trace(str(path), ref.SYSTEM)
+    # the version is read first, so a later version may rename what this one reads
+    doc["version"] = 2
+    doc["states"] = doc.pop("z")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="^unsupported trace version 2$"):
+        load_trace(str(path), ref.SYSTEM)
+
+
+@pytest.mark.parametrize("where,value,message", [
+    ("gammas", "331", r"challenges\.gammas\[0\] = 331 is not in \[1, 331\)"),
+    ("gammas", "592", r"challenges\.gammas\[0\] = 592 is not in \[1, 331\)"),
+    ("betas", "0", r"challenges\.betas\[0\] = 0 is not in \[1, 331\)"),
+    ("sample_points", "1",
+     r"challenges\.sample_points\[0\] = 1 is not in the committed domain D0"),
+], ids=["gamma-q", "gamma-above-q", "beta-zero", "sample-point-in-H"])
+def test_a_replay_challenge_no_transcript_can_draw_is_a_config_error(
+        tmp_path, config_path, trace_path, capsys, where, value, message):
+    # read mod q, "592" would be the gamma 261 and "331" the gamma 0; 1 lies
+    # in H, which no sample point is drawn from
+    honest = str(tmp_path / "honest.json")
+    assert main(["prove", "--config", config_path, "--trace", trace_path,
+                 "--out", honest]) == EXIT_OK
+    doc = ref.replay_config()
+    doc["challenges"][where][0] = value
+    path = _write_config(tmp_path, doc)
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert main(["verify", "--config", path, "--proof", honest]) == EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_a_mode_has_one_spelling(tmp_path, capsys):
+    path = _write_config(tmp_path, _fs_doc(mode="fiat_shamir"))
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert "mode must be replay or fiat-shamir, got 'fiat_shamir'" in capsys.readouterr().err
+
+
+def test_cli_prove_refuses_a_step_that_holds_only_mod_q(tmp_path, capsys):
+    spec = WRAPPING_SYSTEM
+    config = _write_config(tmp_path, {
+        "q": 331, "A_hat": spec.a_hat, "z_upper": spec.z_upper, "z_lower": spec.z_lower,
+        "z_init": spec.z_init, "N": spec.num_steps, "mode": "fiat-shamir"})
+    trace = wrapping_trace()
+    trace_file = tmp_path / "wrapped.json"
+    trace_file.write_text(json.dumps({"z": trace.z_rows, "alpha_up": trace.alpha_up_rows,
+                                      "alpha_lo": trace.alpha_lo_rows,
+                                      "delta": trace.delta_rows}))
+    out = tmp_path / "proof.json"
+    assert main(["prove", "--config", config, "--trace", str(trace_file),
+                 "--out", str(out)]) == EXIT_PROVER
+    assert "constraint transition[0] fails at step 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _spelled(doc, spell):

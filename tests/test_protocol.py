@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_challenges, random_spec
+from conftest import WRAPPING_SYSTEM, random_challenges, random_spec, wrapping_trace
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -19,11 +19,13 @@ from projstark.air import (
     build_numerators,
     build_trace_polys,
     combine,
+    constraints,
 )
 from projstark.channel import (FiatShamirTranscript, MerkleCommitment, ReplayTranscript,
                                TranscriptError)
 from projstark.cli import EXIT_MALFORMED, EXIT_OK, ConfigError, load_config, main
-from projstark.dynamics import ExecutionTrace, StepRecord, SystemSpec, simulate, step_slack
+from projstark.dynamics import (ExecutionTrace, StepRecord, SystemSpec, online_check, simulate,
+                                step_slack)
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
 from projstark.poly import Polynomial, vanishing
@@ -171,6 +173,16 @@ def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_tr
         prove(field, paper_spec, tampered, paper_transcript())
 
 
+def test_a_step_that_holds_only_mod_q_is_refused():
+    # the transition value of step 0 is q: zero in the field, not in the integers
+    trace = wrapping_trace()
+    spec, q = WRAPPING_SYSTEM, 331
+    assert all(online_check(spec, trace.step(k)) is None for k in range(spec.num_steps))
+    assert constraints(spec, (87,), (70,), (1,), (1,), (100,)) == [q, 0, 0, 0]
+    with pytest.raises(InvalidTraceError, match=r"constraint transition\[0\] fails at step 0$"):
+        prove(PrimeField(q), spec, trace, FiatShamirTranscript(q), num_queries=2)
+
+
 @pytest.mark.parametrize("section, row, shift, message", [
     ("z", 0, -1, r"boundary condition violated for coordinate 1$"),
     ("delta", 7, 1, r"constraint slack\[1\] fails at step 7$"),
@@ -178,7 +190,7 @@ def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_tr
 def test_prove_refuses_on_the_rows_before_interpolating(field, paper_spec, paper_trace,
                                                         monkeypatch, section, row, shift, message):
     # the boundary condition and the step constraints are decided on the
-    # lifted rows; no polynomial is built for a trace the prover refuses
+    # integer rows; no polynomial is built for a trace the prover refuses
     def no_interpolation(*args):
         raise AssertionError("prove interpolated a trace it refuses")
 
