@@ -161,9 +161,9 @@ class MerkleTree:
     def commitment(self) -> MerkleCommitment:
         return MerkleCommitment(root=self.root, leaf_count=self.leaf_count)
 
-    def open(self, index: int, known: Optional[Set[int]] = None) -> List[bytes]:
+    def open(self, index: int, known: Optional[Set[int]] = None) -> bytes:
         """The siblings on the way up from leaf `index` to the first node in
-        `known`, at the latest the root.
+        `known`, at the latest the root, joined from the leaf upward.
 
         `known` holds heap positions (the root is 1, the children of node v
         are 2v and 2v + 1, so leaf i is 2^height + i) of the nodes that
@@ -179,38 +179,40 @@ class MerkleTree:
         if known is None:
             known = {1}
         node = (1 << (len(self._levels) - 1)) + index
-        path = []
+        siblings = []
         for level in self._levels[:-1]:
             if node in known:
                 break
             known.add(node)
             known.add(node ^ 1)
-            path.append(level[index ^ 1])
+            siblings.append(level[index ^ 1])
             node >>= 1
             index >>= 1
-        return path
+        return b"".join(siblings)
 
 
 def verify_opening(
     commitment: MerkleCommitment,
     index: int,
     row: Sequence[int],
-    path: Sequence[bytes],
+    path: bytes,
     known: Optional[Dict[int, bytes]] = None,
 ) -> bool:
-    """True when `path` opens `row` at leaf `index` of the committed tree.
+    """True when `path`, sibling digests of 32 bytes each joined from the leaf
+    upward, opens `row` at leaf `index` of the committed tree.
 
     `known` holds the nodes of this tree that earlier accepted openings
     authenticated, keyed by heap position: the root is 1 and the children of
     node v are 2v and 2v + 1, so leaf i is 2^height + i. Pass one dict per
     tree and check the openings in the order MerkleTree.open made them. The
-    walk up from the leaf takes one path entry per level and stops at the
-    first known node (at the latest the root), whose digest the hashed one
-    must equal, with every entry of `path` used: a path that runs out before
-    a known node, or goes on past one, is refused. Every known node was
-    authenticated against the root, so an opening is accepted exactly when
-    its full path would have been. An accepted opening adds the root and the
-    nodes and siblings it hashed to `known`; a refused one adds nothing.
+    walk up from the leaf takes the path's next 32 bytes per level and stops
+    at the first known node (at the latest the root), whose digest the hashed
+    one must equal, with all of `path` used: a path that runs out before a
+    known node, goes on past one, or ends in part of a digest is refused.
+    Every known node was authenticated against the root, so an opening is
+    accepted exactly when its full path would have been. An accepted opening
+    adds the root and the nodes and siblings it hashed to `known`; a refused
+    one adds nothing.
     """
     if not 0 <= index < commitment.leaf_count:
         raise IndexError(f"leaf index {index} out of range")
@@ -219,17 +221,17 @@ def verify_opening(
     node = (1 << (commitment.leaf_count - 1).bit_length()) + index
     digest = _leaf_hasher(len(row))(row)
     found = {1: commitment.root}
-    level = 0
+    offset = 0
     while node > 1 and node not in known:
-        if level == len(path):
+        sibling = path[offset:offset + 32]
+        if len(sibling) != 32:
             return False
-        sibling = path[level]
         found[node] = digest
         found[node ^ 1] = sibling
         digest = _node_digest(sibling, digest) if node & 1 else _node_digest(digest, sibling)
         node >>= 1
-        level += 1
-    if level != len(path) or digest != known.get(node, commitment.root):
+        offset += 32
+    if offset != len(path) or digest != known.get(node, commitment.root):
         return False
     known.update(found)
     return True

@@ -100,6 +100,11 @@ def load_config(path: str) -> RunConfig:
     if doc.mode == "replay" and doc.challenges is None:
         raise ConfigError("replay mode needs a challenges block")
     challenges = doc.challenges and {k: list(v) for k, v in vars(doc.challenges).items()}
+    if doc.mode == "replay":  # a proof's beta count depends on its degree bound, so not betas
+        for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
+            if len(challenges[name]) < needed:
+                raise ConfigError(f"replay needs at least {needed} challenges.{name}, "
+                                  f"got {len(challenges[name])}")
     if challenges:  # each as a transcript can draw it, not reduced mod q
         d0 = "the committed domain D0", set(_domains(doc.q, spec.num_steps).layers[0])
         field_star = f"[1, {doc.q})", range(1, doc.q)

@@ -11,6 +11,7 @@ FRI folding chain, attributing any failure to the earliest failing stage.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 from bisect import bisect_left
@@ -46,7 +47,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 9
+PROOF_VERSION = 10
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -61,11 +62,19 @@ class OnlineStageError(RuntimeError):
     """A step source kept failing the online checks past the retry bound."""
 
 
+def _check_path(path: bytes) -> None:
+    if len(path) % 32:
+        raise ValueError(f"a path is whole 32-byte digests, got {len(path)} bytes")
+
+
 @dataclass(frozen=True)
 class Opening:
     index: int
     value: int
-    path: Tuple[bytes, ...]
+    path: bytes  # the sibling digests sent, joined from the leaf upward
+
+    def __post_init__(self):
+        _check_path(self.path)
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,10 @@ class RowOpening:
 
     index: int
     values: Tuple[int, ...]
-    path: Tuple[bytes, ...]
+    path: bytes
+
+    def __post_init__(self):
+        _check_path(self.path)
 
 
 @dataclass(frozen=True)
@@ -298,7 +310,7 @@ class _Committed:
     def open_row(self, point: int) -> RowOpening:
         i = self.domains.index(self.layer, point)
         return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
-                          path=tuple(self.tree.open(i, self.known)))
+                          path=self.tree.open(i, self.known))
 
 
 class _CommittedPairs(_Committed):
@@ -314,7 +326,7 @@ class _CommittedPairs(_Committed):
         """The opening at y of the leaf of {y, -y}, and f(-y), the leaf's other value."""
         leaf, side = self.domains.pair_leaf(self.layer, y)
         row = (self.tables[0][leaf], self.tables[0][-1 - leaf])
-        return Opening(leaf, row[side], tuple(self.tree.open(leaf, self.known))), row[1 - side]
+        return Opening(leaf, row[side], self.tree.open(leaf, self.known)), row[1 - side]
 
 
 def run_online_stage(
@@ -637,9 +649,11 @@ def verify(
 #
 # A dataclass declares its document: an object keyed by its field names and no
 # other key; a field with a default may be left out. Tuple[X, ...] is a list, a
-# fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes
-# lower-case hex, str a string, int a JSON integer and Base10 an integer or the
-# one base-10 string str() writes for it. Counts and ranges are the caller's.
+# fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes the
+# one padded standard base64 string b2a_base64 writes for them (a Merkle path
+# is one such string: its digests joined), str a string, int a JSON integer
+# and Base10 an integer or the one base-10 string str() writes for it. Counts
+# and ranges are the caller's.
 
 Base10 = NewType("Base10", int)  # hand-written files may spell an integer as a string
 
@@ -664,10 +678,14 @@ def _str(v) -> str:
     return v
 
 
-def _hex(v) -> bytes:
-    value = bytes.fromhex(v)  # TypeError unless v is a str
-    if value.hex() != v:
-        raise ValueError(f"{v[:80]!r} is not lower-case hex with no spaces")
+def _base64(v) -> bytes:
+    # TypeError unless v is a str or bytes, which JSON never gives. a2b_base64
+    # skips characters outside the alphabet (such as URL-safe base64's "-" and
+    # "_") and reads an extra "=" or spare bits set in the last character, so
+    # only the round trip leaves one spelling
+    value = binascii.a2b_base64(v)
+    if binascii.b2a_base64(value, newline=False).decode() != v:
+        raise ValueError(f"{v[:80]!r} is not padded standard base64 with no other character")
     return value
 
 
@@ -680,7 +698,7 @@ def _base10(v) -> int:
     return value
 
 
-_LEAVES = {int: _int, str: _str, bytes: _hex, Base10: _base10}
+_LEAVES = {int: _int, str: _str, bytes: _base64, Base10: _base10}
 
 
 def _object_reader(cls) -> Callable:
@@ -754,8 +772,9 @@ _read_proof = reader(Proof)
 
 
 def _as_json(obj):
-    """json.dumps's hook: bytes as hex, a dataclass as its instance dict, its fields."""
-    return obj.hex() if type(obj) is bytes else vars(obj)
+    """json.dumps's hook: bytes as padded standard base64, a dataclass as its
+    instance dict, its fields."""
+    return binascii.b2a_base64(obj, newline=False).decode() if type(obj) is bytes else vars(obj)
 
 
 def dump_proof(proof: Proof) -> str:

@@ -135,8 +135,8 @@ def test_merkle_single_leaf():
     tree = MerkleTree([(42,)])
     expected = hashlib.sha256(b"\x00" + (42).to_bytes(8, "little")).digest()
     assert tree.root == expected
-    assert tree.open(0) == []
-    assert verify_opening(tree.commitment, 0, (42,), [])
+    assert tree.open(0) == b""
+    assert verify_opening(tree.commitment, 0, (42,), b"")
 
 
 def test_merkle_two_leaves():
@@ -144,8 +144,8 @@ def test_merkle_two_leaves():
     l0 = hashlib.sha256(b"\x00" + (1).to_bytes(8, "little")).digest()
     l1 = hashlib.sha256(b"\x00" + (2).to_bytes(8, "little")).digest()
     assert tree.root == hashlib.sha256(b"\x01" + l0 + l1).digest()
-    assert tree.open(0) == [l1]
-    assert tree.open(1) == [l0]
+    assert tree.open(0) == l1
+    assert tree.open(1) == l0
 
 
 def test_merkle_duplicate_last_padding():
@@ -177,10 +177,11 @@ def test_merkle_matches_reference_tree(count):
     levels = _reference_levels(table)
     assert tree.root == levels[-1][0]
     for i, v in enumerate(table):
-        path, index = [], i
+        siblings, index = [], i
         for level in levels[:-1]:
-            path.append(level[index ^ 1])
+            siblings.append(level[index ^ 1])
             index >>= 1
+        path = b"".join(siblings)  # 32 bytes per level, from the leaf upward
         assert tree.open(i) == path
         assert verify_opening(tree.commitment, i, v, path)
 
@@ -243,10 +244,9 @@ def test_merkle_openings_share_authenticated_nodes():
         full = tree.open(i)
         path = tree.open(i, sent)
         assert path == full[:len(path)]  # a prefix of the full path
-        digests += len(path)
-        for level in range(len(path)):  # a wrong sibling at any level is refused
-            bad = list(path)
-            bad[level] = bytes(32)
+        digests += len(path) // 32
+        for level in range(len(path) // 32):  # a wrong sibling at any level is refused
+            bad = path[:32 * level] + bytes(32) + path[32 * (level + 1):]
             assert not verify_opening(tree.commitment, i, table[i], bad, known)
         assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), path, known)
         assert verify_opening(tree.commitment, i, table[i], path, known)
@@ -256,10 +256,10 @@ def test_merkle_openings_share_authenticated_nodes():
     # a leaf opened before gets an empty path, which binds its row; its full
     # path now runs past known nodes and is refused
     for i in first[:10]:
-        assert tree.open(i, sent) == []
+        assert tree.open(i, sent) == b""
         assert not verify_opening(tree.commitment, i, table[i], tree.open(i), known)
-        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), [], known)
-        assert verify_opening(tree.commitment, i, table[i], [], known)
+        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), b"", known)
+        assert verify_opening(tree.commitment, i, table[i], b"", known)
     # the prover's set is the verifier's: both learn the same nodes
     assert sent == set(known)
     # only nodes of the committed tree were learnt, refused openings added none
@@ -272,7 +272,8 @@ def test_merkle_openings_share_authenticated_nodes():
 @given(data=st.data(), count=st.integers(1, 300))
 def test_merkle_opening_refuses_a_dropped_added_or_replaced_digest(data, count):
     # whatever openings came before, an opening's path must run exactly to
-    # the first node they made known, with the tree's own siblings on the way
+    # the first node they made known, with the tree's own siblings on the
+    # way, and be whole digests
     table = [(v,) for v in data.draw(st.lists(st.integers(0, 2**64 - 1),
                                               min_size=count, max_size=count), label="table")]
     tree = MerkleTree(table)
@@ -283,12 +284,15 @@ def test_merkle_opening_refuses_a_dropped_added_or_replaced_digest(data, count):
     sent, known = {1}, {}
     for i in openings:
         path = tree.open(i, sent)
-        edited = [path + [data.draw(digests, label="appended")]]
+        appended = data.draw(digests, label="appended")
+        cut = data.draw(st.integers(1, 31), label="cut")
+        edited = [path + appended, path + appended[:cut]]
         if path:
-            edited.append(path[:-1])
-            level = data.draw(st.integers(0, len(path) - 1), label="level")
-            digest = data.draw(digests.filter(lambda d: d != path[level]), label="replacement")
-            edited.append(path[:level] + [digest] + path[level + 1:])
+            edited += [path[:-32], path[:-cut]]
+            level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
+            at = slice(32 * level, 32 * (level + 1))
+            digest = data.draw(digests.filter(lambda d: d != path[at]), label="replacement")
+            edited.append(path[:at.start] + digest + path[at.stop:])
         for bad in edited:
             before = dict(known)
             assert not verify_opening(tree.commitment, i, table[i], bad, known)
@@ -315,7 +319,7 @@ def test_merkle_opening_rejects_perturbed_path():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
     path = tree.open(3)
-    bad = [path[0]] + [bytes(32)] + path[2:]
+    bad = path[:32] + bytes(32) + path[64:]
     assert not verify_opening(tree.commitment, 3, (3,), bad)
 
 
@@ -323,8 +327,10 @@ def test_merkle_opening_rejects_wrong_path_length():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
     path = tree.open(3)
-    assert not verify_opening(tree.commitment, 3, (3,), path[:-1])
-    assert not verify_opening(tree.commitment, 3, (3,), path + [bytes(32)])
+    assert len(path) == 4 * 32
+    # a digest short or long, or part of one short or long
+    for bad in (path[:-32], path + bytes(32), path[:-1], path + bytes(1), path[:-33]):
+        assert not verify_opening(tree.commitment, 3, (3,), bad)
 
 
 def test_merkle_index_bounds():
@@ -332,9 +338,9 @@ def test_merkle_index_bounds():
     with pytest.raises(IndexError):
         tree.open(3)
     with pytest.raises(IndexError):
-        verify_opening(tree.commitment, -1, (1,), [])
+        verify_opening(tree.commitment, -1, (1,), b"")
     with pytest.raises(IndexError):
-        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), 3, (1,), [])
+        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), 3, (1,), b"")
 
 
 def test_merkle_empty_table_rejected():

@@ -637,6 +637,28 @@ def test_a_replay_challenge_no_transcript_can_draw_is_a_config_error(
         load_config(path)
 
 
+@pytest.mark.parametrize("where,kept,message", [
+    ("gammas", 2, r"replay needs at least 8 challenges\.gammas, got 2"),
+    ("sample_points", 1, r"replay needs at least 2 challenges\.sample_points, got 1"),
+], ids=["two-gammas", "one-sample-point"])
+def test_a_replay_config_with_too_few_challenges_is_a_config_error(
+        tmp_path, config_path, trace_path, capsys, where, kept, message):
+    # a proof takes 4n gammas and `queries` sample points, both known from the
+    # config, so too few is the config's fault, for prove and verify alike
+    honest = str(tmp_path / "honest.json")
+    assert main(["prove", "--config", config_path, "--trace", trace_path,
+                 "--out", honest]) == EXIT_OK
+    doc = ref.replay_config()
+    doc["challenges"][where] = doc["challenges"][where][:kept]
+    path = _write_config(tmp_path, doc)
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert main(["verify", "--config", path, "--proof", honest]) == EXIT_CONFIG
+    assert len(re.findall(message, capsys.readouterr().err)) == 2  # prove's and verify's
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
 def test_a_mode_has_one_spelling(tmp_path, capsys):
     path = _write_config(tmp_path, _fs_doc(mode="fiat_shamir"))
     assert main(["simulate", "--config", path]) == EXIT_CONFIG

@@ -1,3 +1,5 @@
+import base64
+import binascii
 import dataclasses
 import hashlib
 import json
@@ -602,6 +604,10 @@ def _all_openings(doc: dict) -> list:
     return [o for query in doc["queries"] for o in _openings(query)]
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode()
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), replay=st.booleans(), mask=st.integers(1, 255))
 def test_verify_rejects_any_flipped_path_byte(
@@ -612,10 +618,10 @@ def test_verify_rejects_any_flipped_path_byte(
     doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
     with_path = [o for o in _all_openings(doc) if o["path"]]
     opening = data.draw(st.sampled_from(with_path), label="opening")
-    level = data.draw(st.integers(0, len(opening["path"]) - 1), label="level")
-    digest = bytearray.fromhex(opening["path"][level])
-    digest[data.draw(st.integers(0, 31), label="byte")] ^= mask
-    opening["path"][level] = digest.hex()
+    path = bytearray(base64.b64decode(opening["path"]))
+    level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
+    path[32 * level + data.draw(st.integers(0, 31), label="byte")] ^= mask
+    opening["path"] = _b64(path)
     report = verify(field, paper_spec, proof_from_json(doc),
                     paper_transcript() if replay else None)
     assert (report.verdict, report.stage) == ("reject", "commitment")
@@ -636,11 +642,12 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
         if edit == "drop-last" and not opening["path"]:
             continue
         doc = json.loads(json.dumps(base))
-        path = _all_openings(doc)[k]["path"]
+        path = base64.b64decode(opening["path"])
         if edit == "drop-last":
-            path.pop()
+            path = path[:-32]
         else:
-            path.append((path or [base["commitments"]["trace"]["root"]])[-1])
+            path += (path or base64.b64decode(base["commitments"]["trace"]["root"]))[-32:]
+        _all_openings(doc)[k]["path"] = _b64(path)
         report = verify(field, paper_spec, proof_from_json(doc),
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
@@ -718,14 +725,14 @@ def test_verify_rejects_an_edited_value_at_minus_y(field, paper_spec, paper_proo
 
 def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
     # version 7 sent f(-y) as a second opening of y's leaf, with an empty path;
-    # versions 8 and 9 have no such object
+    # versions 8 to 10 have no such object
     doc = proof_to_json(paper_proof)
     for k, qd in enumerate(doc["queries"]):
         for j, (opening, neg) in enumerate(qd["fri"]):
             assert type(neg) is int
             edited = json.loads(json.dumps(doc))
             edited["queries"][k]["fri"][j][1] = {
-                "index": opening["index"], "value": neg, "path": []}
+                "index": opening["index"], "value": neg, "path": ""}
             with pytest.raises(ProofFormatError):
                 proof_from_json(edited)
 
@@ -755,19 +762,31 @@ def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace
     assert calls["check"] == 2 * (2 + rounds)
 
 
-def _hex_texts(h: str) -> list:
-    """JSON texts other than the digest h's own that json.loads and
-    bytes.fromhex read as it: capitals, spaces, an escape."""
-    texts = [t for t in (h.upper(), h[:2] + " " + h[2:], f" {h}", h + "\n") if t != h]
-    return [json.dumps(t) for t in texts] + ([f'"\\u{ord(h[0]):04x}{h[1:]}"'] if h else [])
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _base64_texts(b: str) -> list:
+    """JSON texts other than the byte string b's own that a2b_base64 reads as
+    the same bytes, or refuses only for a missing "=": the padding dropped or
+    one "=" more, a URL-safe "_" or a "." inserted, which it skips, and a
+    spare bit set in the last character of a padded string."""
+    body = b.rstrip("=")
+    texts = [body, b + "=", b[:4] + "_" + b[4:], b[:4] + "." + b[4:]]
+    if body != b:  # a padded last group has spare low bits in its last character
+        last = BASE64_ALPHABET.index(body[-1])
+        texts.append(body[:-1] + BASE64_ALPHABET[last + 1] + b[len(body):])
+    for t in texts:
+        if t != body:  # which may be b itself, or refused for a missing "="
+            assert binascii.a2b_base64(t) == binascii.a2b_base64(b), t
+    return [json.dumps(t) for t in texts if t != b]
 
 
 def test_load_proof_reads_each_number_and_digest_in_one_spelling(paper_fs_proof):
-    # a proof has one text: every number and digest of an 8-query proof, found
-    # from the proof dataclasses, is refused in each other spelling json.loads
-    # reads, and each digest in each other spelling bytes.fromhex reads. A
-    # "-" makes 0 into -0, which json.loads reads as 0, and any other number
-    # into a negative one; a ".0" or "e0" makes a float
+    # a proof has one text: every number and byte string of an 8-query proof,
+    # found from the proof dataclasses, is refused in each other spelling
+    # json.loads reads, and each byte string in each other spelling
+    # a2b_base64 reads. A "-" makes 0 into -0, which json.loads reads as 0,
+    # and any other number into a negative one; a ".0" or "e0" makes a float
     base = proof_to_json(paper_fs_proof)
     tried = {int: 0, bytes: 0}
     for where, tp, _ in _places(Proof, paper_fs_proof):
@@ -780,7 +799,7 @@ def test_load_proof_reads_each_number_and_digest_in_one_spelling(paper_fs_proof)
         marked = json.dumps(doc, separators=(",", ":"))
         assert marked.count('"@"') == 1
         assert load_proof(marked.replace('"@"', json.dumps(value))) == paper_fs_proof
-        texts = [f"-{value}", f"{value}.0", f"{value}e0"] if tp is int else _hex_texts(value)
+        texts = [f"-{value}", f"{value}.0", f"{value}e0"] if tp is int else _base64_texts(value)
         for text in texts:
             with pytest.raises(ProofFormatError):
                 load_proof(marked.replace('"@"', text))
@@ -796,9 +815,10 @@ def test_load_proof_refuses_a_root_of_other_than_32_bytes(paper_proof):
              if field == (MerkleCommitment, "root")]
     assert len(roots) == 2 + len(paper_proof.fri_layers.roots)
     for where in roots:
-        for digest in (_at(base, where)[:-2], _at(base, where) + "00"):
+        root = base64.b64decode(_at(base, where))
+        for digest in (root[:-1], root + b"\0"):
             doc = json.loads(json.dumps(base))
-            _at(doc, where[:-1])[where[-1]] = digest
+            _at(doc, where[:-1])[where[-1]] = _b64(digest)
             with pytest.raises(ProofFormatError, match="32 bytes"):
                 proof_from_json(doc)
 
@@ -851,7 +871,7 @@ def test_load_proof_reads_the_version_first(paper_proof):
     doc = proof_to_json(paper_proof)
     for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
         for edited in ({**doc, "version": version}, {"version": version},
-                       {"version": version, "x": 0}, _as_version_8(doc)):
+                       {"version": version, "x": 0}, _as_version_9(doc), _as_version_8(doc)):
             edited["version"] = version
             with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
                 proof_from_json(edited)
@@ -861,15 +881,22 @@ def test_load_proof_reads_the_version_first(paper_proof):
 
 
 def test_load_proof_rejects_bad_path_digests(paper_proof):
-    for bad in (5, None, "zz", "0"):
-        doc = proof_to_json(paper_proof)
-        doc["queries"][1]["fri"][0][0]["path"][2] = bad
-        with pytest.raises(ProofFormatError):
-            proof_from_json(doc)
-        doc = proof_to_json(paper_proof)
-        doc["queries"][0]["trace"][1]["path"][0] = bad
-        with pytest.raises(ProofFormatError):
-            proof_from_json(doc)
+    # a path is one base64 string of whole 32-byte digests: not a number,
+    # null, a list of digests (version 9's form) or other than base64, and
+    # not one byte short or long
+    base = proof_to_json(paper_proof)
+    for where in (("queries", 1, "fri", 0, 0, "path"), ("queries", 0, "trace", 1, "path")):
+        path = base64.b64decode(_at(base, where))
+        assert len(path) >= 3 * 32
+        hex_list = [path[i:i + 32].hex() for i in range(0, len(path), 32)]
+        for bad in (5, None, hex_list, "zz", "0", _b64(path[:-1]), _b64(path + b"\0")):
+            doc = json.loads(json.dumps(base))
+            _at(doc, where[:-1])[where[-1]] = bad
+            with pytest.raises(ProofFormatError):
+                proof_from_json(doc)
+    base["queries"][0]["trace"][1]["path"] = _b64(bytes(33))
+    with pytest.raises(ProofFormatError, match="whole 32-byte digests, got 33 bytes"):
+        proof_from_json(base)
 
 
 def test_proof_commits_the_trace_once(paper_spec, paper_proof):
@@ -933,10 +960,31 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
                      "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
+def _as_version_9(doc: dict) -> dict:
+    """The version-9 document of a proof: every byte string in lower-case
+    hex, and each path a list of its 32-byte digests."""
+    def hexed(node, key=None):
+        if isinstance(node, dict):
+            return {k: hexed(v, k) for k, v in node.items()}
+        if isinstance(node, list):
+            return [hexed(v) for v in node]
+        if key in ("root", "salt"):
+            return base64.b64decode(node).hex()
+        if key == "path":
+            path = base64.b64decode(node)
+            return [path[i:i + 32].hex() for i in range(0, len(path), 32)]
+        return node
+
+    return {**hexed(doc), "version": 9}
+
+
 def _as_version_8(doc: dict) -> dict:
-    """The version-8 document of a proof: its fields grouped under "publics",
-    "at_x" and "at_gx", "pos" and "neg", leaf counts as "leaves", and every
-    number but an index or a leaf count as a base-10 string."""
+    """The version-8 document of a proof: version 9's, with its fields grouped
+    under "publics", "at_x" and "at_gx", "pos" and "neg", leaf counts as
+    "leaves", and every number but an index or a leaf count as a base-10
+    string."""
+    doc = _as_version_9(doc)
+
     def comm(c):
         return {"root": c["root"], "leaves": c["leaf_count"]}
 
@@ -957,18 +1005,32 @@ def _as_version_8(doc: dict) -> dict:
     }
 
 
-def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_proof, tmp_path):
-    # the paper replay proof written as version 8 wrote it: its digest is the
-    # one version 8 pinned
-    text = json.dumps(_as_version_8(proof_to_json(paper_proof)), separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e")
-    with pytest.raises(ProofFormatError):
+def _assert_earlier_version_refused(doc: dict, pinned: str, tmp_path) -> None:
+    """The document, written compactly, has the digest its version pinned for
+    the paper replay proof, and load_proof and the CLI refuse it by version."""
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+    with pytest.raises(ProofFormatError, match=f"unsupported proof version {doc['version']}"):
         load_proof(text)
     (tmp_path / "config.json").write_text(json.dumps(ref.replay_config()))
     (tmp_path / "proof.json").write_text(text)
     assert main(["verify", "--config", str(tmp_path / "config.json"),
                  "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
+
+
+def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_proof, tmp_path):
+    # the paper replay proof written as version 8 wrote it: its digest is the
+    # one version 8 pinned
+    pinned = "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e"
+    _assert_earlier_version_refused(_as_version_8(proof_to_json(paper_proof)), pinned, tmp_path)
+
+
+def test_load_proof_and_the_cli_refuse_a_version_9_proof(paper_proof, tmp_path):
+    # the paper replay proof written as version 9 wrote it, in hex with each
+    # path a list of digests: its digest is the one version 9 pinned, so
+    # version 10 changed how byte strings are spelled, not a value
+    pinned = "a5d6f207656dba543edd15653d94d72649c85d1a7dc384b7117c47b631f7783e"
+    _assert_earlier_version_refused(_as_version_9(proof_to_json(paper_proof)), pinned, tmp_path)
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -1001,7 +1063,7 @@ def _integer_fields(doc, where=()):
     """Paths to every integer of a dumped proof."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, value in items:
-        if key in ("root", "salt", "path"):  # hex strings
+        if key in ("root", "salt", "path"):  # base64 strings
             continue
         if isinstance(value, int):
             yield where + (key,)
@@ -1052,7 +1114,8 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 # --- byte identity ------------------------------------------------------------
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
-# proof dataclasses, every number a JSON integer; proof version 9:
+# proof dataclasses, every number a JSON integer and every byte string
+# padded standard base64, a path its digests joined; proof version 10:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, at most
 # BLOWUP cosets of H committed, sample points drawn as
@@ -1062,12 +1125,12 @@ def test_mutated_integer_field_is_rejected_or_malformed(
 # committed values, their order, the tree hashing, the paths sent or the
 # transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "a5d6f207656dba543edd15653d94d72649c85d1a7dc384b7117c47b631f7783e",
-    "paper-fiat-shamir": "9b49e1d9e339140f20959c5baf05acaa445c5d74ca9e65ddda87673dd4094370",
+    "paper-replay": "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914",
+    "paper-fiat-shamir": "f049ef7bd7479513ff5100b9b5f879fc2d66463151a8f7c255619aec8f004ef2",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "1372259ef2156dd765ed09b06e3a27c3b72e2db54277e78bf21c35c466b6c9df",
+    "q3001-fiat-shamir": "bbf9aa67fc291ebe765a46dc86d94d937f59767d4cc1362c7d269d0ee331804c",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1085,7 +1148,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 9
+    assert paper_proof.version == PROOF_VERSION == 10
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1114,17 +1177,18 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one leaf per FRI pair, opened once: 895 digests and 85,479 bytes
-    # (95,131 in version 8's layout), against 107,128 with f(-y) sent as a
-    # second opening of the leaf, and 1,523 digests and 149,133 bytes with
-    # one leaf per point
+    # one leaf per FRI pair, opened once: 895 digests and 64,446 bytes with
+    # each path one base64 string (85,479 with each digest in hex, 95,131 in
+    # version 8's layout), against 107,128 with f(-y) sent as a second
+    # opening of the leaf, and 1,523 digests and 149,133 bytes with one leaf
+    # per point
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) for o in openings) <= 1000
-    assert len(dump_proof(proof)) <= 96 * 1024
+    assert sum(len(o.path) // 32 for o in openings) <= 1000
+    assert len(dump_proof(proof)) <= 64 * 1024
 
 
 def test_replay_paper_output_is_unchanged(capsys):
