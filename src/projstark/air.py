@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .dynamics import ExecutionTrace, SystemSpec
 from .field import CyclicDomain, PrimeField
@@ -82,13 +82,9 @@ def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     return CosetEvaluator(domain.field, points, domain.generator, domain.order)
 
 
-def build_trace_polys(
-    trace: ExecutionTrace, domain: CyclicDomain, interpolator: Optional[CosetEvaluator] = None
-) -> TracePolynomials:
-    """Column interpolants of the trace; values are taken mod q, unchecked (see lift_trace).
-
-    `interpolator` is trace_interpolator(domain), built here when not given.
-    """
+def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> TracePolynomials:
+    """Column interpolants of the trace, by one trace_interpolator(domain)
+    inverse DFT; values are taken mod q, unchecked (see lift_trace)."""
     spec = trace.spec
     N = spec.num_steps
     if domain.order != N + 1:
@@ -96,7 +92,6 @@ def build_trace_polys(
     field = domain.field
     q = field.modulus
     g_inv = domain.elements[N]
-    dft = trace_interpolator(domain) if interpolator is None else interpolator
     inv_order = pow(N + 1, -1, q)
     n = spec.n
     columns = [
@@ -104,7 +99,7 @@ def build_trace_polys(
         for rows in (trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
         for i in range(n)
     ]
-    tables = dft.evaluate(columns)
+    tables = trace_interpolator(domain).evaluate(columns)
     # The N-point columns get P through their N values and 0 at g^N, of degree
     # <= N; removing P[N]·Z_N leaves the degree < N interpolant of the N points.
     # Z_N = prod_{k<N}(x - g^k) = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j

@@ -27,6 +27,7 @@ class TranscriptError(RuntimeError):
 
 class ReplayTranscript:
     mode = "replay"
+    salt = b""  # challenges are injected, so none is salted
 
     def __init__(
         self,

@@ -32,7 +32,6 @@ from .air import (
     constraints,
     degree_bound,
     lift_trace,
-    trace_interpolator,
 )
 from .channel import (
     FiatShamirTranscript,
@@ -41,7 +40,8 @@ from .channel import (
     TranscriptError,
     verify_opening,
 )
-from .dynamics import ExecutionTrace, StepRecord, StepSource, SystemSpec, online_check
+from .dynamics import (ExecutionTrace, StepRecord, StepSource, SystemSpec, online_check,
+                       step_slack)
 from .field import CyclicDomain, PrimeField, build_domain
 from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
@@ -134,21 +134,19 @@ class Proof:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    verdict: str  # "accept" | "reject"
-    stage: Optional[str] = None  # online|boundary|consistency|fri_commit|fri_query|commitment
+    """verify's verdict: a reject names the stage that failed and says why; an
+    accept names none."""
+
+    stage: Optional[str] = None  # queries|fri_commit|commitment|boundary|consistency|fri_query
     detail: str = ""
 
     @property
     def accepted(self) -> bool:
-        return self.verdict == "accept"
+        return self.stage is None
 
-
-def _accept() -> VerificationReport:
-    return VerificationReport(verdict="accept")
-
-
-def _reject(stage: str, detail: str) -> VerificationReport:
-    return VerificationReport(verdict="reject", stage=stage, detail=detail)
+    @property
+    def verdict(self) -> str:
+        return "accept" if self.accepted else "reject"
 
 
 def check_publics(q: int, num_steps: int) -> None:
@@ -166,6 +164,11 @@ def check_publics(q: int, num_steps: int) -> None:
     if num_steps + 1 == q - 1:
         raise ValueError(f"N+1={num_steps + 1} must be below q-1={q - 1}: "
                          "H would be all of F_q*, leaving no coset to commit on")
+
+
+def _check_num_queries(num_queries: int) -> None:
+    if not 1 <= num_queries <= MAX_QUERIES:
+        raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
 
 
 def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
@@ -231,9 +234,9 @@ class _Domains:
     BLOWUP cosets of H and is where sample points are drawn. verify rejects
     a declared bound above the worst case before it reads a layer.
 
-    The coset-DFT plans and the trace interpolator are built on first use, so
-    a verifier builds none. Nothing here depends on a proof, and a plan keeps
-    no table between its evaluate calls.
+    The coset-DFT plans are built on first use, so a verifier builds none.
+    Nothing here depends on a proof, and a plan keeps no table between its
+    evaluate calls.
     """
 
     def __init__(self, q: int, num_steps: int):
@@ -274,11 +277,6 @@ class _Domains:
             CosetEvaluator(self.field, layer, pow(self.g, 2 ** j, q), order // gcd(order, 2 ** j))
             for j, layer in enumerate(self.layers)
         )
-
-    @cached_property
-    def interpolator(self) -> CosetEvaluator:
-        """The inverse DFT over H that interpolates the trace columns."""
-        return trace_interpolator(self.subgroup)
 
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
@@ -362,8 +360,6 @@ def run_online_stage(
 
 
 def honest_step_source(spec: SystemSpec) -> StepSource:
-    from .dynamics import step_slack
-
     def source(k: int, z: Tuple[int, ...], attempt: int) -> StepRecord:
         return step_slack(spec, z)
 
@@ -415,24 +411,21 @@ def prove(
     Either way the boundary quotients and Q are floor quotients, Q that of
     the weighted sum of the constraint numerators: one division.
 
-    Under Fiat-Shamir the proof carries the transcript's salt, which the
-    verifier absorbs first; a differing `salt` is a ValueError. A replay
-    transcript has none, so the proof carries `salt`, b"" if not given.
+    The proof carries the transcript's salt, which a Fiat-Shamir verifier
+    absorbs first; a replay transcript's is b"". A `salt` that differs from
+    the transcript's is a ValueError.
     """
     N = spec.num_steps
     n = spec.n
     q = field.modulus
     domains = _domains(q, N)
-    if not 1 <= num_queries <= MAX_QUERIES:
-        raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
-    if transcript.mode == "fiat_shamir":
-        if salt not in (None, transcript.salt):
-            raise ValueError(f"salt {salt!r} is not the transcript's {transcript.salt!r}")
-        salt = transcript.salt
+    _check_num_queries(num_queries)
+    if salt not in (None, transcript.salt):
+        raise ValueError(f"salt {salt!r} is not the transcript's {transcript.salt!r}")
     domain = domains.subgroup
 
     trace = lift_trace(trace, field) if force else _lift_or_refuse(spec, trace, field)
-    tp = build_trace_polys(trace, domain, domains.interpolator)
+    tp = build_trace_polys(trace, domain)
 
     x_minus_one = Polynomial(field, (-1, 1))
     boundary_polys = [divmod(f - z0, x_minus_one)[0] for f, z0 in zip(tp.f_z, spec.z_init)]
@@ -486,7 +479,7 @@ def prove(
 
     return Proof(
         version=PROOF_VERSION,
-        salt=salt or b"",
+        salt=transcript.salt,
         degree_bound=bound,
         commitments=Commitments(trace_cm.tree.commitment, composition.tree.commitment),
         fri_layers=FriLayers(tuple(cm.tree.commitment for cm in layer_committed[1:]), fri_final),
@@ -524,39 +517,45 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
 
 
 def verify(
-    field: PrimeField, spec: SystemSpec, proof: Proof, transcript=None
+    field: PrimeField, spec: SystemSpec, proof: Proof, transcript=None, *, num_queries: int = 1
 ) -> VerificationReport:
     """Check a proof against the public inputs.
 
     The challenges come from the caller's transcript, as in `prove`: a
     ReplayTranscript of the caller's challenge lists, or None for a
     Fiat-Shamir transcript salted with the proof's salt; a proof carries no
-    challenges.
+    challenges. The least number of queries it must answer is the caller's
+    `num_queries` too, never the proof's.
 
-    A (q, N) that check_publics refuses raises ValueError, as in `prove`.
-    The sample points come from the transcript too, and are where every
-    check below looks. Checks, in order, with the stage a failure is reported
-    at: the declared degree bound, at most 2N-2 and equal to it under
-    Fiat-Shamir (fri_commit), each commitment's leaf count and the openings
-    at the leaves of the sample points, each FRI pair's two values by one
-    path (commitment), the initialization quotient identity (boundary), the
-    composition values recomputed from the opened trace rows (consistency),
-    and the folding chain (fri_query). A reject that compares two values
-    names both.
+    A (q, N) that check_publics refuses, or a `num_queries` outside
+    [1, MAX_QUERIES], raises ValueError, as in `prove`. The sample points
+    come from the transcript, and are where every check below looks. Checks,
+    in order, with the stage a failure is reported at: at least `num_queries`
+    queries answered (queries), the declared degree bound, at most 2N-2 and
+    equal to it under Fiat-Shamir (fri_commit), each commitment's leaf count
+    and the openings at the leaves of the sample points, each FRI pair's two
+    values by one path (commitment), the initialization quotient identity
+    (boundary), the composition values recomputed from the opened trace rows
+    (consistency), and the folding chain (fri_query). A reject that compares
+    two values names both.
     """
     q = field.modulus
     N = spec.num_steps
     n = spec.n
     domains = _domains(q, N)
     g = domains.g
+    _check_num_queries(num_queries)
     rounds = _structural_validate(proof, field, spec)
+    if len(proof.queries) < num_queries:
+        return VerificationReport("queries", f"the proof answers {len(proof.queries)} queries, "
+                                  f"the verifier asks for {num_queries}")
 
     if transcript is None:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
-    replay = transcript.mode == "replay"
     worst = domains.worst_bound
-    if proof.degree_bound > worst or (not replay and proof.degree_bound != worst):
-        return _reject("fri_commit", f"degree bound {proof.degree_bound}: worst case is {worst}")
+    if proof.degree_bound > worst or (transcript.mode != "replay" and proof.degree_bound != worst):
+        return VerificationReport("fri_commit",
+                                  f"degree bound {proof.degree_bound}: worst case is {worst}")
 
     transcript.absorb("spec", hash_spec(field, spec))
     comms, fri = proof.commitments, proof.fri_layers
@@ -583,7 +582,8 @@ def verify(
     trees += [(f"layer {j}", cm, len(domains.layers[j]) // 2) for j, cm in enumerate(layer_comms)]
     for name, cm, count in trees:
         if cm.leaf_count != count:
-            return _reject("commitment", f"{name} tree has {cm.leaf_count} leaves, not {count}")
+            return VerificationReport("commitment",
+                                      f"{name} tree has {cm.leaf_count} leaves, not {count}")
 
     # nodes each tree's accepted openings authenticated, so each is hashed once
     trace_known: dict = {}
@@ -596,14 +596,15 @@ def verify(
             i = domains.index(0, point)
             if row.index != i or not verify_opening(comms.trace, i, row.values, row.path,
                                                     trace_known):
-                return _reject("commitment", f"query {k}: bad trace row opening at {where}")
+                return VerificationReport("commitment",
+                                          f"query {k}: bad trace row opening at {where}")
         for j, y in enumerate(chains[k]):
             leaf, side = domains.pair_leaf(j, y)
             pos, neg = query.fri[j]
             row = (pos.value, neg) if side == 0 else (neg, pos.value)
             if pos.index != leaf or not verify_opening(layer_comms[j], leaf, row, pos.path,
                                                        layer_known[j]):
-                return _reject("commitment", f"query {k}: bad FRI layer {j} opening")
+                return VerificationReport("commitment", f"query {k}: bad FRI layer {j} opening")
 
     # --- stage: boundary -----------------------------------------------------
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
@@ -612,8 +613,9 @@ def verify(
             lhs = (row[i] - spec.z_init[i]) % q
             rhs = row[4 * n + i] * (x - 1) % q
             if lhs != rhs:
-                return _reject("boundary", f"query {k}: boundary identity fails for "
-                               f"coordinate {i}: f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
+                return VerificationReport(
+                    "boundary", f"query {k}: boundary identity fails for coordinate {i}: "
+                    f"f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
 
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
@@ -626,8 +628,9 @@ def verify(
         recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
         opened = query.fri[0][0].value
         if recombined != opened:
-            return _reject("consistency", f"query {k}: composition value mismatch at x={x}: "
-                           f"opened Q(x) = {opened}, recomputed from the trace rows {recombined}")
+            return VerificationReport(
+                "consistency", f"query {k}: composition value mismatch at x={x}: "
+                f"opened Q(x) = {opened}, recomputed from the trace rows {recombined}")
 
     # --- stage: fri_query ----------------------------------------------------
     for k, query in enumerate(proof.queries):
@@ -639,10 +642,11 @@ def verify(
             else:
                 expected, where = fri.final, "fri_final is"
             if computed != expected:
-                return _reject("fri_query", f"query {k}: folding identity fails at layer {j}: "
-                               f"folded {computed}, {where} {expected}")
+                return VerificationReport(
+                    "fri_query", f"query {k}: folding identity fails at layer {j}: "
+                    f"folded {computed}, {where} {expected}")
 
-    return _accept()
+    return VerificationReport()
 
 
 # --- serialization ----------------------------------------------------------

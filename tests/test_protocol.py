@@ -145,6 +145,29 @@ def test_a_proof_carries_its_transcripts_salt(field, paper_spec, paper_trace):
             prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=salt)
 
 
+def test_a_replay_proof_carries_the_empty_salt(field, paper_spec, paper_trace, paper_proof):
+    # a replay transcript salts nothing, so a salt given with it is refused
+    assert paper_proof.salt == b""
+    with pytest.raises(ValueError, match="salt"):
+        prove(field, paper_spec, paper_trace, paper_transcript(), num_queries=2, salt=b"x")
+
+
+def test_verify_holds_a_proof_to_the_callers_query_count(field, paper_spec, paper_trace):
+    # the prover picks how many queries it answers; the caller of verify sets
+    # the least number it accepts, whatever the proof says
+    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS), num_queries=1)
+    report = verify(field, paper_spec, proof, num_queries=8)
+    assert (report.verdict, report.stage) == ("reject", "queries")
+    assert "answers 1 queries" in report.detail and "asks for 8" in report.detail
+    assert verify(field, paper_spec, proof, num_queries=1).accepted
+
+
+@pytest.mark.parametrize("count", [0, protocol.MAX_QUERIES + 1])
+def test_verify_refuses_a_query_count_prove_refuses(field, paper_spec, paper_fs_proof, count):
+    with pytest.raises(ValueError, match="num_queries"):
+        verify(field, paper_spec, paper_fs_proof, num_queries=count)
+
+
 def test_prove_requires_even_subgroup(field):
     rng = random.Random(71)
     spec = random_spec(rng, 331)
@@ -755,7 +778,7 @@ def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace
     def transcript():
         return paper_transcript() if replay else FiatShamirTranscript(ref.MODULUS, salt=b"once")
 
-    proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=b"once")
+    proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2)
     rounds = len(proof.fri_layers.roots) + 1
     assert calls == {"open": 2 * (2 + rounds), "check": 0}
     assert verify(field, paper_spec, proof, transcript()).accepted
