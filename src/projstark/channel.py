@@ -1,7 +1,7 @@
 """Verifier randomness and commitment plumbing.
 
 Two transcript modes share one interface: replay consumes injected challenge
-lists in order (used to reproduce the worked example), fiat_shamir derives
+lists in order (used to reproduce the worked example), fiat-shamir derives
 challenges from a SHA-256 hash of the message log.  Merkle trees commit to
 ordered tables of rows (the values of several polynomials at one point) with
 domain-separated SHA-256 hashing.
@@ -15,17 +15,19 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
 
 class TranscriptError(RuntimeError):
-    """Replay list exhausted, or an injected value is 0 or outside the points
-    it must be drawn from."""
+    """An injected value outside [1, q), refused with its list and index when
+    built, or outside the points it is drawn from; a replay list exhausted."""
 
 
 class ReplayTranscript:
+    """Injected challenge lists, drawn in order, each value as written."""
+
     mode = "replay"
     salt = b""  # challenges are injected, so none is salted
 
@@ -36,25 +38,21 @@ class ReplayTranscript:
         betas: Sequence[int] = (),
         sample_points: Sequence[int] = (),
     ):
-        self.modulus = modulus
-        self._queues: Dict[str, List[int]] = {
-            "gamma": list(gammas),
-            "beta": list(betas),
-            "sample_point": list(sample_points),
-        }
+        self._queues = dict(zip(CHALLENGE_KINDS, map(list, (gammas, betas, sample_points))))
+        for kind, values in self._queues.items():
+            for i, v in enumerate(values):  # named as the keyword that took the list
+                if not 1 <= v < modulus:
+                    raise TranscriptError(f"{kind}s[{i}] = {v} is not in [1, {modulus})")
 
     def absorb(self, label: str, data: bytes) -> None:
         pass  # replay challenges are fixed up front
 
     def draw(self, kind: str, points: Optional[Sequence[int]] = None) -> int:
-        """The next injected value of `kind`, reduced mod q. It must not be 0
-        and, when the ascending list `points` is given, must be one of them."""
+        """The next injected value of `kind`, one of the ascending `points` if given."""
         queue = self._queues[kind]
         if not queue:
             raise TranscriptError(f"replay transcript exhausted for kind {kind!r}")
-        value = queue.pop(0) % self.modulus
-        if value == 0:
-            raise TranscriptError(f"injected {kind} value is 0")
+        value = queue.pop(0)
         if points is not None:
             i = bisect_left(points, value)
             if i == len(points) or points[i] != value:
@@ -63,7 +61,7 @@ class ReplayTranscript:
 
 
 class FiatShamirTranscript:
-    mode = "fiat_shamir"
+    mode = "fiat-shamir"
 
     def __init__(self, modulus: int, salt: bytes = b""):
         self.modulus = modulus

@@ -19,9 +19,9 @@ from .air import FieldOverflowError, InvalidTraceError
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
 from .dynamics import ExecutionTrace, SystemSpec
 from .field import PrimeField
-from .protocol import (MAX_QUERIES, Base10, ProofFormatError, _as_json, _domains, _int, dump_proof,
-                       honest_step_source, load_proof, prove, reader, reading, run_online_stage,
-                       verify)
+from .protocol import (Base10, ProofFormatError, _as_json, _check_num_queries, _domains, _int,
+                       dump_proof, honest_step_source, load_proof, prove, reader, reading,
+                       run_online_stage, verify)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +44,7 @@ class RunConfig:
     challenges: Optional[dict]
 
 
-# The files the CLI reads, declared as the proof is; a key left out takes its default
+# The files the CLI reads, declared as the proof is; only a key with a default may be left out
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,12 @@ class Challenges:
 @dataclass(frozen=True)
 class ConfigDocument:
     A_hat: Tuple[Tuple[Base10, ...], ...]
+    N: Base10
+    z_upper: Tuple[Base10, ...]
+    z_lower: Tuple[Base10, ...]
+    z_init: Tuple[Base10, ...]
     q: Base10 = 331
-    N: Base10 = 0
-    z_upper: Tuple[Base10, ...] = ()
-    z_lower: Tuple[Base10, ...] = ()
-    z_init: Tuple[Base10, ...] = ()
-    mode: str = "fiat-shamir"
+    mode: str = FiatShamirTranscript.mode
     queries: Base10 = 8
     challenges: Optional[Challenges] = None
 
@@ -91,32 +91,34 @@ def load_config(path: str) -> RunConfig:
         doc = reader(ConfigDocument)(_read_json(path, "config"))
         spec = SystemSpec(doc.A_hat, doc.z_upper, doc.z_lower, doc.z_init, doc.N)
         domains = _domains(doc.q, spec.num_steps)
+        _check_num_queries(doc.queries)
 
-    if doc.mode not in ("replay", "fiat-shamir"):
-        raise ConfigError(f"mode must be replay or fiat-shamir, got {doc.mode!r}")
-    if not 1 <= doc.queries <= MAX_QUERIES:
-        raise ConfigError(f"queries must be in [1, {MAX_QUERIES}], got {doc.queries}")
-    if doc.mode == "replay" and doc.challenges is None:
+    modes = ReplayTranscript.mode, FiatShamirTranscript.mode
+    if doc.mode not in modes:
+        raise ConfigError(f"mode must be {' or '.join(modes)}, got {doc.mode!r}")
+    if doc.mode == ReplayTranscript.mode and doc.challenges is None:
         raise ConfigError("replay mode needs a challenges block")
     challenges = doc.challenges and {k: list(v) for k, v in vars(doc.challenges).items()}
-    if doc.mode == "replay":  # a proof's beta count depends on its degree bound, so not betas
+    if doc.mode == ReplayTranscript.mode:  # not betas, whose count depends on the degree bound
         for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
             if len(challenges[name]) < needed:
                 raise ConfigError(f"replay needs at least {needed} challenges.{name}, "
                                   f"got {len(challenges[name])}")
-    if challenges:  # each as a transcript can draw it, not reduced mod q
-        d0 = "the committed domain D0", set(domains.layers[0])
-        field_star = f"[1, {doc.q})", range(1, doc.q)
-        for name, values in challenges.items():
-            where, allowed = d0 if name == "sample_points" else field_star
-            for i, v in enumerate(values):
-                if v not in allowed:
-                    raise ConfigError(f"challenges.{name}[{i}] = {v} is not in {where}")
+    if challenges:  # each as a transcript can draw it: in [1, q), a sample point in D0
+        try:
+            ReplayTranscript(doc.q, **challenges)
+        except TranscriptError as exc:
+            raise ConfigError(f"challenges.{exc}") from exc
+        d0 = set(domains.layers[0])
+        for i, v in enumerate(challenges["sample_points"]):
+            if v not in d0:
+                raise ConfigError(f"challenges.sample_points[{i}] = {v} "
+                                  "is not in the committed domain D0")
     return RunConfig(domains.field, spec, doc.mode, doc.queries, challenges)
 
 
 def _make_transcript(config: RunConfig, salt: bytes):
-    if config.mode == "replay":
+    if config.mode == ReplayTranscript.mode:
         return ReplayTranscript(config.field.modulus, **config.challenges)
     return FiatShamirTranscript(config.field.modulus, salt=salt)
 

@@ -134,10 +134,10 @@ class Proof:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """verify's verdict: a reject names the stage that failed and says why; an
-    accept names none."""
+    """verify's verdict: a reject names the first stage that failed, of those
+    below in verify's order, and says why; an accept names none."""
 
-    stage: Optional[str] = None  # queries|fri_commit|commitment|boundary|consistency|fri_query
+    stage: Optional[str] = None  # queries|salt|fri_commit|commitment|boundary|consistency|fri_query
     detail: str = ""
 
     @property
@@ -167,8 +167,9 @@ def check_publics(q: int, num_steps: int) -> None:
 
 
 def _check_num_queries(num_queries: int) -> None:
+    """The one range of query counts, for prove, verify and a run config."""
     if not 1 <= num_queries <= MAX_QUERIES:
-        raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}]")
+        raise ValueError(f"num_queries must be in [1, {MAX_QUERIES}], got {num_queries}")
 
 
 def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
@@ -528,16 +529,16 @@ def verify(
     `num_queries` too, never the proof's.
 
     A (q, N) that check_publics refuses, or a `num_queries` outside
-    [1, MAX_QUERIES], raises ValueError, as in `prove`. The sample points
-    come from the transcript, and are where every check below looks. Checks,
-    in order, with the stage a failure is reported at: at least `num_queries`
-    queries answered (queries), the declared degree bound, at most 2N-2 and
-    equal to it under Fiat-Shamir (fri_commit), each commitment's leaf count
-    and the openings at the leaves of the sample points, each FRI pair's two
-    values by one path (commitment), the initialization quotient identity
-    (boundary), the composition values recomputed from the opened trace rows
-    (consistency), and the folding chain (fri_query). A reject that compares
-    two values names both.
+    [1, MAX_QUERIES], raises ValueError, as in `prove`. Every check below looks
+    at the sample points the transcript draws. Checks, in order, with the stage
+    a failure is reported at: at least `num_queries` queries answered (queries),
+    the proof's salt the transcript's, b"" for replay (salt), the declared
+    degree bound, at most 2N-2 and equal to it under Fiat-Shamir (fri_commit),
+    each commitment's leaf count and the openings at the leaves of the sample
+    points, each FRI pair's two values by one path (commitment), the
+    initialization quotient identity (boundary), the composition values
+    recomputed from the opened trace rows (consistency), and the folding chain
+    (fri_query). A reject that compares two values names both.
     """
     q = field.modulus
     N = spec.num_steps
@@ -552,6 +553,9 @@ def verify(
 
     if transcript is None:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
+    if proof.salt != transcript.salt:
+        return VerificationReport("salt", f"the proof's salt is {proof.salt!r}, "
+                                  f"the verifier's {transcript.salt!r}")
     worst = domains.worst_bound
     if proof.degree_bound > worst or (transcript.mode != "replay" and proof.degree_bound != worst):
         return VerificationReport("fri_commit",

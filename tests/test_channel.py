@@ -40,15 +40,29 @@ def test_replay_exhaustion():
 
 def test_replay_excluded_value_rejected():
     points = [3, 16, 200]
-    # below, between and above the points; then 331 + 16, which reduces to one
-    t = ReplayTranscript(331, sample_points=[2, 15, 17, 330, 347])
+    # below, between and above the points, then one of them
+    t = ReplayTranscript(331, sample_points=[2, 15, 17, 330, 16])
     for _ in range(4):
         with pytest.raises(TranscriptError):
             t.draw("sample_point", points)
     assert t.draw("sample_point", points) == 16
-    t2 = ReplayTranscript(331, gammas=[331])  # reduces to zero
-    with pytest.raises(TranscriptError):
-        t2.draw("gamma")
+    # 331 + 16 is no point, although it is 16 mod q: it is refused as written
+    with pytest.raises(TranscriptError, match=r"^sample_points\[0\] = 347 is not in \[1, 331\)$"):
+        ReplayTranscript(331, sample_points=[347])
+
+
+@pytest.mark.parametrize("value", [592, 331, 0, -330])
+def test_replay_refuses_a_value_outside_the_field_as_written(value):
+    # 592 is 261 mod q and 331 is 0: each is refused when the transcript is
+    # built, not reduced when drawn
+    for kind in ("gammas", "betas", "sample_points"):
+        with pytest.raises(TranscriptError,
+                           match=rf"^{kind}\[0\] = {value} is not in \[1, 331\)$"):
+            ReplayTranscript(331, **{kind: [value]})
+    with pytest.raises(TranscriptError, match=r"^gammas\[2\] = 592 "):
+        ReplayTranscript(331, gammas=[5, 7, 592])
+    t = ReplayTranscript(331, gammas=[1, 330])
+    assert (t.draw("gamma"), t.draw("gamma")) == (1, 330)
 
 
 def test_replay_absorb_is_inert():
@@ -58,6 +72,10 @@ def test_replay_absorb_is_inert():
 
 
 # --- fiat-shamir transcripts ------------------------------------------------
+
+
+def test_each_mode_is_spelled_as_a_config_spells_it():
+    assert (ReplayTranscript.mode, FiatShamirTranscript.mode) == ("replay", "fiat-shamir")
 
 
 def test_fiat_shamir_deterministic():

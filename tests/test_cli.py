@@ -9,6 +9,7 @@ import pytest
 from conftest import WRAPPING_SYSTEM, wrapping_trace
 from projstark import field as field_module
 from projstark import reference_example as ref
+from projstark.channel import FiatShamirTranscript, ReplayTranscript
 from projstark.cli import (
     EXIT_CONFIG,
     EXIT_MALFORMED,
@@ -20,6 +21,7 @@ from projstark.cli import (
     ConfigError,
     RunConfig,
     TraceDocument,
+    _make_transcript,
     load_config,
     load_trace,
     main,
@@ -162,6 +164,32 @@ def test_config_queries_above_max_is_a_config_error(tmp_path, trace_path, capsys
     assert "queries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [0, MAX_QUERIES + 1])
+def test_a_config_query_count_is_refused_as_prove_and_verify_refuse_it(tmp_path, count):
+    path = _write_config(tmp_path, _fs_doc(queries=count))
+    with pytest.raises(ConfigError, match=rf"^num_queries must be in \[1, 1024\], got {count}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["N", "z_upper", "z_lower", "z_init"])
+def test_a_config_without_a_key_no_config_can_leave_out_is_refused_by_name(tmp_path, key,
+                                                                           capsys):
+    doc = _fs_doc()
+    del doc[key]
+    path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    assert f"missing field '{key}'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"^missing field '{key}'$"):
+        load_config(path)
+
+
+def test_a_config_names_its_transcript_by_the_transcripts_mode(tmp_path):
+    for transcript in (ReplayTranscript, FiatShamirTranscript):
+        doc = {**ref.replay_config(), "mode": transcript.mode}
+        config = load_config(_write_config(tmp_path, doc))
+        assert type(_make_transcript(config, b"")) is transcript
+
+
 def test_config_negative_queries_is_a_config_error(tmp_path, trace_path):
     path = _write_config(tmp_path, {**ref.replay_config(), "queries": -3})
     proof = str(tmp_path / "proof.json")
@@ -295,6 +323,20 @@ def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, tra
     doc = json.loads(Path(proof).read_text())
     assert "challenges" not in doc
     assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_OK
+
+
+def test_verify_rejects_a_replay_proof_with_a_salt(tmp_path, config_path, trace_path, capsys):
+    # a replay transcript salts nothing, so a replay proof's salt is empty
+    proof = tmp_path / "proof.json"
+    assert main(["prove", "--config", config_path, "--trace", trace_path,
+                 "--out", str(proof)]) == EXIT_OK
+    doc = json.loads(proof.read_text())
+    assert doc["salt"] == ""
+    doc["salt"] = "eA=="  # b"x"
+    proof.write_text(json.dumps(doc, separators=(",", ":")))
+    capsys.readouterr()
+    assert main(["verify", "--config", config_path, "--proof", str(proof)]) == EXIT_REJECT
+    assert "verdict: reject at stage salt: the proof's salt is b'x'" in capsys.readouterr().out
 
 
 def test_verify_holds_a_proof_to_the_config_queries(tmp_path, trace_path, capsys):

@@ -152,6 +152,27 @@ def test_a_replay_proof_carries_the_empty_salt(field, paper_spec, paper_trace, p
         prove(field, paper_spec, paper_trace, paper_transcript(), num_queries=2, salt=b"x")
 
 
+def test_verify_holds_a_replay_proof_to_the_empty_salt(field, paper_spec, paper_proof):
+    # prove writes no other salt with a replay transcript, so verify takes none
+    proof = dataclasses.replace(paper_proof, salt=b"x")
+    report = verify(field, paper_spec, load_proof(dump_proof(proof)), paper_transcript())
+    assert (report.verdict, report.stage) == ("reject", "salt")
+    assert "b'x'" in report.detail and "b''" in report.detail
+
+
+def test_verify_holds_a_proof_to_its_own_transcripts_salt(field, paper_spec, paper_trace):
+    def transcript(salt):
+        return FiatShamirTranscript(ref.MODULUS, salt=salt)
+
+    proof = prove(field, paper_spec, paper_trace, transcript(b"s"), num_queries=2)
+    report = verify(field, paper_spec, proof, transcript(b"t"))
+    assert (report.verdict, report.stage) == ("reject", "salt")
+    assert "b's'" in report.detail and "b't'" in report.detail
+    assert verify(field, paper_spec, proof, transcript(b"s")).accepted
+    # the query count is checked first
+    assert verify(field, paper_spec, proof, transcript(b"t"), num_queries=3).stage == "queries"
+
+
 def test_verify_holds_a_proof_to_the_callers_query_count(field, paper_spec, paper_trace):
     # the prover picks how many queries it answers; the caller of verify sets
     # the least number it accepts, whatever the proof says
@@ -1124,14 +1145,21 @@ def test_mutated_integer_field_is_rejected_or_malformed(
                         paper_transcript() if replay else None)
     except ProofFormatError:
         return
-    if replay:
-        # absorbs are no-ops in replay mode, so neither the salt nor a declared
-        # bound with the same round count is bound: either verdict may follow
-        assert report.verdict in ("accept", "reject")
-    else:
-        # under Fiat-Shamir every integer is bound: hashed into a leaf or the
-        # transcript, or equal to a value the verifier derives itself
-        assert report.verdict == "reject" or node[key] == old, (parents, key, node[key])
+    # every integer is bound: hashed into a leaf or the transcript, or equal to
+    # a value the verifier derives itself. A replay transcript absorbs nothing,
+    # so a declared bound with the same round count is not (ROADMAP item 15)
+    unbound = replay and key == "degree_bound" and num_rounds(value) == num_rounds(old)
+    assert report.verdict == "reject" or node[key] == old or unbound, (parents, key, node[key])
+
+
+@settings(max_examples=50, deadline=None)
+@given(replay=st.booleans(), salt=st.binary(max_size=40))
+def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof, replay, salt):
+    # the verifier holds its own transcript, so its own salt: b"" for replay
+    proof = paper_proof if replay else paper_fs_proof
+    transcript = paper_transcript() if replay else FiatShamirTranscript(ref.MODULUS, salt=b"suite")
+    report = verify(field, paper_spec, dataclasses.replace(proof, salt=salt), transcript)
+    assert report.accepted if salt == proof.salt else report.stage == "salt"
 
 
 # --- byte identity ------------------------------------------------------------
