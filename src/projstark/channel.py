@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -21,8 +20,7 @@ CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
 
 class TranscriptError(RuntimeError):
-    """An injected value outside [1, q), refused with its list and index when
-    built, or outside the points it is drawn from; a replay list exhausted."""
+    """An injected value outside [1, q), refused when built; a replay list exhausted."""
 
 
 class ReplayTranscript:
@@ -48,16 +46,10 @@ class ReplayTranscript:
         pass  # replay challenges are fixed up front
 
     def draw(self, kind: str, points: Optional[Sequence[int]] = None) -> int:
-        """The next injected value of `kind`, one of the ascending `points` if given."""
-        queue = self._queues[kind]
-        if not queue:
+        """The next injected value of `kind`; whether it is in `points` is the caller's rule."""
+        if not self._queues[kind]:
             raise TranscriptError(f"replay transcript exhausted for kind {kind!r}")
-        value = queue.pop(0)
-        if points is not None:
-            i = bisect_left(points, value)
-            if i == len(points) or points[i] != value:
-                raise TranscriptError(f"injected {kind} value {value} is not a drawable point")
-        return value
+        return self._queues[kind].pop(0)
 
 
 class FiatShamirTranscript:

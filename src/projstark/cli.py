@@ -96,24 +96,27 @@ def load_config(path: str) -> RunConfig:
     modes = ReplayTranscript.mode, FiatShamirTranscript.mode
     if doc.mode not in modes:
         raise ConfigError(f"mode must be {' or '.join(modes)}, got {doc.mode!r}")
-    if doc.mode == ReplayTranscript.mode and doc.challenges is None:
+    if doc.mode != ReplayTranscript.mode:
+        if doc.challenges is not None:
+            raise ConfigError(f"challenges are for replay mode only, not {doc.mode}")
+        return RunConfig(domains.field, spec, doc.mode, doc.queries, None)
+    if doc.challenges is None:
         raise ConfigError("replay mode needs a challenges block")
-    challenges = doc.challenges and {k: list(v) for k, v in vars(doc.challenges).items()}
-    if doc.mode == ReplayTranscript.mode:  # not betas, whose count depends on the degree bound
-        for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
-            if len(challenges[name]) < needed:
-                raise ConfigError(f"replay needs at least {needed} challenges.{name}, "
-                                  f"got {len(challenges[name])}")
-    if challenges:  # each as a transcript can draw it: in [1, q), a sample point in D0
-        try:
-            ReplayTranscript(doc.q, **challenges)
-        except TranscriptError as exc:
-            raise ConfigError(f"challenges.{exc}") from exc
-        d0 = set(domains.layers[0])
+    challenges = {k: list(v) for k, v in vars(doc.challenges).items()}
+    # not betas, whose count depends on the degree bound
+    for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
+        if len(challenges[name]) < needed:
+            raise ConfigError(f"replay needs at least {needed} challenges.{name}, "
+                              f"got {len(challenges[name])}")
+    try:  # each as a transcript can draw it: in [1, q), a sample point in D0
+        ReplayTranscript(doc.q, **challenges)
         for i, v in enumerate(challenges["sample_points"]):
-            if v not in d0:
-                raise ConfigError(f"challenges.sample_points[{i}] = {v} "
-                                  "is not in the committed domain D0")
+            domains.index(0, v)
+    except TranscriptError as exc:
+        raise ConfigError(f"challenges.{exc}") from exc
+    except ValueError:
+        raise ConfigError(f"challenges.sample_points[{i}] = {v} "
+                          "is not in the committed domain D0") from None
     return RunConfig(domains.field, spec, doc.mode, doc.queries, challenges)
 
 

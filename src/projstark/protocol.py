@@ -47,7 +47,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 10
+PROOF_VERSION = 11
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -80,9 +80,8 @@ class Opening:
 @dataclass(frozen=True)
 class RowOpening:
     """The trace row at one point: the values of f_z, f_alpha_up, f_alpha_lo,
-    f_delta and the boundary quotients, in that order, n values each."""
+    f_delta and the boundary quotients in order, n each; the verifier finds its leaf."""
 
-    index: int
     values: Tuple[int, ...]
     path: bytes
 
@@ -92,8 +91,8 @@ class RowOpening:
 
 @dataclass(frozen=True)
 class ProofQuery:
-    """The openings at the query's sample point x, which the proof does not
-    carry (the verifier draws x), and each f_j(-y), which y's leaf holds too."""
+    """The openings at the sample point x, which the proof does not carry: the
+    verifier draws x and locates each leaf. Each f_j(-y) is in y's leaf too."""
 
     trace: Tuple[RowOpening, RowOpening]  # trace rows at x and at g*x
     fri: Tuple[Tuple[Opening, int], ...]  # per layer j: at y = x^(2^j), and f_j(-y)
@@ -115,7 +114,7 @@ class FriLayers:
 class Proof:
     """A proof; q, N and g are not in it: the verifier holds or derives them.
     Nor are the sample points: the verifier draws them from its own
-    transcript, and each opening's index must be its point's leaf.
+    transcript, so it computes each opening's leaf; an FRI index must equal it.
 
     Each tree's openings are made, and must be checked, in one order: query by
     query, the trace rows at x before g·x, then one opening per FRI layer, of
@@ -250,9 +249,13 @@ class _Domains:
                                          num_rounds(self.worst_bound))
 
     def index(self, layer: int, point: int) -> int:
-        """The position of `point` in FRI layer `layer`, by bisection as layers
-        are sorted: its leaf in the trace tree, for layer 0."""
-        return bisect_left(self.layers[layer], point)
+        """The position of `point` in sorted FRI layer `layer`, its trace tree leaf
+        for layer 0: the one rule for which points have a leaf, or ValueError."""
+        points = self.layers[layer]
+        i = bisect_left(points, point)
+        if i == len(points) or points[i] != point:
+            raise ValueError(f"point {point} is not in D{layer}, the domain of FRI layer {layer}")
+        return i
 
     def pair_leaf(self, layer: int, point: int) -> Tuple[int, int]:
         """The leaf of {point, -point} in the tree of FRI layer `layer`, and the
@@ -308,8 +311,7 @@ class _Committed:
 
     def open_row(self, point: int) -> RowOpening:
         i = self.domains.index(self.layer, point)
-        return RowOpening(index=i, values=tuple(t[i] for t in self.tables),
-                          path=self.tree.open(i, self.known))
+        return RowOpening(tuple(t[i] for t in self.tables), self.tree.open(i, self.known))
 
 
 class _CommittedPairs(_Committed):
@@ -528,17 +530,21 @@ def verify(
     challenges. The least number of queries it must answer is the caller's
     `num_queries` too, never the proof's.
 
-    A (q, N) that check_publics refuses, or a `num_queries` outside
-    [1, MAX_QUERIES], raises ValueError, as in `prove`. Every check below looks
-    at the sample points the transcript draws. Checks, in order, with the stage
-    a failure is reported at: at least `num_queries` queries answered (queries),
-    the proof's salt the transcript's, b"" for replay (salt), the declared
-    degree bound, at most 2N-2 and equal to it under Fiat-Shamir (fri_commit),
-    each commitment's leaf count and the openings at the leaves of the sample
-    points, each FRI pair's two values by one path (commitment), the
-    initialization quotient identity (boundary), the composition values
-    recomputed from the opened trace rows (consistency), and the folding chain
-    (fri_query). A reject that compares two values names both.
+    An error's type names the party at fault. The caller's, as in `prove`: a
+    ValueError for a (q, N) check_publics refuses, a `num_queries` outside
+    [1, MAX_QUERIES] or a replay sample point outside D0, a TranscriptError
+    for fewer replay gammas than the spec's 4n. The proof's: ProofFormatError,
+    also when its rounds or queries need more betas or sample points than the
+    replay lists hold. Every check looks at the sample points the transcript
+    draws. Checks, in order, with the stage a failure is reported at: at least
+    `num_queries` queries answered (queries), the proof's salt the
+    transcript's, b"" for replay (salt), the declared degree bound, at most
+    2N-2 and equal to it under Fiat-Shamir (fri_commit), each commitment's
+    leaf count and the openings at the leaves of the sample points, each FRI
+    pair's two values by one path (commitment), the initialization quotient
+    identity (boundary), the composition values recomputed from the opened
+    trace rows (consistency), and the folding chain (fri_query). A reject that
+    compares two values names both.
     """
     q = field.modulus
     N = spec.num_steps
@@ -564,9 +570,9 @@ def verify(
     transcript.absorb("spec", hash_spec(field, spec))
     comms, fri = proof.commitments, proof.fri_layers
     transcript.absorb("trace", comms.trace.root)
+    gammas = [transcript.draw("gamma") for _ in range(4 * n)]  # as many as the spec fixes
 
-    try:
-        gammas = [transcript.draw("gamma") for _ in range(4 * n)]
+    try:  # as many as the proof's rounds and queries need
         transcript.absorb("composition", comms.composition.root)
         transcript.absorb("degree_bound", proof.degree_bound.to_bytes(8, "little"))
         betas = []
@@ -579,6 +585,7 @@ def verify(
         xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
+    leaves = [(domains.index(0, x), domains.index(0, g * x % q)) for x in xs]  # rows at x, g·x
 
     # --- stage: commitment ---------------------------------------------------
     layer_comms = (comms.composition, *fri.roots)
@@ -594,12 +601,10 @@ def verify(
     layer_known: List[dict] = [{} for _ in range(rounds)]
 
     chains = [domains.chain(x, rounds) for x in xs]
-    for k, (query, x) in enumerate(zip(proof.queries, xs)):
+    for k, query in enumerate(proof.queries):
         # each leaf asked about is that of a point in its layer, so below the leaf count
-        for row, point, where in zip(query.trace, (x, g * x % q), ("x", "g*x")):
-            i = domains.index(0, point)
-            if row.index != i or not verify_opening(comms.trace, i, row.values, row.path,
-                                                    trace_known):
+        for row, i, where in zip(query.trace, leaves[k], ("x", "g*x")):
+            if not verify_opening(comms.trace, i, row.values, row.path, trace_known):
                 return VerificationReport("commitment",
                                           f"query {k}: bad trace row opening at {where}")
         for j, y in enumerate(chains[k]):

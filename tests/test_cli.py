@@ -184,10 +184,28 @@ def test_a_config_without_a_key_no_config_can_leave_out_is_refused_by_name(tmp_p
 
 
 def test_a_config_names_its_transcript_by_the_transcripts_mode(tmp_path):
-    for transcript in (ReplayTranscript, FiatShamirTranscript):
-        doc = {**ref.replay_config(), "mode": transcript.mode}
+    for transcript, doc in ((ReplayTranscript, ref.replay_config()),
+                            (FiatShamirTranscript, _fs_doc())):
+        assert doc["mode"] == transcript.mode
         config = load_config(_write_config(tmp_path, doc))
         assert type(_make_transcript(config, b"")) is transcript
+
+
+@pytest.mark.parametrize("challenges", [ref.replay_config()["challenges"], {}],
+                         ids=["paper", "empty"])
+def test_a_fiat_shamir_config_with_challenges_is_refused(tmp_path, trace_path, capsys,
+                                                         challenges):
+    # a Fiat-Shamir transcript draws its own challenges, so a challenges block
+    # would be checked and then never read: it is present exactly in replay mode
+    path = _write_config(tmp_path, _fs_doc(challenges=challenges))
+    message = "challenges are for replay mode only, not fiat-shamir"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(path)
+    assert main(["simulate", "--config", path]) == EXIT_CONFIG
+    proof = str(tmp_path / "proof.json")
+    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count(message) == 2
+    assert load_config(_write_config(tmp_path, _fs_doc(challenges=None))).challenges is None
 
 
 def test_config_negative_queries_is_a_config_error(tmp_path, trace_path):
@@ -301,9 +319,12 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     doc = json.loads(Path(proof).read_text())
     assert doc["degree_bound"] == ref.COMBINED_DEGREE_BOUND
     assert doc["fri_layers"]["final"] == ref.FINAL_CONSTANT
-    # a proof carries no sample point: each query's trace row at x sits at x's leaf
-    layer0 = _domains(ref.MODULUS, ref.SYSTEM.num_steps).layers[0]
-    assert [layer0[q["trace"][0]["index"]] for q in doc["queries"]] == list(ref.SAMPLE_POINTS)
+    # a proof carries no sample point, nor a trace row's leaf: each query's
+    # layer-0 FRI opening sits at the leaf of x's pair {x, -x}
+    domains = _domains(ref.MODULUS, ref.SYSTEM.num_steps)
+    assert ([q["fri"][0][0]["index"] for q in doc["queries"]]
+            == [domains.pair_leaf(0, x)[0] for x in ref.SAMPLE_POINTS])
+    assert all(set(row) == {"values", "path"} for q in doc["queries"] for row in q["trace"])
     assert "challenges" not in doc
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_OK
 
@@ -364,8 +385,8 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, config_path, tr
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", b]) == EXIT_OK
     doc_a, doc_b = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
     assert doc_a["salt"] != doc_b["salt"]
-    assert ([q["trace"][0]["index"] for q in doc_a["queries"]]
-            != [q["trace"][0]["index"] for q in doc_b["queries"]])
+    assert ([q["fri"][0][0]["index"] for q in doc_a["queries"]]
+            != [q["fri"][0][0]["index"] for q in doc_b["queries"]])
     assert main(["verify", "--config", fs_config_path, "--proof", a]) == EXIT_OK
     assert main(["verify", "--config", fs_config_path, "--proof", b]) == EXIT_OK
     # a replay transcript absorbs nothing, so the seed salts no replay proof

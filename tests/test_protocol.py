@@ -59,6 +59,24 @@ def paper_proof(field, paper_spec, paper_trace):
     return prove(field, paper_spec, paper_trace, paper_transcript(), num_queries=2)
 
 
+def _drawn_points(field, spec, proof, transcript=None):
+    """The sample points verify draws for the proof, from the transcript or,
+    if None, a Fiat-Shamir one salted with the proof's salt."""
+    if transcript is None:
+        transcript = FiatShamirTranscript(field.modulus, salt=proof.salt)
+    drawn, draw = [], transcript.draw
+
+    def recording(kind, points=None):
+        value = draw(kind, points)
+        if kind == "sample_point":
+            drawn.append(value)
+        return value
+
+    transcript.draw = recording
+    verify(field, spec, proof, transcript)
+    return drawn
+
+
 @pytest.fixture(scope="module")
 def paper_fs_proof(field, paper_spec, paper_trace):
     transcript = FiatShamirTranscript(ref.MODULUS, salt=b"suite")
@@ -123,8 +141,11 @@ def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
     assert report.verdict == "accept"
     assert paper_proof.degree_bound == ref.COMBINED_DEGREE_BOUND
     assert paper_proof.fri_layers.final == ref.FINAL_CONSTANT
-    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
-    assert [layer0[q.trace[0].index] for q in paper_proof.queries] == list(ref.SAMPLE_POINTS)
+    # a proof carries no sample point: each query's layer-0 FRI opening sits
+    # at the leaf of the pair {x, -x} of its replayed x
+    domains = protocol._domains(ref.MODULUS, paper_spec.num_steps)
+    assert ([q.fri[0][0].index for q in paper_proof.queries]
+            == [domains.pair_leaf(0, x)[0] for x in ref.SAMPLE_POINTS])
 
 
 def test_paper_fiat_shamir_proof_accepts(field, paper_spec, paper_fs_proof):
@@ -378,7 +399,6 @@ def test_verify_rejects_tampered_final(field, paper_spec, paper_proof):
 
 
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
-    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
     q, n = ref.MODULUS, paper_spec.n
     for row, stage in ((0, "boundary"), (9, "consistency")):
         forged = paper_trace.with_cell("z", row, 1, 55)
@@ -387,7 +407,7 @@ def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, pa
         assert (report.verdict, report.stage) == ("reject", stage)
         k = int(report.detail.split(":")[0].removeprefix("query "))
         query = proof.queries[k]
-        x = layer0[query.trace[0].index]
+        x = _drawn_points(field, paper_spec, proof)[k]
         if stage == "boundary":
             i = int(report.detail.split(":")[1].split()[-1])
             values = query.trace[0].values
@@ -494,7 +514,7 @@ def test_load_proof_rejects_wrong_types(paper_proof):
     ("version",),
     ("commitments", "trace", "leaf_count"),
     ("fri_layers", "roots", 0, "leaf_count"),
-    ("queries", 0, "trace", 0, "index"),
+    ("queries", 0, "fri", 0, 0, "index"),
     ("queries", 1, "fri", 0, 1),
 ])
 @pytest.mark.parametrize("flag", [True, False])
@@ -702,7 +722,7 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
 
 
 @pytest.mark.parametrize("replay", [True, False])
-def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, replay):
+def test_each_fri_pair_is_one_leaf(field, paper_spec, paper_proof, paper_fs_proof, replay):
     # the composition and FRI trees hold one leaf per pair {y, -y}, at the
     # position of the smaller point; it is opened once, at y, and f(-y), its
     # other value, is sent as a plain integer. The trace tree keeps one leaf
@@ -713,8 +733,8 @@ def test_each_fri_pair_is_one_leaf(paper_spec, paper_proof, paper_fs_proof, repl
     assert proof.commitments.trace.leaf_count == len(layers[0])
     for j, cm in enumerate((proof.commitments.composition, *proof.fri_layers.roots)):
         assert cm.leaf_count == len(layers[j]) // 2
-    for query in proof.queries:
-        x = layers[0][query.trace[0].index]
+    xs = _drawn_points(field, paper_spec, proof, paper_transcript() if replay else None)
+    for query, x in zip(proof.queries, xs):
         for j, ((pos, neg), y) in enumerate(zip(query.fri, domains.chain(x, len(query.fri)))):
             assert type(pos) is protocol.Opening and type(neg) is int
             assert pos.index == min(layers[j].index(y), layers[j].index(q - y))
@@ -915,11 +935,12 @@ def test_load_proof_reads_the_version_first(paper_proof):
     doc = proof_to_json(paper_proof)
     for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
         for edited in ({**doc, "version": version}, {"version": version},
-                       {"version": version, "x": 0}, _as_version_9(doc), _as_version_8(doc)):
+                       {"version": version, "x": 0}, _as_version_10(doc),
+                       _as_version_9(_as_version_10(doc)), _as_version_8(_as_version_10(doc))):
             edited["version"] = version
             with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
                 proof_from_json(edited)
-    text = json.dumps(_as_version_8(doc), separators=(",", ":"))
+    text = json.dumps(_as_version_8(_as_version_10(doc)), separators=(",", ":"))
     with pytest.raises(ProofFormatError, match="unsupported proof version 8"):
         load_proof(text)
 
@@ -991,12 +1012,11 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
     config = {**ref.replay_config(), "mode": "fiat-shamir"}
     del config["challenges"]
     (tmp_path / "config.json").write_text(json.dumps(config))
-    layer0 = protocol._domains(ref.MODULUS, paper_spec.num_steps).layers[0]
     for version, made in ((4, proof), (5, prove_v6())):
         doc = proof_to_json(made)
         doc["version"] = version
-        doc["queries"] = [{"x": str(layer0[qd["trace"][0]["index"]]), **qd}
-                          for qd in doc["queries"]]
+        doc["queries"] = [{"x": str(x), **qd}
+                          for qd, x in zip(doc["queries"], _drawn_points(field, paper_spec, made))]
         with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
             verify(field, paper_spec, proof_from_json(doc))
         (tmp_path / "proof.json").write_text(json.dumps(doc, indent=2))
@@ -1004,9 +1024,23 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
                      "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
+def _as_version_10(doc: dict, xs=ref.SAMPLE_POINTS, q=ref.MODULUS,
+                   num_steps=ref.SYSTEM.num_steps) -> dict:
+    """The version-10 document of a proof over (q, N) whose verifier draws the
+    sample points xs (by default the paper replay proof's): each trace row
+    with its index, the leaf verify computes for x or g·x, put back as its
+    first key."""
+    domains = protocol._domains(q, num_steps)
+    doc = json.loads(json.dumps(doc))
+    for qd, x in zip(doc["queries"], xs):
+        points = x, x * domains.g % q
+        qd["trace"] = [{"index": domains.index(0, p), **row} for row, p in zip(qd["trace"], points)]
+    return {**doc, "version": 10}
+
+
 def _as_version_9(doc: dict) -> dict:
-    """The version-9 document of a proof: every byte string in lower-case
-    hex, and each path a list of its 32-byte digests."""
+    """The version-9 document of a version-10 proof document: every byte
+    string in lower-case hex, and each path a list of its 32-byte digests."""
     def hexed(node, key=None):
         if isinstance(node, dict):
             return {k: hexed(v, k) for k, v in node.items()}
@@ -1023,7 +1057,7 @@ def _as_version_9(doc: dict) -> dict:
 
 
 def _as_version_8(doc: dict) -> dict:
-    """The version-8 document of a proof: version 9's, with its fields grouped
+    """The version-8 document of a version-10 proof document: version 9's, with its fields grouped
     under "publics", "at_x" and "at_gx", "pos" and "neg", leaf counts as
     "leaves", and every number but an index or a leaf count as a base-10
     string."""
@@ -1066,7 +1100,8 @@ def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_proof, tmp_path):
     # the paper replay proof written as version 8 wrote it: its digest is the
     # one version 8 pinned
     pinned = "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e"
-    _assert_earlier_version_refused(_as_version_8(proof_to_json(paper_proof)), pinned, tmp_path)
+    _assert_earlier_version_refused(_as_version_8(_as_version_10(proof_to_json(paper_proof))),
+                                    pinned, tmp_path)
 
 
 def test_load_proof_and_the_cli_refuse_a_version_9_proof(paper_proof, tmp_path):
@@ -1074,7 +1109,8 @@ def test_load_proof_and_the_cli_refuse_a_version_9_proof(paper_proof, tmp_path):
     # path a list of digests: its digest is the one version 9 pinned, so
     # version 10 changed how byte strings are spelled, not a value
     pinned = "a5d6f207656dba543edd15653d94d72649c85d1a7dc384b7117c47b631f7783e"
-    _assert_earlier_version_refused(_as_version_9(proof_to_json(paper_proof)), pinned, tmp_path)
+    _assert_earlier_version_refused(_as_version_9(_as_version_10(proof_to_json(paper_proof))),
+                                    pinned, tmp_path)
 
 
 def test_verify_caps_replay_degree_bound(field, paper_spec, paper_proof):
@@ -1166,22 +1202,22 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
-# padded standard base64, a path its digests joined; proof version 10:
+# padded standard base64, a path its digests joined; proof version 11:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, at most
 # BLOWUP cosets of H committed, sample points drawn as
-# indices into them, no q, N or g and no sample point, which the verifier
-# holds or derives, and each path cut where it meets a node an earlier
-# opening of its tree sent) for fixed inputs; any change to the
-# committed values, their order, the tree hashing, the paths sent or the
-# transcript changes a digest.
+# indices into them, no q, N or g, no sample point and no trace row index,
+# which the verifier holds or derives, and each path cut where it meets a
+# node an earlier opening of its tree sent) for fixed inputs; any change to
+# the committed values, their order, the tree hashing, the paths sent or
+# the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914",
-    "paper-fiat-shamir": "f049ef7bd7479513ff5100b9b5f879fc2d66463151a8f7c255619aec8f004ef2",
+    "paper-replay": "11a7450ce410c41ea7e6d7648f2c0067fe0fbc45b932457bd00ff8a427dcb0ff",
+    "paper-fiat-shamir": "c1983edca9e759328a45b45c288cff60bac5476aa834ff8b63a35d5c420065eb",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed; FRI layers 1-6 are unions of cosets of subgroups of
     # order 20, 10 and 5
-    "q3001-fiat-shamir": "bbf9aa67fc291ebe765a46dc86d94d937f59767d4cc1362c7d269d0ee331804c",
+    "q3001-fiat-shamir": "d7fd6d61f6966bcf5711d9588bbf9a0e4b9a426f11b6bfe8bee6558a4c090878",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1199,7 +1235,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 10
+    assert paper_proof.version == PROOF_VERSION == 11
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1216,6 +1252,39 @@ def test_mixed_radix_proof_is_byte_identical():
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
     assert len(proof.fri_layers.roots) == 6
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
+
+
+# what PINNED_PROOF_DIGESTS held for proof version 10, whose trace rows
+# carried the index of their leaf
+VERSION_10_DIGESTS = {
+    "paper-replay": "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914",
+    "paper-fiat-shamir": "f049ef7bd7479513ff5100b9b5f879fc2d66463151a8f7c255619aec8f004ef2",
+    "q3001-fiat-shamir": "bbf9aa67fc291ebe765a46dc86d94d937f59767d4cc1362c7d269d0ee331804c",
+}
+
+
+def test_version_11_drops_only_the_trace_rows_index(field, paper_spec, paper_trace, paper_proof):
+    # each pinned proof with every trace row's index put back, from the leaves
+    # verify computes for x and g·x, and its version set to 10 is the
+    # version-10 proof byte for byte: every root, value, path, FRI index,
+    # degree bound and final value is as it was
+    assert [f.name for f in dataclasses.fields(protocol.RowOpening)] == ["values", "path"]
+    f3001 = PrimeField(3001)
+    made = {
+        "paper-replay": (field, paper_spec, paper_proof, paper_transcript()),
+        "paper-fiat-shamir": (field, paper_spec, prove(
+            field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"pin-paper"),
+            num_queries=8), None),
+        "q3001-fiat-shamir": (f3001, MIXED_RADIX_SPEC, prove(
+            f3001, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
+            FiatShamirTranscript(3001, salt=b"pin-mixed"), num_queries=8), None),
+    }
+    for name, (f, spec, proof, transcript) in made.items():
+        assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
+        xs = _drawn_points(f, spec, proof, transcript)
+        doc = _as_version_10(proof_to_json(proof), xs, f.modulus, spec.num_steps)
+        text = json.dumps(doc, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == VERSION_10_DIGESTS[name]
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
@@ -1456,14 +1525,12 @@ def _other_pair(doc, layer, opening):
 
 
 def _index_cases(doc):
-    """(opening, an opening of another point, commitment) for a trace row, a
-    layer-0 FRI opening and an opening in the last committed FRI layer, from
-    every query of a proof document: the trace row at g·x, and the opening of
-    another pair of the FRI layer."""
+    """(opening, an opening of another pair, commitment) for a layer-0 FRI
+    opening and an opening in the last committed FRI layer, from every query
+    of a proof document. Trace rows carry no index to edit."""
     assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
     for qd in doc["queries"]:
-        rows, first, last = qd["trace"], qd["fri"][0], qd["fri"][-1]
-        yield rows[0], rows[1], doc["commitments"]["trace"]
+        first, last = qd["fri"][0], qd["fri"][-1]
         yield first[0], _other_pair(doc, 0, first[0]), doc["commitments"]["composition"]
         yield last[0], _other_pair(doc, -1, last[0]), doc["fri_layers"]["roots"][-1]
 
@@ -1497,12 +1564,21 @@ def test_verify_rejects_a_shifted_leaf_index(field, paper_spec, paper_proof, pap
 def test_verify_rejects_a_valid_opening_of_another_point(field, paper_spec, paper_proof,
                                                          paper_fs_proof, replay):
     # index, value and path authenticate against the root, but at the leaf
-    # of another point
+    # of another point; for the trace row at x, the values and path of the
+    # row at g·x
     def edit(opening, other, comm):
         opening.update(other)
 
-    for report in _verify_each_index_case(
-            field, paper_spec, paper_proof if replay else paper_fs_proof, replay, edit):
+    proof = paper_proof if replay else paper_fs_proof
+    reports = _verify_each_index_case(field, paper_spec, proof, replay, edit)
+    for k in range(len(proof.queries)):
+        doc = proof_to_json(proof)
+        rows = doc["queries"][k]["trace"]
+        rows[0] = dict(rows[1])
+        reports.append(verify(field, paper_spec, proof_from_json(doc),
+                              paper_transcript() if replay else None))
+    assert len(reports) == 3 * len(proof.queries)
+    for report in reports:
         assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
@@ -1623,24 +1699,81 @@ def test_sample_points_are_drawn_from_the_committed_domain():
     layer0 = set(domains.layers[0])
     proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"draws"),
                   num_queries=128, salt=b"draws")
-    # the row at x opens x's leaf in the committed domain, the row at g·x that of g·x
-    for query in proof.queries:
-        x = domains.layers[0][query.trace[0].index]
-        assert query.trace[1].index == domains.index(0, x * domains.g % q)
+    xs = _drawn_points(field, spec, proof)
+    assert len(xs) == 128 and set(xs) <= layer0
     assert verify(field, spec, proof).accepted
 
-    # a replay point in F_q* \ H but in none of the committed cosets
+    # a replay point in F_q* \ H but in none of the committed cosets has no
+    # leaf: a fault of the caller's list, for prove and verify alike, never
+    # blamed on the proof
     subgroup = set(domains.subgroup.elements)
     outside = next(x for x in range(2, q) if x not in subgroup and x not in layer0)
+    message = f"^point {outside} is not in D0, the domain of FRI layer 0$"
     ch = random_challenges(random.Random(8), q, spec, num_queries=2)
-    with pytest.raises(TranscriptError):
+    with pytest.raises(ValueError, match=message) as exc:
         prove(field, spec, trace, ReplayTranscript(q, **{**ch, "sample_points": [outside] * 2}),
               num_queries=2)
+    assert type(exc.value) is ValueError
     proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=2)
     assert verify(field, spec, proof, ReplayTranscript(q, **ch)).accepted
     moved = {**ch, "sample_points": [ch["sample_points"][0], outside]}
-    with pytest.raises(ProofFormatError):
+    with pytest.raises(ValueError, match=message) as exc:
         verify(field, spec, proof, ReplayTranscript(q, **moved))
+    assert type(exc.value) is ValueError
+    # how many betas and sample points verify draws, the proof decides
+    rounds = len(proof.fri_layers.roots) + 1
+    for short in ({**ch, "betas": ch["betas"][:rounds - 1]},
+                  {**ch, "sample_points": ch["sample_points"][:1]}):
+        with pytest.raises(ProofFormatError, match="transcript cannot supply the challenges"):
+            verify(field, spec, proof, ReplayTranscript(q, **short))
+    exact = {**ch, "betas": ch["betas"][:rounds]}
+    assert verify(field, spec, proof, ReplayTranscript(q, **exact)).accepted
+
+
+@pytest.mark.parametrize("q, num_steps", [(ref.MODULUS, ref.SYSTEM.num_steps),
+                                          (3001, MIXED_RADIX_SPEC.num_steps)],
+                         ids=["paper", "q3001"])
+def test_domains_index_is_the_one_rule_for_which_points_have_a_leaf(q, num_steps):
+    # every value from 0 to q in every FRI layer: a point of the layer is at
+    # its position, and any other value (below, between or above the points)
+    # is a ValueError naming it and the layer
+    domains = protocol._domains(q, num_steps)
+    assert len(domains.layers) > 1
+    for j, points in enumerate(domains.layers):
+        position = {p: i for i, p in enumerate(points)}
+        assert min(points) > 0
+        for value in range(q + 1):
+            if value in position:
+                assert domains.index(j, value) == position[value]
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"^point {value} is not in D{j}, the domain of FRI "
+                                   f"layer {j}$"):
+                    domains.index(j, value)
+
+
+def test_too_few_gammas_is_the_callers_fault(field, paper_spec, paper_proof):
+    # the spec fixes 4n gammas, whatever the proof holds: a replay list one
+    # short is the caller's, a TranscriptError, not a malformed proof
+    short = ReplayTranscript(ref.MODULUS, gammas=ref.GAMMAS[:4 * paper_spec.n - 1],
+                             betas=ref.BETAS, sample_points=ref.SAMPLE_POINTS)
+    with pytest.raises(TranscriptError, match="exhausted for kind 'gamma'"):
+        verify(field, paper_spec, paper_proof, short)
+    assert verify(field, paper_spec, paper_proof, paper_transcript()).accepted
+
+
+def test_a_trace_row_with_an_index_is_refused(paper_proof):
+    # a trace row is its values and path: version 10's index is a key no
+    # field declares, even with the leaf verify computes for the row
+    doc = proof_to_json(paper_proof)
+    for k, qd in enumerate(_as_version_10(doc)["queries"]):
+        for r, row in enumerate(qd["trace"]):
+            edited = json.loads(json.dumps(doc))
+            edited["queries"][k]["trace"][r] = row
+            with pytest.raises(ProofFormatError, match="^unknown key 'index'$"):
+                proof_from_json(edited)
+            with pytest.raises(ProofFormatError, match="^unknown key 'index'$"):
+                load_proof(json.dumps(edited, separators=(",", ":")))
 
 
 # --- randomized end-to-end trials -------------------------------------------
