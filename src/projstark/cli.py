@@ -39,9 +39,8 @@ class ConfigError(ValueError):
 class RunConfig:
     field: PrimeField
     spec: SystemSpec
-    mode: str
     queries: int
-    challenges: Optional[dict]
+    challenges: Optional[dict]  # replayed as given; None for a Fiat–Shamir run
 
 
 # The files the CLI reads, declared as the proof is; only a key with a default may be left out
@@ -61,8 +60,7 @@ class ConfigDocument:
     z_upper: Tuple[Base10, ...]
     z_lower: Tuple[Base10, ...]
     z_init: Tuple[Base10, ...]
-    q: Base10 = 331
-    mode: str = FiatShamirTranscript.mode
+    q: Base10
     queries: Base10 = 8
     challenges: Optional[Challenges] = None
 
@@ -87,21 +85,15 @@ def _read_json(path: str, what: str):
 
 
 def load_config(path: str) -> RunConfig:
+    """A replay run when the config has a challenges block, else a Fiat–Shamir run."""
     with reading(ConfigError):
         doc = reader(ConfigDocument)(_read_json(path, "config"))
         spec = SystemSpec(doc.A_hat, doc.z_upper, doc.z_lower, doc.z_init, doc.N)
         domains = _domains(doc.q, spec.num_steps)
         _check_num_queries(doc.queries)
 
-    modes = ReplayTranscript.mode, FiatShamirTranscript.mode
-    if doc.mode not in modes:
-        raise ConfigError(f"mode must be {' or '.join(modes)}, got {doc.mode!r}")
-    if doc.mode != ReplayTranscript.mode:
-        if doc.challenges is not None:
-            raise ConfigError(f"challenges are for replay mode only, not {doc.mode}")
-        return RunConfig(domains.field, spec, doc.mode, doc.queries, None)
     if doc.challenges is None:
-        raise ConfigError("replay mode needs a challenges block")
+        return RunConfig(domains.field, spec, doc.queries, None)
     challenges = {k: list(v) for k, v in vars(doc.challenges).items()}
     # not betas, whose count depends on the degree bound
     for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
@@ -117,13 +109,13 @@ def load_config(path: str) -> RunConfig:
     except ValueError:
         raise ConfigError(f"challenges.sample_points[{i}] = {v} "
                           "is not in the committed domain D0") from None
-    return RunConfig(domains.field, spec, doc.mode, doc.queries, challenges)
+    return RunConfig(domains.field, spec, doc.queries, challenges)
 
 
 def _make_transcript(config: RunConfig, salt: bytes):
-    if config.mode == ReplayTranscript.mode:
-        return ReplayTranscript(config.field.modulus, **config.challenges)
-    return FiatShamirTranscript(config.field.modulus, salt=salt)
+    if config.challenges is None:
+        return FiatShamirTranscript(config.field.modulus, salt=salt)
+    return ReplayTranscript(config.field.modulus, **config.challenges)
 
 
 def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:

@@ -664,9 +664,9 @@ def verify(
 # other key; a field with a default may be left out. Tuple[X, ...] is a list, a
 # fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes the
 # one padded standard base64 string b2a_base64 writes for them (a Merkle path
-# is one such string: its digests joined), str a string, int a JSON integer
-# and Base10 an integer or the one base-10 string str() writes for it. Counts
-# and ranges are the caller's.
+# is one such string: its digests joined), int a JSON integer and Base10 an
+# integer or the one base-10 string str() writes for it. Counts and ranges are
+# the caller's.
 
 Base10 = NewType("Base10", int)  # hand-written files may spell an integer as a string
 
@@ -682,12 +682,6 @@ def _int(v) -> int:
     # JSON true and false load as bool, a subclass of int, but are no integer
     if type(v) is not int:
         raise TypeError(f"expected an integer, got {type(v).__name__}")
-    return v
-
-
-def _str(v) -> str:
-    if type(v) is not str:
-        raise TypeError(f"expected a string, got {type(v).__name__}")
     return v
 
 
@@ -711,7 +705,7 @@ def _base10(v) -> int:
     return value
 
 
-_LEAVES = {int: _int, str: _str, bytes: _base64, Base10: _base10}
+_LEAVES = {int: _int, bytes: _base64, Base10: _base10}
 
 
 def _object_reader(cls) -> Callable:

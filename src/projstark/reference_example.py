@@ -156,7 +156,6 @@ def replay_config() -> dict:
         "z_lower": [str(v) for v in SYSTEM.z_lower],
         "z_init": [str(v) for v in SYSTEM.z_init],
         "N": str(SYSTEM.num_steps),
-        "mode": "replay",
         "queries": len(SAMPLE_POINTS),
         "challenges": {
             "gammas": [str(v) for v in GAMMAS],

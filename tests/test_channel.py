@@ -68,7 +68,9 @@ def test_replay_absorb_is_inert():
 # --- fiat-shamir transcripts ------------------------------------------------
 
 
-def test_each_mode_is_spelled_as_a_config_spells_it():
+def test_each_mode_is_spelled_as_protocol_reads_it():
+    # protocol's degree-bound branch: a replay proof declares its quotient's
+    # own bound, a proof of any other transcript the worst case
     assert (ReplayTranscript.mode, FiatShamirTranscript.mode) == ("replay", "fiat-shamir")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import typing
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import WRAPPING_SYSTEM, wrapping_trace
+from test_protocol import PINNED_PROOF_DIGESTS
 from projstark import field as field_module
 from projstark import reference_example as ref
 from projstark.channel import FiatShamirTranscript, ReplayTranscript
@@ -43,7 +45,6 @@ def config_path(tmp_path):
 @pytest.fixture()
 def fs_config_path(tmp_path):
     doc = ref.replay_config()
-    doc["mode"] = "fiat-shamir"
     del doc["challenges"]
     path = tmp_path / "fs-config.json"
     path.write_text(json.dumps(doc))
@@ -61,7 +62,6 @@ def test_load_config_parses_replay_example(config_path):
     config = load_config(config_path)
     assert config.field.modulus == 331
     assert config.spec.num_steps == 29
-    assert config.mode == "replay"
     assert config.challenges["gammas"] == list(ref.GAMMAS)
 
 
@@ -140,14 +140,6 @@ def test_config_rejects_non_utf8_file(tmp_path):
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
 
 
-def test_replay_mode_requires_challenges(tmp_path):
-    doc = ref.replay_config()
-    del doc["challenges"]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
-
-
 def _write_config(tmp_path, doc, name="edited.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -171,7 +163,7 @@ def test_a_config_query_count_is_refused_as_prove_and_verify_refuse_it(tmp_path,
         load_config(path)
 
 
-@pytest.mark.parametrize("key", ["N", "z_upper", "z_lower", "z_init"])
+@pytest.mark.parametrize("key", ["N", "z_upper", "z_lower", "z_init", "q"])
 def test_a_config_without_a_key_no_config_can_leave_out_is_refused_by_name(tmp_path, key,
                                                                            capsys):
     doc = _fs_doc()
@@ -183,29 +175,39 @@ def test_a_config_without_a_key_no_config_can_leave_out_is_refused_by_name(tmp_p
         load_config(path)
 
 
-def test_a_config_names_its_transcript_by_the_transcripts_mode(tmp_path):
+def test_a_config_replays_exactly_when_it_has_a_challenges_block(tmp_path):
+    # null stands for a left-out block, as for any Optional field
     for transcript, doc in ((ReplayTranscript, ref.replay_config()),
-                            (FiatShamirTranscript, _fs_doc())):
-        assert doc["mode"] == transcript.mode
+                            (FiatShamirTranscript, _fs_doc()),
+                            (FiatShamirTranscript, _fs_doc(challenges=None))):
         config = load_config(_write_config(tmp_path, doc))
         assert type(_make_transcript(config, b"")) is transcript
 
 
-@pytest.mark.parametrize("challenges", [ref.replay_config()["challenges"], {}],
-                         ids=["paper", "empty"])
-def test_a_fiat_shamir_config_with_challenges_is_refused(tmp_path, trace_path, capsys,
-                                                         challenges):
-    # a Fiat-Shamir transcript draws its own challenges, so a challenges block
-    # would be checked and then never read: it is present exactly in replay mode
-    path = _write_config(tmp_path, _fs_doc(challenges=challenges))
-    message = "challenges are for replay mode only, not fiat-shamir"
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        load_config(path)
-    assert main(["simulate", "--config", path]) == EXIT_CONFIG
-    proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
-    assert capsys.readouterr().err.count(message) == 2
-    assert load_config(_write_config(tmp_path, _fs_doc(challenges=None))).challenges is None
+@pytest.mark.parametrize("mode", ["replay", "fiat-shamir"])
+def test_a_config_that_names_a_mode_is_refused(tmp_path, capsys, mode):
+    # the challenges block alone picks the transcript, so no key says it again
+    for doc in (ref.replay_config(), _fs_doc()):
+        path = _write_config(tmp_path, {**doc, "mode": mode})
+        assert main(["simulate", "--config", path]) == EXIT_CONFIG
+        assert "unknown key 'mode'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="^unknown key 'mode'$"):
+            load_config(path)
+
+
+def test_the_paper_replay_config_runs_from_the_cli_to_the_pinned_proof(tmp_path):
+    # a replay config spells out every key a config has
+    keys = {"A_hat", "N", "z_upper", "z_lower", "z_init", "q", "queries", "challenges"}
+    assert {f.name for f in dataclasses.fields(ConfigDocument)} == keys
+    doc = ref.replay_config()
+    assert set(doc) == keys
+    config = _write_config(tmp_path, doc)
+    trace, proof = str(tmp_path / "trace.json"), tmp_path / "proof.json"
+    assert main(["simulate", "--config", config, "--out", trace]) == EXIT_OK
+    assert main(["prove", "--config", config, "--trace", trace, "--out", str(proof)]) == EXIT_OK
+    assert main(["verify", "--config", config, "--proof", str(proof)]) == EXIT_OK
+    digest = hashlib.sha256(proof.read_bytes()).hexdigest()
+    assert digest == PINNED_PROOF_DIGESTS["paper-replay"]
 
 
 def test_config_negative_queries_is_a_config_error(tmp_path, trace_path):
@@ -238,7 +240,6 @@ def test_prove_takes_mode_and_queries_from_the_config_only(tmp_path, config_path
 
 def _fs_doc(**fields):
     doc = ref.replay_config()
-    doc["mode"] = "fiat-shamir"
     del doc["challenges"]
     doc.update(fields)
     return doc
@@ -492,13 +493,6 @@ def test_trace_file_must_match_spec(tmp_path, config_path, trace_path):
                      "--out", proof]) == EXIT_CONFIG, (key, doc[key])
 
 
-def test_config_mode_must_be_a_string(tmp_path):
-    path = _write_config(tmp_path, _fs_doc(mode=5))
-    assert main(["simulate", "--config", path]) == EXIT_CONFIG
-    with pytest.raises(ConfigError):
-        load_config(path)
-
-
 def test_unwritable_output_is_a_config_error(tmp_path, config_path, trace_path, capsys):
     missing = tmp_path / "no-such-dir"
     assert main(["simulate", "--config", config_path,
@@ -549,7 +543,7 @@ def _json_types(tp) -> tuple:
         return (dict,)
     if typing.get_origin(tp) is tuple:
         return (list,)
-    return {int: (int,), Base10: (int, str), str: (str,)}[tp]
+    return {int: (int,), Base10: (int, str)}[tp]
 
 
 def _at(doc, where):
@@ -625,17 +619,18 @@ def test_load_trace_refuses_every_wrong_type(tmp_path, capsys):
 
 
 def test_a_misspelled_config_key_is_refused_by_name(tmp_path, capsys):
-    # read with the defaults for "queries" and "mode", this config would prove
-    # and verify 8 queries in fiat-shamir mode
+    # read with the defaults for "queries" and "challenges", this config would
+    # prove and verify 8 queries in fiat-shamir mode
     doc = json.loads((CONFIGS / "babybear.json").read_text())
     doc["querys"] = doc.pop("queries") * 8
     path = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
     assert "unknown key 'querys'" in capsys.readouterr().err
-    doc["mdoe"] = doc.pop("mode")
+    doc["queries"] = doc.pop("querys")
+    doc["challenge"] = ref.replay_config()["challenges"]
     path = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
-    assert "unknown key 'mdoe'" in capsys.readouterr().err
+    assert "unknown key 'challenge'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where,text", [
@@ -700,20 +695,24 @@ def test_a_replay_challenge_no_transcript_can_draw_is_a_config_error(
         load_config(path)
 
 
-@pytest.mark.parametrize("where,kept,message", [
-    ("gammas", 2, r"replay needs at least 8 challenges\.gammas, got 2"),
-    ("sample_points", 1, r"replay needs at least 2 challenges\.sample_points, got 1"),
-], ids=["two-gammas", "one-sample-point"])
+PAPER_CHALLENGES = ref.replay_config()["challenges"]
+
+
+@pytest.mark.parametrize("challenges,message", [
+    ({**PAPER_CHALLENGES, "gammas": PAPER_CHALLENGES["gammas"][:2]},
+     r"replay needs at least 8 challenges\.gammas, got 2"),
+    ({**PAPER_CHALLENGES, "sample_points": PAPER_CHALLENGES["sample_points"][:1]},
+     r"replay needs at least 2 challenges\.sample_points, got 1"),
+    ({}, r"replay needs at least 8 challenges\.gammas, got 0"),
+], ids=["two-gammas", "one-sample-point", "empty-block"])
 def test_a_replay_config_with_too_few_challenges_is_a_config_error(
-        tmp_path, config_path, trace_path, capsys, where, kept, message):
+        tmp_path, config_path, trace_path, capsys, challenges, message):
     # a proof takes 4n gammas and `queries` sample points, both known from the
     # config, so too few is the config's fault, for prove and verify alike
     honest = str(tmp_path / "honest.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path,
                  "--out", honest]) == EXIT_OK
-    doc = ref.replay_config()
-    doc["challenges"][where] = doc["challenges"][where][:kept]
-    path = _write_config(tmp_path, doc)
+    path = _write_config(tmp_path, {**ref.replay_config(), "challenges": challenges})
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
     assert main(["verify", "--config", path, "--proof", honest]) == EXIT_CONFIG
@@ -722,17 +721,11 @@ def test_a_replay_config_with_too_few_challenges_is_a_config_error(
         load_config(path)
 
 
-def test_a_mode_has_one_spelling(tmp_path, capsys):
-    path = _write_config(tmp_path, _fs_doc(mode="fiat_shamir"))
-    assert main(["simulate", "--config", path]) == EXIT_CONFIG
-    assert "mode must be replay or fiat-shamir, got 'fiat_shamir'" in capsys.readouterr().err
-
-
 def test_cli_prove_refuses_a_step_that_holds_only_mod_q(tmp_path, capsys):
     spec = WRAPPING_SYSTEM
     config = _write_config(tmp_path, {
         "q": 331, "A_hat": spec.a_hat, "z_upper": spec.z_upper, "z_lower": spec.z_lower,
-        "z_init": spec.z_init, "N": spec.num_steps, "mode": "fiat-shamir"})
+        "z_init": spec.z_init, "N": spec.num_steps})
     trace = wrapping_trace()
     trace_file = tmp_path / "wrapped.json"
     trace_file.write_text(json.dumps({"z": trace.z_rows, "alpha_up": trace.alpha_up_rows,
@@ -763,7 +756,7 @@ BOX = SystemSpec(a_hat=((1, 0), (-1, 1)), z_upper=(100, 100), z_lower=(0, 40),
 @pytest.mark.parametrize("name,q", [("babybear.json", 2**31 - 2**27 + 1),
                                     ("goldilocks.json", 2**64 - 2**32 + 1)])
 def test_stock_configs_load_to_their_values(name, q):
-    expected = RunConfig(PrimeField(q), BOX, "fiat-shamir", 8, None)
+    expected = RunConfig(PrimeField(q), BOX, 8, None)
     assert load_config(str(CONFIGS / name)) == expected
 
 
@@ -772,7 +765,7 @@ def test_replay_config_loads_the_same_in_either_spelling(tmp_path, spell):
     path = _write_config(tmp_path, _spelled(ref.replay_config(), spell))
     challenges = {"gammas": list(ref.GAMMAS), "betas": list(ref.BETAS),
                   "sample_points": list(ref.SAMPLE_POINTS)}
-    assert load_config(path) == RunConfig(PrimeField(ref.MODULUS), ref.SYSTEM, "replay",
+    assert load_config(path) == RunConfig(PrimeField(ref.MODULUS), ref.SYSTEM,
                                           len(ref.SAMPLE_POINTS), challenges)
 
 

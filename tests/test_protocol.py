@@ -1009,7 +1009,7 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
     monkeypatch.undo()
     report = verify(field, paper_spec, proof)
     assert (report.verdict, report.stage) == ("reject", "commitment")
-    config = {**ref.replay_config(), "mode": "fiat-shamir"}
+    config = ref.replay_config()
     del config["challenges"]
     (tmp_path / "config.json").write_text(json.dumps(config))
     for version, made in ((4, proof), (5, prove_v6())):
