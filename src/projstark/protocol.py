@@ -47,10 +47,11 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 11
+PROOF_VERSION = 12
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
+REMAINDER_BITS = 5  # Fiat-Shamir folds until fewer than 2^5 coefficients remain
 DOMAIN_CACHE_SIZE = 4  # (q, N) pairs whose domains and DFT plans are kept
 
 
@@ -106,8 +107,11 @@ class Commitments:
 
 @dataclass(frozen=True)
 class FriLayers:
-    roots: Tuple[MerkleCommitment, ...]  # layers 1..rounds-1
-    final: int
+    """The trees of layers 1..rounds-1, and the last fold's (bound >> rounds) + 1
+    coefficients, low degree first, zero-padded: one, a constant, for replay."""
+
+    roots: Tuple[MerkleCommitment, ...]
+    remainder: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ class Proof:
 
     Each tree's openings are made, and must be checked, in one order: query by
     query, the trace rows at x before g·x, then one opening per FRI layer, of
-    the leaf that holds the values at y and -y. An opening's path stops where
+    the leaf that holds the values at y and -y; the last layer's fold is
+    checked against the remainder. An opening's path stops where
     the walk up from its leaf meets a node that an earlier opening of its tree
     sent or let the verifier compute, so it is empty for a leaf opened before.
     """
@@ -393,6 +398,17 @@ def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) 
     return lift_trace(trace, field)
 
 
+def _fri_shape(transcript, domains: _Domains, declared: int) -> Tuple[int, int]:
+    """The degree bound a proof must declare and its FRI fold count, the one
+    rule that differs by transcript. Replay declares `declared`, the paper's
+    bound, and folds it to a constant; Fiat-Shamir declares the worst case
+    2N - 2 and stops once fewer than 2^REMAINDER_BITS coefficients remain."""
+    if transcript.mode == "replay":
+        return declared, num_rounds(declared)
+    bound = domains.worst_bound
+    return bound, max(num_rounds(bound) - REMAINDER_BITS, 1)
+
+
 def prove(
     field: PrimeField,
     spec: SystemSpec,
@@ -446,11 +462,7 @@ def prove(
     numerators = build_numerators(tp, spec, domain)
     [quotient] = build_compositions([combine(numerators, gammas)], domain)
 
-    if transcript.mode == "replay":
-        bound = degree_bound(tp, quotient, N)
-    else:
-        bound = domains.worst_bound
-    rounds = num_rounds(bound)
+    bound, rounds = _fri_shape(transcript, domains, degree_bound(tp, quotient, N))
 
     composition = _CommittedPairs([quotient], domains, 0)
     transcript.absorb("composition", composition.tree.root)
@@ -458,7 +470,7 @@ def prove(
 
     # bound >= deg Q: replay declares at least deg Q, and deg Q <= 2N - 2, the
     # Fiat-Shamir bound, as f_z has degree N and the other columns N - 1; so
-    # `rounds` folds end at a constant
+    # `rounds` folds leave at most (bound >> rounds) + 1 coefficients
     layer_committed = [composition]
     folded = quotient
     for j in range(1, rounds + 1):
@@ -466,8 +478,8 @@ def prove(
         if j < rounds:
             layer_committed.append(_CommittedPairs([folded], domains, j))
             transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
-    fri_final = folded.coeffs[0] if folded.coeffs else 0
-    transcript.absorb("fri_final", fri_final.to_bytes(8, "little"))
+    remainder = folded.coeffs + (0,) * ((bound >> rounds) + 1 - len(folded.coeffs))
+    transcript.absorb("fri_remainder", b"".join(c.to_bytes(8, "little") for c in remainder))
 
     queries = []
     for _ in range(num_queries):
@@ -485,13 +497,14 @@ def prove(
         salt=transcript.salt,
         degree_bound=bound,
         commitments=Commitments(trace_cm.tree.commitment, composition.tree.commitment),
-        fri_layers=FriLayers(tuple(cm.tree.commitment for cm in layer_committed[1:]), fri_final),
+        fri_layers=FriLayers(tuple(cm.tree.commitment for cm in layer_committed[1:]), remainder),
         queries=tuple(queries),
     )
 
 
-def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> int:
-    """Raise ProofFormatError on malformed proofs; return the FRI round count."""
+def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec, bound: int,
+                         rounds: int) -> None:
+    """Raise ProofFormatError on a proof malformed for _fri_shape's bound and rounds."""
     q = field.modulus
     n = spec.n
     if proof.version != PROOF_VERSION:
@@ -500,9 +513,11 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
         raise ProofFormatError("query count out of range")
     if proof.degree_bound < 0:
         raise ProofFormatError("negative degree bound")
-    if not 0 <= proof.fri_layers.final < q:
-        raise ProofFormatError("final FRI value out of range")
-    rounds = num_rounds(proof.degree_bound)
+    remainder, size = proof.fri_layers.remainder, (bound >> rounds) + 1
+    if len(remainder) != size:
+        raise ProofFormatError(f"expected {size} remainder coefficients, got {len(remainder)}")
+    if not all(0 <= c < q for c in remainder):
+        raise ProofFormatError("remainder coefficient out of range")
     if len(proof.fri_layers.roots) != rounds - 1:
         raise ProofFormatError(
             f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_layers.roots)}"
@@ -516,7 +531,6 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec) -> i
         values += [v for pos, neg in query.fri for v in (pos.value, neg)]
         if not all(0 <= v < q for v in values):
             raise ProofFormatError("opened value out of range")
-    return rounds
 
 
 def verify(
@@ -534,17 +548,18 @@ def verify(
     ValueError for a (q, N) check_publics refuses, a `num_queries` outside
     [1, MAX_QUERIES] or a replay sample point outside D0, a TranscriptError
     for fewer replay gammas than the spec's 4n. The proof's: ProofFormatError,
-    also when its rounds or queries need more betas or sample points than the
-    replay lists hold. Every check looks at the sample points the transcript
-    draws. Checks, in order, with the stage a failure is reported at: at least
-    `num_queries` queries answered (queries), the proof's salt the
-    transcript's, b"" for replay (salt), the declared degree bound, at most
-    2N-2 and equal to it under Fiat-Shamir (fri_commit), each commitment's
-    leaf count and the openings at the leaves of the sample points, each FRI
-    pair's two values by one path (commitment), the initialization quotient
-    identity (boundary), the composition values recomputed from the opened
-    trace rows (consistency), and the folding chain (fri_query). A reject that
-    compares two values names both.
+    also for a remainder not of _fri_shape's length, and when its rounds or
+    queries need more betas or sample points than the replay lists hold. Every
+    check looks at the sample points the transcript draws. Checks, in order,
+    with the stage a failure is reported at: at least `num_queries` queries
+    answered (queries), the proof's salt the transcript's, b"" for replay
+    (salt), the declared degree bound, at most 2N-2 and equal to it under
+    Fiat-Shamir (fri_commit), each commitment's leaf count and the openings at
+    the leaves of the sample points, each FRI pair's two values by one path
+    (commitment), the initialization quotient identity (boundary), the
+    composition values recomputed from the opened trace rows (consistency),
+    and the folding chain, whose last fold must be the remainder's value
+    (fri_query). A reject that compares two values names both.
     """
     q = field.modulus
     N = spec.num_steps
@@ -552,18 +567,19 @@ def verify(
     domains = _domains(q, N)
     g = domains.g
     _check_num_queries(num_queries)
-    rounds = _structural_validate(proof, field, spec)
+    if transcript is None:
+        transcript = FiatShamirTranscript(q, salt=proof.salt)
+    bound, rounds = _fri_shape(transcript, domains, proof.degree_bound)
+    _structural_validate(proof, field, spec, bound, rounds)
     if len(proof.queries) < num_queries:
         return VerificationReport("queries", f"the proof answers {len(proof.queries)} queries, "
                                   f"the verifier asks for {num_queries}")
 
-    if transcript is None:
-        transcript = FiatShamirTranscript(q, salt=proof.salt)
     if proof.salt != transcript.salt:
         return VerificationReport("salt", f"the proof's salt is {proof.salt!r}, "
                                   f"the verifier's {transcript.salt!r}")
     worst = domains.worst_bound
-    if proof.degree_bound > worst or (transcript.mode != "replay" and proof.degree_bound != worst):
+    if proof.degree_bound != bound or bound > worst:
         return VerificationReport("fri_commit",
                                   f"degree bound {proof.degree_bound}: worst case is {worst}")
 
@@ -580,8 +596,8 @@ def verify(
             betas.append(transcript.draw("beta"))
             if j < rounds - 1:
                 transcript.absorb(f"fri[{j + 1}]", fri.roots[j].root)
-            else:
-                transcript.absorb("fri_final", fri.final.to_bytes(8, "little"))
+        transcript.absorb("fri_remainder",
+                          b"".join(c.to_bytes(8, "little") for c in fri.remainder))
         xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
@@ -642,6 +658,7 @@ def verify(
                 f"opened Q(x) = {opened}, recomputed from the trace rows {recombined}")
 
     # --- stage: fri_query ----------------------------------------------------
+    remainder = Polynomial(field, fri.remainder)
     for k, query in enumerate(proof.queries):
         for j, y in enumerate(chains[k]):
             pos, neg = query.fri[j]
@@ -649,7 +666,7 @@ def verify(
             if j + 1 < rounds:
                 expected, where = query.fri[j + 1][0].value, f"layer {j + 1} opens"
             else:
-                expected, where = fri.final, "fri_final is"
+                expected, where = remainder.evaluate(y * y % q), "the remainder gives"
             if computed != expected:
                 return VerificationReport(
                     "fri_query", f"query {k}: folding identity fails at layer {j}: "

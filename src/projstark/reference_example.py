@@ -132,7 +132,7 @@ def run_replay() -> List[CheckResult]:
 
     proof = prove(field, SYSTEM, trace, transcript(), num_queries=len(SAMPLE_POINTS))
     record("proof-degree-bound", COMBINED_DEGREE_BOUND, proof.degree_bound)
-    record("proof-fri-final", FINAL_CONSTANT, proof.fri_layers.final)
+    record("proof-fri-final", (FINAL_CONSTANT,), proof.fri_layers.remainder)
     report = verify(field, SYSTEM, proof, transcript(), num_queries=len(SAMPLE_POINTS))
     record("proof-verdict", "accept", report.verdict)
     for query, x in zip(proof.queries, SAMPLE_POINTS):

@@ -319,7 +319,7 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
     doc = json.loads(Path(proof).read_text())
     assert doc["degree_bound"] == ref.COMBINED_DEGREE_BOUND
-    assert doc["fri_layers"]["final"] == ref.FINAL_CONSTANT
+    assert doc["fri_layers"]["remainder"] == [ref.FINAL_CONSTANT]
     # a proof carries no sample point, nor a trace row's leaf: each query's
     # layer-0 FRI opening sits at the leaf of x's pair {x, -x}
     domains = _domains(ref.MODULUS, ref.SYSTEM.num_steps)
@@ -330,12 +330,14 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_OK
 
 
-def test_verify_follows_the_config_mode(tmp_path, config_path, fs_config_path, trace_path):
+def test_verify_follows_the_config_mode(tmp_path, config_path, fs_config_path, trace_path,
+                                       capsys):
     # a replay proof checked under a fiat-shamir config meets the verifier's
-    # own challenges, not the ones the prover replayed
+    # own FRI shape, 2N - 2 folded once, not the one the prover replayed
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_REJECT
+    assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_MALFORMED
+    assert "expected 29 remainder coefficients, got 1" in capsys.readouterr().err
 
 
 def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, trace_path):
@@ -345,6 +347,33 @@ def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, tra
     doc = json.loads(Path(proof).read_text())
     assert "challenges" not in doc
     assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_OK
+
+
+@pytest.mark.parametrize("edit, code", [
+    ("append", EXIT_MALFORMED), ("drop", EXIT_MALFORMED), ("q", EXIT_MALFORMED),
+    ("change", EXIT_REJECT),
+])
+def test_verify_refuses_or_rejects_an_edited_remainder(tmp_path, fs_config_path, trace_path,
+                                                       edit, code):
+    # 2N - 2 = 56 folded once leaves 29 coefficients, each in [0, q): one
+    # more, one fewer or one equal to q is a malformed proof; one changed is
+    # absorbed into the transcript, which then draws other sample points
+    proof = tmp_path / "proof.json"
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path,
+                 "--out", str(proof)]) == EXIT_OK
+    doc = json.loads(proof.read_text())
+    remainder = doc["fri_layers"]["remainder"]
+    assert len(remainder) == 29
+    if edit == "append":
+        remainder.append(0)
+    elif edit == "drop":
+        remainder.pop()
+    elif edit == "q":
+        remainder[-1] = ref.MODULUS
+    else:
+        remainder[-1] = (remainder[-1] + 1) % ref.MODULUS
+    proof.write_text(json.dumps(doc, separators=(",", ":")))
+    assert main(["verify", "--config", fs_config_path, "--proof", str(proof)]) == code
 
 
 def test_verify_rejects_a_replay_proof_with_a_salt(tmp_path, config_path, trace_path, capsys):

@@ -140,7 +140,7 @@ def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
     assert report.accepted
     assert report.verdict == "accept"
     assert paper_proof.degree_bound == ref.COMBINED_DEGREE_BOUND
-    assert paper_proof.fri_layers.final == ref.FINAL_CONSTANT
+    assert paper_proof.fri_layers.remainder == (ref.FINAL_CONSTANT,)
     # a proof carries no sample point: each query's layer-0 FRI opening sits
     # at the leaf of the pair {x, -x} of its replayed x
     domains = protocol._domains(ref.MODULUS, paper_spec.num_steps)
@@ -386,16 +386,118 @@ def test_verify_rejects_wrong_modulus(paper_spec, paper_proof):
     assert report.stage == "commitment"
 
 
-def test_verify_rejects_tampered_final(field, paper_spec, paper_proof):
-    final = (paper_proof.fri_layers.final + 1) % 331
-    fri_layers = dataclasses.replace(paper_proof.fri_layers, final=final)
-    forged = dataclasses.replace(paper_proof, fri_layers=fri_layers)
-    report = verify(field, paper_spec, forged, paper_transcript())
-    assert not report.accepted
-    assert report.stage == "fri_query"
-    # the reject names the folded value and the one the proof sent
-    assert report.detail.endswith(
-        f"at layer 4: folded {ref.FINAL_CONSTANT}, fri_final is {final}")
+def _with_remainder(proof, remainder):
+    fri_layers = dataclasses.replace(proof.fri_layers, remainder=tuple(remainder))
+    return dataclasses.replace(proof, fri_layers=fri_layers)
+
+
+class _RemainderSwapTranscript(FiatShamirTranscript):
+    """A Fiat-Shamir transcript that absorbs `remainder` in place of the one
+    the prover sends: a prover that commits to a remainder it did not fold."""
+
+    def __init__(self, q, remainder, **kwargs):
+        super().__init__(q, **kwargs)
+        self.remainder = remainder
+
+    def absorb(self, label, data):
+        if label == "fri_remainder":
+            data = b"".join(c.to_bytes(8, "little") for c in self.remainder)
+        super().absorb(label, data)
+
+
+@pytest.mark.parametrize("replay", [True, False], ids=["replay", "fiat-shamir"])
+def test_verify_rejects_a_changed_remainder_coefficient(field, paper_spec, paper_trace,
+                                                        paper_proof, paper_fs_proof, replay):
+    # one coefficient off by one; under Fiat-Shamir the edited remainder is
+    # the one absorbed, so the verifier draws the prover's sample points and
+    # the last fold, not an opening, is what disagrees
+    honest = paper_proof if replay else paper_fs_proof
+    remainder = list(honest.fri_layers.remainder)
+    remainder[-1] = (remainder[-1] + 1) % ref.MODULUS
+    if replay:
+        forged, transcript = _with_remainder(honest, remainder), paper_transcript()
+    else:
+        forged = _with_remainder(prove(
+            field, paper_spec, paper_trace,
+            _RemainderSwapTranscript(ref.MODULUS, remainder, salt=b"suite"), num_queries=8,
+            salt=b"suite"), remainder)
+        assert forged.commitments == honest.commitments
+        # sent with the honest openings, the remainder moves the sample points
+        assert verify(field, paper_spec, _with_remainder(honest, remainder)).stage == "commitment"
+        transcript = None
+    report = verify(field, paper_spec, forged, transcript)
+    assert (report.verdict, report.stage) == ("reject", "fri_query")
+    # the reject names the folded value and the edited remainder's value at
+    # the square of the first query's point in the last layer
+    last = len(honest.fri_layers.roots)
+    x = _drawn_points(field, paper_spec, forged, paper_transcript() if replay else None)[0]
+    y = pow(x, 2 ** (last + 1), ref.MODULUS)
+    folded = Polynomial(field, honest.fri_layers.remainder).evaluate(y)
+    sent = Polynomial(field, remainder).evaluate(y)
+    assert folded != sent
+    assert folded == ref.FINAL_CONSTANT or not replay
+    assert report.detail == (f"query 0: folding identity fails at layer {last}: "
+                             f"folded {folded}, the remainder gives {sent}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("append", "^expected 29 remainder coefficients, got 30$"),
+    ("drop", "^expected 29 remainder coefficients, got 28$"),
+    ("q", "^remainder coefficient out of range$"),
+], ids=["one-too-long", "one-too-short", "coefficient-q"])
+def test_verify_refuses_a_remainder_of_the_wrong_length_or_range(field, paper_spec,
+                                                                 paper_fs_proof, edit, message):
+    # under Fiat-Shamir 2N - 2 = 56 is folded once: (56 >> 1) + 1 = 29
+    # coefficients, each in [0, q); an appended 0 leaves the polynomial as it
+    # was, but not the proof's shape
+    remainder = list(paper_fs_proof.fri_layers.remainder)
+    assert len(remainder) == 29
+    if edit == "append":
+        remainder.append(0)
+    elif edit == "drop":
+        remainder.pop()
+    else:
+        remainder[0] = ref.MODULUS
+    doc = proof_to_json(_with_remainder(paper_fs_proof, remainder))
+    with pytest.raises(ProofFormatError, match=message):
+        verify(field, paper_spec, load_proof(json.dumps(doc, separators=(",", ":"))))
+
+
+@pytest.mark.parametrize("bound", [0, 55, 57, 4 * 29])
+def test_fiat_shamir_verify_rejects_a_declared_bound_other_than_2n_minus_2(
+        field, paper_spec, paper_fs_proof, bound):
+    # the remainder's length and the fold count come from 2N - 2 = 56, so the
+    # proof is well formed and the bound itself is what is wrong
+    report = verify(field, paper_spec, dataclasses.replace(paper_fs_proof, degree_bound=bound))
+    assert (report.verdict, report.stage) == ("reject", "fri_commit")
+    assert report.detail == f"degree bound {bound}: worst case is 56"
+
+
+@pytest.mark.parametrize("q, num_steps", [(12289, 127), (769, 255), (331, 29), (3001, 39)])
+def test_fiat_shamir_folds_to_at_most_32_coefficients_and_replay_to_a_constant(q, num_steps):
+    field, spec = PrimeField(q), _box_spec(num_steps)
+    trace = simulate(spec)
+    bound = 2 * num_steps - 2
+    rounds = max(num_rounds(bound) - 5, 1)
+    proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"grid"), num_queries=2)
+    assert verify(field, spec, proof).accepted
+    assert len(proof.fri_layers.roots) == rounds - 1
+    assert all(len(query.fri) == rounds for query in proof.queries)
+    assert len(proof.fri_layers.remainder) == (bound >> rounds) + 1 <= 32
+    # replay folds its declared bound to a constant: on the paper system, in
+    # five folds to 229
+    ch = random_challenges(random.Random(q), q, spec, num_queries=2)
+
+    def transcript():
+        return paper_transcript() if q == ref.MODULUS else ReplayTranscript(q, **ch)
+
+    proof = prove(field, spec, trace, transcript(), num_queries=2)
+    assert verify(field, spec, proof, transcript()).accepted
+    rounds = num_rounds(proof.degree_bound)
+    assert all(len(query.fri) == rounds for query in proof.queries)
+    assert len(proof.fri_layers.remainder) == 1
+    if q == ref.MODULUS:
+        assert rounds == 5 and proof.fri_layers.remainder == (ref.FINAL_CONSTANT,)
 
 
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
@@ -450,8 +552,10 @@ def test_forged_proof_passes_only_its_own_challenges(field, paper_spec, forged_p
 
 
 def test_verifier_challenges_reject_forged_proof(field, paper_spec, forged_proof):
-    report = verify(field, paper_spec, forged_proof)
-    assert (report.verdict, report.stage) == ("reject", "fri_commit")
+    # a Fiat-Shamir verifier expects 2N - 2 folded once, to a remainder of
+    # 29 coefficients, not the replay proof's five folds to a constant
+    with pytest.raises(ProofFormatError, match="^expected 29 remainder coefficients, got 1$"):
+        verify(field, paper_spec, forged_proof)
     report = verify(field, paper_spec, forged_proof, paper_transcript())
     assert (report.verdict, report.stage) == ("reject", "commitment")
 
@@ -489,7 +593,7 @@ def test_proof_json_integers_are_json_integers(paper_proof):
     doc = proof_to_json(paper_proof)
     assert type(doc["degree_bound"]) is int
     assert type(doc["queries"][0]["trace"][0]["values"][0]) is int
-    assert type(doc["fri_layers"]["final"]) is int
+    assert all(type(c) is int for c in doc["fri_layers"]["remainder"])
 
 
 def test_load_proof_rejects_garbage():
@@ -716,9 +820,10 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
         edited += 1
-    # 2 queries of 7 openings, each with a path; 8 queries of 8 openings, 4
-    # of which reopen a leaf an earlier query opened and have an empty path
-    assert edited == (14 if replay else 60 if edit == "drop-last" else 64)
+    # 2 queries of 7 openings, each with a path; 8 queries of 3 openings
+    # (one FRI layer), 1 of which reopens a leaf an earlier query opened and
+    # has an empty path
+    assert edited == (14 if replay else 23 if edit == "drop-last" else 24)
 
 
 @pytest.mark.parametrize("replay", [True, False])
@@ -769,7 +874,8 @@ def test_verify_rejects_a_pair_with_its_values_swapped(field, paper_spec, paper_
 
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_fri_pair(field, paper_spec, proof, replay, edit)
-    assert len(reports) >= 10
+    # 2 queries of 5 FRI pairs for replay, 8 of 1 under Fiat-Shamir
+    assert len(reports) >= (10 if replay else 8)
     assert all((r.verdict, r.stage) == ("reject", "commitment") for r in reports)
 
 
@@ -935,7 +1041,7 @@ def test_load_proof_reads_the_version_first(paper_proof):
     doc = proof_to_json(paper_proof)
     for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
         for edited in ({**doc, "version": version}, {"version": version},
-                       {"version": version, "x": 0}, _as_version_10(doc),
+                       {"version": version, "x": 0}, _as_version_11(doc), _as_version_10(doc),
                        _as_version_9(_as_version_10(doc)), _as_version_8(_as_version_10(doc))):
             edited["version"] = version
             with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
@@ -1024,15 +1130,22 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
                      "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
-def _as_version_10(doc: dict, xs=ref.SAMPLE_POINTS, q=ref.MODULUS,
-                   num_steps=ref.SYSTEM.num_steps) -> dict:
-    """The version-10 document of a proof over (q, N) whose verifier draws the
-    sample points xs (by default the paper replay proof's): each trace row
-    with its index, the leaf verify computes for x or g·x, put back as its
-    first key."""
-    domains = protocol._domains(q, num_steps)
-    doc = json.loads(json.dumps(doc))
-    for qd, x in zip(doc["queries"], xs):
+def _as_version_11(doc: dict) -> dict:
+    """The version-11 document of a replay proof document: its one-coefficient
+    remainder [v] as the final FRI value v."""
+    [final] = doc["fri_layers"]["remainder"]
+    return {**doc, "version": 11, "fri_layers": {"roots": doc["fri_layers"]["roots"],
+                                                 "final": final}}
+
+
+def _as_version_10(doc: dict) -> dict:
+    """The version-10 document of the paper replay proof's document: version
+    11's, with each trace row's index, the leaf verify computes for x or g·x,
+    put back as its first key."""
+    q = ref.MODULUS
+    domains = protocol._domains(q, ref.SYSTEM.num_steps)
+    doc = _as_version_11(doc)
+    for qd, x in zip(doc["queries"], ref.SAMPLE_POINTS):
         points = x, x * domains.g % q
         qd["trace"] = [{"index": domains.index(0, p), **row} for row, p in zip(qd["trace"], points)]
     return {**doc, "version": 10}
@@ -1202,9 +1315,11 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
-# padded standard base64, a path its digests joined; proof version 11:
+# padded standard base64, a path its digests joined; proof version 12:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
-# FRI trees, opened once at y with f(-y) sent as a plain value, at most
+# FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
+# to a remainder of at most 2^REMAINDER_BITS coefficients under Fiat-Shamir
+# and to a constant for replay, at most
 # BLOWUP cosets of H committed, sample points drawn as
 # indices into them, no q, N or g, no sample point and no trace row index,
 # which the verifier holds or derives, and each path cut where it meets a
@@ -1212,12 +1327,12 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "11a7450ce410c41ea7e6d7648f2c0067fe0fbc45b932457bd00ff8a427dcb0ff",
-    "paper-fiat-shamir": "c1983edca9e759328a45b45c288cff60bac5476aa834ff8b63a35d5c420065eb",
+    "paper-replay": "d0159d62b2b522277e63c6b5ac90068bc06633ea0e8ab246b2aca80d5d615ee1",
+    "paper-fiat-shamir": "674049183665537a14ab9f296e09de5f14de3920e0c79637ef5d3afc89559e95",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
-    # are committed; FRI layers 1-6 are unions of cosets of subgroups of
-    # order 20, 10 and 5
-    "q3001-fiat-shamir": "d7fd6d61f6966bcf5711d9588bbf9a0e4b9a426f11b6bfe8bee6558a4c090878",
+    # are committed; FRI layer 1 is a union of cosets of the subgroup of
+    # order 20, and 76 folded twice leaves a remainder of 20 coefficients
+    "q3001-fiat-shamir": "0ce8f2fa15f26f73fe99ddc06294cd0f6e52d04ec670cf1f2264de69a41b61f5",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1235,7 +1350,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 11
+    assert paper_proof.version == PROOF_VERSION == 12
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1250,55 +1365,46 @@ def test_mixed_radix_proof_is_byte_identical():
     proof = prove(field, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
                   FiatShamirTranscript(3001, salt=salt), num_queries=8, salt=salt)
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
-    assert len(proof.fri_layers.roots) == 6
+    assert len(proof.fri_layers.roots) == 1 and len(proof.fri_layers.remainder) == 20
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
 
 
-# what PINNED_PROOF_DIGESTS held for proof version 10, whose trace rows
-# carried the index of their leaf
-VERSION_10_DIGESTS = {
-    "paper-replay": "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914",
-    "paper-fiat-shamir": "f049ef7bd7479513ff5100b9b5f879fc2d66463151a8f7c255619aec8f004ef2",
-    "q3001-fiat-shamir": "bbf9aa67fc291ebe765a46dc86d94d937f59767d4cc1362c7d269d0ee331804c",
-}
+# what PINNED_PROOF_DIGESTS["paper-replay"] held for proof version 11, whose
+# FRI layers ended in one final value, and for version 10, whose trace rows
+# also carried the index of their leaf
+VERSION_11_REPLAY_DIGEST = "11a7450ce410c41ea7e6d7648f2c0067fe0fbc45b932457bd00ff8a427dcb0ff"
+VERSION_10_REPLAY_DIGEST = "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914"
 
 
-def test_version_11_drops_only_the_trace_rows_index(field, paper_spec, paper_trace, paper_proof):
-    # each pinned proof with every trace row's index put back, from the leaves
-    # verify computes for x and g·x, and its version set to 10 is the
-    # version-10 proof byte for byte: every root, value, path, FRI index,
-    # degree bound and final value is as it was
-    assert [f.name for f in dataclasses.fields(protocol.RowOpening)] == ["values", "path"]
-    f3001 = PrimeField(3001)
-    made = {
-        "paper-replay": (field, paper_spec, paper_proof, paper_transcript()),
-        "paper-fiat-shamir": (field, paper_spec, prove(
-            field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"pin-paper"),
-            num_queries=8), None),
-        "q3001-fiat-shamir": (f3001, MIXED_RADIX_SPEC, prove(
-            f3001, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
-            FiatShamirTranscript(3001, salt=b"pin-mixed"), num_queries=8), None),
-    }
-    for name, (f, spec, proof, transcript) in made.items():
-        assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
-        xs = _drawn_points(f, spec, proof, transcript)
-        doc = _as_version_10(proof_to_json(proof), xs, f.modulus, spec.num_steps)
-        text = json.dumps(doc, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == VERSION_10_DIGESTS[name]
+def test_version_12_renames_only_the_replay_final_value(paper_proof):
+    # the replay proof with its one-coefficient remainder [v] written as the
+    # final value v and its version set to 11 is the version-11 proof byte
+    # for byte: every root, value, path, FRI index and degree bound is as it
+    # was; with each trace row's index put back too, it is version 10's
+    assert [f.name for f in dataclasses.fields(protocol.FriLayers)] == ["roots", "remainder"]
+    assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
+    for as_version, pinned in ((_as_version_11, VERSION_11_REPLAY_DIGEST),
+                               (_as_version_10, VERSION_10_REPLAY_DIGEST)):
+        text = json.dumps(as_version(proof_to_json(paper_proof)), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 512 openings; full paths would take 4224 digests and about 311 KiB
+    # 192 openings (2 trace rows and 1 FRI layer per query) in 25,444 bytes;
+    # folded to a constant in 6 FRI layers, version 11 sent 512 openings in
+    # 62,946 bytes, and with full paths they would take about 311 KiB
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
-    assert len(dump_proof(proof)) <= 300 * 1024
+    assert len(dump_proof(proof)) <= 26 * 1024
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one leaf per FRI pair, opened once: 895 digests and 64,446 bytes with
-    # each path one base64 string (85,479 with each digest in hex, 95,131 in
+    # one FRI layer and a 29-coefficient remainder: 337 digests, against 895
+    # when version 11 folded to a constant in 6 layers. Folding that far, one
+    # leaf per FRI pair, opened once, took 64,446 bytes in version 10, each
+    # path one base64 string (85,479 with each digest in hex, 95,131 in
     # version 8's layout), against 107,128 with f(-y) sent as a second
     # opening of the leaf, and 1,523 digests and 149,133 bytes with one leaf
     # per point
@@ -1307,8 +1413,8 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) <= 1000
-    assert len(dump_proof(proof)) <= 64 * 1024
+    assert sum(len(o.path) // 32 for o in openings) <= 350
+    assert len(dump_proof(proof)) <= 26 * 1024
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -1396,25 +1502,21 @@ def _layer_count(q, num_steps):
 
 
 def test_rejected_or_malformed_proofs_leave_the_layer_count(
-    field, paper_spec, paper_fs_proof
+    field, paper_spec, paper_proof, paper_fs_proof
 ):
     N = paper_spec.num_steps
     doc = proof_to_json(paper_fs_proof)
-
-    def declaring(bound):
-        """The proof with a bound past 2N-2 and the FRI roots and opening
-        pairs that bound calls for."""
-        grown = json.loads(json.dumps(doc))
-        extra = num_rounds(bound) - num_rounds(paper_fs_proof.degree_bound)
-        assert extra >= 1
-        grown["degree_bound"] = bound
-        grown["fri_layers"]["roots"] += grown["fri_layers"]["roots"][-1:] * extra
-        for qd in grown["queries"]:
-            qd["fri"] += qd["fri"][-1:] * extra
-        return grown
-
-    oversized = declaring(4 * N)
-    deep = declaring(2**69)  # 70 FRI layers; the bound alone caps the layer count
+    # under Fiat-Shamir the fold count comes from 2N - 2, whatever the proof declares
+    oversized = json.loads(json.dumps(doc))
+    oversized["degree_bound"] = 4 * N
+    # a replay proof's declared bound sets its fold count: 70 FRI layers,
+    # which the bound alone caps
+    deep = proof_to_json(paper_proof)
+    extra = num_rounds(2**69) - num_rounds(paper_proof.degree_bound)
+    deep["degree_bound"] = 2**69
+    deep["fri_layers"]["roots"] += deep["fri_layers"]["roots"][-1:] * extra
+    for qd in deep["queries"]:
+        qd["fri"] += qd["fri"][-1:] * extra
     assert len(deep["queries"][0]["fri"]) == 70
     tampered = json.loads(json.dumps(doc))
     opening = tampered["queries"][0]["fri"][-1][0]
@@ -1428,8 +1530,8 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     count = _layer_count(ref.MODULUS, N)
     assert count == num_rounds(2 * N - 2)
     layers = protocol._domains(ref.MODULUS, N).layers
-    for bad in (oversized, deep):
-        report = verify(field, paper_spec, proof_from_json(bad))
+    for bad, transcript in ((oversized, None), (deep, paper_transcript())):
+        report = verify(field, paper_spec, proof_from_json(bad), transcript)
         assert (report.verdict, report.stage) == ("reject", "fri_commit")
         assert _layer_count(ref.MODULUS, N) == count
 
@@ -1528,11 +1630,12 @@ def _index_cases(doc):
     """(opening, an opening of another pair, commitment) for a layer-0 FRI
     opening and an opening in the last committed FRI layer, from every query
     of a proof document. Trace rows carry no index to edit."""
-    assert len(doc["queries"][0]["fri"]) == len(doc["fri_layers"]["roots"]) + 1
+    layers = [doc["commitments"]["composition"], *doc["fri_layers"]["roots"]]
+    assert len(doc["queries"][0]["fri"]) == len(layers)
     for qd in doc["queries"]:
         first, last = qd["fri"][0], qd["fri"][-1]
-        yield first[0], _other_pair(doc, 0, first[0]), doc["commitments"]["composition"]
-        yield last[0], _other_pair(doc, -1, last[0]), doc["fri_layers"]["roots"][-1]
+        yield first[0], _other_pair(doc, 0, first[0]), layers[0]
+        yield last[0], _other_pair(doc, -1, last[0]), layers[-1]
 
 
 def _verify_each_index_case(field, spec, proof, replay, edit):
@@ -1599,12 +1702,20 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
     (("commitments", "composition"), 256),
     (("fri_layers", "roots", 0), 255),
 ], ids=["trace", "composition", "fri-layer-1"])
-def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, where, leaves):
+def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, paper_proof,
+                                               where, leaves):
     # each count keeps its tree's height, so every path still authenticates;
-    # the count is checked against the size of its layer's domain
-    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"a"),
-                  num_queries=8, salt=b"a")
-    assert verify(field, paper_spec, proof).accepted
+    # the count is checked against the size of its layer's domain. The paper
+    # Fiat-Shamir proof folds once and commits no FRI layer 1; replay does
+    replay = where[0] == "fri_layers"
+
+    def transcript():
+        return paper_transcript() if replay else None
+
+    proof = paper_proof if replay else prove(
+        field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"a"),
+        num_queries=8, salt=b"a")
+    assert verify(field, paper_spec, proof, transcript()).accepted
     doc = proof_to_json(proof)
     node = doc
     for k in where:
@@ -1612,7 +1723,7 @@ def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, w
     assert node["leaf_count"] != leaves
     assert (node["leaf_count"] - 1).bit_length() == (leaves - 1).bit_length()  # same height
     node["leaf_count"] = leaves
-    report = verify(field, paper_spec, proof_from_json(doc))
+    report = verify(field, paper_spec, proof_from_json(doc), transcript())
     assert (report.verdict, report.stage) == ("reject", "commitment")
     assert f"has {leaves} leaves" in report.detail
 
