@@ -409,6 +409,11 @@ def _fri_shape(transcript, domains: _Domains, declared: int) -> Tuple[int, int]:
     return bound, max(num_rounds(bound) - REMAINDER_BITS, 1)
 
 
+def _remainder_bytes(remainder: Sequence[int]) -> bytes:
+    """What the transcript absorbs for a FRI remainder: each coefficient in 8 bytes LE."""
+    return b"".join(c.to_bytes(8, "little") for c in remainder)
+
+
 def prove(
     field: PrimeField,
     spec: SystemSpec,
@@ -479,7 +484,7 @@ def prove(
             layer_committed.append(_CommittedPairs([folded], domains, j))
             transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
     remainder = folded.coeffs + (0,) * ((bound >> rounds) + 1 - len(folded.coeffs))
-    transcript.absorb("fri_remainder", b"".join(c.to_bytes(8, "little") for c in remainder))
+    transcript.absorb("fri_remainder", _remainder_bytes(remainder))
 
     queries = []
     for _ in range(num_queries):
@@ -578,10 +583,9 @@ def verify(
     if proof.salt != transcript.salt:
         return VerificationReport("salt", f"the proof's salt is {proof.salt!r}, "
                                   f"the verifier's {transcript.salt!r}")
-    worst = domains.worst_bound
-    if proof.degree_bound != bound or bound > worst:
-        return VerificationReport("fri_commit",
-                                  f"degree bound {proof.degree_bound}: worst case is {worst}")
+    if proof.degree_bound != bound or bound > domains.worst_bound:
+        return VerificationReport("fri_commit", f"degree bound {proof.degree_bound}: "
+                                  f"worst case is {domains.worst_bound}")
 
     transcript.absorb("spec", hash_spec(field, spec))
     comms, fri = proof.commitments, proof.fri_layers
@@ -596,8 +600,7 @@ def verify(
             betas.append(transcript.draw("beta"))
             if j < rounds - 1:
                 transcript.absorb(f"fri[{j + 1}]", fri.roots[j].root)
-        transcript.absorb("fri_remainder",
-                          b"".join(c.to_bytes(8, "little") for c in fri.remainder))
+        transcript.absorb("fri_remainder", _remainder_bytes(fri.remainder))
         xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc

@@ -401,7 +401,7 @@ class _RemainderSwapTranscript(FiatShamirTranscript):
 
     def absorb(self, label, data):
         if label == "fri_remainder":
-            data = b"".join(c.to_bytes(8, "little") for c in self.remainder)
+            data = protocol._remainder_bytes(self.remainder)
         super().absorb(label, data)
 
 
@@ -1132,7 +1132,8 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
 
 def _as_version_11(doc: dict) -> dict:
     """The version-11 document of a replay proof document: its one-coefficient
-    remainder [v] as the final FRI value v."""
+    remainder [v] as the final FRI value v. A new document: `doc` is left as it is."""
+    doc = json.loads(json.dumps(doc))
     [final] = doc["fri_layers"]["remainder"]
     return {**doc, "version": 11, "fri_layers": {"roots": doc["fri_layers"]["roots"],
                                                  "final": final}}
@@ -1697,25 +1698,30 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
         assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
-@pytest.mark.parametrize("where, leaves", [
-    (("commitments", "trace"), 400),
-    (("commitments", "composition"), 256),
-    (("fri_layers", "roots", 0), 255),
-], ids=["trace", "composition", "fri-layer-1"])
+@pytest.mark.parametrize("system, where, leaves", [
+    ("paper", ("commitments", "trace"), 400),
+    ("paper", ("commitments", "composition"), 256),
+    ("paper-replay", ("fri_layers", "roots", 0), 255),
+    ("q3001", ("fri_layers", "roots", 0), 200),
+], ids=["trace", "composition", "fri-layer-1", "fri-layer-1-fiat-shamir"])
 def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, paper_proof,
-                                               where, leaves):
+                                               system, where, leaves):
     # each count keeps its tree's height, so every path still authenticates;
     # the count is checked against the size of its layer's domain. The paper
-    # Fiat-Shamir proof folds once and commits no FRI layer 1; replay does
-    replay = where[0] == "fri_layers"
+    # Fiat-Shamir proof folds once and commits no FRI layer 1; replay does,
+    # and so does the q = 3001 Fiat-Shamir proof, whose layer 1 has 160 leaves
+    replay = system == "paper-replay"
 
     def transcript():
         return paper_transcript() if replay else None
 
+    spec, trace = paper_spec, paper_trace
+    if system == "q3001":
+        field, spec, trace = PrimeField(3001), MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC)
     proof = paper_proof if replay else prove(
-        field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=b"a"),
+        field, spec, trace, FiatShamirTranscript(field.modulus, salt=b"a"),
         num_queries=8, salt=b"a")
-    assert verify(field, paper_spec, proof, transcript()).accepted
+    assert verify(field, spec, proof, transcript()).accepted
     doc = proof_to_json(proof)
     node = doc
     for k in where:
@@ -1723,7 +1729,7 @@ def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, p
     assert node["leaf_count"] != leaves
     assert (node["leaf_count"] - 1).bit_length() == (leaves - 1).bit_length()  # same height
     node["leaf_count"] = leaves
-    report = verify(field, paper_spec, proof_from_json(doc), transcript())
+    report = verify(field, spec, proof_from_json(doc), transcript())
     assert (report.verdict, report.stage) == ("reject", "commitment")
     assert f"has {leaves} leaves" in report.detail
 
@@ -1877,7 +1883,9 @@ def test_a_trace_row_with_an_index_is_refused(paper_proof):
     # a trace row is its values and path: version 10's index is a key no
     # field declares, even with the leaf verify computes for the row
     doc = proof_to_json(paper_proof)
-    for k, qd in enumerate(_as_version_10(doc)["queries"]):
+    indexed = _as_version_10(doc)
+    assert doc == proof_to_json(paper_proof)  # each edit below puts back one row's index
+    for k, qd in enumerate(indexed["queries"]):
         for r, row in enumerate(qd["trace"]):
             edited = json.loads(json.dumps(doc))
             edited["queries"][k]["trace"][r] = row
