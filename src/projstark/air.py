@@ -15,6 +15,7 @@ the replay fixture reorders for presentation only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import List, Sequence, Tuple
 
@@ -69,8 +70,10 @@ class TracePolynomials:
     f_delta: Tuple[Polynomial, ...]
 
 
+@lru_cache(maxsize=4)  # one plan per domain of the (q, N) pairs protocol._domains keeps
 def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N.
+    Built once per domain object, which hashes by identity.
 
     Coefficient i of the interpolant through (g^k, y_k), k <= N, is
     (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import repeat, zip_longest
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import PrimeField, prime_factors
 
@@ -81,7 +81,8 @@ class Polynomial:
         return Polynomial(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        """Product by Kronecker substitution: one big-integer multiplication.
+        """Product by Kronecker substitution: one big-integer multiplication;
+        a scalar operand scales each coefficient instead.
 
         Each operand's coefficients are packed into one integer, one
         whole-byte slot per coefficient. A product coefficient is a sum of at
@@ -90,6 +91,8 @@ class Polynomial:
         to whole bytes, and the slots of the integer product never carry into
         each other.
         """
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
         a, b = self.coeffs, self._lift(other).coeffs
         if not a or not b:
             return Polynomial(self.field)
@@ -239,6 +242,9 @@ class CosetEvaluator:
     are packed and split by `_pack` and `_unpack`, the whole-byte slot layout
     of `Polynomial.__mul__`, and every value is reduced mod q once, as its row
     is unpacked.
+
+    A plan keeps, for its later calls, the power rows of each slot width
+    (`_powers`) and, for each row width, where each point's value lies.
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int):
@@ -307,7 +313,8 @@ class CosetEvaluator:
                     raise ValueError(f"the coset of {x} is not contained in the points")
                 gather[i] = row * count + t
         self._reps = reps
-        self._gather = gather
+        self._picks = {len(reps): gather}  # row width in slots -> gather
+        self._power_rows: Dict[int, List[int]] = {}
 
     def _slot_plan(self, length: int) -> Tuple[int, List[int]]:
         """Slot width in bytes and the bias of every stage (0 for radix > 2)
@@ -325,17 +332,20 @@ class CosetEvaluator:
         return -(-bound.bit_length() // 8), biases
 
     def _powers(self, length: int, width: int) -> List[int]:
-        """Packed rows of c^i, i < length, one width-byte slot per
-        representative c. Not kept between calls, so that a plan holds no
-        table that grows with the polynomials it has evaluated."""
-        q = self.field.modulus
-        row = [1] * len(self._reps)
-        packed = []
-        for i in range(length):
-            if i:
-                row = [x * c % q for x, c in zip(row, self._reps)]
-            packed.append(_pack(row, width))
-        return packed
+        """Packed rows of c^i for i < length at least, one width-byte slot per
+        representative c, kept per width: a longer list builds a longer copy
+        that replaces the kept one, never extended in place, so a concurrent
+        caller reads either copy, both complete."""
+        rows = self._power_rows.get(width, [])
+        if len(rows) < length:
+            q, reps = self.field.modulus, self._reps
+            row = [pow(c, len(rows), q) for c in reps]
+            rows = list(rows)
+            while len(rows) < length:
+                rows.append(_pack(row, width))
+                row = [x * c % q for x, c in zip(row, reps)]
+            self._power_rows[width] = rows
+        return rows
 
     def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
         """[[p(x) for x in points] for p in polys] as canonical residues, by one DFT."""
@@ -353,16 +363,17 @@ class CosetEvaluator:
         slots = len(polys) * count
         powers = self._powers(length, width)
 
-        # fold: row k gets sum_(i ≡ k mod m) a_i·c^i in the T slots of each
-        # polynomial, which span width·count bytes of the row
-        by_power = list(zip_longest(*coeffs, fillvalue=0))  # a_i of every polynomial
-        rows = []
-        for k in range(m):
-            folded = [0] * len(polys)
-            for i in range(k, length, m):
-                terms = map(operator.mul, by_power[i], repeat(powers[i]))
-                folded = list(map(operator.add, folded, terms))
-            rows.append(_pack(folded, width * count))
+        # fold, m coefficients at a time: row k of a polynomial is
+        # sum_(i ≡ k mod m) a_i·c^i in its T slots; a batch packs its
+        # polynomials' rows side by side, width·count bytes each
+        sums = []
+        for a in coeffs:
+            folded = [0] * m
+            for j in range(0, len(a), m):
+                terms = list(map(operator.mul, a[j:j + m], powers[j:j + m]))
+                folded[:len(terms)] = map(operator.add, folded, terms)
+            sums.append(folded)
+        rows = sums[0] if len(sums) == 1 else [_pack(r, width * count) for r in zip(*sums)]
 
         ones = _pack(repeat(1, slots), width)
         for (r, block, shapes, _), bias in zip(self._stages, biases):
@@ -382,15 +393,19 @@ class CosetEvaluator:
                         for i, ws in zip(idx, shape):
                             rows[i] = sum(map(operator.mul, ws, xs))
 
-        # Reduce each row as it is unpacked, into one list per polynomial.
-        flats: List[List[int]] = [[] for _ in polys]
+        # Reduce every row into one flat list, slot j of row k at k·slots + j.
+        # picks[x] is where the first polynomial's value at point x sits;
+        # dropping the first T values moves the next polynomial's there.
+        flat: List[int] = []
         for k in range(m):
-            values = [v % q for v in _unpack(rows[k], slots, width)]
+            flat += [v % q for v in _unpack(rows[k], slots, width)]
             rows[k] = None
-            for s, flat in enumerate(flats):
-                flat += values[s * count:(s + 1) * count]
-        gather = self._gather
+        picks = self._picks.get(slots)
+        if picks is None:
+            picks = [g // count * slots + g % count for g in self._picks[count]]
+            self._picks[slots] = picks
         tables = []
-        while flats:  # popped, so that each list is freed once it is gathered
-            tables.append(list(map(flats.pop(0).__getitem__, gather)))
+        for _ in polys:
+            tables.append(list(map(flat.__getitem__, picks)))
+            del flat[:count]
         return tables

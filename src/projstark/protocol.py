@@ -17,9 +17,9 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
-from typing import (Callable, List, NewType, Optional, Sequence, Tuple, Union, get_args,
+from typing import (Callable, Dict, List, NewType, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
 from .air import (
@@ -239,9 +239,10 @@ class _Domains:
     BLOWUP cosets of H and is where sample points are drawn. verify rejects
     a declared bound above the worst case before it reads a layer.
 
-    The coset-DFT plans are built on first use, so a verifier builds none.
-    Nothing here depends on a proof, and a plan keeps no table between its
-    evaluate calls.
+    The coset-DFT plan of a layer is built on its first use, so a verifier
+    builds none and a Fiat-Shamir prover only those of the layers it commits.
+    Nothing here depends on a proof; a plan keeps, per slot width, the power
+    rows of the longest list it has evaluated (CosetEvaluator._powers).
     """
 
     def __init__(self, q: int, num_steps: int):
@@ -252,6 +253,7 @@ class _Domains:
         self.worst_bound = max(2 * num_steps - 2, 0)
         self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
                                          num_rounds(self.worst_bound))
+        self.plans: Dict[int, CosetEvaluator] = {}
 
     def index(self, layer: int, point: int) -> int:
         """The position of `point` in sorted FRI layer `layer`, its trace tree leaf
@@ -277,15 +279,16 @@ class _Domains:
             points.append(points[-1] * points[-1] % q)
         return points
 
-    @cached_property
-    def evaluators(self) -> Tuple[CosetEvaluator, ...]:
-        """Coset DFT onto the domain of each FRI layer (layer 0 holds the
-        trace table too); layer j is a union of cosets of H^(2^j)."""
-        q, order = self.field.modulus, self.subgroup.order
-        return tuple(
-            CosetEvaluator(self.field, layer, pow(self.g, 2 ** j, q), order // gcd(order, 2 ** j))
-            for j, layer in enumerate(self.layers)
-        )
+    def evaluator(self, j: int) -> CosetEvaluator:
+        """Coset DFT onto the domain of FRI layer j (layer 0 holds the trace table
+        too), a union of cosets of H^(2^j); racing threads may each build one."""
+        plan = self.plans.get(j)
+        if plan is None:
+            q, order = self.field.modulus, self.subgroup.order
+            plan = CosetEvaluator(self.field, self.layers[j], pow(self.g, 2 ** j, q),
+                                  order // gcd(order, 2 ** j))
+            self.plans[j] = plan
+        return plan
 
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
@@ -305,7 +308,7 @@ class _Committed:
     """
 
     def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
-        self.tables = domains.evaluators[layer].evaluate(polys)
+        self.tables = domains.evaluator(layer).evaluate(polys)
         self.tree = MerkleTree(self.rows())
         self.known = {1}
         self.domains = domains

@@ -1,5 +1,8 @@
 import operator
+import os
 import random
+import sys
+import threading
 from math import gcd
 
 import pytest
@@ -67,6 +70,13 @@ def test_int_operands_act_as_constants(field):
     assert sum([a, a]) == a + a
     with pytest.raises(ValueError):
         a + Polynomial(PrimeField(61), (1,))
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 331, 336, -334])
+def test_scalar_products_equal_constant_polynomial_products(field, c):
+    # 0, ±1, q, q + 5 and -q - 3: an int operand scales each coefficient
+    a = rand_poly(random.Random(c), field, 9)
+    assert a * c == c * a == a * Polynomial(field, (c,))
 
 
 def schoolbook(a, b, q):
@@ -255,6 +265,84 @@ def test_coset_evaluator_matches_horner_on_proof_domains(q, order):
                 assert table == [p.evaluate(x) for x in points]
         layers += 1
     assert layers == num_rounds(2 * order - 4)
+
+
+def _plan_rows_match_horner(ev, points, batches):
+    """Evaluate each batch with the one plan ev, comparing with Horner; after
+    each call, each slot width keeps as many power rows as the longest
+    coefficient list evaluated at that width, never more."""
+    longest = {}
+    for batch in batches:
+        assert ev.evaluate(batch) == [[p.evaluate(x) for x in points] for p in batch]
+        length = max(len(p.coeffs) for p in batch)
+        width = ev._slot_plan(length)[0]
+        longest[width] = max(longest.get(width, 0), length)
+        assert {w: len(rows) for w, rows in ev._power_rows.items()} == longest
+    return longest
+
+
+# wider: the fewest coefficients, in multiples of m, whose slots are a byte
+# wider than those of m coefficients (None: not below 64·m)
+@pytest.mark.parametrize("q,order,wider", [
+    (12289, 128, 3), (331, 30, 12), (769, 256, None), (3001, 40, None),
+])
+def test_coset_evaluator_keeps_its_power_rows_between_calls(q, order, wider):
+    rng = random.Random(order)
+    field = PrimeField(q)
+    points, ev = next(_layer_evaluators(q, order))
+    long = [rand_poly(rng, field, d) for d in (order - 1, 2 * order - 3, order + 1)]
+    short = [rand_poly(rng, field, d) for d in (3, order // 2)]
+    batches = [
+        long, short,  # a short batch reads the first rows of a long one's
+        [rand_poly(rng, field, 2 * order + 7)],  # one polynomial, longer than 2m
+    ]
+    if wider:  # a batch of the wider slots, then one of the first again
+        batches += [[rand_poly(rng, field, wider * order - 1)] * 2, long]
+    longest = _plan_rows_match_horner(ev, points, batches)
+    assert len(longest) == (2 if wider else 1)
+
+
+def test_coset_evaluator_plan_grown_by_many_threads():
+    # threads, more than cores, each grow one cold plan to a different length
+    # at the same slot width; a torn or half-grown row list gives a wrong
+    # table. Each of three rounds starts from a new cold plan.
+    q, order = 12289, 128
+    field = PrimeField(q)
+    points, _ = next(_layer_evaluators(q, order))
+    count = 2 * (os.cpu_count() or 1) + 2
+    lengths = [order + 1 + (order - 1) * k // count for k in range(count)]
+    rng = random.Random(count)
+    polys = [rand_poly(rng, field, length - 1) for length in lengths]
+    expected = [[p.evaluate(x) for x in points] for p in polys]
+    omega = build_domain(field, order).generator
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            ev = CosetEvaluator(field, points, omega, order)
+            assert len({ev._slot_plan(length)[0] for length in lengths}) == 1
+            errors = []
+            start = threading.Barrier(count, timeout=60)
+
+            def worker(p, table):
+                try:
+                    start.wait()
+                    for _ in range(2):
+                        assert ev.evaluate([p]) == [table]
+                except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=pt) for pt in zip(polys, expected)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            [rows] = ev._power_rows.values()
+            assert len(rows) <= max(lengths)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_coset_evaluator_empty_batch():

@@ -22,6 +22,7 @@ from projstark.air import (
     build_trace_polys,
     combine,
     constraints,
+    trace_interpolator,
 )
 from projstark.channel import (FiatShamirTranscript, MerkleCommitment, ReplayTranscript,
                                TranscriptError)
@@ -1496,6 +1497,20 @@ def test_domain_cache_stays_at_its_bound():
         assert verify(PrimeField(q), spec, proof).accepted
         assert protocol._domains.cache_info().currsize <= protocol.DOMAIN_CACHE_SIZE
     assert protocol._domains.cache_info().currsize == protocol.DOMAIN_CACHE_SIZE
+    # one trace interpolator per kept domain
+    assert trace_interpolator.cache_info().maxsize == protocol.DOMAIN_CACHE_SIZE
+
+
+def test_a_fiat_shamir_prover_builds_only_the_layer_plans_it_commits(
+    field, paper_spec, paper_trace
+):
+    # the paper system folds once under Fiat-Shamir, so only layer 0 is
+    # committed, out of num_rounds(2N - 2) = 6 layer domains
+    protocol._domains.cache_clear()
+    prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS), num_queries=2)
+    domains = protocol._domains(ref.MODULUS, paper_spec.num_steps)
+    assert len(domains.layers) == 6
+    assert list(domains.plans) == [0]
 
 
 def _layer_count(q, num_steps):
@@ -1528,6 +1543,7 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     # a cold context holds every layer an accepted proof can reach, so no
     # proof, accepted, rejected or malformed, changes them
     protocol._domains.cache_clear()
+    trace_interpolator.cache_clear()
     count = _layer_count(ref.MODULUS, N)
     assert count == num_rounds(2 * N - 2)
     layers = protocol._domains(ref.MODULUS, N).layers
@@ -1546,7 +1562,8 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     assert _layer_count(ref.MODULUS, N) == count
     assert protocol._domains(ref.MODULUS, N).layers is layers
     # a pure verifier builds no coset-DFT plan and no trace interpolator
-    assert not {"evaluators", "interpolator"} & set(vars(protocol._domains(ref.MODULUS, N)))
+    assert not protocol._domains(ref.MODULUS, N).plans
+    assert trace_interpolator.cache_info().currsize == 0
 
 
 def test_forced_replay_proofs_need_no_layer_beyond_the_built_ones():
