@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import repeat
+from functools import lru_cache
+from itertools import repeat, zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import PrimeField, prime_factors
@@ -89,7 +90,8 @@ class Polynomial:
         most min(len a, len b) terms of at most (q-1)^2, so it fits in
         2·bitlen(q-1) + bitlen(min) bits; the slot is that many bits rounded up
         to whole bytes, and the slots of the integer product never carry into
-        each other.
+        each other. A slot of at most 8 bytes is rounded up further, to 1, 2,
+        4 or 8 bytes, so that `_pack` and `_unpack` move it as a machine word.
         """
         if not isinstance(other, Polynomial):
             return self.scale(other)
@@ -98,6 +100,8 @@ class Polynomial:
             return Polynomial(self.field)
         bits = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
         width = -(-bits // 8)
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()
         return Polynomial(self.field,
                           _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width))
 
@@ -152,16 +156,52 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
-def _pack(values: Iterable[int], width: int) -> int:
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # machine words struct moves as one int
+# Widest power row (T slots) that CosetEvaluator multiplies by a packed column
+# of coefficients: that product costs about T·W digit operations per slot of
+# the batch, so wider rows fold each polynomial alone and pack the sums.
+_COLUMN_FOLD_BYTES = 64
+
+
+@lru_cache(maxsize=256)
+def _layout(count: int, width: int, word: int) -> struct.Struct:
+    """count width-byte slots, each a machine word of `word` bytes and
+    width - word pad bytes above it: zero when packed, skipped when unpacked."""
+    code, pad = _WORDS[word], width - word
+    return struct.Struct("<" + f"{code}{pad}x" * count if pad else f"<{count}{code}")
+
+
+def _pack(values: Iterable[int], width: int, word: Optional[int] = None) -> int:
     """sum_i values[i]·2^(8·width·i): each non-negative value in a width-byte
-    slot, lowest first. A value wider than its slot raises OverflowError."""
-    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    slot, lowest first. A value wider than its slot, or negative, raises
+    OverflowError.
+
+    With `word`, a machine word of at most width bytes that every value fits
+    in, each slot is written as that word and zero bytes above it, by one
+    struct call; so is every slot when width is itself a machine word. Any
+    other slot is written by int.to_bytes."""
+    word = word or width
+    if word not in _WORDS:
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    values = tuple(values)
+    try:
+        return int.from_bytes(_layout(len(values), width, word).pack(*values), "little")
+    except struct.error as exc:
+        raise OverflowError(f"a value does not fit a {word}-byte word") from exc
 
 
-def _unpack(value: int, count: int, width: int) -> List[int]:
+def _unpack(value: int, count: int, width: int, word: Optional[int] = None) -> List[int]:
     """The count width-byte slots of value < 2^(8·width·count), lowest first.
-    struct keeps the compiled splitter of each recent format."""
-    slots = struct.unpack(f"{width}s" * count, value.to_bytes(count * width, "little"))
+
+    With `word`, a machine word of at most width bytes that every slot is
+    below, only the low word bytes of each slot are read, by one struct call;
+    so is every slot when width is itself a machine word. Any other slot is
+    cut out whole and read by int.from_bytes."""
+    data = value.to_bytes(count * width, "little")
+    word = word or width
+    if word in _WORDS:
+        return list(_layout(count, width, word).unpack(data))
+    slots = struct.unpack(f"{width}s" * count, data)
     return list(map(int.from_bytes, slots, repeat("little")))
 
 
@@ -240,11 +280,26 @@ class CosetEvaluator:
     or borrows from its neighbour; the bound becomes max(2M, (M + B)·t_max).
     A radix-r stage multiplies the bound by its largest matrix row sum. Rows
     are packed and split by `_pack` and `_unpack`, the whole-byte slot layout
-    of `Polynomial.__mul__`, and every value is reduced mod q once, as its row
-    is unpacked.
+    of `Polynomial.__mul__`. Where a power row (T slots) is at most
+    _COLUMN_FOLD_BYTES wide, the fold multiplies it by coefficient i of every
+    polynomial packed side by side, one product per i for the whole batch;
+    otherwise each polynomial is folded alone and its rows packed beside the
+    others'.
+
+    Before a row is unpacked, a row fold brings every slot below a machine
+    word with a few operations on the whole row: a split at bit s writes the
+    slot x as lo + hi·2^s and replaces it with lo + hi·(2^s mod q), its
+    residue unchanged, by one masked shift, one multiplication and one
+    addition (SWAR, "SIMD within a register"). `_slot_plan` plans the splits
+    from the final slot bound, so no slot outgrows its W bytes. The row is
+    then read one machine word per slot with one struct call, and every value
+    is reduced mod q once. Where no splits reach a machine word, as for
+    q near 2^64 (Goldilocks), whose residues alone fill one, each slot is
+    read whole by int.from_bytes.
 
     A plan keeps, for its later calls, the power rows of each slot width
-    (`_powers`) and, for each row width, where each point's value lies.
+    (`_powers`), the slot plan of each fold length and, for each row width,
+    where each point's value lies.
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int):
@@ -315,12 +370,28 @@ class CosetEvaluator:
         self._reps = reps
         self._picks = {len(reps): gather}  # row width in slots -> gather
         self._power_rows: Dict[int, List[int]] = {}
+        self._slot_plans: Dict[int, tuple] = {}
+        # the machine word a coefficient fits in, if any
+        self._coeff_word = next((w for w in sorted(_WORDS) if not (q - 1) >> 8 * w), None)
 
-    def _slot_plan(self, length: int) -> Tuple[int, List[int]]:
-        """Slot width in bytes and the bias of every stage (0 for radix > 2)
-        for coefficient lists of at most `length` entries."""
+    def _slot_plan(
+        self, length: int
+    ) -> Tuple[int, List[int], List[Tuple[int, int]], Optional[int]]:
+        """For coefficient lists of at most `length` entries: the slot width W
+        in bytes, the bias of every stage (0 for radix > 2), the row fold's
+        splits (s, 2^s mod q) and the machine word, at most W bytes, that
+        every slot is below after them, or None if no splits get there.
+
+        The word is the widest that greedy splits reach, each split at the s
+        that leaves the smallest bound (2^s - 1) + floor(M/2^s)·(2^s mod q),
+        and only while that is below M. Kept per ceil(length/m), on which
+        alone the plan depends."""
+        key = -(-max(length, 1) // self.order)
+        plan = self._slot_plans.get(key)
+        if plan is not None:
+            return plan
         q = self.field.modulus
-        bound = -(-max(length, 1) // self.order) * (q - 1) ** 2  # after the fold
+        bound = key * (q - 1) ** 2  # after the fold
         biases = []
         for r, _, _, growth in self._stages:
             if r == 2:
@@ -329,7 +400,25 @@ class CosetEvaluator:
             else:
                 biases.append(0)
                 bound *= growth
-        return -(-bound.bit_length() // 8), biases
+        width = -(-bound.bit_length() // 8)
+        plan = width, biases, [], None
+        twos = [pow(2, s, q) for s in range(bound.bit_length())]
+        for word in sorted(_WORDS, reverse=True):
+            if word > width:
+                continue
+            splits, top = [], bound
+            while top >> 8 * word:
+                after, s = min(((1 << s) - 1 + (top >> s) * twos[s], s)
+                               for s in range(1, top.bit_length()))
+                if after >= top:
+                    break
+                top = after
+                splits.append((s, twos[s]))
+            else:
+                plan = width, biases, splits, word
+                break
+        self._slot_plans[key] = plan
+        return plan
 
     def _powers(self, length: int, width: int) -> List[int]:
         """Packed rows of c^i for i < length at least, one width-byte slot per
@@ -358,22 +447,31 @@ class CosetEvaluator:
             return []
         coeffs = [poly.coeffs for poly in polys]
         length = max(map(len, coeffs))
-        width, biases = self._slot_plan(length)
+        width, biases, splits, word = self._slot_plan(length)
         count = len(self._reps)
         slots = len(polys) * count
         powers = self._powers(length, width)
 
         # fold, m coefficients at a time: row k of a polynomial is
-        # sum_(i ≡ k mod m) a_i·c^i in its T slots; a batch packs its
-        # polynomials' rows side by side, width·count bytes each
-        sums = []
-        for a in coeffs:
-            folded = [0] * m
+        # sum_(i ≡ k mod m) a_i·c^i in its T slots, power row i holding every
+        # c^i; a batch has its polynomials' rows side by side, stride bytes each
+        def fold(a):
+            out = [0] * m
             for j in range(0, len(a), m):
-                terms = list(map(operator.mul, a[j:j + m], powers[j:j + m]))
-                folded[:len(terms)] = map(operator.add, folded, terms)
-            sums.append(folded)
-        rows = sums[0] if len(sums) == 1 else [_pack(r, width * count) for r in zip(*sums)]
+                out[:len(a) - j] = map(operator.add, out,
+                                       map(operator.mul, a[j:j + m], powers[j:j + m]))
+            return out
+
+        stride = width * count
+        if len(polys) == 1:
+            rows = fold(coeffs[0])
+        elif stride <= _COLUMN_FOLD_BYTES:
+            # coefficient i of each polynomial side by side, stride bytes
+            # apart, times power row i puts every a_i·c^i in its slot at once
+            rows = fold([_pack(c, stride, self._coeff_word)
+                         for c in zip_longest(*coeffs, fillvalue=0)])
+        else:
+            rows = [_pack(r, stride) for r in zip(*map(fold, coeffs))]
 
         ones = _pack(repeat(1, slots), width)
         for (r, block, shapes, _), bias in zip(self._stages, biases):
@@ -393,12 +491,19 @@ class CosetEvaluator:
                         for i, ws in zip(idx, shape):
                             rows[i] = sum(map(operator.mul, ws, xs))
 
-        # Reduce every row into one flat list, slot j of row k at k·slots + j.
-        # picks[x] is where the first polynomial's value at point x sits;
-        # dropping the first T values moves the next polynomial's there.
+        # Row-fold and reduce every row into one flat list, slot j of row k at
+        # k·slots + j. A split's masks keep, in every slot, the low s bits and
+        # the 8·W - s bits above them. picks[x] is where the first
+        # polynomial's value at point x sits; dropping the first T values
+        # moves the next polynomial's there.
         flat: List[int] = []
+        masks = [(s, c, ones * ((1 << s) - 1), ones * ((1 << 8 * width - s) - 1))
+                 for s, c in splits]
         for k in range(m):
-            flat += [v % q for v in _unpack(rows[k], slots, width)]
+            row = rows[k]
+            for s, c, low, high in masks:
+                row = (row & low) + (row >> s & high) * c
+            flat += [v % q for v in _unpack(row, slots, width, word)]
             rows[k] = None
         picks = self._picks.get(slots)
         if picks is None:

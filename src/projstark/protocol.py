@@ -241,8 +241,11 @@ class _Domains:
 
     The coset-DFT plan of a layer is built on its first use, so a verifier
     builds none and a Fiat-Shamir prover only those of the layers it commits.
-    Nothing here depends on a proof; a plan keeps, per slot width, the power
-    rows of the longest list it has evaluated (CosetEvaluator._powers).
+    So is the table of inverses (x - 1)^(-1) on D_0 from which prove takes
+    the boundary columns (boundary_inverses): the first prove builds it, a
+    verifier never. Nothing here depends on a proof; a plan keeps, per slot
+    width, the power rows of the longest list it has evaluated
+    (CosetEvaluator._powers).
     """
 
     def __init__(self, q: int, num_steps: int):
@@ -254,6 +257,7 @@ class _Domains:
         self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
                                          num_rounds(self.worst_bound))
         self.plans: Dict[int, CosetEvaluator] = {}
+        self._boundary_inverses: Optional[List[int]] = None
 
     def index(self, layer: int, point: int) -> int:
         """The position of `point` in sorted FRI layer `layer`, its trace tree leaf
@@ -290,6 +294,16 @@ class _Domains:
             self.plans[j] = plan
         return plan
 
+    def boundary_inverses(self) -> List[int]:
+        """(x - 1)^(-1) at every point x of D0, in its order; 1 is in H, so in
+        no coset of D0. Built on first use, like the plans, so by the first
+        prove and by no verifier; racing threads may each build it."""
+        inverses = self._boundary_inverses
+        if inverses is None:
+            q = self.field.modulus
+            inverses = self._boundary_inverses = [pow(x - 1, -1, q) for x in self.layers[0]]
+        return inverses
+
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _domains(q: int, num_steps: int) -> _Domains:
@@ -307,8 +321,8 @@ class _Committed:
     earlier openings sent, so each opening's path stops where it meets one.
     """
 
-    def __init__(self, polys: Sequence[Polynomial], domains: _Domains, layer: int):
-        self.tables = domains.evaluator(layer).evaluate(polys)
+    def __init__(self, tables: List[List[int]], domains: _Domains, layer: int):
+        self.tables = tables
         self.tree = MerkleTree(self.rows())
         self.known = {1}
         self.domains = domains
@@ -326,6 +340,9 @@ class _CommittedPairs(_Committed):
     """One polynomial f on the sorted, negation-closed domain D of one FRI
     layer (layer 0: Q), one leaf per pair: leaf i is (f(d), f(q - d)) for d
     the i-th point of D, below q/2, so q - d is its (|D| - 1 - i)-th point."""
+
+    def __init__(self, poly: Polynomial, domains: _Domains, layer: int):
+        super().__init__(domains.evaluator(layer).evaluate([poly]), domains, layer)
 
     def rows(self):
         table = self.tables[0]
@@ -454,15 +471,17 @@ def prove(
     trace = lift_trace(trace, field) if force else _lift_or_refuse(spec, trace, field)
     tp = build_trace_polys(trace, domain)
 
-    x_minus_one = Polynomial(field, (-1, 1))
-    boundary_polys = [divmod(f - z0, x_minus_one)[0] for f, z0 in zip(tp.f_z, spec.z_init)]
-
     transcript.absorb("spec", hash_spec(field, spec))
 
     g = domains.g
-    trace_cm = _Committed(
-        (*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta, *boundary_polys), domains, 0
-    )
+    tables = domains.evaluator(0).evaluate((*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta))
+    # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
+    # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forced trace or not
+    inverses = domains.boundary_inverses()
+    for table, f in zip(tables[:n], tp.f_z):
+        f_one = sum(f.coeffs)
+        tables.append([(v - f_one) * w % q for v, w in zip(table, inverses)])
+    trace_cm = _Committed(tables, domains, 0)
     transcript.absorb("trace", trace_cm.tree.root)
 
     gammas = [transcript.draw("gamma") for _ in range(4 * n)]
@@ -472,7 +491,7 @@ def prove(
 
     bound, rounds = _fri_shape(transcript, domains, degree_bound(tp, quotient, N))
 
-    composition = _CommittedPairs([quotient], domains, 0)
+    composition = _CommittedPairs(quotient, domains, 0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
@@ -484,7 +503,7 @@ def prove(
     for j in range(1, rounds + 1):
         folded = fold(folded, transcript.draw("beta"))
         if j < rounds:
-            layer_committed.append(_CommittedPairs([folded], domains, j))
+            layer_committed.append(_CommittedPairs(folded, domains, j))
             transcript.absorb(f"fri[{j}]", layer_committed[-1].tree.root)
     remainder = folded.coeffs + (0,) * ((bound >> rounds) + 1 - len(folded.coeffs))
     transcript.absorb("fri_remainder", _remainder_bytes(remainder))

@@ -118,6 +118,25 @@ def test_pack_refuses_a_value_wider_than_its_slot():
         poly._pack([1, 256, 0], 1)  # would carry into its neighbour's slot
 
 
+# 1, 2, 4 and 8 bytes are machine words, moved by struct; the rest by bytes
+@pytest.mark.parametrize("width", [*range(1, 10), 14, 16])
+def test_pack_round_trips_and_refuses_at_each_width(width):
+    top = 2 ** (8 * width) - 1
+    values = [0, top, 1, top - 1, 0]
+    assert poly._unpack(poly._pack(values, width), len(values), width) == values
+    for word in (1, 2, 4, 8):
+        if word <= width:  # each slot as its low word, the bytes above it zero
+            low = [v % 2 ** (8 * word) for v in values]
+            packed = poly._pack(low, width, word)
+            assert packed == poly._pack(low, width)
+            assert poly._unpack(packed, len(low), width, word) == low
+            with pytest.raises(OverflowError):
+                poly._pack([2 ** (8 * word)], width, word)
+    for bad in (top + 1, -1):  # one past the slot, or negative
+        with pytest.raises(OverflowError):
+            poly._pack([0, bad, 0], width)
+
+
 def test_degree_is_additive_under_product(field):
     rng = random.Random(5)
     for _ in range(50):
@@ -389,10 +408,12 @@ def _assert_matches_horner(field, omega, order, cosets, polys):
     assert tables == [[p.evaluate(x) for x in points] for p in polys]
 
 
-# radices: 2^7; 2^8; 2·3·5; 3·5 and 5·11 with no radix-2 stage; 2^3·5; 2^2·3·5
+# radices: 2^7; 2^8; 2·3·5; 3·5 and 5·11 with no radix-2 stage; 2^3·5; 2^2·3·5;
+# 2^4 for BabyBear, whose rows take three row-fold splits to reach a 64-bit
+# word, and for Goldilocks, whose slots are read whole
 @pytest.mark.parametrize("q,order,cosets", [
     (12289, 128, 3), (769, 256, 1), (331, 30, 11), (331, 15, 22), (331, 55, 6),
-    (3001, 40, 25), (61, 60, 1),
+    (3001, 40, 25), (61, 60, 1), (2**31 - 2**27 + 1, 16, 3), (2**64 - 2**32 + 1, 16, 3),
 ])
 def test_coset_evaluator_worst_case_coefficients(q, order, cosets):
     # every coefficient q - 1, the largest the fold can multiply by a power
@@ -400,6 +421,25 @@ def test_coset_evaluator_worst_case_coefficients(q, order, cosets):
     omega = build_domain(field, order).generator
     polys = [Polynomial(field, [q - 1] * (d + 1)) for d in (order - 1, 2 * order - 1, 4 * order - 1)]
     _assert_matches_horner(field, omega, order, cosets, polys)
+
+
+# the words slots are read in, over a proof's layer domains and lengths
+@pytest.mark.parametrize("q,order,words", [
+    (331, 30, {4}), (769, 256, {2, 4, 8}), (12289, 128, {4, 8}), (2**31 - 2**27 + 1, 16, {8}),
+    (2**64 - 2**32 + 1, 16, {None}),
+])
+def test_coset_row_fold_reaches_a_machine_word(q, order, words):
+    # the benchmark moduli and BabyBear read every slot as one machine word
+    # after the row fold; a Goldilocks residue alone can fill 64 bits, so no
+    # split gets there and its slots are read whole
+    seen = set()
+    for _, ev in _layer_evaluators(q, order):
+        for length in (1, order, 2 * order - 2):
+            width, _, splits, word = ev._slot_plan(length)
+            assert word is None or word <= width
+            assert splits or word in (width, None)
+            seen.add(word)
+    assert seen == words
 
 
 def test_coset_evaluator_above_64_bits():
@@ -410,6 +450,9 @@ def test_coset_evaluator_above_64_bits():
     polys = [Polynomial(field, [q - 1] * (d + 1)) for d in (29, 59, 119)]
     polys += [rand_poly(rng, field, d) for d in (0, 30, 97)]
     _assert_matches_horner(field, omega, 30, 4, polys)
+    # one coset: power rows narrow enough to fold packed columns of
+    # coefficients, which fit no machine word
+    _assert_matches_horner(field, omega, 30, 1, polys)
 
 
 _SMALL_PRIMES = [p for p in range(3, 400) if is_prime(p)]

@@ -371,6 +371,37 @@ def test_forced_boundary_tamper_hits_boundary_stage(field, paper_spec, paper_tra
     assert report.stage == "boundary"
 
 
+@pytest.mark.parametrize("forced", [False, True])
+def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, paper_trace,
+                                                            monkeypatch, forced):
+    # every committed boundary value at every point of D0 is the floor
+    # quotient floor((f_z - z_init)/(x - 1)) by Horner, also for a forced trace
+    # whose row 0 is not z_init: there (f_z(x) - z_init)/(x - 1) differs from
+    # it at every point, and would let the wrong start pass the boundary stage
+    trace = paper_trace.with_cell("z", 0, 1, 99) if forced else paper_trace
+    committed = []
+    init = protocol._Committed.__init__
+
+    def spy(self, tables, domains, layer):
+        committed.append(tables)
+        init(self, tables, domains, layer)
+
+    monkeypatch.setattr(protocol._Committed, "__init__", spy)
+    prove(field, paper_spec, trace, FiatShamirTranscript(ref.MODULUS), num_queries=2,
+          force=forced)
+    n, q = paper_spec.n, field.modulus
+    domains = protocol._domains(q, paper_spec.num_steps)
+    points = domains.layers[0]
+    f_z = build_trace_polys(trace, domains.subgroup).f_z
+    boundary = committed[0][4 * n:]
+    assert len(boundary) == n
+    x_minus_one = Polynomial(field, (-1, 1))
+    for f, z0, table in zip(f_z, paper_spec.z_init, boundary):
+        assert table == [divmod(f - z0, x_minus_one)[0].evaluate(x) for x in points]
+    starts = [f.evaluate(1) for f in f_z]
+    assert (starts != list(paper_spec.z_init)) == forced
+
+
 def test_verify_rejects_wrong_public_inputs(field, paper_spec, paper_proof):
     other = paper_spec.__class__(
         a_hat=paper_spec.a_hat, z_upper=paper_spec.z_upper, z_lower=paper_spec.z_lower,
@@ -1561,8 +1592,10 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
         verify(field, paper_spec, proof_from_json(truncated))
     assert _layer_count(ref.MODULUS, N) == count
     assert protocol._domains(ref.MODULUS, N).layers is layers
-    # a pure verifier builds no coset-DFT plan and no trace interpolator
+    # a pure verifier builds no coset-DFT plan, no trace interpolator and no
+    # table of boundary inverses
     assert not protocol._domains(ref.MODULUS, N).plans
+    assert protocol._domains(ref.MODULUS, N)._boundary_inverses is None
     assert trace_interpolator.cache_info().currsize == 0
 
 
