@@ -1,6 +1,6 @@
 """Verifier randomness and commitment plumbing.
 
-Two transcript modes share one interface: replay consumes injected challenge
+Two transcripts share one interface: replay consumes injected challenge
 lists in order (used to reproduce the worked example), fiat-shamir derives
 challenges from a SHA-256 hash of the message log.  Merkle trees commit to
 ordered tables of rows (the values of several polynomials at one point) with
@@ -26,7 +26,6 @@ class TranscriptError(RuntimeError):
 class ReplayTranscript:
     """Injected challenge lists, drawn in order, each value as written."""
 
-    mode = "replay"
     salt = b""  # challenges are injected, so none is salted
 
     def __init__(
@@ -53,8 +52,6 @@ class ReplayTranscript:
 
 
 class FiatShamirTranscript:
-    mode = "fiat-shamir"
-
     def __init__(self, modulus: int, salt: bytes = b""):
         self.modulus = modulus
         self.salt = salt

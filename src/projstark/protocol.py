@@ -37,6 +37,7 @@ from .channel import (
     FiatShamirTranscript,
     MerkleCommitment,
     MerkleTree,
+    ReplayTranscript,
     TranscriptError,
     verify_opening,
 )
@@ -47,11 +48,10 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 12
+PROOF_VERSION = 13
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
-REMAINDER_BITS = 5  # Fiat-Shamir folds until fewer than 2^5 coefficients remain
 DOMAIN_CACHE_SIZE = 4  # (q, N) pairs whose domains and DFT plans are kept
 
 
@@ -108,7 +108,8 @@ class Commitments:
 @dataclass(frozen=True)
 class FriLayers:
     """The trees of layers 1..rounds-1, and the last fold's (bound >> rounds) + 1
-    coefficients, low degree first, zero-padded: one, a constant, for replay."""
+    coefficients, low degree first, zero-padded: one, a constant, for replay.
+    Under Fiat-Shamir `rounds` is _fri_shape's for the proof's query count."""
 
     roots: Tuple[MerkleCommitment, ...]
     remainder: Tuple[int, ...]
@@ -418,15 +419,23 @@ def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) 
     return lift_trace(trace, field)
 
 
-def _fri_shape(transcript, domains: _Domains, declared: int) -> Tuple[int, int]:
+def _fri_shape(transcript, domains: _Domains, declared: int, queries: int) -> Tuple[int, int]:
     """The degree bound a proof must declare and its FRI fold count, the one
     rule that differs by transcript. Replay declares `declared`, the paper's
-    bound, and folds it to a constant; Fiat-Shamir declares the worst case
-    2N - 2 and stops once fewer than 2^REMAINDER_BITS coefficients remain."""
-    if transcript.mode == "replay":
+    bound, and folds it to a constant. Fiat-Shamir declares the worst case
+    b = 2N - 2 and folds it once; after r folds it folds again only while the
+    8-byte coefficients that fold drops from the remainder, (b >> r) -
+    (b >> (r + 1)), outweigh what committing layer r costs the `queries`
+    openings: at most one 32-byte digest per level of its pair tree each."""
+    if isinstance(transcript, ReplayTranscript):
         return declared, num_rounds(declared)
-    bound = domains.worst_bound
-    return bound, max(num_rounds(bound) - REMAINDER_BITS, 1)
+    bound, rounds = domains.worst_bound, 1
+    while rounds < len(domains.layers):
+        height = (len(domains.layers[rounds]) // 2 - 1).bit_length()
+        if 8 * ((bound >> rounds) - (bound >> (rounds + 1))) <= 32 * queries * height:
+            break
+        rounds += 1
+    return bound, rounds
 
 
 def _remainder_bytes(remainder: Sequence[int]) -> bytes:
@@ -489,7 +498,7 @@ def prove(
     numerators = build_numerators(tp, spec, domain)
     [quotient] = build_compositions([combine(numerators, gammas)], domain)
 
-    bound, rounds = _fri_shape(transcript, domains, degree_bound(tp, quotient, N))
+    bound, rounds = _fri_shape(transcript, domains, degree_bound(tp, quotient, N), num_queries)
 
     composition = _CommittedPairs(quotient, domains, 0)
     transcript.absorb("composition", composition.tree.root)
@@ -497,7 +506,9 @@ def prove(
 
     # bound >= deg Q: replay declares at least deg Q, and deg Q <= 2N - 2, the
     # Fiat-Shamir bound, as f_z has degree N and the other columns N - 1; so
-    # `rounds` folds leave at most (bound >> rounds) + 1 coefficients
+    # `rounds` folds leave at most (bound >> rounds) + 1 coefficients. Layers
+    # 1..rounds-1 are committed; under Fiat-Shamir `rounds` follows from
+    # num_queries, as a layer's openings cost each query one path
     layer_committed = [composition]
     folded = quotient
     for j in range(1, rounds + 1):
@@ -575,13 +586,15 @@ def verify(
     ValueError for a (q, N) check_publics refuses, a `num_queries` outside
     [1, MAX_QUERIES] or a replay sample point outside D0, a TranscriptError
     for fewer replay gammas than the spec's 4n. The proof's: ProofFormatError,
-    also for a remainder not of _fri_shape's length, and when its rounds or
-    queries need more betas or sample points than the replay lists hold. Every
-    check looks at the sample points the transcript draws. Checks, in order,
-    with the stage a failure is reported at: at least `num_queries` queries
-    answered (queries), the proof's salt the transcript's, b"" for replay
-    (salt), the declared degree bound, at most 2N-2 and equal to it under
-    Fiat-Shamir (fri_commit), each commitment's leaf count and the openings at
+    also for FRI layers or a remainder not of the shape _fri_shape gives for
+    its declared bound and, under Fiat-Shamir, the number of queries it
+    answers, and when its rounds or queries need more betas or sample points
+    than the replay lists hold. Every check looks at the sample points the
+    transcript draws. Checks, in order, with the stage a failure is reported
+    at: at least `num_queries` queries answered (queries), the proof's salt
+    the transcript's, b"" for replay (salt), the declared degree bound, at
+    most 2N-2 and equal to it under Fiat-Shamir (fri_commit), each
+    commitment's leaf count and the openings at
     the leaves of the sample points, each FRI pair's two values by one path
     (commitment), the initialization quotient identity (boundary), the
     composition values recomputed from the opened trace rows (consistency),
@@ -596,7 +609,7 @@ def verify(
     _check_num_queries(num_queries)
     if transcript is None:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
-    bound, rounds = _fri_shape(transcript, domains, proof.degree_bound)
+    bound, rounds = _fri_shape(transcript, domains, proof.degree_bound, len(proof.queries))
     _structural_validate(proof, field, spec, bound, rounds)
     if len(proof.queries) < num_queries:
         return VerificationReport("queries", f"the proof answers {len(proof.queries)} queries, "

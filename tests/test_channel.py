@@ -68,12 +68,6 @@ def test_replay_absorb_is_inert():
 # --- fiat-shamir transcripts ------------------------------------------------
 
 
-def test_each_mode_is_spelled_as_protocol_reads_it():
-    # protocol's degree-bound branch: a replay proof declares its quotient's
-    # own bound, a proof of any other transcript the worst case
-    assert (ReplayTranscript.mode, FiatShamirTranscript.mode) == ("replay", "fiat-shamir")
-
-
 def test_fiat_shamir_deterministic():
     a = FiatShamirTranscript(331)
     b = FiatShamirTranscript(331)

@@ -789,6 +789,11 @@ def test_stock_configs_load_to_their_values(name, q):
     assert load_config(str(CONFIGS / name)) == expected
 
 
+def test_the_long_horizon_config_loads_to_its_values():
+    expected = RunConfig(PrimeField(65537), dataclasses.replace(BOX, num_steps=4095), 8, None)
+    assert load_config(str(CONFIGS / "horizon-q65537.json")) == expected
+
+
 @pytest.mark.parametrize("spell", [str, int])
 def test_replay_config_loads_the_same_in_either_spelling(tmp_path, spell):
     path = _write_config(tmp_path, _spelled(ref.replay_config(), spell))

@@ -3,6 +3,7 @@ import binascii
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import sys
 import threading
@@ -505,17 +506,34 @@ def test_fiat_shamir_verify_rejects_a_declared_bound_other_than_2n_minus_2(
     assert report.detail == f"degree bound {bound}: worst case is 56"
 
 
+def _cost_rule_folds(domains, queries):
+    """The Fiat-Shamir fold count, evaluated apart from _fri_shape: after r
+    folds, fold r + 1 is made only when the 8-byte coefficients it drops
+    from the remainder outweigh one 32-byte digest per level of layer r's
+    tree of pairs for each query; the last fold leaves a constant."""
+    bound = domains.worst_bound
+    sizes = [(bound >> r) + 1 for r in range(num_rounds(bound) + 1)]
+    for r in range(1, num_rounds(bound)):
+        levels = math.ceil(math.log2(len(domains.layers[r]) // 2))
+        if 8 * (sizes[r] - sizes[r + 1]) <= 32 * queries * levels:
+            return r
+    return num_rounds(bound)
+
+
 @pytest.mark.parametrize("q, num_steps", [(12289, 127), (769, 255), (331, 29), (3001, 39)])
 def test_fiat_shamir_folds_to_at_most_32_coefficients_and_replay_to_a_constant(q, num_steps):
+    # at 2 queries the cost rule folds q = 769 three times, to 63
+    # coefficients, and the others once
     field, spec = PrimeField(q), _box_spec(num_steps)
     trace = simulate(spec)
     bound = 2 * num_steps - 2
-    rounds = max(num_rounds(bound) - 5, 1)
+    rounds = _cost_rule_folds(protocol._domains(q, num_steps), 2)
+    assert rounds == (3 if q == 769 else 1)
     proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"grid"), num_queries=2)
     assert verify(field, spec, proof).accepted
     assert len(proof.fri_layers.roots) == rounds - 1
     assert all(len(query.fri) == rounds for query in proof.queries)
-    assert len(proof.fri_layers.remainder) == (bound >> rounds) + 1 <= 32
+    assert len(proof.fri_layers.remainder) == (bound >> rounds) + 1
     # replay folds its declared bound to a constant: on the paper system, in
     # five folds to 229
     ch = random_challenges(random.Random(q), q, spec, num_queries=2)
@@ -530,6 +548,63 @@ def test_fiat_shamir_folds_to_at_most_32_coefficients_and_replay_to_a_constant(q
     assert len(proof.fri_layers.remainder) == 1
     if q == ref.MODULUS:
         assert rounds == 5 and proof.fri_layers.remainder == (ref.FINAL_CONSTANT,)
+
+
+@pytest.mark.parametrize("q, order, queries, rounds, size", [
+    (331, 30, 8, 1, 29), (331, 30, 64, 1, 29),
+    (12289, 128, 1, 2, 64), (12289, 128, 8, 1, 127), (12289, 128, 64, 1, 127),
+    (769, 256, 8, 1, 255), (3001, 40, 8, 1, 39),
+    # layer 1 has 128 leaves, a tree of 7 levels: 4 queries pay 896 bytes
+    # for it, and folding again drops 1,016, so the tree's height decides
+    (769, 256, 4, 2, 128),
+])
+def test_fiat_shamir_folds_while_a_layer_costs_less_than_the_coefficients_it_drops(
+        q, order, queries, rounds, size):
+    # the prover's fold count and the verifier's both come from the query
+    # count, so a proof made for it is accepted
+    bound = 2 * order - 4
+    domains = protocol._domains(q, order - 1)
+    assert protocol._fri_shape(FiatShamirTranscript(q), domains, 0, queries) == (bound, rounds)
+    assert _cost_rule_folds(domains, queries) == rounds and (bound >> rounds) + 1 == size
+    field, spec = PrimeField(q), _box_spec(order - 1)
+    proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=b"rule"),
+                  num_queries=queries, salt=b"rule")
+    assert len(proof.fri_layers.roots) == rounds - 1 and len(proof.fri_layers.remainder) == size
+    assert all(len(query.fri) == rounds for query in proof.queries)
+    assert verify(field, spec, proof, num_queries=queries).accepted
+
+
+def test_the_long_horizon_shape_folds_four_times_to_512_coefficients():
+    # q = 65537, N + 1 = 4096, 8 queries, from the domains alone: 2N - 2 =
+    # 8188 folded once leaves 4095 coefficients, and each of the next three
+    # folds drops more bytes than its layer's openings add
+    domains = protocol._Domains(65537, 4095)
+    assert protocol._fri_shape(FiatShamirTranscript(65537), domains, 0, 8) == (8188, 4)
+    assert _cost_rule_folds(domains, 8) == 4 and (8188 >> 4) + 1 == 512
+
+
+def test_a_proof_folded_for_another_query_count_is_malformed(tmp_path):
+    # q = 12289, N + 1 = 128: one query folds twice, to 64 coefficients, and
+    # eight fold once, to 127. The verifier takes the fold count from the
+    # queries a proof answers, so one whose layers carry another is malformed
+    q, spec, salt = 12289, _box_spec(127), b"count"
+    field, trace = PrimeField(q), simulate(spec)
+    one, eight = (prove(field, spec, trace, FiatShamirTranscript(q, salt=salt),
+                        num_queries=queries, salt=salt) for queries in (1, 8))
+    assert verify(field, spec, one).accepted and verify(field, spec, eight).accepted
+    assert (len(one.fri_layers.roots), len(eight.fri_layers.roots)) == (1, 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"q": str(q), "N": 127, "A_hat": [[1, 0], [-1, 1]],
+                                  "z_upper": [100, 100], "z_lower": [0, 40], "z_init": [3, 100],
+                                  "queries": 1}))
+    for forged, size, sent in ((dataclasses.replace(one, queries=one.queries * 8), 127, 64),
+                               (dataclasses.replace(eight, queries=eight.queries[:1]), 64, 127)):
+        with pytest.raises(ProofFormatError,
+                           match=f"^expected {size} remainder coefficients, got {sent}$"):
+            verify(field, spec, forged)
+        (tmp_path / "proof.json").write_text(dump_proof(forged))
+        assert main(["verify", "--config", str(config),
+                     "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
@@ -1073,7 +1148,8 @@ def test_load_proof_reads_the_version_first(paper_proof):
     doc = proof_to_json(paper_proof)
     for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
         for edited in ({**doc, "version": version}, {"version": version},
-                       {"version": version, "x": 0}, _as_version_11(doc), _as_version_10(doc),
+                       {"version": version, "x": 0}, _as_version_12(doc), _as_version_11(doc),
+                       _as_version_10(doc),
                        _as_version_9(_as_version_10(doc)), _as_version_8(_as_version_10(doc))):
             edited["version"] = version
             with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
@@ -1348,11 +1424,11 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
-# padded standard base64, a path its digests joined; proof version 12:
+# padded standard base64, a path its digests joined; proof version 13:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
-# to a remainder of at most 2^REMAINDER_BITS coefficients under Fiat-Shamir
-# and to a constant for replay, at most
+# under Fiat-Shamir while a layer costs less than the coefficients it drops
+# from the remainder, and to a constant for replay, at most
 # BLOWUP cosets of H committed, sample points drawn as
 # indices into them, no q, N or g, no sample point and no trace row index,
 # which the verifier holds or derives, and each path cut where it meets a
@@ -1360,12 +1436,15 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "d0159d62b2b522277e63c6b5ac90068bc06633ea0e8ab246b2aca80d5d615ee1",
-    "paper-fiat-shamir": "674049183665537a14ab9f296e09de5f14de3920e0c79637ef5d3afc89559e95",
+    "paper-replay": "13140aa7ef6ca733e768915795ebda037b00b274ef7f955f37f329074400263b",
+    "paper-fiat-shamir": "5f427da8b103c607c5cdb3fae21b6397f4a38f6f71c13f74b6b2c7ecce56ab4a",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
-    # are committed; FRI layer 1 is a union of cosets of the subgroup of
-    # order 20, and 76 folded twice leaves a remainder of 20 coefficients
-    "q3001-fiat-shamir": "0ce8f2fa15f26f73fe99ddc06294cd0f6e52d04ec670cf1f2264de69a41b61f5",
+    # are committed, and 76 folded once leaves a remainder of 39 coefficients
+    "q3001-fiat-shamir": "f6ff38dd2b1d2e9d45c171cf6e2f190c80eb90a8d3b53091d37c3765c6b26890",
+    # q=12289, N+1=128, one query: 252 folded twice leaves 64 coefficients,
+    # and FRI layer 1, a union of cosets of the subgroup of order 64, is committed
+    "q12289-one-query-fiat-shamir":
+        "f00d4803f2866f88f16e6bb06c2cf5531af6bb80c1c0d7f3c88ee336519355be",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1383,7 +1462,7 @@ def _proof_digest(proof) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 12
+    assert paper_proof.version == PROOF_VERSION == 13
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1398,7 +1477,7 @@ def test_mixed_radix_proof_is_byte_identical():
     proof = prove(field, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
                   FiatShamirTranscript(3001, salt=salt), num_queries=8, salt=salt)
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
-    assert len(proof.fri_layers.roots) == 1 and len(proof.fri_layers.remainder) == 20
+    assert len(proof.fri_layers.roots) == 0 and len(proof.fri_layers.remainder) == 39
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
 
 
@@ -1420,6 +1499,34 @@ def test_version_12_renames_only_the_replay_final_value(paper_proof):
                                (_as_version_10, VERSION_10_REPLAY_DIGEST)):
         text = json.dumps(as_version(proof_to_json(paper_proof)), separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+
+# what PINNED_PROOF_DIGESTS held for the paper proofs in proof version 12,
+# whose Fiat-Shamir fold count was max(num_rounds(2N - 2) - 5, 1)
+VERSION_12_DIGESTS = {
+    "paper-replay": "d0159d62b2b522277e63c6b5ac90068bc06633ea0e8ab246b2aca80d5d615ee1",
+    "paper-fiat-shamir": "674049183665537a14ab9f296e09de5f14de3920e0c79637ef5d3afc89559e95",
+}
+
+
+def _as_version_12(doc: dict) -> dict:
+    """The version-12 document of a paper proof document: the same, but for
+    its version. A new document: `doc` is left as it is."""
+    return {**doc, "version": 12}
+
+
+def test_version_13_changes_only_the_version_of_the_paper_proofs(field, paper_spec, paper_trace,
+                                                                 paper_proof):
+    # both rules fold the paper system once under Fiat-Shamir at 8 queries,
+    # and replay is untouched, so with its version set to 12 each paper
+    # proof is the version-12 proof byte for byte
+    salt = b"pin-paper"
+    fs = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+               num_queries=8, salt=salt)
+    for name, proof in (("paper-replay", paper_proof), ("paper-fiat-shamir", fs)):
+        assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
+        text = json.dumps(_as_version_12(proof_to_json(proof)), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == VERSION_12_DIGESTS[name]
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
@@ -1482,10 +1589,10 @@ def test_cold_and_warm_domain_cache_give_the_same_proof(
 def test_threads_share_the_domain_cache():
     # threads that prove and verify at once against one cold context, whose
     # coset-DFT plans and trace interpolator are built on first use, must each
-    # get the pinned proof (q = 3001: each FRI layer domain differs from the
-    # one before)
-    field, spec, salt = PrimeField(3001), MIXED_RADIX_SPEC, b"pin-mixed"
-    trace = simulate(spec)
+    # get the pinned proof (q = 12289 at one query: two folds, so the plans
+    # of layers 0 and 1, whose domains differ)
+    q, spec, salt = 12289, _box_spec(127), b"pin-two-folds"
+    field, trace = PrimeField(q), simulate(spec)
     digests, errors = [], []
     start = threading.Barrier(4, timeout=60)
 
@@ -1493,15 +1600,15 @@ def test_threads_share_the_domain_cache():
         try:
             start.wait()
             for _ in range(2):
-                proof = prove(field, spec, trace, FiatShamirTranscript(3001, salt=salt),
-                              num_queries=8, salt=salt)
+                proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=salt),
+                              num_queries=1, salt=salt)
                 assert verify(field, spec, proof).accepted
                 digests.append(_proof_digest(proof))
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 
     protocol._domains.cache_clear()
-    protocol._domains(3001, spec.num_steps)  # one context, no plan built yet
+    domains = protocol._domains(q, spec.num_steps)  # one context, no plan built yet
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1514,7 +1621,8 @@ def test_threads_share_the_domain_cache():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert digests == [PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]] * 8
+    assert digests == [PINNED_PROOF_DIGESTS["q12289-one-query-fiat-shamir"]] * 8
+    assert sorted(domains.plans) == [0, 1]
 
 
 def test_domain_cache_stays_at_its_bound():
@@ -1752,25 +1860,27 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
     ("paper", ("commitments", "trace"), 400),
     ("paper", ("commitments", "composition"), 256),
     ("paper-replay", ("fri_layers", "roots", 0), 255),
-    ("q3001", ("fri_layers", "roots", 0), 200),
+    ("q12289", ("fri_layers", "roots", 0), 300),
 ], ids=["trace", "composition", "fri-layer-1", "fri-layer-1-fiat-shamir"])
 def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, paper_proof,
                                                system, where, leaves):
     # each count keeps its tree's height, so every path still authenticates;
     # the count is checked against the size of its layer's domain. The paper
     # Fiat-Shamir proof folds once and commits no FRI layer 1; replay does,
-    # and so does the q = 3001 Fiat-Shamir proof, whose layer 1 has 160 leaves
+    # and so does the one-query q = 12289 Fiat-Shamir proof, which folds
+    # twice and whose layer 1 has 512 leaves
     replay = system == "paper-replay"
 
     def transcript():
         return paper_transcript() if replay else None
 
-    spec, trace = paper_spec, paper_trace
-    if system == "q3001":
-        field, spec, trace = PrimeField(3001), MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC)
+    spec, trace, queries = paper_spec, paper_trace, 8
+    if system == "q12289":
+        spec = _box_spec(127)
+        field, trace, queries = PrimeField(12289), simulate(spec), 1
     proof = paper_proof if replay else prove(
         field, spec, trace, FiatShamirTranscript(field.modulus, salt=b"a"),
-        num_queries=8, salt=b"a")
+        num_queries=queries, salt=b"a")
     assert verify(field, spec, proof, transcript()).accepted
     doc = proof_to_json(proof)
     node = doc
@@ -1831,8 +1941,11 @@ def test_large_field_proofs_verify(q, num_steps):
     def bump(container, key):
         container[key] = (container[key] + 1) % q
 
+    # BabyBear folds once and Goldilocks, at N + 1 = 1024, twice; each edit
+    # bumps a trace value or the value at -y of the last FRI pair a query opens
+    assert len(proof.fri_layers.roots) == (1 if q == GOLDILOCKS else 0)
     for edit in (lambda d: bump(d["queries"][3]["trace"][1]["values"], 1),
-                 lambda d: bump(d["queries"][5]["fri"][2], 1)):
+                 lambda d: bump(d["queries"][5]["fri"][-1], 1)):
         edited = json.loads(json.dumps(doc))
         edit(edited)
         assert verify(field, spec, proof_from_json(edited)).stage == "commitment"
