@@ -21,6 +21,7 @@ from .channel import (
     FiatShamirTranscript,
     MerkleCommitment,
     MerkleTree,
+    OpeningVerdict,
     ReplayTranscript,
     TranscriptError,
     verify_opening,

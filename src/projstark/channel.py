@@ -9,12 +9,13 @@ domain-separated SHA-256 hashing.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 CHALLENGE_KINDS = ("gamma", "beta", "sample_point")
 
@@ -139,87 +140,132 @@ class MerkleTree:
             level = list(map(_node_digest, level[0::2], level[1::2]))
             pad = _node_digest(pad, pad)
             size //= 2
-        self._levels = levels
+        # in heap positions: the root at 1, the children of node v at 2v and
+        # 2v + 1, so leaf i at 2^height + i
+        self._nodes = [b""]
+        for level in reversed(levels):
+            self._nodes += level
 
     @property
     def root(self) -> bytes:
-        return self._levels[-1][0]
+        return self._nodes[1]
 
     @property
     def commitment(self) -> MerkleCommitment:
         return MerkleCommitment(root=self.root, leaf_count=self.leaf_count)
 
-    def open(self, index: int, known: Optional[Set[int]] = None) -> bytes:
-        """The siblings on the way up from leaf `index` to the first node in
-        `known`, at the latest the root, joined from the leaf upward.
-
-        `known` holds heap positions (the root is 1, the children of node v
-        are 2v and 2v + 1, so leaf i is 2^height + i) of the nodes that
-        earlier openings of this tree sent or let the verifier compute. The
-        walk adds each node it passes and that node's sibling to it, which
-        are the nodes verify_opening learns when it accepts the opening. So
-        passing one set to every opening of a tree sends each node at most
-        once, provided the verifier checks the openings in the same order.
-        Without `known` the set starts as the root alone: the full path.
+    def open(self, indices: Sequence[int]) -> List[bytes]:
+        """The paths of one batch opening of the leaves `indices`, in that
+        order, which may repeat a leaf: each path the sibling digests
+        _multiproof assigns its opening, joined from the leaf upward. The
+        paths together send every digest the opened rows do not let the
+        verifier compute, each once; a single leaf's path runs to the root.
+        verify_opening checks the openings in the same order.
         """
-        if not 0 <= index < self.leaf_count:
-            raise IndexError(f"leaf index {index} out of range")
-        if known is None:
-            known = {1}
-        node = (1 << (len(self._levels) - 1)) + index
-        siblings = []
-        for level in self._levels[:-1]:
-            if node in known:
-                break
-            known.add(node)
-            known.add(node ^ 1)
-            siblings.append(level[index ^ 1])
-            node >>= 1
-            index >>= 1
-        return b"".join(siblings)
+        nodes = self._nodes
+        paths: List[List[bytes]] = [[] for _ in indices]
+        for sends, _ in _multiproof(self.leaf_count, indices):
+            for k, v in sends:
+                paths[k].append(nodes[v])
+        return [b"".join(path) for path in paths]
+
+
+def _multiproof(leaf_count: int, indices: Sequence[int]
+                ) -> List[Tuple[List[Tuple[int, int]], Dict[int, int]]]:
+    """The one rule that cuts a batch opening of the leaves `indices` of a
+    tree of `leaf_count` leaves into paths, level by level from the leaves
+    up to the root: for each level, the digests sent there, as (opening,
+    node) pairs, each appended to that opening's path, and the nodes of the
+    level above that an opened leaf is under, each mapped to its owner. An
+    index out of range is an IndexError.
+
+    In heap positions the root is 1 and the children of node v are 2v and
+    2v + 1, so leaf i is 2^height + i. A node's owner is the first opening
+    whose leaf is under it. An opening sends the sibling of each node it
+    owns below the root, unless an opened leaf is under that sibling too,
+    which the verifier then computes; so each digest of the minimal
+    multiproof is sent once, and a leaf opened before sends nothing.
+    """
+    base = 1 << (leaf_count - 1).bit_length()
+    level: Dict[int, int] = {}
+    for k, i in enumerate(indices):
+        if not 0 <= i < leaf_count:
+            raise IndexError(f"leaf index {i} out of range")
+        level.setdefault(base + i, k)
+    # each level's nodes are kept in their owners' order, so the first child
+    # of a node met is its owner's
+    levels = []
+    while base > 1:
+        parents: Dict[int, int] = {}
+        sends = []
+        for v, k in level.items():
+            if v ^ 1 not in level:
+                sends.append((k, v ^ 1))
+            parents.setdefault(v >> 1, k)
+        levels.append((sends, parents))
+        level = parents
+        base >>= 1
+    return levels
+
+
+@dataclass(frozen=True)
+class OpeningVerdict:
+    """verify_opening's verdict, true when the openings are accepted. A reject
+    says why, and names the opening at fault by its place in the batch when
+    one is."""
+
+    reason: str = ""
+    opening: Optional[int] = None
+
+    def __bool__(self) -> bool:
+        return not self.reason
 
 
 def verify_opening(
     commitment: MerkleCommitment,
-    index: int,
-    row: Sequence[int],
-    path: bytes,
-    known: Optional[Dict[int, bytes]] = None,
-) -> bool:
-    """True when `path`, sibling digests of 32 bytes each joined from the leaf
-    upward, opens `row` at leaf `index` of the committed tree.
+    openings: Sequence[Tuple[int, Sequence[int], bytes]],
+) -> OpeningVerdict:
+    """Whether `openings`, (leaf index, row, path) triples in the order
+    MerkleTree.open made their paths, open the committed tree.
 
-    `known` holds the nodes of this tree that earlier accepted openings
-    authenticated, keyed by heap position: the root is 1 and the children of
-    node v are 2v and 2v + 1, so leaf i is 2^height + i. Pass one dict per
-    tree and check the openings in the order MerkleTree.open made them. The
-    walk up from the leaf takes the path's next 32 bytes per level and stops
-    at the first known node (at the latest the root), whose digest the hashed
-    one must equal, with all of `path` used: a path that runs out before a
-    known node, goes on past one, or ends in part of a digest is refused.
-    Every known node was authenticated against the root, so an opening is
-    accepted exactly when its full path would have been. An accepted opening
-    adds the root and the nodes and siblings it hashed to `known`; a refused
-    one adds nothing.
+    _multiproof gives, from the indices alone, the digests each path must
+    send: a path of any other length is refused, and so is a leaf opened
+    twice with two rows. The verifier then hashes the opened leaves up level
+    by level as _multiproof walks them, each missing sibling the next digest
+    of its owner's path, and accepts when the root it reaches is the
+    committed one. A reject names the opening at fault, or else both roots.
+    An empty batch opens nothing and is accepted.
     """
-    if not 0 <= index < commitment.leaf_count:
-        raise IndexError(f"leaf index {index} out of range")
-    if known is None:
-        known = {}
-    node = (1 << (commitment.leaf_count - 1).bit_length()) + index
-    digest = _leaf_hasher(len(row))(row)
-    found = {1: commitment.root}
-    offset = 0
-    while node > 1 and node not in known:
-        sibling = path[offset:offset + 32]
-        if len(sibling) != 32:
-            return False
-        found[node] = digest
-        found[node ^ 1] = sibling
-        digest = _node_digest(sibling, digest) if node & 1 else _node_digest(digest, sibling)
-        node >>= 1
-        offset += 32
-    if offset != len(path) or digest != known.get(node, commitment.root):
-        return False
-    known.update(found)
-    return True
+    if not openings:
+        return OpeningVerdict()
+    levels = _multiproof(commitment.leaf_count, [o[0] for o in openings])
+    due = [0] * len(openings)  # the bytes each path must hold
+    for sends, _ in levels:
+        for k, _ in sends:
+            due[k] += 32
+    base = 1 << (commitment.leaf_count - 1).bit_length()
+    nodes: Dict[int, bytes] = {}
+    for k, (index, row, path) in enumerate(openings):
+        if len(path) != due[k]:
+            return OpeningVerdict(f"a path of {len(path)} bytes, where its leaf needs "
+                                  f"{due[k] // 32} digests of 32", k)
+        digest = _leaf_hasher(len(row))(row)
+        if nodes.setdefault(base + index, digest) != digest:
+            return OpeningVerdict(f"leaf {index} opened again with another row", k)
+    used = [0] * len(openings)  # the bytes of each path taken so far
+    sha = hashlib.sha256
+    for sends, parents in levels:
+        for k, v in sends:
+            at = used[k]
+            nodes[v] = openings[k][2][at:at + 32]
+            used[k] = at + 32
+        for v in parents:  # _node_digest, inlined
+            nodes[v] = sha(_NODE_TAG + nodes[2 * v] + nodes[2 * v + 1]).digest()
+    if nodes[1] != commitment.root:
+        return OpeningVerdict(f"computed root {_b64(nodes[1])}, committed {_b64(commitment.root)}")
+    return OpeningVerdict()
+
+
+def _b64(digest: bytes) -> str:
+    """A digest as the proof document spells it."""
+    return binascii.b2a_base64(digest, newline=False).decode()

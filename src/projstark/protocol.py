@@ -48,7 +48,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 13
+PROOF_VERSION = 14
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -121,12 +121,13 @@ class Proof:
     Nor are the sample points: the verifier draws them from its own
     transcript, so it computes each opening's leaf; an FRI index must equal it.
 
-    Each tree's openings are made, and must be checked, in one order: query by
-    query, the trace rows at x before g·x, then one opening per FRI layer, of
-    the leaf that holds the values at y and -y; the last layer's fold is
-    checked against the remainder. An opening's path stops where
-    the walk up from its leaf meets a node that an earlier opening of its tree
-    sent or let the verifier compute, so it is empty for a leaf opened before.
+    Each query opens the trace rows at x and g·x, then one leaf per FRI layer,
+    the one that holds the values at y and -y; the last layer's fold is
+    checked against the remainder. A tree's openings are one batch, in query
+    order (x before g·x): together their paths send the minimal multiproof,
+    the sibling digests no opened leaf lets the verifier compute, each in the
+    path of the first opening whose leaf is below its parent
+    (channel._multiproof), so a leaf opened before sends none.
     """
 
     version: int
@@ -318,23 +319,23 @@ class _Committed:
     Merkle leaf per point: the trace tree.
 
     The tables are kept by column; a row is built to be hashed, then dropped,
-    and built again only if it is opened. `known` holds the tree's nodes that
-    earlier openings sent, so each opening's path stops where it meets one.
+    and built again only if it is opened.
     """
 
     def __init__(self, tables: List[List[int]], domains: _Domains, layer: int):
         self.tables = tables
         self.tree = MerkleTree(self.rows())
-        self.known = {1}
         self.domains = domains
         self.layer = layer
 
     def rows(self):
         return zip(*self.tables)
 
-    def open_row(self, point: int) -> RowOpening:
-        i = self.domains.index(self.layer, point)
-        return RowOpening(tuple(t[i] for t in self.tables), self.tree.open(i, self.known))
+    def open_rows(self, points: Sequence[int]) -> List[RowOpening]:
+        """The rows at `points`, in order, opened as one batch."""
+        leaves = [self.domains.index(self.layer, p) for p in points]
+        return [RowOpening(tuple(t[i] for t in self.tables), path)
+                for i, path in zip(leaves, self.tree.open(leaves))]
 
 
 class _CommittedPairs(_Committed):
@@ -349,11 +350,17 @@ class _CommittedPairs(_Committed):
         table = self.tables[0]
         return zip(table[:len(table) // 2], reversed(table))
 
-    def open_pair(self, y: int) -> Tuple[Opening, int]:
-        """The opening at y of the leaf of {y, -y}, and f(-y), the leaf's other value."""
-        leaf, side = self.domains.pair_leaf(self.layer, y)
-        row = (self.tables[0][leaf], self.tables[0][-1 - leaf])
-        return Opening(leaf, row[side], self.tree.open(leaf, self.known)), row[1 - side]
+    def open_pairs(self, ys: Sequence[int]) -> List[Tuple[Opening, int]]:
+        """For each y of `ys`, in order, the opening at y of the leaf of
+        {y, -y} and f(-y), the leaf's other value: one batch."""
+        table = self.tables[0]
+        sides = [self.domains.pair_leaf(self.layer, y) for y in ys]
+        paths = self.tree.open([leaf for leaf, _ in sides])
+        pairs = []
+        for (leaf, side), path in zip(sides, paths):
+            row = (table[leaf], table[-1 - leaf])
+            pairs.append((Opening(leaf, row[side], path), row[1 - side]))
+        return pairs
 
 
 def run_online_stage(
@@ -519,16 +526,14 @@ def prove(
     remainder = folded.coeffs + (0,) * ((bound >> rounds) + 1 - len(folded.coeffs))
     transcript.absorb("fri_remainder", _remainder_bytes(remainder))
 
-    queries = []
-    for _ in range(num_queries):
-        x = transcript.draw("sample_point", domains.layers[0])
-        queries.append(
-            ProofQuery(
-                trace=(trace_cm.open_row(x), trace_cm.open_row(g * x % q)),
-                fri=tuple(cm.open_pair(y)
-                          for cm, y in zip(layer_committed, domains.chain(x, rounds))),
-            )
-        )
+    xs = [transcript.draw("sample_point", domains.layers[0]) for _ in range(num_queries)]
+    rows = trace_cm.open_rows([p for x in xs for p in (x, g * x % q)])  # at x, g·x
+    chains = [domains.chain(x, rounds) for x in xs]
+    pairs = [cm.open_pairs([chain[j] for chain in chains])
+             for j, cm in enumerate(layer_committed)]
+    queries = [ProofQuery(trace=(rows[2 * k], rows[2 * k + 1]),
+                          fri=tuple(layer[k] for layer in pairs))
+               for k in range(num_queries)]
 
     return Proof(
         version=PROOF_VERSION,
@@ -594,9 +599,12 @@ def verify(
     at: at least `num_queries` queries answered (queries), the proof's salt
     the transcript's, b"" for replay (salt), the declared degree bound, at
     most 2N-2 and equal to it under Fiat-Shamir (fri_commit), each
-    commitment's leaf count and the openings at
-    the leaves of the sample points, each FRI pair's two values by one path
-    (commitment), the initialization quotient identity (boundary), the
+    commitment's leaf count, the leaf of each FRI opening, and each tree's
+    openings at the leaves of the sample points, checked as one batch, each
+    FRI pair's two values in one leaf (commitment: a path of the wrong
+    length or a leaf opened twice with two rows is named by its tree and
+    query, a root mismatch by its tree and both roots, computed and
+    committed), the initialization quotient identity (boundary), the
     composition values recomputed from the opened trace rows (consistency),
     and the folding chain, whose last fold must be the remainder's value
     (fri_query). A reject that compares two values names both.
@@ -650,24 +658,29 @@ def verify(
             return VerificationReport("commitment",
                                       f"{name} tree has {cm.leaf_count} leaves, not {count}")
 
-    # nodes each tree's accepted openings authenticated, so each is hashed once
-    trace_known: dict = {}
-    layer_known: List[dict] = [{} for _ in range(rounds)]
-
+    # one batch per tree, in the order prove opened them: the trace rows query
+    # by query, at x then g·x, and each layer's pairs query by query
     chains = [domains.chain(x, rounds) for x in xs]
-    for k, query in enumerate(proof.queries):
-        # each leaf asked about is that of a point in its layer, so below the leaf count
-        for row, i, where in zip(query.trace, leaves[k], ("x", "g*x")):
-            if not verify_opening(comms.trace, i, row.values, row.path, trace_known):
-                return VerificationReport("commitment",
-                                          f"query {k}: bad trace row opening at {where}")
-        for j, y in enumerate(chains[k]):
-            leaf, side = domains.pair_leaf(j, y)
+    trace_openings = [(i, row.values, row.path)
+                      for query, pair in zip(proof.queries, leaves)
+                      for row, i in zip(query.trace, pair)]
+    batches = [("trace", comms.trace, trace_openings,
+                lambda o: f"query {o // 2} at {('x', 'g*x')[o % 2]}")]
+    for j, cm in enumerate(layer_comms):
+        openings = []
+        for k, (query, chain) in enumerate(zip(proof.queries, chains)):
+            leaf, side = domains.pair_leaf(j, chain[j])
             pos, neg = query.fri[j]
-            row = (pos.value, neg) if side == 0 else (neg, pos.value)
-            if pos.index != leaf or not verify_opening(layer_comms[j], leaf, row, pos.path,
-                                                       layer_known[j]):
-                return VerificationReport("commitment", f"query {k}: bad FRI layer {j} opening")
+            if pos.index != leaf:
+                return VerificationReport("commitment", f"query {k}: FRI layer {j} opens "
+                                          f"leaf {pos.index}, not {leaf}")
+            openings.append((leaf, (pos.value, neg) if side == 0 else (neg, pos.value), pos.path))
+        batches.append((f"layer {j}", cm, openings, lambda o: f"query {o}"))
+    for name, cm, openings, where in batches:
+        verdict = verify_opening(cm, openings)
+        if not verdict:
+            at = "" if verdict.opening is None else f", {where(verdict.opening)}"
+            return VerificationReport("commitment", f"{name} tree{at}: {verdict.reason}")
 
     # --- stage: boundary -----------------------------------------------------
     for k, (query, x) in enumerate(zip(proof.queries, xs)):

@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import itertools
 import random
 import struct
 
@@ -143,8 +145,10 @@ def test_merkle_single_leaf():
     tree = MerkleTree([(42,)])
     expected = hashlib.sha256(b"\x00" + (42).to_bytes(8, "little")).digest()
     assert tree.root == expected
-    assert tree.open(0) == b""
-    assert verify_opening(tree.commitment, 0, (42,), b"")
+    assert tree.open([0]) == [b""]
+    assert tree.open([0, 0]) == [b"", b""]
+    assert verify_opening(tree.commitment, [(0, (42,), b"")])
+    assert not verify_opening(tree.commitment, [(0, (43,), b"")])
 
 
 def test_merkle_two_leaves():
@@ -152,8 +156,11 @@ def test_merkle_two_leaves():
     l0 = hashlib.sha256(b"\x00" + (1).to_bytes(8, "little")).digest()
     l1 = hashlib.sha256(b"\x00" + (2).to_bytes(8, "little")).digest()
     assert tree.root == hashlib.sha256(b"\x01" + l0 + l1).digest()
-    assert tree.open(0) == l1
-    assert tree.open(1) == l0
+    assert tree.open([0]) == [l1]
+    assert tree.open([1]) == [l0]
+    # each leaf lets the verifier compute the other's digest, so none is sent
+    assert tree.open([1, 0]) == [b"", b""]
+    assert verify_opening(tree.commitment, [(1, (2,), b""), (0, (1,), b"")])
 
 
 def test_merkle_duplicate_last_padding():
@@ -190,8 +197,8 @@ def test_merkle_matches_reference_tree(count):
             siblings.append(level[index ^ 1])
             index >>= 1
         path = b"".join(siblings)  # 32 bytes per level, from the leaf upward
-        assert tree.open(i) == path
-        assert verify_opening(tree.commitment, i, v, path)
+        assert tree.open([i]) == [path]  # a leaf opened alone: the full path
+        assert verify_opening(tree.commitment, [(i, v, path)])
 
 
 def test_merkle_row_leaf_hashes_values_in_order():
@@ -207,9 +214,10 @@ def test_merkle_row_leaf_hashes_values_in_order():
     lazy = MerkleTree(zip(*zip(*rows)))
     assert (lazy.root, lazy.leaf_count) == (wide.root, len(rows))
     for i, r in enumerate(rows):
-        assert verify_opening(wide.commitment, i, r, wide.open(i))
-        assert not verify_opening(wide.commitment, i, r[:-1], wide.open(i))
-        assert not verify_opening(wide.commitment, i, r[1:] + r[:1], wide.open(i))
+        [path] = wide.open([i])
+        assert verify_opening(wide.commitment, [(i, r, path)])
+        assert not verify_opening(wide.commitment, [(i, r[:-1], path)])
+        assert not verify_opening(wide.commitment, [(i, r[1:] + r[:1], path)])
 
 
 def test_merkle_roots_bind_the_table():
@@ -230,125 +238,216 @@ def test_merkle_openings_verify():
     table = [(rng.randrange(10 ** 9),) for _ in range(21)]
     tree = MerkleTree(table)
     for i, v in enumerate(table):
-        assert verify_opening(tree.commitment, i, v, tree.open(i))
+        assert verify_opening(tree.commitment, [(i, v, *tree.open([i]))])
+    # every row at once: only the roots of the padding subtrees no row is
+    # under are sent, each by the first opening under its parent: leaf 21
+    # and leaves 22-23 by that of leaf 20, leaves 24-31 by that of leaf 16
+    paths = tree.open(range(21))
+    [full] = tree.open([20])
+    assert paths[20] == full[:64] and paths[16] == full[96:128]
+    assert paths[:16] + paths[17:20] == [b""] * 19
+    assert verify_opening(tree.commitment, [(i, table[i], p) for i, p in enumerate(paths)])
 
 
-def _assert_known_nodes_are_the_trees(tree, known):
-    """Every node in `known`, keyed by heap position, is the tree's own."""
-    height = len(tree._levels) - 1
-    for key, node in known.items():
-        level = height + 1 - key.bit_length()
-        assert tree._levels[level][key - (1 << (height - level))] == node
+def _batch(count, seed):
+    """A table of `count` one-value rows, its tree, and a random list of
+    openings (index, row, path) made by one open, with leaves repeated."""
+    rng = random.Random(seed)
+    table = [(rng.randrange(2**64),) for _ in range(count)]
+    tree = MerkleTree(table)
+    pool = rng.sample(range(count), min(count, 40))
+    indices = [rng.choice(pool) for _ in range(rng.randint(1, 60))]
+    indices += [indices[0]]  # at least one leaf opened twice
+    return rng, table, tree, [(i, table[i], p) for i, p in zip(indices, tree.open(indices))]
+
+
+def _digests(path):
+    return [path[j:j + 32] for j in range(0, len(path), 32)]
+
+
+def _minimal_multiproof(levels, indices):
+    """The digests a verifier of the leaves `indices` cannot compute, counted
+    apart from channel: the siblings of the nodes on the union of the opened
+    leaves' paths that are not on it themselves, as (level, position) keys."""
+    on_paths = set()
+    for i in indices:
+        for level in range(len(levels) - 1):
+            on_paths.add((level, i >> level))
+    return {(level, pos ^ 1) for level, pos in on_paths if (level, pos ^ 1) not in on_paths}
+
+
+BATCH_SIZES = [1, 2, 150, 300, 2048]
 
 
 def test_merkle_openings_share_authenticated_nodes():
-    rng = random.Random(71)
-    table = [(rng.randrange(12289),) for _ in range(300)]
-    tree = MerkleTree(table)
-    sent, known = {1}, {}
-    first = rng.sample(range(300), 40) + [0, 299]
-    digests = 0
-    for i in first:
-        full = tree.open(i)
-        path = tree.open(i, sent)
-        assert path == full[:len(path)]  # a prefix of the full path
-        digests += len(path) // 32
-        for level in range(len(path) // 32):  # a wrong sibling at any level is refused
-            bad = path[:32 * level] + bytes(32) + path[32 * (level + 1):]
-            assert not verify_opening(tree.commitment, i, table[i], bad, known)
-        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), path, known)
-        assert verify_opening(tree.commitment, i, table[i], path, known)
-    # each digest sent is a sibling pair new to the set, so no node is sent
-    # twice, and the 42 paths send fewer than their full 9 levels each
-    assert len(sent) - 1 == 2 * digests < 2 * 42 * 9
-    # a leaf opened before gets an empty path, which binds its row; its full
-    # path now runs past known nodes and is refused
-    for i in first[:10]:
-        assert tree.open(i, sent) == b""
-        assert not verify_opening(tree.commitment, i, table[i], tree.open(i), known)
-        assert not verify_opening(tree.commitment, i, ((table[i][0] + 1) % 12289,), b"", known)
-        assert verify_opening(tree.commitment, i, table[i], b"", known)
-    # the prover's set is the verifier's: both learn the same nodes
-    assert sent == set(known)
-    # only nodes of the committed tree were learnt, refused openings added none
-    _assert_known_nodes_are_the_trees(tree, known)
-    height = len(tree._levels) - 1
-    assert all((1 << height) + i in known for i in first)
+    # one batch sends, among all its paths, exactly the minimal multiproof:
+    # each digest the opened rows do not let the verifier compute, once
+    for count, seed in itertools.product(BATCH_SIZES, range(4)):
+        _, table, tree, openings = _batch(count, seed)
+        assert verify_opening(tree.commitment, openings)
+        levels = _reference_levels(table)
+        minimal = _minimal_multiproof(levels, [i for i, _, _ in openings])
+        sent = [d for _, _, path in openings for d in _digests(path)]
+        assert sorted(sent) == sorted(levels[level][pos] for level, pos in minimal)
+        # each path is its leaf's full path cut to some of its levels, in order
+        for i, _, path in openings:
+            [full] = tree.open([i])
+            assert set(_digests(path)) <= set(_digests(full))
+        # a leaf opened before sends nothing
+        seen = set()
+        for i, _, path in openings:
+            assert path == b"" or i not in seen
+            seen.add(i)
+
+
+def _refused(commitment, openings):
+    verdict = verify_opening(commitment, openings)
+    assert not verdict and verdict.reason
+    return verdict
+
+
+@pytest.mark.parametrize("count", BATCH_SIZES)
+def test_batch_opening_rejects_every_edit(count):
+    for seed in range(3):
+        rng, table, tree, openings = _batch(count, seed)
+        cm = tree.commitment
+
+        def edited(k, **change):
+            bad = list(openings)
+            i, row, path = bad[k]
+            bad[k] = (change.get("index", i), change.get("row", row), change.get("path", path))
+            return bad
+
+        for k, (i, row, path) in enumerate(openings):
+            # one byte of each digest or value changed
+            for j in range(0, len(path), 32):
+                at = j + rng.randrange(32)
+                flipped = path[:at] + bytes([path[at] ^ rng.randrange(1, 256)]) + path[at + 1:]
+                _refused(cm, edited(k, path=flipped))
+            value = row[0] ^ (rng.randrange(1, 256) << 8 * rng.randrange(8))
+            _refused(cm, edited(k, row=(value,)))
+            # a digest dropped or added, named by its opening
+            if path:
+                assert _refused(cm, edited(k, path=path[:-32])).opening == k
+            assert _refused(cm, edited(k, path=path + tree.root)).opening == k
+            # a digest moved to the next opening's path, the concatenation unchanged
+            if k + 1 < len(openings):
+                i2, row2, path2 = openings[k + 1]
+                if path:
+                    moved = edited(k, path=path[:-32])
+                    moved[k + 1] = (i2, row2, path[-32:] + path2)
+                    _refused(cm, moved)
+                if path2:
+                    moved = edited(k, path=path + path2[:32])
+                    moved[k + 1] = (i2, row2, path2[32:])
+                    _refused(cm, moved)
+        # a repeated leaf given another row, named by the later opening
+        first = {}
+        for k, (i, row, _) in enumerate(openings):
+            if i in first:
+                verdict = _refused(cm, edited(k, row=((row[0] + 1) % 2**64,)))
+                assert verdict.opening == k and f"leaf {i}" in verdict.reason
+            first.setdefault(i, k)
+
+
+@pytest.mark.parametrize("count", BATCH_SIZES)
+def test_batch_opening_must_keep_its_order(count):
+    # openings reordered are accepted only when the prover, opening the
+    # leaves in that order, would have sent those very paths
+    refused = 0
+    for seed in range(6):
+        rng, _, tree, openings = _batch(count, seed)
+        for _ in range(5):
+            shuffled = rng.sample(openings, len(openings))
+            same = tree.open([i for i, _, _ in shuffled]) == [p for _, _, p in shuffled]
+            assert bool(verify_opening(tree.commitment, shuffled)) == same
+            refused += not same
+    assert refused > 0 or count <= 2  # 1 and 2 leaves send no digest in a batch of all
+
+
+def test_a_root_mismatch_names_both_roots():
+    tree = MerkleTree([(v,) for v in range(16)])
+    other = MerkleTree([(v + 1,) for v in range(16)])
+    [path] = other.open([3])
+    verdict = _refused(tree.commitment, [(3, (4,), path)])
+    assert verdict.opening is None
+    b64 = [base64.b64encode(r).decode() for r in (other.root, tree.root)]
+    assert verdict.reason == f"computed root {b64[0]}, committed {b64[1]}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), count=st.integers(1, 300))
 def test_merkle_opening_refuses_a_dropped_added_or_replaced_digest(data, count):
-    # whatever openings came before, an opening's path must run exactly to
-    # the first node they made known, with the tree's own siblings on the
-    # way, and be whole digests
+    # each path of a batch must hold exactly the digests the batch assigns
+    # it, the tree's own, in whole digests
     table = [(v,) for v in data.draw(st.lists(st.integers(0, 2**64 - 1),
                                               min_size=count, max_size=count), label="table")]
     tree = MerkleTree(table)
-    nodes = [node for level in tree._levels for node in level]
+    nodes = tree._nodes[1:]
     digests = st.one_of(st.sampled_from(nodes), st.binary(min_size=32, max_size=32))
-    openings = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=12),
-                         label="openings")
-    sent, known = {1}, {}
-    for i in openings:
-        path = tree.open(i, sent)
-        appended = data.draw(digests, label="appended")
-        cut = data.draw(st.integers(1, 31), label="cut")
-        edited = [path + appended, path + appended[:cut]]
-        if path:
-            edited += [path[:-32], path[:-cut]]
-            level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
-            at = slice(32 * level, 32 * (level + 1))
-            digest = data.draw(digests.filter(lambda d: d != path[at]), label="replacement")
-            edited.append(path[:at.start] + digest + path[at.stop:])
-        for bad in edited:
-            before = dict(known)
-            assert not verify_opening(tree.commitment, i, table[i], bad, known)
-            assert known == before
-        assert verify_opening(tree.commitment, i, table[i], path, known)
-    assert sent == set(known)
-    _assert_known_nodes_are_the_trees(tree, known)
+    indices = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=12),
+                        label="openings")
+    openings = [(i, table[i], p) for i, p in zip(indices, tree.open(indices))]
+    assert verify_opening(tree.commitment, openings)
+    k = data.draw(st.integers(0, len(openings) - 1), label="opening")
+    i, row, path = openings[k]
+    appended = data.draw(digests, label="appended")
+    cut = data.draw(st.integers(1, 31), label="cut")
+    edited = [path + appended, path + appended[:cut]]
+    if path:
+        edited += [path[:-32], path[:-cut]]
+        level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
+        at = slice(32 * level, 32 * (level + 1))
+        digest = data.draw(digests.filter(lambda d: d != path[at]), label="replacement")
+        edited.append(path[:at.start] + digest + path[at.stop:])
+    for bad in edited:
+        assert not verify_opening(tree.commitment,
+                                  openings[:k] + [(i, row, bad)] + openings[k + 1:])
 
 
 def test_merkle_opening_rejects_wrong_value():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
-    path = tree.open(5)
-    assert not verify_opening(tree.commitment, 5, (99,), path)
+    [path] = tree.open([5])
+    assert not verify_opening(tree.commitment, [(5, (99,), path)])
 
 
 def test_merkle_opening_rejects_wrong_index():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
-    assert not verify_opening(tree.commitment, 6, (5,), tree.open(5))
+    assert not verify_opening(tree.commitment, [(6, (5,), *tree.open([5]))])
 
 
 def test_merkle_opening_rejects_perturbed_path():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
-    path = tree.open(3)
+    [path] = tree.open([3])
     bad = path[:32] + bytes(32) + path[64:]
-    assert not verify_opening(tree.commitment, 3, (3,), bad)
+    assert not verify_opening(tree.commitment, [(3, (3,), bad)])
 
 
 def test_merkle_opening_rejects_wrong_path_length():
     table = [(v,) for v in range(16)]
     tree = MerkleTree(table)
-    path = tree.open(3)
+    [path] = tree.open([3])
     assert len(path) == 4 * 32
     # a digest short or long, or part of one short or long
     for bad in (path[:-32], path + bytes(32), path[:-1], path + bytes(1), path[:-33]):
-        assert not verify_opening(tree.commitment, 3, (3,), bad)
+        verdict = _refused(tree.commitment, [(3, (3,), bad)])
+        assert verdict.opening == 0
+        assert verdict.reason == f"a path of {len(bad)} bytes, where its leaf needs 4 digests of 32"
 
 
 def test_merkle_index_bounds():
     tree = MerkleTree([(1,), (2,), (3,)])
     with pytest.raises(IndexError):
-        tree.open(3)
+        tree.open([3])
     with pytest.raises(IndexError):
-        verify_opening(tree.commitment, -1, (1,), b"")
+        tree.open([0, -1])
     with pytest.raises(IndexError):
-        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), 3, (1,), b"")
+        verify_opening(tree.commitment, [(-1, (1,), b"")])
+    with pytest.raises(IndexError):
+        verify_opening(MerkleCommitment(root=bytes(32), leaf_count=3), [(3, (1,), b"")])
 
 
 def test_merkle_empty_table_rejected():

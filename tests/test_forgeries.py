@@ -1,5 +1,6 @@
 """The soundness scoreboard: each known break of the Fiat-Shamir verifier as a
-strict expected failure, built through the public API on the paper system.
+strict expected failure, built through the public API on the paper system
+or, for the wrapped step, on conftest's one-coordinate WRAPPING_SYSTEM.
 
 Each forgery is a trajectory that breaks the dynamics, which the honest prover
 refuses. Committed with prove(force=True) at 8 queries, verify should reject
@@ -10,8 +11,9 @@ strict, fails the run until the fix removes the mark.
 
 import pytest
 
+from conftest import WRAPPING_SYSTEM, wrapping_trace
 from projstark import (ExecutionTrace, FiatShamirTranscript, InvalidTraceError, PrimeField,
-                       StepRecord, prove, step_slack, verify)
+                       StepRecord, SystemSpec, prove, step_slack, verify)
 from projstark.reference_example import MODULUS, SYSTEM
 
 QUERIES = 8
@@ -57,11 +59,11 @@ def shifted_state() -> ExecutionTrace:
     return trajectory({5: StepRecord(shifted, honest.alpha_up, honest.alpha_lo, honest.delta)})
 
 
-def accepted(trace: ExecutionTrace, salt: bytes) -> bool:
+def accepted(trace: ExecutionTrace, salt: bytes, spec: SystemSpec = SYSTEM) -> bool:
     field = PrimeField(MODULUS)
-    proof = prove(field, SYSTEM, trace, FiatShamirTranscript(MODULUS, salt=salt),
+    proof = prove(field, spec, trace, FiatShamirTranscript(MODULUS, salt=salt),
                   num_queries=QUERIES, force=True)
-    return verify(field, SYSTEM, proof, num_queries=QUERIES).accepted
+    return verify(field, spec, proof, num_queries=QUERIES).accepted
 
 
 @pytest.mark.parametrize("forgery", [wrong_clip, missing_clip, shifted_state])
@@ -89,3 +91,15 @@ def test_salt_grinding_is_rejected():
     # the prover picks the salt, and so the composition weights drawn from F_q:
     # b"149" is the first of b"0", b"1", ... whose weights cancel the two failures
     assert not accepted(shifted_state(), salt=b"149")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
+def test_wrapped_step_is_rejected():
+    # step 0 claims z_1 = 70 where the dynamics clamp to 0: the online checks
+    # pass and every constraint holds mod q = 331, though not over the
+    # integers, which only the honest prover checks. Accepted for each salt
+    # of b"0" to b"19"
+    with pytest.raises(InvalidTraceError):
+        prove(PrimeField(MODULUS), WRAPPING_SYSTEM, wrapping_trace(),
+              FiatShamirTranscript(MODULUS), num_queries=QUERIES)
+    assert not accepted(wrapping_trace(), salt=b"0", spec=WRAPPING_SYSTEM)

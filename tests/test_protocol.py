@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import threading
 import typing
@@ -521,7 +522,7 @@ def _cost_rule_folds(domains, queries):
 
 
 @pytest.mark.parametrize("q, num_steps", [(12289, 127), (769, 255), (331, 29), (3001, 39)])
-def test_fiat_shamir_folds_to_at_most_32_coefficients_and_replay_to_a_constant(q, num_steps):
+def test_fiat_shamir_folds_by_the_cost_rule_and_replay_to_a_constant(q, num_steps):
     # at 2 queries the cost rule folds q = 769 three times, to 63
     # coefficients, and the others once
     field, spec = PrimeField(q), _box_spec(num_steps)
@@ -883,16 +884,36 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode()
 
 
+def _where(doc: dict, k: int) -> typing.Tuple[str, str]:
+    """The tree of opening k of _all_openings(doc), and the query and point
+    a commitment reject names it by."""
+    per_query = len(doc["queries"][0]["trace"]) + len(doc["queries"][0]["fri"])
+    query, at = divmod(k, per_query)
+    if at < 2:
+        return "trace", f"query {query} at {('x', 'g*x')[at]}"
+    return f"layer {at - 2}", f"query {query}"
+
+
+def _committed_root(doc: dict, tree: str) -> str:
+    if tree == "trace":
+        return doc["commitments"]["trace"]["root"]
+    j = int(tree.split()[1])
+    layers = [doc["commitments"]["composition"], *doc["fri_layers"]["roots"]]
+    return layers[j]["root"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), replay=st.booleans(), mask=st.integers(1, 255))
 def test_verify_rejects_any_flipped_path_byte(
     field, paper_spec, paper_proof, paper_fs_proof, data, replay, mask
 ):
-    # a path stops where it meets a node an earlier opening of its tree sent,
-    # so only openings with a non-empty path have a byte to flip
+    # a tree's paths send only the digests its opened rows do not give, so
+    # only openings with a non-empty path have a byte to flip; the reject
+    # names the tree and both roots, computed and committed
     doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
-    with_path = [o for o in _all_openings(doc) if o["path"]]
-    opening = data.draw(st.sampled_from(with_path), label="opening")
+    with_path = [k for k, o in enumerate(_all_openings(doc)) if o["path"]]
+    k = data.draw(st.sampled_from(with_path), label="opening")
+    opening = _all_openings(doc)[k]
     path = bytearray(base64.b64decode(opening["path"]))
     level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
     path[32 * level + data.draw(st.integers(0, 31), label="byte")] ^= mask
@@ -900,14 +921,19 @@ def test_verify_rejects_any_flipped_path_byte(
     report = verify(field, paper_spec, proof_from_json(doc),
                     paper_transcript() if replay else None)
     assert (report.verdict, report.stage) == ("reject", "commitment")
+    tree, _ = _where(doc, k)
+    computed, committed = re.fullmatch(rf"{tree} tree: computed root (\S+), committed (\S+)",
+                                       report.detail).groups()
+    assert committed == _committed_root(doc, tree) != computed
 
 
 @pytest.mark.parametrize("replay", [True, False])
 @pytest.mark.parametrize("edit", ["drop-last", "append"])
 def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper_proof,
                                                         paper_fs_proof, replay, edit):
-    # each path must run exactly to the first node an earlier opening of its
-    # tree sent: one digest short or one too many is refused, on every opening
+    # each path must hold exactly the digests its tree's batch assigns it:
+    # one digest short or one too many is refused, on every opening, and the
+    # reject names its tree and query
     base = proof_to_json(paper_proof if replay else paper_fs_proof)
     openings = _all_openings(base)
     assert any(o["path"] for o in openings)
@@ -926,10 +952,13 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
         report = verify(field, paper_spec, proof_from_json(doc),
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
+        tree, query = _where(base, k)
+        assert report.detail.startswith(f"{tree} tree, {query}: a path of {len(path)} bytes, "
+                                        "where its leaf needs ")
         edited += 1
     # 2 queries of 7 openings, each with a path; 8 queries of 3 openings
     # (one FRI layer), 1 of which reopens a leaf an earlier query opened and
-    # has an empty path
+    # so has an empty path
     assert edited == (14 if replay else 23 if edit == "drop-last" else 24)
 
 
@@ -1017,13 +1046,14 @@ def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
 @pytest.mark.parametrize("replay", [True, False])
 def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace,
                                                   monkeypatch, replay):
-    # per query: the two trace rows, and one opening per FRI layer
-    calls = {"open": 0, "check": 0}
+    # one batch per tree, opened and checked once: the two trace rows of
+    # each query, then each FRI layer's one opening per query
+    calls = {"open": [], "check": []}
 
     def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def wrapper(tree, batch):
+            calls[name].append(len(batch))
+            return fn(tree, batch)
         return wrapper
 
     monkeypatch.setattr(protocol.MerkleTree, "open", counted("open", protocol.MerkleTree.open))
@@ -1034,9 +1064,9 @@ def test_each_fri_pair_is_opened_and_checked_once(field, paper_spec, paper_trace
 
     proof = prove(field, paper_spec, paper_trace, transcript(), num_queries=2)
     rounds = len(proof.fri_layers.roots) + 1
-    assert calls == {"open": 2 * (2 + rounds), "check": 0}
+    assert calls == {"open": [2 * 2] + [2] * rounds, "check": []}
     assert verify(field, paper_spec, proof, transcript()).accepted
-    assert calls["check"] == 2 * (2 + rounds)
+    assert calls["check"] == [2 * 2] + [2] * rounds
 
 
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -1217,8 +1247,9 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
         return prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                      num_queries=8, salt=salt)
 
-    full_path = protocol.MerkleTree.open
-    monkeypatch.setattr(protocol.MerkleTree, "open", lambda tree, i, known=None: full_path(tree, i))
+    batch_open = protocol.MerkleTree.open
+    monkeypatch.setattr(protocol.MerkleTree, "open",
+                        lambda tree, indices: [batch_open(tree, [i])[0] for i in indices])
     proof = prove_v6()
     monkeypatch.undo()
     report = verify(field, paper_spec, proof)
@@ -1236,6 +1267,35 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
         (tmp_path / "proof.json").write_text(json.dumps(doc, indent=2))
         assert main(["verify", "--config", str(tmp_path / "config.json"),
                      "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
+
+
+def _version_13_open(tree, indices):
+    """Version 13's paths for the openings of one tree, made one at a time:
+    each the siblings from its leaf up to the first node an earlier opening
+    sent or let the verifier compute."""
+    base = 1 << (tree.leaf_count - 1).bit_length()
+    known, paths = {1}, []
+    for index in indices:
+        node, siblings = base + index, []
+        while node not in known:
+            known |= {node, node ^ 1}
+            siblings.append(tree._nodes[node ^ 1])
+            node >>= 1
+        paths.append(b"".join(siblings))
+    return paths
+
+
+def _as_made_by_version_13(make) -> dict:
+    """The document of the proof make() returns as version 13 wrote it: its
+    paths cut by version 13's rule and its version 13, all else as made."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(protocol.MerkleTree, "open", _version_13_open)
+        return {**proof_to_json(make()), "version": 13}
+
+
+@pytest.fixture(scope="module")
+def paper_v13_doc():
+    return _as_made_by_version_13(lambda: _pinned_proof("paper-replay"))
 
 
 def _as_version_11(doc: dict) -> dict:
@@ -1318,20 +1378,20 @@ def _assert_earlier_version_refused(doc: dict, pinned: str, tmp_path) -> None:
                  "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
 
 
-def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_proof, tmp_path):
+def test_load_proof_and_the_cli_refuse_a_version_8_proof(paper_v13_doc, tmp_path):
     # the paper replay proof written as version 8 wrote it: its digest is the
     # one version 8 pinned
     pinned = "f9dd3411d0c502bb79f874bec84a5a021006e71964118800394108858b41d19e"
-    _assert_earlier_version_refused(_as_version_8(_as_version_10(proof_to_json(paper_proof))),
+    _assert_earlier_version_refused(_as_version_8(_as_version_10(paper_v13_doc)),
                                     pinned, tmp_path)
 
 
-def test_load_proof_and_the_cli_refuse_a_version_9_proof(paper_proof, tmp_path):
+def test_load_proof_and_the_cli_refuse_a_version_9_proof(paper_v13_doc, tmp_path):
     # the paper replay proof written as version 9 wrote it, in hex with each
     # path a list of digests: its digest is the one version 9 pinned, so
     # version 10 changed how byte strings are spelled, not a value
     pinned = "a5d6f207656dba543edd15653d94d72649c85d1a7dc384b7117c47b631f7783e"
-    _assert_earlier_version_refused(_as_version_9(_as_version_10(proof_to_json(paper_proof))),
+    _assert_earlier_version_refused(_as_version_9(_as_version_10(paper_v13_doc)),
                                     pinned, tmp_path)
 
 
@@ -1424,27 +1484,28 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
-# padded standard base64, a path its digests joined; proof version 13:
+# padded standard base64, a path its digests joined; proof version 14:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
 # under Fiat-Shamir while a layer costs less than the coefficients it drops
 # from the remainder, and to a constant for replay, at most
 # BLOWUP cosets of H committed, sample points drawn as
 # indices into them, no q, N or g, no sample point and no trace row index,
-# which the verifier holds or derives, and each path cut where it meets a
-# node an earlier opening of its tree sent) for fixed inputs; any change to
+# which the verifier holds or derives, and each tree's openings one batch
+# whose paths send the minimal multiproof, each digest in the path of the
+# first opening under its parent) for fixed inputs; any change to
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "13140aa7ef6ca733e768915795ebda037b00b274ef7f955f37f329074400263b",
-    "paper-fiat-shamir": "5f427da8b103c607c5cdb3fae21b6397f4a38f6f71c13f74b6b2c7ecce56ab4a",
+    "paper-replay": "ad80fd71a66806c94eb318f949ab83794cd4e20a3892c3fdec439c765684496f",
+    "paper-fiat-shamir": "29a90fc6781566aec972018efbc2fa1179b5d5713e87e99159931cd8a9256e6d",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed, and 76 folded once leaves a remainder of 39 coefficients
-    "q3001-fiat-shamir": "f6ff38dd2b1d2e9d45c171cf6e2f190c80eb90a8d3b53091d37c3765c6b26890",
+    "q3001-fiat-shamir": "e4eabb2a767fd405356fdd53f3bb4492682cca6587188c4632f912ebd1b906f7",
     # q=12289, N+1=128, one query: 252 folded twice leaves 64 coefficients,
     # and FRI layer 1, a union of cosets of the subgroup of order 64, is committed
     "q12289-one-query-fiat-shamir":
-        "f00d4803f2866f88f16e6bb06c2cf5531af6bb80c1c0d7f3c88ee336519355be",
+        "7a36d16529e5c6f2101ad82a11827d51404a08b1c4cea42475f4ead563c907d1",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1461,8 +1522,13 @@ def _proof_digest(proof) -> str:
     return hashlib.sha256(dump_proof(proof).encode()).hexdigest()
 
 
+def _doc_digest(doc: dict) -> str:
+    """The digest of a proof document written as dump_proof writes one."""
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 13
+    assert paper_proof.version == PROOF_VERSION == 14
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1488,17 +1554,16 @@ VERSION_11_REPLAY_DIGEST = "11a7450ce410c41ea7e6d7648f2c0067fe0fbc45b932457bd00f
 VERSION_10_REPLAY_DIGEST = "ed5d22b63c5e2121dea25e1f84fc604b0ca72396e893ac8e3e5d57a0095af914"
 
 
-def test_version_12_renames_only_the_replay_final_value(paper_proof):
+def test_version_12_renames_only_the_replay_final_value(paper_v13_doc):
     # the replay proof with its one-coefficient remainder [v] written as the
     # final value v and its version set to 11 is the version-11 proof byte
     # for byte: every root, value, path, FRI index and degree bound is as it
     # was; with each trace row's index put back too, it is version 10's
     assert [f.name for f in dataclasses.fields(protocol.FriLayers)] == ["roots", "remainder"]
-    assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
+    assert _doc_digest(paper_v13_doc) == VERSION_13_DIGESTS["paper-replay"]
     for as_version, pinned in ((_as_version_11, VERSION_11_REPLAY_DIGEST),
                                (_as_version_10, VERSION_10_REPLAY_DIGEST)):
-        text = json.dumps(as_version(proof_to_json(paper_proof)), separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == pinned
+        assert _doc_digest(as_version(paper_v13_doc)) == pinned
 
 
 # what PINNED_PROOF_DIGESTS held for the paper proofs in proof version 12,
@@ -1515,34 +1580,93 @@ def _as_version_12(doc: dict) -> dict:
     return {**doc, "version": 12}
 
 
-def test_version_13_changes_only_the_version_of_the_paper_proofs(field, paper_spec, paper_trace,
-                                                                 paper_proof):
+def test_version_13_changes_only_the_version_of_the_paper_proofs():
     # both rules fold the paper system once under Fiat-Shamir at 8 queries,
     # and replay is untouched, so with its version set to 12 each paper
-    # proof is the version-12 proof byte for byte
-    salt = b"pin-paper"
-    fs = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
-               num_queries=8, salt=salt)
-    for name, proof in (("paper-replay", paper_proof), ("paper-fiat-shamir", fs)):
-        assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
-        text = json.dumps(_as_version_12(proof_to_json(proof)), separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == VERSION_12_DIGESTS[name]
+    # proof as version 13 made it is the version-12 proof byte for byte
+    for name in VERSION_12_DIGESTS:
+        doc = _as_made_by_version_13(lambda: _pinned_proof(name))
+        assert _doc_digest(doc) == VERSION_13_DIGESTS[name]
+        assert _doc_digest(_as_version_12(doc)) == VERSION_12_DIGESTS[name]
+
+
+# what PINNED_PROOF_DIGESTS held in proof version 13, whose openings were made
+# and checked one by one, each path cut at the first node an earlier opening
+# of its tree sent or let the verifier compute
+VERSION_13_DIGESTS = {
+    "paper-replay": "13140aa7ef6ca733e768915795ebda037b00b274ef7f955f37f329074400263b",
+    "paper-fiat-shamir": "5f427da8b103c607c5cdb3fae21b6397f4a38f6f71c13f74b6b2c7ecce56ab4a",
+    "q3001-fiat-shamir": "f6ff38dd2b1d2e9d45c171cf6e2f190c80eb90a8d3b53091d37c3765c6b26890",
+    "q12289-one-query-fiat-shamir":
+        "f00d4803f2866f88f16e6bb06c2cf5531af6bb80c1c0d7f3c88ee336519355be",
+}
+
+
+def _pinned_proof(name):
+    """The proof PINNED_PROOF_DIGESTS[name] pins, made afresh."""
+    def fiat_shamir(q, spec, salt, queries):
+        return prove(PrimeField(q), spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
+                     num_queries=queries, salt=salt)
+
+    return {
+        "paper-replay": lambda: prove(PrimeField(ref.MODULUS), ref.SYSTEM, simulate(ref.SYSTEM),
+                                      paper_transcript(), num_queries=2),
+        "paper-fiat-shamir": lambda: fiat_shamir(ref.MODULUS, ref.SYSTEM, b"pin-paper", 8),
+        "q3001-fiat-shamir": lambda: fiat_shamir(3001, MIXED_RADIX_SPEC, b"pin-mixed", 8),
+        "q12289-one-query-fiat-shamir":
+            lambda: fiat_shamir(12289, _box_spec(127), b"pin-two-folds", 1),
+    }[name]()
+
+
+def _paths_blanked(node):
+    if isinstance(node, dict):
+        return {k: "" if k == "path" else _paths_blanked(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_paths_blanked(v) for v in node]
+    return node
+
+
+def _digests_sent(doc: dict) -> int:
+    return sum(len(base64.b64decode(o["path"])) // 32 for o in _all_openings(doc))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROOF_DIGESTS))
+def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
+    # every root, value, FRI index, degree bound and remainder is version
+    # 13's; only the paths differ, as one batch per tree sends no digest a
+    # later opening lets the verifier compute
+    proof = _pinned_proof(name)
+    assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
+    v13 = _as_made_by_version_13(lambda: _pinned_proof(name))
+    assert _doc_digest(v13) == VERSION_13_DIGESTS[name]
+    doc = proof_to_json(proof)
+    assert _paths_blanked(doc) == {**_paths_blanked(v13), "version": 14}
+    assert _digests_sent(doc) <= _digests_sent(v13)
+    if name == "paper-fiat-shamir":
+        assert (_digests_sent(doc), _digests_sent(v13)) == (67, 88)
+        # its version-13 paths, relabelled 14, are a reject
+        v13_relabelled = proof_from_json({**v13, "version": 14})
+        report = verify(PrimeField(ref.MODULUS), ref.SYSTEM, v13_relabelled)
+        assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 192 openings (2 trace rows and 1 FRI layer per query) in 25,444 bytes;
+    # 192 openings (2 trace rows and 1 FRI layer per query) in 18,708 bytes,
+    # against 25,444 in version 13, whose openings were made one by one;
     # folded to a constant in 6 FRI layers, version 11 sent 512 openings in
     # 62,946 bytes, and with full paths they would take about 311 KiB
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
-    assert len(dump_proof(proof)) <= 26 * 1024
+    assert len(dump_proof(proof)) <= 19 * 1024
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one FRI layer and a 29-coefficient remainder: 337 digests, against 895
-    # when version 11 folded to a constant in 6 layers. Folding that far, one
+    # one FRI layer and a 29-coefficient remainder: 179 digests, the minimal
+    # multiproof of each tree, against 337 in version 13, which sent a
+    # digest a later opening let the verifier compute, and 895 when version
+    # 11 folded to a constant in 6 layers. Folding that far, one
     # leaf per FRI pair, opened once, took 64,446 bytes in version 10, each
     # path one base64 string (85,479 with each digest in hex, 95,131 in
     # version 8's layout), against 107,128 with f(-y) sent as a second
@@ -1552,9 +1676,23 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
+    q, domains = ref.MODULUS, protocol._domains(ref.MODULUS, paper_spec.num_steps)
+    xs = _drawn_points(field, paper_spec, proof)
+    trace_leaves = [domains.index(0, p) for x in xs for p in (x, domains.g * x % q)]
+    pair_leaves = [qr.fri[0][0].index for qr in proof.queries]
+    minimal = (_minimal_digests(proof.commitments.trace.leaf_count, trace_leaves)
+               + _minimal_digests(proof.commitments.composition.leaf_count, pair_leaves))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) <= 350
-    assert len(dump_proof(proof)) <= 26 * 1024
+    assert sum(len(o.path) // 32 for o in openings) == minimal == 179
+    assert len(dump_proof(proof)) <= 19 * 1024
+
+
+def _minimal_digests(leaf_count: int, leaves) -> int:
+    """How many digests a verifier of the tree's `leaves` must be sent: the
+    siblings of the nodes on the opened leaves' paths that are not on one."""
+    height = (leaf_count - 1).bit_length()
+    on_paths = {(level, i >> level) for i in leaves for level in range(height)}
+    return sum((level, pos ^ 1) not in on_paths for level, pos in on_paths)
 
 
 def test_replay_paper_output_is_unchanged(capsys):
