@@ -44,6 +44,16 @@ def wrapping_trace() -> ExecutionTrace:
     return ExecutionTrace.from_steps(WRAPPING_SYSTEM, steps)
 
 
+def minimal_multiproof(leaf_count: int, leaves) -> set:
+    """The digests a verifier of a tree's opened `leaves` must be sent,
+    counted apart from channel, as (level, position) keys, level 0 at the
+    leaves: the siblings of the nodes on the opened leaves' paths to the
+    root that are not on one themselves."""
+    height = (leaf_count - 1).bit_length()
+    on_paths = {(level, i >> level) for i in leaves for level in range(height)}
+    return {(level, pos ^ 1) for level, pos in on_paths if (level, pos ^ 1) not in on_paths}
+
+
 # moduli with plenty of even subgroup orders for randomized trials
 TRIAL_MODULI = (61, 211, 331)
 

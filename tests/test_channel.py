@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import minimal_multiproof
 from projstark.channel import (
     FiatShamirTranscript,
     MerkleCommitment,
@@ -265,17 +266,6 @@ def _digests(path):
     return [path[j:j + 32] for j in range(0, len(path), 32)]
 
 
-def _minimal_multiproof(levels, indices):
-    """The digests a verifier of the leaves `indices` cannot compute, counted
-    apart from channel: the siblings of the nodes on the union of the opened
-    leaves' paths that are not on it themselves, as (level, position) keys."""
-    on_paths = set()
-    for i in indices:
-        for level in range(len(levels) - 1):
-            on_paths.add((level, i >> level))
-    return {(level, pos ^ 1) for level, pos in on_paths if (level, pos ^ 1) not in on_paths}
-
-
 BATCH_SIZES = [1, 2, 150, 300, 2048]
 
 
@@ -286,7 +276,7 @@ def test_merkle_openings_share_authenticated_nodes():
         _, table, tree, openings = _batch(count, seed)
         assert verify_opening(tree.commitment, openings)
         levels = _reference_levels(table)
-        minimal = _minimal_multiproof(levels, [i for i, _, _ in openings])
+        minimal = minimal_multiproof(count, [i for i, _, _ in openings])
         sent = [d for _, _, path in openings for d in _digests(path)]
         assert sorted(sent) == sorted(levels[level][pos] for level, pos in minimal)
         # each path is its leaf's full path cut to some of its levels, in order

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WRAPPING_SYSTEM, random_challenges, random_spec, wrapping_trace
+from conftest import (WRAPPING_SYSTEM, minimal_multiproof, random_challenges, random_spec,
+                      wrapping_trace)
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -1680,19 +1681,11 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     xs = _drawn_points(field, paper_spec, proof)
     trace_leaves = [domains.index(0, p) for x in xs for p in (x, domains.g * x % q)]
     pair_leaves = [qr.fri[0][0].index for qr in proof.queries]
-    minimal = (_minimal_digests(proof.commitments.trace.leaf_count, trace_leaves)
-               + _minimal_digests(proof.commitments.composition.leaf_count, pair_leaves))
+    minimal = (len(minimal_multiproof(proof.commitments.trace.leaf_count, trace_leaves))
+               + len(minimal_multiproof(proof.commitments.composition.leaf_count, pair_leaves)))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
     assert sum(len(o.path) // 32 for o in openings) == minimal == 179
     assert len(dump_proof(proof)) <= 19 * 1024
-
-
-def _minimal_digests(leaf_count: int, leaves) -> int:
-    """How many digests a verifier of the tree's `leaves` must be sent: the
-    siblings of the nodes on the opened leaves' paths that are not on one."""
-    height = (leaf_count - 1).bit_length()
-    on_paths = {(level, i >> level) for i in leaves for level in range(height)}
-    return sum((level, pos ^ 1) not in on_paths for level, pos in on_paths)
 
 
 def test_replay_paper_output_is_unchanged(capsys):
