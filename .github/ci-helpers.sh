@@ -5,6 +5,15 @@
 # exit code, and returns non-zero unless that code is WANT
 expect() { want=$1; shift; code=0; "$@" > /dev/null 2>&1 || code=$?; echo "exit $code, want $want: $*"; [ "$code" -eq "$want" ]; }
 
+# expect_stderr WANT TEXT COMMAND...: as expect, printing COMMAND's stderr,
+# which must also contain TEXT
+expect_stderr() {
+  want=$1; text=$2; shift 2; code=0
+  err=$("$@" 2>&1 > /dev/null) || code=$?
+  echo "exit $code, want $want: $*"; echo "$err"
+  [ "$code" -eq "$want" ] && case "$err" in *"$text"*) ;; *) false ;; esac
+}
+
 # python -c "$same_text" PROOF...: every proof file reads back and dumps to its
 # own text
 same_text='import sys

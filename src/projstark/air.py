@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from operator import add, mul, sub
+from typing import List, Sequence, Tuple, Union
 
 from .dynamics import ExecutionTrace, SystemSpec
 from .field import CyclicDomain, PrimeField
-from .poly import CosetEvaluator, Polynomial
+from .poly import CosetEvaluator, LazyPolynomial, Polynomial, elementwise
 # Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
 from .poly import interpolate, vanishing  # noqa: F401
 
@@ -38,18 +39,21 @@ class InvalidTraceError(ValueError):
 
 
 def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
-    """The trace reduced mod q, refusing any cell of magnitude >= q. It only
-    reduces: protocol._lift_or_refuse decides on the integer rows first."""
+    """The trace reduced mod q, refusing any cell of magnitude >= q. Each
+    column is range-checked by its min and max and each value reduced once;
+    a column already in [0, q) is kept as it is. It only reduces:
+    protocol._lift_or_refuse decides on the integer rows first."""
     q = field.modulus
 
     def lift_rows(rows):
-        out = []
-        for row in rows:
-            for v in row:
-                if abs(v) >= q:
-                    raise FieldOverflowError(f"trace value {v} has magnitude >= q={q}")
-            out.append(tuple(v % q for v in row))
-        return tuple(out)
+        columns = []
+        for column in zip(*rows):
+            low, high = min(column), max(column)
+            if low <= -q or high >= q:
+                v = next(v for row in rows for v in row if abs(v) >= q)
+                raise FieldOverflowError(f"trace value {v} has magnitude >= q={q}")
+            columns.append(column if low >= 0 else map(q.__rmod__, column))
+        return tuple(zip(*columns))
 
     return ExecutionTrace(
         spec=trace.spec,
@@ -58,6 +62,35 @@ def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
         alpha_lo_rows=lift_rows(trace.alpha_lo_rows),
         delta_rows=lift_rows(trace.delta_rows),
     )
+
+
+class Column(tuple):
+    """A trace column's integer values, step by step. +, - and * act value by
+    value, an int acting on every value and a shorter column padded with
+    zeros, so `constraints` runs on every step at once."""
+
+    __slots__ = ()
+
+    def _apply(self, op, other: Union["Column", int]) -> "Column":
+        if isinstance(other, Column):
+            return Column(elementwise(op, self, other))
+        return Column(map(op, self, repeat(other)))
+
+    def __add__(self, other: Union["Column", int]) -> "Column":
+        return self._apply(add, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Union["Column", int]) -> "Column":
+        return self._apply(sub, other)
+
+    def __rsub__(self, other: int) -> "Column":
+        return Column(map(sub, repeat(other), self))
+
+    def __mul__(self, other: Union["Column", int]) -> "Column":
+        return self._apply(mul, other)
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -85,32 +118,43 @@ def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     return CosetEvaluator(domain.field, points, domain.generator, domain.order)
 
 
+@lru_cache(maxsize=4)  # as trace_interpolator
+def _interpolant_scales(domain: CyclicDomain) -> Tuple[int, List[int]]:
+    """1/(N+1) mod q, and the coefficients of Z_N = prod_{k<N}(x - g^k) times it.
+
+    Z_N = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j."""
+    q = domain.field.modulus
+    N = domain.order - 1
+    g_inv = domain.elements[N]
+    inv_order = pow(N + 1, -1, q)
+    return inv_order, [pow(g_inv, N - j, q) * inv_order % q for j in range(N + 1)]
+
+
 def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> TracePolynomials:
     """Column interpolants of the trace, by one trace_interpolator(domain)
-    inverse DFT; values are taken mod q, unchecked (see lift_trace)."""
+    inverse DFT. A column whose values are already in [0, q), as lift_trace
+    leaves every one, is not reduced again (any other is taken mod q,
+    unchecked), and each interpolant coefficient is reduced once."""
     spec = trace.spec
     N = spec.num_steps
     if domain.order != N + 1:
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
     field = domain.field
     q = field.modulus
-    g_inv = domain.elements[N]
-    inv_order = pow(N + 1, -1, q)
     n = spec.n
     columns = [
-        Polynomial(field, [row[i] for row in rows])
+        Polynomial.of_residues(field, c) if 0 <= min(c) and max(c) < q else Polynomial(field, c)
         for rows in (trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
-        for i in range(n)
+        for c in zip(*rows)
     ]
     tables = trace_interpolator(domain).evaluate(columns)
     # The N-point columns get P through their N values and 0 at g^N, of degree
     # <= N; removing P[N]·Z_N leaves the degree < N interpolant of the N points.
-    # Z_N = prod_{k<N}(x - g^k) = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j
-    z_n = [pow(g_inv, N - j, q) for j in range(N + 1)]
-    f_z = tuple(Polynomial(field, [c * inv_order for c in t]) for t in tables[:n])
+    inv_order, z_n = _interpolant_scales(domain)
+    f_z = tuple(Polynomial(field, map(inv_order.__mul__, t)) for t in tables[:n])
     f_up, f_lo, f_d = (
         tuple(
-            Polynomial(field, [(c - t[N] * z) * inv_order for c, z in zip(t, z_n)])
+            Polynomial(field, map(sub, map(inv_order.__mul__, t), map(t[N].__mul__, z_n)))
             for t in tables[k * n:(k + 1) * n]
         )
         for k in (1, 2, 3)
@@ -141,12 +185,15 @@ def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
 
 def build_numerators(
     tp: TracePolynomials, spec: SystemSpec, domain: CyclicDomain
-) -> List[Polynomial]:
+) -> List[LazyPolynomial]:
     """The 4n constraint numerators as polynomials; numerator k at g^j is
-    constraint k on trace rows j and j+1."""
+    constraint k on trace rows j and j+1. They are LazyPolynomials, unreduced
+    until read: `combine` reduces their weighted sum once."""
     g = domain.generator
-    return constraints(spec, tp.f_z, [p.scale_argument(g) for p in tp.f_z],
-                       tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta)
+    z, up, lo, delta = ([LazyPolynomial.of(p) for p in polys]
+                        for polys in (tp.f_z, tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta))
+    z_next = [LazyPolynomial.of(p.scale_argument(g)) for p in tp.f_z]
+    return constraints(spec, z, z_next, up, lo, delta)
 
 
 def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -> List[Polynomial]:
@@ -170,13 +217,15 @@ def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -
 
 
 def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:
-    """Random-weighted sum of numerators or of quotients, in weight-draw order."""
+    """Random-weighted sum of numerators or of quotients, in weight-draw order.
+    It weights each polynomial's `values` as they are, the unreduced ones of
+    build_numerators' LazyPolynomials included, and reduces the sum mod q
+    once, at the end."""
     if len(gammas) != len(polys):
         raise ValueError(f"need {len(polys)} weights, got {len(gammas)}")
-    acc = [0] * max(len(p.coeffs) for p in polys)
+    acc = [0] * max(len(p.values) for p in polys)
     for g, p in zip(gammas, polys):
-        # Polynomial() reduces the sums mod q once, at the end
-        acc[:len(p.coeffs)] = map(add, acc, map(g.__mul__, p.coeffs))
+        acc[:len(p.values)] = map(add, acc, map(g.__mul__, p.values))
     return Polynomial(polys[0].field, acc)
 
 

@@ -28,6 +28,23 @@ class Polynomial:
         self.field = field
         self.coeffs = tuple(c)
 
+    @classmethod
+    def of_residues(cls, field: PrimeField, residues: Iterable[int]) -> "Polynomial":
+        """The polynomial with these coefficients, each already in [0, q): they
+        are trimmed, not reduced again."""
+        c = list(residues)
+        while c and c[-1] == 0:
+            c.pop()
+        p = cls.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(c)
+        return p
+
+    @property
+    def values(self) -> Sequence[int]:
+        """Integers congruent to the coefficients mod q: here the coefficients."""
+        return self.coeffs
+
     @property
     def reported_degree(self) -> int:
         """Degree with the zero polynomial reported as 0, the tabulation convention."""
@@ -82,28 +99,12 @@ class Polynomial:
         return Polynomial(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        """Product by Kronecker substitution: one big-integer multiplication;
-        a scalar operand scales each coefficient instead.
-
-        Each operand's coefficients are packed into one integer, one
-        whole-byte slot per coefficient. A product coefficient is a sum of at
-        most min(len a, len b) terms of at most (q-1)^2, so it fits in
-        2·bitlen(q-1) + bitlen(min) bits; the slot is that many bits rounded up
-        to whole bytes, and the slots of the integer product never carry into
-        each other. A slot of at most 8 bytes is rounded up further, to 1, 2,
-        4 or 8 bytes, so that `_pack` and `_unpack` move it as a machine word.
-        """
+        """Product by Kronecker substitution (`_kronecker`), reduced mod q once;
+        a scalar operand scales each coefficient instead."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        a, b = self.coeffs, self._lift(other).coeffs
-        if not a or not b:
-            return Polynomial(self.field)
-        bits = 2 * (self.field.modulus - 1).bit_length() + min(len(a), len(b)).bit_length()
-        width = -(-bits // 8)
-        if width <= 8:
-            width = 1 << (width - 1).bit_length()
         return Polynomial(self.field,
-                          _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width))
+                          _kronecker(self.coeffs, self._lift(other).coeffs, self.field.modulus))
 
     __rmul__ = __mul__
 
@@ -156,6 +157,65 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+class LazyPolynomial(Polynomial):
+    """A polynomial kept as `values`, integers congruent mod q to its
+    coefficients, reduced only when `coeffs` is first read. +, - and a scalar *
+    reduce nothing; a product reduces only its two operands, for `_kronecker`.
+    An int operand of + or - is a constant polynomial."""
+
+    __slots__ = ("values", "_coeffs")
+
+    def __init__(self, field: PrimeField, values: Sequence[int]):
+        self.field = field
+        self.values = values
+        self._coeffs = None
+
+    @classmethod
+    def of(cls, poly: Polynomial) -> "LazyPolynomial":
+        """poly, whose coefficients are already reduced."""
+        lazy = cls(poly.field, poly.coeffs)
+        lazy._coeffs = poly.coeffs
+        return lazy
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = Polynomial(self.field, self.values).coeffs
+        return self._coeffs
+
+    def _values(self, other: Union[Polynomial, int]) -> Sequence[int]:
+        return self._lift(other).values if isinstance(other, Polynomial) else (other,)
+
+    def __add__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
+        return LazyPolynomial(self.field, elementwise(operator.add, self.values, self._values(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
+        return LazyPolynomial(self.field, elementwise(operator.sub, self.values, self._values(other)))
+
+    def __rsub__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
+        return LazyPolynomial(self.field, elementwise(operator.sub, self._values(other), self.values))
+
+    def __mul__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
+        if not isinstance(other, Polynomial):
+            return LazyPolynomial(self.field, list(map(operator.mul, self.values, repeat(other))))
+        return LazyPolynomial(self.field,
+                              _kronecker(self.coeffs, self._lift(other).coeffs, self.field.modulus))
+
+    __rmul__ = __mul__
+
+
+def elementwise(op, a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """[op(a[i], b[i])] over the longer of a and b, the shorter padded with zeros."""
+    out = list(map(op, a, b))
+    if len(a) > len(b):
+        out += map(op, a[len(b):], repeat(0))
+    elif len(b) > len(a):
+        out += map(op, repeat(0), b[len(a):])
+    return out
+
+
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # machine words struct moves as one int
 # Widest power row (T slots) that CosetEvaluator multiplies by a packed column
 # of coefficients: that product costs about T·W digit operations per slot of
@@ -203,6 +263,87 @@ def _unpack(value: int, count: int, width: int, word: Optional[int] = None) -> L
         return list(_layout(count, width, word).unpack(data))
     slots = struct.unpack(f"{width}s" * count, data)
     return list(map(int.from_bytes, slots, repeat("little")))
+
+
+def _residue_word(q: int) -> Optional[int]:
+    """The narrowest machine word that a residue mod q fits in, or None."""
+    return next((w for w in sorted(_WORDS) if not (q - 1) >> 8 * w), None)
+
+
+def _fold_plan(bound: int, q: int, width: int) -> Tuple[Tuple[Tuple[int, int], ...], Optional[int]]:
+    """The splits (s, 2^s mod q) of the row fold (`_fold_row`) that bring
+    width-byte slots of at most `bound` below a machine word of at most width
+    bytes, and that word; or no splits and None if none get there. The word is
+    the widest that greedy splits reach, each split at the s that leaves the
+    smallest bound (2^s - 1) + floor(M/2^s)·(2^s mod q), while that is below M."""
+    twos = [pow(2, s, q) for s in range(bound.bit_length())]
+    for word in sorted(_WORDS, reverse=True):
+        if word > width:
+            continue
+        splits, top = [], bound
+        while top >> 8 * word:
+            after, s = min(((1 << s) - 1 + (top >> s) * twos[s], s)
+                           for s in range(1, top.bit_length()))
+            if after >= top:
+                break
+            top = after
+            splits.append((s, twos[s]))
+        else:
+            return tuple(splits), word
+    return (), None
+
+
+@lru_cache(maxsize=32)
+def _fold_masks(count: int, width: int, splits: Tuple[Tuple[int, int], ...]) -> tuple:
+    """Per split (s, c): s, c and the masks of a row of count width-byte
+    slots that keep, in every slot, its low s bits and the 8·width - s bits
+    above them."""
+    ones = _pack(repeat(1, count), width)
+    return tuple((s, c, ones * ((1 << s) - 1), ones * ((1 << 8 * width - s) - 1))
+                 for s, c in splits)
+
+
+def _fold_row(row: int, masks: tuple) -> int:
+    """Each slot x = lo + hi·2^s replaced by lo + hi·(2^s mod q), its residue
+    kept, split after split, by a few operations on the whole row (SWAR)."""
+    for s, c, low, high in masks:
+        row = (row & low) + (row >> s & high) * c
+    return row
+
+
+@lru_cache(maxsize=64)
+def _product_plan(q: int, bits: int) -> Tuple[int, Optional[int], tuple, Optional[int]]:
+    """For product slots below 2^bits: the slot width in bytes, the machine
+    word a residue is packed in (None: the whole slot), the row fold's splits
+    and the word each slot is read in after them (None: the whole slot)."""
+    width = -(-bits // 8)
+    splits, word = _fold_plan((1 << bits) - 1, q, width)
+    # a slot that is a machine word packs as one; otherwise a residue takes the
+    # narrowest word that holds it, at most width bytes as a slot holds 2·bitlen(q-1) bits
+    return width, width if width in _WORDS else _residue_word(q), splits, word
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
+    """Integers congruent mod q to the coefficients of the product of a and b,
+    lists of residues in [0, q), by Kronecker substitution: one big-integer
+    multiplication. The one product of Polynomial and LazyPolynomial.
+
+    Each operand is packed into one integer, one whole-byte slot per
+    coefficient. A product coefficient is a sum of at most min(len a, len b)
+    terms of at most (q-1)^2, so it fits in 2·bitlen(q-1) + bitlen(min) bits;
+    the slot is that many bits rounded up to whole bytes, so slots never carry
+    into each other. The row fold then brings every slot below a machine word,
+    read by one struct call (at q = 12289 one split takes 5-byte slots below
+    2^32); a slot no split brings below a word is read whole."""
+    if not a or not b:
+        return []
+    count = len(a) + len(b) - 1
+    width, coeff_word, splits, word = _product_plan(
+        q, 2 * (q - 1).bit_length() + min(len(a), len(b)).bit_length())
+    row = _pack(a, width, coeff_word) * _pack(b, width, coeff_word)
+    if splits:
+        row = _fold_row(row, _fold_masks(count, width, splits))
+    return _unpack(row, count, width, word)
 
 
 def interpolate(points: Sequence[Tuple[int, int]], field: PrimeField) -> Polynomial:
@@ -280,18 +421,17 @@ class CosetEvaluator:
     or borrows from its neighbour; the bound becomes max(2M, (M + B)·t_max).
     A radix-r stage multiplies the bound by its largest matrix row sum. Rows
     are packed and split by `_pack` and `_unpack`, the whole-byte slot layout
-    of `Polynomial.__mul__`. Where a power row (T slots) is at most
+    of `_kronecker`. Where a power row (T slots) is at most
     _COLUMN_FOLD_BYTES wide, the fold multiplies it by coefficient i of every
     polynomial packed side by side, one product per i for the whole batch;
     otherwise each polynomial is folded alone and its rows packed beside the
     others'.
 
-    Before a row is unpacked, a row fold brings every slot below a machine
-    word with a few operations on the whole row: a split at bit s writes the
-    slot x as lo + hi·2^s and replaces it with lo + hi·(2^s mod q), its
-    residue unchanged, by one masked shift, one multiplication and one
-    addition (SWAR, "SIMD within a register"). `_slot_plan` plans the splits
-    from the final slot bound, so no slot outgrows its W bytes. The row is
+    Before a row is unpacked, a row fold (`_fold_row`) brings every slot below
+    a machine word with a few operations on the whole row: a split at bit s
+    writes the slot x as lo + hi·2^s and replaces it with lo + hi·(2^s mod q),
+    its residue unchanged. `_slot_plan` plans the splits from the final slot
+    bound, so no slot outgrows its W bytes. The row is
     then read one machine word per slot with one struct call, and every value
     is reduced mod q once. Where no splits reach a machine word, as for
     q near 2^64 (Goldilocks), whose residues alone fill one, each slot is
@@ -371,21 +511,17 @@ class CosetEvaluator:
         self._picks = {len(reps): gather}  # row width in slots -> gather
         self._power_rows: Dict[int, List[int]] = {}
         self._slot_plans: Dict[int, tuple] = {}
-        # the machine word a coefficient fits in, if any
-        self._coeff_word = next((w for w in sorted(_WORDS) if not (q - 1) >> 8 * w), None)
+        self._coeff_word = _residue_word(q)
 
     def _slot_plan(
         self, length: int
-    ) -> Tuple[int, List[int], List[Tuple[int, int]], Optional[int]]:
+    ) -> Tuple[int, List[int], Tuple[Tuple[int, int], ...], Optional[int]]:
         """For coefficient lists of at most `length` entries: the slot width W
-        in bytes, the bias of every stage (0 for radix > 2), the row fold's
-        splits (s, 2^s mod q) and the machine word, at most W bytes, that
-        every slot is below after them, or None if no splits get there.
-
-        The word is the widest that greedy splits reach, each split at the s
-        that leaves the smallest bound (2^s - 1) + floor(M/2^s)·(2^s mod q),
-        and only while that is below M. Kept per ceil(length/m), on which
-        alone the plan depends."""
+        in bytes, the bias of every stage (0 for radix > 2), and `_fold_plan`'s
+        row fold from the final slot bound: its splits and the machine word, at
+        most W bytes, that every slot is below after them, or None if no
+        splits get there. Kept per ceil(length/m), on which alone the plan
+        depends."""
         key = -(-max(length, 1) // self.order)
         plan = self._slot_plans.get(key)
         if plan is not None:
@@ -401,22 +537,7 @@ class CosetEvaluator:
                 biases.append(0)
                 bound *= growth
         width = -(-bound.bit_length() // 8)
-        plan = width, biases, [], None
-        twos = [pow(2, s, q) for s in range(bound.bit_length())]
-        for word in sorted(_WORDS, reverse=True):
-            if word > width:
-                continue
-            splits, top = [], bound
-            while top >> 8 * word:
-                after, s = min(((1 << s) - 1 + (top >> s) * twos[s], s)
-                               for s in range(1, top.bit_length()))
-                if after >= top:
-                    break
-                top = after
-                splits.append((s, twos[s]))
-            else:
-                plan = width, biases, splits, word
-                break
+        plan = (width, biases, *_fold_plan(bound, q, width))
         self._slot_plans[key] = plan
         return plan
 
@@ -492,18 +613,12 @@ class CosetEvaluator:
                             rows[i] = sum(map(operator.mul, ws, xs))
 
         # Row-fold and reduce every row into one flat list, slot j of row k at
-        # k·slots + j. A split's masks keep, in every slot, the low s bits and
-        # the 8·W - s bits above them. picks[x] is where the first
-        # polynomial's value at point x sits; dropping the first T values
-        # moves the next polynomial's there.
+        # k·slots + j. picks[x] is where the first polynomial's value at point
+        # x sits; dropping the first T values moves the next polynomial's there.
         flat: List[int] = []
-        masks = [(s, c, ones * ((1 << s) - 1), ones * ((1 << 8 * width - s) - 1))
-                 for s, c in splits]
+        masks = _fold_masks(slots, width, splits)
         for k in range(m):
-            row = rows[k]
-            for s, c, low, high in masks:
-                row = (row & low) + (row >> s & high) * c
-            flat += [v % q for v in _unpack(row, slots, width, word)]
+            flat += [v % q for v in _unpack(_fold_row(rows[k], masks), slots, width, word)]
             rows[k] = None
         picks = self._picks.get(slots)
         if picks is None:

@@ -24,6 +24,7 @@ from typing import (Callable, Dict, List, NewType, Optional, Sequence, Tuple, Un
 
 from .air import (
     FAMILIES,
+    Column,
     InvalidTraceError,
     build_compositions,
     build_numerators,
@@ -405,24 +406,36 @@ def honest_step_source(spec: SystemSpec) -> StepSource:
 def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
     """The trace lifted into the field, or InvalidTraceError: the honest
     prover's one decision on a trace, made on its integer rows before any
-    polynomial is built. Row 0 must be z_init; at each step the online checks
-    must pass and every constraint be exactly 0, not merely 0 mod q, which
-    with bits in {0, 1} and the slack at least the box width makes the next
-    state the clamp of A_hat·z. Only then does lift_trace reduce the rows.
+    value is reduced or polynomial built. Row 0 must be z_init; at each step
+    the online checks must pass and every constraint be exactly 0, not merely
+    0 mod q, which with bits in {0, 1} and the slack at least the box width
+    makes the next state the clamp of A_hat·z. Only then does lift_trace
+    reduce the rows.
+
+    `constraints` runs once, on Columns of every step, giving the first step
+    where one is not 0 and its first such constraint; online_check runs step
+    by step up to that step, so the refusal is that of checking step by step:
+    the boundary, then at each step the online checks before the constraints.
     """
-    n = spec.n
+    n, N = spec.n, spec.num_steps
     for i, (z0, init) in enumerate(zip(trace.z_rows[0], spec.z_init)):
         if z0 != init:
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
-    for j in range(spec.num_steps):
+
+    def columns(rows):
+        return [Column(c) for c in zip(*rows)]
+
+    values = constraints(spec, columns(trace.z_rows[:N]), columns(trace.z_rows[1:]),
+                         columns(trace.alpha_up_rows), columns(trace.alpha_lo_rows),
+                         columns(trace.delta_rows))
+    step, k = min(((next(j for j, v in enumerate(c) if v), k)
+                   for k, c in enumerate(values) if any(c)), default=(N, 0))
+    for j in range(min(step + 1, N)):
         reason = online_check(spec, trace.step(j))
         if reason is not None:
             raise InvalidTraceError(f"online check failed at step {j}: {reason}")
-        rows = (trace.z_rows[j], trace.z_rows[j + 1], trace.alpha_up_rows[j],
-                trace.alpha_lo_rows[j], trace.delta_rows[j])
-        for k, value in enumerate(constraints(spec, *rows)):
-            if value:
-                raise InvalidTraceError(f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")
+    if step < N:
+        raise InvalidTraceError(f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {step}")
     return lift_trace(trace, field)
 
 

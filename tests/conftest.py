@@ -104,3 +104,53 @@ def fold_rounds(p, bound, betas):
     for _ in range(num_rounds(bound)):
         layers.append(fold(layers[-1], next(betas)))
     return layers
+
+
+def tamper_randomly(rng, spec, trace, q):
+    """One uniformly random cell replaced with a fresh inconsistent value."""
+    section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
+    if section == "z":
+        row = rng.randrange(spec.num_steps + 1)
+    else:
+        row = rng.randrange(spec.num_steps)
+    idx = rng.randrange(spec.n)
+    old = getattr(trace, section + "_rows")[row][idx]
+    if section == "z":
+        value = rng.choice([v for v in range(max(spec.z_upper) + 3) if v != old])
+    elif section == "delta":
+        value = rng.choice([v for v in range(q) if v != old])
+    else:
+        value = rng.randrange(2, q)  # off both bit values, so always inconsistent
+    return trace.with_cell(section, row, idx, value)
+
+
+def step_check_cases():
+    """Seeded (field, spec, trace) triples: honest traces, and traces with one
+    cell changed so that the online checks and the boundary condition still
+    hold, one of them at the last step."""
+    rng = random.Random(89)
+    cases = []
+    for _ in range(12):
+        q = rng.choice((61, 211, 331))
+        spec = random_spec(rng, q)
+        trace = simulate(spec)
+        N = spec.num_steps
+        cases.append((PrimeField(q), spec, trace))
+        for step in (rng.randrange(N), N - 1):
+            section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
+            i = rng.randrange(spec.n)
+            if section == "z":  # the next state of the step, kept inside the box
+                row, old = step + 1, trace.z_rows[step + 1][i]
+                value = rng.choice([v for v in range(spec.z_lower[i], spec.z_upper[i] + 1)
+                                    if v != old])
+            else:
+                row, old = step, getattr(trace, section + "_rows")[step][i]
+                if section == "delta":  # a larger slack passes the online check
+                    value = old + rng.randint(1, 5)
+                else:  # a flipped bit passes the online check
+                    value = 1 - old
+            cases.append((PrimeField(q), spec, trace.with_cell(section, row, i, value)))
+    return cases
+
+
+STEP_CHECK_CASES = step_check_cases()

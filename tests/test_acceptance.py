@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import fold_rounds, random_challenges, random_spec
+from conftest import fold_rounds, random_challenges, random_spec, tamper_randomly
 from projstark import reference_example as ref
 from projstark.air import (
     InvalidTraceError,
@@ -126,24 +126,6 @@ def test_criterion_06_completeness_randomized(announce):
              f"{accepted}/{trials} accepted in {elapsed:.1f}s")
 
 
-def _tamper_randomly(rng, spec, trace, q):
-    """One uniformly random cell replaced with a fresh inconsistent value."""
-    section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
-    if section == "z":
-        row = rng.randrange(spec.num_steps + 1)
-    else:
-        row = rng.randrange(spec.num_steps)
-    idx = rng.randrange(spec.n)
-    old = getattr(trace, section + "_rows")[row][idx]
-    if section == "z":
-        value = rng.choice([v for v in range(max(spec.z_upper) + 3) if v != old])
-    elif section == "delta":
-        value = rng.choice([v for v in range(q) if v != old])
-    else:
-        value = rng.randrange(2, q)  # off both bit values, so always inconsistent
-    return trace.with_cell(section, row, idx, value)
-
-
 def test_criterion_07_soundness_randomized(announce):
     rng = random.Random(1007)
     trials, rejected, refused = 0, 0, 0
@@ -154,7 +136,7 @@ def test_criterion_07_soundness_randomized(announce):
         orders = [m for m in range(2, 13, 2) if (q - 1) % m == 0]
         field = PrimeField(q)
         spec = random_spec(rng, q, orders=orders)
-        tampered = _tamper_randomly(rng, spec, simulate(spec), q)
+        tampered = tamper_randomly(rng, spec, simulate(spec), q)
         trials += 1
 
         try:

@@ -135,6 +135,18 @@ def test_trace_polys_equal_lagrange_interpolants(q, m):
     assert tp.f_delta == lagrange(xs[:N], ft.delta_rows)
 
 
+def test_trace_polys_take_unreduced_values_mod_q(field, domain):
+    # a column already in [0, q) is not reduced again; any other still is
+    spec = random_spec(random.Random(3), 331, orders=[30])
+    trace = simulate(spec)
+    for section, row, value in (("z", 4, -5), ("delta", 0, 331 + 7), ("alpha_up", 28, -331)):
+        edited = trace.with_cell(section, row, 0, value)
+        lifted = ExecutionTrace(spec, *(tuple(tuple(v % 331 for v in r) for r in rows)
+                                        for rows in (edited.z_rows, edited.alpha_up_rows,
+                                                     edited.alpha_lo_rows, edited.delta_rows)))
+        assert build_trace_polys(edited, domain) == build_trace_polys(lifted, domain)
+
+
 def test_trace_polys_domain_order_mismatch(paper_trace, field):
     with pytest.raises(ValueError):
         build_trace_polys(paper_trace, build_domain(field, 10))

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (WRAPPING_SYSTEM, minimal_multiproof, random_challenges, random_spec,
-                      wrapping_trace)
+from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, minimal_multiproof, random_challenges,
+                      random_spec, wrapping_trace)
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -282,38 +282,6 @@ def test_a_bit_outside_0_1_is_refused_online(field, paper_spec, paper_trace):
         (7, "not-a-bit: alpha_up[1]=2 is neither 0 nor 1")] * 2
     with pytest.raises(InvalidTraceError, match=r"online check failed at step 7: not-a-bit"):
         prove(field, paper_spec, tampered, paper_transcript())
-
-
-def _step_check_cases():
-    """Seeded (field, spec, trace) triples: honest traces, and traces with one
-    cell changed so that the online checks and the boundary condition still
-    hold, one of them at the last step."""
-    rng = random.Random(89)
-    cases = []
-    for _ in range(12):
-        q = rng.choice((61, 211, 331))
-        spec = random_spec(rng, q)
-        trace = simulate(spec)
-        N = spec.num_steps
-        cases.append((PrimeField(q), spec, trace))
-        for step in (rng.randrange(N), N - 1):
-            section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
-            i = rng.randrange(spec.n)
-            if section == "z":  # the next state of the step, kept inside the box
-                row, old = step + 1, trace.z_rows[step + 1][i]
-                value = rng.choice([v for v in range(spec.z_lower[i], spec.z_upper[i] + 1)
-                                    if v != old])
-            else:
-                row, old = step, getattr(trace, section + "_rows")[step][i]
-                if section == "delta":  # a larger slack passes the online check
-                    value = old + rng.randint(1, 5)
-                else:  # a flipped bit passes the online check
-                    value = 1 - old
-            cases.append((PrimeField(q), spec, trace.with_cell(section, row, i, value)))
-    return cases
-
-
-STEP_CHECK_CASES = _step_check_cases()
 
 
 def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
