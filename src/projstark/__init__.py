@@ -9,7 +9,6 @@ FRI-tests that quotient.
 from .air import (
     FieldOverflowError,
     InvalidTraceError,
-    TracePolynomials,
     build_compositions,
     build_numerators,
     build_trace_polys,

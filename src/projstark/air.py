@@ -1,10 +1,11 @@
 """Algebraic intermediate representation of an execution trace.
 
-Turns the trace into column interpolants over the cyclic domain and the 4n
-constraint numerators, divides a numerator by the step-domain vanishing
-polynomial, and takes random-weighted sums.  Floor division is linear, so the
-prover combines the numerators with the weights first and divides once, as
-the verifier's consistency check does pointwise.
+Turns the trace into column interpolants over the cyclic domain, section by
+section of dynamics.SECTIONS, and the constraint numerators, divides a
+numerator by the step-domain vanishing polynomial, and takes random-weighted
+sums.  Floor division is linear, so the prover combines the numerators with
+the weights first and divides once, as the verifier's consistency check does
+pointwise.  The counts derived from that shape are here too.
 
 Numerators, quotients and weights are flat lists in the order the weights are
 drawn: entry k is family FAMILIES[k // n] at coordinate k % n.  The degree
@@ -14,19 +15,40 @@ the replay fixture reorders for presentation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 from typing import List, Sequence, Tuple, Union
 
-from .dynamics import ExecutionTrace, SystemSpec
+from .dynamics import SECTIONS, ExecutionTrace, SystemSpec
 from .field import CyclicDomain, PrimeField
-from .poly import CosetEvaluator, LazyPolynomial, Polynomial, elementwise
+from .poly import CosetEvaluator, Polynomial, elementwise
 # Unused here, but the benchmark tracer wraps air.interpolate and air.vanishing by name.
 from .poly import interpolate, vanishing  # noqa: F401
 
-FAMILIES = ("transition", "slack", "upper_bit", "lower_bit")
+FAMILIES = ("transition", "slack", "upper_bit", "lower_bit")  # of constraints, n each
+
+
+def trace_width(spec: SystemSpec) -> int:
+    """The trace's columns: n per section."""
+    return len(SECTIONS) * spec.n
+
+
+def constraint_count(spec: SystemSpec) -> int:
+    """The constraint numerators, and so the weights drawn for them: n per family."""
+    return len(FAMILIES) * spec.n
+
+
+def worst_bound(num_steps: int) -> int:
+    """The largest degree a quotient of the constraint numerators by Z_N can
+    have: the transition numerators' (N - 1) + (N - 1) + N, the two bits times
+    A_hat·z, less N."""
+    return max(2 * num_steps - 2, 0)
+
+
+def by_section(row: Sequence, n: int) -> list:
+    """The first trace_width values of row, cut into its n-wide sections."""
+    return [row[k * n:(k + 1) * n] for k in range(len(SECTIONS))]
 
 
 class FieldOverflowError(ValueError):
@@ -55,13 +77,7 @@ def lift_trace(trace: ExecutionTrace, field: PrimeField) -> ExecutionTrace:
             columns.append(column if low >= 0 else map(q.__rmod__, column))
         return tuple(zip(*columns))
 
-    return ExecutionTrace(
-        spec=trace.spec,
-        z_rows=lift_rows(trace.z_rows),
-        alpha_up_rows=lift_rows(trace.alpha_up_rows),
-        alpha_lo_rows=lift_rows(trace.alpha_lo_rows),
-        delta_rows=lift_rows(trace.delta_rows),
-    )
+    return ExecutionTrace(trace.spec, *map(lift_rows, trace.sections))
 
 
 class Column(tuple):
@@ -93,16 +109,6 @@ class Column(tuple):
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class TracePolynomials:
-    """Column interpolants: f_z over the full domain, the rest over the first N points."""
-
-    f_z: Tuple[Polynomial, ...]
-    f_alpha_up: Tuple[Polynomial, ...]
-    f_alpha_lo: Tuple[Polynomial, ...]
-    f_delta: Tuple[Polynomial, ...]
-
-
 @lru_cache(maxsize=4)  # one plan per domain of the (q, N) pairs protocol._domains keeps
 def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N.
@@ -130,50 +136,43 @@ def _interpolant_scales(domain: CyclicDomain) -> Tuple[int, List[int]]:
     return inv_order, [pow(g_inv, N - j, q) * inv_order % q for j in range(N + 1)]
 
 
-def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> TracePolynomials:
-    """Column interpolants of the trace, by one trace_interpolator(domain)
-    inverse DFT. A column whose values are already in [0, q), as lift_trace
-    leaves every one, is not reduced again (any other is taken mod q,
-    unchecked), and each interpolant coefficient is reduced once."""
-    spec = trace.spec
-    N = spec.num_steps
+def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> Tuple[Polynomial, ...]:
+    """The interpolant of each trace column, in SECTIONS order, n per section:
+    through all of H for a column of N + 1 values, its first N points for one
+    of N, all by one trace_interpolator(domain) inverse DFT. A column is
+    reduced mod q only if a value lies outside [0, q), unchecked (lift_trace
+    leaves none), and each interpolant coefficient is reduced once."""
+    N = trace.spec.num_steps
     if domain.order != N + 1:
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
     field = domain.field
-    q = field.modulus
-    n = spec.n
-    columns = [
-        Polynomial.of_residues(field, c) if 0 <= min(c) and max(c) < q else Polynomial(field, c)
-        for rows in (trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
-        for c in zip(*rows)
-    ]
-    tables = trace_interpolator(domain).evaluate(columns)
-    # The N-point columns get P through their N values and 0 at g^N, of degree
+    columns = [c for rows in trace.sections for c in zip(*rows)]
+    tables = trace_interpolator(domain).evaluate([Polynomial(field, c) for c in columns])
+    # An N-value column gets P through its N values and 0 at g^N, of degree
     # <= N; removing P[N]·Z_N leaves the degree < N interpolant of the N points.
     inv_order, z_n = _interpolant_scales(domain)
-    f_z = tuple(Polynomial(field, map(inv_order.__mul__, t)) for t in tables[:n])
-    f_up, f_lo, f_d = (
-        tuple(
-            Polynomial(field, map(sub, map(inv_order.__mul__, t), map(t[N].__mul__, z_n)))
-            for t in tables[k * n:(k + 1) * n]
-        )
-        for k in (1, 2, 3)
-    )
-    return TracePolynomials(f_z=f_z, f_alpha_up=f_up, f_alpha_lo=f_lo, f_delta=f_d)
+    return tuple(
+        Polynomial(field, map(inv_order.__mul__, t)) if len(c) > N else
+        Polynomial(field, map(sub, map(inv_order.__mul__, t), map(t[N].__mul__, z_n)))
+        for c, t in zip(columns, tables))
 
 
-def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
-    """The 4n constraint numerators at one point, in weight-draw order.
+def constraints(spec: SystemSpec, row: Sequence, next_row: Sequence) -> list:
+    """The constraint numerators at one point, in weight-draw order, from the
+    trace row there and the next: `row` holds at least the trace_width values
+    of SECTIONS in order, `next_row` at least the n of the state, and nothing
+    past those is read.
 
-    The arguments are per-coordinate sequences: the state z, the next state,
-    the two selector bits and the slack. Only +, - and * are used, so the one
-    definition serves polynomials (the prover's numerators), the integer trace
-    rows (the prover's step check, where each value must be exactly 0) and
-    opened values (the verifier, which reduces the results mod q).
+    Only +, - and * are used, so the one definition serves polynomials (the
+    prover's numerators), integer Columns of every step (the prover's step
+    check, where each value must be exactly 0) and opened values (the
+    verifier, which reduces the results mod q).
     """
     n = spec.n
+    z, up, lo, delta = by_section(row, n)
+    z_next = next_row[:n]
     hi, lw = spec.z_upper, spec.z_lower
-    az = [sum(a * zj for a, zj in zip(row, z) if a) for row in spec.a_hat]
+    az = [sum(a * zj for a, zj in zip(r, z) if a) for r in spec.a_hat]
     return [
         *(z_next[i] - lo[i] * up[i] * az[i] - (1 - up[i]) * hi[i] - (1 - lo[i]) * lw[i]
           for i in range(n)),
@@ -184,16 +183,12 @@ def constraints(spec: SystemSpec, z, z_next, up, lo, delta) -> list:
 
 
 def build_numerators(
-    tp: TracePolynomials, spec: SystemSpec, domain: CyclicDomain
-) -> List[LazyPolynomial]:
-    """The 4n constraint numerators as polynomials; numerator k at g^j is
-    constraint k on trace rows j and j+1. They are LazyPolynomials, unreduced
-    until read: `combine` reduces their weighted sum once."""
-    g = domain.generator
-    z, up, lo, delta = ([LazyPolynomial.of(p) for p in polys]
-                        for polys in (tp.f_z, tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta))
-    z_next = [LazyPolynomial.of(p.scale_argument(g)) for p in tp.f_z]
-    return constraints(spec, z, z_next, up, lo, delta)
+    tp: Sequence[Polynomial], spec: SystemSpec, domain: CyclicDomain
+) -> List[Polynomial]:
+    """The constraint numerators as polynomials, from build_trace_polys'
+    interpolants; numerator k at g^j is constraint k on trace rows j and j+1.
+    Their values are left unreduced: `combine` reduces their weighted sum once."""
+    return constraints(spec, tp, [p.scale_argument(domain.generator) for p in tp[:spec.n]])
 
 
 def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -> List[Polynomial]:
@@ -219,8 +214,7 @@ def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -
 def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:
     """Random-weighted sum of numerators or of quotients, in weight-draw order.
     It weights each polynomial's `values` as they are, the unreduced ones of
-    build_numerators' LazyPolynomials included, and reduces the sum mod q
-    once, at the end."""
+    build_numerators included, and reduces the sum mod q once, at the end."""
     if len(gammas) != len(polys):
         raise ValueError(f"need {len(polys)} weights, got {len(gammas)}")
     acc = [0] * max(len(p.values) for p in polys)
@@ -229,11 +223,14 @@ def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:
     return Polynomial(polys[0].field, acc)
 
 
-def degree_bound(tp: TracePolynomials, quotient: Polynomial, num_steps: int) -> int:
-    """The declared degree bound of Q: the transition numerators' degree less N,
-    raised to Q's own degree, since the declaration is trusted only that far."""
+def degree_bound(tp: Sequence[Polynomial], quotient: Polynomial, num_steps: int) -> int:
+    """The declared degree bound of Q, raised to Q's own degree, since the
+    declaration is trusted only that far: the paper's tabulated rule, the
+    largest sum over i of the degrees of the state, upper-bit and lower-bit
+    interpolants at coordinate i, less N. That is not the degree of the
+    transition numerator, which has A_hat·z, not the state itself, at
+    coordinate i; it fixes the replay proof's declared bound."""
+    z, up, lo, _ = by_section(tp, len(tp) // len(SECTIONS))
     transition = max(
-        z.reported_degree + up.reported_degree + lo.reported_degree
-        for z, up, lo in zip(tp.f_z, tp.f_alpha_up, tp.f_alpha_lo)
-    )
+        a.reported_degree + b.reported_degree + c.reported_degree for a, b, c in zip(z, up, lo))
     return max(transition - num_steps, quotient.reported_degree, 0)

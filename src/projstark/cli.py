@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from . import reference_example
-from .air import FieldOverflowError, InvalidTraceError
+from .air import FieldOverflowError, InvalidTraceError, constraint_count
 from .channel import FiatShamirTranscript, ReplayTranscript, TranscriptError
-from .dynamics import ExecutionTrace, SystemSpec
+from .dynamics import SECTIONS, ExecutionTrace, SystemSpec
 from .field import PrimeField
 from .protocol import (Base10, ProofFormatError, _as_json, _check_num_queries, _domains, _int,
                        dump_proof, honest_step_source, load_proof, prove, reader, reading,
@@ -66,7 +66,7 @@ class ConfigDocument:
 
 
 @dataclass(frozen=True)
-class TraceDocument:
+class TraceDocument:  # one key per section of dynamics.SECTIONS, in its order
     z: Tuple[Tuple[Base10, ...], ...]
     alpha_up: Tuple[Tuple[Base10, ...], ...]
     alpha_lo: Tuple[Tuple[Base10, ...], ...]
@@ -96,7 +96,7 @@ def load_config(path: str) -> RunConfig:
         return RunConfig(domains.field, spec, doc.queries, None)
     challenges = {k: list(v) for k, v in vars(doc.challenges).items()}
     # not betas, whose count depends on the degree bound
-    for name, needed in (("gammas", 4 * spec.n), ("sample_points", doc.queries)):
+    for name, needed in (("gammas", constraint_count(spec)), ("sample_points", doc.queries)):
         if len(challenges[name]) < needed:
             raise ConfigError(f"replay needs at least {needed} challenges.{name}, "
                               f"got {len(challenges[name])}")
@@ -125,7 +125,7 @@ def load_trace(path: str, spec: SystemSpec) -> ExecutionTrace:
         if type(doc) is dict and _int(doc.get("version", 1)) != TraceDocument.version:
             raise ValueError(f"unsupported trace version {doc['version']}")
         doc = reader(TraceDocument)(doc)
-        return ExecutionTrace(spec, doc.z, doc.alpha_up, doc.alpha_lo, doc.delta)
+        return ExecutionTrace(spec, *(getattr(doc, name) for name in SECTIONS))
 
 
 def _write_out(path: str, text: str) -> None:
@@ -137,24 +137,21 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _write_trace(path: str, trace: ExecutionTrace) -> None:
-    doc = TraceDocument(trace.z_rows, trace.alpha_up_rows, trace.alpha_lo_rows, trace.delta_rows)
+    doc = TraceDocument(*trace.sections)
     _write_out(path, json.dumps(doc, default=_as_json, indent=2))
 
 
 def _print_trace_table(trace: ExecutionTrace) -> None:
+    """One line per row k, each section's cells under its initials and
+    coordinate (`au1` for alpha_up[0]), `-` past the section's last row."""
     n = trace.spec.n
-    header = ["k"] + [f"z{i + 1}" for i in range(n)] \
-        + [f"au{i + 1}" for i in range(n)] + [f"al{i + 1}" for i in range(n)] \
-        + [f"d{i + 1}" for i in range(n)]
+    header = ["k"] + ["".join(w[0] for w in name.split("_")) + str(i + 1)
+                      for name in SECTIONS for i in range(n)]
     print("  ".join(f"{h:>6}" for h in header))
-    for k, z in enumerate(trace.z_rows):
-        cells = [str(k)] + [str(v) for v in z]
-        if k < trace.spec.num_steps:
-            cells += [str(v) for v in trace.alpha_up_rows[k]]
-            cells += [str(v) for v in trace.alpha_lo_rows[k]]
-            cells += [str(v) for v in trace.delta_rows[k]]
-        else:
-            cells += ["-"] * (3 * n)
+    for k in range(max(map(len, trace.sections))):
+        cells = [str(k)]
+        for rows in trace.sections:
+            cells += map(str, rows[k]) if k < len(rows) else ["-"] * n
         print("  ".join(f"{c:>6}" for c in cells))
 
 
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tamper", help="edit one trace cell in place")
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--section", required=True, choices=["z", "alpha_up", "alpha_lo", "delta"])
+    p.add_argument("--section", required=True, choices=list(SECTIONS))
     p.add_argument("--row", required=True, type=int)
     p.add_argument("--index", required=True, type=int)
     p.add_argument("--value", required=True, type=int)

@@ -1,4 +1,4 @@
-"""Projected linear dynamics, the slack-variable reformulation, and online checks.
+"""Projected linear dynamics, the slack form, the trace layout, and online checks.
 
 All simulation runs in exact integer arithmetic; values are reduced into the
 field only when the execution trace enters the algebraic layer.
@@ -66,9 +66,15 @@ class StepRecord:
     delta: IntVec
 
 
+# The trace's column families in commitment order, each n columns of num_steps
+# rows plus the count given; every count of the trace's shape follows from it.
+SECTIONS = {"z": 1, "alpha_up": 0, "alpha_lo": 0, "delta": 0}
+
+
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Trace grid: z has num_steps + 1 rows, the slack columns have num_steps rows."""
+    """Trace grid: for each of SECTIONS its `<name>_rows`, num_steps rows plus
+    the section's extra rows, of n entries each."""
 
     spec: SystemSpec
     z_rows: Tuple[IntVec, ...]
@@ -78,22 +84,22 @@ class ExecutionTrace:
 
     def __post_init__(self):
         N, n = self.spec.num_steps, self.spec.n
-        for name, count in (("z_rows", N + 1), ("alpha_up_rows", N),
-                            ("alpha_lo_rows", N), ("delta_rows", N)):
-            rows = getattr(self, name)
-            if len(rows) != count:
-                raise ValueError(f"{name} must have {count} rows")
+        for (name, extra), rows in zip(SECTIONS.items(), self.sections):
+            if len(rows) != N + extra:
+                raise ValueError(f"{name}_rows must have {N + extra} rows")
             if set(map(len, rows)) != {n}:
-                raise ValueError(f"every row of {name} must have {n} entries")
+                raise ValueError(f"every row of {name}_rows must have {n} entries")
+
+    @property
+    def sections(self) -> Tuple[Tuple[IntVec, ...], ...]:
+        """The rows of each of SECTIONS, in its order."""
+        return tuple(getattr(self, f"{name}_rows") for name in SECTIONS)
 
     def step(self, k: int) -> StepRecord:
-        """Step k as the online stage saw it: the next state and its slack columns."""
-        return StepRecord(
-            z_next=self.z_rows[k + 1],
-            alpha_up=self.alpha_up_rows[k],
-            alpha_lo=self.alpha_lo_rows[k],
-            delta=self.delta_rows[k],
-        )
+        """Step k as the online stage saw it, row k plus the extra rows of each
+        section: the next state and its slack columns."""
+        return StepRecord(*(rows[k + extra]
+                            for rows, extra in zip(self.sections, SECTIONS.values())))
 
     @classmethod
     def from_steps(cls, spec: SystemSpec, steps: Iterable[StepRecord]) -> "ExecutionTrace":
@@ -104,11 +110,10 @@ class ExecutionTrace:
                    alpha_lo_rows=alpha_lo, delta_rows=delta)
 
     def with_cell(self, section: str, row: int, index: int, value: int) -> "ExecutionTrace":
-        """Copy of the trace with one cell replaced."""
-        attr = {"z": "z_rows", "alpha_up": "alpha_up_rows",
-                "alpha_lo": "alpha_lo_rows", "delta": "delta_rows"}.get(section)
-        if attr is None:
+        """Copy of the trace with one cell of one of SECTIONS replaced."""
+        if section not in SECTIONS:
             raise ValueError(f"unknown trace section {section!r}")
+        attr = f"{section}_rows"
         rows = getattr(self, attr)
         if not (0 <= row < len(rows)) or not (0 <= index < self.spec.n):
             raise IndexError(f"cell ({section}, {row}, {index}) out of range")

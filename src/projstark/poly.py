@@ -1,9 +1,9 @@
 """Univariate polynomial algebra over a prime field.
 
-Coefficients are stored as canonical residues in ascending power order with
-trailing zeros trimmed, so the zero polynomial has no coefficients.  Scalars,
-points and values are plain ints; a scalar operand acts as a constant
-polynomial.
+A polynomial keeps integers congruent mod q to its coefficients, ascending,
+and reads them as canonical residues with trailing zeros trimmed, so the zero
+polynomial has no coefficients.  Scalars, points and values are plain ints; a
+scalar operand acts as a constant polynomial.
 """
 
 from __future__ import annotations
@@ -11,39 +11,39 @@ from __future__ import annotations
 import operator
 import struct
 from functools import lru_cache
-from itertools import repeat, zip_longest
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain, repeat, zip_longest
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .field import PrimeField, prime_factors
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    """A polynomial kept as `values`, integers congruent mod q to its
+    coefficients. `coeffs` reduces and trims them when first read, and from
+    then on they serve as the values too. +, - and a scalar * reduce nothing;
+    a product reduces only its two factors, for `_kronecker`."""
 
-    def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
-        q = field.modulus
-        c = [x % q for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
+    __slots__ = ("field", "values", "_coeffs")
+
+    def __init__(self, field: PrimeField, values: Iterable[int] = ()):
         self.field = field
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def of_residues(cls, field: PrimeField, residues: Iterable[int]) -> "Polynomial":
-        """The polynomial with these coefficients, each already in [0, q): they
-        are trimmed, not reduced again."""
-        c = list(residues)
-        while c and c[-1] == 0:
-            c.pop()
-        p = cls.__new__(cls)
-        p.field = field
-        p.coeffs = tuple(c)
-        return p
+        self.values = tuple(values)
+        self._coeffs = None
 
     @property
-    def values(self) -> Sequence[int]:
-        """Integers congruent to the coefficients mod q: here the coefficients."""
-        return self.coeffs
+    def coeffs(self) -> Tuple[int, ...]:
+        """The canonical residues, ascending, trailing zeros trimmed: values
+        already in [0, q), one min/max test, are not reduced again."""
+        c = self._coeffs
+        if c is None:
+            c, q = self.values, self.field.modulus
+            if c and (min(c) < 0 or max(c) >= q):
+                c = [x % q for x in c]
+            end = len(c)
+            while end and not c[end - 1]:
+                end -= 1
+            c = self._coeffs = self.values = tuple(c[:end])
+        return c
 
     @property
     def reported_degree(self) -> int:
@@ -70,37 +70,24 @@ class Polynomial:
         return other
 
     def __add__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        a, b = self.coeffs, self._lift(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)  # Polynomial() reduces every coefficient mod q
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(self.field, out)
+        return Polynomial(self.field,
+                          elementwise(operator.add, self.values, self._lift(other).values))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        a, b = self.coeffs, self._lift(other).coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] += c
-        return Polynomial(self.field, out)
+        return Polynomial(self.field,
+                          elementwise(operator.sub, self.values, self._lift(other).values))
 
     def __rsub__(self, other: int) -> "Polynomial":
         return self._lift(other) - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return Polynomial(self.field, map(operator.neg, self.values))
 
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
-        """Product by Kronecker substitution (`_kronecker`), reduced mod q once;
-        a scalar operand scales each coefficient instead."""
+        """Product by Kronecker substitution (`_kronecker`) of the two reduced
+        factors; a scalar operand scales each value instead."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         return Polynomial(self.field,
@@ -109,7 +96,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.field, [a * c for a in self.coeffs])
+        return Polynomial(self.field, map(operator.mul, self.values, repeat(c)))
 
     def scale_argument(self, c: int) -> "Polynomial":
         """p(c * x), by rescaling coefficient i with c^i."""
@@ -157,63 +144,12 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
-class LazyPolynomial(Polynomial):
-    """A polynomial kept as `values`, integers congruent mod q to its
-    coefficients, reduced only when `coeffs` is first read. +, - and a scalar *
-    reduce nothing; a product reduces only its two operands, for `_kronecker`.
-    An int operand of + or - is a constant polynomial."""
-
-    __slots__ = ("values", "_coeffs")
-
-    def __init__(self, field: PrimeField, values: Sequence[int]):
-        self.field = field
-        self.values = values
-        self._coeffs = None
-
-    @classmethod
-    def of(cls, poly: Polynomial) -> "LazyPolynomial":
-        """poly, whose coefficients are already reduced."""
-        lazy = cls(poly.field, poly.coeffs)
-        lazy._coeffs = poly.coeffs
-        return lazy
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        if self._coeffs is None:
-            self._coeffs = Polynomial(self.field, self.values).coeffs
-        return self._coeffs
-
-    def _values(self, other: Union[Polynomial, int]) -> Sequence[int]:
-        return self._lift(other).values if isinstance(other, Polynomial) else (other,)
-
-    def __add__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
-        return LazyPolynomial(self.field, elementwise(operator.add, self.values, self._values(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
-        return LazyPolynomial(self.field, elementwise(operator.sub, self.values, self._values(other)))
-
-    def __rsub__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
-        return LazyPolynomial(self.field, elementwise(operator.sub, self._values(other), self.values))
-
-    def __mul__(self, other: Union[Polynomial, int]) -> "LazyPolynomial":
-        if not isinstance(other, Polynomial):
-            return LazyPolynomial(self.field, list(map(operator.mul, self.values, repeat(other))))
-        return LazyPolynomial(self.field,
-                              _kronecker(self.coeffs, self._lift(other).coeffs, self.field.modulus))
-
-    __rmul__ = __mul__
-
-
-def elementwise(op, a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """[op(a[i], b[i])] over the longer of a and b, the shorter padded with zeros."""
-    out = list(map(op, a, b))
-    if len(a) > len(b):
-        out += map(op, a[len(b):], repeat(0))
-    elif len(b) > len(a):
-        out += map(op, repeat(0), b[len(a):])
-    return out
+def elementwise(op, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+    """op(a[i], b[i]) over the longer of a and b, the shorter padded with
+    zeros: an iterator, so the caller builds its tuple from it once."""
+    if len(a) >= len(b):
+        return chain(map(op, a, b), map(op, a[len(b):], repeat(0)))
+    return chain(map(op, a, b), map(op, repeat(0), b[len(a):]))
 
 
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # machine words struct moves as one int
@@ -326,7 +262,7 @@ def _product_plan(q: int, bits: int) -> Tuple[int, Optional[int], tuple, Optiona
 def _kronecker(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
     """Integers congruent mod q to the coefficients of the product of a and b,
     lists of residues in [0, q), by Kronecker substitution: one big-integer
-    multiplication. The one product of Polynomial and LazyPolynomial.
+    multiplication: Polynomial's one product.
 
     Each operand is packed into one integer, one whole-byte slot per
     coefficient. A product coefficient is a sum of at most min(len a, len b)

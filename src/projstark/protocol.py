@@ -30,9 +30,12 @@ from .air import (
     build_numerators,
     build_trace_polys,
     combine,
+    constraint_count,
     constraints,
     degree_bound,
     lift_trace,
+    trace_width,
+    worst_bound,
 )
 from .channel import (
     FiatShamirTranscript,
@@ -81,8 +84,8 @@ class Opening:
 
 @dataclass(frozen=True)
 class RowOpening:
-    """The trace row at one point: the values of f_z, f_alpha_up, f_alpha_lo,
-    f_delta and the boundary quotients in order, n each; the verifier finds its leaf."""
+    """The trace row at one point: each column interpolant's value, in commitment
+    order, then the n boundary quotients'; the verifier finds its leaf."""
 
     values: Tuple[int, ...]
     path: bytes
@@ -256,7 +259,7 @@ class _Domains:
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator
-        self.worst_bound = max(2 * num_steps - 2, 0)
+        self.worst_bound = worst_bound(num_steps)
         self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
                                          num_rounds(self.worst_bound))
         self.plans: Dict[int, CosetEvaluator] = {}
@@ -421,13 +424,9 @@ def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) 
     for i, (z0, init) in enumerate(zip(trace.z_rows[0], spec.z_init)):
         if z0 != init:
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
-
-    def columns(rows):
-        return [Column(c) for c in zip(*rows)]
-
-    values = constraints(spec, columns(trace.z_rows[:N]), columns(trace.z_rows[1:]),
-                         columns(trace.alpha_up_rows), columns(trace.alpha_lo_rows),
-                         columns(trace.delta_rows))
+    # each column over steps 0..N-1, and the state's over steps 1..N
+    row = [Column(c) for rows in trace.sections for c in zip(*rows[:N])]
+    values = constraints(spec, row, [Column(c) for c in zip(*trace.z_rows[1:])])
     step, k = min(((next(j for j, v in enumerate(c) if v), k)
                    for k, c in enumerate(values) if any(c)), default=(N, 0))
     for j in range(min(step + 1, N)):
@@ -503,17 +502,17 @@ def prove(
     transcript.absorb("spec", hash_spec(field, spec))
 
     g = domains.g
-    tables = domains.evaluator(0).evaluate((*tp.f_z, *tp.f_alpha_up, *tp.f_alpha_lo, *tp.f_delta))
+    tables = domains.evaluator(0).evaluate(tp)
     # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
     # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forced trace or not
     inverses = domains.boundary_inverses()
-    for table, f in zip(tables[:n], tp.f_z):
+    for table, f in zip(tables[:n], tp):
         f_one = sum(f.coeffs)
         tables.append([(v - f_one) * w % q for v, w in zip(table, inverses)])
     trace_cm = _Committed(tables, domains, 0)
     transcript.absorb("trace", trace_cm.tree.root)
 
-    gammas = [transcript.draw("gamma") for _ in range(4 * n)]
+    gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]
 
     numerators = build_numerators(tp, spec, domain)
     [quotient] = build_compositions([combine(numerators, gammas)], domain)
@@ -524,8 +523,8 @@ def prove(
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
-    # bound >= deg Q: replay declares at least deg Q, and deg Q <= 2N - 2, the
-    # Fiat-Shamir bound, as f_z has degree N and the other columns N - 1; so
+    # bound >= deg Q: replay declares at least deg Q, and deg Q is at most
+    # worst_bound, the Fiat-Shamir bound; so
     # `rounds` folds leave at most (bound >> rounds) + 1 coefficients. Layers
     # 1..rounds-1 are committed; under Fiat-Shamir `rounds` follows from
     # num_queries, as a layer's openings cost each query one path
@@ -562,7 +561,7 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec, boun
                          rounds: int) -> None:
     """Raise ProofFormatError on a proof malformed for _fri_shape's bound and rounds."""
     q = field.modulus
-    n = spec.n
+    width = trace_width(spec) + spec.n  # the columns, then the boundary quotients
     if proof.version != PROOF_VERSION:
         raise ProofFormatError(f"unsupported proof version {proof.version}")
     if not 1 <= len(proof.queries) <= MAX_QUERIES:
@@ -579,8 +578,8 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec, boun
             f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_layers.roots)}"
         )
     for query in proof.queries:
-        if len(query.trace) != 2 or any(len(row.values) != 5 * n for row in query.trace):
-            raise ProofFormatError(f"each query needs two trace rows of {5 * n} values")
+        if len(query.trace) != 2 or any(len(row.values) != width for row in query.trace):
+            raise ProofFormatError(f"each query needs two trace rows of {width} values")
         if len(query.fri) != rounds:
             raise ProofFormatError(f"expected {rounds} FRI opening pairs per query")
         values = [v for row in query.trace for v in row.values]
@@ -601,20 +600,20 @@ def verify(
     `num_queries` too, never the proof's.
 
     An error's type names the party at fault. The caller's, as in `prove`: a
-    ValueError for a (q, N) check_publics refuses, a `num_queries` outside
-    [1, MAX_QUERIES] or a replay sample point outside D0, a TranscriptError
-    for fewer replay gammas than the spec's 4n. The proof's: ProofFormatError,
-    also for FRI layers or a remainder not of the shape _fri_shape gives for
-    its declared bound and, under Fiat-Shamir, the number of queries it
-    answers, and when its rounds or queries need more betas or sample points
-    than the replay lists hold. Every check looks at the sample points the
-    transcript draws. Checks, in order, with the stage a failure is reported
-    at: at least `num_queries` queries answered (queries), the proof's salt
-    the transcript's, b"" for replay (salt), the declared degree bound, at
-    most 2N-2 and equal to it under Fiat-Shamir (fri_commit), each
-    commitment's leaf count, the leaf of each FRI opening, and each tree's
-    openings at the leaves of the sample points, checked as one batch, each
-    FRI pair's two values in one leaf (commitment: a path of the wrong
+    ValueError for a (q, N) check_publics refuses, a `num_queries` outside [1,
+    MAX_QUERIES] or a replay sample point outside D0, a TranscriptError for
+    fewer replay gammas than the spec's constraint_count. The proof's:
+    ProofFormatError, also for FRI layers or a remainder not of the shape
+    _fri_shape gives for its declared bound and, under Fiat-Shamir, the number
+    of queries it answers, and when its rounds or queries need more betas or
+    sample points than the replay lists hold. Every check looks at the sample
+    points the transcript draws. Checks, in order, with the stage a failure is
+    reported at: at least `num_queries` queries answered (queries), the
+    proof's salt the transcript's, b"" for replay (salt), the declared degree
+    bound, at most worst_bound and equal to it under Fiat-Shamir (fri_commit),
+    each commitment's leaf count, the leaf of each FRI opening, and each
+    tree's openings at the leaves of the sample points, checked as one batch,
+    each FRI pair's two values in one leaf (commitment: a path of the wrong
     length or a leaf opened twice with two rows is named by its tree and
     query, a root mismatch by its tree and both roots, computed and
     committed), the initialization quotient identity (boundary), the
@@ -646,7 +645,7 @@ def verify(
     transcript.absorb("spec", hash_spec(field, spec))
     comms, fri = proof.commitments, proof.fri_layers
     transcript.absorb("trace", comms.trace.root)
-    gammas = [transcript.draw("gamma") for _ in range(4 * n)]  # as many as the spec fixes
+    gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]  # the spec's
 
     try:  # as many as the proof's rounds and queries need
         transcript.absorb("composition", comms.composition.root)
@@ -696,24 +695,23 @@ def verify(
             return VerificationReport("commitment", f"{name} tree{at}: {verdict.reason}")
 
     # --- stage: boundary -----------------------------------------------------
+    width = trace_width(spec)  # where the boundary quotients start in a row
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
         row = query.trace[0].values
         for i in range(n):
             lhs = (row[i] - spec.z_init[i]) % q
-            rhs = row[4 * n + i] * (x - 1) % q
+            rhs = row[width + i] * (x - 1) % q
             if lhs != rhs:
                 return VerificationReport(
                     "boundary", f"query {k}: boundary identity fails for coordinate {i}: "
-                    f"f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
+                    f"z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
 
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
         # Z_N(x) = (x^(N+1) - 1)/(x - g^N), so 1/Z_N(x) takes one inversion
         inv_z = (x - g_pow_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q
-        row = query.trace[0].values
-        z, up, lo, delta = (row[i * n:(i + 1) * n] for i in range(4))
-        numerators = constraints(spec, z, query.trace[1].values[:n], up, lo, delta)
+        numerators = constraints(spec, query.trace[0].values, query.trace[1].values)
         recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
         opened = query.fri[0][0].value
         if recombined != opened:

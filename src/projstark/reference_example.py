@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .air import build_compositions, build_numerators, build_trace_polys, combine, degree_bound
+from .air import (by_section, build_compositions, build_numerators, build_trace_polys, combine,
+                  degree_bound)
 from .channel import ReplayTranscript
 from .dynamics import SystemSpec, simulate
 from .field import PrimeField, build_domain
@@ -36,7 +37,7 @@ SUBGROUP = (
     330, 329, 327, 323, 315, 299, 267, 203, 75, 150, 300, 269, 207, 83, 166,
 )
 
-# (f1_z, f2_z, f1_delta, f2_delta, f1_alpha_lo, f2_alpha_lo, f1_alpha_up, f2_alpha_up)
+# the two state columns, then two per other section, in reverse SECTIONS order
 TRACE_DEGREES = (0, 29, 0, 28, 0, 28, 0, 0)
 
 # (q11, q21, q12, q22, then the lower-bit pair, then the upper-bit pair)
@@ -94,7 +95,8 @@ def run_replay() -> List[CheckResult]:
     record("z2-at-20", 40, trace.z_rows[20][1])
 
     tp = build_trace_polys(trace, domain)
-    columns = (*tp.f_z, *tp.f_delta, *tp.f_alpha_lo, *tp.f_alpha_up)
+    state, *others = by_section(tp, SYSTEM.n)
+    columns = [p for section in (state, *reversed(others)) for p in section]
     record("trace-degrees", TRACE_DEGREES, tuple(p.reported_degree for p in columns))
 
     numerators = build_numerators(tp, SYSTEM, domain)

@@ -154,3 +154,13 @@ def step_check_cases():
 
 
 STEP_CHECK_CASES = step_check_cases()
+
+
+def criterion_06_specs():
+    """The (field, spec, trace) of acceptance criterion 06, drawn as it draws them."""
+    rng = random.Random(1006)
+    for _ in range(100):
+        q = rng.choice((61, 61, 61, 61, 211, 331))
+        spec = random_spec(rng, q)
+        random_challenges(rng, q, spec, num_queries=4)
+        yield PrimeField(q), spec, simulate(spec)

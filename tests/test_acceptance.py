@@ -13,6 +13,7 @@ import pytest
 from conftest import fold_rounds, random_challenges, random_spec, tamper_randomly
 from projstark import reference_example as ref
 from projstark.air import (
+    by_section,
     InvalidTraceError,
     build_compositions,
     build_numerators,
@@ -44,7 +45,8 @@ def test_criterion_01_trace_interpolant_degrees(field, paper_trace, domain, anno
     start = time.perf_counter()
     tp = build_trace_polys(paper_trace, domain)
     elapsed = time.perf_counter() - start
-    columns = (*tp.f_z, *tp.f_delta, *tp.f_alpha_lo, *tp.f_alpha_up)
+    z, up, lo, delta = by_section(tp, paper_trace.spec.n)
+    columns = (*z, *delta, *lo, *up)
     got = tuple(p.reported_degree for p in columns)
     ok = got == ref.TRACE_DEGREES and elapsed < 1.0
     announce(1, "trace interpolant degrees", ok, f"degrees={got}, {elapsed:.3f}s")

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import TRIAL_MODULI, even_subgroup_orders, random_spec
+from conftest import TRIAL_MODULI, criterion_06_specs, even_subgroup_orders, random_spec
 from projstark import reference_example as ref
 from projstark.air import (
     FAMILIES,
     FieldOverflowError,
     InvalidTraceError,
+    by_section,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -15,9 +16,10 @@ from projstark.air import (
     constraints,
     degree_bound,
     lift_trace,
+    worst_bound,
 )
 from projstark.channel import FiatShamirTranscript
-from projstark.dynamics import ExecutionTrace, SystemSpec, simulate
+from projstark.dynamics import SECTIONS, ExecutionTrace, SystemSpec, simulate
 from projstark.field import PrimeField, build_domain
 from projstark.poly import Polynomial, interpolate, vanishing
 from projstark.protocol import prove, verify
@@ -87,26 +89,28 @@ def test_trace_polys_paper_degrees(paper_tp):
     def degrees(polys):
         return tuple(p.reported_degree for p in polys)
 
-    assert degrees(paper_tp.f_z) == (0, 29)
-    assert degrees(paper_tp.f_delta) == (0, 28)
-    assert degrees(paper_tp.f_alpha_lo) == (0, 28)
-    assert degrees(paper_tp.f_alpha_up) == (0, 0)
+    z, up, lo, delta = by_section(paper_tp, 2)
+    assert degrees(z) == (0, 29)
+    assert degrees(delta) == (0, 28)
+    assert degrees(lo) == (0, 28)
+    assert degrees(up) == (0, 0)
 
 
 def test_trace_polys_interpolate_columns(paper_tp, paper_trace, domain):
     xs = domain.elements
+    z, _, lo, delta = by_section(paper_tp, 2)
     for k in range(30):
-        assert paper_tp.f_z[0].evaluate(xs[k]) == paper_trace.z_rows[k][0]
-        assert paper_tp.f_z[1].evaluate(xs[k]) == paper_trace.z_rows[k][1]
+        assert z[0].evaluate(xs[k]) == paper_trace.z_rows[k][0]
+        assert z[1].evaluate(xs[k]) == paper_trace.z_rows[k][1]
     for k in range(29):
-        assert paper_tp.f_delta[1].evaluate(xs[k]) == paper_trace.delta_rows[k][1]
-        assert paper_tp.f_alpha_lo[1].evaluate(xs[k]) == paper_trace.alpha_lo_rows[k][1]
+        assert delta[1].evaluate(xs[k]) == paper_trace.delta_rows[k][1]
+        assert lo[1].evaluate(xs[k]) == paper_trace.alpha_lo_rows[k][1]
 
 
 def test_trace_polys_paper_spot_value(paper_tp, domain):
     # z2 at step 20 has reached the lower bound
     x = domain.elements[20]
-    assert paper_tp.f_z[1].evaluate(x) == 40
+    assert paper_tp[1].evaluate(x) == 40  # the state's second column
 
 
 @pytest.mark.parametrize("q,m", SUBGROUPS)
@@ -129,10 +133,12 @@ def test_trace_polys_equal_lagrange_interpolants(q, m):
     def lagrange(points, table):
         return tuple(interpolate(list(zip(points, col)), field) for col in zip(*table))
 
-    assert tp.f_z == lagrange(xs, ft.z_rows)
-    assert tp.f_alpha_up == lagrange(xs[:N], ft.alpha_up_rows)
-    assert tp.f_alpha_lo == lagrange(xs[:N], ft.alpha_lo_rows)
-    assert tp.f_delta == lagrange(xs[:N], ft.delta_rows)
+    z, up, lo, delta = by_section(tp, 2)
+    assert len(tp) == 8
+    assert z == lagrange(xs, ft.z_rows)
+    assert up == lagrange(xs[:N], ft.alpha_up_rows)
+    assert lo == lagrange(xs[:N], ft.alpha_lo_rows)
+    assert delta == lagrange(xs[:N], ft.delta_rows)
 
 
 def test_trace_polys_take_unreduced_values_mod_q(field, domain):
@@ -189,8 +195,7 @@ def test_constraints_on_values_match_numerator_polynomials():
             def at(polys, point=x):
                 return [p.evaluate(point) for p in polys]
 
-            got = constraints(spec, at(tp.f_z), at(tp.f_z, g * x % q),
-                              at(tp.f_alpha_up), at(tp.f_alpha_lo), at(tp.f_delta))
+            got = constraints(spec, at(tp), at(tp[:spec.n], g * x % q))
             assert [v % q for v in got] == at(nums), (q, spec, x)
             checked += 1
     assert checked == 150
@@ -275,7 +280,7 @@ def test_pipeline_completeness_randomized():
         domain = build_domain(field, spec.num_steps + 1)
         trace = simulate(spec)
         tp = build_trace_polys(trace, domain)
-        assert all(tp.f_z[i].evaluate(1) == spec.z_init[i] for i in range(spec.n))
+        assert all(tp[i].evaluate(1) == spec.z_init[i] for i in range(spec.n))
         nums = build_numerators(tp, spec, domain)
         cs = build_compositions(nums, domain)  # must not raise
         gammas = [rng.randrange(1, q) for _ in range(4 * spec.n)]
@@ -312,3 +317,52 @@ def test_pipeline_soundness_single_cell_randomized():
         nums = build_numerators(tp, spec, domain)
         zv = vanishing(domain.elements[:spec.num_steps], field)
         assert any(not divmod(num, zv)[1].is_zero() for num in nums)
+
+
+class Degree:
+    """A polynomial's degree bound: + and - take the larger, * adds, an int has degree 0."""
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    @staticmethod
+    def of(value):
+        return value.degree if isinstance(value, Degree) else 0
+
+    def __add__(self, other):
+        return Degree(max(self.degree, Degree.of(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return Degree(self.degree + Degree.of(other))
+
+    __rmul__ = __mul__
+
+
+def numerator_degrees(spec):
+    """Each constraint numerator's degree bound, from `constraints` run on
+    column degrees: N for a column of N + 1 values, N - 1 for one of N."""
+    N = spec.num_steps
+    row = [Degree(N - 1 + extra) for extra in SECTIONS.values() for _ in range(spec.n)]
+    return [Degree.of(d) for d in constraints(spec, row, row[:spec.n])]
+
+
+def test_worst_bound_covers_every_numerator_of_the_one_constraint_function():
+    rng = random.Random(61)
+    zero_row = SystemSpec(a_hat=((0, 0), (-1, 1)), z_upper=(100, 100), z_lower=(0, 40),
+                            z_init=(3, 100), num_steps=1)  # an all-zero A_hat row, N = 1
+    cases = [*criterion_06_specs(), (PrimeField(61), zero_row, simulate(zero_row))]
+    for field, spec, trace in cases:
+        N, q = spec.num_steps, field.modulus
+        bound = worst_bound(N)
+        most = max(d - N for d in numerator_degrees(spec))
+        assert bound >= most, spec
+        if any(map(any, spec.a_hat)):
+            assert bound == most, spec
+        # the quotient prove commits: the weighted numerators' floor quotient by Z_N
+        domain = build_domain(field, N + 1)
+        numerators = build_numerators(build_trace_polys(trace, domain), spec, domain)
+        gammas = [rng.randrange(1, q) for _ in numerators]
+        [quotient] = build_compositions([combine(numerators, gammas)], domain)
+        assert quotient.reported_degree <= bound, spec

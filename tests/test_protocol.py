@@ -249,7 +249,7 @@ def test_a_step_that_holds_only_mod_q_is_refused():
     trace = wrapping_trace()
     spec, q = WRAPPING_SYSTEM, 331
     assert all(online_check(spec, trace.step(k)) is None for k in range(spec.num_steps))
-    assert constraints(spec, (87,), (70,), (1,), (1,), (100,)) == [q, 0, 0, 0]
+    assert constraints(spec, (87, 1, 1, 100), (70,)) == [q, 0, 0, 0]
     with pytest.raises(InvalidTraceError, match=r"constraint transition\[0\] fails at step 0$"):
         prove(PrimeField(q), spec, trace, FiatShamirTranscript(q), num_queries=2)
 
@@ -363,7 +363,7 @@ def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, p
     n, q = paper_spec.n, field.modulus
     domains = protocol._domains(q, paper_spec.num_steps)
     points = domains.layers[0]
-    f_z = build_trace_polys(trace, domains.subgroup).f_z
+    f_z = build_trace_polys(trace, domains.subgroup)[:n]
     boundary = committed[0][4 * n:]
     assert len(boundary) == n
     x_minus_one = Polynomial(field, (-1, 1))
@@ -593,7 +593,7 @@ def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, pa
             lhs = (values[i] - paper_spec.z_init[i]) % q
             rhs = values[4 * n + i] * (x - 1) % q
             assert lhs != rhs
-            assert report.detail.endswith(f"f_z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
+            assert report.detail.endswith(f"z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
         else:
             opened = query.fri[0][0].value
             recomputed = int(report.detail.split()[-1])

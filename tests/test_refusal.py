@@ -31,9 +31,9 @@ def step_by_step(spec, trace, field, force):
             reason = online_check(spec, trace.step(j))
             if reason is not None:
                 raise InvalidTraceError(f"online check failed at step {j}: {reason}")
-            rows = (trace.z_rows[j], trace.z_rows[j + 1], trace.alpha_up_rows[j],
-                    trace.alpha_lo_rows[j], trace.delta_rows[j])
-            for k, value in enumerate(constraints(spec, *rows)):
+            row = (*trace.z_rows[j], *trace.alpha_up_rows[j], *trace.alpha_lo_rows[j],
+                   *trace.delta_rows[j])
+            for k, value in enumerate(constraints(spec, row, trace.z_rows[j + 1])):
                 if value:
                     raise InvalidTraceError(
                         f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {j}")

@@ -1,20 +1,21 @@
 """The vectors the prover runs air.constraints on, and the one Kronecker product.
 
-Column (the integer trace, every step at once) and LazyPolynomial (the
-numerators, reduced once) are checked against plain per-entry references;
-build_numerators against constraints evaluated on Polynomials."""
+Column (the integer trace, every step at once) and Polynomial, whose values
+are reduced only when its coefficients are read, are checked against plain
+per-entry references; build_numerators against constraints evaluated on
+Polynomials, and constraints against padded rows on all three kinds of value."""
 
 import operator
 import random
 
 import pytest
 
-from conftest import STEP_CHECK_CASES, random_challenges, random_spec
+from conftest import STEP_CHECK_CASES, criterion_06_specs
 from projstark import poly
-from projstark.air import Column, build_numerators, build_trace_polys, constraints
-from projstark.dynamics import simulate
+from projstark.air import (Column, build_numerators, build_trace_polys, constraints,
+                           trace_width)
 from projstark.field import PrimeField, build_domain
-from projstark.poly import LazyPolynomial, Polynomial
+from projstark.poly import Polynomial
 
 OPS = (operator.add, operator.sub, operator.mul)
 
@@ -34,9 +35,27 @@ def convolution(a, b):
     return out
 
 
+def eager(values, q):
+    """The coefficients of values as an eager polynomial holds them: each
+    reduced mod q, trailing zeros trimmed."""
+    out = [v % q for v in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def random_values(rng, q):
     """Negative, unreduced (beyond q) and canonical values, of any length."""
     return [rng.randint(-3 * q, 3 * q) for _ in range(rng.randrange(0, 12))]
+
+
+class Unreducible(int):
+    """An int that refuses to be reduced: `%` on it raises."""
+
+    def __mod__(self, other):
+        raise AssertionError(f"{int(self)} reduced mod {other}")
+
+    __rmod__ = __mod__
 
 
 def test_column_ops_act_value_by_value():
@@ -59,61 +78,118 @@ def test_lazy_polynomial_ops_match_coefficient_references(q):
     for _ in range(200):
         a, b = random_values(rng, q), random_values(rng, q)
         k = rng.randint(-3 * q, 3 * q)
-        la, lb = LazyPolynomial(field, a), LazyPolynomial(field, b)
-        # +, - and a scalar * reduce nothing: their values are the exact references
-        assert (la + lb).values == [x + y for x, y in zip(*padded(a, b))]
-        assert (la - lb).values == [x - y for x, y in zip(*padded(a, b))]
-        assert (la + k).values == (k + la).values == [x + y for x, y in zip(*padded(a, [k]))]
-        assert (la - k).values == [x - y for x, y in zip(*padded(a, [k]))]
-        assert (k - la).values == [x - y for x, y in zip(*padded([k], a))]
-        assert (la * k).values == (k * la).values == [x * k for x in a]
-        # a product reduces its operands only, so it is congruent to the exact one
-        product, exact = padded((la * lb).values, convolution(a, b))
-        assert [v % q for v in product] == [v % q for v in exact]
-        # a plain Polynomial on either side gives the same lazy result
         pa, pb = Polynomial(field, a), Polynomial(field, b)
-        for op in OPS:
-            want = op(pa, pb)
-            for got in (op(la, lb), op(la, pb), op(pa, lb)):
-                assert isinstance(got, LazyPolynomial)
-                assert got == want and got.coeffs == want.coeffs
-        assert la.reported_degree == pa.reported_degree
+        # +, - and a scalar * reduce nothing: their values are the exact references
+        assert (pa + pb).values == tuple(x + y for x, y in zip(*padded(a, b)))
+        assert (pa - pb).values == tuple(x - y for x, y in zip(*padded(a, b)))
+        assert (pa + k).values == (k + pa).values == tuple(x + y for x, y in zip(*padded(a, [k])))
+        assert (pa - k).values == tuple(x - y for x, y in zip(*padded(a, [k])))
+        assert (k - pa).values == tuple(x - y for x, y in zip(*padded([k], a)))
+        assert (pa * k).values == (k * pa).values == tuple(x * k for x in a)
+        assert (-pa).values == tuple(-x for x in a)
+        # a product reduces its factors only, so it is congruent to the exact one
+        product, exact = padded((pa * pb).values, convolution(a, b))
+        assert [v % q for v in product] == [v % q for v in exact]
+        # read, every result's coefficients are the eager reference's
+        exact = (list(map(operator.add, *padded(a, b))), list(map(operator.sub, *padded(a, b))),
+                 convolution(a, b))
+        for op, want in zip(OPS, exact):
+            assert op(pa, pb).coeffs == eager(want, q)
+        assert pa.reported_degree == max(len(eager(a, q)) - 1, 0)
+
+
+@pytest.mark.parametrize("q", [61, 331, 12289])
+def test_polynomial_coefficients_are_the_eager_reduction_of_its_values(q):
+    field = PrimeField(q)
+    rng = random.Random(q + 1)
+    for _ in range(300):
+        values = random_values(rng, q) + [rng.choice((0, q, -q))] * rng.randrange(3)
+        p = Polynomial(field, values)
+        assert p.values == tuple(values)
+        assert p.coeffs == eager(values, q)
+        # once read, the coefficients are the values too
+        assert p.values is p.coeffs
+        assert p == Polynomial(field, eager(values, q))
+        assert hash(p) == hash(Polynomial(field, eager(values, q)))
 
 
 def test_lazy_polynomial_reads_its_coefficients_reduced_once():
     field = PrimeField(61)
-    lazy = LazyPolynomial(field, [-1, 122, 61, 0])
-    assert lazy.values == [-1, 122, 61, 0]
+    lazy = Polynomial(field, [-1, 122, 61, 0])
+    assert lazy.values == (-1, 122, 61, 0)
     assert lazy.coeffs == (60,) and lazy.coeffs is lazy.coeffs
     assert lazy == Polynomial(field, (60,)) and hash(lazy) == hash(Polynomial(field, (60,)))
-    assert LazyPolynomial.of(Polynomial(field, (1, 2))).coeffs == (1, 2)
     with pytest.raises(ValueError):
         lazy + Polynomial(PrimeField(331), (1,))
+    # residues already in [0, q) are read as they are, trailing zeros trimmed
+    residues = Polynomial(field, map(Unreducible, (1, 60, 0, 7, 0, 0)))
+    assert residues.coeffs == (1, 60, 0, 7)
+    assert Polynomial(field, map(Unreducible, (3, 2))).values == (3, 2)
+    with pytest.raises(AssertionError, match="reduced mod 61"):
+        Polynomial(field, map(Unreducible, (3, 61))).coeffs
 
 
-def _criterion_06_specs():
-    """The (field, spec, trace) of acceptance criterion 06, drawn as it draws them."""
-    rng = random.Random(1006)
-    for _ in range(100):
-        q = rng.choice((61, 61, 61, 61, 211, 331))
-        spec = random_spec(rng, q)
-        random_challenges(rng, q, spec, num_queries=4)
-        yield PrimeField(q), spec, simulate(spec)
+def test_lazy_polynomial_products_reduce_only_their_factors():
+    field = PrimeField(61)
+    a = Polynomial(field, map(Unreducible, (1, 2, 60)))
+    b = Polynomial(field, (-1, 62))  # reduced for the product: (60, 1)
+    assert (a * b).coeffs == eager(convolution((1, 2, 60), (60, 1)), 61)
+    assert b.values == b.coeffs == (60, 1)
+    # a sum or scaling of them reduces neither
+    assert (a + a).values == (2, 4, 120) and (a * 3).values == (3, 6, 180)
+
+
+def test_a_list_mutated_after_construction_does_not_change_the_polynomial():
+    field = PrimeField(61)
+    values = [1, 2, 3]
+    p = Polynomial(field, values)
+    values[0] = 50
+    values.append(9)
+    assert p.values == (1, 2, 3) and p.coeffs == (1, 2, 3)
+    total = p + p
+    values[:] = [0]
+    assert total.coeffs == (2, 4, 6)
 
 
 def test_build_numerators_equal_constraints_on_polynomials():
     checked = 0
-    for field, spec, trace in [*STEP_CHECK_CASES, *_criterion_06_specs()]:
+    for field, spec, trace in [*STEP_CHECK_CASES, *criterion_06_specs()]:
         domain = build_domain(field, spec.num_steps + 1)
         tp = build_trace_polys(trace, domain)
         g = domain.generator
-        want = constraints(spec, tp.f_z, [p.scale_argument(g) for p in tp.f_z],
-                           tp.f_alpha_up, tp.f_alpha_lo, tp.f_delta)
+        want = constraints(spec, tp, [p.scale_argument(g) for p in tp[:spec.n]])
         got = build_numerators(tp, spec, domain)
         assert got == want, (field.modulus, spec)
         assert [p.coeffs for p in got] == [p.coeffs for p in want]
         checked += 1
     assert checked == len(STEP_CHECK_CASES) + 100
+
+
+def test_constraints_read_only_the_declared_row_and_state():
+    # a row padded past its trace_width columns, as an opened row is by the
+    # boundary quotients, or a next row padded past the state, changes nothing
+    rng = random.Random(37)
+    for field, spec, trace in STEP_CHECK_CASES[:8]:
+        q, n, N = field.modulus, spec.n, spec.num_steps
+        width = trace_width(spec)
+        row = [v for rows in trace.sections for v in rows[0]]
+        assert len(row) == width
+        junk = [rng.randrange(-q, q) for _ in range(2 * width)]
+        want = constraints(spec, row, trace.z_rows[1])
+        assert constraints(spec, row + junk, [*trace.z_rows[1], *junk]) == want
+        # Columns of every step
+        columns = [Column(c) for rows in trace.sections for c in zip(*rows[:N])]
+        state = [Column(c) for c in zip(*trace.z_rows[1:])]
+        noise = [Column(rng.randrange(q) for _ in range(N)) for _ in range(width)]
+        assert constraints(spec, columns + noise, state + noise) == constraints(
+            spec, columns, state)
+        # Polynomials
+        domain = build_domain(field, N + 1)
+        tp = build_trace_polys(trace, domain)
+        shifted = [p.scale_argument(domain.generator) for p in tp]
+        extra = [Polynomial(field, junk[:k + 1]) for k in range(n)]
+        assert constraints(spec, [*tp, *extra], shifted + extra) == constraints(
+            spec, tp, shifted[:n])
 
 
 def schoolbook(a, b, q):
