@@ -111,29 +111,29 @@ class Column(tuple):
 
 @lru_cache(maxsize=4)  # one plan per domain of the (q, N) pairs protocol._domains keeps
 def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
-    """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N.
-    Built once per domain object, which hashes by identity.
+    """The inverse DFT over H that build_trace_polys runs: evaluation at g^(-i), i <= N,
+    scaled by 1/(N+1). Built once per domain object, which hashes by identity.
 
     Coefficient i of the interpolant through (g^k, y_k), k <= N, is
-    (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), so one
-    inverse DFT over H gives every coefficient of every column.
+    (1/(N+1))·sum_k y_k·g^(-ik): the polynomial sum_k y_k·x^k at g^(-i), times
+    1/(N+1), so one inverse DFT over H gives every coefficient of every
+    column, each reduced once; the plan's power rows carry the factor.
     """
     q = domain.field.modulus
     g_inv = domain.elements[-1]
     points = [pow(g_inv, i, q) for i in range(domain.order)]
-    return CosetEvaluator(domain.field, points, domain.generator, domain.order)
+    return CosetEvaluator(domain.field, points, domain.generator, domain.order,
+                          scale=pow(domain.order, -1, q))
 
 
 @lru_cache(maxsize=4)  # as trace_interpolator
-def _interpolant_scales(domain: CyclicDomain) -> Tuple[int, List[int]]:
-    """1/(N+1) mod q, and the coefficients of Z_N = prod_{k<N}(x - g^k) times it.
-
-    Z_N = (x^(N+1) - 1)/(x - g^N) = sum_j g^(N(N-j))·x^j."""
+def _vanishing_coeffs(domain: CyclicDomain) -> List[int]:
+    """The coefficients of Z_N = prod_{k<N}(x - g^k) = (x^(N+1) - 1)/(x - g^N)
+    = sum_j g^(N(N-j))·x^j, ascending."""
     q = domain.field.modulus
     N = domain.order - 1
     g_inv = domain.elements[N]
-    inv_order = pow(N + 1, -1, q)
-    return inv_order, [pow(g_inv, N - j, q) * inv_order % q for j in range(N + 1)]
+    return [pow(g_inv, N - j, q) for j in range(N + 1)]
 
 
 def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> Tuple[Polynomial, ...]:
@@ -141,7 +141,8 @@ def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> Tuple[Poly
     through all of H for a column of N + 1 values, its first N points for one
     of N, all by one trace_interpolator(domain) inverse DFT. A column is
     reduced mod q only if a value lies outside [0, q), unchecked (lift_trace
-    leaves none), and each interpolant coefficient is reduced once."""
+    leaves none); an interpolant through N + 1 values is the DFT's table as
+    it is, canonical, and one through N is reduced once after its correction."""
     N = trace.spec.num_steps
     if domain.order != N + 1:
         raise ValueError(f"domain order {domain.order} != num_steps + 1 = {N + 1}")
@@ -150,10 +151,10 @@ def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> Tuple[Poly
     tables = trace_interpolator(domain).evaluate([Polynomial(field, c) for c in columns])
     # An N-value column gets P through its N values and 0 at g^N, of degree
     # <= N; removing P[N]·Z_N leaves the degree < N interpolant of the N points.
-    inv_order, z_n = _interpolant_scales(domain)
+    z_n = _vanishing_coeffs(domain)
     return tuple(
-        Polynomial(field, map(inv_order.__mul__, t)) if len(c) > N else
-        Polynomial(field, map(sub, map(inv_order.__mul__, t), map(t[N].__mul__, z_n)))
+        Polynomial(field, t) if len(c) > N else
+        Polynomial(field, map(sub, t, map(t[N].__mul__, z_n)))
         for c, t in zip(columns, tables))
 
 

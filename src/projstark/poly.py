@@ -375,10 +375,13 @@ class CosetEvaluator:
 
     A plan keeps, for its later calls, the power rows of each slot width
     (`_powers`), the slot plan of each fold length and, for each row width,
-    where each point's value lies.
+    where each point's value lies. A plan built with a `scale` s gives
+    s·p(x) for every point: its power rows hold s·c^i mod q, so the tables
+    leave the DFT scaled and reduced once.
     """
 
-    def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int):
+    def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int,
+                 scale: int = 1):
         q = field.modulus
         w = omega % q
         radices = prime_factors(order)
@@ -448,6 +451,7 @@ class CosetEvaluator:
         self._power_rows: Dict[int, List[int]] = {}
         self._slot_plans: Dict[int, tuple] = {}
         self._coeff_word = _residue_word(q)
+        self._scale = scale % q
 
     def _slot_plan(
         self, length: int
@@ -485,7 +489,7 @@ class CosetEvaluator:
         rows = self._power_rows.get(width, [])
         if len(rows) < length:
             q, reps = self.field.modulus, self._reps
-            row = [pow(c, len(rows), q) for c in reps]
+            row = [self._scale * pow(c, len(rows), q) % q for c in reps]
             rows = list(rows)
             while len(rows) < length:
                 rows.append(_pack(row, width))
@@ -494,7 +498,8 @@ class CosetEvaluator:
         return rows
 
     def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
-        """[[p(x) for x in points] for p in polys] as canonical residues, by one DFT."""
+        """[[s·p(x) for x in points] for p in polys], s the plan's scale, as
+        canonical residues, by one DFT."""
         q = self.field.modulus
         m = self.order
         for poly in polys:

@@ -52,7 +52,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 14
+PROOF_VERSION = 15
 # cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
 # so its rate there is under 1/8
 BLOWUP = 16
@@ -577,15 +577,16 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec, boun
         raise ProofFormatError(
             f"expected {rounds - 1} intermediate FRI commitments, got {len(proof.fri_layers.roots)}"
         )
+    values: List[int] = []  # every opened value, range-checked at once
     for query in proof.queries:
         if len(query.trace) != 2 or any(len(row.values) != width for row in query.trace):
             raise ProofFormatError(f"each query needs two trace rows of {width} values")
         if len(query.fri) != rounds:
             raise ProofFormatError(f"expected {rounds} FRI opening pairs per query")
-        values = [v for row in query.trace for v in row.values]
+        values += query.trace[0].values + query.trace[1].values
         values += [v for pos, neg in query.fri for v in (pos.value, neg)]
-        if not all(0 <= v < q for v in values):
-            raise ProofFormatError("opened value out of range")
+    if min(values) < 0 or max(values) >= q:  # a query has two rows of width > 0
+        raise ProofFormatError("opened value out of range")
 
 
 def verify(
@@ -740,12 +741,17 @@ def verify(
 # --- serialization ----------------------------------------------------------
 #
 # A dataclass declares its document: an object keyed by its field names and no
-# other key; a field with a default may be left out. Tuple[X, ...] is a list, a
-# fixed Tuple[X, Y] a list of that length, Optional[X] null or an X, bytes the
-# one padded standard base64 string b2a_base64 writes for them (a Merkle path
-# is one such string: its digests joined), int a JSON integer and Base10 an
-# integer or the one base-10 string str() writes for it. Counts and ranges are
-# the caller's.
+# other key, a field with a default may be left out, or, for a record type in
+# POSITIONAL, the list of its fields' values in declaration order. Tuple[X, ...]
+# is a list, a fixed Tuple[X, Y] a list of that length, Optional[X] null or an
+# X, bytes the one padded standard base64 string b2a_base64 writes for them (a
+# Merkle path is one such string: its digests joined), int a JSON integer and
+# Base10 an integer or the one base-10 string str() writes for it. Counts and
+# ranges are the caller's.
+
+# The records a proof sends once per query, written without their keys; the
+# sections around them stay objects, whose keys name what they hold.
+POSITIONAL = frozenset({Opening, RowOpening})
 
 Base10 = NewType("Base10", int)  # hand-written files may spell an integer as a string
 
@@ -787,9 +793,23 @@ def _base10(v) -> int:
 _LEAVES = {int: _int, bytes: _base64, Base10: _base10}
 
 
+def _list_reader(items: Sequence[Callable], build: Callable) -> Callable:
+    """A list of len(items) values, value k read by items[k], passed to build."""
+    size = len(items)
+
+    def read_list(doc):
+        if len(_list(doc)) != size:
+            raise ValueError(f"expected a list of {size} values, got {len(doc)}")
+        return build(*[read(v) for read, v in zip(items, doc)])
+
+    return read_list
+
+
 def _object_reader(cls) -> Callable:
     hints = get_type_hints(cls)
     parts = [(f.name, reader(hints[f.name])) for f in fields(cls)]
+    if cls in POSITIONAL:
+        return _list_reader([read for _, read in parts], cls)
     optional = {f.name for f in fields(cls) if f.default is not MISSING}
 
     def read_fields(doc):  # by position, which a proof's many small objects make worth it
@@ -815,6 +835,12 @@ def _object_reader(cls) -> Callable:
     return read_object if optional else read_fields
 
 
+def _read_ints(doc) -> tuple:
+    # one scan of the types; only a list holding another type is read value by
+    # value, which names the first
+    return tuple(doc) if {int}.issuperset(map(type, _list(doc))) else tuple(map(_int, doc))
+
+
 @lru_cache(maxsize=None)
 def reader(tp) -> Callable:
     """The function that reads a value of type `tp` from its JSON form, built
@@ -829,17 +855,12 @@ def reader(tp) -> Callable:
         return lambda doc: None if doc is None else item(doc)
     if get_origin(tp) is not tuple:
         raise TypeError(f"a field of type {tp} has no JSON form")
+    if args == (int, Ellipsis):
+        return _read_ints
     if args[-1] is Ellipsis:
         item = reader(args[0])
         return lambda doc: tuple(map(item, _list(doc)))
-    items = [reader(a) for a in args]
-
-    def read_fixed(doc) -> tuple:
-        if len(_list(doc)) != len(items):
-            raise ValueError(f"expected a list of {len(items)} values, got {len(doc)}")
-        return tuple([read(v) for read, v in zip(items, doc)])
-
-    return read_fixed
+    return _list_reader([reader(a) for a in args], lambda *values: values)
 
 
 @contextmanager
@@ -859,8 +880,10 @@ _read_proof = reader(Proof)
 
 def _as_json(obj):
     """json.dumps's hook: bytes as padded standard base64, a dataclass as its
-    instance dict, its fields."""
-    return binascii.b2a_base64(obj, newline=False).decode() if type(obj) is bytes else vars(obj)
+    instance dict, its fields, or as their values for a POSITIONAL record."""
+    if type(obj) is bytes:
+        return binascii.b2a_base64(obj, newline=False).decode()
+    return list(vars(obj).values()) if type(obj) in POSITIONAL else vars(obj)
 
 
 def dump_proof(proof: Proof) -> str:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -5,8 +7,37 @@ import pytest
 from projstark import PrimeField, SystemSpec, build_domain, fold, simulate
 from projstark.dynamics import ExecutionTrace, StepRecord, step_slack
 from projstark.fri import num_rounds
-from projstark.protocol import base_eval_domain
+from projstark.protocol import Opening, RowOpening, base_eval_domain
 from projstark.reference_example import SYSTEM
+
+ROW_KEYS = [f.name for f in dataclasses.fields(RowOpening)]
+OPENING_KEYS = [f.name for f in dataclasses.fields(Opening)]
+
+
+def keyed(doc: dict) -> dict:
+    """A new copy of a proof document with each opening, a list of its
+    fields' values, an object keyed by its field names in their order, as
+    proof version 14 wrote it: the view a test edits by key. `positional`
+    turns it back."""
+    doc = json.loads(json.dumps(doc))
+    for qd in doc["queries"]:
+        qd["trace"] = [dict(zip(ROW_KEYS, row, strict=True)) for row in qd["trace"]]
+        qd["fri"] = [[dict(zip(OPENING_KEYS, opening, strict=True)), neg]
+                     for opening, neg in qd["fri"]]
+    return doc
+
+
+def positional(doc: dict) -> dict:
+    """A new copy of a keyed view with each opening object its list of
+    values, in key order; any other value, an edited one, is kept as it is."""
+    def values(node):
+        return list(node.values()) if type(node) is dict else node
+
+    doc = json.loads(json.dumps(doc))
+    for qd in doc["queries"]:
+        qd["trace"] = [values(row) for row in qd["trace"]]
+        qd["fri"] = [[values(pair[0]), *pair[1:]] for pair in qd["fri"]]
+    return doc
 
 
 @pytest.fixture(scope="session")

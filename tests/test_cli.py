@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WRAPPING_SYSTEM, wrapping_trace
+from conftest import WRAPPING_SYSTEM, keyed, positional, wrapping_trace
 from test_protocol import PINNED_PROOF_DIGESTS
 from projstark import field as field_module
 from projstark import reference_example as ref
@@ -317,7 +317,7 @@ def test_zero_dimension_config_is_a_config_error(tmp_path, capsys):
 def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    doc = json.loads(Path(proof).read_text())
+    doc = keyed(json.loads(Path(proof).read_text()))
     assert doc["degree_bound"] == ref.COMBINED_DEGREE_BOUND
     assert doc["fri_layers"]["remainder"] == [ref.FINAL_CONSTANT]
     # a proof carries no sample point, nor a trace row's leaf: each query's
@@ -413,7 +413,7 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, config_path, tr
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", a]) == EXIT_OK
     monkeypatch.setenv("PROJSTARK_SEED", "beta")
     assert main(["prove", "--config", fs_config_path, "--trace", trace_path, "--out", b]) == EXIT_OK
-    doc_a, doc_b = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
+    doc_a, doc_b = (keyed(json.loads(Path(p).read_text())) for p in (a, b))
     assert doc_a["salt"] != doc_b["salt"]
     assert ([q["fri"][0][0]["index"] for q in doc_a["queries"]]
             != [q["fri"][0][0]["index"] for q in doc_b["queries"]])
@@ -484,10 +484,11 @@ def test_verify_structurally_damaged_proof(tmp_path, config_path, trace_path):
 def test_verify_tampered_opening_rejects(tmp_path, config_path, trace_path):
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
-    doc = json.loads(Path(proof).read_text())
+    doc = keyed(json.loads(Path(proof).read_text()))
     values = doc["queries"][0]["trace"][0]["values"]
     values[1] = (values[1] + 1) % 331  # f_z[1]
-    Path(proof).write_text(json.dumps(doc, separators=(",", ":")))  # a proof has no whitespace
+    # a proof has no whitespace
+    Path(proof).write_text(json.dumps(positional(doc), separators=(",", ":")))
     assert main(["verify", "--config", config_path, "--proof", proof]) == EXIT_REJECT
 
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, minimal_multiproof, random_challenges,
-                      random_spec, wrapping_trace)
+from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, keyed, minimal_multiproof, positional,
+                      random_challenges, random_spec, wrapping_trace)
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -667,7 +667,7 @@ def test_proof_json_roundtrip_fiat_shamir(field, paper_spec, paper_fs_proof):
 
 
 def test_proof_json_integers_are_json_integers(paper_proof):
-    doc = proof_to_json(paper_proof)
+    doc = keyed(proof_to_json(paper_proof))
     assert type(doc["degree_bound"]) is int
     assert type(doc["queries"][0]["trace"][0]["values"][0]) is int
     assert all(type(c) is int for c in doc["fri_layers"]["remainder"])
@@ -701,14 +701,51 @@ def test_load_proof_rejects_wrong_types(paper_proof):
 @pytest.mark.parametrize("flag", [True, False])
 def test_load_proof_rejects_booleans_for_integers(paper_proof, where, flag):
     # JSON true and false load as Python bools, which are ints
-    doc = proof_to_json(paper_proof)
+    doc = keyed(proof_to_json(paper_proof))
     *parents, key = where
     node = doc
     for k in parents:
         node = node[k]
     node[key] = flag
     with pytest.raises(ProofFormatError):
-        proof_from_json(doc)
+        proof_from_json(positional(doc))
+
+
+def test_a_list_of_integers_is_refused_at_its_first_other_value(paper_proof):
+    # a row's values and the remainder are read with one scan of their
+    # types; a list that fails it is read value by value, so the error
+    # names the first value that is no integer
+    for bad, name in ((True, "bool"), ("7", "str"), (7.0, "float"), (None, "NoneType")):
+        for edit in (lambda d: d["queries"][1]["trace"][0]["values"],
+                     lambda d: d["fri_layers"]["remainder"]):
+            doc = keyed(proof_to_json(paper_proof))
+            values = edit(doc)
+            values[-1:] = [bad, {}]
+            with pytest.raises(ProofFormatError, match=f"^expected an integer, got {name}$"):
+                proof_from_json(positional(doc))
+
+
+@pytest.mark.parametrize("value", [-1, ref.MODULUS])
+def test_every_opened_value_is_range_checked(field, paper_spec, paper_proof, value):
+    # the values of every trace row, and each FRI opening's value and f(-y),
+    # are checked once per proof, before any is used
+    base = keyed(proof_to_json(paper_proof))
+    places = [(k, "trace", r, i) for k, qd in enumerate(base["queries"])
+              for r, row in enumerate(qd["trace"]) for i in range(len(row["values"]))]
+    places += [(k, "fri", j, side) for k, qd in enumerate(base["queries"])
+               for j in range(len(qd["fri"])) for side in (0, 1)]
+    assert len(places) == 2 * (2 * 5 * paper_spec.n + 2 * 5)
+    for k, section, j, i in places:
+        doc = json.loads(json.dumps(base))
+        node = doc["queries"][k][section][j]
+        if section == "trace":
+            node["values"][i] = value
+        elif i == 0:
+            node[0]["value"] = value
+        else:
+            node[1] = value
+        with pytest.raises(ProofFormatError, match="^opened value out of range$"):
+            verify(field, paper_spec, proof_from_json(positional(doc)), paper_transcript())
 
 
 def _nodes(doc, where=()):
@@ -728,19 +765,22 @@ def _at(doc, where):
 def _places(tp, value, where=(), field=None):
     """(where, tp, field) for every value in the document of `value`, a value
     of type `tp` in the proof dataclasses, the root first: its path in the
-    document, its declared type, and the (dataclass, field name) it is or
-    sits in. Found by walking the declaration, not the document."""
+    document, its declared type, and the (dataclass, field name) it is, None
+    for the root and a list's items. Found by walking the declaration, not
+    the document: a field of a POSITIONAL record is at its position in the
+    record's list, any other at its name."""
     yield where, tp, field
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        for f in dataclasses.fields(tp):
-            yield from _places(hints[f.name], getattr(value, f.name), where + (f.name,),
+        for i, f in enumerate(dataclasses.fields(tp)):
+            key = i if tp in protocol.POSITIONAL else f.name
+            yield from _places(hints[f.name], getattr(value, f.name), where + (key,),
                                (tp, f.name))
     elif typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         for i, item in enumerate(value):
             yield from _places(args[0] if args[-1] is Ellipsis else args[i], item,
-                               where + (i,), field)
+                               where + (i,))
 
 
 def _declared_fields(tp):
@@ -757,7 +797,7 @@ def _declared_fields(tp):
 
 def _json_type(tp) -> type:
     if dataclasses.is_dataclass(tp):
-        return dict
+        return list if tp in protocol.POSITIONAL else dict
     return list if typing.get_origin(tp) is tuple else {int: int, bytes: str}[tp]
 
 
@@ -767,8 +807,10 @@ DELETE = object()
 
 def test_load_proof_refuses_every_wrong_type(paper_proof):
     # every value of a 2-query proof document, found from the proof
-    # dataclasses: replaced by a JSON value of each other type, deleted where
-    # it is a field, and one value short or long where it is a fixed-length list
+    # dataclasses: replaced by a JSON value of each other type (an object
+    # where a POSITIONAL record's list belongs among them), deleted where it
+    # is an object's field, and one value short or long where it is a
+    # fixed-length list or a record's list
     base = proof_to_json(paper_proof)
     places = list(_places(Proof, paper_proof))
     assert len(places) == len(list(_nodes(base)))  # the walk meets every node
@@ -777,10 +819,12 @@ def test_load_proof_refuses_every_wrong_type(paper_proof):
         value = _at(base, where)
         assert type(value) is _json_type(tp), where
         edits = [v for v in JSON_VALUES if type(v) is not type(value)]
-        if where and type(where[-1]) is str:
-            edits.append(DELETE)
+        if field is not None:
             fields.add(field)
-        if typing.get_origin(tp) is tuple and Ellipsis not in typing.get_args(tp):
+            if type(where[-1]) is str:
+                edits.append(DELETE)
+        if (typing.get_origin(tp) is tuple and Ellipsis not in typing.get_args(tp)
+                or tp in protocol.POSITIONAL):
             edits += [value[:-1], value + value[-1:]]
         for edit in edits:
             doc = json.loads(json.dumps(base))
@@ -793,6 +837,7 @@ def test_load_proof_refuses_every_wrong_type(paper_proof):
             with pytest.raises(ProofFormatError):
                 proof_from_json(doc)
     assert fields == set(_declared_fields(Proof))  # a later field is covered too
+    assert {tp for tp, _ in fields} >= protocol.POSITIONAL
 
 
 def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
@@ -804,19 +849,19 @@ def test_verify_flags_structural_damage(field, paper_spec, paper_proof):
 
 
 def test_verify_rejects_tampered_opening(field, paper_spec, paper_proof):
-    doc = json.loads(dump_proof(paper_proof))
+    doc = keyed(json.loads(dump_proof(paper_proof)))
     values = doc["queries"][0]["trace"][0]["values"]
     values[7] = (values[7] + 1) % 331  # f_delta[1]
-    report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+    report = verify(field, paper_spec, proof_from_json(positional(doc)), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
 
 def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
-    doc = json.loads(dump_proof(paper_proof))
+    doc = keyed(json.loads(dump_proof(paper_proof)))
     values = doc["queries"][1]["trace"][1]["values"]
     values[1] = (values[1] + 1) % 331  # f_z[1](g*x), the next state
-    report = verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+    report = verify(field, paper_spec, proof_from_json(positional(doc)), paper_transcript())
     assert not report.accepted
     assert report.stage == "commitment"
 
@@ -827,21 +872,21 @@ def test_verify_rejects_tampered_row_at_gx(field, paper_spec, paper_proof):
 def test_verify_rejects_any_tampered_trace_row_value(
     field, paper_spec, paper_proof, paper_fs_proof, data, replay, side, shift
 ):
-    doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
+    doc = keyed(json.loads(dump_proof(paper_proof if replay else paper_fs_proof)))
     query = data.draw(st.sampled_from(doc["queries"]), label="query")
     values = query["trace"][side]["values"]
     assert len(values) == 5 * paper_spec.n
     i = data.draw(st.integers(0, len(values) - 1), label="position")
     values[i] = (values[i] + shift) % ref.MODULUS
-    report = verify(field, paper_spec, proof_from_json(doc),
+    report = verify(field, paper_spec, proof_from_json(positional(doc)),
                     paper_transcript() if replay else None)
     assert not report.accepted
     assert report.stage == "commitment"
 
 
 def _openings(query: dict) -> list:
-    """Every opening of one query in a proof document: both trace rows, then
-    the one opening of every FRI layer's pair, at y."""
+    """Every opening of one query in a keyed proof document: both trace rows,
+    then the one opening of every FRI layer's pair, at y."""
     return query["trace"] + [opening for opening, _ in query["fri"]]
 
 
@@ -879,7 +924,7 @@ def test_verify_rejects_any_flipped_path_byte(
     # a tree's paths send only the digests its opened rows do not give, so
     # only openings with a non-empty path have a byte to flip; the reject
     # names the tree and both roots, computed and committed
-    doc = json.loads(dump_proof(paper_proof if replay else paper_fs_proof))
+    doc = keyed(json.loads(dump_proof(paper_proof if replay else paper_fs_proof)))
     with_path = [k for k, o in enumerate(_all_openings(doc)) if o["path"]]
     k = data.draw(st.sampled_from(with_path), label="opening")
     opening = _all_openings(doc)[k]
@@ -887,7 +932,7 @@ def test_verify_rejects_any_flipped_path_byte(
     level = data.draw(st.integers(0, len(path) // 32 - 1), label="level")
     path[32 * level + data.draw(st.integers(0, 31), label="byte")] ^= mask
     opening["path"] = _b64(path)
-    report = verify(field, paper_spec, proof_from_json(doc),
+    report = verify(field, paper_spec, proof_from_json(positional(doc)),
                     paper_transcript() if replay else None)
     assert (report.verdict, report.stage) == ("reject", "commitment")
     tree, _ = _where(doc, k)
@@ -903,7 +948,7 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
     # each path must hold exactly the digests its tree's batch assigns it:
     # one digest short or one too many is refused, on every opening, and the
     # reject names its tree and query
-    base = proof_to_json(paper_proof if replay else paper_fs_proof)
+    base = keyed(proof_to_json(paper_proof if replay else paper_fs_proof))
     openings = _all_openings(base)
     assert any(o["path"] for o in openings)
     assert replay or not all(o["path"] for o in openings)  # 8 queries reopen some leaves
@@ -918,7 +963,7 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
         else:
             path += (path or base64.b64decode(base["commitments"]["trace"]["root"]))[-32:]
         _all_openings(doc)[k]["path"] = _b64(path)
-        report = verify(field, paper_spec, proof_from_json(doc),
+        report = verify(field, paper_spec, proof_from_json(positional(doc)),
                         paper_transcript() if replay else None)
         assert (report.verdict, report.stage) == ("reject", "commitment"), (k, edit)
         tree, query = _where(base, k)
@@ -955,13 +1000,13 @@ def test_each_fri_pair_is_one_leaf(field, paper_spec, paper_proof, paper_fs_proo
 def _verify_each_fri_pair(field, spec, proof, replay, edit):
     """Verify the proof once per FRI opening pair, with edit(pair) applied to
     that pair only, where edit returns False to skip it; the reports, in order."""
-    base = proof_to_json(proof)
+    base = keyed(proof_to_json(proof))
     reports = []
     for k, qd in enumerate(base["queries"]):
         for j in range(len(qd["fri"])):
             doc = json.loads(json.dumps(base))
             if edit(doc["queries"][k]["fri"][j]) is not False:
-                reports.append(verify(field, spec, proof_from_json(doc),
+                reports.append(verify(field, spec, proof_from_json(positional(doc)),
                                       paper_transcript() if replay else None))
     return reports
 
@@ -1001,7 +1046,7 @@ def test_verify_rejects_an_edited_value_at_minus_y(field, paper_spec, paper_proo
 def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
     # version 7 sent f(-y) as a second opening of y's leaf, with an empty path;
     # versions 8 to 10 have no such object
-    doc = proof_to_json(paper_proof)
+    doc = keyed(proof_to_json(paper_proof))
     for k, qd in enumerate(doc["queries"]):
         for j, (opening, neg) in enumerate(qd["fri"]):
             assert type(neg) is int
@@ -1009,7 +1054,7 @@ def test_load_proof_refuses_an_opening_at_minus_y(paper_proof):
             edited["queries"][k]["fri"][j][1] = {
                 "index": opening["index"], "value": neg, "path": ""}
             with pytest.raises(ProofFormatError):
-                proof_from_json(edited)
+                proof_from_json(positional(edited))
 
 
 @pytest.mark.parametrize("replay", [True, False])
@@ -1101,14 +1146,15 @@ def test_load_proof_refuses_a_root_of_other_than_32_bytes(paper_proof):
 
 def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
     # json.loads reads -0 as the integer 0: the 64-query proof with its first
-    # "index":0 written "index":-0 would be a second text of the same proof
+    # FRI opening at index 0, "fri":[[[0,, written "fri":[[[-0, would be a
+    # second text of the same proof
     salt = b"0"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     text = dump_proof(proof)
-    assert '"index":0,' in text and "-" not in text
+    assert '"fri":[[[0,' in text and "-" not in text
     with pytest.raises(ProofFormatError):
-        load_proof(text.replace('"index":0,', '"index":-0,', 1))
+        load_proof(text.replace('"fri":[[[0,', '"fri":[[[-0,', 1))
 
 
 def test_load_proof_refuses_whitespace(paper_fs_proof):
@@ -1129,10 +1175,11 @@ def test_load_proof_refuses_whitespace(paper_fs_proof):
 
 def test_load_proof_refuses_a_key_no_field_declares(paper_proof):
     # every object of a 2-query proof document, found from the proof
-    # dataclasses, with one key added
+    # dataclasses, with one key added; a POSITIONAL record is a list, and
+    # one value too many is refused by the wrong-type test above
     base = proof_to_json(paper_proof)
     objects = [where for where, tp, _ in _places(Proof, paper_proof)
-               if dataclasses.is_dataclass(tp)]
+               if dataclasses.is_dataclass(tp) and tp not in protocol.POSITIONAL]
     assert len(objects) > 2 * len(paper_proof.queries)
     for where in objects:
         doc = json.loads(json.dumps(base))
@@ -1145,15 +1192,16 @@ def test_load_proof_reads_the_version_first(paper_proof):
     # a document of another version is refused by its version, whatever
     # else it holds or lacks
     doc = proof_to_json(paper_proof)
+    v14 = _as_version_14(doc)
     for version in (PROOF_VERSION - 1, PROOF_VERSION + 1):
         for edited in ({**doc, "version": version}, {"version": version},
-                       {"version": version, "x": 0}, _as_version_12(doc), _as_version_11(doc),
-                       _as_version_10(doc),
-                       _as_version_9(_as_version_10(doc)), _as_version_8(_as_version_10(doc))):
+                       {"version": version, "x": 0}, v14, _as_version_12(v14),
+                       _as_version_11(v14), _as_version_10(v14),
+                       _as_version_9(_as_version_10(v14)), _as_version_8(_as_version_10(v14))):
             edited["version"] = version
             with pytest.raises(ProofFormatError, match=f"unsupported proof version {version}"):
                 proof_from_json(edited)
-    text = json.dumps(_as_version_8(_as_version_10(doc)), separators=(",", ":"))
+    text = json.dumps(_as_version_8(_as_version_10(v14)), separators=(",", ":"))
     with pytest.raises(ProofFormatError, match="unsupported proof version 8"):
         load_proof(text)
 
@@ -1162,7 +1210,7 @@ def test_load_proof_rejects_bad_path_digests(paper_proof):
     # a path is one base64 string of whole 32-byte digests: not a number,
     # null, a list of digests (version 9's form) or other than base64, and
     # not one byte short or long
-    base = proof_to_json(paper_proof)
+    base = keyed(proof_to_json(paper_proof))
     for where in (("queries", 1, "fri", 0, 0, "path"), ("queries", 0, "trace", 1, "path")):
         path = base64.b64decode(_at(base, where))
         assert len(path) >= 3 * 32
@@ -1171,14 +1219,14 @@ def test_load_proof_rejects_bad_path_digests(paper_proof):
             doc = json.loads(json.dumps(base))
             _at(doc, where[:-1])[where[-1]] = bad
             with pytest.raises(ProofFormatError):
-                proof_from_json(doc)
+                proof_from_json(positional(doc))
     base["queries"][0]["trace"][1]["path"] = _b64(bytes(33))
     with pytest.raises(ProofFormatError, match="whole 32-byte digests, got 33 bytes"):
-        proof_from_json(base)
+        proof_from_json(positional(base))
 
 
 def test_proof_commits_the_trace_once(paper_spec, paper_proof):
-    doc = proof_to_json(paper_proof)
+    doc = keyed(proof_to_json(paper_proof))
     assert set(doc["commitments"]) == {"trace", "composition"}
     # one leaf per point, where the composition polynomial has one per pair {y, -y}
     comms = doc["commitments"]
@@ -1191,11 +1239,11 @@ def test_proof_commits_the_trace_once(paper_spec, paper_proof):
 
 def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
     for width in (5 * paper_spec.n - 1, 5 * paper_spec.n + 1):
-        doc = json.loads(dump_proof(paper_proof))
+        doc = keyed(json.loads(dump_proof(paper_proof)))
         row = doc["queries"][0]["trace"][1]
         row["values"] = (row["values"] + [0])[:width]
         with pytest.raises(ProofFormatError):
-            verify(field, paper_spec, proof_from_json(doc), paper_transcript())
+            verify(field, paper_spec, proof_from_json(positional(doc)), paper_transcript())
 
 
 def test_verify_rejects_version_1_proof(field, paper_spec, paper_proof):
@@ -1256,10 +1304,11 @@ def _version_13_open(tree, indices):
 
 def _as_made_by_version_13(make) -> dict:
     """The document of the proof make() returns as version 13 wrote it: its
-    paths cut by version 13's rule and its version 13, all else as made."""
+    paths cut by version 13's rule, each opening keyed and its version 13,
+    all else as made."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(protocol.MerkleTree, "open", _version_13_open)
-        return {**proof_to_json(make()), "version": 13}
+        return {**_as_version_14(proof_to_json(make())), "version": 13}
 
 
 @pytest.fixture(scope="module")
@@ -1414,7 +1463,7 @@ def _integer_fields(doc, where=()):
 def test_mutated_integer_field_is_rejected_or_malformed(
     field, paper_spec, paper_proof, paper_fs_proof, data, replay, value
 ):
-    doc = proof_to_json(paper_proof if replay else paper_fs_proof)
+    doc = keyed(proof_to_json(paper_proof if replay else paper_fs_proof))
     # draw the kind of field first (list positions ignored), so rare fields
     # such as the final FRI value are drawn as often as opened values
     kinds = {}
@@ -1428,7 +1477,7 @@ def test_mutated_integer_field_is_rejected_or_malformed(
     old = node[key]
     node[key] = value
     try:
-        report = verify(field, paper_spec, proof_from_json(doc),
+        report = verify(field, paper_spec, proof_from_json(positional(doc)),
                         paper_transcript() if replay else None)
     except ProofFormatError:
         return
@@ -1453,7 +1502,8 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
-# padded standard base64, a path its digests joined; proof version 14:
+# padded standard base64, a path its digests joined, each opening the list
+# of its fields' values; proof version 15:
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
 # under Fiat-Shamir while a layer costs less than the coefficients it drops
@@ -1466,15 +1516,15 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "ad80fd71a66806c94eb318f949ab83794cd4e20a3892c3fdec439c765684496f",
-    "paper-fiat-shamir": "29a90fc6781566aec972018efbc2fa1179b5d5713e87e99159931cd8a9256e6d",
+    "paper-replay": "5f50cdbaf2939f33cc54fd843d9423fa5058cf4810f647202a89cf978f4a980f",
+    "paper-fiat-shamir": "da993fa68ccbfcf3e69a9f515c0613b4b51f222b9098b89eb78b2b18e8386aca",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed, and 76 folded once leaves a remainder of 39 coefficients
-    "q3001-fiat-shamir": "e4eabb2a767fd405356fdd53f3bb4492682cca6587188c4632f912ebd1b906f7",
+    "q3001-fiat-shamir": "137c397cffaf3e77d406f3c879280d305e2a74c2cf2b478335d7f214d89bf73a",
     # q=12289, N+1=128, one query: 252 folded twice leaves 64 coefficients,
     # and FRI layer 1, a union of cosets of the subgroup of order 64, is committed
     "q12289-one-query-fiat-shamir":
-        "7a36d16529e5c6f2101ad82a11827d51404a08b1c4cea42475f4ead563c907d1",
+        "b5a4343364050d2932efb823b6d47f3dada479efc9d1314ba972ffceada360a6",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1497,7 +1547,7 @@ def _doc_digest(doc: dict) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 14
+    assert paper_proof.version == PROOF_VERSION == 15
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1571,6 +1621,37 @@ VERSION_13_DIGESTS = {
 }
 
 
+# what PINNED_PROOF_DIGESTS held in proof version 14, whose openings were
+# objects keyed by their field names
+VERSION_14_DIGESTS = {
+    "paper-replay": "ad80fd71a66806c94eb318f949ab83794cd4e20a3892c3fdec439c765684496f",
+    "paper-fiat-shamir": "29a90fc6781566aec972018efbc2fa1179b5d5713e87e99159931cd8a9256e6d",
+    "q3001-fiat-shamir": "e4eabb2a767fd405356fdd53f3bb4492682cca6587188c4632f912ebd1b906f7",
+    "q12289-one-query-fiat-shamir":
+        "7a36d16529e5c6f2101ad82a11827d51404a08b1c4cea42475f4ead563c907d1",
+}
+
+
+def _as_version_14(doc: dict) -> dict:
+    """The version-14 document of a proof document: each opening an object
+    keyed by its field names, in their order. A new document."""
+    return {**keyed(doc), "version": 14}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROOF_DIGESTS))
+def test_version_15_changes_only_the_layout_of_openings(name):
+    # every root, value, path, FRI index, degree bound and remainder is
+    # version 14's: with each opening keyed again and its version set to
+    # 14, each pinned proof is the version-14 proof byte for byte
+    doc = proof_to_json(_pinned_proof(name))
+    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    assert _doc_digest(_as_version_14(doc)) == VERSION_14_DIGESTS[name]
+    assert positional(keyed(doc)) == doc
+    queries = doc["queries"]
+    assert all(len(row) == 2 for qd in queries for row in qd["trace"])
+    assert all(len(opening) == 3 for qd in queries for opening, _ in qd["fri"])
+
+
 def _pinned_proof(name):
     """The proof PINNED_PROOF_DIGESTS[name] pins, made afresh."""
     def fiat_shamir(q, spec, salt, queries):
@@ -1608,27 +1689,31 @@ def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
     v13 = _as_made_by_version_13(lambda: _pinned_proof(name))
     assert _doc_digest(v13) == VERSION_13_DIGESTS[name]
-    doc = proof_to_json(proof)
+    doc = _as_version_14(proof_to_json(proof))
     assert _paths_blanked(doc) == {**_paths_blanked(v13), "version": 14}
     assert _digests_sent(doc) <= _digests_sent(v13)
     if name == "paper-fiat-shamir":
         assert (_digests_sent(doc), _digests_sent(v13)) == (67, 88)
-        # its version-13 paths, relabelled 14, are a reject
-        v13_relabelled = proof_from_json({**v13, "version": 14})
+        # its version-13 paths, relabelled as this version, are a reject
+        v13_relabelled = proof_from_json(positional({**v13, "version": PROOF_VERSION}))
         report = verify(PrimeField(ref.MODULUS), ref.SYSTEM, v13_relabelled)
         assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 192 openings (2 trace rows and 1 FRI layer per query) in 18,708 bytes,
-    # against 25,444 in version 13, whose openings were made one by one;
-    # folded to a constant in 6 FRI layers, version 11 sent 512 openings in
-    # 62,946 bytes, and with full paths they would take about 311 KiB
+    # 192 openings (2 trace rows and 1 FRI layer per query) in 15,188 bytes,
+    # each a list of its values, against 18,708 in version 14, which keyed
+    # each opening by its field names, and 25,444 in version 13, whose
+    # openings were made one by one; folded to a constant in 6 FRI layers,
+    # version 11 sent 512 openings in 62,946 bytes, and with full paths they
+    # would take about 311 KiB
     salt = b"size"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     assert verify(field, paper_spec, proof).accepted
     assert len(dump_proof(proof)) <= 19 * 1024
+    v14 = json.dumps(_as_version_14(proof_to_json(proof)), separators=(",", ":"))
+    assert (len(dump_proof(proof)), len(v14)) == (15188, 18708)
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
@@ -1759,13 +1844,13 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     field, paper_spec, paper_proof, paper_fs_proof
 ):
     N = paper_spec.num_steps
-    doc = proof_to_json(paper_fs_proof)
+    doc = keyed(proof_to_json(paper_fs_proof))
     # under Fiat-Shamir the fold count comes from 2N - 2, whatever the proof declares
     oversized = json.loads(json.dumps(doc))
     oversized["degree_bound"] = 4 * N
     # a replay proof's declared bound sets its fold count: 70 FRI layers,
     # which the bound alone caps
-    deep = proof_to_json(paper_proof)
+    deep = keyed(proof_to_json(paper_proof))
     extra = num_rounds(2**69) - num_rounds(paper_proof.degree_bound)
     deep["degree_bound"] = 2**69
     deep["fri_layers"]["roots"] += deep["fri_layers"]["roots"][-1:] * extra
@@ -1786,17 +1871,17 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
     assert count == num_rounds(2 * N - 2)
     layers = protocol._domains(ref.MODULUS, N).layers
     for bad, transcript in ((oversized, None), (deep, paper_transcript())):
-        report = verify(field, paper_spec, proof_from_json(bad), transcript)
+        report = verify(field, paper_spec, proof_from_json(positional(bad)), transcript)
         assert (report.verdict, report.stage) == ("reject", "fri_commit")
         assert _layer_count(ref.MODULUS, N) == count
 
     assert verify(field, paper_spec, paper_fs_proof).accepted
     assert _layer_count(ref.MODULUS, N) == count
     for bad in (oversized, tampered):
-        assert not verify(field, paper_spec, proof_from_json(bad)).accepted
+        assert not verify(field, paper_spec, proof_from_json(positional(bad))).accepted
         assert _layer_count(ref.MODULUS, N) == count
     with pytest.raises(ProofFormatError):
-        verify(field, paper_spec, proof_from_json(truncated))
+        verify(field, paper_spec, proof_from_json(positional(truncated)))
     assert _layer_count(ref.MODULUS, N) == count
     assert protocol._domains(ref.MODULUS, N).layers is layers
     # a pure verifier builds no coset-DFT plan, no trace interpolator and no
@@ -1899,12 +1984,12 @@ def _index_cases(doc):
 def _verify_each_index_case(field, spec, proof, replay, edit):
     """Verify the proof once per case of _index_cases, with edit(opening,
     other, commitment) applied to that case only; the reports, in order."""
-    base = proof_to_json(proof)
+    base = keyed(proof_to_json(proof))
     reports = []
     for i in range(len(list(_index_cases(base)))):
         doc = json.loads(json.dumps(base))
         edit(*list(_index_cases(doc))[i])
-        reports.append(verify(field, spec, proof_from_json(doc),
+        reports.append(verify(field, spec, proof_from_json(positional(doc)),
                               paper_transcript() if replay else None))
     return reports
 
@@ -1933,10 +2018,10 @@ def test_verify_rejects_a_valid_opening_of_another_point(field, paper_spec, pape
     proof = paper_proof if replay else paper_fs_proof
     reports = _verify_each_index_case(field, paper_spec, proof, replay, edit)
     for k in range(len(proof.queries)):
-        doc = proof_to_json(proof)
+        doc = keyed(proof_to_json(proof))
         rows = doc["queries"][k]["trace"]
         rows[0] = dict(rows[1])
-        reports.append(verify(field, paper_spec, proof_from_json(doc),
+        reports.append(verify(field, paper_spec, proof_from_json(positional(doc)),
                               paper_transcript() if replay else None))
     assert len(reports) == 3 * len(proof.queries)
     for report in reports:
@@ -2035,7 +2120,7 @@ def test_large_field_proofs_verify(q, num_steps):
                   num_queries=8, salt=salt)
     assert proof.commitments.composition.leaf_count == protocol.BLOWUP * (num_steps + 1) // 2
     assert verify(field, spec, load_proof(dump_proof(proof))).accepted
-    doc = proof_to_json(proof)
+    doc = keyed(proof_to_json(proof))
 
     def bump(container, key):
         container[key] = (container[key] + 1) % q
@@ -2047,7 +2132,7 @@ def test_large_field_proofs_verify(q, num_steps):
                  lambda d: bump(d["queries"][5]["fri"][-1], 1)):
         edited = json.loads(json.dumps(doc))
         edit(edited)
-        assert verify(field, spec, proof_from_json(edited)).stage == "commitment"
+        assert verify(field, spec, proof_from_json(positional(edited))).stage == "commitment"
 
 
 # the three shapes the benchmark proves: the paper system with 64 queries,
@@ -2142,18 +2227,22 @@ def test_too_few_gammas_is_the_callers_fault(field, paper_spec, paper_proof):
 
 
 def test_a_trace_row_with_an_index_is_refused(paper_proof):
-    # a trace row is its values and path: version 10's index is a key no
-    # field declares, even with the leaf verify computes for the row
-    doc = proof_to_json(paper_proof)
+    # a trace row is its values and path: with version 10's index put back,
+    # first, even the leaf verify computes for the row, it is a list of
+    # three values where a row has two
+    doc = _as_version_14(proof_to_json(paper_proof))
     indexed = _as_version_10(doc)
-    assert doc == proof_to_json(paper_proof)  # each edit below puts back one row's index
+    assert doc == _as_version_14(proof_to_json(paper_proof))  # each edit puts back one index
     for k, qd in enumerate(indexed["queries"]):
         for r, row in enumerate(qd["trace"]):
             edited = json.loads(json.dumps(doc))
             edited["queries"][k]["trace"][r] = row
-            with pytest.raises(ProofFormatError, match="^unknown key 'index'$"):
+            edited = {**positional(edited), "version": PROOF_VERSION}
+            assert edited["queries"][k]["trace"][r][0] == row["index"]
+            message = "^expected a list of 2 values, got 3$"
+            with pytest.raises(ProofFormatError, match=message):
                 proof_from_json(edited)
-            with pytest.raises(ProofFormatError, match="^unknown key 'index'$"):
+            with pytest.raises(ProofFormatError, match=message):
                 load_proof(json.dumps(edited, separators=(",", ":")))
 
 
