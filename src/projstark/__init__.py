@@ -27,13 +27,10 @@ from .channel import (
 )
 from .dynamics import (
     ExecutionTrace,
-    Lemma1Error,
     StepRecord,
     SystemSpec,
-    lemma1_solve,
     online_check,
     simulate,
-    step_project,
     step_slack,
 )
 from .field import (

@@ -5,7 +5,10 @@ section of dynamics.SECTIONS, and the constraint numerators, divides a
 numerator by the step-domain vanishing polynomial, and takes random-weighted
 sums.  Floor division is linear, so the prover combines the numerators with
 the weights first and divides once, as the verifier's consistency check does
-pointwise.  The counts derived from that shape are here too.
+pointwise.  The counts derived from that shape are here too, and the two
+AIRs, which share every constraint family but the transition: the paper's,
+which replay proofs use, and a degree-2 one for Fiat-Shamir proofs, which
+halves Q's worst-case degree bound.
 
 Numerators, quotients and weights are flat lists in the order the weights are
 drawn: entry k is family FAMILIES[k // n] at coordinate k % n.  The degree
@@ -18,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .dynamics import SECTIONS, ExecutionTrace, SystemSpec
 from .field import CyclicDomain, PrimeField
@@ -37,13 +40,6 @@ def trace_width(spec: SystemSpec) -> int:
 def constraint_count(spec: SystemSpec) -> int:
     """The constraint numerators, and so the weights drawn for them: n per family."""
     return len(FAMILIES) * spec.n
-
-
-def worst_bound(num_steps: int) -> int:
-    """The largest degree a quotient of the constraint numerators by Z_N can
-    have: the transition numerators' (N - 1) + (N - 1) + N, the two bits times
-    A_hat·z, less N."""
-    return max(2 * num_steps - 2, 0)
 
 
 def by_section(row: Sequence, n: int) -> list:
@@ -158,11 +154,36 @@ def build_trace_polys(trace: ExecutionTrace, domain: CyclicDomain) -> Tuple[Poly
         for c, t in zip(columns, tables))
 
 
-def constraints(spec: SystemSpec, row: Sequence, next_row: Sequence) -> list:
-    """The constraint numerators at one point, in weight-draw order, from the
-    trace row there and the next: `row` holds at least the trace_width values
-    of SECTIONS in order, `next_row` at least the n of the state, and nothing
-    past those is read.
+class Air(NamedTuple):
+    """The constraints of one proof system, which differ only in their
+    transition: its value at a coordinate from z', the two bits, A_hat·z, the
+    box and the slack terms P_u = up·(hi - A_hat·z), P_l = lo·(A_hat·z - lw);
+    and Q's worst-case degree bound for N steps, the largest degree a
+    quotient of the numerators by Z_N can have."""
+
+    transition: Callable
+    worst_bound: Callable[[int], int]
+
+
+# The paper's transition, of degree 3: lo·up·A_hat·z has degree
+# (N - 1) + (N - 1) + N, less N for Z_N. Replay proofs use it.
+PAPER_AIR = Air(lambda z_next, up, lo, az, hi, lw, p_u, p_l:
+                z_next - lo * up * az - (1 - up) * hi - (1 - lo) * lw,
+                lambda num_steps: max(2 * num_steps - 2, 0))
+# The Fiat-Shamir transition, of degree 2 like the slack: P_u has degree
+# (N - 1) + N, less N. For bit pairs (1, 1), (1, 0) and (0, 1) it equals the
+# paper's; at (0, 0) the slack constraint forces delta = 0, which the online
+# check delta >= hi - lw refuses, so both accept the same integer traces.
+DEGREE_2_AIR = Air(lambda z_next, up, lo, az, hi, lw, p_u, p_l:
+                   z_next + az + p_u - p_l - (hi + lw),
+                   lambda num_steps: max(num_steps - 1, 0))
+
+
+def constraints(spec: SystemSpec, row: Sequence, next_row: Sequence, air: Air = PAPER_AIR) -> list:
+    """The constraint numerators of `air` at one point, in weight-draw order,
+    from the trace row there and the next: `row` holds at least the
+    trace_width values of SECTIONS in order, `next_row` at least the n of the
+    state, and nothing past those is read.
 
     Only +, - and * are used, so the one definition serves polynomials (the
     prover's numerators), integer Columns of every step (the prover's step
@@ -171,25 +192,26 @@ def constraints(spec: SystemSpec, row: Sequence, next_row: Sequence) -> list:
     """
     n = spec.n
     z, up, lo, delta = by_section(row, n)
-    z_next = next_row[:n]
     hi, lw = spec.z_upper, spec.z_lower
     az = [sum(a * zj for a, zj in zip(r, z) if a) for r in spec.a_hat]
+    p_u = [up[i] * (hi[i] - az[i]) for i in range(n)]
+    p_l = [lo[i] * (az[i] - lw[i]) for i in range(n)]
     return [
-        *(z_next[i] - lo[i] * up[i] * az[i] - (1 - up[i]) * hi[i] - (1 - lo[i]) * lw[i]
-          for i in range(n)),
-        *(delta[i] - up[i] * (hi[i] - az[i]) - lo[i] * (az[i] - lw[i]) for i in range(n)),
+        *map(air.transition, next_row[:n], up, lo, az, hi, lw, p_u, p_l),
+        *(delta[i] - p_u[i] - p_l[i] for i in range(n)),
         *(up[i] * (1 - up[i]) for i in range(n)),
         *(lo[i] * (1 - lo[i]) for i in range(n)),
     ]
 
 
 def build_numerators(
-    tp: Sequence[Polynomial], spec: SystemSpec, domain: CyclicDomain
+    tp: Sequence[Polynomial], spec: SystemSpec, domain: CyclicDomain, air: Air = PAPER_AIR
 ) -> List[Polynomial]:
-    """The constraint numerators as polynomials, from build_trace_polys'
-    interpolants; numerator k at g^j is constraint k on trace rows j and j+1.
-    Their values are left unreduced: `combine` reduces their weighted sum once."""
-    return constraints(spec, tp, [p.scale_argument(domain.generator) for p in tp[:spec.n]])
+    """The constraint numerators of `air` as polynomials, from
+    build_trace_polys' interpolants; numerator k at g^j is constraint k on
+    trace rows j and j+1. Their values are left unreduced: `combine` reduces
+    their weighted sum once."""
+    return constraints(spec, tp, [p.scale_argument(domain.generator) for p in tp[:spec.n]], air)
 
 
 def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -> List[Polynomial]:

@@ -12,10 +12,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 IntVec = Tuple[int, ...]
 
 
-class Lemma1Error(RuntimeError):
-    """The per-coordinate slack system has no or conflicting solutions."""
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """State-transition matrix, box bounds, initial state, and step count."""
@@ -128,14 +124,8 @@ def apply_transition(spec: SystemSpec, z: Sequence[int]) -> List[int]:
     return [sum(a * zi for a, zi in zip(row, z)) for row in spec.a_hat]
 
 
-def step_project(spec: SystemSpec, z: Sequence[int]) -> IntVec:
-    """One step of the original dynamics: clamp A_hat * z into the box."""
-    w = apply_transition(spec, z)
-    return tuple(min(max(wi, lo), hi) for wi, lo, hi in zip(w, spec.z_lower, spec.z_upper))
-
-
 def step_slack(spec: SystemSpec, z: Sequence[int]) -> StepRecord:
-    """One step of the slack-variable form; equals step_project on the state."""
+    """One step of the slack-variable form; its state is the clamp of A_hat * z."""
     w = apply_transition(spec, z)
     up = tuple(1 if wi <= hi else 0 for wi, hi in zip(w, spec.z_upper))
     lo = tuple(1 if wi >= lw else 0 for wi, lw in zip(w, spec.z_lower))
@@ -180,38 +170,6 @@ def simulate(spec: SystemSpec) -> ExecutionTrace:
         steps.append(step_slack(spec, z))
         z = steps[-1].z_next
     return ExecutionTrace.from_steps(spec, steps)
-
-
-def lemma1_solve(spec: SystemSpec, a_hat_z: Sequence[int]) -> Tuple[IntVec, IntVec, IntVec]:
-    """Per-coordinate brute force over the four (alpha_up, alpha_lo) bit patterns.
-
-    Returns the assignment satisfying the bit, slack-size, and box conditions.
-    When the unprojected value sits exactly on a bound, two bit patterns induce
-    the same (z_next, delta); the comparison-rule pattern (both bits 1) is
-    returned.  Genuinely conflicting solutions raise Lemma1Error.
-    """
-    if len(a_hat_z) != spec.n:
-        raise ValueError(f"a_hat_z must have dimension {spec.n}")
-    up, lo, delta = [], [], []
-    for i, w in enumerate(a_hat_z):
-        hi, lw = spec.z_upper[i], spec.z_lower[i]
-        sols = []
-        for u in (0, 1):
-            for l in (0, 1):
-                zn = u * l * w + (1 - u) * hi + (1 - l) * lw
-                d = u * (hi - w) + l * (w - lw)
-                if d >= hi - lw and lw <= zn <= hi:
-                    sols.append((u, l, zn, d))
-        if not sols:
-            raise Lemma1Error(f"coordinate {i}: no satisfying bit assignment")
-        outcomes = {(zn, d) for _, _, zn, d in sols}
-        if len(outcomes) > 1:
-            raise Lemma1Error(f"coordinate {i}: conflicting solutions {sols}")
-        u, l, _, d = max(sols)
-        up.append(u)
-        lo.append(l)
-        delta.append(d)
-    return tuple(up), tuple(lo), tuple(delta)
 
 
 StepSource = Callable[[int, IntVec, int], StepRecord]

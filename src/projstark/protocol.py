@@ -23,19 +23,22 @@ from typing import (Callable, Dict, List, NewType, Optional, Sequence, Tuple, Un
                     get_origin, get_type_hints)
 
 from .air import (
+    DEGREE_2_AIR,
     FAMILIES,
+    PAPER_AIR,
+    Air,
     Column,
     InvalidTraceError,
     build_compositions,
     build_numerators,
     build_trace_polys,
+    by_section,
     combine,
     constraint_count,
     constraints,
     degree_bound,
     lift_trace,
     trace_width,
-    worst_bound,
 )
 from .channel import (
     FiatShamirTranscript,
@@ -52,9 +55,10 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 15
-# cosets of H in the committed domain; Q's degree bound 2N - 2 is below 2|H|,
-# so its rate there is under 1/8
+PROOF_VERSION = 16
+# cosets of H in the committed domain; Q's degree bound, N - 1 under
+# Fiat-Shamir and at most 2N - 2 under replay, is below |H| and 2|H|, so its
+# rate there is under 1/16 and 1/8
 BLOWUP = 16
 DOMAIN_CACHE_SIZE = 4  # (q, N) pairs whose domains and DFT plans are kept
 
@@ -238,10 +242,10 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 
 class _Domains:
     """Everything prove and verify take from (q, N), built once after
-    check_publics: the trace subgroup H, its generator g, the worst-case
-    degree bound 2N - 2 and the domains D_j of the num_rounds(2N - 2) FRI
-    layers any accepted proof reaches; the trace tree has |D_0| leaves and
-    the tree of layer j |D_j|/2. D_0, from base_eval_domain, is at most
+    check_publics: the trace subgroup H, its generator g, the largest degree
+    bound a proof may declare, the paper AIR's 2N - 2, and the domains D_j of
+    the num_rounds(2N - 2) FRI layers any accepted proof reaches; the trace
+    tree has |D_0| leaves and the tree of layer j |D_j|/2. D_0, from base_eval_domain, is at most
     BLOWUP cosets of H and is where sample points are drawn. verify rejects
     a declared bound above the worst case before it reads a layer.
 
@@ -259,7 +263,7 @@ class _Domains:
         self.field = PrimeField(q)
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator
-        self.worst_bound = worst_bound(num_steps)
+        self.worst_bound = PAPER_AIR.worst_bound(num_steps)
         self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
                                          num_rounds(self.worst_bound))
         self.plans: Dict[int, CosetEvaluator] = {}
@@ -416,9 +420,14 @@ def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) 
     reduce the rows.
 
     `constraints` runs once, on Columns of every step, giving the first step
-    where one is not 0 and its first such constraint; online_check runs step
-    by step up to that step, so the refusal is that of checking step by step:
-    the boundary, then at each step the online checks before the constraints.
+    where one is not 0 and its first such constraint. online_check runs on
+    the columns' minima and on their maxima, which on integers both pass
+    exactly when every step does: a bit lies in {0, 1}, the slack above the
+    box width and the state in the box exactly when its column's extremes
+    do. Only if one fails does it run step by step up to that step, so the
+    refusal is that of checking step by step: the boundary, then at each
+    step the online checks before the constraints. Both AIRs accept the same
+    integer traces; the paper's names the failing constraint.
     """
     n, N = spec.n, spec.num_steps
     for i, (z0, init) in enumerate(zip(trace.z_rows[0], spec.z_init)):
@@ -426,35 +435,42 @@ def _lift_or_refuse(spec: SystemSpec, trace: ExecutionTrace, field: PrimeField) 
             raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
     # each column over steps 0..N-1, and the state's over steps 1..N
     row = [Column(c) for rows in trace.sections for c in zip(*rows[:N])]
-    values = constraints(spec, row, [Column(c) for c in zip(*trace.z_rows[1:])])
+    z_next = [Column(c) for c in zip(*trace.z_rows[1:])]
+    values = constraints(spec, row, z_next)
     step, k = min(((next(j for j, v in enumerate(c) if v), k)
                    for k, c in enumerate(values) if any(c)), default=(N, 0))
-    for j in range(min(step + 1, N)):
-        reason = online_check(spec, trace.step(j))
-        if reason is not None:
-            raise InvalidTraceError(f"online check failed at step {j}: {reason}")
+    columns = [z_next, *by_section(row, n)[1:]]  # a StepRecord's fields, each over every step
+    if any(online_check(spec, StepRecord(*(tuple(map(extreme, c)) for c in columns)))
+           for extreme in (min, max)):
+        for j in range(min(step + 1, N)):
+            reason = online_check(spec, trace.step(j))
+            if reason is not None:
+                raise InvalidTraceError(f"online check failed at step {j}: {reason}")
     if step < N:
         raise InvalidTraceError(f"constraint {FAMILIES[k // n]}[{k % n}] fails at step {step}")
     return lift_trace(trace, field)
 
 
-def _fri_shape(transcript, domains: _Domains, declared: int, queries: int) -> Tuple[int, int]:
-    """The degree bound a proof must declare and its FRI fold count, the one
-    rule that differs by transcript. Replay declares `declared`, the paper's
-    bound, and folds it to a constant. Fiat-Shamir declares the worst case
-    b = 2N - 2 and folds it once; after r folds it folds again only while the
-    8-byte coefficients that fold drops from the remainder, (b >> r) -
+def _fri_shape(transcript, domains: _Domains,
+               queries: int) -> Tuple[Air, Callable[[int], Tuple[int, int]]]:
+    """The AIR a proof is for, and the rule that gives, from the degree bound
+    a proof declares, the bound it must declare and its FRI fold count: the
+    one place that differs by transcript. Replay proves the paper's AIR,
+    declares the bound it is given, the paper's, and folds it to a constant.
+    Fiat-Shamir proves DEGREE_2_AIR, declares its worst case b = N - 1 and
+    folds it once; after r folds it folds again only while the 8-byte
+    coefficients that fold drops from the remainder, (b >> r) -
     (b >> (r + 1)), outweigh what committing layer r costs the `queries`
     openings: at most one 32-byte digest per level of its pair tree each."""
     if isinstance(transcript, ReplayTranscript):
-        return declared, num_rounds(declared)
-    bound, rounds = domains.worst_bound, 1
+        return PAPER_AIR, lambda declared: (declared, num_rounds(declared))
+    bound, rounds = DEGREE_2_AIR.worst_bound(domains.subgroup.order - 1), 1
     while rounds < len(domains.layers):
         height = (len(domains.layers[rounds]) // 2 - 1).bit_length()
         if 8 * ((bound >> rounds) - (bound >> (rounds + 1))) <= 32 * queries * height:
             break
         rounds += 1
-    return bound, rounds
+    return DEGREE_2_AIR, lambda declared: (bound, rounds)
 
 
 def _remainder_bytes(remainder: Sequence[int]) -> bytes:
@@ -514,17 +530,18 @@ def prove(
 
     gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]
 
-    numerators = build_numerators(tp, spec, domain)
+    air, shape = _fri_shape(transcript, domains, num_queries)
+    numerators = build_numerators(tp, spec, domain, air)
     [quotient] = build_compositions([combine(numerators, gammas)], domain)
 
-    bound, rounds = _fri_shape(transcript, domains, degree_bound(tp, quotient, N), num_queries)
+    bound, rounds = shape(degree_bound(tp, quotient, N))
 
     composition = _CommittedPairs(quotient, domains, 0)
     transcript.absorb("composition", composition.tree.root)
     transcript.absorb("degree_bound", bound.to_bytes(8, "little"))
 
-    # bound >= deg Q: replay declares at least deg Q, and deg Q is at most
-    # worst_bound, the Fiat-Shamir bound; so
+    # bound >= deg Q: replay declares at least deg Q, and under Fiat-Shamir
+    # deg Q is at most the bound, DEGREE_2_AIR's worst case; so
     # `rounds` folds leave at most (bound >> rounds) + 1 coefficients. Layers
     # 1..rounds-1 are committed; under Fiat-Shamir `rounds` follows from
     # num_queries, as a layer's openings cost each query one path
@@ -611,7 +628,8 @@ def verify(
     points the transcript draws. Checks, in order, with the stage a failure is
     reported at: at least `num_queries` queries answered (queries), the
     proof's salt the transcript's, b"" for replay (salt), the declared degree
-    bound, at most worst_bound and equal to it under Fiat-Shamir (fri_commit),
+    bound, at most the paper AIR's worst case 2N - 2 and under Fiat-Shamir
+    equal to DEGREE_2_AIR's, N - 1 (fri_commit),
     each commitment's leaf count, the leaf of each FRI opening, and each
     tree's openings at the leaves of the sample points, checked as one batch,
     each FRI pair's two values in one leaf (commitment: a path of the wrong
@@ -630,7 +648,8 @@ def verify(
     _check_num_queries(num_queries)
     if transcript is None:
         transcript = FiatShamirTranscript(q, salt=proof.salt)
-    bound, rounds = _fri_shape(transcript, domains, proof.degree_bound, len(proof.queries))
+    air, shape = _fri_shape(transcript, domains, len(proof.queries))
+    bound, rounds = shape(proof.degree_bound)
     _structural_validate(proof, field, spec, bound, rounds)
     if len(proof.queries) < num_queries:
         return VerificationReport("queries", f"the proof answers {len(proof.queries)} queries, "
@@ -641,7 +660,7 @@ def verify(
                                   f"the verifier's {transcript.salt!r}")
     if proof.degree_bound != bound or bound > domains.worst_bound:
         return VerificationReport("fri_commit", f"degree bound {proof.degree_bound}: "
-                                  f"worst case is {domains.worst_bound}")
+                                  f"worst case is {min(bound, domains.worst_bound)}")
 
     transcript.absorb("spec", hash_spec(field, spec))
     comms, fri = proof.commitments, proof.fri_layers
@@ -712,7 +731,7 @@ def verify(
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
         # Z_N(x) = (x^(N+1) - 1)/(x - g^N), so 1/Z_N(x) takes one inversion
         inv_z = (x - g_pow_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q
-        numerators = constraints(spec, query.trace[0].values, query.trace[1].values)
+        numerators = constraints(spec, query.trace[0].values, query.trace[1].values, air)
         recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
         opened = query.fri[0][0].value
         if recombined != opened:

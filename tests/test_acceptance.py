@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import fold_rounds, random_challenges, random_spec, tamper_randomly
+from oracles import lemma1_solve, step_project
 from projstark import reference_example as ref
 from projstark.air import (
     by_section,
@@ -22,7 +23,7 @@ from projstark.air import (
     degree_bound,
 )
 from projstark.channel import FiatShamirTranscript, ReplayTranscript
-from projstark.dynamics import SystemSpec, lemma1_solve, simulate, step_project, step_slack
+from projstark.dynamics import SystemSpec, simulate, step_slack
 from projstark.field import PrimeField
 from projstark.fri import fold, fold_value
 from projstark.poly import Polynomial, vanishing

@@ -5,7 +5,9 @@ import pytest
 from conftest import TRIAL_MODULI, criterion_06_specs, even_subgroup_orders, random_spec
 from projstark import reference_example as ref
 from projstark.air import (
+    DEGREE_2_AIR,
     FAMILIES,
+    PAPER_AIR,
     FieldOverflowError,
     InvalidTraceError,
     by_section,
@@ -16,10 +18,10 @@ from projstark.air import (
     constraints,
     degree_bound,
     lift_trace,
-    worst_bound,
 )
 from projstark.channel import FiatShamirTranscript
-from projstark.dynamics import SECTIONS, ExecutionTrace, SystemSpec, simulate
+from projstark.dynamics import (SECTIONS, ExecutionTrace, StepRecord, SystemSpec,
+                                apply_transition, online_check, simulate)
 from projstark.field import PrimeField, build_domain
 from projstark.poly import Polynomial, interpolate, vanishing
 from projstark.protocol import prove, verify
@@ -340,12 +342,13 @@ class Degree:
     __rmul__ = __mul__
 
 
-def numerator_degrees(spec):
-    """Each constraint numerator's degree bound, from `constraints` run on
-    column degrees: N for a column of N + 1 values, N - 1 for one of N."""
+def numerator_degrees(spec, air):
+    """Each constraint numerator's degree bound under `air`, from
+    `constraints` run on column degrees: N for a column of N + 1 values,
+    N - 1 for one of N."""
     N = spec.num_steps
     row = [Degree(N - 1 + extra) for extra in SECTIONS.values() for _ in range(spec.n)]
-    return [Degree.of(d) for d in constraints(spec, row, row[:spec.n])]
+    return [Degree.of(d) for d in constraints(spec, row, row[:spec.n], air)]
 
 
 def test_worst_bound_covers_every_numerator_of_the_one_constraint_function():
@@ -353,16 +356,47 @@ def test_worst_bound_covers_every_numerator_of_the_one_constraint_function():
     zero_row = SystemSpec(a_hat=((0, 0), (-1, 1)), z_upper=(100, 100), z_lower=(0, 40),
                             z_init=(3, 100), num_steps=1)  # an all-zero A_hat row, N = 1
     cases = [*criterion_06_specs(), (PrimeField(61), zero_row, simulate(zero_row))]
-    for field, spec, trace in cases:
-        N, q = spec.num_steps, field.modulus
-        bound = worst_bound(N)
-        most = max(d - N for d in numerator_degrees(spec))
-        assert bound >= most, spec
-        if any(map(any, spec.a_hat)):
-            assert bound == most, spec
-        # the quotient prove commits: the weighted numerators' floor quotient by Z_N
-        domain = build_domain(field, N + 1)
-        numerators = build_numerators(build_trace_polys(trace, domain), spec, domain)
-        gammas = [rng.randrange(1, q) for _ in numerators]
-        [quotient] = build_compositions([combine(numerators, gammas)], domain)
-        assert quotient.reported_degree <= bound, spec
+    for air, declared in ((PAPER_AIR, lambda N: 2 * N - 2), (DEGREE_2_AIR, lambda N: N - 1)):
+        for field, spec, trace in cases:
+            N, q = spec.num_steps, field.modulus
+            bound = air.worst_bound(N)
+            assert bound == declared(N), spec
+            most = max(d - N for d in numerator_degrees(spec, air))
+            assert bound >= most, spec
+            if any(map(any, spec.a_hat)):
+                assert bound == most, spec
+            # the quotient prove commits: the weighted numerators' floor quotient by Z_N
+            domain = build_domain(field, N + 1)
+            tp = build_trace_polys(trace, domain)
+            numerators = build_numerators(tp, spec, domain, air)
+            gammas = [rng.randrange(1, q) for _ in numerators]
+            [quotient] = build_compositions([combine(numerators, gammas)], domain)
+            assert quotient.reported_degree <= bound, spec
+
+
+def test_the_two_transitions_differ_only_where_both_bits_are_0():
+    # on the integer rows of criterion 06's traces, with every coordinate's
+    # bits set to one pair and the slack that pair gives: the AIRs share
+    # every family but the transition, which is the same for (1, 1), (1, 0)
+    # and (0, 1). At (0, 0) the degree-2 one is the paper's plus A_hat·z,
+    # and the slack is 0, which online_check refuses
+    differ = 0
+    for _, spec, trace in criterion_06_specs():
+        n, hi, lw = spec.n, spec.z_upper, spec.z_lower
+        for j in range(spec.num_steps):
+            z, z_next = trace.z_rows[j], trace.z_rows[j + 1]
+            az = apply_transition(spec, z)
+            for u, l in ((1, 1), (1, 0), (0, 1), (0, 0)):
+                delta = tuple(u * (h - w) + l * (w - b) for w, h, b in zip(az, hi, lw))
+                row = (*z, *(u,) * n, *(l,) * n, *delta)
+                paper, degree_2 = (constraints(spec, row, z_next, air)
+                                   for air in (PAPER_AIR, DEGREE_2_AIR))
+                assert paper[n:] == degree_2[n:] == [0] * 3 * n
+                if (u, l) != (0, 0):
+                    assert paper == degree_2
+                    continue
+                assert [b - a for a, b in zip(paper, degree_2)] == [*az, *[0] * 3 * n]
+                differ += paper != degree_2
+                reason = online_check(spec, StepRecord(z_next, (0,) * n, (0,) * n, delta))
+                assert reason == f"delta-too-small: delta[0]=0 < {hi[0] - lw[0]}"
+    assert differ > 0

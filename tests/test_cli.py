@@ -333,11 +333,12 @@ def test_prove_and_verify_replay(tmp_path, config_path, trace_path):
 def test_verify_follows_the_config_mode(tmp_path, config_path, fs_config_path, trace_path,
                                        capsys):
     # a replay proof checked under a fiat-shamir config meets the verifier's
-    # own FRI shape, 2N - 2 folded once, not the one the prover replayed
+    # own FRI shape, the degree-2 AIR's N - 1 = 28 folded once, not the one
+    # the prover replayed
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path, "--out", proof]) == EXIT_OK
     assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_MALFORMED
-    assert "expected 29 remainder coefficients, got 1" in capsys.readouterr().err
+    assert "expected 15 remainder coefficients, got 1" in capsys.readouterr().err
 
 
 def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, trace_path):
@@ -355,7 +356,7 @@ def test_prove_and_verify_fiat_shamir(tmp_path, fs_config_path, config_path, tra
 ])
 def test_verify_refuses_or_rejects_an_edited_remainder(tmp_path, fs_config_path, trace_path,
                                                        edit, code):
-    # 2N - 2 = 56 folded once leaves 29 coefficients, each in [0, q): one
+    # N - 1 = 28 folded once leaves 15 coefficients, each in [0, q): one
     # more, one fewer or one equal to q is a malformed proof; one changed is
     # absorbed into the transcript, which then draws other sample points
     proof = tmp_path / "proof.json"
@@ -363,7 +364,7 @@ def test_verify_refuses_or_rejects_an_edited_remainder(tmp_path, fs_config_path,
                  "--out", str(proof)]) == EXIT_OK
     doc = json.loads(proof.read_text())
     remainder = doc["fri_layers"]["remainder"]
-    assert len(remainder) == 29
+    assert len(remainder) == 15
     if edit == "append":
         remainder.append(0)
     elif edit == "drop":

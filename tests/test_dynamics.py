@@ -4,14 +4,13 @@ from dataclasses import replace
 import pytest
 
 from conftest import TRIAL_MODULI, random_spec
+from oracles import lemma1_solve, step_project
 from projstark.dynamics import (
     ExecutionTrace,
     StepRecord,
     SystemSpec,
     apply_transition,
-    lemma1_solve,
     online_check,
-    step_project,
     step_slack,
 )
 

@@ -7,28 +7,38 @@ refuses. Committed with prove(force=True) at 8 queries, verify should reject
 it; today verify accepts each, so each test xfails and names the ROADMAP item
 that would close it. When a fix closes a break, its test passes and, being
 strict, fails the run until the fix removes the mark.
+
+The rate forgery (ROADMAP items 2 and 22) is accepted at a rate, not always:
+its test measures that rate on each shape the benchmark proves.
 """
+
+import math
+from operator import mul
 
 import pytest
 
 from conftest import WRAPPING_SYSTEM, wrapping_trace
 from projstark import (ExecutionTrace, FiatShamirTranscript, InvalidTraceError, PrimeField,
                        StepRecord, SystemSpec, prove, step_slack, verify)
+from projstark import protocol
+from projstark.air import DEGREE_2_AIR
+from projstark.poly import Polynomial
 from projstark.reference_example import MODULUS, SYSTEM
+from test_protocol import BENCHMARK_SHAPES
 
 QUERIES = 8
 
 
-def trajectory(forged: dict) -> ExecutionTrace:
-    """The paper system's trajectory from z_init, honest at every step but the
-    keys of `forged`, whose records replace the honest ones; each later step
+def trajectory(forged: dict, spec: SystemSpec = SYSTEM) -> ExecutionTrace:
+    """The system's trajectory from z_init, honest at every step but the keys
+    of `forged`, whose records replace the honest ones; each later step
     continues honestly from the state the forged one reached."""
     steps = []
-    z = SYSTEM.z_init
-    for k in range(SYSTEM.num_steps):
-        steps.append(forged.get(k) or step_slack(SYSTEM, z))
+    z = spec.z_init
+    for k in range(spec.num_steps):
+        steps.append(forged.get(k) or step_slack(spec, z))
         z = steps[-1].z_next
-    return ExecutionTrace.from_steps(SYSTEM, steps)
+    return ExecutionTrace.from_steps(spec, steps)
 
 
 def wrong_clip() -> ExecutionTrace:
@@ -103,3 +113,76 @@ def test_wrapped_step_is_rejected():
         prove(PrimeField(MODULUS), WRAPPING_SYSTEM, wrapping_trace(),
               FiatShamirTranscript(MODULUS), num_queries=QUERIES)
     assert not accepted(wrapping_trace(), salt=b"0", spec=WRAPPING_SYSTEM)
+
+
+def moved_state(spec: SystemSpec) -> ExecutionTrace:
+    """The trajectory whose state after the middle step is moved by 1 on
+    coordinate 0, within the box, and continued honestly: one transition
+    constraint fails, at that step only."""
+    k = spec.num_steps // 2
+    honest = step_slack(spec, trajectory({}, spec).z_rows[k])
+    z0 = honest.z_next[0] + (1 if honest.z_next[0] < spec.z_upper[0] else -1)
+    return trajectory({k: StepRecord((z0, *honest.z_next[1:]), honest.alpha_up,
+                                     honest.alpha_lo, honest.delta)}, spec)
+
+
+def lagrange_columns(xs, q):
+    """Column i holds coefficient i of each Lagrange basis polynomial of the
+    points xs, so an interpolant's coefficient i is its column's dot product
+    with the values."""
+    master = [1]
+    for x in xs:  # prod (X - x), ascending
+        master = [(a - x * b) % q for a, b in zip([0, *master], [*master, 0])]
+    m, rows = len(xs), []
+    for xj in xs:
+        basis = [0] * m  # master / (X - xj), by synthetic division
+        basis[m - 1] = master[m]
+        for i in range(m - 1, 0, -1):
+            basis[i - 1] = (master[i] + xj * basis[i]) % q
+        inverse = pow(Polynomial(PrimeField(q), basis).evaluate(xj), -1, q)
+        rows.append([c * inverse % q for c in basis])
+    return list(zip(*rows))
+
+
+def rate_forgery(q: int, spec: SystemSpec):
+    """The build_compositions of a prover that commits, as Q, the interpolant
+    of the values the consistency check expects, Σγ_k·C_k(x)/Z_N(x), on the
+    first bound + 1 points of D0: Q then meets the degree bound, so FRI
+    passes, and only the sample points off those fail consistency."""
+    N = spec.num_steps
+    domains = protocol._domains(q, N)
+    xs = domains.layers[0][:DEGREE_2_AIR.worst_bound(N) + 1]
+    g_n = pow(domains.g, N, q)
+    inv_z = [(x - g_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q for x in xs]
+    columns = lagrange_columns(xs, q)
+
+    def build_compositions(numerators, domain):
+        [combined] = numerators
+        table = domains.evaluator(0).evaluate([combined])[0]  # on D0, in its order
+        ys = [v * w % q for v, w in zip(table, inv_z)]
+        return [Polynomial(PrimeField(q), [sum(map(mul, c, ys)) % q for c in columns])]
+
+    return build_compositions
+
+
+# enough salts on each shape that 0, and the rate of the paper's AIR, fall
+# outside the band
+@pytest.mark.parametrize("q, spec, salts", [
+    (q, spec, salts) for (q, spec, _), salts in zip(BENCHMARK_SHAPES, (200, 300, 100))],
+    ids=["paper", "field-q12289", "trace-q769"])
+def test_the_rate_forgery_is_accepted_at_its_rate(monkeypatch, q, spec, salts):
+    # at 1 query, the share of Q's table that is right: N of the |D0| points
+    # (29/300, 127/2048, 255/512), within 3 standard deviations over the
+    # salts. The paper's AIR, bound 2N - 2, gave 2N - 1 of them
+    field, trace = PrimeField(q), moved_state(spec)
+    with pytest.raises(InvalidTraceError, match="constraint transition"):
+        prove(field, spec, trace, FiatShamirTranscript(q), num_queries=1)
+    monkeypatch.setattr(protocol, "build_compositions", rate_forgery(q, spec))
+    accepted = 0
+    for k in range(salts):
+        salt = b"rate%d" % k
+        proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=salt), num_queries=1,
+                      force=True)
+        accepted += verify(field, spec, proof).accepted
+    rate = spec.num_steps / len(protocol._domains(q, spec.num_steps).layers[0])
+    assert abs(accepted - salts * rate) <= 3 * math.sqrt(salts * rate * (1 - rate)), accepted

@@ -19,6 +19,8 @@ from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, keyed, minimal_multipro
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
+    DEGREE_2_AIR,
+    PAPER_AIR,
     InvalidTraceError,
     build_compositions,
     build_numerators,
@@ -153,7 +155,7 @@ def test_paper_replay_proof_accepts(field, paper_spec, paper_proof):
 
 
 def test_paper_fiat_shamir_proof_accepts(field, paper_spec, paper_fs_proof):
-    assert paper_fs_proof.degree_bound == 2 * paper_spec.num_steps - 2
+    assert paper_fs_proof.degree_bound == paper_spec.num_steps - 1
     assert verify(field, paper_spec, paper_fs_proof).accepted
 
 
@@ -444,17 +446,17 @@ def test_verify_rejects_a_changed_remainder_coefficient(field, paper_spec, paper
 
 
 @pytest.mark.parametrize("edit, message", [
-    ("append", "^expected 29 remainder coefficients, got 30$"),
-    ("drop", "^expected 29 remainder coefficients, got 28$"),
+    ("append", "^expected 15 remainder coefficients, got 16$"),
+    ("drop", "^expected 15 remainder coefficients, got 14$"),
     ("q", "^remainder coefficient out of range$"),
 ], ids=["one-too-long", "one-too-short", "coefficient-q"])
 def test_verify_refuses_a_remainder_of_the_wrong_length_or_range(field, paper_spec,
                                                                  paper_fs_proof, edit, message):
-    # under Fiat-Shamir 2N - 2 = 56 is folded once: (56 >> 1) + 1 = 29
+    # under Fiat-Shamir N - 1 = 28 is folded once: (28 >> 1) + 1 = 15
     # coefficients, each in [0, q); an appended 0 leaves the polynomial as it
     # was, but not the proof's shape
     remainder = list(paper_fs_proof.fri_layers.remainder)
-    assert len(remainder) == 29
+    assert len(remainder) == 15
     if edit == "append":
         remainder.append(0)
     elif edit == "drop":
@@ -466,14 +468,26 @@ def test_verify_refuses_a_remainder_of_the_wrong_length_or_range(field, paper_sp
         verify(field, paper_spec, load_proof(json.dumps(doc, separators=(",", ":"))))
 
 
-@pytest.mark.parametrize("bound", [0, 55, 57, 4 * 29])
-def test_fiat_shamir_verify_rejects_a_declared_bound_other_than_2n_minus_2(
+@pytest.mark.parametrize("bound", [0, 27, 29, 2 * 29 - 2])
+def test_fiat_shamir_verify_rejects_a_declared_bound_other_than_n_minus_1(
         field, paper_spec, paper_fs_proof, bound):
-    # the remainder's length and the fold count come from 2N - 2 = 56, so the
-    # proof is well formed and the bound itself is what is wrong
+    # the remainder's length and the fold count come from the degree-2 AIR's
+    # N - 1 = 28, so the proof is well formed and the bound itself is what is
+    # wrong, the paper AIR's 2N - 2 = 56 included
     report = verify(field, paper_spec, dataclasses.replace(paper_fs_proof, degree_bound=bound))
     assert (report.verdict, report.stage) == ("reject", "fri_commit")
-    assert report.detail == f"degree bound {bound}: worst case is 56"
+    assert report.detail == f"degree bound {bound}: worst case is 28"
+
+
+def test_a_fiat_shamir_proof_of_the_paper_airs_shape_is_malformed(field, paper_spec):
+    # a Fiat-Shamir proof of the paper's AIR, as version 15 made it, declares
+    # 2N - 2 = 56 and sends 56 folded once, 29 coefficients; labelled as this
+    # version, it meets the verifier's shape, N - 1 = 28 folded once to 15
+    doc = _as_made_by_version_15(lambda: _pinned_proof("paper-fiat-shamir"))
+    assert doc["degree_bound"] == 56 and len(doc["fri_layers"]["remainder"]) == 29
+    proof = proof_from_json({**doc, "version": PROOF_VERSION})
+    with pytest.raises(ProofFormatError, match="^expected 15 remainder coefficients, got 29$"):
+        verify(field, paper_spec, proof)
 
 
 def _cost_rule_folds(domains, queries):
@@ -481,7 +495,7 @@ def _cost_rule_folds(domains, queries):
     folds, fold r + 1 is made only when the 8-byte coefficients it drops
     from the remainder outweigh one 32-byte digest per level of layer r's
     tree of pairs for each query; the last fold leaves a constant."""
-    bound = domains.worst_bound
+    bound = DEGREE_2_AIR.worst_bound(domains.subgroup.order - 1)
     sizes = [(bound >> r) + 1 for r in range(num_rounds(bound) + 1)]
     for r in range(1, num_rounds(bound)):
         levels = math.ceil(math.log2(len(domains.layers[r]) // 2))
@@ -492,13 +506,13 @@ def _cost_rule_folds(domains, queries):
 
 @pytest.mark.parametrize("q, num_steps", [(12289, 127), (769, 255), (331, 29), (3001, 39)])
 def test_fiat_shamir_folds_by_the_cost_rule_and_replay_to_a_constant(q, num_steps):
-    # at 2 queries the cost rule folds q = 769 three times, to 63
-    # coefficients, and the others once
+    # at 2 queries the cost rule folds q = 769 twice, to 64 coefficients,
+    # and the others once
     field, spec = PrimeField(q), _box_spec(num_steps)
     trace = simulate(spec)
-    bound = 2 * num_steps - 2
+    bound = num_steps - 1
     rounds = _cost_rule_folds(protocol._domains(q, num_steps), 2)
-    assert rounds == (3 if q == 769 else 1)
+    assert rounds == (2 if q == 769 else 1)
     proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"grid"), num_queries=2)
     assert verify(field, spec, proof).accepted
     assert len(proof.fri_layers.roots) == rounds - 1
@@ -521,20 +535,22 @@ def test_fiat_shamir_folds_by_the_cost_rule_and_replay_to_a_constant(q, num_step
 
 
 @pytest.mark.parametrize("q, order, queries, rounds, size", [
-    (331, 30, 8, 1, 29), (331, 30, 64, 1, 29),
-    (12289, 128, 1, 2, 64), (12289, 128, 8, 1, 127), (12289, 128, 64, 1, 127),
-    (769, 256, 8, 1, 255), (3001, 40, 8, 1, 39),
-    # layer 1 has 128 leaves, a tree of 7 levels: 4 queries pay 896 bytes
-    # for it, and folding again drops 1,016, so the tree's height decides
-    (769, 256, 4, 2, 128),
+    (331, 30, 8, 1, 15), (331, 30, 64, 1, 15),
+    (12289, 128, 1, 1, 64), (12289, 128, 8, 1, 64), (12289, 128, 64, 1, 64),
+    (769, 256, 8, 1, 128), (3001, 40, 8, 1, 20),
+    # layer 1 has 128 leaves, a tree of 7 levels: 2 queries pay 448 bytes
+    # for it, and folding again drops 512, where 4 queries would pay 896; so
+    # the tree's height decides. 1 query folds once more, to 32
+    (769, 256, 4, 1, 128), (769, 256, 2, 2, 64), (769, 256, 1, 3, 32),
 ])
 def test_fiat_shamir_folds_while_a_layer_costs_less_than_the_coefficients_it_drops(
         q, order, queries, rounds, size):
     # the prover's fold count and the verifier's both come from the query
     # count, so a proof made for it is accepted
-    bound = 2 * order - 4
+    bound = order - 2
     domains = protocol._domains(q, order - 1)
-    assert protocol._fri_shape(FiatShamirTranscript(q), domains, 0, queries) == (bound, rounds)
+    air, shape = protocol._fri_shape(FiatShamirTranscript(q), domains, queries)
+    assert air is DEGREE_2_AIR and shape(0) == (bound, rounds)
     assert _cost_rule_folds(domains, queries) == rounds and (bound >> rounds) + 1 == size
     field, spec = PrimeField(q), _box_spec(order - 1)
     proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=b"rule"),
@@ -544,31 +560,31 @@ def test_fiat_shamir_folds_while_a_layer_costs_less_than_the_coefficients_it_dro
     assert verify(field, spec, proof, num_queries=queries).accepted
 
 
-def test_the_long_horizon_shape_folds_four_times_to_512_coefficients():
-    # q = 65537, N + 1 = 4096, 8 queries, from the domains alone: 2N - 2 =
-    # 8188 folded once leaves 4095 coefficients, and each of the next three
+def test_the_long_horizon_shape_folds_three_times_to_512_coefficients():
+    # q = 65537, N + 1 = 4096, 8 queries, from the domains alone: N - 1 =
+    # 4094 folded once leaves 2048 coefficients, and each of the next two
     # folds drops more bytes than its layer's openings add
     domains = protocol._Domains(65537, 4095)
-    assert protocol._fri_shape(FiatShamirTranscript(65537), domains, 0, 8) == (8188, 4)
-    assert _cost_rule_folds(domains, 8) == 4 and (8188 >> 4) + 1 == 512
+    assert protocol._fri_shape(FiatShamirTranscript(65537), domains, 8)[1](0) == (4094, 3)
+    assert _cost_rule_folds(domains, 8) == 3 and (4094 >> 3) + 1 == 512
 
 
 def test_a_proof_folded_for_another_query_count_is_malformed(tmp_path):
-    # q = 12289, N + 1 = 128: one query folds twice, to 64 coefficients, and
-    # eight fold once, to 127. The verifier takes the fold count from the
+    # q = 769, N + 1 = 256: one query folds three times, to 32 coefficients,
+    # and eight fold once, to 128. The verifier takes the fold count from the
     # queries a proof answers, so one whose layers carry another is malformed
-    q, spec, salt = 12289, _box_spec(127), b"count"
+    q, spec, salt = 769, _box_spec(255), b"count"
     field, trace = PrimeField(q), simulate(spec)
     one, eight = (prove(field, spec, trace, FiatShamirTranscript(q, salt=salt),
                         num_queries=queries, salt=salt) for queries in (1, 8))
     assert verify(field, spec, one).accepted and verify(field, spec, eight).accepted
-    assert (len(one.fri_layers.roots), len(eight.fri_layers.roots)) == (1, 0)
+    assert (len(one.fri_layers.roots), len(eight.fri_layers.roots)) == (2, 0)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"q": str(q), "N": 127, "A_hat": [[1, 0], [-1, 1]],
+    config.write_text(json.dumps({"q": str(q), "N": 255, "A_hat": [[1, 0], [-1, 1]],
                                   "z_upper": [100, 100], "z_lower": [0, 40], "z_init": [3, 100],
                                   "queries": 1}))
-    for forged, size, sent in ((dataclasses.replace(one, queries=one.queries * 8), 127, 64),
-                               (dataclasses.replace(eight, queries=eight.queries[:1]), 64, 127)):
+    for forged, size, sent in ((dataclasses.replace(one, queries=one.queries * 8), 128, 32),
+                               (dataclasses.replace(eight, queries=eight.queries[:1]), 32, 128)):
         with pytest.raises(ProofFormatError,
                            match=f"^expected {size} remainder coefficients, got {sent}$"):
             verify(field, spec, forged)
@@ -629,9 +645,10 @@ def test_forged_proof_passes_only_its_own_challenges(field, paper_spec, forged_p
 
 
 def test_verifier_challenges_reject_forged_proof(field, paper_spec, forged_proof):
-    # a Fiat-Shamir verifier expects 2N - 2 folded once, to a remainder of
-    # 29 coefficients, not the replay proof's five folds to a constant
-    with pytest.raises(ProofFormatError, match="^expected 29 remainder coefficients, got 1$"):
+    # a Fiat-Shamir verifier expects the degree-2 AIR's N - 1 = 28 folded
+    # once, to a remainder of 15 coefficients, not the replay proof's five
+    # folds to a constant
+    with pytest.raises(ProofFormatError, match="^expected 15 remainder coefficients, got 1$"):
         verify(field, paper_spec, forged_proof)
     report = verify(field, paper_spec, forged_proof, paper_transcript())
     assert (report.verdict, report.stage) == ("reject", "commitment")
@@ -943,12 +960,16 @@ def test_verify_rejects_any_flipped_path_byte(
 
 @pytest.mark.parametrize("replay", [True, False])
 @pytest.mark.parametrize("edit", ["drop-last", "append"])
-def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper_proof,
-                                                        paper_fs_proof, replay, edit):
+def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper_trace,
+                                                        paper_proof, replay, edit):
     # each path must hold exactly the digests its tree's batch assigns it:
     # one digest short or one too many is refused, on every opening, and the
-    # reject names its tree and query
-    base = keyed(proof_to_json(paper_proof if replay else paper_fs_proof))
+    # reject names its tree and query. Salted so that a Fiat-Shamir query
+    # reopens a leaf
+    salt = b"reopen0"
+    fs_proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                     num_queries=8, salt=salt)
+    base = keyed(proof_to_json(paper_proof if replay else fs_proof))
     openings = _all_openings(base)
     assert any(o["path"] for o in openings)
     assert replay or not all(o["path"] for o in openings)  # 8 queries reopen some leaves
@@ -1147,8 +1168,8 @@ def test_load_proof_refuses_a_root_of_other_than_32_bytes(paper_proof):
 def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
     # json.loads reads -0 as the integer 0: the 64-query proof with its first
     # FRI opening at index 0, "fri":[[[0,, written "fri":[[[-0, would be a
-    # second text of the same proof
-    salt = b"0"
+    # second text of the same proof (salted so that one query's leaf is 0)
+    salt = b"1"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     text = dump_proof(proof)
@@ -1308,7 +1329,7 @@ def _as_made_by_version_13(make) -> dict:
     all else as made."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(protocol.MerkleTree, "open", _version_13_open)
-        return {**_as_version_14(proof_to_json(make())), "version": 13}
+        return {**_as_version_14(_as_made_by_version_15(make)), "version": 13}
 
 
 @pytest.fixture(scope="module")
@@ -1503,7 +1524,8 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
 # padded standard base64, a path its digests joined, each opening the list
-# of its fields' values; proof version 15:
+# of its fields' values; proof version 16:
+# Fiat-Shamir proofs of the degree-2 AIR and replay proofs of the paper's,
 # one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
 # under Fiat-Shamir while a layer costs less than the coefficients it drops
@@ -1516,15 +1538,19 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "5f50cdbaf2939f33cc54fd843d9423fa5058cf4810f647202a89cf978f4a980f",
-    "paper-fiat-shamir": "da993fa68ccbfcf3e69a9f515c0613b4b51f222b9098b89eb78b2b18e8386aca",
+    "paper-replay": "7e783e562c87ac512f2a1ff08325b1789552e0cf4c9a9e4cd71b819d28759533",
+    "paper-fiat-shamir": "6487c14a95e9f32a7d8a0b025bd5c66c72706e57a5afd2205247a6f6ef2349c3",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
-    # are committed, and 76 folded once leaves a remainder of 39 coefficients
-    "q3001-fiat-shamir": "137c397cffaf3e77d406f3c879280d305e2a74c2cf2b478335d7f214d89bf73a",
-    # q=12289, N+1=128, one query: 252 folded twice leaves 64 coefficients,
-    # and FRI layer 1, a union of cosets of the subgroup of order 64, is committed
+    # are committed, and 38 folded once leaves a remainder of 20 coefficients
+    "q3001-fiat-shamir": "0e0f862b0038931138c0857f3f97af420ddfe2ba1d5804d41d3632f4238ac572",
+    # q=12289, N+1=128, one query: 126 folded once leaves 64 coefficients
     "q12289-one-query-fiat-shamir":
-        "b5a4343364050d2932efb823b6d47f3dada479efc9d1314ba972ffceada360a6",
+        "01347fa799d14fbe2f854bcef10491d4c25a0c617de54749079c25e738f06cfb",
+    # q=769, N+1=256, one query: 254 folded three times leaves 32
+    # coefficients, and FRI layers 1 and 2, unions of cosets of the subgroups
+    # of order 128 and 64, are committed
+    "q769-one-query-fiat-shamir":
+        "aa98eaac00472d2daaccf163a8cb1bc8d6e157713fdd8f1516cfedd3924add42",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1547,7 +1573,7 @@ def _doc_digest(doc: dict) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 15
+    assert paper_proof.version == PROOF_VERSION == 16
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1562,7 +1588,7 @@ def test_mixed_radix_proof_is_byte_identical():
     proof = prove(field, MIXED_RADIX_SPEC, simulate(MIXED_RADIX_SPEC),
                   FiatShamirTranscript(3001, salt=salt), num_queries=8, salt=salt)
     assert verify(field, MIXED_RADIX_SPEC, proof).accepted
-    assert len(proof.fri_layers.roots) == 0 and len(proof.fri_layers.remainder) == 39
+    assert len(proof.fri_layers.roots) == 0 and len(proof.fri_layers.remainder) == 20
     assert _proof_digest(proof) == PINNED_PROOF_DIGESTS["q3001-fiat-shamir"]
 
 
@@ -1621,6 +1647,38 @@ VERSION_13_DIGESTS = {
 }
 
 
+# what PINNED_PROOF_DIGESTS held in proof version 15, whose Fiat-Shamir
+# proofs were of the paper's AIR, with its degree bound 2N - 2
+VERSION_15_DIGESTS = {
+    "paper-replay": "5f50cdbaf2939f33cc54fd843d9423fa5058cf4810f647202a89cf978f4a980f",
+    "paper-fiat-shamir": "da993fa68ccbfcf3e69a9f515c0613b4b51f222b9098b89eb78b2b18e8386aca",
+    "q3001-fiat-shamir": "137c397cffaf3e77d406f3c879280d305e2a74c2cf2b478335d7f214d89bf73a",
+    "q12289-one-query-fiat-shamir":
+        "b5a4343364050d2932efb823b6d47f3dada479efc9d1314ba972ffceada360a6",
+}
+
+
+def _as_made_by_version_15(make) -> dict:
+    """The document of the proof make() returns as version 15 made it: under
+    Fiat-Shamir too of the paper's AIR, so with its bound 2N - 2 and the fold
+    count and remainder that gives, and its version 15; all else as made."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(protocol, "DEGREE_2_AIR", PAPER_AIR)
+        return {**proof_to_json(make()), "version": 15}
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_15_DIGESTS))
+def test_version_16_changes_only_the_air_of_fiat_shamir_proofs(name):
+    # made of the paper's AIR under Fiat-Shamir too and labelled version 15,
+    # each pinned proof is version 15's byte for byte; the replay proof is
+    # as this version makes it, but for its version
+    doc = proof_to_json(_pinned_proof(name))
+    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    v15 = _as_made_by_version_15(lambda: _pinned_proof(name))
+    assert _doc_digest(v15) == VERSION_15_DIGESTS[name]
+    assert (doc == {**v15, "version": 16}) == (name == "paper-replay")
+
+
 # what PINNED_PROOF_DIGESTS held in proof version 14, whose openings were
 # objects keyed by their field names
 VERSION_14_DIGESTS = {
@@ -1638,13 +1696,14 @@ def _as_version_14(doc: dict) -> dict:
     return {**keyed(doc), "version": 14}
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_PROOF_DIGESTS))
+@pytest.mark.parametrize("name", sorted(VERSION_15_DIGESTS))
 def test_version_15_changes_only_the_layout_of_openings(name):
     # every root, value, path, FRI index, degree bound and remainder is
     # version 14's: with each opening keyed again and its version set to
-    # 14, each pinned proof is the version-14 proof byte for byte
-    doc = proof_to_json(_pinned_proof(name))
-    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    # 14, each pinned proof as version 15 made it is the version-14 proof
+    # byte for byte
+    doc = _as_made_by_version_15(lambda: _pinned_proof(name))
+    assert _doc_digest(doc) == VERSION_15_DIGESTS[name]
     assert _doc_digest(_as_version_14(doc)) == VERSION_14_DIGESTS[name]
     assert positional(keyed(doc)) == doc
     queries = doc["queries"]
@@ -1665,6 +1724,8 @@ def _pinned_proof(name):
         "q3001-fiat-shamir": lambda: fiat_shamir(3001, MIXED_RADIX_SPEC, b"pin-mixed", 8),
         "q12289-one-query-fiat-shamir":
             lambda: fiat_shamir(12289, _box_spec(127), b"pin-two-folds", 1),
+        "q769-one-query-fiat-shamir":
+            lambda: fiat_shamir(769, _box_spec(255), b"pin-three-folds", 1),
     }[name]()
 
 
@@ -1680,45 +1741,53 @@ def _digests_sent(doc: dict) -> int:
     return sum(len(base64.b64decode(o["path"])) // 32 for o in _all_openings(doc))
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_PROOF_DIGESTS))
+@pytest.mark.parametrize("name", sorted(VERSION_15_DIGESTS))
 def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
     # every root, value, FRI index, degree bound and remainder is version
     # 13's; only the paths differ, as one batch per tree sends no digest a
     # later opening lets the verifier compute
-    proof = _pinned_proof(name)
-    assert _proof_digest(proof) == PINNED_PROOF_DIGESTS[name]
     v13 = _as_made_by_version_13(lambda: _pinned_proof(name))
     assert _doc_digest(v13) == VERSION_13_DIGESTS[name]
-    doc = _as_version_14(proof_to_json(proof))
+    doc = _as_version_14(_as_made_by_version_15(lambda: _pinned_proof(name)))
     assert _paths_blanked(doc) == {**_paths_blanked(v13), "version": 14}
     assert _digests_sent(doc) <= _digests_sent(v13)
     if name == "paper-fiat-shamir":
         assert (_digests_sent(doc), _digests_sent(v13)) == (67, 88)
-        # its version-13 paths, relabelled as this version, are a reject
+        # its version-13 paths, relabelled as this version and checked as
+        # version 15 checked them, of the paper's AIR, are a reject
         v13_relabelled = proof_from_json(positional({**v13, "version": PROOF_VERSION}))
-        report = verify(PrimeField(ref.MODULUS), ref.SYSTEM, v13_relabelled)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(protocol, "DEGREE_2_AIR", PAPER_AIR)
+            report = verify(PrimeField(ref.MODULUS), ref.SYSTEM, v13_relabelled)
         assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 192 openings (2 trace rows and 1 FRI layer per query) in 15,188 bytes,
-    # each a list of its values, against 18,708 in version 14, which keyed
-    # each opening by its field names, and 25,444 in version 13, whose
-    # openings were made one by one; folded to a constant in 6 FRI layers,
-    # version 11 sent 512 openings in 62,946 bytes, and with full paths they
-    # would take about 311 KiB
+    # 192 openings (2 trace rows and 1 FRI layer per query) and a remainder
+    # of 15 coefficients in 15,058 bytes, against 15,188 in version 15, whose
+    # paper AIR sent 29, 18,708 in version 14, which keyed each opening by
+    # its field names, and 25,444 in version 13, whose openings were made one
+    # by one; folded to a constant in 6 FRI layers, version 11 sent 512
+    # openings in 62,946 bytes, and with full paths they would take about
+    # 311 KiB
     salt = b"size"
-    proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
-                  num_queries=64, salt=salt)
+
+    def make():
+        return prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                     num_queries=64, salt=salt)
+
+    proof = make()
     assert verify(field, paper_spec, proof).accepted
     assert len(dump_proof(proof)) <= 19 * 1024
-    v14 = json.dumps(_as_version_14(proof_to_json(proof)), separators=(",", ":"))
-    assert (len(dump_proof(proof)), len(v14)) == (15188, 18708)
+    v15 = _as_made_by_version_15(make)
+    sizes = [len(json.dumps(doc, separators=(",", ":"))) for doc in (v15, _as_version_14(v15))]
+    assert [len(dump_proof(proof)), *sizes] == [15058, 15188, 18708]
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one FRI layer and a 29-coefficient remainder: 179 digests, the minimal
-    # multiproof of each tree, against 337 in version 13, which sent a
+    # one FRI layer and a 15-coefficient remainder: 177 digests, the minimal
+    # multiproof of each tree (179 for the sample points version 15 drew),
+    # against 337 in version 13, which sent a
     # digest a later opening let the verifier compute, and 895 when version
     # 11 folded to a constant in 6 layers. Folding that far, one
     # leaf per FRI pair, opened once, took 64,446 bytes in version 10, each
@@ -1737,7 +1806,7 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     minimal = (len(minimal_multiproof(proof.commitments.trace.leaf_count, trace_leaves))
                + len(minimal_multiproof(proof.commitments.composition.leaf_count, pair_leaves)))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) == minimal == 179
+    assert sum(len(o.path) // 32 for o in openings) == minimal == 177
     assert len(dump_proof(proof)) <= 19 * 1024
 
 
@@ -1773,9 +1842,9 @@ def test_cold_and_warm_domain_cache_give_the_same_proof(
 def test_threads_share_the_domain_cache():
     # threads that prove and verify at once against one cold context, whose
     # coset-DFT plans and trace interpolator are built on first use, must each
-    # get the pinned proof (q = 12289 at one query: two folds, so the plans
-    # of layers 0 and 1, whose domains differ)
-    q, spec, salt = 12289, _box_spec(127), b"pin-two-folds"
+    # get the pinned proof (q = 769 at one query: three folds, so the plans
+    # of layers 0, 1 and 2, whose domains differ)
+    q, spec, salt = 769, _box_spec(255), b"pin-three-folds"
     field, trace = PrimeField(q), simulate(spec)
     digests, errors = [], []
     start = threading.Barrier(4, timeout=60)
@@ -1805,8 +1874,8 @@ def test_threads_share_the_domain_cache():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert digests == [PINNED_PROOF_DIGESTS["q12289-one-query-fiat-shamir"]] * 8
-    assert sorted(domains.plans) == [0, 1]
+    assert digests == [PINNED_PROOF_DIGESTS["q769-one-query-fiat-shamir"]] * 8
+    assert sorted(domains.plans) == [0, 1, 2]
 
 
 def test_domain_cache_stays_at_its_bound():
@@ -2044,24 +2113,24 @@ def test_verify_rejects_an_out_of_range_leaf_index(field, paper_spec, paper_proo
     ("paper", ("commitments", "trace"), 400),
     ("paper", ("commitments", "composition"), 256),
     ("paper-replay", ("fri_layers", "roots", 0), 255),
-    ("q12289", ("fri_layers", "roots", 0), 300),
+    ("q769", ("fri_layers", "roots", 0), 100),
 ], ids=["trace", "composition", "fri-layer-1", "fri-layer-1-fiat-shamir"])
 def test_verify_rejects_a_rewritten_leaf_count(field, paper_spec, paper_trace, paper_proof,
                                                system, where, leaves):
     # each count keeps its tree's height, so every path still authenticates;
     # the count is checked against the size of its layer's domain. The paper
     # Fiat-Shamir proof folds once and commits no FRI layer 1; replay does,
-    # and so does the one-query q = 12289 Fiat-Shamir proof, which folds
-    # twice and whose layer 1 has 512 leaves
+    # and so does the one-query q = 769 Fiat-Shamir proof, which folds
+    # three times and whose layer 1 has 128 leaves
     replay = system == "paper-replay"
 
     def transcript():
         return paper_transcript() if replay else None
 
     spec, trace, queries = paper_spec, paper_trace, 8
-    if system == "q12289":
-        spec = _box_spec(127)
-        field, trace, queries = PrimeField(12289), simulate(spec), 1
+    if system == "q769":
+        spec = _box_spec(255)
+        field, trace, queries = PrimeField(769), simulate(spec), 1
     proof = paper_proof if replay else prove(
         field, spec, trace, FiatShamirTranscript(field.modulus, salt=b"a"),
         num_queries=queries, salt=b"a")
@@ -2116,8 +2185,9 @@ def test_many_cosets_commit_blowup_of_them():
 @pytest.mark.parametrize("q, num_steps", [(BABYBEAR, 255), (GOLDILOCKS, 1023)])
 def test_large_field_proofs_verify(q, num_steps):
     field, spec, salt = PrimeField(q), _box_spec(num_steps), b"large"
+    queries = 4 if q == GOLDILOCKS else 8
     proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
-                  num_queries=8, salt=salt)
+                  num_queries=queries, salt=salt)
     assert proof.commitments.composition.leaf_count == protocol.BLOWUP * (num_steps + 1) // 2
     assert verify(field, spec, load_proof(dump_proof(proof))).accepted
     doc = keyed(proof_to_json(proof))
@@ -2125,11 +2195,12 @@ def test_large_field_proofs_verify(q, num_steps):
     def bump(container, key):
         container[key] = (container[key] + 1) % q
 
-    # BabyBear folds once and Goldilocks, at N + 1 = 1024, twice; each edit
-    # bumps a trace value or the value at -y of the last FRI pair a query opens
+    # BabyBear folds once and Goldilocks, at N + 1 = 1024 and 4 queries,
+    # twice; each edit bumps a trace value or the value at -y of the last FRI
+    # pair a query opens
     assert len(proof.fri_layers.roots) == (1 if q == GOLDILOCKS else 0)
     for edit in (lambda d: bump(d["queries"][3]["trace"][1]["values"], 1),
-                 lambda d: bump(d["queries"][5]["fri"][-1], 1)):
+                 lambda d: bump(d["queries"][2]["fri"][-1], 1)):
         edited = json.loads(json.dumps(doc))
         edit(edited)
         assert verify(field, spec, proof_from_json(positional(edited))).stage == "commitment"
