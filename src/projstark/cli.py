@@ -103,7 +103,7 @@ def load_config(path: str) -> RunConfig:
     try:  # each as a transcript can draw it: in [1, q), a sample point in D0
         ReplayTranscript(doc.q, **challenges)
         for i, v in enumerate(challenges["sample_points"]):
-            domains.index(0, v)
+            domains.leaf(v)
     except TranscriptError as exc:
         raise ConfigError(f"challenges.{exc}") from exc
     except ValueError:

@@ -55,7 +55,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 16
+PROOF_VERSION = 17
 # cosets of H in the committed domain; Q's degree bound, N - 1 under
 # Fiat-Shamir and at most 2N - 2 under replay, is below |H| and 2|H|, so its
 # rate there is under 1/16 and 1/8
@@ -128,6 +128,9 @@ class Proof:
     """A proof; q, N and g are not in it: the verifier holds or derives them.
     Nor are the sample points: the verifier draws them from its own
     transcript, so it computes each opening's leaf; an FRI index must equal it.
+    Since version 17 the trace tree holds D0 coset by coset (base_eval_domain):
+    the row at g·x is the leaf after x's but at a coset's last point, so
+    its path is empty when x's leaf is even.
 
     Each query opens the trace rows at x and g·x, then one leaf per FRI layer,
     the one that holds the values at y and -y; the last layer's fold is
@@ -202,13 +205,15 @@ def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
 
 
 def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
-    """The domain of FRI layer 0 and of the trace table, ascending: the union
-    of min(BLOWUP, m - 1) cosets x·H other than H itself, m = (q - 1)/|H|.
+    """D0, the domain of FRI layer 0 and of the trace table, in the trace
+    tree's leaf order: the union of min(BLOWUP, m - 1) cosets x·H other than
+    H itself, m = (q - 1)/|H|, coset by coset, each as x, x·g, ..., x·g^N.
 
     The cosets are those of x = 2, 3, ..., each new one met in that order; x·H
-    is keyed by x^|H|, and H has key 1. When F_q* has at most BLOWUP cosets
-    besides H, the union is all of F_q* minus H. Negation-closed for even |H|,
-    since -1 is then in H. Costs O(BLOWUP·|H|) steps, not O(q). Never empty:
+    is keyed by x^|H|, and H has key 1. So g·y is the point after y, but at
+    x·g^N, whose g·y is x. When F_q* has at most BLOWUP cosets besides H, the
+    union is all of F_q* minus H. Negation-closed for even |H|, since -1 is
+    then in H. Costs O(BLOWUP·|H|) steps, not O(q). Never empty:
     check_publics refuses |H| = q - 1, where no coset besides H exists.
     """
     q = field.modulus
@@ -223,17 +228,16 @@ def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
         if key not in keys:
             keys.add(key)
             points += [x * h % q for h in domain.elements]
-    return sorted(points)
+    return points
 
 
 def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List[List[int]]:
-    """Evaluation domains for FRI layers 0..count-1.
-
-    Each next domain is the squared previous one closed under negation, so the
+    """Evaluation domains for FRI layers 0..count-1, each ascending: d0 sorted,
+    then each next one the squared previous one closed under negation, so the
     pair (y, -y) needed by the folding identity is always committable.
     """
     q = field.modulus
-    doms = [list(d0)]
+    doms = [sorted(d0)]
     for _ in range(count - 1):
         squares = {x * x % q for x in doms[-1]}
         doms.append(sorted(squares | {(q - s) % q for s in squares}))
@@ -243,18 +247,19 @@ def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List
 class _Domains:
     """Everything prove and verify take from (q, N), built once after
     check_publics: the trace subgroup H, its generator g, the largest degree
-    bound a proof may declare, the paper AIR's 2N - 2, and the domains D_j of
-    the num_rounds(2N - 2) FRI layers any accepted proof reaches; the trace
-    tree has |D_0| leaves and the tree of layer j |D_j|/2. D_0, from base_eval_domain, is at most
-    BLOWUP cosets of H and is where sample points are drawn. verify rejects
-    a declared bound above the worst case before it reads a layer.
+    bound a proof may declare, the paper AIR's 2N - 2, D_0 in the trace
+    tree's leaf order (trace_points, from base_eval_domain), and the sorted
+    domains D_j of the num_rounds(2N - 2) FRI layers any accepted proof
+    reaches, whose trees have |D_j|/2 leaves. Sample points are drawn from
+    layers[0]. verify rejects a declared bound above the worst case before
+    it reads a layer.
 
-    The coset-DFT plan of a layer is built on its first use, so a verifier
-    builds none and a Fiat-Shamir prover only those of the layers it commits.
-    So is the table of inverses (x - 1)^(-1) on D_0 from which prove takes
-    the boundary columns (boundary_inverses): the first prove builds it, a
-    verifier never. Nothing here depends on a proof; a plan keeps, per slot
-    width, the power rows of the longest list it has evaluated
+    The coset-DFT plans, of each layer and of the trace table, are built on
+    first use, so a verifier builds none and a Fiat-Shamir prover only those
+    of the tables it commits. So is the table of inverses (x - 1)^(-1) on
+    trace_points from which prove takes the boundary columns
+    (boundary_inverses). Nothing here depends on a proof; a plan keeps, per
+    slot width, the power rows of the longest list it has evaluated
     (CosetEvaluator._powers).
     """
 
@@ -264,14 +269,28 @@ class _Domains:
         self.subgroup = build_domain(self.field, num_steps + 1)
         self.g = self.subgroup.generator
         self.worst_bound = PAPER_AIR.worst_bound(num_steps)
-        self.layers = layer_eval_domains(self.field, base_eval_domain(self.field, self.subgroup),
+        self.trace_points = base_eval_domain(self.field, self.subgroup)
+        self.layers = layer_eval_domains(self.field, self.trace_points,
                                          num_rounds(self.worst_bound))
-        self.plans: Dict[int, CosetEvaluator] = {}
+        order = self.subgroup.order
+        # per coset c·H of D0, keyed by c^|H|: its number and c^(-1), c its first point
+        self._cosets = {pow(c, order, q): (t, pow(c, -1, q))
+                        for t, c in enumerate(self.trace_points[::order])}
+        self._log = {h: i for i, h in enumerate(self.subgroup.elements)}  # g^i -> i
+        self.plans: Dict[Optional[int], CosetEvaluator] = {}
         self._boundary_inverses: Optional[List[int]] = None
 
+    def leaf(self, point: int) -> int:
+        """The trace tree's leaf of `point`, t·|H| + i for c·g^i in coset t of
+        D0: the one rule for which points have a trace leaf, or ValueError."""
+        q, order = self.field.modulus, self.subgroup.order
+        coset = self._cosets.get(pow(point, order, q)) if 0 < point < q else None
+        if coset is None:
+            raise ValueError(f"point {point} is not in D0, the domain of FRI layer 0")
+        return coset[0] * order + self._log[point * coset[1] % q]
+
     def index(self, layer: int, point: int) -> int:
-        """The position of `point` in sorted FRI layer `layer`, its trace tree leaf
-        for layer 0: the one rule for which points have a leaf, or ValueError."""
+        """The position of `point` in sorted FRI layer `layer`, or ValueError."""
         points = self.layers[layer]
         i = bisect_left(points, point)
         if i == len(points) or points[i] != point:
@@ -293,25 +312,26 @@ class _Domains:
             points.append(points[-1] * points[-1] % q)
         return points
 
-    def evaluator(self, j: int) -> CosetEvaluator:
-        """Coset DFT onto the domain of FRI layer j (layer 0 holds the trace table
-        too), a union of cosets of H^(2^j); racing threads may each build one."""
+    def evaluator(self, j: Optional[int] = None) -> CosetEvaluator:
+        """Coset DFT onto the sorted domain of FRI layer j, or, with no j, onto
+        trace_points, the trace table's; racing threads may each build one."""
         plan = self.plans.get(j)
         if plan is None:
-            q, order = self.field.modulus, self.subgroup.order
-            plan = CosetEvaluator(self.field, self.layers[j], pow(self.g, 2 ** j, q),
-                                  order // gcd(order, 2 ** j))
+            q, order, step = self.field.modulus, self.subgroup.order, 2 ** (j or 0)
+            points = self.trace_points if j is None else self.layers[j]
+            plan = CosetEvaluator(self.field, points, pow(self.g, step, q),
+                                  order // gcd(order, step))
             self.plans[j] = plan
         return plan
 
     def boundary_inverses(self) -> List[int]:
-        """(x - 1)^(-1) at every point x of D0, in its order; 1 is in H, so in
-        no coset of D0. Built on first use, like the plans, so by the first
-        prove and by no verifier; racing threads may each build it."""
+        """(x - 1)^(-1) at every point x of trace_points, in its order; 1 is in
+        H, so in no coset of D0. Built on first use, like the plans, so by the
+        first prove and by no verifier; racing threads may each build it."""
         inverses = self._boundary_inverses
         if inverses is None:
             q = self.field.modulus
-            inverses = self._boundary_inverses = [pow(x - 1, -1, q) for x in self.layers[0]]
+            inverses = self._boundary_inverses = [pow(x - 1, -1, q) for x in self.trace_points]
         return inverses
 
 
@@ -323,25 +343,24 @@ def _domains(q: int, num_steps: int) -> _Domains:
 
 
 class _Committed:
-    """Evaluation tables of polynomials on the domain of one FRI layer, one
-    Merkle leaf per point: the trace tree.
+    """Evaluation tables of polynomials on D0 in the trace tree's leaf order
+    (_Domains.trace_points), one Merkle leaf per point: the trace tree.
 
     The tables are kept by column; a row is built to be hashed, then dropped,
     and built again only if it is opened.
     """
 
-    def __init__(self, tables: List[List[int]], domains: _Domains, layer: int):
+    def __init__(self, tables: List[List[int]], domains: _Domains):
         self.tables = tables
         self.tree = MerkleTree(self.rows())
         self.domains = domains
-        self.layer = layer
 
     def rows(self):
         return zip(*self.tables)
 
     def open_rows(self, points: Sequence[int]) -> List[RowOpening]:
         """The rows at `points`, in order, opened as one batch."""
-        leaves = [self.domains.index(self.layer, p) for p in points]
+        leaves = [self.domains.leaf(p) for p in points]
         return [RowOpening(tuple(t[i] for t in self.tables), path)
                 for i, path in zip(leaves, self.tree.open(leaves))]
 
@@ -352,7 +371,8 @@ class _CommittedPairs(_Committed):
     the i-th point of D, below q/2, so q - d is its (|D| - 1 - i)-th point."""
 
     def __init__(self, poly: Polynomial, domains: _Domains, layer: int):
-        super().__init__(domains.evaluator(layer).evaluate([poly]), domains, layer)
+        super().__init__(domains.evaluator(layer).evaluate([poly]), domains)
+        self.layer = layer
 
     def rows(self):
         table = self.tables[0]
@@ -518,14 +538,14 @@ def prove(
     transcript.absorb("spec", hash_spec(field, spec))
 
     g = domains.g
-    tables = domains.evaluator(0).evaluate(tp)
+    tables = domains.evaluator().evaluate(tp)  # in the trace tree's leaf order
     # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
     # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forced trace or not
     inverses = domains.boundary_inverses()
     for table, f in zip(tables[:n], tp):
         f_one = sum(f.coeffs)
         tables.append([(v - f_one) * w % q for v, w in zip(table, inverses)])
-    trace_cm = _Committed(tables, domains, 0)
+    trace_cm = _Committed(tables, domains)
     transcript.absorb("trace", trace_cm.tree.root)
 
     gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]
@@ -679,7 +699,7 @@ def verify(
         xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
-    leaves = [(domains.index(0, x), domains.index(0, g * x % q)) for x in xs]  # rows at x, g·x
+    leaves = [(domains.leaf(x), domains.leaf(g * x % q)) for x in xs]  # rows at x, g·x
 
     # --- stage: commitment ---------------------------------------------------
     layer_comms = (comms.composition, *fri.roots)

@@ -148,20 +148,3 @@ def run_replay() -> List[CheckResult]:
 
     return checks
 
-
-def replay_config() -> dict:
-    """The worked example as a run configuration document."""
-    return {
-        "q": str(MODULUS),
-        "A_hat": [[str(v) for v in row] for row in SYSTEM.a_hat],
-        "z_upper": [str(v) for v in SYSTEM.z_upper],
-        "z_lower": [str(v) for v in SYSTEM.z_lower],
-        "z_init": [str(v) for v in SYSTEM.z_init],
-        "N": str(SYSTEM.num_steps),
-        "queries": len(SAMPLE_POINTS),
-        "challenges": {
-            "gammas": [str(v) for v in GAMMAS],
-            "betas": [str(v) for v in BETAS],
-            "sample_points": [str(v) for v in SAMPLE_POINTS],
-        },
-    }

@@ -8,6 +8,7 @@ from projstark import PrimeField, SystemSpec, build_domain, fold, simulate
 from projstark.dynamics import ExecutionTrace, StepRecord, step_slack
 from projstark.fri import num_rounds
 from projstark.protocol import Opening, RowOpening, base_eval_domain
+from projstark import reference_example as ref
 from projstark.reference_example import SYSTEM
 
 ROW_KEYS = [f.name for f in dataclasses.fields(RowOpening)]
@@ -115,11 +116,29 @@ def random_spec(rng: random.Random, q: int, n_max: int = 4, orders=None) -> Syst
     )
 
 
+def replay_config() -> dict:
+    """The worked example as a run configuration document."""
+    return {
+        "q": str(ref.MODULUS),
+        "A_hat": [[str(v) for v in row] for row in SYSTEM.a_hat],
+        "z_upper": [str(v) for v in SYSTEM.z_upper],
+        "z_lower": [str(v) for v in SYSTEM.z_lower],
+        "z_init": [str(v) for v in SYSTEM.z_init],
+        "N": str(SYSTEM.num_steps),
+        "queries": len(ref.SAMPLE_POINTS),
+        "challenges": {
+            "gammas": [str(v) for v in ref.GAMMAS],
+            "betas": [str(v) for v in ref.BETAS],
+            "sample_points": [str(v) for v in ref.SAMPLE_POINTS],
+        },
+    }
+
+
 def random_challenges(rng: random.Random, q: int, spec: SystemSpec, num_queries: int) -> dict:
     """Injected challenge lists for replay-mode trials; the sample points are
     drawn from the committed domain, as a Fiat-Shamir transcript draws them."""
     field = PrimeField(q)
-    allowed = base_eval_domain(field, build_domain(field, spec.num_steps + 1))
+    allowed = sorted(base_eval_domain(field, build_domain(field, spec.num_steps + 1)))
     return {
         "gammas": [rng.randint(1, q - 1) for _ in range(4 * spec.n)],
         "betas": [rng.randint(1, q - 1) for _ in range(64)],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WRAPPING_SYSTEM, keyed, positional, wrapping_trace
+from conftest import WRAPPING_SYSTEM, keyed, positional, replay_config, wrapping_trace
 from test_protocol import PINNED_PROOF_DIGESTS
 from projstark import field as field_module
 from projstark import reference_example as ref
@@ -38,13 +38,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(ref.replay_config()))
+    path.write_text(json.dumps(replay_config()))
     return str(path)
 
 
 @pytest.fixture()
 def fs_config_path(tmp_path):
-    doc = ref.replay_config()
+    doc = replay_config()
     del doc["challenges"]
     path = tmp_path / "fs-config.json"
     path.write_text(json.dumps(doc))
@@ -78,7 +78,7 @@ def test_simulate_writes_trace_and_reports(tmp_path, config_path, capsys):
 
 
 def test_config_rejects_composite_modulus(tmp_path):
-    doc = ref.replay_config()
+    doc = replay_config()
     doc["q"] = "330"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -86,7 +86,7 @@ def test_config_rejects_composite_modulus(tmp_path):
 
 
 def test_config_rejects_bad_subgroup(tmp_path):
-    doc = ref.replay_config()
+    doc = replay_config()
     doc["N"] = "6"  # N+1 = 7 does not divide 330
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -100,7 +100,7 @@ def test_config_rejects_missing_file(tmp_path):
 def test_config_rejects_overlong_integer_literal(tmp_path):
     # json refuses integer literals over 4300 digits with a plain ValueError
     path = tmp_path / "long.json"
-    text = json.dumps({**ref.replay_config(), "N": 0})
+    text = json.dumps({**replay_config(), "N": 0})
     path.write_text(text.replace('"N": 0', '"N": ' + "7" * 5001))
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
 
@@ -127,7 +127,7 @@ def test_huge_modulus_is_refused_before_any_primality_test(tmp_path, monkeypatch
         raise AssertionError("q was tested for primality before its size was checked")
 
     monkeypatch.setattr(field_module, "is_prime", no_primality_test)
-    path = _write_config(tmp_path, {**ref.replay_config(), "q": str(q)})
+    path = _write_config(tmp_path, {**replay_config(), "q": str(q)})
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "must be below 2^64, got a 9689-bit q" in err
@@ -147,7 +147,7 @@ def _write_config(tmp_path, doc, name="edited.json"):
 
 
 def test_config_queries_above_max_is_a_config_error(tmp_path, trace_path, capsys):
-    doc = ref.replay_config()
+    doc = replay_config()
     doc["queries"] = 2000
     assert doc["queries"] > MAX_QUERIES
     path = _write_config(tmp_path, doc)
@@ -177,7 +177,7 @@ def test_a_config_without_a_key_no_config_can_leave_out_is_refused_by_name(tmp_p
 
 def test_a_config_replays_exactly_when_it_has_a_challenges_block(tmp_path):
     # null stands for a left-out block, as for any Optional field
-    for transcript, doc in ((ReplayTranscript, ref.replay_config()),
+    for transcript, doc in ((ReplayTranscript, replay_config()),
                             (FiatShamirTranscript, _fs_doc()),
                             (FiatShamirTranscript, _fs_doc(challenges=None))):
         config = load_config(_write_config(tmp_path, doc))
@@ -187,7 +187,7 @@ def test_a_config_replays_exactly_when_it_has_a_challenges_block(tmp_path):
 @pytest.mark.parametrize("mode", ["replay", "fiat-shamir"])
 def test_a_config_that_names_a_mode_is_refused(tmp_path, capsys, mode):
     # the challenges block alone picks the transcript, so no key says it again
-    for doc in (ref.replay_config(), _fs_doc()):
+    for doc in (replay_config(), _fs_doc()):
         path = _write_config(tmp_path, {**doc, "mode": mode})
         assert main(["simulate", "--config", path]) == EXIT_CONFIG
         assert "unknown key 'mode'" in capsys.readouterr().err
@@ -199,7 +199,7 @@ def test_the_paper_replay_config_runs_from_the_cli_to_the_pinned_proof(tmp_path)
     # a replay config spells out every key a config has
     keys = {"A_hat", "N", "z_upper", "z_lower", "z_init", "q", "queries", "challenges"}
     assert {f.name for f in dataclasses.fields(ConfigDocument)} == keys
-    doc = ref.replay_config()
+    doc = replay_config()
     assert set(doc) == keys
     config = _write_config(tmp_path, doc)
     trace, proof = str(tmp_path / "trace.json"), tmp_path / "proof.json"
@@ -211,7 +211,7 @@ def test_the_paper_replay_config_runs_from_the_cli_to_the_pinned_proof(tmp_path)
 
 
 def test_config_negative_queries_is_a_config_error(tmp_path, trace_path):
-    path = _write_config(tmp_path, {**ref.replay_config(), "queries": -3})
+    path = _write_config(tmp_path, {**replay_config(), "queries": -3})
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
 
@@ -239,7 +239,7 @@ def test_prove_takes_mode_and_queries_from_the_config_only(tmp_path, config_path
 
 
 def _fs_doc(**fields):
-    doc = ref.replay_config()
+    doc = replay_config()
     del doc["challenges"]
     doc.update(fields)
     return doc
@@ -624,7 +624,7 @@ def _refuses_every_wrong_type(tmp_path, cls, base, read, command):
 
 
 def test_load_config_refuses_every_wrong_type(tmp_path, capsys):
-    base = ref.replay_config()
+    base = replay_config()
     cases = _refuses_every_wrong_type(tmp_path, ConfigDocument, base, load_config,
                                       lambda path: ["simulate", "--config", path])
     assert cases > 6 * (len(ref.GAMMAS) + len(ref.BETAS) + len(ref.SAMPLE_POINTS))
@@ -658,7 +658,7 @@ def test_a_misspelled_config_key_is_refused_by_name(tmp_path, capsys):
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
     assert "unknown key 'querys'" in capsys.readouterr().err
     doc["queries"] = doc.pop("querys")
-    doc["challenge"] = ref.replay_config()["challenges"]
+    doc["challenge"] = replay_config()["challenges"]
     path = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", path]) == EXIT_CONFIG
     assert "unknown key 'challenge'" in capsys.readouterr().err
@@ -671,7 +671,7 @@ def test_a_misspelled_config_key_is_refused_by_name(tmp_path, capsys):
         "arabic-indic"])
 def test_a_config_integer_has_one_spelling(tmp_path, capsys, where, text):
     # int() reads each of these texts as the number str() writes without them
-    doc = ref.replay_config()
+    doc = replay_config()
     assert str(_at(doc, where)) == str(int(text, 10))
     _at(doc, where[:-1])[where[-1]] = text
     path = _write_config(tmp_path, doc)
@@ -715,7 +715,7 @@ def test_a_replay_challenge_no_transcript_can_draw_is_a_config_error(
     honest = str(tmp_path / "honest.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path,
                  "--out", honest]) == EXIT_OK
-    doc = ref.replay_config()
+    doc = replay_config()
     doc["challenges"][where][0] = value
     path = _write_config(tmp_path, doc)
     proof = str(tmp_path / "proof.json")
@@ -726,7 +726,7 @@ def test_a_replay_challenge_no_transcript_can_draw_is_a_config_error(
         load_config(path)
 
 
-PAPER_CHALLENGES = ref.replay_config()["challenges"]
+PAPER_CHALLENGES = replay_config()["challenges"]
 
 
 @pytest.mark.parametrize("challenges,message", [
@@ -743,7 +743,7 @@ def test_a_replay_config_with_too_few_challenges_is_a_config_error(
     honest = str(tmp_path / "honest.json")
     assert main(["prove", "--config", config_path, "--trace", trace_path,
                  "--out", honest]) == EXIT_OK
-    path = _write_config(tmp_path, {**ref.replay_config(), "challenges": challenges})
+    path = _write_config(tmp_path, {**replay_config(), "challenges": challenges})
     proof = str(tmp_path / "proof.json")
     assert main(["prove", "--config", path, "--trace", trace_path, "--out", proof]) == EXIT_CONFIG
     assert main(["verify", "--config", path, "--proof", honest]) == EXIT_CONFIG
@@ -798,7 +798,7 @@ def test_the_long_horizon_config_loads_to_its_values():
 
 @pytest.mark.parametrize("spell", [str, int])
 def test_replay_config_loads_the_same_in_either_spelling(tmp_path, spell):
-    path = _write_config(tmp_path, _spelled(ref.replay_config(), spell))
+    path = _write_config(tmp_path, _spelled(replay_config(), spell))
     challenges = {"gammas": list(ref.GAMMAS), "betas": list(ref.BETAS),
                   "sample_points": list(ref.SAMPLE_POINTS)}
     assert load_config(path) == RunConfig(PrimeField(ref.MODULUS), ref.SYSTEM,

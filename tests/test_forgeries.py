@@ -1,6 +1,8 @@
 """The soundness scoreboard: each known break of the Fiat-Shamir verifier as a
 strict expected failure, built through the public API on the paper system
-or, for the wrapped step, on conftest's one-coordinate WRAPPING_SYSTEM.
+or, for the wrapped step, on conftest's one-coordinate WRAPPING_SYSTEM; the
+wrong start also replaces the trace tree's boundary tables, by patching
+protocol._Committed.
 
 Each forgery is a trajectory that breaks the dynamics, which the honest prover
 refuses. Committed with prove(force=True) at 8 queries, verify should reject
@@ -22,6 +24,7 @@ from projstark import (ExecutionTrace, FiatShamirTranscript, InvalidTraceError, 
                        StepRecord, SystemSpec, prove, step_slack, verify)
 from projstark import protocol
 from projstark.air import DEGREE_2_AIR
+from projstark.dynamics import apply_transition
 from projstark.poly import Polynomial
 from projstark.reference_example import MODULUS, SYSTEM
 from test_protocol import BENCHMARK_SHAPES
@@ -69,6 +72,34 @@ def shifted_state() -> ExecutionTrace:
     return trajectory({5: StepRecord(shifted, honest.alpha_up, honest.alpha_lo, honest.delta)})
 
 
+def wrong_start() -> ExecutionTrace:
+    # the constant trajectory z_k = z_upper, with both bits of every step 0
+    # and 1 and the slack A_hat·z_upper - z_lower, so z_0 = (100, 100) where
+    # z_init = (3, 100): every step constraint holds, and only the boundary
+    # fails
+    N, n = SYSTEM.num_steps, SYSTEM.n
+    delta = tuple(w - lo for w, lo in zip(apply_transition(SYSTEM, SYSTEM.z_upper), SYSTEM.z_lower))
+    return ExecutionTrace(SYSTEM, z_rows=(SYSTEM.z_upper,) * (N + 1), alpha_up_rows=((0,) * n,) * N,
+                          alpha_lo_rows=((1,) * n,) * N, delta_rows=(delta,) * N)
+
+
+def forge_boundary_tables(monkeypatch) -> None:
+    """Make prove commit, as the n boundary columns of its trace tree, the
+    tables (f_z(x) - z_init)·(x - 1)^(-1) in place of the floor quotients:
+    they meet the boundary identity at every point of D0, and no FRI tests
+    their degree."""
+    init = protocol._Committed.__init__
+
+    def forged(self, tables, domains):
+        if type(self) is protocol._Committed:  # the trace tree, not a tree of pairs
+            q, n, inverses = domains.field.modulus, SYSTEM.n, domains.boundary_inverses()
+            tables = tables[:-n] + [[(v - z0) * w % q for v, w in zip(table, inverses)]
+                                    for table, z0 in zip(tables[:n], SYSTEM.z_init)]
+        init(self, tables, domains)
+
+    monkeypatch.setattr(protocol._Committed, "__init__", forged)
+
+
 def accepted(trace: ExecutionTrace, salt: bytes, spec: SystemSpec = SYSTEM) -> bool:
     field = PrimeField(MODULUS)
     proof = prove(field, spec, trace, FiatShamirTranscript(MODULUS, salt=salt),
@@ -76,7 +107,7 @@ def accepted(trace: ExecutionTrace, salt: bytes, spec: SystemSpec = SYSTEM) -> b
     return verify(field, spec, proof, num_queries=QUERIES).accepted
 
 
-@pytest.mark.parametrize("forgery", [wrong_clip, missing_clip, shifted_state])
+@pytest.mark.parametrize("forgery", [wrong_clip, missing_clip, shifted_state, wrong_start])
 def test_the_honest_prover_refuses_each_forged_trajectory(forgery):
     with pytest.raises(InvalidTraceError):
         prove(PrimeField(MODULUS), SYSTEM, forgery(), FiatShamirTranscript(MODULUS),
@@ -99,8 +130,18 @@ def test_missing_clip_is_rejected():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 def test_salt_grinding_is_rejected():
     # the prover picks the salt, and so the composition weights drawn from F_q:
-    # b"149" is the first of b"0", b"1", ... whose weights cancel the two failures
-    assert not accepted(shifted_state(), salt=b"149")
+    # b"41" is the first of b"0", b"1", ... whose weights cancel the two failures
+    assert not accepted(shifted_state(), salt=b"41")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+def test_wrong_start_is_rejected(monkeypatch):
+    # only Q is FRI-tested, so the boundary columns can hold any table:
+    # committed as forge_boundary_tables commits them, the wrong start passes
+    # the boundary stage at every sample point. Accepted for each salt of
+    # b"0" to b"9", at 8 and at 64 queries
+    forge_boundary_tables(monkeypatch)
+    assert not accepted(wrong_start(), salt=b"0")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, keyed, minimal_multiproof, positional,
-                      random_challenges, random_spec, wrapping_trace)
+from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, criterion_06_specs, keyed,
+                      minimal_multiproof, positional, random_challenges, random_spec, replay_config,
+                      wrapping_trace)
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -355,16 +356,16 @@ def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, p
     committed = []
     init = protocol._Committed.__init__
 
-    def spy(self, tables, domains, layer):
+    def spy(self, tables, domains):
         committed.append(tables)
-        init(self, tables, domains, layer)
+        init(self, tables, domains)
 
     monkeypatch.setattr(protocol._Committed, "__init__", spy)
     prove(field, paper_spec, trace, FiatShamirTranscript(ref.MODULUS), num_queries=2,
           force=forced)
     n, q = paper_spec.n, field.modulus
     domains = protocol._domains(q, paper_spec.num_steps)
-    points = domains.layers[0]
+    points = domains.trace_points
     f_z = build_trace_polys(trace, domains.subgroup)[:n]
     boundary = committed[0][4 * n:]
     assert len(boundary) == n
@@ -991,10 +992,12 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
         assert report.detail.startswith(f"{tree} tree, {query}: a path of {len(path)} bytes, "
                                         "where its leaf needs ")
         edited += 1
-    # 2 queries of 7 openings, each with a path; 8 queries of 3 openings
-    # (one FRI layer), 1 of which reopens a leaf an earlier query opened and
-    # so has an empty path
-    assert edited == (14 if replay else 23 if edit == "drop-last" else 24)
+    # 2 queries of 7 openings, each with a path but the 2 rows at g·x, whose
+    # leaves are the ones after x's, both even; 8 queries of 3 openings (one
+    # FRI layer), of which 4 rows at g·x so placed and 1 FRI opening of a leaf
+    # an earlier query opened have an empty path. Every path can grow
+    openings, empty = (14, 2) if replay else (24, 5)
+    assert edited == openings - empty * (edit == "drop-last")
 
 
 @pytest.mark.parametrize("replay", [True, False])
@@ -1169,7 +1172,7 @@ def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
     # json.loads reads -0 as the integer 0: the 64-query proof with its first
     # FRI opening at index 0, "fri":[[[0,, written "fri":[[[-0, would be a
     # second text of the same proof (salted so that one query's leaf is 0)
-    salt = b"1"
+    salt = b"0"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     text = dump_proof(proof)
@@ -1232,7 +1235,7 @@ def test_load_proof_rejects_bad_path_digests(paper_proof):
     # null, a list of digests (version 9's form) or other than base64, and
     # not one byte short or long
     base = keyed(proof_to_json(paper_proof))
-    for where in (("queries", 1, "fri", 0, 0, "path"), ("queries", 0, "trace", 1, "path")):
+    for where in (("queries", 1, "fri", 0, 0, "path"), ("queries", 0, "trace", 0, "path")):
         path = base64.b64decode(_at(base, where))
         assert len(path) >= 3 * 32
         hex_list = [path[i:i + 32].hex() for i in range(0, len(path), 32)]
@@ -1292,7 +1295,7 @@ def test_verify_and_the_cli_refuse_a_version_4_proof(field, paper_spec, paper_tr
     monkeypatch.undo()
     report = verify(field, paper_spec, proof)
     assert (report.verdict, report.stage) == ("reject", "commitment")
-    config = ref.replay_config()
+    config = replay_config()
     del config["challenges"]
     (tmp_path / "config.json").write_text(json.dumps(config))
     for version, made in ((4, proof), (5, prove_v6())):
@@ -1411,7 +1414,7 @@ def _assert_earlier_version_refused(doc: dict, pinned: str, tmp_path) -> None:
     assert hashlib.sha256(text.encode()).hexdigest() == pinned
     with pytest.raises(ProofFormatError, match=f"unsupported proof version {doc['version']}"):
         load_proof(text)
-    (tmp_path / "config.json").write_text(json.dumps(ref.replay_config()))
+    (tmp_path / "config.json").write_text(json.dumps(replay_config()))
     (tmp_path / "proof.json").write_text(text)
     assert main(["verify", "--config", str(tmp_path / "config.json"),
                  "--proof", str(tmp_path / "proof.json")]) == EXIT_MALFORMED
@@ -1524,9 +1527,10 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
 # padded standard base64, a path its digests joined, each opening the list
-# of its fields' values; proof version 16:
+# of its fields' values; proof version 17:
 # Fiat-Shamir proofs of the degree-2 AIR and replay proofs of the paper's,
-# one row-leaf trace tree, one leaf per pair {y, -y} in the composition and
+# one row-leaf trace tree whose leaves run coset by coset, each in power
+# order, so the row at g·x is the leaf after x's, one leaf per pair {y, -y} in the composition and
 # FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
 # under Fiat-Shamir while a layer costs less than the coefficients it drops
 # from the remainder, and to a constant for replay, at most
@@ -1538,19 +1542,19 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "7e783e562c87ac512f2a1ff08325b1789552e0cf4c9a9e4cd71b819d28759533",
-    "paper-fiat-shamir": "6487c14a95e9f32a7d8a0b025bd5c66c72706e57a5afd2205247a6f6ef2349c3",
+    "paper-replay": "8d6f6a3e3d3e34dfe275c541b9182ec93637048d95ed49d2870653901ad1a5e5",
+    "paper-fiat-shamir": "5dd7bf6a06af2fa00795f7ea8649427b0a5c19f8e3fffbcbf9ac68a3c68b2a6a",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed, and 38 folded once leaves a remainder of 20 coefficients
-    "q3001-fiat-shamir": "0e0f862b0038931138c0857f3f97af420ddfe2ba1d5804d41d3632f4238ac572",
+    "q3001-fiat-shamir": "ba71c5270d73571ea5921246c2ac25246626db2f04eb6cfc2839054e6db6be02",
     # q=12289, N+1=128, one query: 126 folded once leaves 64 coefficients
     "q12289-one-query-fiat-shamir":
-        "01347fa799d14fbe2f854bcef10491d4c25a0c617de54749079c25e738f06cfb",
+        "5d09dbba1424eaefc2f327ca98f3e46a46927f0fff3ccac6f86d881ab62571ab",
     # q=769, N+1=256, one query: 254 folded three times leaves 32
     # coefficients, and FRI layers 1 and 2, unions of cosets of the subgroups
     # of order 128 and 64, are committed
     "q769-one-query-fiat-shamir":
-        "aa98eaac00472d2daaccf163a8cb1bc8d6e157713fdd8f1516cfedd3924add42",
+        "d1ea530710a47e0efea39be81ac2153c87b8115b58a3ce986296b62c1c3cfb57",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1573,7 +1577,7 @@ def _doc_digest(doc: dict) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 16
+    assert paper_proof.version == PROOF_VERSION == 17
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1659,24 +1663,78 @@ VERSION_15_DIGESTS = {
 
 
 def _as_made_by_version_15(make) -> dict:
-    """The document of the proof make() returns as version 15 made it: under
-    Fiat-Shamir too of the paper's AIR, so with its bound 2N - 2 and the fold
-    count and remainder that gives, and its version 15; all else as made."""
+    """The document of the proof make() returns as version 15 made it: as
+    version 16 made it, but under Fiat-Shamir too of the paper's AIR, so with
+    its bound 2N - 2 and the fold count and remainder that gives, and its
+    version 15."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(protocol, "DEGREE_2_AIR", PAPER_AIR)
-        return {**proof_to_json(make()), "version": 15}
+        return {**_as_made_by_version_16(make), "version": 15}
 
 
 @pytest.mark.parametrize("name", sorted(VERSION_15_DIGESTS))
 def test_version_16_changes_only_the_air_of_fiat_shamir_proofs(name):
     # made of the paper's AIR under Fiat-Shamir too and labelled version 15,
-    # each pinned proof is version 15's byte for byte; the replay proof is
-    # as this version makes it, but for its version
-    doc = proof_to_json(_pinned_proof(name))
-    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    # each pinned proof as version 16 made it is version 15's byte for byte;
+    # the replay proof is as version 16 made it, but for its version
+    v16 = _as_made_by_version_16(lambda: _pinned_proof(name))
+    assert _doc_digest(v16) == VERSION_16_DIGESTS[name]
     v15 = _as_made_by_version_15(lambda: _pinned_proof(name))
     assert _doc_digest(v15) == VERSION_15_DIGESTS[name]
-    assert (doc == {**v15, "version": 16}) == (name == "paper-replay")
+    assert (v16 == {**v15, "version": 16}) == (name == "paper-replay")
+
+
+# what PINNED_PROOF_DIGESTS held in proof version 16, whose trace tree had
+# its leaves in ascending order of their points
+VERSION_16_DIGESTS = {
+    "paper-replay": "7e783e562c87ac512f2a1ff08325b1789552e0cf4c9a9e4cd71b819d28759533",
+    "paper-fiat-shamir": "6487c14a95e9f32a7d8a0b025bd5c66c72706e57a5afd2205247a6f6ef2349c3",
+    "q3001-fiat-shamir": "0e0f862b0038931138c0857f3f97af420ddfe2ba1d5804d41d3632f4238ac572",
+    "q12289-one-query-fiat-shamir":
+        "01347fa799d14fbe2f854bcef10491d4c25a0c617de54749079c25e738f06cfb",
+    "q769-one-query-fiat-shamir":
+        "aa98eaac00472d2daaccf163a8cb1bc8d6e157713fdd8f1516cfedd3924add42",
+}
+
+
+def _as_made_by_version_16(make) -> dict:
+    """The document of the proof make() returns as version 16 made it: its
+    trace tree's leaves, trace table and boundary inverses in ascending order
+    of their points, the leaf of a point its position in D0 sorted, and its
+    version 16; all else as made. The domains made so are dropped after."""
+    unsorted = protocol.base_eval_domain
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(protocol, "base_eval_domain", lambda *args: sorted(unsorted(*args)))
+        m.setattr(protocol._Domains, "leaf", lambda domains, point: domains.index(0, point))
+        protocol._domains.cache_clear()
+        try:
+            return {**proof_to_json(make()), "version": 16}
+        finally:
+            protocol._domains.cache_clear()
+
+
+def _trace_tree_blanked(doc: dict) -> dict:
+    """The document with its trace root and its trace rows' paths blanked."""
+    doc = json.loads(json.dumps(doc))
+    doc["commitments"]["trace"]["root"] = ""
+    for qd in doc["queries"]:
+        for row in qd["trace"]:
+            row[-1] = ""
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_16_DIGESTS))
+def test_version_17_changes_only_the_order_of_the_trace_leaves(name):
+    # made with version 16's ascending leaf order and labelled version 16,
+    # each pinned proof is version 16's byte for byte. A replay proof draws
+    # no challenge from the trace root, so only that root and the trace
+    # paths differ; a Fiat-Shamir proof draws other challenges from it
+    doc = proof_to_json(_pinned_proof(name))
+    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    v16 = _as_made_by_version_16(lambda: _pinned_proof(name))
+    assert _doc_digest(v16) == VERSION_16_DIGESTS[name]
+    same = _trace_tree_blanked(doc) == {**_trace_tree_blanked(v16), "version": 17}
+    assert same == (name == "paper-replay")
 
 
 # what PINNED_PROOF_DIGESTS held in proof version 14, whose openings were
@@ -1764,7 +1822,8 @@ def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
     # 192 openings (2 trace rows and 1 FRI layer per query) and a remainder
-    # of 15 coefficients in 15,058 bytes, against 15,188 in version 15, whose
+    # of 15 coefficients in 13,974 bytes, against 15,058 in version 16, whose
+    # trace leaves were in ascending order, 15,188 in version 15, whose
     # paper AIR sent 29, 18,708 in version 14, which keyed each opening by
     # its field names, and 25,444 in version 13, whose openings were made one
     # by one; folded to a constant in 6 FRI layers, version 11 sent 512
@@ -1779,15 +1838,17 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
     proof = make()
     assert verify(field, paper_spec, proof).accepted
     assert len(dump_proof(proof)) <= 19 * 1024
-    v15 = _as_made_by_version_15(make)
-    sizes = [len(json.dumps(doc, separators=(",", ":"))) for doc in (v15, _as_version_14(v15))]
-    assert [len(dump_proof(proof)), *sizes] == [15058, 15188, 18708]
+    v16, v15 = _as_made_by_version_16(make), _as_made_by_version_15(make)
+    sizes = [len(json.dumps(doc, separators=(",", ":")))
+             for doc in (v16, v15, _as_version_14(v15))]
+    assert [len(dump_proof(proof)), *sizes] == [13974, 15058, 15188, 18708]
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one FRI layer and a 15-coefficient remainder: 177 digests, the minimal
-    # multiproof of each tree (179 for the sample points version 15 drew),
-    # against 337 in version 13, which sent a
+    # one FRI layer and a 15-coefficient remainder: 152 digests, the minimal
+    # multiproof of each tree, against 177 in version 16, whose trace tree
+    # put the rows at x and g·x in unrelated subtrees (179 for the sample
+    # points version 15 drew), 337 in version 13, which sent a
     # digest a later opening let the verifier compute, and 895 when version
     # 11 folded to a constant in 6 layers. Folding that far, one
     # leaf per FRI pair, opened once, took 64,446 bytes in version 10, each
@@ -1801,13 +1862,17 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     assert verify(field, paper_spec, proof).accepted
     q, domains = ref.MODULUS, protocol._domains(ref.MODULUS, paper_spec.num_steps)
     xs = _drawn_points(field, paper_spec, proof)
-    trace_leaves = [domains.index(0, p) for x in xs for p in (x, domains.g * x % q)]
+    trace_leaves = [domains.leaf(p) for x in xs for p in (x, domains.g * x % q)]
     pair_leaves = [qr.fri[0][0].index for qr in proof.queries]
     minimal = (len(minimal_multiproof(proof.commitments.trace.leaf_count, trace_leaves))
                + len(minimal_multiproof(proof.commitments.composition.leaf_count, pair_leaves)))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) == minimal == 177
+    assert sum(len(o.path) // 32 for o in openings) == minimal == 152
     assert len(dump_proof(proof)) <= 19 * 1024
+    v16 = _as_made_by_version_16(lambda: prove(field, paper_spec, paper_trace,
+                                                FiatShamirTranscript(ref.MODULUS, salt=salt),
+                                                num_queries=64, salt=salt))
+    assert _digests_sent(keyed(v16)) == 177
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -1875,7 +1940,8 @@ def test_threads_share_the_domain_cache():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert digests == [PINNED_PROOF_DIGESTS["q769-one-query-fiat-shamir"]] * 8
-    assert sorted(domains.plans) == [0, 1, 2]
+    # the plans of the trace table (key None) and of the three layers
+    assert set(domains.plans) == {None, 0, 1, 2}
 
 
 def test_domain_cache_stays_at_its_bound():
@@ -1897,12 +1963,13 @@ def test_a_fiat_shamir_prover_builds_only_the_layer_plans_it_commits(
     field, paper_spec, paper_trace
 ):
     # the paper system folds once under Fiat-Shamir, so only layer 0 is
-    # committed, out of num_rounds(2N - 2) = 6 layer domains
+    # committed, out of num_rounds(2N - 2) = 6 layer domains: its plan and
+    # the trace table's (key None), which holds D0 in the trace leaf order
     protocol._domains.cache_clear()
     prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS), num_queries=2)
     domains = protocol._domains(ref.MODULUS, paper_spec.num_steps)
     assert len(domains.layers) == 6
-    assert list(domains.plans) == [0]
+    assert set(domains.plans) == {None, 0}
 
 
 def _layer_count(q, num_steps):
@@ -2025,7 +2092,7 @@ def test_prove_verify_and_the_cli_refuse_the_same_publics(
         verify(field, spec, paper_fs_proof)
     assert str(exc.value) == expected
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**ref.replay_config(), "q": str(q), "N": num_steps}))
+    config.write_text(json.dumps({**replay_config(), "q": str(q), "N": num_steps}))
     with pytest.raises(ConfigError) as exc:
         load_config(str(config))
     assert str(exc.value) == expected
@@ -2265,13 +2332,78 @@ def test_sample_points_are_drawn_from_the_committed_domain():
     assert verify(field, spec, proof, ReplayTranscript(q, **exact)).accepted
 
 
+def _one_coset_shape():
+    """The (q, N) of the first system criterion 06 draws whose D0 is one coset
+    of H: q = 61 and |H| = 30."""
+    return next((field.modulus, spec.num_steps) for field, spec, _ in criterion_06_specs()
+                if (field.modulus - 1) // (spec.num_steps + 1) == 2)
+
+
+@pytest.mark.parametrize("q, num_steps",
+                         [(q, spec.num_steps) for q, spec, _ in BENCHMARK_SHAPES]
+                         + [_one_coset_shape()],
+                         ids=["paper-q64", "field-q12289", "trace-q769", "one-coset"])
+def test_the_trace_leaf_of_g_x_is_the_one_after_the_leaf_of_x(q, num_steps):
+    # D0 coset by coset, the cosets by ascending least point c, each listed
+    # c, c·g, ..., c·g^N: leaf(g·x) = leaf(x) + 1, but at c·g^N, whose g·x
+    # is c, its coset's first leaf. Also where |H| = 30 is no power of two
+    domains = protocol._domains(q, num_steps)
+    order, points = num_steps + 1, domains.trace_points
+    assert sorted(points) == domains.layers[0]
+    assert points[::order] == sorted(points[::order])
+    assert all(points[k] == min(points[k:k + order]) for k in range(0, len(points), order))
+    for leaf, x in enumerate(points):
+        assert domains.leaf(x) == leaf
+        first = leaf - leaf % order
+        after = leaf + 1 if leaf + 1 < first + order else first
+        assert domains.leaf(domains.g * x % q) == after
+
+
+@pytest.mark.parametrize("q, spec, queries", BENCHMARK_SHAPES,
+                         ids=["paper-q64", "field-q12289", "trace-q769"])
+def test_the_row_at_g_x_sends_no_digest_when_the_leaf_of_x_is_even(q, spec, queries):
+    # its leaf is then the sibling of x's, opened just before it, and every
+    # digest above them is sent with x's row or an earlier one. An even leaf
+    # is never a coset's last point, whose leaf t·|H| + |H| - 1 is odd
+    salt = b"shape"
+    field = PrimeField(q)
+    proof = prove(field, spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
+                  num_queries=queries, salt=salt)
+    domains = protocol._domains(q, spec.num_steps)
+    paired = 0
+    for x, query in zip(_drawn_points(field, spec, proof), proof.queries):
+        if domains.leaf(x) % 2 == 0:
+            assert query.trace[1].path == b""
+            paired += 1
+    assert paired > 0
+
+
+def test_a_field_q12289_proof_sends_fewer_trace_digests():
+    # the 8-query proof of the field-q12289 shape sends 69 digests for its
+    # trace rows, where version 16, whose 2048-leaf trace tree put the rows
+    # at x and g·x in unrelated subtrees, sent 101
+    q, spec, queries = BENCHMARK_SHAPES[1]
+    salt = b"shape"
+
+    def make():
+        return prove(PrimeField(q), spec, simulate(spec), FiatShamirTranscript(q, salt=salt),
+                     num_queries=queries, salt=salt)
+
+    def trace_digests(doc):
+        return sum(len(base64.b64decode(row[-1])) // 32 for qd in doc["queries"]
+                   for row in qd["trace"])
+
+    assert trace_digests(proof_to_json(make())) == 69
+    assert trace_digests(_as_made_by_version_16(make)) == 101
+
+
 @pytest.mark.parametrize("q, num_steps", [(ref.MODULUS, ref.SYSTEM.num_steps),
                                           (3001, MIXED_RADIX_SPEC.num_steps)],
                          ids=["paper", "q3001"])
 def test_domains_index_is_the_one_rule_for_which_points_have_a_leaf(q, num_steps):
     # every value from 0 to q in every FRI layer: a point of the layer is at
     # its position, and any other value (below, between or above the points)
-    # is a ValueError naming it and the layer
+    # is a ValueError naming it and the layer; so for the trace tree's leaves
     domains = protocol._domains(q, num_steps)
     assert len(domains.layers) > 1
     for j, points in enumerate(domains.layers):
@@ -2285,6 +2417,15 @@ def test_domains_index_is_the_one_rule_for_which_points_have_a_leaf(q, num_steps
                                    match=f"^point {value} is not in D{j}, the domain of FRI "
                                    f"layer {j}$"):
                     domains.index(j, value)
+    # and the trace tree's leaf of a point is its position in trace_points
+    leaf = {p: i for i, p in enumerate(domains.trace_points)}
+    for value in range(q + 1):
+        if value in leaf:
+            assert domains.leaf(value) == leaf[value]
+        else:
+            with pytest.raises(ValueError,
+                               match=f"^point {value} is not in D0, the domain of FRI layer 0$"):
+                domains.leaf(value)
 
 
 def test_too_few_gammas_is_the_callers_fault(field, paper_spec, paper_proof):
