@@ -115,11 +115,8 @@ def trace_interpolator(domain: CyclicDomain) -> CosetEvaluator:
     1/(N+1), so one inverse DFT over H gives every coefficient of every
     column, each reduced once; the plan's power rows carry the factor.
     """
-    q = domain.field.modulus
-    g_inv = domain.elements[-1]
-    points = [pow(g_inv, i, q) for i in range(domain.order)]
-    return CosetEvaluator(domain.field, points, domain.generator, domain.order,
-                          scale=pow(domain.order, -1, q))
+    return CosetEvaluator(domain.field, [1], domain.elements[-1], domain.order,
+                          scale=pow(domain.order, -1, domain.field.modulus))
 
 
 @lru_cache(maxsize=4)  # as trace_interpolator

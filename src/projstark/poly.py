@@ -338,12 +338,13 @@ def vanishing(points: Sequence[int], field: PrimeField) -> Polynomial:
 class CosetEvaluator:
     """Evaluation tables on a union of cosets of a cyclic subgroup, by coset DFT.
 
-    `points` must be a union of cosets c·G of the order-m subgroup G generated
-    by `omega`; tables come out in the order of `points`. For each polynomial
-    p and coset representative c, p(c·y) is reduced mod y^m - 1 (coefficient
-    k collects p_i·c^i over i ≡ k mod m), and one length-m mixed-radix DFT,
-    decimation in frequency with the smallest prime first, gives
-    p(c·omega^j) for every j.
+    `reps` are representatives c_t of cosets c_t·G of the order-m subgroup G
+    generated by `omega`, which the caller keeps distinct. A table lists the
+    values coset by coset, each in power order: p(c_t·omega^i) at t·m + i.
+    For each polynomial p and representative c, p(c·y) is reduced mod y^m - 1
+    (coefficient k collects p_i·c^i over i ≡ k mod m), and one length-m
+    mixed-radix DFT, decimation in frequency with the smallest prime first,
+    gives p(c·omega^j) for every j.
 
     The DFT works on m packed rows. Row k is one integer with a W-byte slot per
     (polynomial, representative) pair, slot s·T + t for polynomial s and
@@ -375,12 +376,12 @@ class CosetEvaluator:
 
     A plan keeps, for its later calls, the power rows of each slot width
     (`_powers`), the slot plan of each fold length and, for each row width,
-    where each point's value lies. A plan built with a `scale` s gives
+    where each table entry lies. A plan built with a `scale` s gives
     s·p(x) for every point: its power rows hold s·c^i mod q, so the tables
     leave the DFT scaled and reduced once.
     """
 
-    def __init__(self, field: PrimeField, points: Sequence[int], omega: int, order: int,
+    def __init__(self, field: PrimeField, reps: Sequence[int], omega: int, order: int,
                  scale: int = 1):
         q = field.modulus
         w = omega % q
@@ -389,10 +390,6 @@ class CosetEvaluator:
             raise ValueError(f"{w} does not have multiplicative order {order} mod {q}")
         self.field = field
         self.order = order
-        index = {x: i for i, x in enumerate(points)}
-        if len(index) != len(points):
-            raise ValueError("duplicated evaluation point")
-
         powers = [1] * order
         for k in range(1, order):
             powers[k] = powers[k - 1] * w % q
@@ -425,29 +422,16 @@ class CosetEvaluator:
             block = span
 
         # After the last stage, row p holds the DFT output at the mixed-radix
-        # digit reversal freq[p] of p; in slot t of a polynomial, that is the
-        # value at reps[t]·w^freq[p]. gather maps each point to its position
-        # p·T + t in one polynomial's slots, row after row.
+        # digit reversal freq[p] of p: in slot t of a polynomial, the value at
+        # reps[t]·w^freq[p]. _rows[i] is the row that holds power i.
         freq = [0]
         for r in reversed(radices):
             freq = [r * f + j2 for j2 in range(r) for f in freq]
-        if not points or len(points) % order:
-            raise ValueError(f"{len(points)} points cannot be a union of cosets of order {order}")
-        count = len(points) // order
-        reps: List[int] = []
-        gather: List[Optional[int]] = [None] * len(points)
-        for x in points:
-            if gather[index[x]] is not None:
-                continue
-            t = len(reps)
-            reps.append(x)
-            for row, f in enumerate(freq):
-                i = index.get(x * powers[f] % q)
-                if i is None:
-                    raise ValueError(f"the coset of {x} is not contained in the points")
-                gather[i] = row * count + t
-        self._reps = reps
-        self._picks = {len(reps): gather}  # row width in slots -> gather
+        self._rows = [0] * order
+        for row, f in enumerate(freq):
+            self._rows[f] = row
+        self._reps = list(reps)
+        self._picks: Dict[int, List[int]] = {}  # row width in slots -> gather
         self._power_rows: Dict[int, List[int]] = {}
         self._slot_plans: Dict[int, tuple] = {}
         self._coeff_word = _residue_word(q)
@@ -498,8 +482,8 @@ class CosetEvaluator:
         return rows
 
     def evaluate(self, polys: Sequence[Polynomial]) -> List[List[int]]:
-        """[[s·p(x) for x in points] for p in polys], s the plan's scale, as
-        canonical residues, by one DFT."""
+        """[[s·p(c·w^i) for c in reps for i < m] for p in polys], s the plan's
+        scale and w its omega, as canonical residues, by one DFT."""
         q = self.field.modulus
         m = self.order
         for poly in polys:
@@ -554,8 +538,9 @@ class CosetEvaluator:
                             rows[i] = sum(map(operator.mul, ws, xs))
 
         # Row-fold and reduce every row into one flat list, slot j of row k at
-        # k·slots + j. picks[x] is where the first polynomial's value at point
-        # x sits; dropping the first T values moves the next polynomial's there.
+        # k·slots + j. picks[t·m + i] is where the first polynomial's value at
+        # reps[t]·w^i sits; dropping the first T values moves the next
+        # polynomial's there.
         flat: List[int] = []
         masks = _fold_masks(slots, width, splits)
         for k in range(m):
@@ -563,8 +548,8 @@ class CosetEvaluator:
             rows[k] = None
         picks = self._picks.get(slots)
         if picks is None:
-            picks = [g // count * slots + g % count for g in self._picks[count]]
-            self._picks[slots] = picks
+            picks = self._picks[slots] = [row * slots + t for t in range(count)
+                                          for row in self._rows]
         tables = []
         for _ in polys:
             tables.append(list(map(flat.__getitem__, picks)))

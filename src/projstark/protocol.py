@@ -14,11 +14,10 @@ from __future__ import annotations
 import binascii
 import hashlib
 import json
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import chain
 from typing import (Callable, Dict, List, NewType, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -55,7 +54,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
-PROOF_VERSION = 17
+PROOF_VERSION = 18
 # cosets of H in the committed domain; Q's degree bound, N - 1 under
 # Fiat-Shamir and at most 2N - 2 under replay, is below |H| and 2|H|, so its
 # rate there is under 1/16 and 1/8
@@ -128,9 +127,10 @@ class Proof:
     """A proof; q, N and g are not in it: the verifier holds or derives them.
     Nor are the sample points: the verifier draws them from its own
     transcript, so it computes each opening's leaf; an FRI index must equal it.
-    Since version 17 the trace tree holds D0 coset by coset (base_eval_domain):
-    the row at g·x is the leaf after x's but at a coset's last point, so
-    its path is empty when x's leaf is even.
+    Every tree lays its domain out coset by coset, each coset in power
+    order (_Domains.leaf): the row at g·x is the leaf after x's but at a
+    coset's last point, so its path is empty when x's leaf is even, and a
+    FRI leaf holds the points |G_j|/2 apart in one coset, y and -y.
 
     Each query opens the trace rows at x and g·x, then one leaf per FRI layer,
     the one that holds the values at y and -y; the last layer's fold is
@@ -205,9 +205,9 @@ def hash_spec(field: PrimeField, spec: SystemSpec) -> bytes:
 
 
 def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
-    """D0, the domain of FRI layer 0 and of the trace table, in the trace
-    tree's leaf order: the union of min(BLOWUP, m - 1) cosets x·H other than
-    H itself, m = (q - 1)/|H|, coset by coset, each as x, x·g, ..., x·g^N.
+    """D0, the domain of FRI layer 0 and of the trace table, in leaf order:
+    the union of min(BLOWUP, m - 1) cosets x·H other than H itself, m =
+    (q - 1)/|H|, coset by coset, each as x, x·g, ..., x·g^N.
 
     The cosets are those of x = 2, 3, ..., each new one met in that order; x·H
     is keyed by x^|H|, and H has key 1. So g·y is the point after y, but at
@@ -231,36 +231,47 @@ def base_eval_domain(field: PrimeField, domain: CyclicDomain) -> List[int]:
     return points
 
 
-def layer_eval_domains(field: PrimeField, d0: Sequence[int], count: int) -> List[List[int]]:
-    """Evaluation domains for FRI layers 0..count-1, each ascending: d0 sorted,
-    then each next one the squared previous one closed under negation, so the
-    pair (y, -y) needed by the folding identity is always committable.
+def layer_eval_domains(field: PrimeField, reps: Sequence[int], order: int,
+                       count: int) -> List[Tuple[List[int], int]]:
+    """The domains D_j of FRI layers 0..count-1, each as its coset
+    representatives and the order of its subgroup G_j: D_0 is the union of
+    the cosets r·G_0, r in reps and |G_0| = order, and D_{j+1} is D_j
+    squared and closed under negation, so the pair (y, -y) the folding
+    identity needs is always committable. So G_{j+1} = ±G_j², of half G_j's
+    even order unless that half is odd, and D_{j+1}'s representatives are
+    the squares of D_j's, each kept if its coset is new.
     """
     q = field.modulus
-    doms = [sorted(d0)]
+    layers = [(list(reps), order)]
     for _ in range(count - 1):
-        squares = {x * x % q for x in doms[-1]}
-        doms.append(sorted(squares | {(q - s) % q for s in squares}))
-    return doms
+        reps, order = layers[-1]
+        order //= 1 + (order % 4 == 0)
+        cosets: Dict[int, int] = {}  # (r^2)^|G_{j+1}| -> r^2, the first of each coset
+        for r in reps:
+            cosets.setdefault(pow(r, 2 * order, q), r * r % q)
+        layers.append((list(cosets.values()), order))
+    return layers
 
 
 class _Domains:
     """Everything prove and verify take from (q, N), built once after
     check_publics: the trace subgroup H, its generator g, the largest degree
-    bound a proof may declare, the paper AIR's 2N - 2, D_0 in the trace
-    tree's leaf order (trace_points, from base_eval_domain), and the sorted
-    domains D_j of the num_rounds(2N - 2) FRI layers any accepted proof
-    reaches, whose trees have |D_j|/2 leaves. Sample points are drawn from
-    layers[0]. verify rejects a declared bound above the worst case before
-    it reads a layer.
+    bound a proof may declare, the paper AIR's 2N - 2, D0 in leaf order
+    (trace_points, from base_eval_domain), from which sample points are
+    drawn, and the domains of the num_rounds(2N - 2) FRI layers any accepted
+    proof reaches (layers, from layer_eval_domains). verify rejects a
+    declared bound above the worst case before it reads a layer. Every tree
+    lays its domain out coset by coset, each coset in power order, and leaf
+    is the one rule for where a point sits: the trace tree has a leaf per
+    point of D0, the tree of layer j one per pair {y, -y} (pair_leaf).
 
-    The coset-DFT plans, of each layer and of the trace table, are built on
-    first use, so a verifier builds none and a Fiat-Shamir prover only those
-    of the tables it commits. So is the table of inverses (x - 1)^(-1) on
-    trace_points from which prove takes the boundary columns
-    (boundary_inverses). Nothing here depends on a proof; a plan keeps, per
-    slot width, the power rows of the longest list it has evaluated
-    (CosetEvaluator._powers).
+    The coset-DFT plans of the layers are built on first use, so a verifier
+    builds none and a Fiat-Shamir prover only those of the layers it
+    commits; layer 0's gives both the trace table and Q's. So is the table
+    of inverses (x - 1)^(-1) on trace_points from which prove takes the
+    boundary columns (boundary_inverses). Nothing here depends on a proof;
+    a plan keeps, per slot width, the power rows of the longest list it has
+    evaluated (CosetEvaluator._powers).
     """
 
     def __init__(self, q: int, num_steps: int):
@@ -270,38 +281,38 @@ class _Domains:
         self.g = self.subgroup.generator
         self.worst_bound = PAPER_AIR.worst_bound(num_steps)
         self.trace_points = base_eval_domain(self.field, self.subgroup)
-        self.layers = layer_eval_domains(self.field, self.trace_points,
-                                         num_rounds(self.worst_bound))
         order = self.subgroup.order
-        # per coset c·H of D0, keyed by c^|H|: its number and c^(-1), c its first point
-        self._cosets = {pow(c, order, q): (t, pow(c, -1, q))
-                        for t, c in enumerate(self.trace_points[::order])}
+        self.layers = layer_eval_domains(self.field, self.trace_points[::order], order,
+                                         num_rounds(self.worst_bound))
+        # per layer, per coset r·G_j keyed by r^|G_j|: its number and r^(-1)
+        self._cosets = [{pow(r, size, q): (k, pow(r, -1, q)) for k, r in enumerate(reps)}
+                        for reps, size in self.layers]
         self._log = {h: i for i, h in enumerate(self.subgroup.elements)}  # g^i -> i
-        self.plans: Dict[Optional[int], CosetEvaluator] = {}
+        self.plans: Dict[int, CosetEvaluator] = {}
         self._boundary_inverses: Optional[List[int]] = None
 
-    def leaf(self, point: int) -> int:
-        """The trace tree's leaf of `point`, t·|H| + i for c·g^i in coset t of
-        D0: the one rule for which points have a trace leaf, or ValueError."""
-        q, order = self.field.modulus, self.subgroup.order
-        coset = self._cosets.get(pow(point, order, q)) if 0 < point < q else None
-        if coset is None:
-            raise ValueError(f"point {point} is not in D0, the domain of FRI layer 0")
-        return coset[0] * order + self._log[point * coset[1] % q]
+    def size(self, layer: int) -> int:
+        """|D_layer|."""
+        reps, order = self.layers[layer]
+        return len(reps) * order
 
-    def index(self, layer: int, point: int) -> int:
-        """The position of `point` in sorted FRI layer `layer`, or ValueError."""
-        points = self.layers[layer]
-        i = bisect_left(points, point)
-        if i == len(points) or points[i] != point:
+    def leaf(self, point: int, layer: int = 0) -> int:
+        """The position of `point` in D_layer's layout, k·|G| + i for r·w^i in
+        coset k, r its representative, G = G_layer and w = g^(|H|/|G|): the
+        one rule for which points have a leaf, or ValueError."""
+        q, size = self.field.modulus, self.layers[layer][1]
+        coset = self._cosets[layer].get(pow(point, size, q)) if 0 < point < q else None
+        if coset is None:
             raise ValueError(f"point {point} is not in D{layer}, the domain of FRI layer {layer}")
-        return i
+        return coset[0] * size + self._log[point * coset[1] % q] // (self.subgroup.order // size)
 
     def pair_leaf(self, layer: int, point: int) -> Tuple[int, int]:
         """The leaf of {point, -point} in the tree of FRI layer `layer`, and the
-        side of it `point` sits on: 0 if it is the smaller, whose value is first."""
-        i = self.index(layer, point)
-        return min((i, 0), (len(self.layers[layer]) - 1 - i, 1))
+        side of it `point` sits on. -1 is w^(|G|/2), so in coset k the points
+        i and i + |G|/2 share leaf k·|G|/2 + i, on sides 0 and 1."""
+        half = self.layers[layer][1] // 2
+        coset, i = divmod(self.leaf(point, layer), 2 * half)
+        return coset * half + i % half, i // half
 
     def chain(self, x: int, rounds: int) -> List[int]:
         """x, x^2, x^4, ...: the point of the query at x in each of the first
@@ -312,16 +323,13 @@ class _Domains:
             points.append(points[-1] * points[-1] % q)
         return points
 
-    def evaluator(self, j: Optional[int] = None) -> CosetEvaluator:
-        """Coset DFT onto the sorted domain of FRI layer j, or, with no j, onto
-        trace_points, the trace table's; racing threads may each build one."""
+    def evaluator(self, j: int) -> CosetEvaluator:
+        """Coset DFT onto D_j in its leaf order; racing threads may each build one."""
         plan = self.plans.get(j)
         if plan is None:
-            q, order, step = self.field.modulus, self.subgroup.order, 2 ** (j or 0)
-            points = self.trace_points if j is None else self.layers[j]
-            plan = CosetEvaluator(self.field, points, pow(self.g, step, q),
-                                  order // gcd(order, step))
-            self.plans[j] = plan
+            reps, order = self.layers[j]
+            omega = pow(self.g, self.subgroup.order // order, self.field.modulus)
+            plan = self.plans[j] = CosetEvaluator(self.field, reps, omega, order)
         return plan
 
     def boundary_inverses(self) -> List[int]:
@@ -343,7 +351,7 @@ def _domains(q: int, num_steps: int) -> _Domains:
 
 
 class _Committed:
-    """Evaluation tables of polynomials on D0 in the trace tree's leaf order
+    """Evaluation tables of polynomials on D0 in leaf order
     (_Domains.trace_points), one Merkle leaf per point: the trace tree.
 
     The tables are kept by column; a row is built to be hashed, then dropped,
@@ -366,27 +374,29 @@ class _Committed:
 
 
 class _CommittedPairs(_Committed):
-    """One polynomial f on the sorted, negation-closed domain D of one FRI
-    layer (layer 0: Q), one leaf per pair: leaf i is (f(d), f(q - d)) for d
-    the i-th point of D, below q/2, so q - d is its (|D| - 1 - i)-th point."""
+    """One polynomial f on the domain D_j of one FRI layer (layer 0: Q), in
+    leaf order, one leaf per pair (_Domains.pair_leaf): in each coset, the
+    values at points i and i + |G_j|/2, y and -y."""
 
     def __init__(self, poly: Polynomial, domains: _Domains, layer: int):
+        self.layer, self.half = layer, domains.layers[layer][1] // 2
         super().__init__(domains.evaluator(layer).evaluate([poly]), domains)
-        self.layer = layer
 
     def rows(self):
-        table = self.tables[0]
-        return zip(table[:len(table) // 2], reversed(table))
+        table, half = self.tables[0], self.half
+        return chain.from_iterable(zip(table[k:k + half], table[k + half:k + 2 * half])
+                                   for k in range(0, len(table), 2 * half))
 
     def open_pairs(self, ys: Sequence[int]) -> List[Tuple[Opening, int]]:
         """For each y of `ys`, in order, the opening at y of the leaf of
         {y, -y} and f(-y), the leaf's other value: one batch."""
-        table = self.tables[0]
+        table, half = self.tables[0], self.half
         sides = [self.domains.pair_leaf(self.layer, y) for y in ys]
         paths = self.tree.open([leaf for leaf, _ in sides])
         pairs = []
         for (leaf, side), path in zip(sides, paths):
-            row = (table[leaf], table[-1 - leaf])
+            first = leaf + leaf // half * half  # the table position of its side 0
+            row = (table[first], table[first + half])
             pairs.append((Opening(leaf, row[side], path), row[1 - side]))
         return pairs
 
@@ -486,7 +496,7 @@ def _fri_shape(transcript, domains: _Domains,
         return PAPER_AIR, lambda declared: (declared, num_rounds(declared))
     bound, rounds = DEGREE_2_AIR.worst_bound(domains.subgroup.order - 1), 1
     while rounds < len(domains.layers):
-        height = (len(domains.layers[rounds]) // 2 - 1).bit_length()
+        height = (domains.size(rounds) // 2 - 1).bit_length()
         if 8 * ((bound >> rounds) - (bound >> (rounds + 1))) <= 32 * queries * height:
             break
         rounds += 1
@@ -538,7 +548,7 @@ def prove(
     transcript.absorb("spec", hash_spec(field, spec))
 
     g = domains.g
-    tables = domains.evaluator().evaluate(tp)  # in the trace tree's leaf order
+    tables = domains.evaluator(0).evaluate(tp)
     # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
     # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forced trace or not
     inverses = domains.boundary_inverses()
@@ -575,7 +585,7 @@ def prove(
     remainder = folded.coeffs + (0,) * ((bound >> rounds) + 1 - len(folded.coeffs))
     transcript.absorb("fri_remainder", _remainder_bytes(remainder))
 
-    xs = [transcript.draw("sample_point", domains.layers[0]) for _ in range(num_queries)]
+    xs = [transcript.draw("sample_point", domains.trace_points) for _ in range(num_queries)]
     rows = trace_cm.open_rows([p for x in xs for p in (x, g * x % q)])  # at x, g·x
     chains = [domains.chain(x, rounds) for x in xs]
     pairs = [cm.open_pairs([chain[j] for chain in chains])
@@ -696,15 +706,15 @@ def verify(
             if j < rounds - 1:
                 transcript.absorb(f"fri[{j + 1}]", fri.roots[j].root)
         transcript.absorb("fri_remainder", _remainder_bytes(fri.remainder))
-        xs = [transcript.draw("sample_point", domains.layers[0]) for _ in proof.queries]
+        xs = [transcript.draw("sample_point", domains.trace_points) for _ in proof.queries]
     except TranscriptError as exc:
         raise ProofFormatError(f"transcript cannot supply the challenges: {exc}") from exc
     leaves = [(domains.leaf(x), domains.leaf(g * x % q)) for x in xs]  # rows at x, g·x
 
     # --- stage: commitment ---------------------------------------------------
     layer_comms = (comms.composition, *fri.roots)
-    trees = [("trace", comms.trace, len(domains.layers[0]))]
-    trees += [(f"layer {j}", cm, len(domains.layers[j]) // 2) for j, cm in enumerate(layer_comms)]
+    trees = [("trace", comms.trace, domains.size(0))]
+    trees += [(f"layer {j}", cm, domains.size(j) // 2) for j, cm in enumerate(layer_comms)]
     for name, cm, count in trees:
         if cm.leaf_count != count:
             return VerificationReport("commitment",

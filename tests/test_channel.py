@@ -43,7 +43,7 @@ def test_replay_exhaustion():
 
 def test_replay_excluded_value_rejected():
     # 331 + 16 is no point, although it is 16 mod q: it is refused as written.
-    # Whether a value in [1, q) is a point with a leaf is _Domains.index's rule
+    # Whether a value in [1, q) is a point with a leaf is _Domains.leaf's rule
     with pytest.raises(TranscriptError, match=r"^sample_points\[0\] = 347 is not in \[1, 331\)$"):
         ReplayTranscript(331, sample_points=[347])
 

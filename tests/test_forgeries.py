@@ -188,18 +188,18 @@ def lagrange_columns(xs, q):
 def rate_forgery(q: int, spec: SystemSpec):
     """The build_compositions of a prover that commits, as Q, the interpolant
     of the values the consistency check expects, Σγ_k·C_k(x)/Z_N(x), on the
-    first bound + 1 points of D0: Q then meets the degree bound, so FRI
+    first bound + 1 points of D0 in leaf order: Q then meets the degree bound, so FRI
     passes, and only the sample points off those fail consistency."""
     N = spec.num_steps
     domains = protocol._domains(q, N)
-    xs = domains.layers[0][:DEGREE_2_AIR.worst_bound(N) + 1]
+    xs = domains.trace_points[:DEGREE_2_AIR.worst_bound(N) + 1]
     g_n = pow(domains.g, N, q)
     inv_z = [(x - g_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q for x in xs]
     columns = lagrange_columns(xs, q)
 
     def build_compositions(numerators, domain):
         [combined] = numerators
-        table = domains.evaluator(0).evaluate([combined])[0]  # on D0, in its order
+        table = domains.evaluator(0).evaluate([combined])[0]  # on D0, in leaf order
         ys = [v * w % q for v, w in zip(table, inv_z)]
         return [Polynomial(PrimeField(q), [sum(map(mul, c, ys)) % q for c in columns])]
 
@@ -225,5 +225,5 @@ def test_the_rate_forgery_is_accepted_at_its_rate(monkeypatch, q, spec, salts):
         proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=salt), num_queries=1,
                       force=True)
         accepted += verify(field, spec, proof).accepted
-    rate = spec.num_steps / len(protocol._domains(q, spec.num_steps).layers[0])
+    rate = spec.num_steps / protocol._domains(q, spec.num_steps).size(0)
     assert abs(accepted - salts * rate) <= 3 * math.sqrt(salts * rate * (1 - rate)), accepted

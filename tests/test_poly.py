@@ -3,7 +3,6 @@ import os
 import random
 import sys
 import threading
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -255,14 +254,16 @@ def test_vanishing_single_point(field):
 
 
 def _layer_evaluators(q, order):
-    """Evaluators for the base domain and every FRI layer domain of a proof."""
+    """Evaluators for the base domain and every FRI layer domain of a proof,
+    each with its domain's points in table order: coset by coset, each in
+    power order."""
     field = PrimeField(q)
     domain = build_domain(field, order)
-    g = domain.generator
-    layers = layer_eval_domains(field, base_eval_domain(field, domain), num_rounds(2 * order - 4))
-    for j, points in enumerate(layers):
-        e = 2 ** j
-        yield points, CosetEvaluator(field, points, pow(g, e, q), order // gcd(order, e))
+    reps = base_eval_domain(field, domain)[::order]
+    for reps, size in layer_eval_domains(field, reps, order, num_rounds(2 * order - 4)):
+        omega = pow(domain.generator, order // size, q)
+        points = [r * pow(omega, i, q) % q for r in reps for i in range(size)]
+        yield points, CosetEvaluator(field, reps, omega, size)
 
 
 @pytest.mark.parametrize("q,order", [(12289, 128), (769, 256), (331, 30), (3001, 40)])
@@ -327,7 +328,7 @@ def test_coset_evaluator_plan_grown_by_many_threads():
     # table. Each of three rounds starts from a new cold plan.
     q, order = 12289, 128
     field = PrimeField(q)
-    points, _ = next(_layer_evaluators(q, order))
+    points, plan = next(_layer_evaluators(q, order))
     count = 2 * (os.cpu_count() or 1) + 2
     lengths = [order + 1 + (order - 1) * k // count for k in range(count)]
     rng = random.Random(count)
@@ -338,7 +339,7 @@ def test_coset_evaluator_plan_grown_by_many_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            ev = CosetEvaluator(field, points, omega, order)
+            ev = CosetEvaluator(field, plan._reps, omega, order)
             assert len({ev._slot_plan(length)[0] for length in lengths}) == 1
             errors = []
             start = threading.Barrier(count, timeout=60)
@@ -367,44 +368,40 @@ def test_coset_evaluator_plan_grown_by_many_threads():
 def test_coset_evaluator_empty_batch():
     field = PrimeField(331)
     g = build_domain(field, 30).generator
-    assert CosetEvaluator(field, [pow(g, k, 331) for k in range(30)], g, 30).evaluate([]) == []
+    assert CosetEvaluator(field, [1], g, 30).evaluate([]) == []
 
 
 def test_coset_evaluator_rejects_bad_plans():
     field = PrimeField(331)
     g = build_domain(field, 30).generator
-    with pytest.raises(ValueError):
-        CosetEvaluator(field, [2, 3], g, 30)  # too few points for one coset
-    with pytest.raises(ValueError):
-        CosetEvaluator(field, [], g, 30)  # no coset at all
-    with pytest.raises(ValueError):
-        CosetEvaluator(field, list(range(1, 31)), g, 30)  # 30 points, not a coset
-    with pytest.raises(ValueError):
-        CosetEvaluator(field, list(range(1, 331)), g * g % 331, 30)  # g^2 has order 15
-    with pytest.raises(ValueError):
-        CosetEvaluator(field, [1, 1], 1, 1)
+    for omega in (g * g % 331, 1, 0):  # g^2 has order 15
+        with pytest.raises(ValueError, match=f"^{omega} does not have multiplicative order 30"):
+            CosetEvaluator(field, [2], omega, 30)
     ev = CosetEvaluator(field, [5], 1, 1)
     with pytest.raises(ValueError):
         ev.evaluate([Polynomial(field, (1,)), Polynomial(PrimeField(61), (1, 2))])
 
 
-def _coset_points(q, omega, order, cosets):
-    """The first `cosets` cosets of <omega> met scanning 1, 2, 3, ..., shuffled."""
+def _coset_reps(q, omega, order, cosets):
+    """A random point of each of the first `cosets` cosets of <omega> met
+    scanning 1, 2, 3, ..., shuffled."""
+    rng = random.Random(q)
     subgroup = [pow(omega, k, q) for k in range(order)]
-    points, seen, x = [], set(), 1
-    while len(points) < cosets * order:
+    reps, seen, x = [], set(), 1
+    while len(reps) < cosets:
         if x not in seen:
-            coset = [x * h % q for h in subgroup]
-            seen.update(coset)
-            points += coset
+            seen.update(x * h % q for h in subgroup)
+            reps.append(x * rng.choice(subgroup) % q)
         x += 1
-    random.Random(q).shuffle(points)
-    return points
+    rng.shuffle(reps)
+    return reps
 
 
 def _assert_matches_horner(field, omega, order, cosets, polys):
-    points = _coset_points(field.modulus, omega, order, cosets)
-    tables = CosetEvaluator(field, points, omega, order).evaluate(polys)
+    q = field.modulus
+    reps = _coset_reps(q, omega, order, cosets)
+    tables = CosetEvaluator(field, reps, omega, order).evaluate(polys)
+    points = [r * pow(omega, i, q) % q for r in reps for i in range(order)]
     assert tables == [[p.evaluate(x) for x in points] for p in polys]
 
 
@@ -472,8 +469,10 @@ def test_coset_evaluator_matches_horner_on_any_coset_union(data):
             reps.append(x)
             seen.update(x * h % q for h in subgroup)
     chosen = data.draw(st.lists(st.sampled_from(reps), min_size=1, unique=True), label="cosets")
-    points = data.draw(st.permutations([c * h % q for c in chosen for h in subgroup]))
+    # any point of each coset may represent it
+    chosen = [c * data.draw(st.sampled_from(subgroup), label="shift") % q for c in chosen]
     coeffs = st.lists(st.integers(0, q - 1), max_size=3 * order + 2)
     polys = [Polynomial(field, c) for c in data.draw(st.lists(coeffs, max_size=4), label="polys")]
-    tables = CosetEvaluator(field, points, g, order).evaluate(polys)
+    tables = CosetEvaluator(field, chosen, g, order).evaluate(polys)
+    points = [c * h % q for c in chosen for h in subgroup]
     assert tables == [[p.evaluate(x) for x in points] for p in polys]

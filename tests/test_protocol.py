@@ -1,9 +1,11 @@
 import base64
 import binascii
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import random
 import re
 import sys
@@ -499,7 +501,7 @@ def _cost_rule_folds(domains, queries):
     bound = DEGREE_2_AIR.worst_bound(domains.subgroup.order - 1)
     sizes = [(bound >> r) + 1 for r in range(num_rounds(bound) + 1)]
     for r in range(1, num_rounds(bound)):
-        levels = math.ceil(math.log2(len(domains.layers[r]) // 2))
+        levels = math.ceil(math.log2(domains.size(r) // 2))
         if 8 * (sizes[r] - sizes[r + 1]) <= 32 * queries * levels:
             return r
     return num_rounds(bound)
@@ -967,7 +969,7 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
     # one digest short or one too many is refused, on every opening, and the
     # reject names its tree and query. Salted so that a Fiat-Shamir query
     # reopens a leaf
-    salt = b"reopen0"
+    salt = b"reopen13"
     fs_proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                      num_queries=8, salt=salt)
     base = keyed(proof_to_json(paper_proof if replay else fs_proof))
@@ -994,29 +996,33 @@ def test_verify_rejects_a_path_one_digest_short_or_long(field, paper_spec, paper
         edited += 1
     # 2 queries of 7 openings, each with a path but the 2 rows at g·x, whose
     # leaves are the ones after x's, both even; 8 queries of 3 openings (one
-    # FRI layer), of which 4 rows at g·x so placed and 1 FRI opening of a leaf
+    # FRI layer), of which 3 rows at g·x so placed and 1 FRI opening of a leaf
     # an earlier query opened have an empty path. Every path can grow
-    openings, empty = (14, 2) if replay else (24, 5)
+    openings, empty = (14, 2) if replay else (24, 4)
     assert edited == openings - empty * (edit == "drop-last")
 
 
 @pytest.mark.parametrize("replay", [True, False])
 def test_each_fri_pair_is_one_leaf(field, paper_spec, paper_proof, paper_fs_proof, replay):
-    # the composition and FRI trees hold one leaf per pair {y, -y}, at the
-    # position of the smaller point; it is opened once, at y, and f(-y), its
-    # other value, is sent as a plain integer. The trace tree keeps one leaf
-    # per point
+    # the composition and FRI trees hold one leaf per pair {y, -y}: in D_j's
+    # layout y and -y are |G_j|/2 apart in one coset, and the pairs are
+    # numbered in the layout order of their first points; a pair is opened
+    # once, at y, and f(-y), its other value, is sent as a plain integer.
+    # The trace tree keeps one leaf per point
     proof = paper_proof if replay else paper_fs_proof
     q, domains = ref.MODULUS, protocol._domains(ref.MODULUS, paper_spec.num_steps)
-    layers = domains.layers
-    assert proof.commitments.trace.leaf_count == len(layers[0])
+    assert proof.commitments.trace.leaf_count == domains.size(0)
     for j, cm in enumerate((proof.commitments.composition, *proof.fri_layers.roots)):
-        assert cm.leaf_count == len(layers[j]) // 2
+        assert cm.leaf_count == domains.size(j) // 2
     xs = _drawn_points(field, paper_spec, proof, paper_transcript() if replay else None)
     for query, x in zip(proof.queries, xs):
         for j, ((pos, neg), y) in enumerate(zip(query.fri, domains.chain(x, len(query.fri)))):
             assert type(pos) is protocol.Opening and type(neg) is int
-            assert pos.index == min(layers[j].index(y), layers[j].index(q - y))
+            half = domains.layers[j][1] // 2
+            at_y, at_minus_y = domains.leaf(y, j), domains.leaf(q - y, j)
+            first = min(at_y, at_minus_y)
+            assert max(at_y, at_minus_y) - first == half and first % (2 * half) < half
+            assert pos.index == first - first // (2 * half) * half
     for qd in proof_to_json(proof)["queries"]:
         assert all(type(neg) is int for _, neg in qd["fri"])
 
@@ -1172,7 +1178,7 @@ def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
     # json.loads reads -0 as the integer 0: the 64-query proof with its first
     # FRI opening at index 0, "fri":[[[0,, written "fri":[[[-0, would be a
     # second text of the same proof (salted so that one query's leaf is 0)
-    salt = b"0"
+    salt = b"3"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     text = dump_proof(proof)
@@ -1355,10 +1361,11 @@ def _as_version_10(doc: dict) -> dict:
     put back as its first key."""
     q = ref.MODULUS
     domains = protocol._domains(q, ref.SYSTEM.num_steps)
+    ascending = _ascending_layer(domains, 0)  # version 10's trace leaf order
     doc = _as_version_11(doc)
     for qd, x in zip(doc["queries"], ref.SAMPLE_POINTS):
         points = x, x * domains.g % q
-        qd["trace"] = [{"index": domains.index(0, p), **row} for row, p in zip(qd["trace"], points)]
+        qd["trace"] = [{"index": ascending.index(p), **row} for row, p in zip(qd["trace"], points)]
     return {**doc, "version": 10}
 
 
@@ -1527,34 +1534,35 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
 # padded standard base64, a path its digests joined, each opening the list
-# of its fields' values; proof version 17:
+# of its fields' values; proof version 18:
 # Fiat-Shamir proofs of the degree-2 AIR and replay proofs of the paper's,
-# one row-leaf trace tree whose leaves run coset by coset, each in power
-# order, so the row at g·x is the leaf after x's, one leaf per pair {y, -y} in the composition and
-# FRI trees, opened once at y with f(-y) sent as a plain value, FRI folded
-# under Fiat-Shamir while a layer costs less than the coefficients it drops
-# from the remainder, and to a constant for replay, at most
-# BLOWUP cosets of H committed, sample points drawn as
-# indices into them, no q, N or g, no sample point and no trace row index,
+# every tree laid out coset by coset, each coset in power order: one
+# row-leaf trace tree, so the row at g·x is the leaf after x's, and one
+# leaf per pair {y, -y} in the composition and FRI trees, y and -y |G_j|/2
+# apart in one coset, opened once at y with f(-y) sent as a plain value,
+# FRI folded under Fiat-Shamir while a layer costs less than the
+# coefficients it drops from the remainder, and to a constant for replay,
+# at most BLOWUP cosets of H committed, sample points drawn as indices
+# into D0 in leaf order, no q, N or g, no sample point and no trace row index,
 # which the verifier holds or derives, and each tree's openings one batch
 # whose paths send the minimal multiproof, each digest in the path of the
 # first opening under its parent) for fixed inputs; any change to
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "8d6f6a3e3d3e34dfe275c541b9182ec93637048d95ed49d2870653901ad1a5e5",
-    "paper-fiat-shamir": "5dd7bf6a06af2fa00795f7ea8649427b0a5c19f8e3fffbcbf9ac68a3c68b2a6a",
+    "paper-replay": "3d1a308ecaf39eb2126903378605f2bc2f0aca6dc9b06f7f77fa0c41b188ba8f",
+    "paper-fiat-shamir": "3d6907ad9fee6cb175ba8f9caae1fa460677f587fe189fbecbab679a6aaf985a",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed, and 38 folded once leaves a remainder of 20 coefficients
-    "q3001-fiat-shamir": "ba71c5270d73571ea5921246c2ac25246626db2f04eb6cfc2839054e6db6be02",
+    "q3001-fiat-shamir": "18c3b727a5c1ddc952b95c19f740ddb45ed916775da0620c8a3e6206d0ea9172",
     # q=12289, N+1=128, one query: 126 folded once leaves 64 coefficients
     "q12289-one-query-fiat-shamir":
-        "5d09dbba1424eaefc2f327ca98f3e46a46927f0fff3ccac6f86d881ab62571ab",
+        "4d98f63938da665819c454efa74d231acfc6a22a2fb3372f36dcc9136c871c00",
     # q=769, N+1=256, one query: 254 folded three times leaves 32
     # coefficients, and FRI layers 1 and 2, unions of cosets of the subgroups
     # of order 128 and 64, are committed
     "q769-one-query-fiat-shamir":
-        "d1ea530710a47e0efea39be81ac2153c87b8115b58a3ce986296b62c1c3cfb57",
+        "aea431041246e12ac94e2d525ec3da76e0d36a6f5afdaefaedda6ca1bab164c2",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1577,7 +1585,7 @@ def _doc_digest(doc: dict) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 17
+    assert paper_proof.version == PROOF_VERSION == 18
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1697,20 +1705,70 @@ VERSION_16_DIGESTS = {
 }
 
 
-def _as_made_by_version_16(make) -> dict:
-    """The document of the proof make() returns as version 16 made it: its
-    trace tree's leaves, trace table and boundary inverses in ascending order
-    of their points, the leaf of a point its position in D0 sorted, and its
-    version 16; all else as made. The domains made so are dropped after."""
-    unsorted = protocol.base_eval_domain
+def _ascending_layer(domains, layer):
+    """D_layer in ascending order, each point's position its leaf in the
+    trees of proof versions 16 and below and in version 17's FRI trees:
+    D0's points raised to 2^layer, closed under negation."""
+    q = domains.field.modulus
+    ys = {pow(x, 2 ** layer, q) for x in domains.trace_points}
+    return sorted(ys | {q - y for y in ys})
+
+
+@contextlib.contextmanager
+def _ascending_trees(trace_tree: bool):
+    """Proof version 17's layout patched in, and with trace_tree version
+    16's as well. Fiat-Shamir draws each sample point from D0 ascending;
+    the tree of FRI layer j holds at leaf i the values at d and q - d, d
+    the i-th point of D_j ascending, so y sits at the leaf of min(y, q - y),
+    on side 0 if it is the smaller; with trace_tree the trace tree's leaf
+    of a point is its position in D0 ascending too. The domains keep
+    nothing that depends on the layout, so the cached ones serve."""
+    leaf, init, draw = protocol._Domains.leaf, protocol._Committed.__init__, FiatShamirTranscript.draw
+
+    def pairs(self, poly, domains, layer):
+        # the first half ascending, then their negations: _CommittedPairs'
+        # rows, over one coset of |D_j| points, pair k with k + |D_j|/2
+        table = domains.evaluator(layer).evaluate([poly])[0]
+        points = _ascending_layer(domains, layer)
+        self.layer, self.half = layer, len(points) // 2
+        order = points[:self.half] + points[::-1][:self.half]
+        init(self, [[table[leaf(domains, p, layer)] for p in order]], domains)
+
+    def pair_leaf(domains, layer, point):
+        points = _ascending_layer(domains, layer)
+        i = points.index(point)
+        return min((i, 0), (len(points) - 1 - i, 1))
+
+    def trace(self, tables, domains):
+        points = _ascending_layer(domains, 0)
+        init(self, [[t[leaf(domains, p)] for p in points] for t in tables], domains)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(protocol, "base_eval_domain", lambda *args: sorted(unsorted(*args)))
-        m.setattr(protocol._Domains, "leaf", lambda domains, point: domains.index(0, point))
-        protocol._domains.cache_clear()
-        try:
-            return {**proof_to_json(make()), "version": 16}
-        finally:
-            protocol._domains.cache_clear()
+        m.setattr(protocol._CommittedPairs, "__init__", pairs)
+        m.setattr(protocol._Domains, "pair_leaf", pair_leaf)
+        m.setattr(FiatShamirTranscript, "draw",
+                  lambda t, kind, points=None: draw(t, kind, points and sorted(points)))
+        if trace_tree:
+            m.setattr(protocol._Committed, "__init__", trace)
+            m.setattr(protocol._Domains, "leaf", lambda domains, point, layer=0:
+                      _ascending_layer(domains, layer).index(point))
+        yield
+
+
+def _as_made_by_version_17(make) -> dict:
+    """The document of the proof make() returns as version 17 made it: its
+    FRI trees and sample points in ascending order of their points
+    (_ascending_trees), and its version 17; all else as made."""
+    with _ascending_trees(trace_tree=False):
+        return {**proof_to_json(make()), "version": 17}
+
+
+def _as_made_by_version_16(make) -> dict:
+    """The document of the proof make() returns as version 16 made it: as
+    version 17 made it, but with its trace tree's leaves in ascending order
+    of their points too, and its version 16."""
+    with _ascending_trees(trace_tree=True):
+        return {**proof_to_json(make()), "version": 16}
 
 
 def _trace_tree_blanked(doc: dict) -> dict:
@@ -1729,12 +1787,54 @@ def test_version_17_changes_only_the_order_of_the_trace_leaves(name):
     # each pinned proof is version 16's byte for byte. A replay proof draws
     # no challenge from the trace root, so only that root and the trace
     # paths differ; a Fiat-Shamir proof draws other challenges from it
-    doc = proof_to_json(_pinned_proof(name))
-    assert _doc_digest(doc) == PINNED_PROOF_DIGESTS[name]
+    v17 = _as_made_by_version_17(lambda: _pinned_proof(name))
+    assert _doc_digest(v17) == VERSION_17_DIGESTS[name]
     v16 = _as_made_by_version_16(lambda: _pinned_proof(name))
     assert _doc_digest(v16) == VERSION_16_DIGESTS[name]
-    same = _trace_tree_blanked(doc) == {**_trace_tree_blanked(v16), "version": 17}
+    same = _trace_tree_blanked(v17) == {**_trace_tree_blanked(v16), "version": 17}
     assert same == (name == "paper-replay")
+
+
+# what PINNED_PROOF_DIGESTS held in proof version 17, whose FRI trees had
+# their leaves, and whose draws their sample points, in ascending order
+VERSION_17_DIGESTS = {
+    "paper-replay": "8d6f6a3e3d3e34dfe275c541b9182ec93637048d95ed49d2870653901ad1a5e5",
+    "paper-fiat-shamir": "5dd7bf6a06af2fa00795f7ea8649427b0a5c19f8e3fffbcbf9ac68a3c68b2a6a",
+    "q3001-fiat-shamir": "ba71c5270d73571ea5921246c2ac25246626db2f04eb6cfc2839054e6db6be02",
+    "q12289-one-query-fiat-shamir":
+        "5d09dbba1424eaefc2f327ca98f3e46a46927f0fff3ccac6f86d881ab62571ab",
+    "q769-one-query-fiat-shamir":
+        "d1ea530710a47e0efea39be81ac2153c87b8115b58a3ce986296b62c1c3cfb57",
+}
+# the paper replay proof as version 17 wrote it
+VERSION_17_PAPER_REPLAY = pathlib.Path(__file__).parent / "data" / "paper-replay-v17.json"
+
+
+def _fri_trees_blanked(doc: dict) -> dict:
+    """The document with its composition and FRI roots, and each FRI
+    opening's index and path, blanked."""
+    doc = json.loads(json.dumps(doc))
+    for cm in (doc["commitments"]["composition"], *doc["fri_layers"]["roots"]):
+        cm["root"] = ""
+    for qd in doc["queries"]:
+        for opening, _ in qd["fri"]:
+            opening[0] = opening[-1] = ""
+    return doc
+
+
+def test_version_18_changes_only_the_fri_trees():
+    # the paper replay proof as version 17 wrote it, frozen, is what the
+    # ascending layout patched in makes; this version lays each FRI tree
+    # out coset by coset, as the trace tree already was, and replay's
+    # injected challenges draw nothing from a root. So only the composition
+    # and FRI roots, the FRI openings' leaves and paths, and the version
+    # differ; every value, the trace tree and the remainder are as they were
+    v17 = json.loads(VERSION_17_PAPER_REPLAY.read_text())
+    assert _doc_digest(v17) == VERSION_17_DIGESTS["paper-replay"]
+    assert _as_made_by_version_17(lambda: _pinned_proof("paper-replay")) == v17
+    doc = proof_to_json(_pinned_proof("paper-replay"))
+    assert _fri_trees_blanked(doc) == {**_fri_trees_blanked(v17), "version": 18}
+    assert doc["commitments"]["composition"] != v17["commitments"]["composition"]
 
 
 # what PINNED_PROOF_DIGESTS held in proof version 14, whose openings were
@@ -1822,7 +1922,9 @@ def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
     # 192 openings (2 trace rows and 1 FRI layer per query) and a remainder
-    # of 15 coefficients in 13,974 bytes, against 15,058 in version 16, whose
+    # of 15 coefficients in 13,808 bytes, against 13,974 in version 17, whose
+    # composition tree held its pairs in ascending order of their points,
+    # 15,058 in version 16, whose
     # trace leaves were in ascending order, 15,188 in version 15, whose
     # paper AIR sent 29, 18,708 in version 14, which keyed each opening by
     # its field names, and 25,444 in version 13, whose openings were made one
@@ -1840,13 +1942,15 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
     assert len(dump_proof(proof)) <= 19 * 1024
     v16, v15 = _as_made_by_version_16(make), _as_made_by_version_15(make)
     sizes = [len(json.dumps(doc, separators=(",", ":")))
-             for doc in (v16, v15, _as_version_14(v15))]
-    assert [len(dump_proof(proof)), *sizes] == [13974, 15058, 15188, 18708]
+             for doc in (_as_made_by_version_17(make), v16, v15, _as_version_14(v15))]
+    assert [len(dump_proof(proof)), *sizes] == [13808, 13974, 15058, 15188, 18708]
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one FRI layer and a 15-coefficient remainder: 152 digests, the minimal
-    # multiproof of each tree, against 177 in version 16, whose trace tree
+    # one FRI layer and a 15-coefficient remainder: 149 digests, the minimal
+    # multiproof of each tree, against 152 in version 17, whose composition
+    # tree held its pairs, and whose draws their sample points, in ascending
+    # order of their points, 177 in version 16, whose trace tree
     # put the rows at x and g·x in unrelated subtrees (179 for the sample
     # points version 15 drew), 337 in version 13, which sent a
     # digest a later opening let the verifier compute, and 895 when version
@@ -1867,12 +1971,15 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     minimal = (len(minimal_multiproof(proof.commitments.trace.leaf_count, trace_leaves))
                + len(minimal_multiproof(proof.commitments.composition.leaf_count, pair_leaves)))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) == minimal == 152
+    assert sum(len(o.path) // 32 for o in openings) == minimal == 149
     assert len(dump_proof(proof)) <= 19 * 1024
-    v16 = _as_made_by_version_16(lambda: prove(field, paper_spec, paper_trace,
-                                                FiatShamirTranscript(ref.MODULUS, salt=salt),
-                                                num_queries=64, salt=salt))
-    assert _digests_sent(keyed(v16)) == 177
+
+    def make():
+        return prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                     num_queries=64, salt=salt)
+
+    v17, v16 = _as_made_by_version_17(make), _as_made_by_version_16(make)
+    assert (_digests_sent(keyed(v17)), _digests_sent(keyed(v16))) == (152, 177)
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -1940,8 +2047,8 @@ def test_threads_share_the_domain_cache():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert digests == [PINNED_PROOF_DIGESTS["q769-one-query-fiat-shamir"]] * 8
-    # the plans of the trace table (key None) and of the three layers
-    assert set(domains.plans) == {None, 0, 1, 2}
+    # the plans of the three layers, layer 0's also the trace table's
+    assert set(domains.plans) == {0, 1, 2}
 
 
 def test_domain_cache_stays_at_its_bound():
@@ -1963,13 +2070,13 @@ def test_a_fiat_shamir_prover_builds_only_the_layer_plans_it_commits(
     field, paper_spec, paper_trace
 ):
     # the paper system folds once under Fiat-Shamir, so only layer 0 is
-    # committed, out of num_rounds(2N - 2) = 6 layer domains: its plan and
-    # the trace table's (key None), which holds D0 in the trace leaf order
+    # committed, out of num_rounds(2N - 2) = 6 layer domains: its one plan
+    # gives both the trace table and Q's, as both trees lay D0 out alike
     protocol._domains.cache_clear()
     prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS), num_queries=2)
     domains = protocol._domains(ref.MODULUS, paper_spec.num_steps)
     assert len(domains.layers) == 6
-    assert set(domains.plans) == {None, 0}
+    assert set(domains.plans) == {0}
 
 
 def _layer_count(q, num_steps):
@@ -2230,17 +2337,16 @@ def test_few_cosets_commit_all_of_the_field_off_h(q, num_steps):
     # 10 and 2 cosets besides H, no more than BLOWUP: the domain is F_q* \ H
     domains = protocol._domains(q, num_steps)
     subgroup = set(domains.subgroup.elements)
-    assert domains.layers[0] == [x for x in range(1, q) if x not in subgroup]
+    assert sorted(domains.trace_points) == [x for x in range(1, q) if x not in subgroup]
 
 
 def test_many_cosets_commit_blowup_of_them():
     q, order = 12289, 128  # 95 cosets besides H
     domains = protocol._domains(q, order - 1)
-    layer0 = domains.layers[0]
+    layer0 = domains.trace_points
     points = set(layer0)
     subgroup = set(domains.subgroup.elements)
-    assert protocol.BLOWUP == 16 and len(layer0) == protocol.BLOWUP * order
-    assert layer0 == sorted(points)
+    assert protocol.BLOWUP == 16 and len(points) == len(layer0) == protocol.BLOWUP * order
     assert all(x * domains.g % q in points for x in layer0)  # a union of cosets of H
     assert not points & subgroup
     assert all(q - x in points for x in layer0)
@@ -2298,7 +2404,7 @@ def test_sample_points_are_drawn_from_the_committed_domain():
     q, spec = 12289, _box_spec(127)
     field, trace = PrimeField(q), simulate(spec)
     domains = protocol._domains(q, spec.num_steps)
-    layer0 = set(domains.layers[0])
+    layer0 = set(domains.trace_points)
     proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=b"draws"),
                   num_queries=128, salt=b"draws")
     xs = _drawn_points(field, spec, proof)
@@ -2349,7 +2455,7 @@ def test_the_trace_leaf_of_g_x_is_the_one_after_the_leaf_of_x(q, num_steps):
     # is c, its coset's first leaf. Also where |H| = 30 is no power of two
     domains = protocol._domains(q, num_steps)
     order, points = num_steps + 1, domains.trace_points
-    assert sorted(points) == domains.layers[0]
+    assert domains.layers[0] == (points[::order], order)
     assert points[::order] == sorted(points[::order])
     assert all(points[k] == min(points[k:k + order]) for k in range(0, len(points), order))
     for leaf, x in enumerate(points):
@@ -2379,9 +2485,10 @@ def test_the_row_at_g_x_sends_no_digest_when_the_leaf_of_x_is_even(q, spec, quer
 
 
 def test_a_field_q12289_proof_sends_fewer_trace_digests():
-    # the 8-query proof of the field-q12289 shape sends 69 digests for its
+    # the 8-query proof of the field-q12289 shape sends 58 digests for its
     # trace rows, where version 16, whose 2048-leaf trace tree put the rows
-    # at x and g·x in unrelated subtrees, sent 101
+    # at x and g·x in unrelated subtrees, sent 101 (69 in version 17, whose
+    # sample points, drawn from D0 ascending, were others)
     q, spec, queries = BENCHMARK_SHAPES[1]
     salt = b"shape"
 
@@ -2393,39 +2500,43 @@ def test_a_field_q12289_proof_sends_fewer_trace_digests():
         return sum(len(base64.b64decode(row[-1])) // 32 for qd in doc["queries"]
                    for row in qd["trace"])
 
-    assert trace_digests(proof_to_json(make())) == 69
+    assert trace_digests(proof_to_json(make())) == 58
+    assert trace_digests(_as_made_by_version_17(make)) == 69
     assert trace_digests(_as_made_by_version_16(make)) == 101
 
 
 @pytest.mark.parametrize("q, num_steps", [(ref.MODULUS, ref.SYSTEM.num_steps),
-                                          (3001, MIXED_RADIX_SPEC.num_steps)],
-                         ids=["paper", "q3001"])
-def test_domains_index_is_the_one_rule_for_which_points_have_a_leaf(q, num_steps):
-    # every value from 0 to q in every FRI layer: a point of the layer is at
-    # its position, and any other value (below, between or above the points)
-    # is a ValueError naming it and the layer; so for the trace tree's leaves
+                                          (3001, MIXED_RADIX_SPEC.num_steps),
+                                          (769, 255), (12289, 127)],
+                         ids=["paper", "q3001", "trace-q769", "field-q12289"])
+def test_leaf_is_the_one_rule_for_the_points_of_every_layer(q, num_steps):
+    # every value from 0 to q at every FRI layer j: leaf(., j) maps D_j, D0's
+    # points raised to 2^j and closed under negation, one to one onto 0 ..
+    # |D_j| - 1, and any other value is a ValueError naming it and the
+    # layer. Layer j's plan writes p(x) at leaf(x, j), and y and -y share a
+    # pair leaf, on opposite sides. The paper's |H| = 30 is twice an odd
+    # number, so G_1 = ±H² is H itself; q = 3001's |H| = 40 is mixed radix
     domains = protocol._domains(q, num_steps)
-    assert len(domains.layers) > 1
-    for j, points in enumerate(domains.layers):
-        position = {p: i for i, p in enumerate(points)}
-        assert min(points) > 0
+    poly = Polynomial(domains.field, range(1, num_steps + 5))  # longer than |H|
+    if q == ref.MODULUS:
+        assert [order for _, order in domains.layers] == [30] * 6
+    for j in range(len(domains.layers)):
+        points = set(_ascending_layer(domains, j))
+        at = {}  # leaf -> point
         for value in range(q + 1):
-            if value in position:
-                assert domains.index(j, value) == position[value]
-            else:
-                with pytest.raises(ValueError,
-                                   match=f"^point {value} is not in D{j}, the domain of FRI "
-                                   f"layer {j}$"):
-                    domains.index(j, value)
-    # and the trace tree's leaf of a point is its position in trace_points
-    leaf = {p: i for i, p in enumerate(domains.trace_points)}
-    for value in range(q + 1):
-        if value in leaf:
-            assert domains.leaf(value) == leaf[value]
-        else:
-            with pytest.raises(ValueError,
-                               match=f"^point {value} is not in D0, the domain of FRI layer 0$"):
-                domains.leaf(value)
+            if value in points:
+                at[domains.leaf(value, j)] = value
+                continue
+            with pytest.raises(ValueError) as exc:
+                domains.leaf(value, j)
+            assert str(exc.value) == f"point {value} is not in D{j}, the domain of FRI layer {j}"
+        assert sorted(at) == list(range(len(points))) == list(range(domains.size(j)))
+        table = domains.evaluator(j).evaluate([poly])[0]
+        assert table == [poly.evaluate(at[leaf]) for leaf in range(len(table))]
+        pairs = [(domains.pair_leaf(j, y), domains.pair_leaf(j, q - y)) for y in points]
+        assert all(leaf == other and side != other_side
+                   for (leaf, side), (other, other_side) in pairs)
+        assert sorted(leaf for (leaf, side), _ in pairs if side == 0) == list(range(len(at) // 2))
 
 
 def test_too_few_gammas_is_the_callers_fault(field, paper_spec, paper_proof):
@@ -2456,6 +2567,31 @@ def test_a_trace_row_with_an_index_is_refused(paper_proof):
                 proof_from_json(edited)
             with pytest.raises(ProofFormatError, match=message):
                 load_proof(json.dumps(edited, separators=(",", ":")))
+
+
+def test_an_affine_term_is_an_extra_coordinate_held_at_1():
+    # z' = Proj(A_hat·z + b) needs no code: coordinate c = n, with box [1, 2]
+    # (SystemSpec needs z_lower < z_upper), z_init 1 and A_hat row e_c, stays
+    # 1, and b in A_hat's column c adds b to every step. The paper system
+    # with b = (5, -7): the first n coordinates are clamp(A_hat·z + b) at
+    # every step, and a Fiat-Shamir proof of it verifies
+    base, b = ref.SYSTEM, (5, -7)
+    n = base.n
+    spec = SystemSpec(
+        a_hat=(*(row + (bi,) for row, bi in zip(base.a_hat, b)), (0,) * n + (1,)),
+        z_upper=base.z_upper + (2,), z_lower=base.z_lower + (1,), z_init=base.z_init + (1,),
+        num_steps=base.num_steps)
+    trace = simulate(spec)
+    z = base.z_init
+    for row in trace.z_rows[1:]:
+        affine = [sum(a * v for a, v in zip(r, z)) + bi for r, bi in zip(base.a_hat, b)]
+        z = tuple(min(max(v, lo), hi) for v, lo, hi in zip(affine, base.z_lower, base.z_upper))
+        assert row == z + (1,)
+    assert len(set(trace.z_rows)) > 2  # the state moves
+    field, salt = PrimeField(ref.MODULUS), b"affine"
+    proof = prove(field, spec, trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
+                  num_queries=8, salt=salt)
+    assert verify(field, spec, load_proof(dump_proof(proof)), num_queries=8).accepted
 
 
 # --- randomized end-to-end trials -------------------------------------------
