@@ -217,8 +217,8 @@ def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -
 
     The division is exact when the trace meets the numerator's constraint at
     every step. Nothing here checks that: prove refuses a trace that does not
-    on its rows, before any polynomial is built, and a forced proof commits
-    the floor quotient.
+    on its rows, before any polynomial is built, and a proof forged from such
+    a trace commits the floor quotient.
 
     Z_N·(x - g^N) = x^(N+1) - 1, so num = Q·Z_N + R gives
     num·(x - g^N) = Q·(x^(N+1) - 1) + R·(x - g^N): dividing by the two-term

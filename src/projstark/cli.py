@@ -175,10 +175,7 @@ def cmd_prove(args) -> int:
     # the seed salts only fiat-shamir transcripts; replay challenges are fixed
     transcript = _make_transcript(config, os.environ.get("PROJSTARK_SEED", "").encode())
     try:
-        proof = prove(
-            config.field, config.spec, trace, transcript,
-            num_queries=config.queries, force=args.force_commit,
-        )
+        proof = prove(config.field, config.spec, trace, transcript, num_queries=config.queries)
     except (InvalidTraceError, FieldOverflowError, TranscriptError) as exc:
         print(f"prover error: {exc}", file=sys.stderr)
         return EXIT_PROVER
@@ -222,19 +219,6 @@ def cmd_replay_paper(args) -> int:
     return EXIT_OK
 
 
-def cmd_tamper(args) -> int:
-    config = load_config(args.config)
-    trace = load_trace(args.trace, config.spec)
-    try:
-        tampered = trace.with_cell(args.section, args.row, args.index, args.value)
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    out = args.out or args.trace
-    _write_trace(out, tampered)
-    print(f"tampered trace written to {out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projstark",
@@ -251,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--force-commit", action="store_true",
-                   help="commit an inconsistent trace instead of refusing (soundness demos)")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="verify a proof against the configured public inputs")
@@ -262,16 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay-paper", help="recompute the built-in worked example")
     p.set_defaults(func=cmd_replay_paper)
-
-    p = sub.add_parser("tamper", help="edit one trace cell in place")
-    p.add_argument("--config", required=True)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--section", required=True, choices=list(SECTIONS))
-    p.add_argument("--row", required=True, type=int)
-    p.add_argument("--index", required=True, type=int)
-    p.add_argument("--value", required=True, type=int)
-    p.add_argument("--out", help="write to this path instead of in place")
-    p.set_defaults(func=cmd_tamper)
 
     return parser
 

@@ -6,7 +6,7 @@ field only when the execution trace enters the algebraic layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 IntVec = Tuple[int, ...]
@@ -104,17 +104,6 @@ class ExecutionTrace:
             *[(s.z_next, s.alpha_up, s.alpha_lo, s.delta) for s in steps])
         return cls(spec=spec, z_rows=(spec.z_init, *z_next), alpha_up_rows=alpha_up,
                    alpha_lo_rows=alpha_lo, delta_rows=delta)
-
-    def with_cell(self, section: str, row: int, index: int, value: int) -> "ExecutionTrace":
-        """Copy of the trace with one cell of one of SECTIONS replaced."""
-        if section not in SECTIONS:
-            raise ValueError(f"unknown trace section {section!r}")
-        attr = f"{section}_rows"
-        rows = getattr(self, attr)
-        if not (0 <= row < len(rows)) or not (0 <= index < self.spec.n):
-            raise IndexError(f"cell ({section}, {row}, {index}) out of range")
-        new_row = rows[row][:index] + (value,) + rows[row][index + 1:]
-        return replace(self, **{attr: rows[:row] + (new_row,) + rows[row + 1:]})
 
 
 def apply_transition(spec: SystemSpec, z: Sequence[int]) -> List[int]:

@@ -54,6 +54,7 @@ from .fri import fold, fold_value, num_rounds
 from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
+MAX_RETRIES = 3  # times the online stage requests a rejected step again
 PROOF_VERSION = 18
 # cosets of H in the committed domain; Q's degree bound, N - 1 under
 # Fiat-Shamir and at most 2N - 2 under replay, is below |H| and 2|H|, so its
@@ -405,16 +406,15 @@ def run_online_stage(
     spec: SystemSpec,
     step_source: StepSource,
     verifier_log: Optional[list] = None,
-    *,
-    max_retries: int = 3,
 ) -> ExecutionTrace:
-    """Request steps one by one, re-requesting rejected ones up to the retry bound."""
+    """Request steps one by one, re-requesting a rejected one up to MAX_RETRIES
+    times, then raising OnlineStageError."""
 
     # yielded one by one, so no record outlives its row of the trace
     def accepted_steps():
         z = spec.z_init
         for k in range(spec.num_steps):
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 rec = step_source(k, z, attempt)
                 reason = online_check(spec, rec)
                 if verifier_log is not None:
@@ -426,7 +426,7 @@ def run_online_stage(
                 if reason is None:
                     break
             else:
-                raise OnlineStageError(f"step {k} rejected {max_retries + 1} times")
+                raise OnlineStageError(f"step {k} rejected {MAX_RETRIES + 1} times")
             yield rec
             z = rec.z_next
 
@@ -515,34 +515,38 @@ def prove(
     transcript,
     *,
     num_queries: int = 8,
-    force: bool = False,
     salt: Optional[bytes] = None,
 ) -> Proof:
-    """Build a proof for the trace.
-
-    The honest path refuses, with InvalidTraceError, a trace that fails the
-    boundary condition, the online checks or a step constraint, all decided
-    exactly on its integer rows before any interpolation.  With force=True
-    the trace is committed as-is, the dishonest path used to exercise the
-    verifier.  Either path refuses, with FieldOverflowError, a cell of
-    magnitude >= q.
-    Either way the boundary quotients and Q are floor quotients, Q that of
-    the weighted sum of the constraint numerators: one division.
+    """Build a proof for the trace, or refuse it: with InvalidTraceError if it
+    fails the boundary condition, the online checks or a step constraint,
+    all decided exactly on its integer rows before any interpolation, and
+    with FieldOverflowError if a cell has magnitude >= q.
 
     The proof carries the transcript's salt, which a Fiat-Shamir verifier
     absorbs first; a replay transcript's is b"". A `salt` that differs from
-    the transcript's is a ValueError.
+    the transcript's is a ValueError, raised, like those of bad publics and
+    query counts, before the trace is decided.
     """
+    check_publics(field.modulus, spec.num_steps)
+    _check_num_queries(num_queries)
+    if salt not in (None, transcript.salt):
+        raise ValueError(f"salt {salt!r} is not the transcript's {transcript.salt!r}")
+    return _prove_lifted(field, spec, _lift_or_refuse(spec, trace, field), transcript, num_queries)
+
+
+def _prove_lifted(field: PrimeField, spec: SystemSpec, trace: ExecutionTrace, transcript,
+                  num_queries: int) -> Proof:
+    """The proof of a lifted trace, committed as it is: all of prove after its
+    decision, so a test that calls it on lift_trace of any trace forges a
+    proof with the code that makes an honest one. The boundary quotients and
+    Q are floor quotients, Q that of the weighted sum of the constraint
+    numerators: one division."""
     N = spec.num_steps
     n = spec.n
     q = field.modulus
     domains = _domains(q, N)
-    _check_num_queries(num_queries)
-    if salt not in (None, transcript.salt):
-        raise ValueError(f"salt {salt!r} is not the transcript's {transcript.salt!r}")
     domain = domains.subgroup
 
-    trace = lift_trace(trace, field) if force else _lift_or_refuse(spec, trace, field)
     tp = build_trace_polys(trace, domain)
 
     transcript.absorb("spec", hash_spec(field, spec))
@@ -550,7 +554,7 @@ def prove(
     g = domains.g
     tables = domains.evaluator(0).evaluate(tp)
     # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
-    # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forced trace or not
+    # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forged trace or not
     inverses = domains.boundary_inverses()
     for table, f in zip(tables[:n], tp):
         f_one = sum(f.coeffs)

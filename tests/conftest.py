@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from forgeries import with_cell
 from projstark import PrimeField, SystemSpec, build_domain, fold, simulate
-from projstark.dynamics import ExecutionTrace, StepRecord, step_slack
 from projstark.fri import num_rounds
 from projstark.protocol import Opening, RowOpening, base_eval_domain
 from projstark import reference_example as ref
@@ -59,21 +59,6 @@ def paper_spec():
 @pytest.fixture(scope="session")
 def paper_trace():
     return simulate(SYSTEM)
-
-
-# q = 331, A_hat = [[-3]], box [0, 100], z_init = 87: step 0 claims z_1 = 70
-# with both bits 1 and slack 100, where the dynamics give clamp(-261) = 0; the
-# later steps are honest. The online checks pass, and the transition value
-# 70 + 261 is q, so every constraint holds mod q but not over the integers.
-WRAPPING_SYSTEM = SystemSpec(a_hat=((-3,),), z_upper=(100,), z_lower=(0,), z_init=(87,),
-                             num_steps=5)
-
-
-def wrapping_trace() -> ExecutionTrace:
-    steps = [StepRecord(z_next=(70,), alpha_up=(1,), alpha_lo=(1,), delta=(100,))]
-    for _ in range(WRAPPING_SYSTEM.num_steps - 1):
-        steps.append(step_slack(WRAPPING_SYSTEM, steps[-1].z_next))
-    return ExecutionTrace.from_steps(WRAPPING_SYSTEM, steps)
 
 
 def minimal_multiproof(leaf_count: int, leaves) -> set:
@@ -156,24 +141,6 @@ def fold_rounds(p, bound, betas):
     return layers
 
 
-def tamper_randomly(rng, spec, trace, q):
-    """One uniformly random cell replaced with a fresh inconsistent value."""
-    section = rng.choice(("z", "alpha_up", "alpha_lo", "delta"))
-    if section == "z":
-        row = rng.randrange(spec.num_steps + 1)
-    else:
-        row = rng.randrange(spec.num_steps)
-    idx = rng.randrange(spec.n)
-    old = getattr(trace, section + "_rows")[row][idx]
-    if section == "z":
-        value = rng.choice([v for v in range(max(spec.z_upper) + 3) if v != old])
-    elif section == "delta":
-        value = rng.choice([v for v in range(q) if v != old])
-    else:
-        value = rng.randrange(2, q)  # off both bit values, so always inconsistent
-    return trace.with_cell(section, row, idx, value)
-
-
 def step_check_cases():
     """Seeded (field, spec, trace) triples: honest traces, and traces with one
     cell changed so that the online checks and the boundary condition still
@@ -199,7 +166,7 @@ def step_check_cases():
                     value = old + rng.randint(1, 5)
                 else:  # a flipped bit passes the online check
                     value = 1 - old
-            cases.append((PrimeField(q), spec, trace.with_cell(section, row, i, value)))
+            cases.append((PrimeField(q), spec, with_cell(trace, section, row, i, value)))
     return cases
 
 

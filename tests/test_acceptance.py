@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import fold_rounds, random_challenges, random_spec, tamper_randomly
+from conftest import fold_rounds, random_challenges, random_spec
+from forgeries import forge_proof, tamper_randomly
 from oracles import lemma1_solve, step_project
 from projstark import reference_example as ref
 from projstark.air import (
@@ -135,7 +136,7 @@ def test_criterion_07_soundness_randomized(announce):
     for _ in range(200):
         q = rng.choice((61, 61, 61, 211))
         # keep the trace subgroup well below the evaluation-domain size so a
-        # forced commitment disagrees with the true quotients on most points
+        # forged commitment disagrees with the true quotients on most points
         orders = [m for m in range(2, 13, 2) if (q - 1) % m == 0]
         field = PrimeField(q)
         spec = random_spec(rng, q, orders=orders)
@@ -148,12 +149,12 @@ def test_criterion_07_soundness_randomized(announce):
             refused += 1
 
         transcript = FiatShamirTranscript(q)
-        proof = prove(field, spec, tampered, transcript, num_queries=8, force=True)
+        proof = forge_proof(field, spec, tampered, transcript, 8)
         if not verify(field, spec, proof).accepted:
             rejected += 1
     ok = trials >= 200 and refused == trials and rejected >= 0.99 * trials
     announce(7, "randomized soundness", ok,
-             f"{rejected}/{trials} forced proofs rejected, {refused}/{trials} refused honestly")
+             f"{rejected}/{trials} forged proofs rejected, {refused}/{trials} refused honestly")
 
 
 def test_criterion_08_lemma1_uniqueness(announce):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import TRIAL_MODULI, criterion_06_specs, even_subgroup_orders, random_spec
+from forgeries import with_cell
 from projstark import reference_example as ref
 from projstark.air import (
     DEGREE_2_AIR,
@@ -56,16 +57,16 @@ def test_lift_trace_residues(paper_trace, field):
 def test_lift_trace_negative_values(field):
     spec = random_spec(random.Random(1), 331)
     trace = simulate(spec)
-    shifted = trace.with_cell("delta", 0, 0, -5)
+    shifted = with_cell(trace, "delta", 0, 0, -5)
     ft = lift_trace(shifted, field)
     assert ft.delta_rows[0][0] == 326
 
 
 def test_lift_trace_overflow(paper_trace, field):
-    too_big = paper_trace.with_cell("delta", 0, 0, 400)
+    too_big = with_cell(paper_trace, "delta", 0, 0, 400)
     with pytest.raises(FieldOverflowError):
         lift_trace(too_big, field)
-    negative = paper_trace.with_cell("delta", 0, 0, -400)
+    negative = with_cell(paper_trace, "delta", 0, 0, -400)
     with pytest.raises(FieldOverflowError):
         lift_trace(negative, field)
 
@@ -84,7 +85,7 @@ def test_a_step_whose_a_hat_z_passes_q_proves_when_every_cell_fits():
     # a cell below q whose A_hat·z is not: z_0 = 35 is not z_init, refused at the boundary
     spec = SystemSpec(a_hat=((2,),), z_upper=(50,), z_lower=(0,), z_init=(10,), num_steps=1)
     with pytest.raises(InvalidTraceError, match="boundary condition violated for coordinate 0"):
-        prove(field, spec, simulate(spec).with_cell("z", 0, 0, 35), FiatShamirTranscript(61))
+        prove(field, spec, with_cell(simulate(spec), "z", 0, 0, 35), FiatShamirTranscript(61))
 
 
 def test_trace_polys_paper_degrees(paper_tp):
@@ -148,7 +149,7 @@ def test_trace_polys_take_unreduced_values_mod_q(field, domain):
     spec = random_spec(random.Random(3), 331, orders=[30])
     trace = simulate(spec)
     for section, row, value in (("z", 4, -5), ("delta", 0, 331 + 7), ("alpha_up", 28, -331)):
-        edited = trace.with_cell(section, row, 0, value)
+        edited = with_cell(trace, section, row, 0, value)
         lifted = ExecutionTrace(spec, *(tuple(tuple(v % 331 for v in r) for r in rows)
                                         for rows in (edited.z_rows, edited.alpha_up_rows,
                                                      edited.alpha_lo_rows, edited.delta_rows)))
@@ -173,7 +174,7 @@ def test_numerators_family_order(paper_numerators):
 
 
 def test_numerator_breaks_where_trace_tampered(paper_trace, paper_spec, domain):
-    tampered = paper_trace.with_cell("alpha_up", 7, 1, 2)
+    tampered = with_cell(paper_trace, "alpha_up", 7, 1, 2)
     tp = build_trace_polys(tampered, domain)
     nums = build_numerators(tp, paper_spec, domain)
     x7 = domain.elements[7]
@@ -218,12 +219,12 @@ def test_compositions_reconstruct_numerators(paper_cs, paper_numerators, domain)
 
 
 def test_compositions_reject_tampered_trace(paper_trace, paper_spec, domain):
-    tampered = paper_trace.with_cell("z", 5, 1, 77)
+    tampered = with_cell(paper_trace, "z", 5, 1, 77)
     tp = build_trace_polys(tampered, domain)
     nums = build_numerators(tp, paper_spec, domain)
     zv = vanishing(domain.elements[:29], domain.field)
     assert any(not divmod(num, zv)[1].is_zero() for num in nums)
-    # prove refuses such a trace on its rows; a forced proof commits the floor quotients
+    # prove refuses such a trace on its rows; a forged proof commits the floor quotients
     assert build_compositions(nums, domain) == [divmod(num, zv)[0] for num in nums]
 
 
@@ -314,7 +315,7 @@ def test_pipeline_soundness_single_cell_randomized():
             value = rng.choice([v for v in range(q) if v != old])
         else:
             value = rng.randrange(2, q)  # off the bit values, always inconsistent
-        tampered = trace.with_cell(section, row, idx, value)
+        tampered = with_cell(trace, section, row, idx, value)
         tp = build_trace_polys(tampered, domain)
         nums = build_numerators(tp, spec, domain)
         zv = vanishing(domain.elements[:spec.num_steps], field)

@@ -8,6 +8,8 @@ proof. perfbench/ is imported, never edited.
 """
 
 import dataclasses
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from projstark import reference_example as ref
 from projstark.channel import FiatShamirTranscript
 from projstark.protocol import ProofFormatError, prove, verify
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harness  # noqa: E402
 from tracer import Tracer, projstark_targets  # noqa: E402
@@ -81,3 +84,15 @@ def test_proof_stats_reads_every_section(proof):
     assert all(v > 0 for v in sections.values())
     assert stats["channel.merkle_leaves"] > 0 and 0 < stats["channel.merkle_leaf_fill"] <= 1
     assert stats["fri.rounds"] >= 1
+
+
+def test_a_traced_paper_q64_run_exits_0_and_is_correct():
+    # the whole traced run, as CI's smoke step runs it: its worker, the
+    # per-layer metrics and the phase breakdown, none of which the in-process
+    # iteration above reaches; any error there exits 1. About 1.5 s
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "paper-q64", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WRAPPING_SYSTEM, keyed, positional, replay_config, wrapping_trace
+from conftest import keyed, positional, replay_config
+from forgeries import WRAPPING_SYSTEM, forge_proof, wrapping_trace
 from test_protocol import PINNED_PROOF_DIGESTS
 from projstark import field as field_module
 from projstark import reference_example as ref
@@ -30,7 +31,7 @@ from projstark.cli import (
 )
 from projstark.dynamics import SystemSpec, simulate
 from projstark.field import PrimeField
-from projstark.protocol import MAX_QUERIES, Base10, _domains
+from projstark.protocol import MAX_QUERIES, Base10, _domains, dump_proof
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -425,38 +426,36 @@ def test_seed_env_perturbs_fiat_shamir(tmp_path, fs_config_path, config_path, tr
     assert json.loads(Path(a).read_text())["salt"] == ""
 
 
-def test_tamper_then_prove_refuses(tmp_path, config_path, trace_path):
-    tampered = str(tmp_path / "tampered.json")
-    assert main(["tamper", "--config", config_path, "--trace", trace_path,
-                 "--section", "delta", "--row", "3", "--index", "1", "--value", "59",
-                 "--out", tampered]) == EXIT_OK
-    assert json.loads(Path(tampered).read_text())["delta"][3] == [100, 59]
-    proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", config_path, "--trace", tampered,
-                 "--out", proof]) == EXIT_PROVER
+def test_an_edited_trace_is_refused_and_its_forged_proof_rejected(tmp_path, fs_config_path,
+                                                                  trace_path):
+    # the wrong start, edited into the trace file: prove refuses it (exit 3);
+    # forged through the test seam and written as prove writes, verify
+    # rejects it (exit 4)
+    doc = json.loads(Path(trace_path).read_text())
+    doc["z"][0][1] = 99
+    Path(trace_path).write_text(json.dumps(doc))
+    proof = tmp_path / "proof.json"
+    assert main(["prove", "--config", fs_config_path, "--trace", trace_path,
+                 "--out", str(proof)]) == EXIT_PROVER
+    assert not proof.exists()
+    config = load_config(fs_config_path)
+    forged = forge_proof(config.field, config.spec, load_trace(trace_path, config.spec),
+                         _make_transcript(config, b""), config.queries)
+    proof.write_text(dump_proof(forged))
+    assert main(["verify", "--config", fs_config_path, "--proof", str(proof)]) == EXIT_REJECT
 
 
-def test_tamper_force_commit_verify_rejects(tmp_path, fs_config_path, config_path, trace_path):
-    tampered = str(tmp_path / "tampered.json")
-    assert main(["tamper", "--config", config_path, "--trace", trace_path,
-                 "--section", "z", "--row", "7", "--index", "1", "--value", "50",
-                 "--out", tampered]) == EXIT_OK
-    proof = str(tmp_path / "proof.json")
-    assert main(["prove", "--config", fs_config_path, "--trace", tampered,
-                 "--out", proof, "--force-commit"]) == EXIT_OK
-    assert main(["verify", "--config", fs_config_path, "--proof", proof]) == EXIT_REJECT
-
-
-def test_tamper_in_place_default(tmp_path, config_path, trace_path):
-    assert main(["tamper", "--config", config_path, "--trace", trace_path,
-                 "--section", "z", "--row", "1", "--index", "0", "--value", "9"]) == EXIT_OK
-    assert json.loads(Path(trace_path).read_text())["z"][1] == [9, 97]
-
-
-def test_tamper_out_of_range_cell(tmp_path, config_path, trace_path):
-    assert main(["tamper", "--config", config_path, "--trace", trace_path,
-                 "--section", "delta", "--row", "40", "--index", "0",
-                 "--value", "0"]) == EXIT_CONFIG
+@pytest.mark.parametrize("argv", [
+    ["tamper", "--trace", "trace.json", "--section", "z", "--row", "0", "--index", "1",
+     "--value", "99"],
+    ["prove", "--trace", "trace.json", "--out", "proof.json", "--force-commit"],
+], ids=["tamper", "force-commit"])
+def test_the_removed_tamper_command_and_force_commit_flag_are_usage_errors(
+        config_path, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], "--config", config_path, *argv[1:]])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_verify_malformed_proof_file(tmp_path, config_path):
@@ -530,10 +529,7 @@ def test_unwritable_output_is_a_config_error(tmp_path, config_path, trace_path, 
                  "--out", str(missing / "trace.json")]) == EXIT_CONFIG
     assert main(["prove", "--config", config_path, "--trace", trace_path,
                  "--out", str(missing / "proof.json")]) == EXIT_CONFIG
-    assert main(["tamper", "--config", config_path, "--trace", trace_path,
-                 "--section", "z", "--row", "1", "--index", "0", "--value", "9",
-                 "--out", str(missing / "bad.json")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.count("cannot write") == 3
+    assert capsys.readouterr().err.count("cannot write") == 2
     assert not missing.exists()
 
 

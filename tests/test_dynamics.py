@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import TRIAL_MODULI, random_spec
+from forgeries import with_cell
 from oracles import lemma1_solve, step_project
 from projstark.dynamics import (
     ExecutionTrace,
@@ -188,16 +189,16 @@ def test_trace_row_count_validation(paper_spec, paper_trace):
 
 
 def test_with_cell(paper_trace):
-    tampered = paper_trace.with_cell("delta", 3, 1, 59)
+    tampered = with_cell(paper_trace, "delta", 3, 1, 59)
     assert tampered.delta_rows[3][1] == 59
     assert paper_trace.delta_rows[3][1] == 60  # original untouched
     assert tampered.delta_rows[3][0] == 100
     with pytest.raises(IndexError):
-        paper_trace.with_cell("z", 99, 0, 0)
+        with_cell(paper_trace, "z", 99, 0, 0)
     with pytest.raises(IndexError):
-        paper_trace.with_cell("delta", 0, 5, 0)
+        with_cell(paper_trace, "delta", 0, 5, 0)
     with pytest.raises(ValueError):
-        paper_trace.with_cell("nope", 0, 0, 0)
+        with_cell(paper_trace, "nope", 0, 0, 0)
 
 
 def test_lemma1_interior(paper_spec):

@@ -1,14 +1,15 @@
 """The soundness scoreboard: each known break of the Fiat-Shamir verifier as a
-strict expected failure, built through the public API on the paper system
-or, for the wrapped step, on conftest's one-coordinate WRAPPING_SYSTEM; the
-wrong start also replaces the trace tree's boundary tables, by patching
-protocol._Committed.
+strict expected failure, on the forged trajectories of tests/forgeries.py,
+over the paper system or, for the wrapped step, its one-coordinate
+WRAPPING_SYSTEM; the wrong start also replaces the trace tree's boundary
+tables, by patching protocol._Committed.
 
 Each forgery is a trajectory that breaks the dynamics, which the honest prover
-refuses. Committed with prove(force=True) at 8 queries, verify should reject
-it; today verify accepts each, so each test xfails and names the ROADMAP item
-that would close it. When a fix closes a break, its test passes and, being
-strict, fails the run until the fix removes the mark.
+refuses. Committed at 8 queries through forgeries.forge_proof, the code that
+runs after prove's decision, verify should reject it; today verify accepts
+each, so each test xfails and names the ROADMAP item that would close it.
+When a fix closes a break, its test passes and, being strict, fails the run
+until the fix removes the mark.
 
 The rate forgery (ROADMAP items 2 and 22) is accepted at a rate, not always:
 its test measures that rate on each shape the benchmark proves.
@@ -19,68 +20,17 @@ from operator import mul
 
 import pytest
 
-from conftest import WRAPPING_SYSTEM, wrapping_trace
+from forgeries import (WRAPPING_SYSTEM, forge_proof, missing_clip, moved_state, shifted_state,
+                       wrapping_trace, wrong_clip, wrong_start)
 from projstark import (ExecutionTrace, FiatShamirTranscript, InvalidTraceError, PrimeField,
-                       StepRecord, SystemSpec, prove, step_slack, verify)
+                       SystemSpec, prove, verify)
 from projstark import protocol
 from projstark.air import DEGREE_2_AIR
-from projstark.dynamics import apply_transition
 from projstark.poly import Polynomial
 from projstark.reference_example import MODULUS, SYSTEM
 from test_protocol import BENCHMARK_SHAPES
 
 QUERIES = 8
-
-
-def trajectory(forged: dict, spec: SystemSpec = SYSTEM) -> ExecutionTrace:
-    """The system's trajectory from z_init, honest at every step but the keys
-    of `forged`, whose records replace the honest ones; each later step
-    continues honestly from the state the forged one reached."""
-    steps = []
-    z = spec.z_init
-    for k in range(spec.num_steps):
-        steps.append(forged.get(k) or step_slack(spec, z))
-        z = steps[-1].z_next
-    return ExecutionTrace.from_steps(spec, steps)
-
-
-def wrong_clip() -> ExecutionTrace:
-    # step 0 clamps coordinate 0 to z_upper[0] = 100 where (A_hat·z)[0] = 3
-    # lies inside the box, with the slack (A_hat·z)[0] - z_lower[0]
-    honest = step_slack(SYSTEM, SYSTEM.z_init)
-    assert honest.z_next[0] == 3 and SYSTEM.z_lower[0] == 0
-    return trajectory({0: StepRecord(
-        z_next=(100, honest.z_next[1]), alpha_up=(0, honest.alpha_up[1]),
-        alpha_lo=(1, honest.alpha_lo[1]), delta=(3, honest.delta[1]))})
-
-
-def missing_clip() -> ExecutionTrace:
-    # at step 20, (A_hat·z)[1] = 37 lies below z_lower[1] = 40; the step keeps
-    # 37 with both bits 1 and the slack z_upper[1] - z_lower[1] = 60
-    honest = step_slack(SYSTEM, trajectory({}).z_rows[20])
-    assert honest.z_next[1] == 40 and honest.alpha_lo[1] == 0
-    return trajectory({20: StepRecord(
-        z_next=(honest.z_next[0], 37), alpha_up=honest.alpha_up,
-        alpha_lo=(honest.alpha_lo[0], 1), delta=(honest.delta[0], 60))})
-
-
-def shifted_state() -> ExecutionTrace:
-    # the state moves by (+1, -2) after step 5, so two constraints fail at
-    # that step only
-    honest = step_slack(SYSTEM, trajectory({}).z_rows[5])
-    shifted = (honest.z_next[0] + 1, honest.z_next[1] - 2)
-    return trajectory({5: StepRecord(shifted, honest.alpha_up, honest.alpha_lo, honest.delta)})
-
-
-def wrong_start() -> ExecutionTrace:
-    # the constant trajectory z_k = z_upper, with both bits of every step 0
-    # and 1 and the slack A_hat·z_upper - z_lower, so z_0 = (100, 100) where
-    # z_init = (3, 100): every step constraint holds, and only the boundary
-    # fails
-    N, n = SYSTEM.num_steps, SYSTEM.n
-    delta = tuple(w - lo for w, lo in zip(apply_transition(SYSTEM, SYSTEM.z_upper), SYSTEM.z_lower))
-    return ExecutionTrace(SYSTEM, z_rows=(SYSTEM.z_upper,) * (N + 1), alpha_up_rows=((0,) * n,) * N,
-                          alpha_lo_rows=((1,) * n,) * N, delta_rows=(delta,) * N)
 
 
 def forge_boundary_tables(monkeypatch) -> None:
@@ -102,8 +52,7 @@ def forge_boundary_tables(monkeypatch) -> None:
 
 def accepted(trace: ExecutionTrace, salt: bytes, spec: SystemSpec = SYSTEM) -> bool:
     field = PrimeField(MODULUS)
-    proof = prove(field, spec, trace, FiatShamirTranscript(MODULUS, salt=salt),
-                  num_queries=QUERIES, force=True)
+    proof = forge_proof(field, spec, trace, FiatShamirTranscript(MODULUS, salt=salt), QUERIES)
     return verify(field, spec, proof, num_queries=QUERIES).accepted
 
 
@@ -154,17 +103,6 @@ def test_wrapped_step_is_rejected():
         prove(PrimeField(MODULUS), WRAPPING_SYSTEM, wrapping_trace(),
               FiatShamirTranscript(MODULUS), num_queries=QUERIES)
     assert not accepted(wrapping_trace(), salt=b"0", spec=WRAPPING_SYSTEM)
-
-
-def moved_state(spec: SystemSpec) -> ExecutionTrace:
-    """The trajectory whose state after the middle step is moved by 1 on
-    coordinate 0, within the box, and continued honestly: one transition
-    constraint fails, at that step only."""
-    k = spec.num_steps // 2
-    honest = step_slack(spec, trajectory({}, spec).z_rows[k])
-    z0 = honest.z_next[0] + (1 if honest.z_next[0] < spec.z_upper[0] else -1)
-    return trajectory({k: StepRecord((z0, *honest.z_next[1:]), honest.alpha_up,
-                                     honest.alpha_lo, honest.delta)}, spec)
 
 
 def lagrange_columns(xs, q):
@@ -222,8 +160,7 @@ def test_the_rate_forgery_is_accepted_at_its_rate(monkeypatch, q, spec, salts):
     accepted = 0
     for k in range(salts):
         salt = b"rate%d" % k
-        proof = prove(field, spec, trace, FiatShamirTranscript(q, salt=salt), num_queries=1,
-                      force=True)
+        proof = forge_proof(field, spec, trace, FiatShamirTranscript(q, salt=salt), 1)
         accepted += verify(field, spec, proof).accepted
     rate = spec.num_steps / protocol._domains(q, spec.num_steps).size(0)
     assert abs(accepted - salts * rate) <= 3 * math.sqrt(salts * rate * (1 - rate)), accepted

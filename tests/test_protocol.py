@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (STEP_CHECK_CASES, WRAPPING_SYSTEM, criterion_06_specs, keyed,
-                      minimal_multiproof, positional, random_challenges, random_spec, replay_config,
-                      wrapping_trace)
+from conftest import (STEP_CHECK_CASES, criterion_06_specs, keyed, minimal_multiproof, positional,
+                      random_challenges, random_spec, replay_config)
+from forgeries import WRAPPING_SYSTEM, forge_proof, with_cell, wrapping_trace
 from projstark import protocol
 from projstark import reference_example as ref
 from projstark.air import (
@@ -41,6 +41,7 @@ from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
 from projstark.poly import Polynomial, vanishing
 from projstark.protocol import (
+    MAX_RETRIES,
     PROOF_VERSION,
     OnlineStageError,
     Proof,
@@ -126,7 +127,7 @@ def test_online_stage_gives_up(paper_spec):
         return StepRecord((rec.z_next[0], 999), rec.alpha_up, rec.alpha_lo, rec.delta)
 
     with pytest.raises(OnlineStageError):
-        run_online_stage(paper_spec, hostile, max_retries=2)
+        run_online_stage(paper_spec, hostile)
 
 
 @pytest.mark.parametrize("record", [
@@ -137,8 +138,8 @@ def test_online_stage_gives_up(paper_spec):
 def test_online_stage_refuses_records_of_the_wrong_width(paper_spec, record):
     log = []
     with pytest.raises(OnlineStageError):
-        run_online_stage(paper_spec, lambda k, z, attempt: record, log, max_retries=1)
-    assert [e["reason"].split(":")[0] for e in log] == ["wrong-width"] * 2
+        run_online_stage(paper_spec, lambda k, z, attempt: record, log)
+    assert [e["reason"].split(":")[0] for e in log] == ["wrong-width"] * (MAX_RETRIES + 1)
 
 
 # --- proving and verifying --------------------------------------------------
@@ -173,6 +174,22 @@ def test_a_proof_carries_its_transcripts_salt(field, paper_spec, paper_trace):
     for salt in (b"", b"b"):
         with pytest.raises(ValueError, match="salt"):
             prove(field, paper_spec, paper_trace, transcript(), num_queries=2, salt=salt)
+
+
+def test_prove_raises_the_callers_value_errors_before_deciding_the_trace(field, paper_spec,
+                                                                         paper_trace):
+    # a wrong start, refused only once the publics, the query count and the
+    # salt have passed
+    wrong_start = with_cell(paper_trace, "z", 0, 1, 99)
+    odd = dataclasses.replace(paper_spec, num_steps=2)  # N+1 = 3 divides 330 but is odd
+    for spec, trace, kwargs, message in (
+            (paper_spec, wrong_start, dict(salt=b"x"), "salt"),
+            (paper_spec, wrong_start, dict(num_queries=0), "num_queries"),
+            (odd, with_cell(simulate(odd), "z", 0, 1, 99), {}, "must be even")):
+        with pytest.raises(ValueError, match=message):
+            prove(field, spec, trace, FiatShamirTranscript(ref.MODULUS), **kwargs)
+    with pytest.raises(InvalidTraceError, match="boundary"):
+        prove(field, paper_spec, wrong_start, FiatShamirTranscript(ref.MODULUS))
 
 
 def test_a_replay_proof_carries_the_empty_salt(field, paper_spec, paper_trace, paper_proof):
@@ -231,20 +248,20 @@ def test_prove_requires_even_subgroup(field):
 
 
 def test_prove_refuses_tampered_trace(field, paper_spec, paper_trace):
-    tampered = paper_trace.with_cell("alpha_lo", 4, 1, 2)
+    tampered = with_cell(paper_trace, "alpha_lo", 4, 1, 2)
     with pytest.raises(InvalidTraceError):
         prove(field, paper_spec, tampered, paper_transcript())
 
 
 def test_prove_refuses_online_failure(field, paper_spec, paper_trace):
-    bad = paper_trace.with_cell("delta", 4, 1, 59)
+    bad = with_cell(paper_trace, "delta", 4, 1, 59)
     with pytest.raises(InvalidTraceError, match="online"):
         prove(field, paper_spec, bad, paper_transcript())
 
 
 def test_prove_names_the_failing_constraint_and_step(field, paper_spec, paper_trace):
     # a larger slack passes the online checks; the step check catches it
-    tampered = paper_trace.with_cell("delta", 7, 1, paper_trace.delta_rows[7][1] + 1)
+    tampered = with_cell(paper_trace, "delta", 7, 1, paper_trace.delta_rows[7][1] + 1)
     with pytest.raises(InvalidTraceError, match=r"constraint slack\[1\] fails at step 7$"):
         prove(field, paper_spec, tampered, paper_transcript())
 
@@ -272,19 +289,19 @@ def test_prove_refuses_on_the_rows_before_interpolating(field, paper_spec, paper
 
     monkeypatch.setattr(protocol, "build_trace_polys", no_interpolation)
     old = getattr(paper_trace, section + "_rows")[row][1]
-    tampered = paper_trace.with_cell(section, row, 1, old + shift)
+    tampered = with_cell(paper_trace, section, row, 1, old + shift)
     with pytest.raises(InvalidTraceError, match=message):
         prove(field, paper_spec, tampered, paper_transcript())
 
 
 def test_a_bit_outside_0_1_is_refused_online(field, paper_spec, paper_trace):
     # refused when the step is recorded, while it can still be requested again
-    tampered = paper_trace.with_cell("alpha_up", 7, 1, 2)
+    tampered = with_cell(paper_trace, "alpha_up", 7, 1, 2)
     log = []
     with pytest.raises(OnlineStageError):
-        run_online_stage(paper_spec, lambda k, z, attempt: tampered.step(k), log, max_retries=1)
+        run_online_stage(paper_spec, lambda k, z, attempt: tampered.step(k), log)
     assert [(e["step"], e["reason"]) for e in log if e["verdict"] == "reject"] == [
-        (7, "not-a-bit: alpha_up[1]=2 is neither 0 nor 1")] * 2
+        (7, "not-a-bit: alpha_up[1]=2 is neither 0 nor 1")] * (MAX_RETRIES + 1)
     with pytest.raises(InvalidTraceError, match=r"online check failed at step 7: not-a-bit"):
         prove(field, paper_spec, tampered, paper_transcript())
 
@@ -305,7 +322,7 @@ def test_prover_divides_once_for_the_weighted_sum_of_floor_quotients():
         # and the committed Q opens to that sum at every sample point
         ch = random_challenges(rng, q, spec, num_queries=3)
         ch["gammas"] = gammas
-        proof = prove(field, spec, trace, ReplayTranscript(q, **ch), num_queries=3, force=True)
+        proof = forge_proof(field, spec, trace, ReplayTranscript(q, **ch), 3)
         for query, x in zip(proof.queries, ch["sample_points"], strict=True):
             assert query.fri[0][0].value == expected.evaluate(x), (q, spec, x)
 
@@ -330,18 +347,18 @@ def test_step_check_refuses_exactly_when_a_numerator_leaves_a_remainder():
 
 
 def test_forced_proof_is_rejected(field, paper_spec, paper_trace):
-    tampered = paper_trace.with_cell("z", 9, 1, 55)
+    tampered = with_cell(paper_trace, "z", 9, 1, 55)
     transcript = FiatShamirTranscript(ref.MODULUS)
-    proof = prove(field, paper_spec, tampered, transcript, num_queries=8, force=True)
+    proof = forge_proof(field, paper_spec, tampered, transcript, 8)
     report = verify(field, paper_spec, proof)
     assert not report.accepted
     assert report.stage in ("boundary", "consistency", "fri_query")
 
 
 def test_forced_boundary_tamper_hits_boundary_stage(field, paper_spec, paper_trace):
-    forged = paper_trace.with_cell("z", 0, 1, 99)
+    forged = with_cell(paper_trace, "z", 0, 1, 99)
     transcript = FiatShamirTranscript(ref.MODULUS)
-    proof = prove(field, paper_spec, forged, transcript, num_queries=4, force=True)
+    proof = forge_proof(field, paper_spec, forged, transcript, 4)
     report = verify(field, paper_spec, proof)
     assert not report.accepted
     assert report.stage == "boundary"
@@ -351,10 +368,10 @@ def test_forced_boundary_tamper_hits_boundary_stage(field, paper_spec, paper_tra
 def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, paper_trace,
                                                             monkeypatch, forced):
     # every committed boundary value at every point of D0 is the floor
-    # quotient floor((f_z - z_init)/(x - 1)) by Horner, also for a forced trace
+    # quotient floor((f_z - z_init)/(x - 1)) by Horner, also for a forged trace
     # whose row 0 is not z_init: there (f_z(x) - z_init)/(x - 1) differs from
     # it at every point, and would let the wrong start pass the boundary stage
-    trace = paper_trace.with_cell("z", 0, 1, 99) if forced else paper_trace
+    trace = with_cell(paper_trace, "z", 0, 1, 99) if forced else paper_trace
     committed = []
     init = protocol._Committed.__init__
 
@@ -363,8 +380,8 @@ def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, p
         init(self, tables, domains)
 
     monkeypatch.setattr(protocol._Committed, "__init__", spy)
-    prove(field, paper_spec, trace, FiatShamirTranscript(ref.MODULUS), num_queries=2,
-          force=forced)
+    (forge_proof if forced else prove)(field, paper_spec, trace,
+                                        FiatShamirTranscript(ref.MODULUS), num_queries=2)
     n, q = paper_spec.n, field.modulus
     domains = protocol._domains(q, paper_spec.num_steps)
     points = domains.trace_points
@@ -599,8 +616,8 @@ def test_a_proof_folded_for_another_query_count_is_malformed(tmp_path):
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
     q, n = ref.MODULUS, paper_spec.n
     for row, stage in ((0, "boundary"), (9, "consistency")):
-        forged = paper_trace.with_cell("z", row, 1, 55)
-        proof = prove(field, paper_spec, forged, FiatShamirTranscript(q), num_queries=8, force=True)
+        forged = with_cell(paper_trace, "z", row, 1, 55)
+        proof = forge_proof(field, paper_spec, forged, FiatShamirTranscript(q), 8)
         report = verify(field, paper_spec, proof)
         assert (report.verdict, report.stage) == ("reject", stage)
         k = int(report.detail.split(":")[0].removeprefix("query "))
@@ -637,10 +654,10 @@ def forged_transcript():
 
 @pytest.fixture(scope="module")
 def forged_proof(field, paper_spec, paper_trace):
-    broken = paper_trace.with_cell("alpha_up", 3, 0, 0)
+    broken = with_cell(paper_trace, "alpha_up", 3, 0, 0)
     with pytest.raises(InvalidTraceError):
         prove(field, paper_spec, broken, forged_transcript(), num_queries=2)
-    return prove(field, paper_spec, broken, forged_transcript(), num_queries=2, force=True)
+    return forge_proof(field, paper_spec, broken, forged_transcript(), 2)
 
 
 def test_forged_proof_passes_only_its_own_challenges(field, paper_spec, forged_proof):
@@ -2151,8 +2168,7 @@ def test_forced_replay_proofs_need_no_layer_beyond_the_built_ones():
         trace = ExecutionTrace(spec=spec, z_rows=rows(N + 1), alpha_up_rows=rows(N),
                                alpha_lo_rows=rows(N), delta_rows=rows(N))
         ch = random_challenges(rng, q, spec, num_queries=2)
-        proof = prove(PrimeField(q), spec, trace, ReplayTranscript(q, **ch), num_queries=2,
-                      force=True)
+        proof = forge_proof(PrimeField(q), spec, trace, ReplayTranscript(q, **ch), 2)
         assert proof.degree_bound <= max(2 * N - 2, 0)
         at_worst += proof.degree_bound == max(2 * N - 2, 0)
         assert len(proof.fri_layers.roots) + 1 <= _layer_count(q, N)

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import (STEP_CHECK_CASES, TRIAL_MODULI, WRAPPING_SYSTEM, random_spec,
-                      tamper_randomly, wrapping_trace)
+from conftest import STEP_CHECK_CASES, TRIAL_MODULI, random_spec
+from forgeries import WRAPPING_SYSTEM, forge_proof, tamper_randomly, with_cell, wrapping_trace
 from projstark import protocol
 from projstark.air import FAMILIES, FieldOverflowError, InvalidTraceError, constraints
 from projstark.channel import FiatShamirTranscript
@@ -17,13 +17,13 @@ from projstark.reference_example import MODULUS, SYSTEM
 SECTIONS = ("z", "alpha_up", "alpha_lo", "delta")
 
 
-def step_by_step(spec, trace, field, force):
+def step_by_step(spec, trace, field, forged):
     """The lifted trace, or the refusal, of checking the integer rows step by
     step: the boundary condition, then at each step the online checks and
     then every constraint, which must be exactly 0; then each cell, row by
-    row, must have magnitude below q. force skips all but the last."""
+    row, must have magnitude below q. `forged` skips all but the last."""
     q, n = field.modulus, spec.n
-    if not force:
+    if not forged:
         for i, (z0, init) in enumerate(zip(trace.z_rows[0], spec.z_init)):
             if z0 != init:
                 raise InvalidTraceError(f"boundary condition violated for coordinate {i}")
@@ -66,19 +66,20 @@ def outcome(decide):
 
 @pytest.fixture()
 def decided(monkeypatch):
-    """(prove's outcome, the oracle's) for a trace, with or without force."""
+    """(prove's outcome, the oracle's) for a trace, or with `forged`,
+    forge_proof's and the oracle's lift alone."""
     def stop(trace, domain):
         raise Lifted(trace)
 
     monkeypatch.setattr(protocol, "build_trace_polys", stop)
 
-    def both(field, spec, trace, force=False):
+    def both(field, spec, trace, forged=False):
         def by_prove():
-            protocol.prove(field, spec, trace, FiatShamirTranscript(field.modulus),
-                           num_queries=1, force=force)
+            (forge_proof if forged else protocol.prove)(
+                field, spec, trace, FiatShamirTranscript(field.modulus), num_queries=1)
             raise AssertionError("prove went past interpolation")
 
-        return outcome(by_prove), outcome(lambda: step_by_step(spec, trace, field, force))
+        return outcome(by_prove), outcome(lambda: step_by_step(spec, trace, field, forged))
 
     return both
 
@@ -90,16 +91,16 @@ def _kind(decision):
     return "overflow" if decision[0] is FieldOverflowError else decision[1].split()[0]
 
 
-# the decisions each set of edited traces below reaches, forced or not
+# the decisions each set of edited traces below reaches, forged or not
 KINDS = {"lifted", "boundary", "online", "constraint"}
 
 
 def test_step_check_cases_are_decided_as_step_by_step(decided):
     kinds = set()
     for field, spec, trace in STEP_CHECK_CASES:
-        for force in (False, True):
-            got, want = decided(field, spec, trace, force)
-            assert got == want, (field.modulus, spec, force)
+        for forged in (False, True):
+            got, want = decided(field, spec, trace, forged)
+            assert got == want, (field.modulus, spec, forged)
             kinds.add(_kind(got))
     assert kinds == {"lifted", "constraint"}
 
@@ -113,17 +114,17 @@ def test_criterion_07_traces_are_decided_as_step_by_step(decided):
         orders = [m for m in range(2, 13, 2) if (q - 1) % m == 0]
         spec = random_spec(rng, q, orders=orders)
         tampered = tamper_randomly(rng, spec, simulate(spec), q)
-        for force in (False, True):
-            got, want = decided(PrimeField(q), spec, tampered, force)
-            assert got == want, (q, spec, tampered, force)
+        for forged in (False, True):
+            got, want = decided(PrimeField(q), spec, tampered, forged)
+            assert got == want, (q, spec, tampered, forged)
             kinds.add(_kind(got))
     assert kinds == KINDS
 
 
 def test_a_trace_that_holds_only_mod_q_is_decided_as_step_by_step(decided):
     field = PrimeField(MODULUS)
-    for force in (False, True):
-        got, want = decided(field, WRAPPING_SYSTEM, wrapping_trace(), force)
+    for forged in (False, True):
+        got, want = decided(field, WRAPPING_SYSTEM, wrapping_trace(), forged)
         assert got == want
     assert got[0] == "lifted"
     assert decided(field, WRAPPING_SYSTEM, wrapping_trace())[0] == (
@@ -140,10 +141,10 @@ def test_single_cell_edits_of_the_paper_trace_are_decided_as_step_by_step(decide
             for i in range(SYSTEM.n):
                 old = rows[row][i]
                 for value in {old + 1, old - 1, old + 2, old - 2, -1, q, -q} - {old}:
-                    edited = trace.with_cell(section, row, i, value)
-                    for force in (False, True):
-                        got, want = decided(field, SYSTEM, edited, force)
-                        assert got == want, (section, row, i, value, force)
+                    edited = with_cell(trace, section, row, i, value)
+                    for forged in (False, True):
+                        got, want = decided(field, SYSTEM, edited, forged)
+                        assert got == want, (section, row, i, value, forged)
                         kinds.add(_kind(got))
     assert kinds == KINDS | {"overflow"}
 
@@ -154,10 +155,10 @@ def test_two_failing_steps_are_decided_as_step_by_step(decided):
     field = PrimeField(MODULUS)
     trace = simulate(SYSTEM)
     def online(t, j):
-        return t.with_cell("alpha_up", j, 1, 2)
+        return with_cell(t, "alpha_up", j, 1, 2)
 
     def slack(t, j):
-        return t.with_cell("delta", j, 0, t.delta_rows[j][0] + 1)
+        return with_cell(t, "delta", j, 0, t.delta_rows[j][0] + 1)
 
     steps = range(0, SYSTEM.num_steps, 4)
     seen = set()
@@ -191,10 +192,10 @@ def _wide_traces():
 
 def test_cells_of_magnitude_q_or_more_overflow_with_and_without_force(decided):
     for field, spec, trace in _wide_traces():
-        for force in (False, True):
-            got, want = decided(field, spec, trace, force)
-            assert got == want, (field.modulus, spec, force)
+        for forged in (False, True):
+            got, want = decided(field, spec, trace, forged)
+            assert got == want, (field.modulus, spec, forged)
             assert got[0] is FieldOverflowError
             with pytest.raises(FieldOverflowError, match=r"has magnitude >= q=\d+$"):
-                protocol.prove(field, spec, trace, FiatShamirTranscript(field.modulus),
-                               num_queries=1, force=force)
+                (forge_proof if forged else protocol.prove)(
+                    field, spec, trace, FiatShamirTranscript(field.modulus), num_queries=1)
