@@ -8,7 +8,7 @@ the weights first and divides once, as the verifier's consistency check does
 pointwise.  The counts derived from that shape are here too, and the two
 AIRs, which share every constraint family but the transition: the paper's,
 which replay proofs use, and a degree-2 one for Fiat-Shamir proofs, which
-halves Q's worst-case degree bound.
+halves Q's worst-case degree bound and binds z_init by boundary quotients.
 
 Numerators, quotients and weights are flat lists in the order the weights are
 drawn: entry k is family FAMILIES[k // n] at coordinate k % n.  The degree
@@ -19,7 +19,7 @@ the replay fixture reorders for presentation only.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
@@ -155,25 +155,27 @@ class Air(NamedTuple):
     """The constraints of one proof system, which differ only in their
     transition: its value at a coordinate from z', the two bits, A_hat·z, the
     box and the slack terms P_u = up·(hi - A_hat·z), P_l = lo·(A_hat·z - lw);
-    and Q's worst-case degree bound for N steps, the largest degree a
-    quotient of the numerators by Z_N can have."""
+    Q's worst-case degree bound for N steps, the largest degree a quotient
+    of the numerators by Z_N can have; and the values F binds f_z to at 1."""
 
     transition: Callable
     worst_bound: Callable[[int], int]
+    boundary: Callable[[SystemSpec], Sequence[int]]
 
 
 # The paper's transition, of degree 3: lo·up·A_hat·z has degree
-# (N - 1) + (N - 1) + N, less N for Z_N. Replay proofs use it.
+# (N - 1) + (N - 1) + N, less N for Z_N. Replay proofs use it; F is Q alone.
 PAPER_AIR = Air(lambda z_next, up, lo, az, hi, lw, p_u, p_l:
                 z_next - lo * up * az - (1 - up) * hi - (1 - lo) * lw,
-                lambda num_steps: max(2 * num_steps - 2, 0))
+                lambda num_steps: max(2 * num_steps - 2, 0), lambda spec: ())
 # The Fiat-Shamir transition, of degree 2 like the slack: P_u has degree
 # (N - 1) + N, less N. For bit pairs (1, 1), (1, 0) and (0, 1) it equals the
 # paper's; at (0, 0) the slack constraint forces delta = 0, which the online
 # check delta >= hi - lw refuses, so both accept the same integer traces.
+# F binds z_init by n terms (f_z,i - z_init,i)/(x - 1), of degree N - 1 too.
 DEGREE_2_AIR = Air(lambda z_next, up, lo, az, hi, lw, p_u, p_l:
                    z_next + az + p_u - p_l - (hi + lw),
-                   lambda num_steps: max(num_steps - 1, 0))
+                   lambda num_steps: max(num_steps - 1, 0), lambda spec: spec.z_init)
 
 
 def constraints(spec: SystemSpec, row: Sequence, next_row: Sequence, air: Air = PAPER_AIR) -> list:
@@ -229,6 +231,11 @@ def build_compositions(numerators: Sequence[Polynomial], domain: CyclicDomain) -
     x_minus_last = Polynomial(field, (-domain.elements[N], 1))
     cyclic = Polynomial(field, (-1, *[0] * N, 1))
     return [divmod(num * x_minus_last, cyclic)[0] for num in numerators]
+
+
+def boundary_quotient(f: Polynomial) -> Polynomial:
+    """floor(f/(x - 1)) = (f - f(1))/(x - 1): coefficient k is sum_{j>k} c_j."""
+    return Polynomial(f.field, list(accumulate(f.coeffs[:0:-1]))[::-1])
 
 
 def combine(polys: Sequence[Polynomial], gammas: Sequence[int]) -> Polynomial:

@@ -1,12 +1,12 @@
 """End-to-end orchestration: online stage, proof generation, and verification.
 
 The proof commits the trace as one Merkle tree whose leaf at a point x is the
-row of every column interpolant and boundary quotient at x, and commits the
-combined composition polynomial and each FRI folding layer as a tree of its
-own, whose leaf at a pair {y, -y} holds both values that one fold combines.
-Verification checks commitment openings, the boundary-quotient identity,
-recomputation of the composition values from the opened trace rows, and the
-FRI folding chain, attributing any failure to the earliest failing stage.
+row of every column interpolant at x, and commits F, the composition
+polynomial plus the AIR's weighted boundary terms, and each FRI folding layer
+as a tree of its own, whose leaf at a pair {y, -y} holds both values that one
+fold combines. Verification checks commitment openings, recomputation of F's
+values from the opened trace rows, and the FRI folding chain, attributing any
+failure to the earliest failing stage.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .air import (
     Air,
     Column,
     InvalidTraceError,
+    boundary_quotient,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -55,7 +56,7 @@ from .poly import CosetEvaluator, Polynomial
 
 MAX_QUERIES = 1024
 MAX_RETRIES = 3  # times the online stage requests a rejected step again
-PROOF_VERSION = 18
+PROOF_VERSION = 19
 # cosets of H in the committed domain; Q's degree bound, N - 1 under
 # Fiat-Shamir and at most 2N - 2 under replay, is below |H| and 2|H|, so its
 # rate there is under 1/16 and 1/8
@@ -89,7 +90,7 @@ class Opening:
 @dataclass(frozen=True)
 class RowOpening:
     """The trace row at one point: each column interpolant's value, in commitment
-    order, then the n boundary quotients'; the verifier finds its leaf."""
+    order; the verifier finds its leaf."""
 
     values: Tuple[int, ...]
     path: bytes
@@ -134,12 +135,12 @@ class Proof:
     FRI leaf holds the points |G_j|/2 apart in one coset, y and -y.
 
     Each query opens the trace rows at x and g·x, then one leaf per FRI layer,
-    the one that holds the values at y and -y; the last layer's fold is
-    checked against the remainder. A tree's openings are one batch, in query
-    order (x before g·x): together their paths send the minimal multiproof,
-    the sibling digests no opened leaf lets the verifier compute, each in the
-    path of the first opening whose leaf is below its parent
-    (channel._multiproof), so a leaf opened before sends none.
+    the one that holds the values at y and -y, F's in layer 0; the last
+    layer's fold is checked against the remainder. A tree's openings are one
+    batch, in query order (x before g·x): together their paths send the
+    minimal multiproof, the sibling digests no opened leaf lets the verifier
+    compute, each in the path of the first opening whose leaf is below its
+    parent (channel._multiproof), so a leaf opened before sends none.
     """
 
     version: int
@@ -155,7 +156,7 @@ class VerificationReport:
     """verify's verdict: a reject names the first stage that failed, of those
     below in verify's order, and says why; an accept names none."""
 
-    stage: Optional[str] = None  # queries|salt|fri_commit|commitment|boundary|consistency|fri_query
+    stage: Optional[str] = None  # queries|salt|fri_commit|commitment|consistency|fri_query
     detail: str = ""
 
     @property
@@ -268,11 +269,9 @@ class _Domains:
 
     The coset-DFT plans of the layers are built on first use, so a verifier
     builds none and a Fiat-Shamir prover only those of the layers it
-    commits; layer 0's gives both the trace table and Q's. So is the table
-    of inverses (x - 1)^(-1) on trace_points from which prove takes the
-    boundary columns (boundary_inverses). Nothing here depends on a proof;
-    a plan keeps, per slot width, the power rows of the longest list it has
-    evaluated (CosetEvaluator._powers).
+    commits; layer 0's gives both the trace table and F's. Nothing here
+    depends on a proof; a plan keeps, per slot width, the power rows of the
+    longest list it has evaluated (CosetEvaluator._powers).
     """
 
     def __init__(self, q: int, num_steps: int):
@@ -290,7 +289,6 @@ class _Domains:
                         for reps, size in self.layers]
         self._log = {h: i for i, h in enumerate(self.subgroup.elements)}  # g^i -> i
         self.plans: Dict[int, CosetEvaluator] = {}
-        self._boundary_inverses: Optional[List[int]] = None
 
     def size(self, layer: int) -> int:
         """|D_layer|."""
@@ -332,16 +330,6 @@ class _Domains:
             omega = pow(self.g, self.subgroup.order // order, self.field.modulus)
             plan = self.plans[j] = CosetEvaluator(self.field, reps, omega, order)
         return plan
-
-    def boundary_inverses(self) -> List[int]:
-        """(x - 1)^(-1) at every point x of trace_points, in its order; 1 is in
-        H, so in no coset of D0. Built on first use, like the plans, so by the
-        first prove and by no verifier; racing threads may each build it."""
-        inverses = self._boundary_inverses
-        if inverses is None:
-            q = self.field.modulus
-            inverses = self._boundary_inverses = [pow(x - 1, -1, q) for x in self.trace_points]
-        return inverses
 
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
@@ -538,11 +526,11 @@ def _prove_lifted(field: PrimeField, spec: SystemSpec, trace: ExecutionTrace, tr
                   num_queries: int) -> Proof:
     """The proof of a lifted trace, committed as it is: all of prove after its
     decision, so a test that calls it on lift_trace of any trace forges a
-    proof with the code that makes an honest one. The boundary quotients and
-    Q are floor quotients, Q that of the weighted sum of the constraint
-    numerators: one division."""
+    proof with the code that makes an honest one. F is Q, the floor quotient
+    of the weighted constraint numerators by Z_N (one division), plus the
+    floor quotients of f_z,i by x - 1 weighted by the alphas, one per value
+    the AIR binds: none for replay, z_init under Fiat-Shamir."""
     N = spec.num_steps
-    n = spec.n
     q = field.modulus
     domains = _domains(q, N)
     domain = domains.subgroup
@@ -552,21 +540,16 @@ def _prove_lifted(field: PrimeField, spec: SystemSpec, trace: ExecutionTrace, tr
     transcript.absorb("spec", hash_spec(field, spec))
 
     g = domains.g
-    tables = domains.evaluator(0).evaluate(tp)
-    # The boundary quotient B = floor((f - z0)/(x - 1)) leaves the remainder
-    # f(1) - z0, so off x = 1 it is (f(x) - f(1))/(x - 1), forged trace or not
-    inverses = domains.boundary_inverses()
-    for table, f in zip(tables[:n], tp):
-        f_one = sum(f.coeffs)
-        tables.append([(v - f_one) * w % q for v, w in zip(table, inverses)])
-    trace_cm = _Committed(tables, domains)
+    trace_cm = _Committed(domains.evaluator(0).evaluate(tp), domains)
     transcript.absorb("trace", trace_cm.tree.root)
 
-    gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]
-
     air, shape = _fri_shape(transcript, domains, num_queries)
+    gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]
+    alphas = [transcript.draw("gamma") for _ in air.boundary(spec)]
     numerators = build_numerators(tp, spec, domain, air)
     [quotient] = build_compositions([combine(numerators, gammas)], domain)
+    # F = Q + sum_i alpha_i·floor((f_z,i - z_init,i)/(x - 1)), forged trace or not
+    quotient = combine([quotient, *map(boundary_quotient, tp[:len(alphas)])], [1, *alphas])
 
     bound, rounds = shape(degree_bound(tp, quotient, N))
 
@@ -612,7 +595,7 @@ def _structural_validate(proof: Proof, field: PrimeField, spec: SystemSpec, boun
                          rounds: int) -> None:
     """Raise ProofFormatError on a proof malformed for _fri_shape's bound and rounds."""
     q = field.modulus
-    width = trace_width(spec) + spec.n  # the columns, then the boundary quotients
+    width = trace_width(spec)
     if proof.version != PROOF_VERSION:
         raise ProofFormatError(f"unsupported proof version {proof.version}")
     if not 1 <= len(proof.queries) <= MAX_QUERIES:
@@ -669,14 +652,13 @@ def verify(
     each FRI pair's two values in one leaf (commitment: a path of the wrong
     length or a leaf opened twice with two rows is named by its tree and
     query, a root mismatch by its tree and both roots, computed and
-    committed), the initialization quotient identity (boundary), the
-    composition values recomputed from the opened trace rows (consistency),
-    and the folding chain, whose last fold must be the remainder's value
+    committed), F's value recomputed from the opened trace rows, with the
+    terms (z_i(x) - z_init,i)/(x - 1) under Fiat-Shamir (consistency), and
+    the folding chain, whose last fold must be the remainder's value
     (fri_query). A reject that compares two values names both.
     """
     q = field.modulus
     N = spec.num_steps
-    n = spec.n
     domains = _domains(q, N)
     g = domains.g
     _check_num_queries(num_queries)
@@ -700,6 +682,7 @@ def verify(
     comms, fri = proof.commitments, proof.fri_layers
     transcript.absorb("trace", comms.trace.root)
     gammas = [transcript.draw("gamma") for _ in range(constraint_count(spec))]  # the spec's
+    alphas = [transcript.draw("gamma") for _ in air.boundary(spec)]
 
     try:  # as many as the proof's rounds and queries need
         transcript.absorb("composition", comms.composition.root)
@@ -748,30 +731,20 @@ def verify(
             at = "" if verdict.opening is None else f", {where(verdict.opening)}"
             return VerificationReport("commitment", f"{name} tree{at}: {verdict.reason}")
 
-    # --- stage: boundary -----------------------------------------------------
-    width = trace_width(spec)  # where the boundary quotients start in a row
-    for k, (query, x) in enumerate(zip(proof.queries, xs)):
-        row = query.trace[0].values
-        for i in range(n):
-            lhs = (row[i] - spec.z_init[i]) % q
-            rhs = row[width + i] * (x - 1) % q
-            if lhs != rhs:
-                return VerificationReport(
-                    "boundary", f"query {k}: boundary identity fails for coordinate {i}: "
-                    f"z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
-
     # --- stage: consistency --------------------------------------------------
     g_pow_n = pow(g, N, q)
     for k, (query, x) in enumerate(zip(proof.queries, xs)):
-        # Z_N(x) = (x^(N+1) - 1)/(x - g^N), so 1/Z_N(x) takes one inversion
-        inv_z = (x - g_pow_n) * pow(pow(x, N + 1, q) - 1, -1, q) % q
-        numerators = constraints(spec, query.trace[0].values, query.trace[1].values, air)
-        recombined = sum(gm * nm for gm, nm in zip(gammas, numerators)) % q * inv_z % q
+        # 1/Z_N(x) = (x - g^N)/(x^(N+1) - 1) and 1/(x - 1) share one inversion
+        row, cyclic = query.trace[0].values, pow(x, N + 1, q) - 1
+        numerators = constraints(spec, row, query.trace[1].values, air)
+        weighted = sum(gm * nm for gm, nm in zip(gammas, numerators)) * (x - g_pow_n) * (x - 1)
+        weighted += sum(a * (z - z0) for a, z, z0 in zip(alphas, row, air.boundary(spec))) * cyclic
+        recombined = weighted * pow(cyclic * (x - 1), -1, q) % q
         opened = query.fri[0][0].value
         if recombined != opened:
             return VerificationReport(
                 "consistency", f"query {k}: composition value mismatch at x={x}: "
-                f"opened Q(x) = {opened}, recomputed from the trace rows {recombined}")
+                f"opened F(x) = {opened}, recomputed from the trace rows {recombined}")
 
     # --- stage: fri_query ----------------------------------------------------
     remainder = Polynomial(field, fri.remainder)

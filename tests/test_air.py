@@ -11,6 +11,7 @@ from projstark.air import (
     PAPER_AIR,
     FieldOverflowError,
     InvalidTraceError,
+    boundary_quotient,
     by_section,
     build_compositions,
     build_numerators,
@@ -261,6 +262,24 @@ def test_combine_is_linear(paper_cs, field):
     g2 = [rng.randrange(1, 331) for _ in range(8)]
     both = [(a + b) % 331 for a, b in zip(g1, g2)]
     assert combine(paper_cs, both) == combine(paper_cs, g1) + combine(paper_cs, g2)
+
+
+def test_boundary_quotient_is_the_floor_quotient_by_x_minus_1(paper_tp):
+    # suffix sums give divmod's quotient by x - 1, of degree one less, with
+    # the remainder f(1); the state interpolants of the paper trace, the zero
+    # and constant polynomials, and random ones over the trial moduli
+    rng = random.Random(53)
+    polys = list(paper_tp)
+    for q in TRIAL_MODULI:
+        field = PrimeField(q)
+        polys += [Polynomial(field), Polynomial(field, [rng.randrange(q)])]
+        polys += [Polynomial(field, [rng.randrange(q) for _ in range(rng.randint(2, 40))])
+                  for _ in range(10)]
+    for f in polys:
+        quotient, remainder = divmod(f, Polynomial(f.field, (-1, 1)))
+        assert boundary_quotient(f) == quotient
+        assert remainder.coeffs == (() if f.evaluate(1) == 0 else (f.evaluate(1),))
+        assert boundary_quotient(f).reported_degree == max(f.reported_degree - 1, 0)
 
 
 def test_combine_zero_weights(paper_cs, paper_tp, field):

@@ -1,21 +1,24 @@
 """The soundness scoreboard: each known break of the Fiat-Shamir verifier as a
 strict expected failure, on the forged trajectories of tests/forgeries.py,
 over the paper system or, for the wrapped step, its one-coordinate
-WRAPPING_SYSTEM; the wrong start also replaces the trace tree's boundary
-tables, by patching protocol._Committed.
+WRAPPING_SYSTEM.
 
 Each forgery is a trajectory that breaks the dynamics, which the honest prover
 refuses. Committed at 8 queries through forgeries.forge_proof, the code that
-runs after prove's decision, verify should reject it; today verify accepts
-each, so each test xfails and names the ROADMAP item that would close it.
-When a fix closes a break, its test passes and, being strict, fails the run
-until the fix removes the mark.
+runs after prove's decision, verify should reject it; where verify accepts
+it, the test xfails and names the ROADMAP item that would close it. When a
+fix closes a break, its test passes and, being strict, fails the run until
+the fix removes the mark. The wrong start, closed by F's boundary terms
+(ROADMAP item 4), is a plain test now.
 
 The rate forgery (ROADMAP items 2 and 22) is accepted at a rate, not always:
-its test measures that rate on each shape the benchmark proves.
+its test measures that rate on each shape the benchmark proves. So is the
+adaptive wrong start, which commits as F the interpolant of the values the
+verifier expects, its boundary terms included: it falls to the same rate.
 """
 
 import math
+from itertools import cycle
 from operator import mul
 
 import pytest
@@ -31,23 +34,6 @@ from projstark.reference_example import MODULUS, SYSTEM
 from test_protocol import BENCHMARK_SHAPES
 
 QUERIES = 8
-
-
-def forge_boundary_tables(monkeypatch) -> None:
-    """Make prove commit, as the n boundary columns of its trace tree, the
-    tables (f_z(x) - z_init)·(x - 1)^(-1) in place of the floor quotients:
-    they meet the boundary identity at every point of D0, and no FRI tests
-    their degree."""
-    init = protocol._Committed.__init__
-
-    def forged(self, tables, domains):
-        if type(self) is protocol._Committed:  # the trace tree, not a tree of pairs
-            q, n, inverses = domains.field.modulus, SYSTEM.n, domains.boundary_inverses()
-            tables = tables[:-n] + [[(v - z0) * w % q for v, w in zip(table, inverses)]
-                                    for table, z0 in zip(tables[:n], SYSTEM.z_init)]
-        init(self, tables, domains)
-
-    monkeypatch.setattr(protocol._Committed, "__init__", forged)
 
 
 def accepted(trace: ExecutionTrace, salt: bytes, spec: SystemSpec = SYSTEM) -> bool:
@@ -79,18 +65,15 @@ def test_missing_clip_is_rejected():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
 def test_salt_grinding_is_rejected():
     # the prover picks the salt, and so the composition weights drawn from F_q:
-    # b"41" is the first of b"0", b"1", ... whose weights cancel the two failures
-    assert not accepted(shifted_state(), salt=b"41")
+    # b"44" is the first of b"0", b"1", ... whose weights cancel the two failures
+    assert not accepted(shifted_state(), salt=b"44")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
-def test_wrong_start_is_rejected(monkeypatch):
-    # only Q is FRI-tested, so the boundary columns can hold any table:
-    # committed as forge_boundary_tables commits them, the wrong start passes
-    # the boundary stage at every sample point. Accepted for each salt of
-    # b"0" to b"9", at 8 and at 64 queries
-    forge_boundary_tables(monkeypatch)
-    assert not accepted(wrong_start(), salt=b"0")
+def test_wrong_start_is_rejected():
+    # every step holds, so Q is exact, but f_z(1) is not z_init: F's boundary
+    # terms, floor quotients by x - 1, differ from the verifier's (f_z(x) -
+    # z_init)/(x - 1) at every point of D0
+    assert not any(accepted(wrong_start(), salt=b"%d" % k) for k in range(10))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
@@ -144,6 +127,27 @@ def rate_forgery(q: int, spec: SystemSpec):
     return build_compositions
 
 
+def boundary_forgery(q: int, spec: SystemSpec):
+    """The boundary_quotient of a prover that commits, as boundary term i,
+    the interpolant of the values the consistency check expects, (f_z,i(x) -
+    z_init,i)/(x - 1), on the first bound + 1 points of D0; prove takes the
+    n terms in coordinate order, so z_init cycles with them. With
+    rate_forgery, F is then the interpolant of every value the verifier
+    expects there."""
+    N = spec.num_steps
+    domains = protocol._domains(q, N)
+    xs = domains.trace_points[:DEGREE_2_AIR.worst_bound(N) + 1]
+    inverses = [pow(x - 1, -1, q) for x in xs]
+    columns, starts = lagrange_columns(xs, q), cycle(spec.z_init)
+
+    def boundary_quotient(f):
+        z0, table = next(starts), domains.evaluator(0).evaluate([f])[0]
+        ys = [(v - z0) * w % q for v, w in zip(table, inverses)]
+        return Polynomial(PrimeField(q), [sum(map(mul, c, ys)) % q for c in columns])
+
+    return boundary_quotient
+
+
 # enough salts on each shape that 0, and the rate of the paper's AIR, fall
 # outside the band
 @pytest.mark.parametrize("q, spec, salts", [
@@ -164,3 +168,26 @@ def test_the_rate_forgery_is_accepted_at_its_rate(monkeypatch, q, spec, salts):
         accepted += verify(field, spec, proof).accepted
     rate = spec.num_steps / protocol._domains(q, spec.num_steps).size(0)
     assert abs(accepted - salts * rate) <= 3 * math.sqrt(salts * rate * (1 - rate)), accepted
+
+
+def test_the_adaptive_wrong_start_is_accepted_at_the_rate_and_not_at_8_queries(monkeypatch):
+    # F the interpolant of the verifier's expected values, boundary terms
+    # included, on the first N points of D0: at 1 query accepted where the
+    # sample point is one of them, N of the |D0| points (29/300 on the paper
+    # shape), within 3 standard deviations over 300 salts; at 8 queries
+    # never, over 100 salts
+    q, spec, trace = MODULUS, SYSTEM, wrong_start()
+    monkeypatch.setattr(protocol, "build_compositions", rate_forgery(q, spec))
+    monkeypatch.setattr(protocol, "boundary_quotient", boundary_forgery(q, spec))
+    field = PrimeField(q)
+    counts = []
+    for queries, salts in ((1, 300), (8, 100)):
+        count = 0
+        for k in range(salts):
+            transcript = FiatShamirTranscript(q, salt=b"start%d" % k)
+            proof = forge_proof(field, spec, trace, transcript, queries)
+            count += verify(field, spec, proof, num_queries=queries).accepted
+        counts.append(count)
+    rate = spec.num_steps / protocol._domains(q, spec.num_steps).size(0)
+    assert abs(counts[0] - 300 * rate) <= 3 * math.sqrt(300 * rate * (1 - rate)), counts
+    assert counts[1] == 0, counts

@@ -25,6 +25,7 @@ from projstark.air import (
     DEGREE_2_AIR,
     PAPER_AIR,
     InvalidTraceError,
+    boundary_quotient,
     build_compositions,
     build_numerators,
     build_trace_polys,
@@ -35,8 +36,8 @@ from projstark.air import (
 from projstark.channel import (FiatShamirTranscript, MerkleCommitment, ReplayTranscript,
                                TranscriptError)
 from projstark.cli import EXIT_MALFORMED, EXIT_OK, ConfigError, load_config, main
-from projstark.dynamics import (ExecutionTrace, StepRecord, SystemSpec, online_check, simulate,
-                                step_slack)
+from projstark.dynamics import (SECTIONS, ExecutionTrace, StepRecord, SystemSpec, online_check,
+                                simulate, step_slack)
 from projstark.field import PrimeField, build_domain
 from projstark.fri import num_rounds
 from projstark.poly import Polynomial, vanishing
@@ -352,57 +353,74 @@ def test_forced_proof_is_rejected(field, paper_spec, paper_trace):
     proof = forge_proof(field, paper_spec, tampered, transcript, 8)
     report = verify(field, paper_spec, proof)
     assert not report.accepted
-    assert report.stage in ("boundary", "consistency", "fri_query")
+    assert report.stage in ("consistency", "fri_query")
 
 
-def test_forced_boundary_tamper_hits_boundary_stage(field, paper_spec, paper_trace):
+def test_forced_wrong_start_is_rejected_at_consistency(field, paper_spec, paper_trace):
     forged = with_cell(paper_trace, "z", 0, 1, 99)
     transcript = FiatShamirTranscript(ref.MODULUS)
     proof = forge_proof(field, paper_spec, forged, transcript, 4)
     report = verify(field, paper_spec, proof)
     assert not report.accepted
-    assert report.stage == "boundary"
+    assert report.stage == "consistency"
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_committed_boundary_columns_are_the_floor_quotients(field, paper_spec, paper_trace,
-                                                            monkeypatch, forced):
-    # every committed boundary value at every point of D0 is the floor
-    # quotient floor((f_z - z_init)/(x - 1)) by Horner, also for a forged trace
-    # whose row 0 is not z_init: there (f_z(x) - z_init)/(x - 1) differs from
-    # it at every point, and would let the wrong start pass the boundary stage
+def test_committed_f_adds_the_floor_boundary_quotients(field, paper_spec, paper_trace,
+                                                       monkeypatch, forced):
+    # under Fiat-Shamir the committed F is Q plus, weighted by the n draws
+    # after the 4n gammas, the floor quotients floor((f_z,i - z_init,i)/(x -
+    # 1)) by divmod, also for a forged trace whose row 0 is not z_init: there
+    # (f_z(x) - z_init)/(x - 1) is no polynomial, and F differs from it at
+    # every point of D0
     trace = with_cell(paper_trace, "z", 0, 1, 99) if forced else paper_trace
-    committed = []
-    init = protocol._Committed.__init__
+    committed, weights = [], []
+    init = protocol._CommittedPairs.__init__
 
-    def spy(self, tables, domains):
-        committed.append(tables)
-        init(self, tables, domains)
+    def spy(self, poly, domains, layer):
+        committed.append(poly)
+        init(self, poly, domains, layer)
 
-    monkeypatch.setattr(protocol._Committed, "__init__", spy)
-    (forge_proof if forced else prove)(field, paper_spec, trace,
-                                        FiatShamirTranscript(ref.MODULUS), num_queries=2)
-    n, q = paper_spec.n, field.modulus
-    domains = protocol._domains(q, paper_spec.num_steps)
-    points = domains.trace_points
-    f_z = build_trace_polys(trace, domains.subgroup)[:n]
-    boundary = committed[0][4 * n:]
-    assert len(boundary) == n
+    transcript = FiatShamirTranscript(ref.MODULUS)
+    draw = transcript.draw
+
+    def recording(kind, points=None):
+        value = draw(kind, points)
+        if kind == "gamma":
+            weights.append(value)
+        return value
+
+    monkeypatch.setattr(protocol._CommittedPairs, "__init__", spy)
+    transcript.draw = recording
+    (forge_proof if forced else prove)(field, paper_spec, trace, transcript, num_queries=2)
+    n, domain = paper_spec.n, build_domain(field, paper_spec.num_steps + 1)
+    tp = build_trace_polys(trace, domain)
+    gammas, alphas = weights[:4 * n], weights[4 * n:]
+    assert len(alphas) == n
+    [expected] = build_compositions([combine(build_numerators(tp, paper_spec, domain, DEGREE_2_AIR),
+                                             gammas)], domain)
     x_minus_one = Polynomial(field, (-1, 1))
-    for f, z0, table in zip(f_z, paper_spec.z_init, boundary):
-        assert table == [divmod(f - z0, x_minus_one)[0].evaluate(x) for x in points]
-    starts = [f.evaluate(1) for f in f_z]
+    for f, z0, alpha in zip(tp, paper_spec.z_init, alphas):
+        expected = expected + divmod(f - z0, x_minus_one)[0].scale(alpha)
+    assert committed[0] == expected
+    starts = [f.evaluate(1) for f in tp[:n]]
     assert (starts != list(paper_spec.z_init)) == forced
 
 
-def test_verify_rejects_wrong_public_inputs(field, paper_spec, paper_proof):
-    other = paper_spec.__class__(
-        a_hat=paper_spec.a_hat, z_upper=paper_spec.z_upper, z_lower=paper_spec.z_lower,
-        z_init=(3, 99), num_steps=paper_spec.num_steps,
-    )
-    report = verify(field, other, paper_proof, paper_transcript())
+@pytest.mark.parametrize("public", ["a_hat", "z_upper", "z_lower", "z_init"])
+def test_verify_rejects_wrong_public_inputs(field, paper_spec, paper_fs_proof, public):
+    # an honest Fiat-Shamir proof of the paper system, checked against a spec
+    # with one value changed. A replay proof binds no public input: its
+    # challenges are fixed before the prover commits, and its F has no
+    # boundary term
+    value = getattr(paper_spec, public)
+    if public == "a_hat":
+        other = ((value[0][0] + 1, *value[0][1:]), *value[1:])
+    else:
+        other = (value[0] - 1, *value[1:])
+    report = verify(field, dataclasses.replace(paper_spec, **{public: other}), paper_fs_proof)
     assert not report.accepted
-    assert report.stage == "boundary"  # replay challenges ignore the spec digest
+    assert verify(field, paper_spec, paper_fs_proof).accepted
 
 
 def test_verify_rejects_wrong_modulus(paper_spec, paper_proof):
@@ -614,27 +632,21 @@ def test_a_proof_folded_for_another_query_count_is_malformed(tmp_path):
 
 
 def test_boundary_and_consistency_rejects_name_both_values(field, paper_spec, paper_trace):
-    q, n = ref.MODULUS, paper_spec.n
-    for row, stage in ((0, "boundary"), (9, "consistency")):
+    # a wrong start (row 0) and a broken step (row 9) both fail the
+    # consistency stage, which checks F's boundary terms and its constraint
+    # terms at once; the reject names the opened and the recomputed F(x)
+    q = ref.MODULUS
+    for row in (0, 9):
         forged = with_cell(paper_trace, "z", row, 1, 55)
         proof = forge_proof(field, paper_spec, forged, FiatShamirTranscript(q), 8)
         report = verify(field, paper_spec, proof)
-        assert (report.verdict, report.stage) == ("reject", stage)
+        assert (report.verdict, report.stage) == ("reject", "consistency")
         k = int(report.detail.split(":")[0].removeprefix("query "))
-        query = proof.queries[k]
         x = _drawn_points(field, paper_spec, proof)[k]
-        if stage == "boundary":
-            i = int(report.detail.split(":")[1].split()[-1])
-            values = query.trace[0].values
-            lhs = (values[i] - paper_spec.z_init[i]) % q
-            rhs = values[4 * n + i] * (x - 1) % q
-            assert lhs != rhs
-            assert report.detail.endswith(f"z(x) - z_init = {lhs}, B(x)·(x - 1) = {rhs}")
-        else:
-            opened = query.fri[0][0].value
-            recomputed = int(report.detail.split()[-1])
-            assert recomputed != opened
-            assert f"at x={x}: opened Q(x) = {opened}, recomputed" in report.detail
+        opened = proof.queries[k].fri[0][0].value
+        recomputed = int(report.detail.split()[-1])
+        assert recomputed != opened
+        assert f"at x={x}: opened F(x) = {opened}, recomputed" in report.detail
 
 
 # --- caller-chosen challenges -----------------------------------------------
@@ -771,7 +783,7 @@ def test_every_opened_value_is_range_checked(field, paper_spec, paper_proof, val
               for r, row in enumerate(qd["trace"]) for i in range(len(row["values"]))]
     places += [(k, "fri", j, side) for k, qd in enumerate(base["queries"])
                for j in range(len(qd["fri"])) for side in (0, 1)]
-    assert len(places) == 2 * (2 * 5 * paper_spec.n + 2 * 5)
+    assert len(places) == 2 * (2 * 4 * paper_spec.n + 2 * 5)
     for k, section, j, i in places:
         doc = json.loads(json.dumps(base))
         node = doc["queries"][k][section][j]
@@ -912,7 +924,7 @@ def test_verify_rejects_any_tampered_trace_row_value(
     doc = keyed(json.loads(dump_proof(paper_proof if replay else paper_fs_proof)))
     query = data.draw(st.sampled_from(doc["queries"]), label="query")
     values = query["trace"][side]["values"]
-    assert len(values) == 5 * paper_spec.n
+    assert len(values) == 4 * paper_spec.n
     i = data.draw(st.integers(0, len(values) - 1), label="position")
     values[i] = (values[i] + shift) % ref.MODULUS
     report = verify(field, paper_spec, proof_from_json(positional(doc)),
@@ -1195,7 +1207,7 @@ def test_load_proof_refuses_negative_zero(field, paper_spec, paper_trace):
     # json.loads reads -0 as the integer 0: the 64-query proof with its first
     # FRI opening at index 0, "fri":[[[0,, written "fri":[[[-0, would be a
     # second text of the same proof (salted so that one query's leaf is 0)
-    salt = b"3"
+    salt = b"1"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                   num_queries=64, salt=salt)
     text = dump_proof(proof)
@@ -1281,14 +1293,16 @@ def test_proof_commits_the_trace_once(paper_spec, paper_proof):
     for qd in doc["queries"]:
         assert set(qd) == {"trace", "fri"}  # no sample point: the verifier draws it
         assert len(qd["trace"]) == 2  # the rows at x and at g·x
-        assert all(len(row["values"]) == 5 * paper_spec.n for row in qd["trace"])
+        assert all(len(row["values"]) == 4 * paper_spec.n for row in qd["trace"])
 
 
 def test_verify_rejects_wrong_row_width(field, paper_spec, paper_proof):
-    for width in (5 * paper_spec.n - 1, 5 * paper_spec.n + 1):
+    # a row is 4n values; version 18's, with the n boundary quotients, 5n
+    n = paper_spec.n
+    for width in (4 * n - 1, 4 * n + 1, 5 * n):
         doc = keyed(json.loads(dump_proof(paper_proof)))
         row = doc["queries"][0]["trace"][1]
-        row["values"] = (row["values"] + [0])[:width]
+        row["values"] = (row["values"] + [0] * n)[:width]
         with pytest.raises(ProofFormatError):
             verify(field, paper_spec, proof_from_json(positional(doc)), paper_transcript())
 
@@ -1551,10 +1565,12 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # SHA-256 of dump_proof (compact JSON with no whitespace, laid out by the
 # proof dataclasses, every number a JSON integer and every byte string
 # padded standard base64, a path its digests joined, each opening the list
-# of its fields' values; proof version 18:
-# Fiat-Shamir proofs of the degree-2 AIR and replay proofs of the paper's,
-# every tree laid out coset by coset, each coset in power order: one
-# row-leaf trace tree, so the row at g·x is the leaf after x's, and one
+# of its fields' values; proof version 19:
+# Fiat-Shamir proofs of the degree-2 AIR, whose F adds to Q the n boundary
+# quotients weighted by n draws after the 4n gammas, and replay proofs of
+# the paper's, whose F is Q, every tree laid out coset by coset, each coset
+# in power order: one row-leaf trace tree of the 4n columns, so the row at
+# g·x is the leaf after x's, and one
 # leaf per pair {y, -y} in the composition and FRI trees, y and -y |G_j|/2
 # apart in one coset, opened once at y with f(-y) sent as a plain value,
 # FRI folded under Fiat-Shamir while a layer costs less than the
@@ -1567,19 +1583,19 @@ def test_mutated_salt_is_rejected(field, paper_spec, paper_proof, paper_fs_proof
 # the committed values, their order, the tree hashing, the paths sent or
 # the transcript changes a digest.
 PINNED_PROOF_DIGESTS = {
-    "paper-replay": "3d1a308ecaf39eb2126903378605f2bc2f0aca6dc9b06f7f77fa0c41b188ba8f",
-    "paper-fiat-shamir": "3d6907ad9fee6cb175ba8f9caae1fa460677f587fe189fbecbab679a6aaf985a",
+    "paper-replay": "b6002949891a76591e5b8df8fd498d4d8994217f9370cbb11dfae6d67293c37f",
+    "paper-fiat-shamir": "1dc0e1d21184d253201a7de66e52d6299eb66250b5c99263f3b2848cbbf11dbb",
     # q=3001, N+1=40=2^3*5: mixed-radix trace subgroup; 16 of its 74 cosets
     # are committed, and 38 folded once leaves a remainder of 20 coefficients
-    "q3001-fiat-shamir": "18c3b727a5c1ddc952b95c19f740ddb45ed916775da0620c8a3e6206d0ea9172",
+    "q3001-fiat-shamir": "f8939632ce64e23749388a5698b00a99f0ccae2aaed03fe3b1e89c382a47901a",
     # q=12289, N+1=128, one query: 126 folded once leaves 64 coefficients
     "q12289-one-query-fiat-shamir":
-        "4d98f63938da665819c454efa74d231acfc6a22a2fb3372f36dcc9136c871c00",
+        "b4db1e257ee52860e82e49f845a2826c48311a55b5eaa321c6fb206c4e3fc75a",
     # q=769, N+1=256, one query: 254 folded three times leaves 32
     # coefficients, and FRI layers 1 and 2, unions of cosets of the subgroups
     # of order 128 and 64, are committed
     "q769-one-query-fiat-shamir":
-        "aea431041246e12ac94e2d525ec3da76e0d36a6f5afdaefaedda6ca1bab164c2",
+        "8f1787b5ac14083d9880ecdb9251abacc59ff3d0abf8a984c138f28eb5c6ffd4",
 }
 PINNED_REPLAY_PAPER_DIGEST = "c93db5260f4859739bd1fe80d8c1c550e14ae7d89c58feb76e90bd727303487b"
 
@@ -1602,7 +1618,7 @@ def _doc_digest(doc: dict) -> str:
 
 
 def test_paper_proofs_are_byte_identical(field, paper_spec, paper_trace, paper_proof):
-    assert paper_proof.version == PROOF_VERSION == 18
+    assert paper_proof.version == PROOF_VERSION == 19
     assert _proof_digest(paper_proof) == PINNED_PROOF_DIGESTS["paper-replay"]
     salt = b"pin-paper"
     proof = prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
@@ -1772,11 +1788,46 @@ def _ascending_trees(trace_tree: bool):
         yield
 
 
+@contextlib.contextmanager
+def _boundary_columns():
+    """Proof version 18's trace tree and F patched in: after its 4n
+    columns, each row holds the n boundary quotients floor((f_z,i -
+    z_init,i)/(x - 1)), the value (f_z,i(x) - f_z,i(1))/(x - 1) version 18
+    committed, and F is Q alone, with no boundary weight drawn. Entered
+    after any other patch of _Committed.__init__, so the columns are laid
+    out as that one lays out the rest."""
+    build, init = protocol.build_trace_polys, protocol._Committed.__init__
+    polys = []
+
+    def recorded(trace, domain):
+        polys[:] = build(trace, domain)
+        return tuple(polys)
+
+    def trace_tree(self, tables, domains):
+        if type(self) is protocol._Committed:  # the trace tree, not a tree of pairs
+            state = polys[:len(polys) // len(SECTIONS)]
+            tables = tables + domains.evaluator(0).evaluate(list(map(boundary_quotient, state)))
+        init(self, tables, domains)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(protocol, "build_trace_polys", recorded)
+        m.setattr(protocol._Committed, "__init__", trace_tree)
+        m.setattr(protocol, "DEGREE_2_AIR", protocol.DEGREE_2_AIR._replace(boundary=lambda s: ()))
+        yield
+
+
+def _as_made_by_version_18(make) -> dict:
+    """The document of the proof make() returns as version 18 made it: with
+    its boundary columns (_boundary_columns), and its version 18."""
+    with _boundary_columns():
+        return {**proof_to_json(make()), "version": 18}
+
+
 def _as_made_by_version_17(make) -> dict:
-    """The document of the proof make() returns as version 17 made it: its
-    FRI trees and sample points in ascending order of their points
-    (_ascending_trees), and its version 17; all else as made."""
-    with _ascending_trees(trace_tree=False):
+    """The document of the proof make() returns as version 17 made it: as
+    version 18 made it, but with its FRI trees and sample points in
+    ascending order of their points (_ascending_trees), and its version 17."""
+    with _ascending_trees(trace_tree=False), _boundary_columns():
         return {**proof_to_json(make()), "version": 17}
 
 
@@ -1784,7 +1835,7 @@ def _as_made_by_version_16(make) -> dict:
     """The document of the proof make() returns as version 16 made it: as
     version 17 made it, but with its trace tree's leaves in ascending order
     of their points too, and its version 16."""
-    with _ascending_trees(trace_tree=True):
+    with _ascending_trees(trace_tree=True), _boundary_columns():
         return {**proof_to_json(make()), "version": 16}
 
 
@@ -1849,9 +1900,53 @@ def test_version_18_changes_only_the_fri_trees():
     v17 = json.loads(VERSION_17_PAPER_REPLAY.read_text())
     assert _doc_digest(v17) == VERSION_17_DIGESTS["paper-replay"]
     assert _as_made_by_version_17(lambda: _pinned_proof("paper-replay")) == v17
-    doc = proof_to_json(_pinned_proof("paper-replay"))
+    doc = _as_made_by_version_18(lambda: _pinned_proof("paper-replay"))
     assert _fri_trees_blanked(doc) == {**_fri_trees_blanked(v17), "version": 18}
     assert doc["commitments"]["composition"] != v17["commitments"]["composition"]
+
+
+# what PINNED_PROOF_DIGESTS held in proof version 18, whose trace rows held
+# the n boundary quotients after the 4n columns, and whose F was Q alone
+VERSION_18_DIGESTS = {
+    "paper-replay": "3d1a308ecaf39eb2126903378605f2bc2f0aca6dc9b06f7f77fa0c41b188ba8f",
+    "paper-fiat-shamir": "3d6907ad9fee6cb175ba8f9caae1fa460677f587fe189fbecbab679a6aaf985a",
+    "q3001-fiat-shamir": "18c3b727a5c1ddc952b95c19f740ddb45ed916775da0620c8a3e6206d0ea9172",
+    "q12289-one-query-fiat-shamir":
+        "4d98f63938da665819c454efa74d231acfc6a22a2fb3372f36dcc9136c871c00",
+    "q769-one-query-fiat-shamir":
+        "aea431041246e12ac94e2d525ec3da76e0d36a6f5afdaefaedda6ca1bab164c2",
+}
+# the paper replay proof as version 18 wrote it
+VERSION_18_PAPER_REPLAY = pathlib.Path(__file__).parent / "data" / "paper-replay-v18.json"
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_18_DIGESTS))
+def test_version_18_is_this_version_with_the_boundary_columns_patched_back_in(name):
+    # version 18's trace tree and its F = Q, patched in, give each pinned
+    # proof as version 18 made it, byte for byte
+    assert _doc_digest(_as_made_by_version_18(lambda: _pinned_proof(name))) == \
+        VERSION_18_DIGESTS[name]
+
+
+def test_version_19_changes_only_the_replay_trace_tree():
+    # the paper replay proof as version 18 wrote it, frozen, is what the
+    # boundary columns patched in make. This version's trace rows are its
+    # rows without their last n values, the boundary quotients, so the trace
+    # root and paths differ; replay's F has no boundary term and its
+    # challenges are injected, so the composition root, the FRI roots and
+    # openings and the remainder are byte for byte version 18's
+    text = VERSION_18_PAPER_REPLAY.read_text().strip()
+    assert hashlib.sha256(text.encode()).hexdigest() == VERSION_18_DIGESTS["paper-replay"]
+    v18, n = json.loads(text), ref.SYSTEM.n
+    assert _as_made_by_version_18(lambda: _pinned_proof("paper-replay")) == v18
+    expected = {**json.loads(text), "version": 19}
+    for qd in expected["queries"]:
+        for row in qd["trace"]:
+            assert len(row[0]) == 5 * n
+            row[0] = row[0][:-n]
+    doc = proof_to_json(_pinned_proof("paper-replay"))
+    assert _trace_tree_blanked(doc) == _trace_tree_blanked(expected)
+    assert doc["commitments"]["trace"] != v18["commitments"]["trace"]
 
 
 # what PINNED_PROOF_DIGESTS held in proof version 14, whose openings were
@@ -1929,17 +2024,22 @@ def test_version_14_changes_only_the_paths_of_the_pinned_proofs(name):
     if name == "paper-fiat-shamir":
         assert (_digests_sent(doc), _digests_sent(v13)) == (67, 88)
         # its version-13 paths, relabelled as this version and checked as
-        # version 15 checked them, of the paper's AIR, are a reject
+        # version 15 checked them, of the paper's AIR and rows of 5n values
+        # (the boundary quotients last, which the paper's AIR does not read),
+        # are a reject
         v13_relabelled = proof_from_json(positional({**v13, "version": PROOF_VERSION}))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(protocol, "DEGREE_2_AIR", PAPER_AIR)
+            m.setattr(protocol, "trace_width", lambda spec: (len(SECTIONS) + 1) * spec.n)
             report = verify(PrimeField(ref.MODULUS), ref.SYSTEM, v13_relabelled)
         assert (report.verdict, report.stage) == ("reject", "commitment")
 
 
 def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, paper_trace):
-    # 192 openings (2 trace rows and 1 FRI layer per query) and a remainder
-    # of 15 coefficients in 13,808 bytes, against 13,974 in version 17, whose
+    # 192 openings (2 trace rows of 4n values and 1 FRI layer per query) and
+    # a remainder of 15 coefficients in 13,440 bytes, against 13,808 in
+    # version 18, whose rows also held the n boundary quotients, 13,974 in
+    # version 17, whose
     # composition tree held its pairs in ascending order of their points,
     # 15,058 in version 16, whose
     # trace leaves were in ascending order, 15,188 in version 15, whose
@@ -1959,13 +2059,15 @@ def test_paper_proof_with_64_queries_stays_under_300_kib(field, paper_spec, pape
     assert len(dump_proof(proof)) <= 19 * 1024
     v16, v15 = _as_made_by_version_16(make), _as_made_by_version_15(make)
     sizes = [len(json.dumps(doc, separators=(",", ":")))
-             for doc in (_as_made_by_version_17(make), v16, v15, _as_version_14(v15))]
-    assert [len(dump_proof(proof)), *sizes] == [13808, 13974, 15058, 15188, 18708]
+             for doc in (_as_made_by_version_18(make), _as_made_by_version_17(make), v16, v15,
+                         _as_version_14(v15))]
+    assert [len(dump_proof(proof)), *sizes] == [13440, 13808, 13974, 15058, 15188, 18708]
 
 
 def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spec, paper_trace):
-    # one FRI layer and a 15-coefficient remainder: 149 digests, the minimal
-    # multiproof of each tree, against 152 in version 17, whose composition
+    # one FRI layer and a 15-coefficient remainder: 157 digests, the minimal
+    # multiproof of each tree, against 149 in version 18, whose trace root,
+    # and so its sample points, were others, 152 in version 17, whose composition
     # tree held its pairs, and whose draws their sample points, in ascending
     # order of their points, 177 in version 16, whose trace tree
     # put the rows at x and g·x in unrelated subtrees (179 for the sample
@@ -1988,15 +2090,16 @@ def test_paper_proof_with_64_queries_sends_at_most_1000_digests(field, paper_spe
     minimal = (len(minimal_multiproof(proof.commitments.trace.leaf_count, trace_leaves))
                + len(minimal_multiproof(proof.commitments.composition.leaf_count, pair_leaves)))
     openings = [o for qr in proof.queries for o in (*qr.trace, *(pos for pos, _ in qr.fri))]
-    assert sum(len(o.path) // 32 for o in openings) == minimal == 149
+    assert sum(len(o.path) // 32 for o in openings) == minimal == 157
     assert len(dump_proof(proof)) <= 19 * 1024
 
     def make():
         return prove(field, paper_spec, paper_trace, FiatShamirTranscript(ref.MODULUS, salt=salt),
                      num_queries=64, salt=salt)
 
-    v17, v16 = _as_made_by_version_17(make), _as_made_by_version_16(make)
-    assert (_digests_sent(keyed(v17)), _digests_sent(keyed(v16))) == (152, 177)
+    v18, v17, v16 = (_as_made_by_version_18(make), _as_made_by_version_17(make),
+                     _as_made_by_version_16(make))
+    assert [_digests_sent(keyed(doc)) for doc in (v18, v17, v16)] == [149, 152, 177]
 
 
 def test_replay_paper_output_is_unchanged(capsys):
@@ -2144,10 +2247,8 @@ def test_rejected_or_malformed_proofs_leave_the_layer_count(
         verify(field, paper_spec, proof_from_json(positional(truncated)))
     assert _layer_count(ref.MODULUS, N) == count
     assert protocol._domains(ref.MODULUS, N).layers is layers
-    # a pure verifier builds no coset-DFT plan, no trace interpolator and no
-    # table of boundary inverses
+    # a pure verifier builds no coset-DFT plan and no trace interpolator
     assert not protocol._domains(ref.MODULUS, N).plans
-    assert protocol._domains(ref.MODULUS, N)._boundary_inverses is None
     assert trace_interpolator.cache_info().currsize == 0
 
 
@@ -2481,6 +2582,20 @@ def test_the_trace_leaf_of_g_x_is_the_one_after_the_leaf_of_x(q, num_steps):
         assert domains.leaf(domains.g * x % q) == after
 
 
+@pytest.mark.parametrize("q, num_steps", [(ref.MODULUS, ref.SYSTEM.num_steps),
+                                          (3001, MIXED_RADIX_SPEC.num_steps), (769, 255),
+                                          (12289, 127), (65537, 4095)],
+                         ids=["paper", "q3001", "trace-q769", "field-q12289", "horizon-q65537"])
+def test_the_point_of_leaf_k_is_its_cosets_representative_times_g_to_k_mod_h(q, num_steps):
+    # trace_points[k] = r_{k // |H|}·g^(k mod |H|), r_t the representative of
+    # D0's coset t: a point is computed from its leaf with no table of D0
+    domains = protocol._domains(q, num_steps)
+    reps, order = domains.layers[0]
+    points, g = domains.trace_points, domains.g
+    assert order == num_steps + 1 and len(points) == len(reps) * order
+    assert points == [reps[k // order] * pow(g, k % order, q) % q for k in range(len(points))]
+
+
 @pytest.mark.parametrize("q, spec, queries", BENCHMARK_SHAPES,
                          ids=["paper-q64", "field-q12289", "trace-q769"])
 def test_the_row_at_g_x_sends_no_digest_when_the_leaf_of_x_is_even(q, spec, queries):
@@ -2501,10 +2616,11 @@ def test_the_row_at_g_x_sends_no_digest_when_the_leaf_of_x_is_even(q, spec, quer
 
 
 def test_a_field_q12289_proof_sends_fewer_trace_digests():
-    # the 8-query proof of the field-q12289 shape sends 58 digests for its
+    # the 8-query proof of the field-q12289 shape sends 59 digests for its
     # trace rows, where version 16, whose 2048-leaf trace tree put the rows
     # at x and g·x in unrelated subtrees, sent 101 (69 in version 17, whose
-    # sample points, drawn from D0 ascending, were others)
+    # sample points, drawn from D0 ascending, were others, and 58 in version
+    # 18, whose trace root, and so its sample points, were others too)
     q, spec, queries = BENCHMARK_SHAPES[1]
     salt = b"shape"
 
@@ -2516,7 +2632,8 @@ def test_a_field_q12289_proof_sends_fewer_trace_digests():
         return sum(len(base64.b64decode(row[-1])) // 32 for qd in doc["queries"]
                    for row in qd["trace"])
 
-    assert trace_digests(proof_to_json(make())) == 58
+    assert trace_digests(proof_to_json(make())) == 59
+    assert trace_digests(_as_made_by_version_18(make)) == 58
     assert trace_digests(_as_made_by_version_17(make)) == 69
     assert trace_digests(_as_made_by_version_16(make)) == 101
 

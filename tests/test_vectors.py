@@ -166,8 +166,8 @@ def test_build_numerators_equal_constraints_on_polynomials():
 
 
 def test_constraints_read_only_the_declared_row_and_state():
-    # a row padded past its trace_width columns, as an opened row is by the
-    # boundary quotients, or a next row padded past the state, changes nothing
+    # a row padded past its trace_width columns, or a next row padded past
+    # the state, changes nothing
     rng = random.Random(37)
     for field, spec, trace in STEP_CHECK_CASES[:8]:
         q, n, N = field.modulus, spec.n, spec.num_steps
